@@ -5,17 +5,27 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mrtpl_core::{MrTplConfig, SearchPolicy};
-use tpl_bench::{prepare_case, run_mrtpl};
-use tpl_ispd::CaseParams;
+use tpl_bench::{prepare, run_mrtpl};
+use tpl_harness::RouteBudget;
+use tpl_ispd::{Case, CaseParams};
 
 fn ablation_colorstate(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_colorstate");
     group.sample_size(10);
     for idx in [2usize, 3] {
         let params = CaseParams::ispd18_like(idx).scaled(0.5);
-        let (design, guides) = prepare_case(&params);
+        let (design, guides, _) =
+            prepare(&Case::synthetic(params.clone()), &RouteBudget::default());
         group.bench_with_input(BenchmarkId::new("set_based", idx), &idx, |b, _| {
-            b.iter(|| run_mrtpl(&design, &guides, &MrTplConfig::default()).0)
+            b.iter(|| {
+                run_mrtpl(
+                    &design,
+                    &guides,
+                    &MrTplConfig::default(),
+                    &RouteBudget::default(),
+                )
+                .0
+            })
         });
         let greedy = MrTplConfig {
             policy: SearchPolicy::GreedySingleColor,
@@ -24,7 +34,7 @@ fn ablation_colorstate(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("greedy_single_color", idx),
             &idx,
-            |b, _| b.iter(|| run_mrtpl(&design, &guides, &greedy).0),
+            |b, _| b.iter(|| run_mrtpl(&design, &guides, &greedy, &RouteBudget::default()).0),
         );
     }
     group.finish();

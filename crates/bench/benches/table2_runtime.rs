@@ -3,18 +3,28 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mrtpl_core::MrTplConfig;
-use tpl_bench::{prepare_case, run_dac12, run_mrtpl};
+use tpl_bench::{prepare, run_dac12, run_mrtpl};
 use tpl_dac12::Dac12Config;
-use tpl_ispd::CaseParams;
+use tpl_harness::RouteBudget;
+use tpl_ispd::{Case, CaseParams};
 
 fn table2_runtime(c: &mut Criterion) {
     let mut group = c.benchmark_group("table2_runtime");
     group.sample_size(10);
     for idx in [1usize, 2, 3] {
         let params = CaseParams::ispd18_like(idx).scaled(0.5);
-        let (design, guides) = prepare_case(&params);
+        let (design, guides, _) =
+            prepare(&Case::synthetic(params.clone()), &RouteBudget::default());
         group.bench_with_input(BenchmarkId::new("mrtpl", idx), &idx, |b, _| {
-            b.iter(|| run_mrtpl(&design, &guides, &MrTplConfig::default()).0)
+            b.iter(|| {
+                run_mrtpl(
+                    &design,
+                    &guides,
+                    &MrTplConfig::default(),
+                    &RouteBudget::default(),
+                )
+                .0
+            })
         });
         group.bench_with_input(BenchmarkId::new("dac12", idx), &idx, |b, _| {
             b.iter(|| run_dac12(&design, &guides, &Dac12Config::default()).0)

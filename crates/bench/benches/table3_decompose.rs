@@ -4,19 +4,29 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mrtpl_core::MrTplConfig;
-use tpl_bench::{prepare_case, run_decompose, run_mrtpl};
+use tpl_bench::{prepare, run_decompose, run_mrtpl};
 use tpl_decompose::DecomposeConfig;
 use tpl_drcu::DrCuConfig;
-use tpl_ispd::CaseParams;
+use tpl_harness::RouteBudget;
+use tpl_ispd::{Case, CaseParams};
 
 fn table3_decompose(c: &mut Criterion) {
     let mut group = c.benchmark_group("table3_decompose");
     group.sample_size(10);
     for idx in [1usize, 2] {
         let params = CaseParams::ispd19_like(idx).scaled(0.5);
-        let (design, guides) = prepare_case(&params);
+        let (design, guides, _) =
+            prepare(&Case::synthetic(params.clone()), &RouteBudget::default());
         group.bench_with_input(BenchmarkId::new("mrtpl", idx), &idx, |b, _| {
-            b.iter(|| run_mrtpl(&design, &guides, &MrTplConfig::default()).0)
+            b.iter(|| {
+                run_mrtpl(
+                    &design,
+                    &guides,
+                    &MrTplConfig::default(),
+                    &RouteBudget::default(),
+                )
+                .0
+            })
         });
         group.bench_with_input(
             BenchmarkId::new("route_then_decompose", idx),

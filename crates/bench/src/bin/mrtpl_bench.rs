@@ -11,8 +11,7 @@
 //!     --lef tech.lef --def chip.def --methods dac12,mrtpl
 //! ```
 //!
-//! See `--help` for the full flag list; `table2`/`table3` are thin presets
-//! over this binary's engine.
+//! See `--help` for the full flag list, including the Table II/III presets.
 
 use std::process::ExitCode;
 use tpl_bench::cli::{self, Format};

@@ -3,7 +3,7 @@
 use std::path::Path;
 use tpl_harness::{run_matrix, InputProvenance, MethodRegistry, RunOptions, RunReport};
 use tpl_ispd::{cases_from_def_dir, run_suite, Case, Suite};
-use tpl_metrics::{format_table, SuiteTotals, TableRow};
+use tpl_metrics::{format_table, SuiteSummary, SuiteTotals, TableRow};
 
 /// Output format of `mrtpl-bench`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -27,8 +27,6 @@ pub struct BenchArgs {
     pub scale: f64,
     /// Worker-thread count (cases × methods fan-out).
     pub jobs: usize,
-    /// Intra-case worker count (net-level parallelism inside each router).
-    pub net_jobs: usize,
     /// Output format.
     pub format: Format,
     /// Write the report to this path instead of stdout.
@@ -44,14 +42,12 @@ pub struct BenchArgs {
     /// Write trace exports (Chrome trace, per-phase metrics, wall-clock
     /// timings) into this directory; also turns tracing on for the run.
     pub trace: Option<String>,
-    /// Goal-directed A* in the search kernels (`--a-star on|off`).
+    /// Goal-directed A* on Mr.TPL negotiation passes (`--a-star on|off`).
     pub a_star: bool,
-    /// Bucket priority queue in the search kernels (`--bucket-queue on|off`).
-    pub bucket_queue: bool,
-    /// Search-node budget per attempt (`--budget`); deterministic, so it
+    /// Search-node budget per job (`--budget`); deterministic, so it
     /// composes with `--deterministic` byte-comparisons.
     pub budget: Option<u64>,
-    /// Wall-clock deadline per attempt in seconds (`--deadline`); inherently
+    /// Wall-clock deadline per job in seconds (`--deadline`); inherently
     /// machine-dependent, so not for byte-compared runs.
     pub deadline: Option<f64>,
     /// Seed of a deterministic fault-injection plan (`--fault-plan`); faults
@@ -71,7 +67,6 @@ impl Default for BenchArgs {
             methods: "dac12,mrtpl".to_string(),
             scale: 1.0,
             jobs: 1,
-            net_jobs: 1,
             format: Format::Text,
             out: None,
             def: None,
@@ -79,7 +74,6 @@ impl Default for BenchArgs {
             deterministic: false,
             trace: None,
             a_star: true,
-            bucket_queue: true,
             budget: None,
             deadline: None,
             fault_plan: None,
@@ -102,8 +96,6 @@ OPTIONS:
   --methods <LIST>          comma-separated methods (default: dac12,mrtpl)
   --scale <S>               case scale factor (default: 1.0)
   --jobs <N>                worker threads over the case matrix (default: 1)
-  --net-jobs <N>            worker threads inside each router; never changes
-                            results, only wall clock (default: 1)
   --def <PATH>              route an external DEF file (or a directory of
                             .def files) instead of a synthetic suite
   --lef <PATH>              LEF for --def (default: the DEF's sibling
@@ -117,17 +109,14 @@ OPTIONS:
                             (load in chrome://tracing or Perfetto),
                             DIR/metrics.json (report + per-phase counters)
                             and DIR/timings.json; never changes the report
-  --a-star <on|off>         goal-directed A* in the search kernels (default:
-                            on); never changes guides, but may pick different
-                            equal-cost ties in the mrtpl colour search
-  --bucket-queue <on|off>   bucket priority queue in the search kernels
-                            (default: on); never changes any result
-  --budget <NODES>          search-node budget per attempt; budget-stopped
-                            runs return best-so-far partial results marked
-                            degraded/aborted and retry down the degradation
-                            ladder; deterministic across --jobs/--net-jobs
-  --deadline <SECS>         wall-clock deadline per attempt (machine-
-                            dependent; not for byte-compared runs)
+  --a-star <on|off>         goal-directed A* on mrtpl rip-up-and-reroute
+                            passes (default: on); may pick different
+                            equal-cost ties in the colour search
+  --budget <NODES>          search-node budget per job; budget-stopped runs
+                            return best-so-far partial results marked
+                            degraded/aborted; deterministic across --jobs
+  --deadline <SECS>         wall-clock deadline per job (machine-dependent;
+                            not for byte-compared runs)
   --fault-plan <SEED>       install a deterministic fault-injection plan:
                             panics/delays/budget trips fire at fixed sites
                             as a pure function of the seed (robustness
@@ -136,8 +125,8 @@ OPTIONS:
   --help                    print this help
 
 PRESETS:
-  table2 == --suite ispd18 --methods dac12,mrtpl
-  table3 == --suite ispd19 --methods decompose,mrtpl
+  Table II  == --suite ispd18 --methods dac12,mrtpl
+  Table III == --suite ispd19 --methods decompose,mrtpl
 ";
 
 /// Parses a `--scale` value: a strictly positive, finite float (`inf` would
@@ -178,7 +167,7 @@ pub fn parse_seed_value(v: &str) -> Result<u64, String> {
         .map_err(|_| format!("invalid --fault-plan seed `{v}`"))
 }
 
-/// Parses an `on|off` knob value (used by `--a-star` and `--bucket-queue`).
+/// Parses an `on|off` knob value (used by `--a-star`).
 pub fn parse_on_off(flag: &str, v: &str) -> Result<bool, String> {
     match v {
         "on" => Ok(true),
@@ -209,7 +198,6 @@ pub fn parse_bench_args(args: impl Iterator<Item = String>) -> Result<BenchArgs,
             "--methods" => parsed.methods = take("--methods")?,
             "--scale" => parsed.scale = parse_scale_value(&take("--scale")?)?,
             "--jobs" => parsed.jobs = parse_jobs_value(&take("--jobs")?)?,
-            "--net-jobs" => parsed.net_jobs = parse_jobs_value(&take("--net-jobs")?)?,
             "--format" => {
                 let v = take("--format")?;
                 parsed.format = match v.as_str() {
@@ -222,9 +210,6 @@ pub fn parse_bench_args(args: impl Iterator<Item = String>) -> Result<BenchArgs,
             "--deadline" => parsed.deadline = Some(parse_deadline_value(&take("--deadline")?)?),
             "--fault-plan" => parsed.fault_plan = Some(parse_seed_value(&take("--fault-plan")?)?),
             "--a-star" => parsed.a_star = parse_on_off("--a-star", &take("--a-star")?)?,
-            "--bucket-queue" => {
-                parsed.bucket_queue = parse_on_off("--bucket-queue", &take("--bucket-queue")?)?
-            }
             "--def" => parsed.def = Some(take("--def")?),
             "--lef" => parsed.lef = Some(take("--lef")?),
             "--out" => parsed.out = Some(take("--out")?),
@@ -332,11 +317,9 @@ pub fn execute(args: &BenchArgs) -> Result<RunReport, String> {
     }
     let options = RunOptions {
         jobs: args.jobs,
-        net_jobs: args.net_jobs,
         deterministic: args.deterministic,
         trace: args.trace.is_some(),
         a_star: args.a_star,
-        bucket_queue: args.bucket_queue,
         max_search_nodes: args.budget,
         deadline_seconds: args.deadline,
     };
@@ -346,7 +329,6 @@ pub fn execute(args: &BenchArgs) -> Result<RunReport, String> {
         input,
         scale: args.scale,
         jobs: args.jobs,
-        net_jobs: args.net_jobs,
         deterministic: args.deterministic,
         methods: methods.iter().map(|m| m.name().to_string()).collect(),
         records,
@@ -400,18 +382,33 @@ pub fn render_text(report: &RunReport) -> String {
             totals.cases, totals.conflicts, totals.stitches, totals.cost, totals.runtime_seconds,
         ));
     }
-    // No speedup line in deterministic mode: wall-clock fields are zeroed,
-    // so a ratio would be a misleading 0.00x.
-    if report.methods.len() > 1 && !report.deterministic {
-        let baseline = &report.methods[0];
-        for method in &report.methods[1..] {
+    // The `avg` row of the paper's Tables II/III, against the first method.
+    // No speedup in deterministic mode: wall-clock fields are zeroed, so a
+    // ratio would be a misleading 0.00x.
+    if let Some((baseline, rest)) = report.methods.split_first() {
+        for method in rest {
             let (base, ours) = report.paired_records(baseline, method);
-            if !ours.is_empty() {
+            if ours.is_empty() {
+                continue;
+            }
+            let summary = SuiteSummary::from_records(&base, &ours);
+            out.push_str(&format!(
+                "avg {method} vs {baseline}: conflicts {:.2} -> {:.2} (improvement {:.2}%), stitches {:.2} -> {:.2} ({:.2}%), cost improvement {:.2}%",
+                summary.baseline_conflicts,
+                summary.ours_conflicts,
+                summary.conflict_improvement,
+                summary.baseline_stitches,
+                summary.ours_stitches,
+                summary.stitch_improvement,
+                summary.cost_improvement,
+            ));
+            if !report.deterministic {
                 out.push_str(&format!(
-                    "geomean speedup {method} vs {baseline}: {:.2}x\n",
-                    tpl_metrics::geomean_speedup(&base, &ours)
+                    ", speedup {:.2}x (geomean {:.2}x)",
+                    summary.speedup, summary.geomean_speedup
                 ));
             }
+            out.push('\n');
         }
     }
     out
@@ -495,8 +492,6 @@ mod tests {
             "0.5",
             "--jobs",
             "8",
-            "--net-jobs",
-            "4",
             "--format",
             "json",
             "--out",
@@ -506,8 +501,6 @@ mod tests {
             "--deterministic",
             "--a-star",
             "off",
-            "--bucket-queue",
-            "off",
         ])
         .unwrap();
         assert_eq!(args.suite, Suite::Ispd19);
@@ -515,26 +508,18 @@ mod tests {
         assert_eq!(args.methods, "decompose,mrtpl");
         assert_eq!(args.scale, 0.5);
         assert_eq!(args.jobs, 8);
-        assert_eq!(args.net_jobs, 4);
         assert_eq!(args.format, Format::Json);
         assert_eq!(args.out.as_deref(), Some("report.json"));
         assert_eq!(args.trace.as_deref(), Some("out/trace"));
         assert!(args.deterministic);
         assert!(!args.a_star);
-        assert!(!args.bucket_queue);
     }
 
     #[test]
-    fn search_kernel_knobs_default_on_and_parse_on_off() {
-        let args = parse(&[]).unwrap();
-        assert!(args.a_star);
-        assert!(args.bucket_queue);
-        let args = parse(&["--a-star", "off"]).unwrap();
-        assert!(!args.a_star);
-        assert!(args.bucket_queue);
-        let args = parse(&["--bucket-queue", "off", "--a-star", "on"]).unwrap();
-        assert!(args.a_star);
-        assert!(!args.bucket_queue);
+    fn a_star_defaults_on_and_parses_on_off() {
+        assert!(parse(&[]).unwrap().a_star);
+        assert!(!parse(&["--a-star", "off"]).unwrap().a_star);
+        assert!(parse(&["--a-star", "on"]).unwrap().a_star);
     }
 
     #[test]
@@ -587,14 +572,10 @@ mod tests {
         assert!(parse(&["--scale", "inf"]).unwrap_err().contains("scale"));
         assert!(parse(&["--scale", "NaN"]).unwrap_err().contains("scale"));
         assert!(parse(&["--jobs", "0"]).unwrap_err().contains("job"));
-        assert!(parse(&["--net-jobs", "0"]).unwrap_err().contains("job"));
         assert!(parse(&["--format", "xml"]).unwrap_err().contains("format"));
         assert!(parse(&["--a-star", "maybe"])
             .unwrap_err()
             .contains("a-star"));
-        assert!(parse(&["--bucket-queue", "1"])
-            .unwrap_err()
-            .contains("bucket-queue"));
         assert!(parse(&["--scale"]).unwrap_err().contains("missing value"));
         assert!(parse(&["--frobnicate"]).unwrap_err().contains("unknown"));
     }
@@ -613,6 +594,8 @@ mod tests {
         let text = render_text(&report);
         assert!(text.contains("ispd18_like_test1"));
         assert!(text.contains("total dac12"));
+        assert!(text.contains("avg mrtpl vs dac12: conflicts"));
+        assert!(!text.contains("speedup"), "no speedup from zeroed clocks");
         let json = report.to_json();
         assert!(json.contains("\"suite\": \"ispd18\""));
     }

@@ -4,259 +4,15 @@
 //! registry, the parallel scheduler, JSON reports); this crate is the
 //! presentation layer on top of it:
 //!
-//! * [`render_table2`] / [`render_table3`] — the paper's Table II/III as
-//!   plain text, now thin presets over the harness matrix runner.
 //! * [`cli`] — argument parsing and text rendering of the `mrtpl-bench`
-//!   binary, which subsumes the `table2`/`table3` bins.
-//! * Re-exported flow functions ([`prepare_case`], [`run_mrtpl`], …) used by
+//!   binary.  Its presets reproduce Table II (`--suite ispd18 --methods
+//!   dac12,mrtpl`) and Table III (`--suite ispd19 --methods
+//!   decompose,mrtpl`).
+//! * Re-exported flow functions ([`prepare`], [`run_mrtpl`], …) used by
 //!   the Criterion benches to iterate on a pre-generated case.
 
 #![warn(missing_docs)]
 
 pub mod cli;
 
-pub use tpl_harness::flows::{prepare_case, run_dac12, run_decompose, run_drcu, run_mrtpl};
-
-use tpl_harness::{run_matrix, JobRecord, MethodRegistry, RunOptions};
-use tpl_ispd::{run_suite, Suite};
-use tpl_metrics::{format_table, safe_speedup, CaseRecord, SuiteSummary, TableRow};
-
-/// Runs a baseline-vs-Mr.TPL preset over one suite through the harness.
-///
-/// Returns one entry per requested case index (all ten when `cases` is
-/// empty), pairing the index with the (baseline, ours) records — `None` when
-/// either job of that case failed, so rows never shift against their labels.
-fn run_preset(
-    suite: Suite,
-    baseline: &str,
-    cases: &[usize],
-    scale: f64,
-    jobs: usize,
-) -> Vec<(usize, Option<(CaseRecord, CaseRecord)>)> {
-    let registry = MethodRegistry::builtin();
-    let methods = registry
-        .select(&format!("{baseline},mrtpl"))
-        .expect("preset methods are built in");
-    let indices: Vec<usize> = if cases.is_empty() {
-        (1..=10).collect()
-    } else {
-        cases.to_vec()
-    };
-    let params = run_suite(suite, &indices, scale);
-    let options = RunOptions {
-        jobs,
-        ..RunOptions::default()
-    };
-    let records: Vec<JobRecord> = run_matrix(&methods, &params, &options);
-    indices
-        .into_iter()
-        .zip(records.chunks(2))
-        .map(|(idx, pair)| {
-            let paired = match (pair[0].record(), pair[1].record()) {
-                (Some(b), Some(o)) => Some((b.clone(), o.clone())),
-                _ => None,
-            };
-            (idx, paired)
-        })
-        .collect()
-}
-
-/// A table row of `-` placeholders for a case whose jobs failed.
-fn failed_row(idx: usize, num_cols: usize) -> TableRow {
-    let mut cells = vec![format!("test{idx}"), "FAILED".to_string()];
-    cells.resize(num_cols, "-".to_string());
-    TableRow { cells }
-}
-
-/// Renders Table II (Mr.TPL vs DAC'12) for the given ISPD-2018-like case
-/// indices (all ten when empty), optionally scaled down, fanning cases over
-/// `jobs` workers.
-pub fn render_table2(cases: &[usize], scale: f64, jobs: usize) -> String {
-    let mut baseline_rows = Vec::new();
-    let mut ours_rows = Vec::new();
-    let mut rows = Vec::new();
-    for (idx, pair) in run_preset(Suite::Ispd18, "dac12", cases, scale, jobs) {
-        let Some((dac, ours)) = pair else {
-            rows.push(failed_row(idx, 10));
-            continue;
-        };
-        rows.push(TableRow::new([
-            format!("test{idx}"),
-            dac.conflicts.to_string(),
-            ours.conflicts.to_string(),
-            dac.stitches.to_string(),
-            ours.stitches.to_string(),
-            format!("{:.4e}", dac.cost),
-            format!("{:.4e}", ours.cost),
-            format!("{:.2}", dac.runtime_seconds),
-            format!("{:.2}", ours.runtime_seconds),
-            format!(
-                "{:.2}x",
-                safe_speedup(dac.runtime_seconds, ours.runtime_seconds)
-            ),
-        ]));
-        baseline_rows.push(dac);
-        ours_rows.push(ours);
-    }
-    let summary = SuiteSummary::from_records(&baseline_rows, &ours_rows);
-    let mut out = format_table(
-        &[
-            "case",
-            "conflict[5]",
-            "conflict ours",
-            "stitch[5]",
-            "stitch ours",
-            "cost[5]",
-            "cost ours",
-            "time[5] s",
-            "time ours s",
-            "speedup",
-        ],
-        &rows,
-    );
-    out.push_str(&format!(
-        "\navg: conflicts {:.2} -> {:.2} (improvement {:.2}%), stitches {:.2} -> {:.2} ({:.2}%), cost improvement {:.2}%, speedup {:.2}x (geomean {:.2}x)\n",
-        summary.baseline_conflicts,
-        summary.ours_conflicts,
-        summary.conflict_improvement,
-        summary.baseline_stitches,
-        summary.ours_stitches,
-        summary.stitch_improvement,
-        summary.cost_improvement,
-        summary.speedup,
-        summary.geomean_speedup,
-    ));
-    out
-}
-
-/// Renders Table III (Mr.TPL vs OpenMPL-style decomposition) for the given
-/// ISPD-2019-like case indices (all ten when empty), optionally scaled down,
-/// fanning cases over `jobs` workers.
-pub fn render_table3(cases: &[usize], scale: f64, jobs: usize) -> String {
-    let mut baseline_rows = Vec::new();
-    let mut ours_rows = Vec::new();
-    let mut rows = Vec::new();
-    for (idx, pair) in run_preset(Suite::Ispd19, "decompose", cases, scale, jobs) {
-        let Some((decomp, ours)) = pair else {
-            rows.push(failed_row(idx, 5));
-            continue;
-        };
-        rows.push(TableRow::new([
-            format!("test{idx}"),
-            decomp.conflicts.to_string(),
-            ours.conflicts.to_string(),
-            decomp.stitches.to_string(),
-            ours.stitches.to_string(),
-        ]));
-        baseline_rows.push(decomp);
-        ours_rows.push(ours);
-    }
-    let summary = SuiteSummary::from_records(&baseline_rows, &ours_rows);
-    let mut out = format_table(
-        &[
-            "case",
-            "conflict[2]",
-            "conflict ours",
-            "stitch[2]",
-            "stitch ours",
-        ],
-        &rows,
-    );
-    out.push_str(&format!(
-        "\navg: conflicts {:.2} -> {:.2} (improvement {:.2}%), stitches {:.2} -> {:.2} ({:.2}%)\n",
-        summary.baseline_conflicts,
-        summary.ours_conflicts,
-        summary.conflict_improvement,
-        summary.baseline_stitches,
-        summary.ours_stitches,
-        summary.stitch_improvement,
-    ));
-    out
-}
-
-/// Parses the common `[case indices...] [--scale s] [--jobs n]` CLI arguments
-/// of the table binaries.  With no explicit cases, all ten are run.
-///
-/// Case tokens outside `1..=10` are silently ignored (historic behaviour);
-/// a missing or unparsable `--scale`/`--jobs` value is an error so a flag
-/// can never be swallowed as another flag's value.
-pub fn parse_cli(args: impl Iterator<Item = String>) -> Result<(Vec<usize>, f64, usize), String> {
-    let mut cases = Vec::new();
-    let mut scale = 1.0;
-    let mut jobs = 1usize;
-    let mut expect = None::<&str>;
-    for arg in args {
-        match expect.take() {
-            Some("scale") => scale = cli::parse_scale_value(&arg)?,
-            Some("jobs") => jobs = cli::parse_jobs_value(&arg)?,
-            _ => {
-                if arg == "--scale" {
-                    expect = Some("scale");
-                } else if arg == "--jobs" {
-                    expect = Some("jobs");
-                } else if let Ok(idx) = arg.parse::<usize>() {
-                    if (1..=10).contains(&idx) {
-                        cases.push(idx);
-                    }
-                }
-            }
-        }
-    }
-    if let Some(flag) = expect {
-        return Err(format!("missing value after --{flag}"));
-    }
-    if cases.is_empty() {
-        cases = (1..=10).collect();
-    }
-    Ok((cases, scale, jobs))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn cli_parsing_defaults_to_all_cases() {
-        let (cases, scale, jobs) = parse_cli(Vec::<String>::new().into_iter()).unwrap();
-        assert_eq!(cases, (1..=10).collect::<Vec<_>>());
-        assert_eq!(scale, 1.0);
-        assert_eq!(jobs, 1);
-    }
-
-    #[test]
-    fn cli_parsing_reads_cases_scale_and_jobs() {
-        let args = ["3", "5", "--scale", "0.5", "--jobs", "4", "99"].map(String::from);
-        let (cases, scale, jobs) = parse_cli(args.into_iter()).unwrap();
-        assert_eq!(cases, vec![3, 5]);
-        assert_eq!(scale, 0.5);
-        assert_eq!(jobs, 4);
-    }
-
-    #[test]
-    fn cli_parsing_rejects_bad_or_missing_flag_values() {
-        let parse = |args: &[&str]| parse_cli(args.iter().map(|s| s.to_string()));
-        // A flag is never swallowed as another flag's value.
-        assert!(parse(&["--scale", "--jobs", "4"])
-            .unwrap_err()
-            .contains("--scale"));
-        assert!(parse(&["--jobs"]).unwrap_err().contains("missing value"));
-        assert!(parse(&["--scale", "-1"]).unwrap_err().contains("--scale"));
-        assert!(parse(&["--jobs", "0"]).unwrap_err().contains("--jobs"));
-    }
-
-    #[test]
-    fn table2_runs_on_a_tiny_case() {
-        let text = render_table2(&[1], 0.3, 2);
-        assert!(text.contains("test1"));
-        assert!(text.contains("speedup"));
-        assert!(text.contains("avg:"));
-        assert!(text.contains("geomean"));
-    }
-
-    #[test]
-    fn table3_runs_on_a_tiny_case() {
-        let text = render_table3(&[1], 0.3, 1);
-        assert!(text.contains("test1"));
-        assert!(text.contains("avg:"));
-    }
-}
+pub use tpl_harness::flows::{prepare, run_dac12, run_decompose, run_drcu, run_mrtpl};

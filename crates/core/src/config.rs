@@ -1,7 +1,6 @@
 //! Configuration and statistics of the Mr.TPL router.
 
-use tpl_grid::{CostParams, Outcome, SearchConfig};
-use tpl_par::Parallelism;
+use tpl_grid::{CostParams, Outcome};
 
 /// How the searcher treats colour candidates during expansion.
 ///
@@ -41,16 +40,10 @@ pub struct MrTplConfig {
     pub history_increment: f64,
     /// Search policy (set-based states vs greedy single colour).
     pub policy: SearchPolicy,
-    /// Intra-case net-level parallelism.  Nets of one rip-up-and-reroute
-    /// iteration are partitioned into conflict-free batches routed against
-    /// frozen shared state, so the result is identical for every worker
-    /// count (`jobs = 1` runs the same batched algorithm inline).
-    pub parallelism: Parallelism,
-    /// Shortest-path kernel knobs (goal-directed A*, bucket queue, key
-    /// quantisation).  The `bucket_queue` knob never changes results; the
-    /// `a_star` knob preserves path cost but may pick a different equal-cost
-    /// tie where expansion order matters.
-    pub search: SearchConfig,
+    /// Goal-directed A* on negotiation (rip-up-and-reroute) passes.  It
+    /// preserves path cost but may pick a different equal-cost tie where
+    /// expansion order matters (see `NetBuffers::set_goal_directed`).
+    pub a_star: bool,
 }
 
 impl Default for MrTplConfig {
@@ -63,8 +56,7 @@ impl Default for MrTplConfig {
             max_rrr_iterations: 5,
             history_increment: 60.0,
             policy: SearchPolicy::ColorStateSet,
-            parallelism: Parallelism::sequential(),
-            search: SearchConfig::default(),
+            a_star: true,
         }
     }
 }

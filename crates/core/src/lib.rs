@@ -36,6 +36,7 @@
 
 mod assign;
 mod backtrace;
+mod batch;
 mod colorcost;
 mod config;
 mod router;

@@ -1,14 +1,14 @@
 //! The full-design Mr.TPL router (Algorithm 1 + rip-up & reroute).
 
 use crate::{
-    assign::assign_and_emit, backtrace, search, ColorCostCache, ColoredNet, MrTplConfig,
-    MrTplStats, NetBuffers, SearchContext,
+    assign::assign_and_emit, backtrace, batch::plan_batches, search, ColorCostCache, ColoredNet,
+    MrTplConfig, MrTplStats, NetBuffers, SearchContext,
 };
 use std::time::Instant;
 use tpl_color::{ColorMap, ColorSetArena, ColorState, ColoredLayout, Feature, Mask};
 use tpl_design::{Design, NetId, PinId, RouteGuides, RoutingSolution};
+use tpl_geom::Rect;
 use tpl_grid::{GridGraph, GridState, Outcome, PinCoverage, RouteBudget, StopReason, VertexId};
-use tpl_par::{par_map_pooled, plan_batches, Region, ScratchPool};
 
 /// The result of a Mr.TPL routing run.
 #[derive(Clone, Debug)]
@@ -43,13 +43,10 @@ impl MrTplRouter {
 
     /// Routes and colours every net of the design inside the given guides.
     ///
-    /// Each rip-up-and-reroute iteration rips up every queued net, partitions
-    /// the queue into conflict-free batches (nets whose influence regions are
-    /// disjoint), routes each batch against frozen shared state on
-    /// `config.parallelism.jobs` workers and commits the results at the batch
-    /// barrier in deterministic net order.  Because every task is a pure
-    /// function of the frozen state, the outcome is identical for every
-    /// worker count; `jobs = 1` runs the same batched algorithm inline.
+    /// Each rip-up-and-reroute iteration rips up every queued net, then
+    /// reroutes the queue in conflict-free batches: every net of a batch
+    /// routes against the state committed before the batch, and the batch
+    /// commits in net order (see `crate::batch` for why).
     pub fn route(&self, design: &Design, guides: &RouteGuides) -> MrTplResult {
         self.route_with_budget(design, guides, &RouteBudget::default())
     }
@@ -57,13 +54,12 @@ impl MrTplRouter {
     /// Like [`route`](MrTplRouter::route), under a [`RouteBudget`].
     ///
     /// Budget accounting is deterministic: committed search nodes are
-    /// charged at batch barriers only, and every net of a batch runs under
-    /// the same remaining-node snapshot, so where the budget trips is a
-    /// pure function of the input — independent of worker count.  On
-    /// exhaustion the router stops after the current batch and returns its
-    /// best-so-far partial solution with `stats.outcome` set to
-    /// [`Outcome::Degraded`]; a passed deadline or a cancelled token aborts
-    /// the same way with [`Outcome::Aborted`].  Unrouted nets are counted
+    /// charged between batches, and every net of a batch runs under the same
+    /// remaining-node snapshot, so where the budget trips is a pure function
+    /// of the input.  On exhaustion the router stops before the next batch
+    /// and returns its best-so-far partial solution with `stats.outcome` set
+    /// to [`Outcome::Degraded`]; a passed deadline or a cancelled token
+    /// aborts the same way with [`Outcome::Aborted`].  Unrouted nets are counted
     /// in `stats.failed_nets` and simply absent from the solution — the
     /// returned structures are always internally consistent.
     pub fn route_with_budget(
@@ -90,8 +86,8 @@ impl MrTplRouter {
             design.tech().num_layers(),
             design.tech().dcolor(),
         );
-        let par = self.config.parallelism;
-        let pool: ScratchPool<(NetBuffers, ColorCostCache)> = ScratchPool::new(par);
+        let mut buffers = NetBuffers::new(grid.num_vertices());
+        let mut cache = ColorCostCache::new(&grid);
 
         let mut solution = RoutingSolution::new(design.nets().len());
         let mut segment_masks: Vec<Vec<Option<Mask>>> = vec![Vec::new(); design.nets().len()];
@@ -111,9 +107,9 @@ impl MrTplRouter {
             )
         });
 
-        // Influence margin for batch planning: nets whose bounding boxes
-        // expanded by this stay disjoint cannot interact within dcolor even
-        // after detouring a couple of tracks.
+        // Influence margin of a net's batch region: nets whose bounding
+        // boxes expanded by this stay disjoint cannot interact within dcolor
+        // even after detouring a couple of tracks.
         let margin = design.tech().dcolor() + 2 * grid.pitch();
 
         let mut run_outcome = Outcome::Complete;
@@ -124,8 +120,8 @@ impl MrTplRouter {
             stats.rrr_iterations = iteration;
             stats.failed_nets = 0;
 
-            // Rip up every queued net before any of them reroutes, so all
-            // tasks of this iteration start from the same committed state.
+            // Rip up every queued net before any of them reroutes, so no
+            // victim detours around another victim's stale wiring.
             {
                 let _rip_span = tpl_trace::span!("core.rip_up", nets = to_route.len());
                 for &net_id in &to_route {
@@ -137,58 +133,55 @@ impl MrTplRouter {
                 }
             }
 
-            let regions: Vec<Region> = to_route
+            // The routing schedule of this pass: see `crate::batch`.
+            let regions: Vec<Rect> = to_route
                 .iter()
                 .map(|id| {
-                    let r = design
+                    design
                         .net_bbox(*id)
                         .unwrap_or(design.die())
-                        .expanded(margin);
-                    Region::new(r.lo.x, r.lo.y, r.hi.x, r.hi.y)
+                        .expanded(margin)
                 })
                 .collect();
-
             let batches = plan_batches(&regions);
             for (batch_index, batch) in batches.iter().enumerate() {
-                // Budget accounting happens at this barrier only: every net
-                // of the batch runs under the same remaining-node snapshot,
-                // so the trip point is independent of worker count.
+                // Budget accounting happens between batches: every net of a
+                // batch runs under the same remaining-node snapshot.
                 let remaining = budget.remaining_nodes(stats.search_nodes as u64);
-                let barrier_stop = if remaining == 0 {
+                let stop = if remaining == 0 {
                     Some(StopReason::SearchNodes)
                 } else {
                     budget.interrupted()
                 };
-                if let Some(reason) = barrier_stop {
+                if let Some(reason) = stop {
                     run_outcome = run_outcome.merge(Outcome::from_stop(reason));
                     // The unprocessed batches were ripped up at iteration
                     // start and stay unrouted; count them so the partial
                     // result is honest about what is missing.
-                    stats.failed_nets += batches[batch_index..]
-                        .iter()
-                        .map(|b| b.len())
-                        .sum::<usize>();
+                    stats.failed_nets += batches[batch_index..].iter().map(Vec::len).sum::<usize>();
                     break 'rrr;
                 }
-                let nets: Vec<NetId> = batch.iter().map(|&i| to_route[i]).collect();
-                tpl_trace::value!("core.batch_size", nets.len());
-                let routed = par_map_pooled(
-                    par,
-                    &nets,
-                    &pool,
-                    || {
-                        (
-                            NetBuffers::with_config(grid.num_vertices(), self.config.search),
-                            ColorCostCache::new(&grid),
-                        )
-                    },
-                    |(buffers, cache), &net_id| {
+                tpl_trace::value!("core.batch_size", batch.len());
+                // Every net of the batch routes against the state committed
+                // before the batch ...
+                let routed: Vec<_> = batch
+                    .iter()
+                    .map(|&i| {
+                        let net_id = to_route[i];
                         // Goal direction only during negotiation: see
                         // `NetBuffers::set_goal_directed`.
-                        buffers.set_goal_directed(self.config.search.a_star && iteration > 0);
+                        buffers.set_goal_directed(self.config.a_star && iteration > 0);
                         buffers.arm_budget(remaining, budget);
                         let out = self.route_net(
-                            design, &grid, &coverage, &gstate, buffers, cache, &map, guides, net_id,
+                            design,
+                            &grid,
+                            &coverage,
+                            &gstate,
+                            &mut buffers,
+                            &mut cache,
+                            &map,
+                            guides,
+                            net_id,
                         );
                         let effort = (
                             buffers.nodes_popped(),
@@ -197,17 +190,17 @@ impl MrTplRouter {
                             buffers.overflow_pushes(),
                             buffers.stop_reason(),
                         );
-                        (out, effort)
-                    },
-                )
-                .unwrap_or_else(|p| panic!("{p}"));
+                        (net_id, out, effort)
+                    })
+                    .collect();
 
-                // Barrier: commit occupancy, colour map and solution in net
-                // order, identically for every worker count.
+                // ... and the batch commits occupancy, colour map and
+                // solution together, in net order.
                 for (
                     net_id,
-                    ((colored, vertices, complete), (nodes, pruned, peak, overflow, stop)),
-                ) in nets.iter().copied().zip(routed)
+                    (colored, vertices, complete),
+                    (nodes, pruned, peak, overflow, stop),
+                ) in routed
                 {
                     if !complete {
                         stats.failed_nets += 1;
@@ -500,58 +493,31 @@ mod tests {
     }
 
     #[test]
-    fn worker_count_does_not_change_the_result() {
-        let design = CaseParams::ispd18_like(1).scaled(0.3).generate();
-        let guides = GlobalRouter::new(GlobalConfig::default()).route(&design);
-        let base = MrTplRouter::new(MrTplConfig::default()).route(&design, &guides);
-        for jobs in [2, 4, 8] {
-            let par = MrTplRouter::new(MrTplConfig {
-                parallelism: tpl_par::Parallelism::new(jobs),
-                ..MrTplConfig::default()
-            })
-            .route(&design, &guides);
-            assert_eq!(
-                par.solution.total_wirelength(),
-                base.solution.total_wirelength(),
-                "wirelength at jobs={jobs}"
-            );
-            assert_eq!(par.solution.total_vias(), base.solution.total_vias());
-            assert_eq!(par.stats.conflicts, base.stats.conflicts);
-            assert_eq!(par.stats.stitches, base.stats.stitches);
-            assert_eq!(par.stats.search_nodes, base.stats.search_nodes);
-            assert_eq!(par.segment_masks, base.segment_masks);
-        }
-    }
-
-    #[test]
-    fn budgeted_run_degrades_deterministically_across_worker_counts() {
+    fn budgeted_run_degrades_deterministically() {
         let design = CaseParams::ispd18_like(1).scaled(0.3).generate();
         let guides = GlobalRouter::new(GlobalConfig::default()).route(&design);
         // The 0.3-scale case needs ~1.5k search nodes in total; a 300-node
         // budget reliably trips mid-run.
         let budget = RouteBudget::with_max_search_nodes(300);
-        let base =
-            MrTplRouter::new(MrTplConfig::default()).route_with_budget(&design, &guides, &budget);
+        let route = || {
+            MrTplRouter::new(MrTplConfig::default()).route_with_budget(&design, &guides, &budget)
+        };
+        let base = route();
         assert_eq!(
             base.stats.outcome,
             Outcome::Degraded(StopReason::SearchNodes)
         );
         assert!(base.stats.failed_nets > 0, "some nets must be left behind");
-        for jobs in [2, 4] {
-            let par = MrTplRouter::new(MrTplConfig {
-                parallelism: tpl_par::Parallelism::new(jobs),
-                ..MrTplConfig::default()
-            })
-            .route_with_budget(&design, &guides, &budget);
-            assert_eq!(par.stats.outcome, base.stats.outcome);
-            assert_eq!(par.stats.search_nodes, base.stats.search_nodes);
-            assert_eq!(par.stats.failed_nets, base.stats.failed_nets);
-            assert_eq!(
-                par.solution.total_wirelength(),
-                base.solution.total_wirelength()
-            );
-            assert_eq!(par.segment_masks, base.segment_masks);
-        }
+        assert!(base.stats.search_nodes <= 300, "the budget binds");
+        let again = route();
+        assert_eq!(
+            again.stats,
+            MrTplStats {
+                runtime_seconds: again.stats.runtime_seconds,
+                ..base.stats
+            }
+        );
+        assert_eq!(again.segment_masks, base.segment_masks);
     }
 
     #[test]
@@ -587,18 +553,14 @@ mod tests {
         // Pin goal direction off so both policies expand in plain Dijkstra
         // order: the comparison is about the colour policy, and A*'s
         // equal-cost tie-breaking would add noise to the stitch counts.
-        let search = tpl_grid::SearchConfig {
-            a_star: false,
-            ..tpl_grid::SearchConfig::default()
-        };
         let set_based = MrTplRouter::new(MrTplConfig {
-            search,
+            a_star: false,
             ..MrTplConfig::default()
         })
         .route(&design, &guides);
         let greedy = MrTplRouter::new(MrTplConfig {
             policy: crate::SearchPolicy::GreedySingleColor,
-            search,
+            a_star: false,
             ..MrTplConfig::default()
         })
         .route(&design, &guides);

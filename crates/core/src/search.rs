@@ -7,10 +7,10 @@
 //!   predecessor, colour state, queued key, target marks, verSet and tree
 //!   membership in flat arrays guarded by [`EpochStamps`], so starting a
 //!   search costs O(sources + targets) instead of O(V).  The buffers are
-//!   arena-pooled per `tpl-par` worker by the router.
-//! * **Bucket frontier** — the priority queue is a [`Frontier`]: either the
-//!   monotone bucket queue or a binary heap, with provably identical pop
-//!   order (so the `bucket_queue` knob never changes results).
+//!   reused across every net of a routing run.
+//! * **Bucket frontier** — the priority queue is the monotone
+//!   [`BucketQueue`], which pops in exactly a binary heap's `(key, id)`
+//!   order.
 //! * **Goal-directed A\*** — an admissible, consistent Manhattan lower bound
 //!   to the nearest unreached pin's coverage box steers expansion towards
 //!   the goal instead of growing a full circle around the tree.  The router
@@ -29,13 +29,30 @@ use tpl_color::{ColorMap, ColorState, Mask};
 use tpl_design::{Design, NetId, PinId, RouteGuides};
 use tpl_geom::Dir;
 use tpl_grid::{
-    CancelToken, DenseBitSet, EpochStamps, Frontier, GridGraph, GridState, PinCoverage,
-    RouteBudget, SearchConfig, StopReason, VertexId,
+    BucketQueue, CancelToken, DenseBitSet, EpochStamps, GridGraph, GridState, PinCoverage,
+    RouteBudget, StopReason, VertexId,
 };
 
 /// How many pops pass between wall-clock/cancellation probes (a power of
 /// two; node-count budgeting stays exact and per-pop).
 const INTERRUPT_PROBE_MASK: usize = 0x0FFF;
+
+/// Key units per cost unit when quantising `f64` costs to frontier keys.
+const KEY_RESOLUTION: f64 = 256.0;
+
+/// `log2` key units per bucket: one bucket is 4096 key units, and the
+/// minimum planar step of the detailed grid is ~5120, so consecutive
+/// expansions land a bucket or so apart and cursor scans stay short.
+const BUCKET_SHIFT: u32 = 12;
+
+/// Buckets kept addressable before entries spill to the overflow heap.
+const BUCKET_SPAN: usize = 1024;
+
+/// Quantises a cost to its integer search key.
+#[inline]
+fn key(cost: f64) -> u64 {
+    (cost * KEY_RESOLUTION) as u64
+}
 
 /// Per-vertex search bookkeeping with three levels of epoch invalidation:
 /// per-search (distance, predecessor, colour state, queued key, target
@@ -44,7 +61,8 @@ const INTERRUPT_PROBE_MASK: usize = 0x0FFF;
 /// net).
 #[derive(Debug)]
 pub struct NetBuffers {
-    config: SearchConfig,
+    /// Order the frontier by distance plus the A* lower bound.
+    goal_directed: bool,
     /// Guards `dist`, `prev`, `state` and `queued_key`.
     search: EpochStamps,
     dist: Vec<f64>,
@@ -60,15 +78,16 @@ pub struct NetBuffers {
     ver_set: Vec<u32>,
     /// Guards routed-tree membership (replaces the router's `HashSet`).
     tree: EpochStamps,
-    frontier: Frontier,
+    /// Taken by [`search`] while it runs, so the loop can borrow the other
+    /// buffers alongside it.
+    frontier: Option<BucketQueue>,
     nodes_popped: usize,
     frontier_pruned: usize,
     frontier_peak: usize,
     overflow_pushes: u64,
     /// Pops the current net may still spend (`u64::MAX` = unbudgeted).  The
-    /// router arms this per net from the batch's budget snapshot, so the
-    /// value — and therefore where a search stops — is a pure function of
-    /// the committed state, independent of worker count.
+    /// router arms this per net from its batch's budget snapshot, so where a
+    /// search stops is a pure function of the input.
     node_limit: u64,
     /// Wall-clock cut-off, probed every [`INTERRUPT_PROBE_MASK`]+1 pops.
     deadline: Option<Instant>,
@@ -80,16 +99,10 @@ pub struct NetBuffers {
 }
 
 impl NetBuffers {
-    /// Creates buffers for `num_vertices` grid vertices with default knobs.
+    /// Creates buffers for `num_vertices` grid vertices, goal direction on.
     pub fn new(num_vertices: usize) -> Self {
-        Self::with_config(num_vertices, SearchConfig::default())
-    }
-
-    /// Creates buffers for `num_vertices` grid vertices with the given
-    /// kernel configuration.
-    pub fn with_config(num_vertices: usize, config: SearchConfig) -> Self {
         Self {
-            config,
+            goal_directed: true,
             search: EpochStamps::new(num_vertices),
             dist: vec![f64::INFINITY; num_vertices],
             prev: vec![u32::MAX; num_vertices],
@@ -100,7 +113,7 @@ impl NetBuffers {
             net: EpochStamps::new(num_vertices),
             ver_set: vec![u32::MAX; num_vertices],
             tree: EpochStamps::new(num_vertices),
-            frontier: Frontier::for_config(&config),
+            frontier: Some(BucketQueue::new(BUCKET_SHIFT, BUCKET_SPAN)),
             nodes_popped: 0,
             frontier_pruned: 0,
             frontier_peak: 0,
@@ -110,11 +123,6 @@ impl NetBuffers {
             cancel: None,
             stop: None,
         }
-    }
-
-    /// The kernel configuration these buffers were built with.
-    pub fn config(&self) -> SearchConfig {
-        self.config
     }
 
     /// Starts routing a new net: verSet and tree membership become stale and
@@ -130,7 +138,7 @@ impl NetBuffers {
     }
 
     /// Arms the cooperative budget for the next net: `remaining` caps this
-    /// net's frontier pops (the batch-barrier snapshot of the run budget),
+    /// net's frontier pops (the batch's snapshot of the run budget),
     /// and the budget's deadline/cancellation are probed at expansion
     /// granularity.  Buffers start unbudgeted (`u64::MAX`, no probes).
     pub fn arm_budget(&mut self, remaining: u64, budget: &RouteBudget) {
@@ -207,7 +215,7 @@ impl NetBuffers {
     /// wavefront — the bulk of total search effort — without degrading the
     /// negotiated solution.
     pub fn set_goal_directed(&mut self, enabled: bool) {
-        self.config.a_star = enabled;
+        self.goal_directed = enabled;
     }
 
     /// Test hook: jump all epoch counters to `epoch` to exercise `u32`
@@ -517,22 +525,24 @@ pub fn search(
             }
         }
     }
-    let config = buffers.config;
-    let bound = if config.a_star {
+    let bound = if buffers.goal_directed {
         GoalBound::build(ctx, unreached)
     } else {
         None
     };
     let h = |v: VertexId| bound.as_ref().map_or(0.0, |b| b.h(ctx.grid, v));
 
-    let mut frontier = std::mem::replace(&mut buffers.frontier, Frontier::for_config(&config));
+    let mut frontier = buffers
+        .frontier
+        .take()
+        .expect("the frontier is returned after every search");
     frontier.clear();
     for &(s, state) in sources {
         if ctx.state.is_blocked(s) {
             continue;
         }
         buffers.relax(s, 0.0, None, state);
-        let k = config.key(h(s));
+        let k = key(h(s));
         buffers.queued_key[s.index()] = k;
         frontier.push(k, s.0);
     }
@@ -569,7 +579,7 @@ pub fn search(
             if nd < buffers.dist(n) {
                 let was_fresh = buffers.search.is_fresh(n.index());
                 buffers.relax(n, nd, Some(v), new_state);
-                let nk = config.key(nd + h(n));
+                let nk = key(nd + h(n));
                 if !was_fresh || buffers.queued_key[n.index()] != nk {
                     // An improvement that lands on the already-queued key
                     // reuses that entry; it will expand with the new, better
@@ -584,7 +594,7 @@ pub fn search(
     buffers.frontier_pruned += frontier.len();
     buffers.frontier_peak = buffers.frontier_peak.max(frontier.max_len());
     buffers.overflow_pushes += frontier.overflow_pushes();
-    buffers.frontier = frontier;
+    buffers.frontier = Some(frontier);
     result
 }
 
@@ -682,35 +692,23 @@ mod tests {
     }
 
     #[test]
-    fn every_knob_combination_reaches_the_pin_at_identical_cost() {
+    fn goal_direction_reaches_the_pin_at_identical_cost() {
         let f = fixture();
         let in_guide = DenseBitSet::full(f.grid.num_vertices());
         let c = ctx(&f, &in_guide);
-        let mut reference: Option<f64> = None;
+        let mut costs = Vec::new();
         for a_star in [false, true] {
-            for bucket_queue in [false, true] {
-                let config = SearchConfig {
-                    a_star,
-                    bucket_queue,
-                    ..SearchConfig::default()
-                };
-                let mut buffers = NetBuffers::with_config(f.grid.num_vertices(), config);
-                let mut cache = ColorCostCache::new(&f.grid);
-                buffers.begin_net();
-                cache.begin_net();
-                let sources = all_sources(&f);
-                let (dst, _) = search(&c, &mut buffers, &mut cache, &sources, &[PinId::new(1)])
-                    .expect("path exists");
-                let d = buffers.dist(dst);
-                match reference {
-                    None => reference = Some(d),
-                    Some(r) => assert!(
-                        (d - r).abs() < 1e-6,
-                        "a_star={a_star} bucket={bucket_queue}: cost {d} != {r}"
-                    ),
-                }
-            }
+            let mut buffers = NetBuffers::new(f.grid.num_vertices());
+            buffers.set_goal_directed(a_star);
+            let mut cache = ColorCostCache::new(&f.grid);
+            buffers.begin_net();
+            cache.begin_net();
+            let sources = all_sources(&f);
+            let (dst, _) = search(&c, &mut buffers, &mut cache, &sources, &[PinId::new(1)])
+                .expect("path exists");
+            costs.push(buffers.dist(dst));
         }
+        assert!((costs[0] - costs[1]).abs() < 1e-6, "costs {costs:?}");
     }
 
     #[test]
@@ -720,11 +718,8 @@ mod tests {
         let c = ctx(&f, &in_guide);
         let mut popped = Vec::new();
         for a_star in [false, true] {
-            let config = SearchConfig {
-                a_star,
-                ..SearchConfig::default()
-            };
-            let mut buffers = NetBuffers::with_config(f.grid.num_vertices(), config);
+            let mut buffers = NetBuffers::new(f.grid.num_vertices());
+            buffers.set_goal_directed(a_star);
             let mut cache = ColorCostCache::new(&f.grid);
             buffers.begin_net();
             cache.begin_net();
@@ -965,12 +960,12 @@ mod tests {
         *s
     }
 
-    /// Property test of the satellite contract: on random grids (random pin
-    /// placement AND random per-vertex history costs) every knob combination
-    /// of the kernel reaches an unreached pin at exactly the cost the seed
-    /// Dijkstra would have paid.
+    /// Property test of the kernel: on random grids (random pin placement
+    /// AND random per-vertex history costs) the search reaches an unreached
+    /// pin at exactly the cost a textbook Dijkstra pays, with goal direction
+    /// on or off.
     #[test]
-    fn random_grids_match_reference_dijkstra_under_every_knob() {
+    fn random_grids_match_reference_dijkstra() {
         for seed in 1..=6u64 {
             let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
             let mut r = |m: u64| (xorshift(&mut s) % m) as i64;
@@ -1027,25 +1022,18 @@ mod tests {
             let want = reference_cheapest_target(&c, &sources, &targets);
             assert!(want.is_finite(), "seed {seed}: no path in reference");
             for a_star in [false, true] {
-                for bucket_queue in [false, true] {
-                    let search_config = SearchConfig {
-                        a_star,
-                        bucket_queue,
-                        ..SearchConfig::default()
-                    };
-                    let mut buffers = NetBuffers::with_config(grid.num_vertices(), search_config);
-                    let mut cache = ColorCostCache::new(&grid);
-                    buffers.begin_net();
-                    cache.begin_net();
-                    let (dst, _) = search(&c, &mut buffers, &mut cache, &sources, &[PinId::new(1)])
-                        .expect("path exists");
-                    assert!(
-                        (buffers.dist(dst) - want).abs() < 1e-9,
-                        "seed {seed} a_star={a_star} bucket={bucket_queue}: \
-                         {} != reference {want}",
-                        buffers.dist(dst)
-                    );
-                }
+                let mut buffers = NetBuffers::new(grid.num_vertices());
+                buffers.set_goal_directed(a_star);
+                let mut cache = ColorCostCache::new(&grid);
+                buffers.begin_net();
+                cache.begin_net();
+                let (dst, _) = search(&c, &mut buffers, &mut cache, &sources, &[PinId::new(1)])
+                    .expect("path exists");
+                assert!(
+                    (buffers.dist(dst) - want).abs() < 1e-9,
+                    "seed {seed} a_star={a_star}: {} != reference {want}",
+                    buffers.dist(dst)
+                );
             }
         }
     }

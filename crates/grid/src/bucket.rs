@@ -23,9 +23,8 @@
 //!   after every window entry; when the window drains the queue re-bases on
 //!   the overflow minimum and migrates the now-in-range entries.
 //!
-//! This is what lets the `bucket_queue` config knob guarantee byte-identical
-//! deterministic reports: flipping it changes only constants, never the
-//! expansion order.
+//! The routers therefore expand in exactly the order a binary heap would
+//! give them; the tests below keep that heap as the oracle.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

@@ -4,9 +4,9 @@
 //!
 //! * **Search nodes** — a cap on frontier pops, the unit `search_nodes`
 //!   statistics already count.  Node accounting is *deterministic*: the
-//!   routers charge committed work at batch barriers only, so where the
-//!   budget trips is a pure function of the input, independent of worker
-//!   count or interleaving.
+//!   routers charge committed work between nets (the global router) or
+//!   between conflict-free batches (Mr.TPL), so where the budget trips is a
+//!   pure function of the input.
 //! * **Deadline** — an optional wall-clock [`Instant`]; cooperative checks
 //!   run at expansion granularity (every few thousand pops).  Wall clock is
 //!   inherently nondeterministic, so deadlines are meant for services, not
@@ -18,11 +18,8 @@
 //! degrades the run (best-so-far partial results, [`Outcome::Degraded`]),
 //! while a deadline or cancellation aborts it ([`Outcome::Aborted`]) — in
 //! both cases the router returns normally instead of running away or
-//! panicking.  [`Degradation`] names the progressively cheaper search
-//! configurations the harness ladder retries with after a budget trip or a
-//! panic.
+//! panicking.
 
-use crate::kernel::SearchConfig;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -130,7 +127,8 @@ impl CancelToken {
 /// exactly as if no budget existed.
 #[derive(Clone, Debug, Default)]
 pub struct RouteBudget {
-    /// Cap on search-node pops (deterministic; charged at batch barriers).
+    /// Cap on search-node pops (deterministic; charged between nets or
+    /// batches).
     pub max_search_nodes: Option<u64>,
     /// Wall-clock cut-off (nondeterministic; cooperative checks).
     pub deadline: Option<Instant>,
@@ -176,75 +174,6 @@ impl RouteBudget {
             return Some(StopReason::Deadline);
         }
         None
-    }
-}
-
-/// One rung of the harness's graceful-degradation ladder: progressively
-/// cheaper search configurations retried after a budget trip or a panic.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Degradation {
-    /// The requested configuration, unchanged.
-    #[default]
-    None,
-    /// Goal-directed A* disabled (pure Dijkstra order).
-    NoAStar,
-    /// A* disabled plus a coarser key quantisation (fewer distinct keys,
-    /// shorter frontier scans).
-    CoarseKey,
-    /// All of the above plus sequential net routing (`net_jobs = 1`),
-    /// ruling out any parallel-infrastructure interference.
-    Sequential,
-}
-
-impl Degradation {
-    /// The ladder in escalation order, starting at the requested config.
-    pub fn ladder() -> [Degradation; 4] {
-        [
-            Degradation::None,
-            Degradation::NoAStar,
-            Degradation::CoarseKey,
-            Degradation::Sequential,
-        ]
-    }
-
-    /// Stable lower-case label (`none` / `no_a_star` / `coarse_key` /
-    /// `sequential`).
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            Degradation::None => "none",
-            Degradation::NoAStar => "no_a_star",
-            Degradation::CoarseKey => "coarse_key",
-            Degradation::Sequential => "sequential",
-        }
-    }
-
-    /// Applies this rung to a search configuration.  `Sequential`
-    /// additionally forces `net_jobs = 1`, which the harness applies at the
-    /// parallelism level (see
-    /// [`degraded_net_jobs`](Degradation::degraded_net_jobs)).
-    pub fn apply(&self, config: SearchConfig) -> SearchConfig {
-        match self {
-            Degradation::None => config,
-            Degradation::NoAStar => SearchConfig {
-                a_star: false,
-                ..config
-            },
-            Degradation::CoarseKey | Degradation::Sequential => SearchConfig {
-                a_star: false,
-                key_resolution: (config.key_resolution / 4.0).max(1.0),
-                bucket_shift: config.bucket_shift.saturating_sub(2).max(1),
-                ..config
-            },
-        }
-    }
-
-    /// The intra-case worker count of this rung: the requested `net_jobs`
-    /// until the `Sequential` rung forces 1.
-    pub fn degraded_net_jobs(&self, requested: usize) -> usize {
-        match self {
-            Degradation::Sequential => 1,
-            _ => requested.max(1),
-        }
     }
 }
 
@@ -311,23 +240,5 @@ mod tests {
         assert_eq!(Outcome::from_stop(SearchNodes), Degraded(SearchNodes));
         assert_eq!(Outcome::from_stop(Deadline), Aborted(Deadline));
         assert_eq!(Outcome::from_stop(Cancelled), Aborted(Cancelled));
-    }
-
-    #[test]
-    fn ladder_escalates_and_applies_cheaper_configs() {
-        let base = SearchConfig::default();
-        let ladder = Degradation::ladder();
-        assert_eq!(ladder[0], Degradation::None);
-        assert_eq!(ladder[0].apply(base), base);
-        assert!(!ladder[1].apply(base).a_star);
-        assert_eq!(ladder[1].apply(base).key_resolution, base.key_resolution);
-        let coarse = ladder[2].apply(base);
-        assert!(!coarse.a_star);
-        assert!(coarse.key_resolution < base.key_resolution);
-        assert!(coarse.bucket_shift < base.bucket_shift);
-        assert_eq!(ladder[3].apply(base), coarse);
-        assert_eq!(ladder[2].degraded_net_jobs(8), 8);
-        assert_eq!(ladder[3].degraded_net_jobs(8), 1);
-        assert_eq!(Degradation::Sequential.as_str(), "sequential");
     }
 }

@@ -31,18 +31,16 @@ mod budget;
 mod costs;
 mod epoch;
 mod graph;
-mod kernel;
 mod path;
 mod pins;
 mod state;
 
 pub use bitset::DenseBitSet;
 pub use bucket::BucketQueue;
-pub use budget::{CancelToken, Degradation, Outcome, RouteBudget, StopReason};
+pub use budget::{CancelToken, Outcome, RouteBudget, StopReason};
 pub use costs::CostParams;
 pub use epoch::EpochStamps;
 pub use graph::{GridGraph, VertexId};
-pub use kernel::{Frontier, SearchConfig};
 pub use path::path_to_routed_net;
 pub use pins::PinCoverage;
 pub use state::GridState;

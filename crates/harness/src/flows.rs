@@ -13,84 +13,25 @@ use tpl_design::{Design, RouteGuides};
 use tpl_drcu::{DrCuConfig, DrCuRouter};
 use tpl_global::{GlobalConfig, GlobalRouter};
 use tpl_grid::{Outcome, RouteBudget};
-use tpl_ispd::{score_solution, Case, CaseParams, ScoreWeights};
+use tpl_ispd::{score_solution, Case, ScoreWeights};
 use tpl_metrics::CaseRecord;
-use tpl_par::Parallelism;
 
-/// Generates a case and its route guides (the part shared by every method).
-pub fn prepare_case(params: &CaseParams) -> (Design, RouteGuides) {
-    prepare_case_parallel(params, 1)
-}
-
-/// Like [`prepare_case`], but routes the guides with `net_jobs` workers.
-///
-/// Guide generation is deterministic in the worker count (the global router
-/// commits batch results in net order), so this only changes wall clock.
-pub fn prepare_case_parallel(params: &CaseParams, net_jobs: usize) -> (Design, RouteGuides) {
-    prepare(&Case::synthetic(params.clone()), net_jobs)
-}
-
-/// Prepares any benchmark [`Case`] — synthetic or externally ingested — by
-/// instantiating its design and routing the guides with `net_jobs` workers.
-pub fn prepare(case: &Case, net_jobs: usize) -> (Design, RouteGuides) {
-    prepare_with_search(case, net_jobs, true, true)
-}
-
-/// Like [`prepare`], with explicit search-kernel knobs for the global
-/// router's maze search.  The global router's solution is invariant to both
-/// knobs (the kernel's determinism contract), so every variant produces the
-/// same guides; the knobs only change search effort.
-pub fn prepare_with_search(
-    case: &Case,
-    net_jobs: usize,
-    a_star: bool,
-    bucket_queue: bool,
-) -> (Design, RouteGuides) {
-    let (design, guides, _) = prepare_with_budget(
-        case,
-        net_jobs,
-        a_star,
-        bucket_queue,
-        &RouteBudget::default(),
-    );
-    (design, guides)
-}
-
-/// Like [`prepare_with_search`], under a [`RouteBudget`] for the global
-/// router's maze searches.  Budget-stopped mazes degrade to L-patterns, so
+/// Prepares a benchmark [`Case`] — synthetic or externally ingested — by
+/// instantiating its design and routing its guides under `budget` (the part
+/// shared by every method).  Budget-stopped mazes degrade to L-patterns, so
 /// the guides always cover every pin; the returned [`Outcome`] says whether
 /// guide generation ran to completion or degraded/aborted.
-pub fn prepare_with_budget(
-    case: &Case,
-    net_jobs: usize,
-    a_star: bool,
-    bucket_queue: bool,
-    budget: &RouteBudget,
-) -> (Design, RouteGuides, Outcome) {
+pub fn prepare(case: &Case, budget: &RouteBudget) -> (Design, RouteGuides, Outcome) {
     let design = case.instantiate();
-    let mut config = GlobalConfig {
-        parallelism: Parallelism::new(net_jobs),
-        ..GlobalConfig::default()
-    };
-    config.search.a_star = a_star;
-    config.search.bucket_queue = bucket_queue;
-    let (guides, stats) = GlobalRouter::new(config).route_with_budget(&design, budget);
+    let (guides, stats) =
+        GlobalRouter::new(GlobalConfig::default()).route_with_budget(&design, budget);
     (design, guides, stats.outcome)
-}
-
-/// Runs Mr.TPL on a prepared case.
-pub fn run_mrtpl(
-    design: &Design,
-    guides: &RouteGuides,
-    config: &MrTplConfig,
-) -> (CaseRecord, mrtpl_core::MrTplResult) {
-    run_mrtpl_budgeted(design, guides, config, &RouteBudget::default())
 }
 
 /// Runs Mr.TPL on a prepared case under a [`RouteBudget`].  The record's
 /// `outcome` reports whether the run completed, degraded on a budget trip
 /// (the record then describes a best-so-far partial solution), or aborted.
-pub fn run_mrtpl_budgeted(
+pub fn run_mrtpl(
     design: &Design,
     guides: &RouteGuides,
     config: &MrTplConfig,
@@ -209,8 +150,8 @@ mod tests {
 
     #[test]
     fn drcu_flow_reports_no_colour_columns() {
-        let params = CaseParams::ispd18_like(1).scaled(0.25);
-        let (design, guides) = prepare_case(&params);
+        let case = Case::synthetic(tpl_ispd::CaseParams::ispd18_like(1).scaled(0.25));
+        let (design, guides, _) = prepare(&case, &RouteBudget::default());
         let (record, result) = run_drcu(&design, &guides, &DrCuConfig::default());
         assert_eq!(record.conflicts, 0);
         assert_eq!(record.stitches, 0);

@@ -3,8 +3,8 @@
 //!
 //! The paper evaluates Mr.TPL against three baselines over two ten-case
 //! suites; this crate owns "run method M on case C" as a first-class job so
-//! every consumer (the `mrtpl-bench` CLI, the `table2`/`table3` presets, CI
-//! smoke runs) shares one execution layer:
+//! every consumer (the `mrtpl-bench` CLI, the examples, CI smoke runs)
+//! shares one execution layer:
 //!
 //! * [`Method`] + [`MethodRegistry`] — the four flows of the paper
 //!   (`mrtpl`, `dac12`, `drcu`, `decompose`) behind one trait, selectable by
@@ -14,9 +14,8 @@
 //!   isolation (a crashing case becomes a failed [`JobRecord`], not a dead
 //!   run) and stable input-order collection, so record order and every
 //!   non-wall-clock field are independent of the worker count.  Jobs run
-//!   under an optional [`RouteBudget`] and retry down a
-//!   [`Degradation`] ladder on panic or budget exhaustion, recording
-//!   `outcome`/`attempts`/`degradation` per record.
+//!   under an optional [`RouteBudget`]; a budget-stopped job keeps its
+//!   best-so-far partial record and reports its `outcome`.
 //! * [`RunReport`] — a hand-rolled (serde-free) JSON report next to the
 //!   plain-text paper tables of `tpl-metrics`.
 //!
@@ -45,5 +44,5 @@ mod scheduler;
 pub use method::{Dac12Method, DecomposeMethod, DrCuMethod, Method, MethodRegistry, MrTplMethod};
 pub use report::{InputProvenance, RunReport};
 pub use scheduler::{run_matrix, JobOutcome, JobRecord, PreparedCase, RunOptions};
-pub use tpl_grid::{CancelToken, Degradation, Outcome, RouteBudget, StopReason};
+pub use tpl_grid::{CancelToken, Outcome, RouteBudget, StopReason};
 pub use tpl_trace::TaskPhases;

@@ -7,7 +7,6 @@ use tpl_dac12::Dac12Config;
 use tpl_decompose::DecomposeConfig;
 use tpl_drcu::DrCuConfig;
 use tpl_metrics::CaseRecord;
-use tpl_par::Parallelism;
 
 /// A routing/decomposition flow the harness can schedule.
 ///
@@ -48,19 +47,12 @@ impl Method for MrTplMethod {
     fn run(&self, case: &PreparedCase) -> CaseRecord {
         let prepared = case.get();
         let (design, guides, prep_outcome) = &*prepared;
-        // The scheduler's `--net-jobs` and search knobs compose with (and
-        // override) the method's own defaults; determinism is guaranteed by
-        // the router.  The attempt's degradation rung then cheapens the
-        // search config and may force sequential net routing.
-        let degradation = case.degradation();
-        let mut config = MrTplConfig {
-            parallelism: Parallelism::new(degradation.degraded_net_jobs(case.net_jobs())),
+        // The scheduler's `--a-star` overrides the method's own default.
+        let config = MrTplConfig {
+            a_star: case.a_star(),
             ..self.config
         };
-        config.search.a_star = case.a_star();
-        config.search.bucket_queue = case.bucket_queue();
-        config.search = degradation.apply(config.search);
-        let mut record = flows::run_mrtpl_budgeted(design, guides, &config, &case.budget()).0;
+        let mut record = flows::run_mrtpl(design, guides, &config, &case.budget()).0;
         record.outcome = record.outcome.merge(*prep_outcome);
         record
     }

@@ -25,12 +25,10 @@
 //!       "stitches": 12,
 //!       "cost": 31415.9,
 //!       "runtime_seconds": 0.42,
-//!       "outcome": "complete",
-//!       "attempts": 1,
-//!       "degradation": "none"
+//!       "outcome": "complete"
 //!     },
 //!     { "method": "mrtpl", "case": "...", "status": "failed", "error": "...",
-//!       "outcome": "failed", "attempts": 4, "degradation": "sequential" }
+//!       "outcome": "failed" }
 //!   ],
 //!   "totals": { "dac12": { "cases": 10, "failed": 0, "conflicts": 3, ... } },
 //!   "geomean_speedup_vs_dac12": { "mrtpl": 1.7 }
@@ -87,8 +85,6 @@ pub struct RunReport {
     pub scale: f64,
     /// Worker-thread count of the run.
     pub jobs: usize,
-    /// Intra-case worker count (net-level parallelism inside each router).
-    pub net_jobs: usize,
     /// Whether wall-clock fields were zeroed for byte-stable output.
     pub deterministic: bool,
     /// Method names in run order (the first is the comparison baseline).
@@ -173,10 +169,6 @@ impl RunReport {
         ];
         if !self.deterministic {
             root.push(("jobs".to_string(), JsonValue::UInt(self.jobs as u64)));
-            root.push((
-                "net_jobs".to_string(),
-                JsonValue::UInt(self.net_jobs as u64),
-            ));
         }
         root.extend([
             (
@@ -254,10 +246,6 @@ impl RunReport {
             ("kind".to_string(), JsonValue::str("timings")),
             ("suite".to_string(), JsonValue::str(&self.suite)),
             ("jobs".to_string(), JsonValue::UInt(self.jobs as u64)),
-            (
-                "net_jobs".to_string(),
-                JsonValue::UInt(self.net_jobs as u64),
-            ),
             ("records".to_string(), JsonValue::Array(records)),
             ("total_wall_seconds".to_string(), JsonValue::Float(total)),
         ])
@@ -304,23 +292,14 @@ fn record_json(record: &JobRecord, with_phases: bool) -> JsonValue {
             }
         }
     }
-    // The robustness triple every record carries: how the kept attempt ended
-    // (`complete`/`degraded`/`aborted`, or `failed` when no attempt produced
-    // a record), how many ladder attempts ran, and the rung that produced it.
+    // How the run ended: `complete`/`degraded`/`aborted`, or `failed` when
+    // it panicked.
     entries.push((
         "outcome".to_string(),
         JsonValue::str(match &record.outcome {
             JobOutcome::Ok(r) => r.outcome.as_str(),
             JobOutcome::Failed { .. } => "failed",
         }),
-    ));
-    entries.push((
-        "attempts".to_string(),
-        JsonValue::UInt(record.attempts as u64),
-    ));
-    entries.push((
-        "degradation".to_string(),
-        JsonValue::str(record.degradation.as_str()),
     ));
     if with_phases {
         if let Some(phases) = record.phases.as_ref().filter(|p| !p.is_empty()) {
@@ -372,7 +351,6 @@ fn totals_json(report: &RunReport, method: &str) -> JsonValue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tpl_grid::Degradation;
 
     fn ok(method: &str, case: &str, conflicts: usize, rt: f64) -> JobRecord {
         JobRecord {
@@ -388,8 +366,6 @@ mod tests {
             }),
             wall_seconds: rt,
             phases: None,
-            attempts: 1,
-            degradation: Degradation::None,
         }
     }
 
@@ -403,8 +379,6 @@ mod tests {
             },
             wall_seconds: 0.5,
             phases: None,
-            attempts: Degradation::ladder().len(),
-            degradation: Degradation::Sequential,
         }
     }
 
@@ -414,7 +388,6 @@ mod tests {
             input: InputProvenance::Synthetic,
             scale: 0.5,
             jobs: 4,
-            net_jobs: 1,
             deterministic: false,
             methods: vec!["dac12".to_string(), "mrtpl".to_string()],
             records: vec![
@@ -448,10 +421,6 @@ mod tests {
             "\"error\": \"boom \\\"quoted\\\"\"",
             "\"outcome\": \"complete\"",
             "\"outcome\": \"failed\"",
-            "\"attempts\": 1",
-            "\"attempts\": 4",
-            "\"degradation\": \"none\"",
-            "\"degradation\": \"sequential\"",
             "\"totals\"",
             "\"geomean_speedup_vs_dac12\"",
         ] {
@@ -486,7 +455,6 @@ mod tests {
             input: InputProvenance::Synthetic,
             scale: 1.0,
             jobs: 1,
-            net_jobs: 1,
             deterministic: false,
             methods: vec!["base".to_string(), "ours".to_string()],
             records: vec![
@@ -581,7 +549,6 @@ mod tests {
             input: InputProvenance::Synthetic,
             scale: 1.0,
             jobs: 1,
-            net_jobs: 1,
             deterministic: false,
             methods: vec!["base".to_string(), "ours".to_string()],
             records: vec![

@@ -9,14 +9,8 @@
 //!
 //! Each job runs under [`std::panic::catch_unwind`]: a crashing method/case
 //! pair becomes a [`JobOutcome::Failed`] record instead of killing the run.
-//!
-//! On top of the panic isolation sits a **graceful-degradation ladder**: a
-//! job whose attempt panics or ends non-[`Outcome::Complete`] (budget
-//! exhaustion, deadline) is retried with progressively cheaper search
-//! configurations — A* off, then a coarser key quantisation, then sequential
-//! net routing — bounded by [`Degradation::ladder`].  The best record of any
-//! attempt is kept, and every [`JobRecord`] reports how many `attempts` ran
-//! and which `degradation` rung produced its record.
+//! A job runs once; a budget-stopped run keeps its best-so-far partial
+//! record, whose `outcome` says it is degraded or aborted.
 
 use crate::flows;
 use crate::Method;
@@ -25,7 +19,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 use tpl_design::{Design, RouteGuides};
-use tpl_grid::{Degradation, Outcome, RouteBudget, StopReason};
+use tpl_grid::{Outcome, RouteBudget};
 use tpl_ispd::Case;
 use tpl_metrics::CaseRecord;
 use tpl_trace::TaskPhases;
@@ -57,10 +51,7 @@ fn lock_ignoring_poison<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 pub struct PreparedCase<'a> {
     case: &'a Case,
     slot: &'a CaseSlot,
-    net_jobs: usize,
     a_star: bool,
-    bucket_queue: bool,
-    degradation: Degradation,
     max_search_nodes: Option<u64>,
     deadline_seconds: Option<f64>,
 }
@@ -71,36 +62,15 @@ impl PreparedCase<'_> {
         self.case
     }
 
-    /// Intra-case net-level worker count (`RunOptions::net_jobs`).  Methods
-    /// that support it thread this into their router configuration; the
-    /// routers guarantee results are identical for every value.
-    pub fn net_jobs(&self) -> usize {
-        self.net_jobs
-    }
-
-    /// Whether goal-directed A* is enabled (`RunOptions::a_star`).  Methods
-    /// with a search kernel thread this into their router configuration.
+    /// Whether goal-directed A* is enabled in the Mr.TPL colour search
+    /// (`RunOptions::a_star`).
     pub fn a_star(&self) -> bool {
         self.a_star
     }
 
-    /// Whether the bucket priority queue is enabled
-    /// (`RunOptions::bucket_queue`).  Never changes any record — the kernel
-    /// guarantees identical pop order with either frontier.
-    pub fn bucket_queue(&self) -> bool {
-        self.bucket_queue
-    }
-
-    /// The degradation rung this attempt runs at.  Methods with a search
-    /// kernel apply it to their `SearchConfig` (and net-level worker count)
-    /// via [`Degradation::apply`] / [`Degradation::degraded_net_jobs`].
-    pub fn degradation(&self) -> Degradation {
-        self.degradation
-    }
-
-    /// A fresh [`RouteBudget`] for this attempt.  The search-node ceiling is
+    /// A fresh [`RouteBudget`] for this job.  The search-node ceiling is
     /// deterministic; the wall-clock deadline (if any) starts counting at the
-    /// moment of this call, i.e. at attempt start.
+    /// moment of this call, i.e. at job start.
     pub fn budget(&self) -> RouteBudget {
         RouteBudget {
             max_search_nodes: self.max_search_nodes,
@@ -114,10 +84,10 @@ impl PreparedCase<'_> {
     /// The generated design, its route guides, and the guide-generation
     /// [`Outcome`], built on first use.
     ///
-    /// Preparation always runs under the requested (non-degraded) search
-    /// knobs, the canonical fault scope `prepare/<case>`, and a node-count
-    /// budget only (no deadline, no cancel token): whichever job or attempt
-    /// pays for it, the shared result is identical by construction.
+    /// Preparation always runs under the canonical fault scope
+    /// `prepare/<case>` and a node-count budget only (no deadline, no cancel
+    /// token): whichever job pays for it, the shared result is identical by
+    /// construction.
     pub fn get(&self) -> Arc<(Design, RouteGuides, Outcome)> {
         let mut guard = lock_ignoring_poison(&self.slot.data);
         if let Some(prepared) = guard.as_ref() {
@@ -134,13 +104,7 @@ impl PreparedCase<'_> {
             max_search_nodes: self.max_search_nodes,
             ..RouteBudget::default()
         };
-        let prepared = Arc::new(flows::prepare_with_budget(
-            self.case,
-            self.net_jobs,
-            self.a_star,
-            self.bucket_queue,
-            &budget,
-        ));
+        let prepared = Arc::new(flows::prepare(self.case, &budget));
         *guard = Some(prepared.clone());
         prepared
     }
@@ -157,11 +121,6 @@ pub struct RunOptions {
     /// the determinism tests; conflict/stitch/cost columns are always
     /// deterministic).
     pub deterministic: bool,
-    /// Intra-case net-level worker count handed to each router (clamped to
-    /// at least 1).  Composes with `jobs`: `jobs` cases run concurrently,
-    /// each routing its nets on `net_jobs` workers.  Never changes any
-    /// record — the routers are worker-count-invariant by construction.
-    pub net_jobs: usize,
     /// Collect per-job `tpl-trace` phase aggregates: each job runs under its
     /// own trace task and its [`TaskPhases`] are attached to the
     /// [`JobRecord`].  Requires tracing to be enabled globally
@@ -169,21 +128,15 @@ pub struct RunOptions {
     /// primary report ([`RunReport::to_json`](crate::RunReport::to_json)
     /// ignores phases) — they surface only in trace exports.
     pub trace: bool,
-    /// Goal-directed A* in the search kernels (default on).  The global
-    /// router's solution is invariant to this knob; the Mr.TPL colour-state
-    /// search preserves path cost but may pick different equal-cost ties, so
+    /// Goal-directed A* on Mr.TPL negotiation passes (default on).  It
+    /// preserves path cost but may pick different equal-cost ties, so
     /// turning it off can change mrtpl records.
     pub a_star: bool,
-    /// Bucket (Dial) priority queue in the search kernels (default on).
-    /// Guaranteed to never change any record — pop order is identical to the
-    /// binary-heap fallback by construction.
-    pub bucket_queue: bool,
-    /// Search-node budget per attempt (`--budget`).  Deterministic: the
-    /// routers account nodes at batch barriers, so a budgeted run produces
-    /// identical records for every `jobs`/`net_jobs` value.  `None` means
-    /// unlimited.
+    /// Search-node budget per job (`--budget`).  Deterministic: the routers
+    /// charge nodes net by net, so a budgeted run produces identical records
+    /// for every `jobs` value.  `None` means unlimited.
     pub max_search_nodes: Option<u64>,
-    /// Wall-clock deadline per attempt in seconds (`--deadline`).  By nature
+    /// Wall-clock deadline per job in seconds (`--deadline`).  By nature
     /// *not* deterministic — where the deadline lands depends on machine
     /// speed — so deterministic byte-comparisons should not set it.
     pub deadline_seconds: Option<f64>,
@@ -194,10 +147,8 @@ impl Default for RunOptions {
         RunOptions {
             jobs: 1,
             deterministic: false,
-            net_jobs: 1,
             trace: false,
             a_star: true,
-            bucket_queue: true,
             max_search_nodes: None,
             deadline_seconds: None,
         }
@@ -238,16 +189,10 @@ pub struct JobRecord {
     /// tracing enabled).  Deterministic runs zero the wall-clock components,
     /// leaving counts and sums that are worker-count-invariant.
     pub phases: Option<TaskPhases>,
-    /// How many ladder attempts actually executed for this job (1 when the
-    /// first attempt completed, up to [`Degradation::ladder`]`.len()`).
-    pub attempts: usize,
-    /// The degradation rung that produced the kept record (or the last rung
-    /// tried, if every attempt failed).
-    pub degradation: Degradation,
 }
 
 /// Equality compares the deterministic content of a job — method, case,
-/// outcome, attempts/degradation, and phase aggregates — and ignores
+/// outcome and phase aggregates — and ignores
 /// `wall_seconds`, which is measurement metadata that legitimately differs
 /// between otherwise identical runs.  The determinism tests rely on exactly
 /// this contract.
@@ -257,8 +202,6 @@ impl PartialEq for JobRecord {
             && self.case == other.case
             && self.outcome == other.outcome
             && self.phases == other.phases
-            && self.attempts == other.attempts
-            && self.degradation == other.degradation
     }
 }
 
@@ -360,22 +303,14 @@ pub fn run_matrix(methods: &[&dyn Method], cases: &[Case], options: &RunOptions)
         .collect()
 }
 
-/// Runs one (method, case) job with panic isolation and the degradation
-/// ladder.  Case preparation runs inside the same isolation, so a crash
-/// while generating a case also becomes a failed record.
+/// Runs one (method, case) job with panic isolation.  Case preparation runs
+/// inside the same isolation, so a crash while generating a case also
+/// becomes a failed record.
 ///
-/// Each ladder rung is one attempt under [`catch_unwind`].  An attempt that
-/// returns a [`Outcome::Complete`] record (or is cancelled) ends the ladder;
-/// a panic or a budget-degraded/aborted record triggers a retry at the next
-/// cheaper rung.  The best record across attempts is kept — smallest
-/// [`Outcome`], earliest rung on ties, so a clean early record is never
-/// replaced by a later, more degraded one.  If no attempt produced a record,
-/// the job fails with the last panic's message and phase.
-///
-/// With `task` set the whole job (all attempts) runs under that trace task
-/// id and its aggregated [`TaskPhases`] are collected into the record;
-/// wall-clock time is measured regardless (even in deterministic mode, where
-/// only the byte-compared `CaseRecord::runtime_seconds` is zeroed).
+/// With `task` set the job runs under that trace task id and its aggregated
+/// [`TaskPhases`] are collected into the record; wall-clock time is measured
+/// regardless (even in deterministic mode, where only the byte-compared
+/// `CaseRecord::runtime_seconds` is zeroed).
 fn run_job(
     method: &dyn Method,
     case: &Case,
@@ -387,71 +322,33 @@ fn run_job(
     let _ = tpl_trace::take_panic_span();
     let task_guard = task.map(tpl_trace::task);
     let started = Instant::now();
-
-    let ladder = Degradation::ladder();
-    let mut best: Option<(CaseRecord, Degradation)> = None;
-    let mut last_failure: Option<(String, Option<String>)> = None;
-    let mut attempts = 0;
-    for &rung in &ladder {
-        attempts += 1;
-        let prepared = PreparedCase {
-            case,
-            slot,
-            net_jobs: options.net_jobs.max(1),
-            a_star: options.a_star,
-            bucket_queue: options.bucket_queue,
-            degradation: rung,
-            max_search_nodes: options.max_search_nodes,
-            deadline_seconds: options.deadline_seconds,
-        };
-        // Every attempt runs under its own fault scope, so a seeded fault
-        // plan that crashes attempt 1 does not automatically crash the
-        // retries — exactly the recovery path the ladder exists to exercise.
-        let scope_label = format!("{}/{}/a{}", method.name(), case.name(), attempts);
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            let _fault_scope = tpl_fault::scope(&scope_label);
-            let _execute_span = tpl_trace::span!("harness.execute");
-            tpl_fault::point!("harness.execute");
-            method.run(&prepared)
-        }));
-        match result {
-            Ok(record) => {
-                let done = record.outcome.is_complete()
-                    || record.outcome == Outcome::Aborted(StopReason::Cancelled);
-                let better = match &best {
-                    None => true,
-                    Some((kept, _)) => record.outcome < kept.outcome,
-                };
-                if better {
-                    best = Some((record, rung));
-                }
-                if done {
-                    break;
-                }
-            }
-            Err(payload) => {
-                last_failure = Some((
-                    panic_message(payload.as_ref()),
-                    tpl_trace::take_panic_span().map(str::to_string),
-                ));
-            }
-        }
-    }
-
+    let prepared = PreparedCase {
+        case,
+        slot,
+        a_star: options.a_star,
+        max_search_nodes: options.max_search_nodes,
+        deadline_seconds: options.deadline_seconds,
+    };
+    let scope_label = format!("{}/{}", method.name(), case.name());
+    let result = catch_unwind(AssertUnwindSafe(|| {
+        let _fault_scope = tpl_fault::scope(&scope_label);
+        let _execute_span = tpl_trace::span!("harness.execute");
+        tpl_fault::point!("harness.execute");
+        method.run(&prepared)
+    }));
     let wall_seconds = started.elapsed().as_secs_f64();
     drop(task_guard);
-    let (outcome, degradation) = match best {
-        Some((mut record, rung)) => {
+    let outcome = match result {
+        Ok(mut record) => {
             if options.deterministic {
                 record.runtime_seconds = 0.0;
             }
-            (JobOutcome::Ok(record), rung)
+            JobOutcome::Ok(record)
         }
-        None => {
-            let (error, phase) = last_failure
-                .unwrap_or_else(|| ("job produced neither record nor panic".to_string(), None));
-            (JobOutcome::Failed { error, phase }, ladder[attempts - 1])
-        }
+        Err(payload) => JobOutcome::Failed {
+            error: panic_message(payload.as_ref()),
+            phase: tpl_trace::take_panic_span().map(str::to_string),
+        },
     };
     let phases = task.and_then(|id| {
         let mut phases = tpl_trace::take_task_phases(id)?;
@@ -467,8 +364,6 @@ fn run_job(
         outcome,
         wall_seconds,
         phases,
-        attempts,
-        degradation,
     }
 }
 
@@ -486,6 +381,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tpl_grid::StopReason;
 
     /// A cheap deterministic stub: the record is a pure function of the case
     /// parameters, no routing involved.
@@ -539,35 +435,7 @@ mod tests {
         }
     }
 
-    /// Panics on the first `failures` calls per instance, then succeeds,
-    /// reporting which degradation rung the successful attempt ran at.
-    struct FlakyStub {
-        failures: usize,
-        calls: AtomicUsize,
-    }
-
-    impl Method for FlakyStub {
-        fn name(&self) -> &'static str {
-            "flaky"
-        }
-
-        fn description(&self) -> &'static str {
-            "test stub that recovers after a bounded number of panics"
-        }
-
-        fn run(&self, case: &PreparedCase) -> CaseRecord {
-            let call = self.calls.fetch_add(1, Ordering::Relaxed);
-            assert!(call >= self.failures, "transient failure #{call}");
-            CaseRecord {
-                case: case.case().name().to_string(),
-                conflicts: case.degradation() as usize,
-                ..CaseRecord::default()
-            }
-        }
-    }
-
-    /// Always returns a budget-degraded record, so the ladder never stops
-    /// early and every rung is tried.
+    /// Always returns a budget-degraded record.
     struct AlwaysDegraded;
 
     impl Method for AlwaysDegraded {
@@ -582,7 +450,6 @@ mod tests {
         fn run(&self, case: &PreparedCase) -> CaseRecord {
             CaseRecord {
                 case: case.case().name().to_string(),
-                conflicts: case.degradation() as usize,
                 outcome: Outcome::Degraded(StopReason::SearchNodes),
                 ..CaseRecord::default()
             }
@@ -688,45 +555,11 @@ mod tests {
     }
 
     #[test]
-    fn a_flaky_job_recovers_on_a_ladder_retry() {
-        let flaky = FlakyStub {
-            failures: 1,
-            calls: AtomicUsize::new(0),
-        };
-        let records = run_matrix(&[&flaky], &tiny_cases(1), &RunOptions::default());
-        assert_eq!(records.len(), 1);
-        let record = records[0].record().expect("retry should have succeeded");
-        assert_eq!(records[0].attempts, 2);
-        assert_eq!(records[0].degradation, Degradation::NoAStar);
-        assert_eq!(record.conflicts, Degradation::NoAStar as usize);
-    }
-
-    #[test]
-    fn a_degraded_job_tries_every_rung_and_keeps_the_earliest() {
+    fn a_degraded_record_is_kept_as_is() {
         let records = run_matrix(&[&AlwaysDegraded], &tiny_cases(1), &RunOptions::default());
         assert_eq!(records.len(), 1);
         let record = records[0].record().expect("degraded records are kept");
-        assert_eq!(records[0].attempts, Degradation::ladder().len());
-        // All rungs tied on outcome, so the first (least degraded) record wins.
-        assert_eq!(records[0].degradation, Degradation::None);
-        assert_eq!(record.conflicts, Degradation::None as usize);
         assert_eq!(record.outcome, Outcome::Degraded(StopReason::SearchNodes));
-    }
-
-    #[test]
-    fn an_exhausted_ladder_reports_the_last_rung() {
-        let flaky = FlakyStub {
-            failures: usize::MAX,
-            calls: AtomicUsize::new(0),
-        };
-        let records = run_matrix(&[&flaky], &tiny_cases(1), &RunOptions::default());
-        assert_eq!(records.len(), 1);
-        assert!(records[0].error().unwrap().contains("transient failure"));
-        assert_eq!(records[0].attempts, Degradation::ladder().len());
-        assert_eq!(
-            records[0].degradation,
-            *Degradation::ladder().last().unwrap()
-        );
     }
 
     #[test]

@@ -98,37 +98,33 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// A budget-limited real run (which trips mid-route for small budgets
-    /// and walks the degradation ladder) is byte-identical across both
-    /// worker dimensions: node accounting happens at batch barriers, so
-    /// neither `--jobs` nor `--net-jobs` can move where the budget lands.
+    /// A budget-limited real run (which trips mid-route for small budgets)
+    /// is byte-identical across worker counts: each router charges nodes net
+    /// by net, so `--jobs` cannot move where the budget lands.
     #[test]
     fn budget_limited_real_runs_are_identical_across_worker_counts(
         jobs in 2usize..=4,
-        net_jobs in 1usize..=3,
         budget in 0u64..3000,
     ) {
         let registry = MethodRegistry::builtin();
         let methods = registry.select("mrtpl").unwrap();
         let cases = run_suite(Suite::Ispd18, &[1], 0.2);
-        let run = |jobs, net_jobs| {
+        let run = |jobs| {
             run_matrix(&methods, &cases, &RunOptions {
                 jobs,
-                net_jobs,
                 deterministic: true,
                 max_search_nodes: Some(budget),
                 ..RunOptions::default()
             })
         };
-        let baseline = run(1, 1);
-        let wide = run(jobs, net_jobs);
+        let baseline = run(1);
+        let wide = run(jobs);
         prop_assert_eq!(&baseline, &wide);
         let report = |records| RunReport {
             suite: "ispd18".to_string(),
             input: InputProvenance::Synthetic,
             scale: 0.2,
             jobs: 1,
-            net_jobs: 1,
             deterministic: true,
             methods: vec!["mrtpl".to_string()],
             records,
@@ -175,7 +171,6 @@ fn real_flows_match_between_jobs_1_and_8() {
         input: InputProvenance::Synthetic,
         scale: 0.25,
         jobs,
-        net_jobs: 1,
         deterministic: true,
         methods: vec!["dac12".to_string(), "mrtpl".to_string()],
         records,
@@ -232,7 +227,6 @@ fn a_panicking_method_yields_a_failed_record_without_aborting_the_run() {
         input: InputProvenance::Synthetic,
         scale: 1.0,
         jobs: 4,
-        net_jobs: 1,
         deterministic: false,
         methods: vec!["good".to_string(), "panics-on-test3".to_string()],
         records,

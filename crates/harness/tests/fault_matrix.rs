@@ -2,7 +2,7 @@
 //! lose a worker, or corrupt a report.
 //!
 //! `tpl-fault` plans are pure functions of `(seed, site, scope, key)` and the
-//! harness pins every scope (`prepare/<case>`, `<method>/<case>/a<n>`) to the
+//! harness pins every scope (`prepare/<case>`, `<method>/<case>`) to the
 //! job rather than the thread, so a faulted run is still byte-deterministic
 //! across `--jobs`.  Each test here runs real flows under a plan that injects
 //! panics, delays and budget trips, and asserts the three invariants:
@@ -10,17 +10,15 @@
 //! 1. `run_matrix` returns (a wedged scheduler or a lost worker would hang
 //!    the test binary instead),
 //! 2. every job slot is filled with a record — ok, degraded or failed,
-//! 3. the JSON report parses and carries a valid robustness triple
-//!    (`outcome`/`attempts`/`degradation`) on every record.
+//! 3. the JSON report parses and carries a valid `outcome` on every
+//!    record.
 //!
 //! The fault plan is process-global state, so everything runs inside one
 //! mutex-serialised helper and the plan is always cleared afterwards.
 
 use std::sync::Mutex;
 use tpl_harness::json::JsonValue;
-use tpl_harness::{
-    run_matrix, Degradation, InputProvenance, JobRecord, MethodRegistry, RunOptions, RunReport,
-};
+use tpl_harness::{run_matrix, InputProvenance, JobRecord, MethodRegistry, RunOptions, RunReport};
 use tpl_ispd::{run_suite, Case, Suite};
 
 /// Serialises every test that touches the process-global fault plan.
@@ -52,7 +50,6 @@ fn run_with_plan(seed: Option<u64>, jobs: usize, budget: Option<u64>) -> Vec<Job
         &cases,
         &RunOptions {
             jobs,
-            net_jobs: 2,
             deterministic: true,
             max_search_nodes: budget,
             ..RunOptions::default()
@@ -68,14 +65,13 @@ fn report(records: Vec<JobRecord>) -> RunReport {
         input: InputProvenance::Synthetic,
         scale: 0.2,
         jobs: 1,
-        net_jobs: 2,
         deterministic: true,
         methods: vec!["dac12".to_string(), "mrtpl".to_string()],
         records,
     }
 }
 
-/// Parses a report and checks the robustness triple on every record.
+/// Parses a report and checks the outcome of every record.
 fn assert_report_valid(json: &str) {
     let parsed = JsonValue::parse(json).expect("fault-plan report must stay valid JSON");
     let records = parsed
@@ -83,7 +79,6 @@ fn assert_report_valid(json: &str) {
         .and_then(JsonValue::as_array)
         .expect("report has a records array");
     assert!(!records.is_empty());
-    let ladder_len = Degradation::ladder().len() as f64;
     for record in records {
         let status = record.get("status").and_then(JsonValue::as_str).unwrap();
         assert!(["ok", "failed"].contains(&status), "status {status}");
@@ -93,19 +88,6 @@ fn assert_report_valid(json: &str) {
             "outcome {outcome}"
         );
         assert_eq!(status == "failed", outcome == "failed");
-        let attempts = record.get("attempts").and_then(JsonValue::as_f64).unwrap();
-        assert!(
-            (1.0..=ladder_len).contains(&attempts),
-            "attempts {attempts}"
-        );
-        let degradation = record
-            .get("degradation")
-            .and_then(JsonValue::as_str)
-            .unwrap();
-        assert!(
-            ["none", "no_a_star", "coarse_key", "sequential"].contains(&degradation),
-            "degradation {degradation}"
-        );
     }
 }
 
@@ -114,7 +96,7 @@ fn fault_plans_never_wedge_the_scheduler_and_reports_stay_valid() {
     let _serial = FAULT_PLAN.lock().unwrap_or_else(|p| p.into_inner());
     let _clear = ClearPlan;
     // A spread of seeds: small, large, and bit-heavy, each with and without
-    // a node budget so both the fault-driven and the budget-driven ladder
+    // a node budget so both the fault-driven and the budget-driven degraded
     // paths are exercised.
     for seed in [0, 1, 7, 42, 0xDEAD_BEEF, u64::MAX] {
         for budget in [None, Some(500)] {
@@ -147,9 +129,8 @@ fn faulted_runs_are_byte_identical_across_worker_counts() {
 fn budgeted_runs_without_faults_are_byte_identical_across_worker_counts() {
     let _serial = FAULT_PLAN.lock().unwrap_or_else(|p| p.into_inner());
     let _clear = ClearPlan;
-    // The budget path alone (no fault plan): node accounting happens at
-    // batch barriers, so a budget-limited run is deterministic in both the
-    // matrix worker count and the per-net worker count.
+    // The budget path alone (no fault plan): nodes are charged net by net,
+    // so a budget-limited run is deterministic in the matrix worker count.
     for budget in [0, 200, 5_000] {
         let sequential = run_with_plan(None, 1, Some(budget));
         let parallel = run_with_plan(None, 4, Some(budget));
@@ -174,7 +155,6 @@ fn a_zero_budget_degrades_but_still_reports_every_case() {
                 !case.outcome.is_complete(),
                 "a zero-budget mrtpl run cannot complete"
             );
-            assert_eq!(record.attempts, Degradation::ladder().len());
         }
     }
     assert_report_valid(&report(records).to_json());

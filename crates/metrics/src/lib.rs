@@ -2,7 +2,7 @@
 //!
 //! The crate turns raw router outputs into the rows of the paper's tables:
 //! per-case conflict/stitch/cost/runtime records, improvement percentages and
-//! plain-text table rendering used by the `table2`/`table3` binaries of
+//! plain-text table rendering used by the `mrtpl-bench` binary of
 //! `tpl-bench`.
 
 #![warn(missing_docs)]

@@ -57,7 +57,6 @@ fn main() {
         input: InputProvenance::Synthetic,
         scale,
         jobs: options.jobs,
-        net_jobs: options.net_jobs,
         deterministic: options.deterministic,
         methods: methods.iter().map(|m| m.name().to_string()).collect(),
         records,

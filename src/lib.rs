@@ -19,8 +19,6 @@
 //! * [`metrics`] — evaluation metrics and table reporting.
 //! * [`harness`] — the parallel, deterministic suite-execution engine behind
 //!   the `mrtpl-bench` CLI (method registry, scheduler, JSON reports).
-//! * [`par`] — the vendored work-stealing pool powering intra-case net-level
-//!   parallelism (see `vendor/README.md`).
 //!
 //! # Examples
 //!
@@ -48,7 +46,6 @@ pub use tpl_harness as harness;
 pub use tpl_ispd as ispd;
 pub use tpl_lefdef as lefdef;
 pub use tpl_metrics as metrics;
-pub use tpl_par as par;
 
 /// The most common imports for running the full flow.
 pub mod prelude {
@@ -59,5 +56,4 @@ pub mod prelude {
     pub use tpl_geom::{Point, Rect};
     pub use tpl_global::{GlobalConfig, GlobalRouter};
     pub use tpl_ispd::CaseParams;
-    pub use tpl_par::Parallelism;
 }

@@ -241,7 +241,6 @@ fn minimal_routes_through_all_methods_jobs_invariant() {
             },
             scale: 1.0,
             jobs,
-            net_jobs: 1,
             deterministic: true,
             methods: methods.iter().map(|m| m.name().to_string()).collect(),
             records,

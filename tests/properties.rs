@@ -36,29 +36,26 @@ proptest! {
         prop_assert_eq!(result.layout.count_stitches(), result.stats.stitches);
     }
 
-    /// Intra-case parallelism never changes the result: for any generated
-    /// benchmark, routing with 2, 4 or 8 workers produces exactly the
-    /// wirelength, via count, conflict count and search effort of the
-    /// sequential run.
+    /// The scheduler's worker count never changes a record: for any
+    /// generated benchmark, running the method matrix on 2 or 4 workers
+    /// produces exactly the records of the sequential run.
     #[test]
     fn worker_count_is_invisible_for_random_benchmarks(params in arb_case()) {
-        let design = params.generate();
-        let guides = GlobalRouter::new(GlobalConfig::default()).route(&design);
-        let base = MrTplRouter::new(MrTplConfig::default()).route(&design, &guides);
-        for jobs in [2usize, 4, 8] {
-            let config = MrTplConfig {
-                parallelism: Parallelism::new(jobs),
-                ..MrTplConfig::default()
-            };
-            let parallel = MrTplRouter::new(config).route(&design, &guides);
-            prop_assert_eq!(
-                parallel.solution.total_wirelength(),
-                base.solution.total_wirelength()
-            );
-            prop_assert_eq!(parallel.solution.total_vias(), base.solution.total_vias());
-            prop_assert_eq!(parallel.stats.conflicts, base.stats.conflicts);
-            prop_assert_eq!(parallel.stats.stitches, base.stats.stitches);
-            prop_assert_eq!(parallel.stats.search_nodes, base.stats.search_nodes);
+        use mr_tpl::harness::{run_matrix, MethodRegistry, RunOptions};
+        let registry = MethodRegistry::builtin();
+        let methods = registry.select("mrtpl,drcu").unwrap();
+        let cases = [mr_tpl::ispd::Case::synthetic(params)];
+        let run = |jobs| {
+            run_matrix(&methods, &cases, &RunOptions {
+                jobs,
+                deterministic: true,
+                ..RunOptions::default()
+            })
+        };
+        let base = run(1);
+        prop_assert!(base.iter().all(|r| r.record().is_some()));
+        for jobs in [2usize, 4] {
+            prop_assert_eq!(&run(jobs), &base);
         }
     }
 
