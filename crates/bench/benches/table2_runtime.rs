@@ -27,7 +27,15 @@ fn table2_runtime(c: &mut Criterion) {
             })
         });
         group.bench_with_input(BenchmarkId::new("dac12", idx), &idx, |b, _| {
-            b.iter(|| run_dac12(&design, &guides, &Dac12Config::default()).0)
+            b.iter(|| {
+                run_dac12(
+                    &design,
+                    &guides,
+                    &Dac12Config::default(),
+                    &RouteBudget::default(),
+                )
+                .0
+            })
         });
     }
     group.finish();

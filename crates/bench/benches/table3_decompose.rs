@@ -38,6 +38,7 @@ fn table3_decompose(c: &mut Criterion) {
                         &guides,
                         &DrCuConfig::default(),
                         &DecomposeConfig::default(),
+                        &RouteBudget::default(),
                     )
                     .0
                 })

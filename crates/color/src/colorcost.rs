@@ -1,9 +1,9 @@
 //! Cached colour-conflict pressure per grid vertex.
 
-use tpl_color::ColorMap;
+use crate::ColorMap;
 use tpl_design::NetId;
 use tpl_geom::Rect;
-use tpl_grid::{GridGraph, VertexId};
+use tpl_grid::{EpochStamps, GridGraph, VertexId};
 
 /// An epoch-invalidated cache of per-vertex, per-mask colour pressure.
 ///
@@ -13,10 +13,10 @@ use tpl_grid::{GridGraph, VertexId};
 /// pre-computes "by GR guide" before routing a net; caching it per vertex per
 /// net is equivalent (the map does not change while one net is being routed)
 /// and avoids recomputing it for vertices visited by several expansions.
+/// Mr.TPL and the DAC'12 baseline share it.
 #[derive(Clone, Debug)]
 pub struct ColorCostCache {
-    epoch: u32,
-    stamp: Vec<u32>,
+    stamps: EpochStamps,
     pressure: Vec<[u16; 3]>,
     half_width: i64,
 }
@@ -25,8 +25,7 @@ impl ColorCostCache {
     /// Creates a cache for a grid.
     pub fn new(grid: &GridGraph) -> Self {
         Self {
-            epoch: 0,
-            stamp: vec![0; grid.num_vertices()],
+            stamps: EpochStamps::new(grid.num_vertices()),
             pressure: vec![[0; 3]; grid.num_vertices()],
             half_width: 4,
         }
@@ -35,7 +34,7 @@ impl ColorCostCache {
     /// Invalidates the cache; call when starting a new net (the colour map
     /// has changed since the last net committed its colours).
     pub fn begin_net(&mut self) {
-        self.epoch += 1;
+        self.stamps.begin();
     }
 
     /// The wire footprint a route through vertex `v` would occupy.
@@ -44,6 +43,7 @@ impl ColorCostCache {
     }
 
     /// The per-mask pressure of routing net `net` through vertex `v`.
+    #[inline]
     pub fn pressure(
         &mut self,
         grid: &GridGraph,
@@ -52,7 +52,7 @@ impl ColorCostCache {
         v: VertexId,
     ) -> [u16; 3] {
         let i = v.index();
-        if self.stamp[i] == self.epoch {
+        if self.stamps.is_fresh(i) {
             return self.pressure[i];
         }
         let rect = self.footprint(grid, v);
@@ -62,7 +62,7 @@ impl ColorCostCache {
             raw[1].min(u16::MAX as usize) as u16,
             raw[2].min(u16::MAX as usize) as u16,
         ];
-        self.stamp[i] = self.epoch;
+        self.stamps.touch(i);
         self.pressure[i] = clamped;
         clamped
     }
@@ -71,7 +71,7 @@ impl ColorCostCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tpl_color::{Feature, Mask};
+    use crate::{Feature, Mask};
     use tpl_design::{DesignBuilder, LayerId, Technology};
     use tpl_geom::Rect as GRect;
 

@@ -14,6 +14,8 @@
 //!   answering "how many features of another net with mask *m* lie within
 //!   `Dcolor` of this rectangle?", the quantity behind `Cost_color` in
 //!   Eq. (1).
+//! * [`ColorCostCache`] — that pressure per grid vertex, cached for the net
+//!   being routed (shared by Mr.TPL and the DAC'12 baseline).
 //! * [`ColoredLayout`] — a finished, fully coloured layout on which colour
 //!   conflicts and stitches are counted for the evaluation tables.
 //!
@@ -31,12 +33,14 @@
 
 #![warn(missing_docs)]
 
+mod colorcost;
 mod colormap;
 mod layout;
 mod mask;
 mod sets;
 mod state;
 
+pub use colorcost::ColorCostCache;
 pub use colormap::{ColorMap, Feature, FeatureKind};
 pub use layout::{ColoredLayout, ConflictPair, LayoutStats, StitchSite};
 pub use mask::Mask;

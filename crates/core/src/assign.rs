@@ -1,7 +1,8 @@
 //! Final mask assignment and coloured-geometry emission.
 
-use crate::{ColorCostCache, NetBuffers};
+use crate::NetBuffers;
 use std::collections::HashMap;
+use tpl_color::ColorCostCache;
 use tpl_color::{ColorMap, ColorSetArena, Mask, SegSetId};
 use tpl_design::{Design, NetId, PinId, RouteSegment, RoutedNet, ViaInstance};
 use tpl_geom::Segment;

@@ -37,14 +37,12 @@
 mod assign;
 mod backtrace;
 mod batch;
-mod colorcost;
 mod config;
 mod router;
 mod search;
 
 pub use assign::ColoredNet;
 pub use backtrace::backtrace;
-pub use colorcost::ColorCostCache;
 pub use config::{MrTplConfig, MrTplStats, SearchPolicy};
 pub use router::{MrTplResult, MrTplRouter};
 pub use search::{search, NetBuffers, SearchContext};

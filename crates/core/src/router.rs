@@ -1,14 +1,18 @@
 //! The full-design Mr.TPL router (Algorithm 1 + rip-up & reroute).
 
 use crate::{
-    assign::assign_and_emit, backtrace, batch::plan_batches, search, ColorCostCache, ColoredNet,
-    MrTplConfig, MrTplStats, NetBuffers, SearchContext,
+    assign::assign_and_emit, backtrace, batch::plan_batches, search, ColoredNet, MrTplConfig,
+    MrTplStats, NetBuffers, SearchContext,
 };
 use std::time::Instant;
-use tpl_color::{ColorMap, ColorSetArena, ColorState, ColoredLayout, Feature, Mask};
+use tpl_color::{
+    ColorCostCache, ColorMap, ColorSetArena, ColorState, ColoredLayout, Feature, Mask,
+};
 use tpl_design::{Design, NetId, PinId, RouteGuides, RoutingSolution};
 use tpl_geom::Rect;
-use tpl_grid::{GridGraph, GridState, Outcome, PinCoverage, RouteBudget, StopReason, VertexId};
+use tpl_grid::{
+    guide_membership, GridGraph, GridState, Outcome, PinCoverage, RouteBudget, TradCost, VertexId,
+};
 
 /// The result of a Mr.TPL routing run.
 #[derive(Clone, Debug)]
@@ -147,20 +151,18 @@ impl MrTplRouter {
             for (batch_index, batch) in batches.iter().enumerate() {
                 // Budget accounting happens between batches: every net of a
                 // batch runs under the same remaining-node snapshot.
-                let remaining = budget.remaining_nodes(stats.search_nodes as u64);
-                let stop = if remaining == 0 {
-                    Some(StopReason::SearchNodes)
-                } else {
-                    budget.interrupted()
+                let remaining = match budget.allowance(stats.search_nodes as u64) {
+                    Ok(remaining) => remaining,
+                    Err(reason) => {
+                        run_outcome = run_outcome.merge(Outcome::from_stop(reason));
+                        // The unprocessed batches were ripped up at iteration
+                        // start and stay unrouted; count them so the partial
+                        // result is honest about what is missing.
+                        stats.failed_nets +=
+                            batches[batch_index..].iter().map(Vec::len).sum::<usize>();
+                        break 'rrr;
+                    }
                 };
-                if let Some(reason) = stop {
-                    run_outcome = run_outcome.merge(Outcome::from_stop(reason));
-                    // The unprocessed batches were ripped up at iteration
-                    // start and stay unrouted; count them so the partial
-                    // result is honest about what is missing.
-                    stats.failed_nets += batches[batch_index..].iter().map(Vec::len).sum::<usize>();
-                    break 'rrr;
-                }
                 tpl_trace::value!("core.batch_size", batch.len());
                 // Every net of the batch routes against the state committed
                 // before the batch ...
@@ -187,7 +189,6 @@ impl MrTplRouter {
                             buffers.nodes_popped(),
                             buffers.frontier_pruned(),
                             buffers.frontier_peak(),
-                            buffers.overflow_pushes(),
                             buffers.stop_reason(),
                         );
                         (net_id, out, effort)
@@ -196,12 +197,7 @@ impl MrTplRouter {
 
                 // ... and the batch commits occupancy, colour map and
                 // solution together, in net order.
-                for (
-                    net_id,
-                    (colored, vertices, complete),
-                    (nodes, pruned, peak, overflow, stop),
-                ) in routed
-                {
+                for (net_id, (colored, vertices, complete), (nodes, pruned, peak, stop)) in routed {
                     if !complete {
                         stats.failed_nets += 1;
                     }
@@ -212,10 +208,8 @@ impl MrTplRouter {
                     tpl_trace::counter!("core.search_nodes", nodes);
                     // Kernel effort counters: pruned / popped quantifies how
                     // much of the wavefront goal direction cut away, and the
-                    // frontier peak / overflow spill track bucket-queue
-                    // occupancy.
+                    // frontier peak is the heap's high-water mark.
                     tpl_trace::counter!("core.search_frontier_pruned", pruned);
-                    tpl_trace::counter!("core.bucket_overflow_pushes", overflow);
                     tpl_trace::value!("core.frontier_peak", peak);
                     total_seg_sets += colored.seg_sets;
 
@@ -356,15 +350,18 @@ impl MrTplRouter {
         let _net_span = tpl_trace::span!("core.route_net", net = net_id.index());
         tpl_fault::point!("core.route_net", net_id.index());
         let net = design.net(net_id);
-        let in_guide = SearchContext::guide_membership(grid, guides, net_id);
+        let in_guide = guide_membership(grid, guides, net_id);
         let ctx = SearchContext {
-            grid,
-            state: gstate,
-            coverage,
-            design,
+            trad: TradCost {
+                grid,
+                state: gstate,
+                coverage,
+                design,
+                params: &self.config.cost,
+                net: net_id,
+                in_guide: &in_guide,
+            },
             config: &self.config,
-            net: net_id,
-            in_guide: &in_guide,
             map,
         };
 
@@ -439,6 +436,7 @@ impl MrTplRouter {
 mod tests {
     use super::*;
     use tpl_global::{GlobalConfig, GlobalRouter};
+    use tpl_grid::StopReason;
     use tpl_ispd::CaseParams;
 
     fn route_case(scale: f64) -> (Design, MrTplResult) {

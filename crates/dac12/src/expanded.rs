@@ -19,7 +19,15 @@ impl ExpandedGraph {
     pub const SLOTS: usize = 12;
 
     /// Creates the indexing helper for a grid.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the expanded node ids do not fit a `u32`.
     pub fn new(grid: &GridGraph) -> Self {
+        assert!(
+            u32::try_from(grid.num_vertices() * Self::SLOTS).is_ok(),
+            "expanded graph too large for u32 node ids"
+        );
         Self {
             num_vertices: grid.num_vertices(),
         }
@@ -48,14 +56,15 @@ impl ExpandedGraph {
 
     /// Packs `(vertex, mask, direction class)` into a node id.
     #[inline]
-    pub fn node(&self, v: VertexId, mask: Mask, dir_class: usize) -> usize {
+    pub fn node(&self, v: VertexId, mask: Mask, dir_class: usize) -> u32 {
         debug_assert!(dir_class < 4);
-        v.index() * Self::SLOTS + mask.index() * 4 + dir_class
+        (v.index() * Self::SLOTS + mask.index() * 4 + dir_class) as u32
     }
 
     /// Unpacks a node id into `(vertex, mask, direction class)`.
     #[inline]
-    pub fn unpack(&self, node: usize) -> (VertexId, Mask, usize) {
+    pub fn unpack(&self, node: u32) -> (VertexId, Mask, usize) {
+        let node = node as usize;
         let v = node / Self::SLOTS;
         let rem = node % Self::SLOTS;
         (VertexId::new(v as u32), Mask::from_index(rem / 4), rem % 4)
@@ -90,7 +99,7 @@ mod tests {
             for mask in Mask::ALL {
                 for dc in 0..4 {
                     let n = eg.node(v, mask, dc);
-                    assert!(n < eg.num_nodes());
+                    assert!((n as usize) < eg.num_nodes());
                     assert_eq!(eg.unpack(n), (v, mask, dc));
                 }
             }
@@ -106,8 +115,8 @@ mod tests {
             for mask in Mask::ALL {
                 for dc in 0..4 {
                     let n = eg.node(VertexId::new(raw), mask, dc);
-                    assert!(!seen[n]);
-                    seen[n] = true;
+                    assert!(!seen[n as usize]);
+                    seen[n as usize] = true;
                 }
             }
         }

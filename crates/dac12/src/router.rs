@@ -1,15 +1,20 @@
 //! The DAC'12 baseline router: expanded-graph search over 2-pin connections.
 
 use crate::ExpandedGraph;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::HashSet;
 use std::time::Instant;
-use tpl_color::{ColorMap, ColorSetArena, ColoredLayout, Feature, Mask};
+use tpl_color::{ColorCostCache, ColorMap, ColoredLayout, Feature, Mask};
 use tpl_design::{
     Design, NetId, PinId, RouteGuides, RouteSegment, RoutedNet, RoutingSolution, ViaInstance,
 };
 use tpl_geom::Segment;
-use tpl_grid::{CostParams, GridGraph, GridState, PinCoverage, VertexId};
+use tpl_grid::{
+    guide_membership, CostParams, GridGraph, GridState, Kernel, Outcome, PinCoverage, RouteBudget,
+    SearchSpace, TradCost, VertexId,
+};
+
+/// Key units per cost unit of the search frontier.
+const KEY_RESOLUTION: f64 = 256.0;
 
 /// Configuration of the DAC'12 baseline router.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -24,10 +29,6 @@ pub struct Dac12Config {
     pub max_rrr_iterations: usize,
     /// History cost added to vertices in conflict regions when ripping up.
     pub history_increment: f64,
-    /// Use the full 3-mask × 4-direction vertex splitting of the original
-    /// method.  Disabling it collapses the direction dimension (3× expansion
-    /// only), which is faster but less faithful; the ablation benches use it.
-    pub direction_split: bool,
 }
 
 impl Default for Dac12Config {
@@ -38,7 +39,6 @@ impl Default for Dac12Config {
             color_conflict_cost: 350.0,
             max_rrr_iterations: 5,
             history_increment: 60.0,
-            direction_split: true,
         }
     }
 }
@@ -52,12 +52,18 @@ pub struct Dac12Stats {
     pub stitches: usize,
     /// Rip-up-and-reroute iterations executed.
     pub rrr_iterations: usize,
-    /// Nets that could not be fully connected.
+    /// Nets that could not be fully connected (no path for some connection,
+    /// or left unrouted by a budget stop).
     pub failed_nets: usize,
     /// Number of 2-pin connections routed (MST edges over all nets).
     pub two_pin_connections: usize,
+    /// Frontier pops over all expanded-graph searches (search effort).
+    pub search_nodes: usize,
     /// Wall-clock routing time in seconds.
     pub runtime_seconds: f64,
+    /// How the run ended: `Complete` without a budget, `Degraded` after a
+    /// search-node budget trip, `Aborted` on deadline or cancellation.
+    pub outcome: Outcome,
 }
 
 /// The outcome of a DAC'12 baseline run.
@@ -79,86 +85,75 @@ pub struct Dac12Router {
     config: Dac12Config,
 }
 
-/// Per-vertex colour-pressure cache, valid while one net is being routed
-/// (the colour map only changes between nets for foreign features).
-struct PressureCache {
-    epoch: u32,
-    stamp: Vec<u32>,
-    pressure: Vec<[u16; 3]>,
+/// The expanded search graph of one 2-pin connection: `(vertex, mask,
+/// incoming direction)` nodes, with the target pin's coverage as goals.
+struct SplitSearch<'s, 'a> {
+    trad: TradCost<'a>,
+    expanded: &'s ExpandedGraph,
+    map: &'s ColorMap,
+    cache: &'s mut ColorCostCache,
+    config: &'s Dac12Config,
+    /// The target pin's coverage.
+    targets: &'s [VertexId],
 }
 
-impl PressureCache {
-    fn new(num_vertices: usize) -> Self {
-        Self {
-            epoch: 0,
-            stamp: vec![0; num_vertices],
-            pressure: vec![[0; 3]; num_vertices],
-        }
+impl SearchSpace for SplitSearch<'_, '_> {
+    type Payload = ();
+    type Goal = u32;
+
+    fn goal(&mut self, node: u32, _: u64, _: &Kernel<()>) -> Option<u32> {
+        let (v, _, _) = self.expanded.unpack(node);
+        self.targets.contains(&v).then_some(node)
     }
 
-    fn begin_net(&mut self) {
-        self.epoch += 1;
-    }
-
-    fn pressure(&mut self, grid: &GridGraph, map: &ColorMap, net: NetId, v: VertexId) -> [u16; 3] {
-        let i = v.index();
-        if self.stamp[i] == self.epoch {
-            return self.pressure[i];
+    fn expand(&mut self, node: u32, dist: f64, _: (), mut relax: impl FnMut(u32, f64, ())) {
+        let (v, mask, dir_class) = self.expanded.unpack(node);
+        let grid = self.trad.grid;
+        for (dir, n) in grid.neighbors(v) {
+            let Some(trad) = self.trad.step(v, n, dir) else {
+                continue;
+            };
+            // Vias carry the incoming direction of the planar move before them.
+            let next_class = if dir.is_planar() {
+                ExpandedGraph::dir_class(dir)
+            } else {
+                dir_class
+            };
+            let pressure = self.cache.pressure(grid, self.map, self.trad.net, n);
+            for next_mask in Mask::ALL {
+                let mut step =
+                    trad + self.config.color_conflict_cost * pressure[next_mask.index()] as f64;
+                if dir.is_planar() && next_mask != mask {
+                    step += self.config.stitch_cost;
+                }
+                relax(
+                    self.expanded.node(n, next_mask, next_class),
+                    dist + step,
+                    (),
+                );
+            }
         }
-        let rect = tpl_geom::Rect::from_point(grid.point_of(v)).expanded(4);
-        let raw = map.mask_pressure(net, grid.layer_of(v), &rect);
-        let p = [raw[0] as u16, raw[1] as u16, raw[2] as u16];
-        self.stamp[i] = self.epoch;
-        self.pressure[i] = p;
-        p
     }
 }
 
-/// Search buffers over the expanded node space, epoch-invalidated.
-struct NodeBuffers {
-    epoch: u32,
-    stamp: Vec<u32>,
-    dist: Vec<f64>,
-    prev: Vec<u32>,
-}
-
-impl NodeBuffers {
-    fn new(num_nodes: usize) -> Self {
-        Self {
-            epoch: 0,
-            stamp: vec![0; num_nodes],
-            dist: vec![f64::INFINITY; num_nodes],
-            prev: vec![u32::MAX; num_nodes],
-        }
-    }
-
-    fn begin(&mut self) {
-        self.epoch += 1;
-    }
-
-    #[inline]
-    fn dist(&self, n: usize) -> f64 {
-        if self.stamp[n] == self.epoch {
-            self.dist[n]
-        } else {
-            f64::INFINITY
-        }
-    }
-
-    #[inline]
-    fn relax(&mut self, n: usize, d: f64, prev: Option<usize>) {
-        self.stamp[n] = self.epoch;
-        self.dist[n] = d;
-        self.prev[n] = prev.map(|p| p as u32).unwrap_or(u32::MAX);
-    }
-
-    #[inline]
-    fn prev(&self, n: usize) -> Option<usize> {
-        if self.stamp[n] == self.epoch && self.prev[n] != u32::MAX {
-            Some(self.prev[n] as usize)
-        } else {
-            None
-        }
+impl SplitSearch<'_, '_> {
+    /// Dijkstra over the expanded graph from the coverage of pin `from` to
+    /// the targets.  Returns the path as `(vertex, mask)` pairs from source
+    /// to destination.
+    fn route(&mut self, kernel: &mut Kernel<()>, from: PinId) -> Option<Vec<(VertexId, Mask)>> {
+        let (trad, expanded) = (self.trad, self.expanded);
+        let sources = trad
+            .coverage
+            .vertices(from)
+            .iter()
+            .filter(|v| !trad.state.is_blocked(**v))
+            .flat_map(|&v| Mask::ALL.map(|mask| (expanded.node(v, mask, 0), ())));
+        let goal = kernel.run(self, sources, |_| 0.0)?;
+        let path = kernel.path(goal).into_iter().map(|node| {
+            let (v, mask, _) = expanded.unpack(node);
+            (v, mask)
+        });
+        Some(path.collect())
     }
 }
 
@@ -170,6 +165,23 @@ impl Dac12Router {
 
     /// Routes and colours every net of the design inside the given guides.
     pub fn route(&self, design: &Design, guides: &RouteGuides) -> Dac12Result {
+        self.route_with_budget(design, guides, &RouteBudget::default())
+    }
+
+    /// Like [`route`](Dac12Router::route), under a [`RouteBudget`].
+    ///
+    /// Search nodes are charged between nets: each net searches under what
+    /// the budget has left after the nets before it, so where the budget
+    /// trips is a pure function of the input.  On exhaustion (or a passed
+    /// deadline, or cancellation) the router stops before the next net and
+    /// returns its best-so-far solution; nets left without geometry count in
+    /// `stats.failed_nets`, and `stats.outcome` says why the run stopped.
+    pub fn route_with_budget(
+        &self,
+        design: &Design,
+        guides: &RouteGuides,
+        budget: &RouteBudget,
+    ) -> Dac12Result {
         let start = Instant::now();
         let grid = GridGraph::build(design);
         let expanded = ExpandedGraph::new(&grid);
@@ -180,11 +192,10 @@ impl Dac12Router {
             design.tech().num_layers(),
             design.tech().dcolor(),
         );
-        let mut buffers = NodeBuffers::new(expanded.num_nodes());
-        let mut pressure_cache = PressureCache::new(grid.num_vertices());
+        let mut kernel = Kernel::new(expanded.num_nodes(), KEY_RESOLUTION);
+        let mut cache = ColorCostCache::new(&grid);
         let mut solution = RoutingSolution::new(design.nets().len());
         let mut segment_masks: Vec<Vec<Option<Mask>>> = vec![Vec::new(); design.nets().len()];
-        let mut net_vertices: Vec<Vec<VertexId>> = vec![Vec::new(); design.nets().len()];
         let mut stats = Dac12Stats::default();
 
         let mut order: Vec<NetId> = design.nets().iter().map(|n| n.id()).collect();
@@ -199,16 +210,27 @@ impl Dac12Router {
         });
 
         let mut to_route: Vec<NetId> = order.clone();
-        for iteration in 0..=self.config.max_rrr_iterations {
+        'rrr: for iteration in 0..=self.config.max_rrr_iterations {
             stats.rrr_iterations = iteration;
             stats.failed_nets = 0;
-            for &net_id in &to_route {
+            for (i, &net_id) in to_route.iter().enumerate() {
+                let remaining = match budget.allowance(stats.search_nodes as u64) {
+                    Ok(remaining) => remaining,
+                    Err(reason) => {
+                        stats.outcome = stats.outcome.merge(Outcome::from_stop(reason));
+                        stats.failed_nets += to_route[i..]
+                            .iter()
+                            .filter(|id| solution.get(**id).is_none())
+                            .count();
+                        break 'rrr;
+                    }
+                };
                 gstate.release_net(net_id);
                 map.remove_net(net_id);
                 solution.rip_up(net_id);
                 segment_masks[net_id.index()].clear();
-                net_vertices[net_id.index()].clear();
 
+                kernel.arm(remaining, budget);
                 let complete = self.route_net(
                     design,
                     &grid,
@@ -216,15 +238,19 @@ impl Dac12Router {
                     &coverage,
                     &mut gstate,
                     &mut map,
-                    &mut buffers,
-                    &mut pressure_cache,
+                    &mut kernel,
+                    &mut cache,
                     guides,
                     net_id,
                     &mut solution,
                     &mut segment_masks,
-                    &mut net_vertices,
                     &mut stats,
                 );
+                stats.search_nodes += kernel.popped();
+                tpl_trace::counter!("dac12.search_nodes", kernel.popped());
+                if let Some(reason) = kernel.stop_reason() {
+                    stats.outcome = stats.outcome.merge(Outcome::from_stop(reason));
+                }
                 if !complete {
                     stats.failed_nets += 1;
                 }
@@ -307,18 +333,17 @@ impl Dac12Router {
         coverage: &PinCoverage,
         gstate: &mut GridState,
         map: &mut ColorMap,
-        buffers: &mut NodeBuffers,
-        pressure_cache: &mut PressureCache,
+        kernel: &mut Kernel<()>,
+        cache: &mut ColorCostCache,
         guides: &RouteGuides,
         net_id: NetId,
         solution: &mut RoutingSolution,
         segment_masks: &mut [Vec<Option<Mask>>],
-        net_vertices: &mut [Vec<VertexId>],
         stats: &mut Dac12Stats,
     ) -> bool {
         let net = design.net(net_id);
         let in_guide = guide_membership(grid, guides, net_id);
-        pressure_cache.begin_net();
+        cache.begin_net();
 
         // MST over the pins (Prim, Manhattan distance of pin centres).
         let centers: Vec<(PinId, tpl_geom::Point)> = net
@@ -331,33 +356,33 @@ impl Dac12Router {
 
         let mut routed = RoutedNet::new();
         let mut masks: Vec<Option<Mask>> = Vec::new();
-        let mut vertices: Vec<VertexId> = Vec::new();
         let mut complete = true;
 
         for (a, b) in mst {
-            let (pin_a, _) = centers[a];
-            let (pin_b, _) = centers[b];
-            match self.route_two_pin(
-                design,
+            let trad = TradCost {
                 grid,
-                expanded,
+                state: gstate,
                 coverage,
-                gstate,
+                design,
+                params: &self.config.cost,
+                net: net_id,
+                in_guide: &in_guide,
+            };
+            let mut search = SplitSearch {
+                trad,
+                expanded,
                 map,
-                buffers,
-                pressure_cache,
-                &in_guide,
-                net_id,
-                pin_a,
-                pin_b,
-            ) {
+                cache,
+                config: &self.config,
+                targets: coverage.vertices(centers[b].0),
+            };
+            match search.route(kernel, centers[a].0) {
                 Some(path) => {
                     // Commit this connection immediately: later connections of
                     // the same net do not get to revise its colours (the
                     // fundamental limitation of 2-pin methods).
                     emit_colored_path(grid, &path, &mut routed, &mut masks);
                     for &(v, _) in &path {
-                        vertices.push(v);
                         gstate.occupy(v, net_id);
                     }
                 }
@@ -371,13 +396,11 @@ impl Dac12Router {
         // already collides with a coloured neighbour of another net, pick the
         // least conflicting candidate (same post-processing as Mr.TPL so the
         // comparison isolates the routing strategy).
-        let mut arena = ColorSetArena::new();
-        let _ = &mut arena; // the baseline does not use verSets; kept for parity
         for (seg, mask) in routed.segments.iter().zip(masks.iter()) {
             map.insert(Feature::wire(net_id, seg.layer, seg.rect(), *mask));
         }
         for &pin in net.pins() {
-            let preferred = pin_wire_mask(design, grid, coverage, pin, &routed, &masks);
+            let preferred = pin_wire_mask(design, pin, &routed, &masks);
             let mask = match preferred {
                 None => None,
                 Some(m) => {
@@ -405,139 +428,9 @@ impl Dac12Router {
         }
 
         segment_masks[net_id.index()] = masks;
-        net_vertices[net_id.index()] = vertices;
         solution.set(net_id, routed);
         complete
     }
-
-    /// Dijkstra over the expanded (vertex, mask, direction) graph from one
-    /// pin to another.  Returns the path as `(vertex, mask)` pairs from
-    /// source to destination.
-    #[allow(clippy::too_many_arguments)]
-    fn route_two_pin(
-        &self,
-        design: &Design,
-        grid: &GridGraph,
-        expanded: &ExpandedGraph,
-        coverage: &PinCoverage,
-        gstate: &GridState,
-        map: &ColorMap,
-        buffers: &mut NodeBuffers,
-        pressure_cache: &mut PressureCache,
-        in_guide: &[bool],
-        net_id: NetId,
-        from: PinId,
-        to: PinId,
-    ) -> Option<Vec<(VertexId, Mask)>> {
-        buffers.begin();
-        let key = |c: f64| (c * 256.0) as u64;
-        let mut heap: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
-
-        for &v in coverage.vertices(from) {
-            if gstate.is_blocked(v) {
-                continue;
-            }
-            for mask in Mask::ALL {
-                let n = expanded.node(v, mask, 0);
-                buffers.relax(n, 0.0, None);
-                heap.push(Reverse((0, n)));
-            }
-        }
-        let target_vertices: HashSet<VertexId> = coverage.vertices(to).iter().copied().collect();
-
-        let cost = &self.config.cost;
-
-        let mut goal: Option<usize> = None;
-        while let Some(Reverse((k, node))) = heap.pop() {
-            let d = buffers.dist(node);
-            if key(d) < k {
-                continue;
-            }
-            let (v, mask, dir_class) = expanded.unpack(node);
-            if target_vertices.contains(&v) {
-                goal = Some(node);
-                break;
-            }
-            for (dir, n) in grid.neighbors(v) {
-                if gstate.is_blocked(n) {
-                    continue;
-                }
-                let mut trad = if dir.is_via() {
-                    cost.via
-                } else if grid.is_wrong_way(v, dir) {
-                    cost.wrong_way_cost(grid.pitch())
-                } else {
-                    cost.wire_cost(grid.pitch())
-                };
-                if dir.is_planar() && grid.layer_of(n).index() == 0 {
-                    trad *= cost.base_layer_mult;
-                }
-                if !in_guide[n.index()] {
-                    trad += cost.out_of_guide * grid.pitch() as f64;
-                }
-                if gstate.is_occupied_by_other(n, net_id) {
-                    trad += cost.occupied;
-                }
-                if let Some(pin) = coverage.pin_at(n) {
-                    if design.pin(pin).net() != net_id {
-                        trad += cost.occupied;
-                    }
-                }
-                trad += cost.history_weight * gstate.history(n);
-
-                let next_class = if self.config.direction_split && dir.is_planar() {
-                    ExpandedGraph::dir_class(dir)
-                } else if self.config.direction_split {
-                    dir_class
-                } else {
-                    0
-                };
-                let pressure = pressure_cache.pressure(grid, map, net_id, n);
-                for next_mask in Mask::ALL {
-                    let mut step =
-                        trad + self.config.color_conflict_cost * pressure[next_mask.index()] as f64;
-                    if dir.is_planar() && next_mask != mask {
-                        step += self.config.stitch_cost;
-                    }
-                    let nn = expanded.node(n, next_mask, next_class);
-                    let nd = d + step;
-                    if nd < buffers.dist(nn) {
-                        buffers.relax(nn, nd, Some(node));
-                        heap.push(Reverse((key(nd), nn)));
-                    }
-                }
-            }
-        }
-
-        let goal = goal?;
-        let mut path = Vec::new();
-        let mut cur = goal;
-        loop {
-            let (v, mask, _) = expanded.unpack(cur);
-            path.push((v, mask));
-            match buffers.prev(cur) {
-                Some(p) => cur = p,
-                None => break,
-            }
-        }
-        path.reverse();
-        Some(path)
-    }
-}
-
-/// Per-net guide membership (identical rule to the other routers).
-fn guide_membership(grid: &GridGraph, guides: &RouteGuides, net: NetId) -> Vec<bool> {
-    let regions = guides.regions(net);
-    if regions.is_empty() {
-        return vec![true; grid.num_vertices()];
-    }
-    let mut mask = vec![false; grid.num_vertices()];
-    for region in regions {
-        for v in grid.vertices_in_rect(region.layer, &region.rect) {
-            mask[v.index()] = true;
-        }
-    }
-    mask
 }
 
 /// Prim MST over pin centres; returns index pairs into the input slice.
@@ -647,13 +540,10 @@ fn emit_colored_path(
 /// The mask of the wire touching a pin, if any (nearest segment wins).
 fn pin_wire_mask(
     design: &Design,
-    grid: &GridGraph,
-    coverage: &PinCoverage,
     pin: PinId,
     routed: &RoutedNet,
     masks: &[Option<Mask>],
 ) -> Option<Mask> {
-    let _ = (grid, coverage);
     let bbox = design.pin(pin).bbox()?;
     routed
         .segments
@@ -669,6 +559,7 @@ mod tests {
     use super::*;
     use tpl_color::ColorState;
     use tpl_global::{GlobalConfig, GlobalRouter};
+    use tpl_grid::StopReason;
     use tpl_ispd::CaseParams;
 
     fn small_case(scale: f64) -> (Design, RouteGuides) {
@@ -718,14 +609,44 @@ mod tests {
     }
 
     #[test]
-    fn disabling_direction_split_gives_a_valid_solution_too() {
-        let (design, guides) = small_case(0.3);
-        let config = Dac12Config {
-            direction_split: false,
-            ..Dac12Config::default()
+    fn ispd18_case1_quarter_scale_reproduces_its_results() {
+        // Pinned to the results of the search loop the kernel replaced:
+        // same expansion order, same paths, same masks.
+        let (design, guides) = small_case(0.25);
+        let result = Dac12Router::new(Dac12Config::default()).route(&design, &guides);
+        let stats = &result.stats;
+        assert_eq!((stats.conflicts, stats.stitches), (0, 9));
+        assert_eq!(result.solution.total_wirelength(), 2540);
+        assert_eq!(result.solution.total_vias(), 28);
+        assert_eq!(stats.outcome, Outcome::Complete);
+        assert!(stats.search_nodes > 0);
+    }
+
+    #[test]
+    fn a_node_budget_degrades_the_run_deterministically() {
+        let (design, guides) = small_case(0.25);
+        let full = Dac12Router::new(Dac12Config::default()).route(&design, &guides);
+        let cap = full.stats.search_nodes as u64 / 2;
+        let budget = RouteBudget::with_max_search_nodes(cap);
+        let route = || {
+            Dac12Router::new(Dac12Config::default()).route_with_budget(&design, &guides, &budget)
         };
-        let result = Dac12Router::new(config).route(&design, &guides);
-        assert_eq!(result.solution.routed_count(), design.nets().len());
+        let base = route();
+        assert_eq!(
+            base.stats.outcome,
+            Outcome::Degraded(StopReason::SearchNodes)
+        );
+        assert!(base.stats.failed_nets > 0, "some nets must be left behind");
+        assert!(base.stats.search_nodes as u64 <= cap, "the budget binds");
+        let again = route();
+        assert_eq!(
+            again.stats,
+            Dac12Stats {
+                runtime_seconds: again.stats.runtime_seconds,
+                ..base.stats
+            }
+        );
+        assert_eq!(again.segment_masks, base.segment_masks);
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! negotiation (rip-up and reroute with history cost).  It is deliberately
 //! colour-blind: it is the router whose output the OpenMPL-like layout
 //! decomposition baseline (`tpl-decompose`) colours after the fact, giving
-//! the Table III comparison.  It also provides the shared maze-search
-//! machinery quality baseline against which the colour-aware routers are
-//! measured.
+//! the Table III comparison.  It is also the colour-blind quality baseline
+//! against which the colour-aware routers are measured; its maze runs on the
+//! same `tpl_grid::Kernel` as every other router.
 //!
 //! # Examples
 //!
@@ -27,5 +27,4 @@
 mod maze;
 mod router;
 
-pub use maze::{MazeContext, SearchBuffers};
 pub use router::{DrCuConfig, DrCuResult, DrCuRouter, DrCuStats};

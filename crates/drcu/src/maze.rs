@@ -1,208 +1,68 @@
-//! Multi-source maze search shared by the colour-blind router.
+//! Multi-source maze search of the colour-blind router, on the shared
+//! search kernel.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-use tpl_design::{Design, NetId, PinId, RouteGuides};
-use tpl_grid::{CostParams, GridGraph, GridState, PinCoverage, VertexId};
+use tpl_design::PinId;
+use tpl_grid::{Kernel, SearchSpace, TradCost, VertexId};
 
-/// Reusable per-search buffers with epoch-based invalidation, so routing one
-/// net does not reallocate O(V) memory for every pin connection.
-#[derive(Clone, Debug)]
-pub struct SearchBuffers {
-    epoch: u32,
-    visit_epoch: Vec<u32>,
-    dist: Vec<f64>,
-    prev: Vec<u32>,
+/// Key units per cost unit of the maze frontier.
+pub(crate) const KEY_RESOLUTION: f64 = 256.0;
+
+/// The colour-blind search graph: grid vertices at `Cost_trad` step costs,
+/// with the net's unreached pins as goals.
+struct Maze<'s, 'a> {
+    cost: &'s TradCost<'a>,
+    unreached: &'s [PinId],
 }
 
-impl SearchBuffers {
-    /// Creates buffers for a grid with `num_vertices` vertices.
-    pub fn new(num_vertices: usize) -> Self {
-        Self {
-            epoch: 0,
-            visit_epoch: vec![0; num_vertices],
-            dist: vec![f64::INFINITY; num_vertices],
-            prev: vec![u32::MAX; num_vertices],
-        }
+impl SearchSpace for Maze<'_, '_> {
+    type Payload = ();
+    type Goal = (VertexId, PinId);
+
+    fn goal(&mut self, node: u32, _: u64, _: &Kernel<()>) -> Option<(VertexId, PinId)> {
+        let v = VertexId::new(node);
+        let pin = self.cost.coverage.pin_at(v)?;
+        (self.cost.design.pin(pin).net() == self.cost.net && self.unreached.contains(&pin))
+            .then_some((v, pin))
     }
 
-    /// Starts a fresh search; previously written distances become stale
-    /// without clearing memory.
-    pub fn begin(&mut self) {
-        self.epoch += 1;
-    }
-
-    #[inline]
-    fn is_fresh(&self, v: usize) -> bool {
-        self.visit_epoch[v] == self.epoch
-    }
-
-    /// The tentative distance of a vertex in the current search.
-    #[inline]
-    pub fn dist(&self, v: VertexId) -> f64 {
-        if self.is_fresh(v.index()) {
-            self.dist[v.index()]
-        } else {
-            f64::INFINITY
-        }
-    }
-
-    /// Sets the tentative distance and predecessor of a vertex.
-    #[inline]
-    pub fn relax(&mut self, v: VertexId, dist: f64, prev: Option<VertexId>) {
-        let i = v.index();
-        self.visit_epoch[i] = self.epoch;
-        self.dist[i] = dist;
-        self.prev[i] = prev.map(|p| p.0).unwrap_or(u32::MAX);
-    }
-
-    /// The predecessor of a vertex in the current search, if any.
-    #[inline]
-    pub fn prev(&self, v: VertexId) -> Option<VertexId> {
-        if self.is_fresh(v.index()) && self.prev[v.index()] != u32::MAX {
-            Some(VertexId::new(self.prev[v.index()]))
-        } else {
-            None
+    fn expand(&mut self, node: u32, dist: f64, _: (), mut relax: impl FnMut(u32, f64, ())) {
+        let v = VertexId::new(node);
+        for (dir, n) in self.cost.grid.neighbors(v) {
+            if let Some(step) = self.cost.step(v, n, dir) {
+                relax(n.0, dist + step, ());
+            }
         }
     }
 }
 
-/// Everything a maze search needs to evaluate expansion costs for one net.
-pub struct MazeContext<'a> {
-    /// The routing grid.
-    pub grid: &'a GridGraph,
-    /// Blockage / occupancy / history state.
-    pub state: &'a GridState,
-    /// Pin-to-vertex coverage.
-    pub coverage: &'a PinCoverage,
-    /// The design being routed.
-    pub design: &'a Design,
-    /// Cost parameters.
-    pub cost: &'a CostParams,
-    /// The net being routed.
-    pub net: NetId,
-    /// Whether each vertex lies inside the net's route guide.
-    pub in_guide: &'a [bool],
+/// Runs a multi-source Dijkstra from `sources` until it pops a vertex
+/// covered by a pin of the net listed in `unreached`, returning that vertex
+/// and the pin.  Returns `None` when no unreached pin can be reached, or
+/// when the kernel's budget stopped the search.
+pub(crate) fn search(
+    cost: &TradCost<'_>,
+    kernel: &mut Kernel<()>,
+    sources: &[VertexId],
+    unreached: &[PinId],
+) -> Option<(VertexId, PinId)> {
+    let sources = sources
+        .iter()
+        .filter(|s| !cost.state.is_blocked(**s))
+        .map(|s| (s.0, ()));
+    kernel.run(&mut Maze { cost, unreached }, sources, |_| 0.0)
 }
 
-impl<'a> MazeContext<'a> {
-    /// Computes the per-net guide membership vector.
-    pub fn guide_membership(grid: &GridGraph, guides: &RouteGuides, net: NetId) -> Vec<bool> {
-        let regions = guides.regions(net);
-        if regions.is_empty() {
-            return vec![true; grid.num_vertices()];
-        }
-        let mut mask = vec![false; grid.num_vertices()];
-        for region in regions {
-            for v in grid.vertices_in_rect(region.layer, &region.rect) {
-                mask[v.index()] = true;
-            }
-        }
-        mask
-    }
-
-    /// The traditional (colour-free) cost of stepping from `from` onto `to`
-    /// via direction `dir`, or `None` if the step is forbidden (blocked
-    /// vertex).
-    pub fn step_cost(&self, from: VertexId, to: VertexId, dir: tpl_geom::Dir) -> Option<f64> {
-        if self.state.is_blocked(to) {
-            return None;
-        }
-        let mut cost = if dir.is_via() {
-            self.cost.via
-        } else if self.grid.is_wrong_way(from, dir) {
-            self.cost.wrong_way_cost(self.grid.pitch())
-        } else {
-            self.cost.wire_cost(self.grid.pitch())
-        };
-        if dir.is_planar() && self.grid.layer_of(to).index() == 0 {
-            cost *= self.cost.base_layer_mult;
-        }
-        if !self.in_guide[to.index()] {
-            cost += self.cost.out_of_guide * self.grid.pitch() as f64;
-        }
-        if self.state.is_occupied_by_other(to, self.net) {
-            cost += self.cost.occupied;
-        }
-        if let Some(pin) = self.coverage.pin_at(to) {
-            if self.design.pin(pin).net() != self.net {
-                cost += self.cost.occupied;
-            }
-        }
-        cost += self.cost.history_weight * self.state.history(to);
-        Some(cost)
-    }
-
-    /// Runs a multi-source Dijkstra from `sources` until it pops a vertex
-    /// covered by a pin of the net listed in `unreached`, returning that
-    /// vertex and the pin.  Returns `None` when no unreached pin can be
-    /// reached at all.
-    pub fn search(
-        &self,
-        buffers: &mut SearchBuffers,
-        sources: &[VertexId],
-        unreached: &[PinId],
-    ) -> Option<(VertexId, PinId)> {
-        buffers.begin();
-        let mut heap: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::new();
-        let key = |c: f64| (c * 256.0) as u64;
-        for &s in sources {
-            if self.state.is_blocked(s) {
-                continue;
-            }
-            buffers.relax(s, 0.0, None);
-            heap.push(Reverse((0, s.0)));
-        }
-        let is_target = |v: VertexId| -> Option<PinId> {
-            let pin = self.coverage.pin_at(v)?;
-            if self.design.pin(pin).net() == self.net && unreached.contains(&pin) {
-                Some(pin)
-            } else {
-                None
-            }
-        };
-
-        while let Some(Reverse((k, raw))) = heap.pop() {
-            let v = VertexId::new(raw);
-            let d = buffers.dist(v);
-            if (key(d)) < k {
-                continue; // stale heap entry
-            }
-            if let Some(pin) = is_target(v) {
-                return Some((v, pin));
-            }
-            for (dir, n) in self.grid.neighbors(v) {
-                if let Some(step) = self.step_cost(v, n, dir) {
-                    let nd = d + step;
-                    if nd < buffers.dist(n) {
-                        buffers.relax(n, nd, Some(v));
-                        heap.push(Reverse((key(nd), n.0)));
-                    }
-                }
-            }
-        }
-        None
-    }
-
-    /// Walks predecessors from `dst` back to a source (a vertex with no
-    /// predecessor), returning the path source-first.
-    pub fn backtrace(&self, buffers: &SearchBuffers, dst: VertexId) -> Vec<VertexId> {
-        let mut path = vec![dst];
-        let mut cur = dst;
-        while let Some(p) = buffers.prev(cur) {
-            path.push(p);
-            cur = p;
-        }
-        path.reverse();
-        path
-    }
+/// The path the last search found to `dst`, source first.
+pub(crate) fn backtrace(kernel: &Kernel<()>, dst: VertexId) -> Vec<VertexId> {
+    kernel.path(dst.0).into_iter().map(VertexId::new).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tpl_design::{DesignBuilder, RouteGuides, Technology};
+    use tpl_design::{Design, DesignBuilder, NetId, RouteGuides, Technology};
     use tpl_geom::Rect;
+    use tpl_grid::{guide_membership, CostParams, GridGraph, GridState, PinCoverage};
 
     fn setup() -> (Design, GridGraph, GridState, PinCoverage) {
         let mut b = DesignBuilder::new(
@@ -226,25 +86,23 @@ mod tests {
     fn search_connects_two_pins_around_obstacles() {
         let (d, g, s, c) = setup();
         let guides = RouteGuides::new(1);
-        let in_guide = MazeContext::guide_membership(&g, &guides, NetId::new(0));
-        let cost = CostParams::default();
-        let ctx = MazeContext {
+        let in_guide = guide_membership(&g, &guides, NetId::new(0));
+        let params = CostParams::default();
+        let cost = TradCost {
             grid: &g,
             state: &s,
             coverage: &c,
             design: &d,
-            cost: &cost,
+            params: &params,
             net: NetId::new(0),
             in_guide: &in_guide,
         };
-        let mut buffers = SearchBuffers::new(g.num_vertices());
+        let mut kernel = Kernel::new(g.num_vertices(), KEY_RESOLUTION);
         let sources = c.vertices(PinId::new(0)).to_vec();
         let unreached = vec![PinId::new(1)];
-        let (dst, pin) = ctx
-            .search(&mut buffers, &sources, &unreached)
-            .expect("path exists");
+        let (dst, pin) = search(&cost, &mut kernel, &sources, &unreached).expect("path exists");
         assert_eq!(pin, PinId::new(1));
-        let path = ctx.backtrace(&buffers, dst);
+        let path = backtrace(&kernel, dst);
         assert!(path.len() >= 2);
         // The path starts at a source vertex and ends at the destination.
         assert!(sources.contains(&path[0]));
@@ -261,20 +119,20 @@ mod tests {
     fn searching_with_no_unreached_pins_returns_none() {
         let (d, g, s, c) = setup();
         let guides = RouteGuides::new(1);
-        let in_guide = MazeContext::guide_membership(&g, &guides, NetId::new(0));
-        let cost = CostParams::default();
-        let ctx = MazeContext {
+        let in_guide = guide_membership(&g, &guides, NetId::new(0));
+        let params = CostParams::default();
+        let cost = TradCost {
             grid: &g,
             state: &s,
             coverage: &c,
             design: &d,
-            cost: &cost,
+            params: &params,
             net: NetId::new(0),
             in_guide: &in_guide,
         };
-        let mut buffers = SearchBuffers::new(g.num_vertices());
+        let mut kernel = Kernel::new(g.num_vertices(), KEY_RESOLUTION);
         let sources = c.vertices(PinId::new(0)).to_vec();
-        assert!(ctx.search(&mut buffers, &sources, &[]).is_none());
+        assert!(search(&cost, &mut kernel, &sources, &[]).is_none());
     }
 
     #[test]
@@ -292,35 +150,25 @@ mod tests {
             }
         }
         let guides = RouteGuides::new(1);
-        let in_guide = MazeContext::guide_membership(&g, &guides, NetId::new(0));
-        let cost = CostParams::default();
-        let ctx = MazeContext {
+        let in_guide = guide_membership(&g, &guides, NetId::new(0));
+        let params = CostParams::default();
+        let cost = TradCost {
             grid: &g,
             state: &s,
             coverage: &c,
             design: &d,
-            cost: &cost,
+            params: &params,
             net: NetId::new(0),
             in_guide: &in_guide,
         };
-        let mut buffers = SearchBuffers::new(g.num_vertices());
+        let mut kernel = Kernel::new(g.num_vertices(), KEY_RESOLUTION);
         let sources = c.vertices(PinId::new(0)).to_vec();
-        let (dst, _) = ctx
-            .search(&mut buffers, &sources, &[PinId::new(1)])
-            .unwrap();
-        let path = ctx.backtrace(&buffers, dst);
+        let (dst, _) = search(&cost, &mut kernel, &sources, &[PinId::new(1)]).unwrap();
+        let path = backtrace(&kernel, dst);
         // The path never steps on an occupied vertex because the detour
         // through the gap is cheaper than the occupancy penalty.
         assert!(path
             .iter()
             .all(|v| !s.is_occupied_by_other(*v, NetId::new(0))));
-    }
-
-    #[test]
-    fn guide_membership_defaults_to_everywhere_without_regions() {
-        let (_d, g, _, _) = setup();
-        let guides = RouteGuides::new(1);
-        let mask = MazeContext::guide_membership(&g, &guides, NetId::new(0));
-        assert!(mask.iter().all(|&b| b));
     }
 }

@@ -1,9 +1,12 @@
 //! The full-design colour-blind detailed router (rip-up & reroute loop).
 
-use crate::{MazeContext, SearchBuffers};
+use crate::maze::{backtrace, search, KEY_RESOLUTION};
 use std::collections::HashSet;
 use tpl_design::{Design, NetId, PinId, RouteGuides, RoutedNet, RoutingSolution};
-use tpl_grid::{path_to_routed_net, CostParams, GridGraph, GridState, PinCoverage, VertexId};
+use tpl_grid::{
+    guide_membership, path_to_routed_net, CostParams, GridGraph, GridState, Kernel, Outcome,
+    PinCoverage, RouteBudget, TradCost, VertexId,
+};
 
 /// Configuration of the Dr.CU-like router.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -33,10 +36,16 @@ impl Default for DrCuConfig {
 pub struct DrCuStats {
     /// Number of rip-up-and-reroute iterations actually executed.
     pub rrr_iterations: usize,
-    /// Nets that could not be fully connected (no path found for some pin).
+    /// Nets that could not be fully connected (no path found for some pin,
+    /// or left unrouted by a budget stop).
     pub failed_nets: usize,
     /// Vertices still shared by two different nets after the final pass.
     pub remaining_overlaps: usize,
+    /// Frontier pops over all maze searches (search effort).
+    pub search_nodes: usize,
+    /// How the run ended: `Complete` without a budget, `Degraded` after a
+    /// search-node budget trip, `Aborted` on deadline or cancellation.
+    pub outcome: Outcome,
 }
 
 /// The outcome of a routing run.
@@ -64,10 +73,27 @@ impl DrCuRouter {
 
     /// Routes every net of the design inside the given guides.
     pub fn route(&self, design: &Design, guides: &RouteGuides) -> DrCuResult {
+        self.route_with_budget(design, guides, &RouteBudget::default())
+    }
+
+    /// Like [`route`](DrCuRouter::route), under a [`RouteBudget`].
+    ///
+    /// Search nodes are charged between nets: each net searches under what
+    /// the budget has left after the nets before it, so where the budget
+    /// trips is a pure function of the input.  On exhaustion (or a passed
+    /// deadline, or cancellation) the router stops before the next net and
+    /// returns its best-so-far solution; nets left without geometry count in
+    /// `stats.failed_nets`, and `stats.outcome` says why the run stopped.
+    pub fn route_with_budget(
+        &self,
+        design: &Design,
+        guides: &RouteGuides,
+        budget: &RouteBudget,
+    ) -> DrCuResult {
         let grid = GridGraph::build(design);
         let coverage = PinCoverage::build(&grid, design);
         let mut state = GridState::new(&grid, design);
-        let mut buffers = SearchBuffers::new(grid.num_vertices());
+        let mut kernel = Kernel::new(grid.num_vertices(), KEY_RESOLUTION);
         let mut solution = RoutingSolution::new(design.nets().len());
         let mut net_vertices: Vec<Vec<VertexId>> = vec![Vec::new(); design.nets().len()];
         let mut stats = DrCuStats::default();
@@ -86,24 +112,43 @@ impl DrCuRouter {
         });
 
         let mut to_route: Vec<NetId> = order.clone();
-        for iteration in 0..=self.config.max_rrr_iterations {
+        'rrr: for iteration in 0..=self.config.max_rrr_iterations {
             stats.rrr_iterations = iteration;
             stats.failed_nets = 0;
-            for &net_id in &to_route {
+            for (i, &net_id) in to_route.iter().enumerate() {
+                let remaining = match budget.allowance(stats.search_nodes as u64) {
+                    Ok(remaining) => remaining,
+                    Err(reason) => {
+                        stats.outcome = stats.outcome.merge(Outcome::from_stop(reason));
+                        stats.failed_nets += to_route[i..]
+                            .iter()
+                            .filter(|id| solution.get(**id).is_none())
+                            .count();
+                        stats.remaining_overlaps =
+                            collect_overlap_victims(design, &state, &net_vertices).len();
+                        break 'rrr;
+                    }
+                };
                 // Rip up any stale geometry of this net.
                 state.release_net(net_id);
                 solution.rip_up(net_id);
                 net_vertices[net_id.index()].clear();
 
+                kernel.arm(remaining, budget);
                 let (routed, vertices, complete) = self.route_net(
                     design,
                     &grid,
                     &coverage,
-                    &mut buffers,
+                    &mut kernel,
                     &state,
                     guides,
                     net_id,
                 );
+                stats.search_nodes += kernel.popped();
+                tpl_trace::counter!("drcu.search_nodes", kernel.popped());
+                if let Some(reason) = kernel.stop_reason() {
+                    stats.outcome = stats.outcome.merge(Outcome::from_stop(reason));
+                }
                 if !complete {
                     stats.failed_nets += 1;
                 }
@@ -117,7 +162,7 @@ impl DrCuRouter {
             // Find overlap victims: nets whose vertices are also claimed by
             // an earlier-committed net are detectable by re-walking every
             // net's vertex list and checking the final occupant.
-            let victims = self.collect_overlap_victims(design, &grid, &mut state, &net_vertices);
+            let victims = collect_overlap_victims(design, &state, &net_vertices);
             if victims.is_empty() || iteration == self.config.max_rrr_iterations {
                 stats.remaining_overlaps = victims.len();
                 break;
@@ -126,9 +171,8 @@ impl DrCuRouter {
             let mut next: Vec<NetId> = victims.iter().map(|(net, _)| *net).collect();
             next.sort_unstable_by_key(|id| id.index());
             next.dedup();
-            for &(net, vertex) in &victims {
+            for &(_, vertex) in &victims {
                 state.add_history(vertex, self.config.history_increment);
-                let _ = net;
             }
             for &net in &next {
                 state.release_net(net);
@@ -151,19 +195,19 @@ impl DrCuRouter {
         design: &Design,
         grid: &GridGraph,
         coverage: &PinCoverage,
-        buffers: &mut SearchBuffers,
+        kernel: &mut Kernel<()>,
         state: &GridState,
         guides: &RouteGuides,
         net_id: NetId,
     ) -> (RoutedNet, Vec<VertexId>, bool) {
         let net = design.net(net_id);
-        let in_guide = MazeContext::guide_membership(grid, guides, net_id);
-        let ctx = MazeContext {
+        let in_guide = guide_membership(grid, guides, net_id);
+        let cost = TradCost {
             grid,
             state,
             coverage,
             design,
-            cost: &self.config.cost,
+            params: &self.config.cost,
             net: net_id,
             in_guide: &in_guide,
         };
@@ -182,9 +226,9 @@ impl DrCuRouter {
         let mut complete = true;
 
         while !unreached.is_empty() {
-            match ctx.search(buffers, &tree, &unreached) {
+            match search(&cost, kernel, &tree, &unreached) {
                 Some((dst, pin)) => {
-                    let path = ctx.backtrace(buffers, dst);
+                    let path = backtrace(kernel, dst);
                     path_to_routed_net(grid, &path, &mut routed);
                     for &v in &path {
                         if tree_set.insert(v) {
@@ -211,33 +255,32 @@ impl DrCuRouter {
         }
         (routed, tree, complete)
     }
+}
 
-    /// Returns `(net, vertex)` pairs where a net's committed vertex is now
-    /// occupied by a different net (an overlap/short created because the
-    /// occupancy penalty was paid during search).
-    fn collect_overlap_victims(
-        &self,
-        design: &Design,
-        _grid: &GridGraph,
-        state: &mut GridState,
-        net_vertices: &[Vec<VertexId>],
-    ) -> Vec<(NetId, VertexId)> {
-        let mut victims = Vec::new();
-        for net in design.nets() {
-            for &v in &net_vertices[net.id().index()] {
-                if state.is_occupied_by_other(v, net.id()) {
-                    victims.push((net.id(), v));
-                }
+/// Returns `(net, vertex)` pairs where a net's committed vertex is now
+/// occupied by a different net (an overlap/short created because the
+/// occupancy penalty was paid during search).
+fn collect_overlap_victims(
+    design: &Design,
+    state: &GridState,
+    net_vertices: &[Vec<VertexId>],
+) -> Vec<(NetId, VertexId)> {
+    let mut victims = Vec::new();
+    for net in design.nets() {
+        for &v in &net_vertices[net.id().index()] {
+            if state.is_occupied_by_other(v, net.id()) {
+                victims.push((net.id(), v));
             }
         }
-        victims
     }
+    victims
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use tpl_global::{GlobalConfig, GlobalRouter};
+    use tpl_grid::StopReason;
     use tpl_ispd::CaseParams;
 
     fn small_case() -> (Design, RouteGuides) {
@@ -286,6 +329,27 @@ mod tests {
         };
         let result = DrCuRouter::new(config).route(&design, &guides);
         assert_eq!(result.solution.routed_count(), design.nets().len());
+    }
+
+    #[test]
+    fn a_node_budget_degrades_the_run_deterministically() {
+        let (design, guides) = small_case();
+        let router = DrCuRouter::new(DrCuConfig::default());
+        let full = router.route(&design, &guides);
+        assert_eq!(full.stats.outcome, Outcome::Complete);
+        let cap = full.stats.search_nodes as u64 / 2;
+        let budget = RouteBudget::with_max_search_nodes(cap);
+        let base = router.route_with_budget(&design, &guides, &budget);
+        assert_eq!(
+            base.stats.outcome,
+            Outcome::Degraded(StopReason::SearchNodes)
+        );
+        assert!(base.stats.failed_nets > 0, "some nets must be left behind");
+        assert!(base.stats.search_nodes as u64 <= cap, "the budget binds");
+        assert!(base.solution.routed_count() < design.nets().len());
+        let again = router.route_with_budget(&design, &guides, &budget);
+        assert_eq!(again.stats, base.stats);
+        assert_eq!(again.net_vertices, base.net_vertices);
     }
 
     #[test]

@@ -3,27 +3,11 @@
 use crate::GCellGrid;
 use std::cmp::Reverse;
 use tpl_design::{Design, LayerId, NetId, RouteGuides};
-use tpl_geom::Point;
-use tpl_grid::{BucketQueue, EpochStamps, Outcome, RouteBudget, StopReason};
-
-/// How often the maze loop probes the wall-clock/cancellation checks.
-const INTERRUPT_PROBE_MASK: usize = 0x0FFF;
+use tpl_grid::{Kernel, Outcome, RouteBudget, SearchSpace, StopReason};
 
 /// Key units per cost unit of the maze frontier: the minimum edge cost of
-/// 1.0 is exactly one bucket of `1 << BUCKET_SHIFT` key units.
+/// 1.0 is 1024 key units.
 const KEY_RESOLUTION: f64 = 1024.0;
-
-/// `log2` key units per bucket of the maze frontier.
-const BUCKET_SHIFT: u32 = 10;
-
-/// Buckets kept addressable before entries spill to the overflow heap.
-const BUCKET_SPAN: usize = 1024;
-
-/// Quantises a maze cost to its integer frontier key.
-#[inline]
-fn key(cost: f64) -> u64 {
-    (cost * KEY_RESOLUTION) as u64
-}
 
 /// Configuration of the global router.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -90,27 +74,6 @@ struct NetRouteStats {
     stop: Option<StopReason>,
 }
 
-/// Reusable maze search state: epoch-stamped distances and queued keys plus
-/// the frontier, so a maze call allocates nothing and starts in O(1) instead
-/// of re-initialising O(cells) vectors.
-struct MazeScratch {
-    stamps: EpochStamps,
-    dist: Vec<f64>,
-    queued_key: Vec<u64>,
-    frontier: BucketQueue,
-}
-
-impl MazeScratch {
-    fn new(cells: usize) -> Self {
-        Self {
-            stamps: EpochStamps::new(cells),
-            dist: vec![f64::INFINITY; cells],
-            queued_key: vec![0; cells],
-            frontier: BucketQueue::new(BUCKET_SHIFT, BUCKET_SPAN),
-        }
-    }
-}
-
 /// The gcell-based global router.
 ///
 /// See the crate documentation for the algorithm outline.
@@ -133,7 +96,6 @@ struct EdgeMap {
 
 impl EdgeMap {
     fn new(nx: usize, ny: usize, capacity: u32) -> Self {
-        let _ = ny;
         Self {
             nx,
             h_demand: vec![0; (nx.saturating_sub(1)) * ny],
@@ -270,7 +232,7 @@ impl GlobalRouter {
         let capacity = (cfg.capacity_per_layer * planar_layers) as u32;
         let mut edges = EdgeMap::new(grid.nx(), grid.ny(), capacity);
         let mut stats = GlobalStats::default();
-        let mut scratch = MazeScratch::new(grid.len());
+        let mut kernel = Kernel::new(grid.len(), KEY_RESOLUTION);
 
         // Net order: larger bounding boxes first (they have fewer detour
         // options), deterministic tie-break on id.
@@ -338,24 +300,21 @@ impl GlobalRouter {
             }
 
             for &net_id in &queue {
-                let remaining = budget.remaining_nodes(stats.search_nodes as u64);
-                let stop = if remaining == 0 {
-                    Some(StopReason::SearchNodes)
-                } else {
-                    budget.interrupted()
+                let remaining = match budget.allowance(stats.search_nodes as u64) {
+                    Ok(remaining) => remaining,
+                    Err(reason) => {
+                        run_outcome = run_outcome.merge(Outcome::from_stop(reason));
+                        // Skipped nets keep their previous-round paths (pass 0:
+                        // none); the terminal gcells added below still give every
+                        // net a pin-covering guide.
+                        break 'rounds;
+                    }
                 };
-                if let Some(reason) = stop {
-                    run_outcome = run_outcome.merge(Outcome::from_stop(reason));
-                    // Skipped nets keep their previous-round paths (pass 0:
-                    // none); the terminal gcells added below still give every
-                    // net a pin-covering guide.
-                    break 'rounds;
-                }
                 let (paths, net_stats) = self.route_net(
                     &grid,
                     &edges,
                     &net_terminals[net_id.index()],
-                    &mut scratch,
+                    &mut kernel,
                     remaining,
                     budget,
                 );
@@ -444,7 +403,7 @@ impl GlobalRouter {
         grid: &GCellGrid,
         edges: &EdgeMap,
         terminals: &[(usize, usize)],
-        scratch: &mut MazeScratch,
+        kernel: &mut Kernel<()>,
         node_limit: u64,
         budget: &RouteBudget,
     ) -> (Vec<Vec<(usize, usize)>>, NetRouteStats) {
@@ -464,7 +423,7 @@ impl GlobalRouter {
                 src,
                 dst,
                 window,
-                scratch,
+                kernel,
                 &mut net_stats,
                 node_limit,
                 budget,
@@ -482,7 +441,7 @@ impl GlobalRouter {
         src: (usize, usize),
         dst: (usize, usize),
         window: (usize, usize, usize, usize),
-        scratch: &mut MazeScratch,
+        kernel: &mut Kernel<()>,
         net_stats: &mut NetRouteStats,
         node_limit: u64,
         budget: &RouteBudget,
@@ -508,7 +467,7 @@ impl GlobalRouter {
         // net have spent part of it.
         let limit = node_limit.saturating_sub(net_stats.search_nodes as u64);
         let (path, nodes, stop) =
-            maze_route(grid, edges, src, dst, window, cfg, scratch, limit, budget);
+            maze_route(grid, edges, src, dst, window, cfg, kernel, limit, budget);
         net_stats.search_nodes += nodes;
         if let Some(reason) = stop {
             net_stats.stop = net_stats.stop.max(Some(reason));
@@ -604,6 +563,50 @@ fn path_cost(path: &[(usize, usize)], edges: &EdgeMap, cfg: &GlobalConfig) -> f6
     cost
 }
 
+/// The gcell maze as a kernel search space: 4-neighbour moves inside the
+/// `(x0, y0, x1, y1)` window (inclusive) at congestion-aware edge costs.
+struct GcellMaze<'a> {
+    grid: &'a GCellGrid,
+    edges: &'a EdgeMap,
+    cfg: &'a GlobalConfig,
+    window: (usize, usize, usize, usize),
+    goal: u32,
+}
+
+impl SearchSpace for GcellMaze<'_> {
+    type Payload = ();
+    type Goal = ();
+
+    /// Drain-through-goal-key stop rule: once the goal is reached, stop at
+    /// the first entry more than one quantum past its settled key.
+    fn goal(&mut self, _: u32, key: u64, search: &Kernel<()>) -> Option<()> {
+        let d = search.dist(self.goal);
+        (d.is_finite() && key > search.key(d) + 1).then_some(())
+    }
+
+    fn expand(&mut self, node: u32, du: f64, _: (), mut relax: impl FnMut(u32, f64, ())) {
+        let (wx0, wy0, wx1, wy1) = self.window;
+        let (grid, edges, cfg) = (self.grid, self.edges, self.cfg);
+        let u = node as usize;
+        let (ux, uy) = (u % grid.nx(), u / grid.nx());
+        let mut step = |vx: usize, vy: usize, cost: f64| {
+            relax(grid.index(vx, vy) as u32, du + cost, ());
+        };
+        if ux < wx1 {
+            step(ux + 1, uy, edges.h_cost(ux, uy, cfg));
+        }
+        if ux > wx0 {
+            step(ux - 1, uy, edges.h_cost(ux - 1, uy, cfg));
+        }
+        if uy < wy1 {
+            step(ux, uy + 1, edges.v_cost(ux, uy, cfg));
+        }
+        if uy > wy0 {
+            step(ux, uy - 1, edges.v_cost(ux, uy - 1, cfg));
+        }
+    }
+}
+
 /// Best-first search on the gcell grid with congestion-aware edge costs,
 /// confined to the `(x0, y0, x1, y1)` window (inclusive).  Any rectangular
 /// window is connected, so the search always succeeds when both endpoints
@@ -611,13 +614,14 @@ fn path_cost(path: &[(usize, usize)], edges: &EdgeMap, cfg: &GlobalConfig) -> f6
 ///
 /// The search is goal-directed (A*) but its path does not depend on the
 /// expansion order: instead of stopping when the goal pops, it drains every
-/// frontier entry whose key is within one quantum of the goal's settled key.
-/// Every vertex on an optimal path is then settled to its exact minimal
-/// float distance, and the path is rebuilt by a *canonical backtrace* —
-/// walking from the goal and taking the first neighbour (in fixed
-/// west/east/south/north order) whose settled distance exactly accounts for
-/// the connecting edge.  The returned path is therefore a pure function of
-/// the edge costs.
+/// frontier entry whose key is within one quantum of the goal's settled key
+/// (the one-quantum slack absorbs float-rounding noise at quantisation
+/// boundaries).  Every vertex on an optimal path is then settled to its
+/// exact minimal float distance, and the path is rebuilt by a *canonical
+/// backtrace* — walking from the goal and taking the first neighbour (in
+/// fixed west/east/south/north order) whose settled distance exactly
+/// accounts for the connecting edge.  The returned path is therefore a pure
+/// function of the edge costs.
 ///
 /// `node_limit` caps the frontier pops (deterministic), and `budget`
 /// supplies the cooperative wall-clock/cancellation checks probed every few
@@ -633,99 +637,39 @@ fn maze_route(
     dst: (usize, usize),
     window: (usize, usize, usize, usize),
     cfg: &GlobalConfig,
-    scratch: &mut MazeScratch,
+    kernel: &mut Kernel<()>,
     node_limit: u64,
     budget: &RouteBudget,
 ) -> MazeResult {
     let (wx0, wy0, wx1, wy1) = window;
-    let start = grid.index(src.0, src.1);
-    let goal = grid.index(dst.0, dst.1);
+    let start = grid.index(src.0, src.1) as u32;
+    let goal = grid.index(dst.0, dst.1) as u32;
     if start == goal {
         return (Some(vec![src]), 0, None);
     }
     // Admissible, consistent lower bound: every gcell step costs >= 1.0.
-    let h = |x: usize, y: usize| -> f64 {
+    let nx = grid.nx();
+    let h = |node: u32| -> f64 {
+        let (x, y) = (node as usize % nx, node as usize / nx);
         ((x as i64 - dst.0 as i64).abs() + (y as i64 - dst.1 as i64).abs()) as f64
     };
-
-    let MazeScratch {
-        stamps,
-        dist,
-        queued_key,
-        frontier,
-    } = scratch;
-    stamps.begin();
-    frontier.clear();
-    stamps.touch(start);
-    dist[start] = 0.0;
-    let start_key = key(h(src.0, src.1));
-    queued_key[start] = start_key;
-    frontier.push(start_key, start as u32);
-    let mut popped = 0usize;
-    let mut stop: Option<StopReason> = None;
-
-    while let Some((k, raw)) = frontier.pop() {
-        if popped as u64 >= node_limit {
-            stop = Some(StopReason::SearchNodes);
-            break;
-        }
-        if popped & INTERRUPT_PROBE_MASK == 0 {
-            if let Some(reason) = budget.interrupted() {
-                stop = Some(reason);
-                break;
-            }
-        }
-        popped += 1;
-        let u = raw as usize;
-        if !stamps.is_fresh(u) || k != queued_key[u] {
-            continue; // stale entry (exact key comparison)
-        }
-        if stamps.is_fresh(goal) && k > key(dist[goal]) + 1 {
-            // Every entry within one quantum of the goal's settled key has
-            // been expanded: all optimal-path vertices hold their final
-            // distances and the canonical backtrace below is exact.  The
-            // one-quantum slack absorbs float-rounding noise at quantisation
-            // boundaries.
-            break;
-        }
-        let ux = u % grid.nx();
-        let uy = u / grid.nx();
-        let du = dist[u];
-        let mut relax = |vx: usize, vy: usize, cost: f64, frontier: &mut BucketQueue| {
-            let v = grid.index(vx, vy);
-            let nd = du + cost;
-            let fresh = stamps.is_fresh(v);
-            if !fresh || nd < dist[v] {
-                stamps.touch(v);
-                dist[v] = nd;
-                let nk = key(nd + h(vx, vy));
-                if !fresh || queued_key[v] != nk {
-                    queued_key[v] = nk;
-                    frontier.push(nk, v as u32);
-                }
-            }
-        };
-        if ux < wx1 {
-            relax(ux + 1, uy, edges.h_cost(ux, uy, cfg), frontier);
-        }
-        if ux > wx0 {
-            relax(ux - 1, uy, edges.h_cost(ux - 1, uy, cfg), frontier);
-        }
-        if uy < wy1 {
-            relax(ux, uy + 1, edges.v_cost(ux, uy, cfg), frontier);
-        }
-        if uy > wy0 {
-            relax(ux, uy - 1, edges.v_cost(ux, uy - 1, cfg), frontier);
-        }
-    }
-
-    if stop.is_some() {
+    kernel.arm(node_limit, budget);
+    let mut maze = GcellMaze {
+        grid,
+        edges,
+        cfg,
+        window,
+        goal,
+    };
+    kernel.run(&mut maze, [(start, ())], h);
+    let popped = kernel.popped();
+    if let Some(stop) = kernel.stop_reason() {
         // A stopped search may not have settled the goal's true minimum, so
         // the canonical backtrace would not be reliable; report no path and
         // let the caller degrade to the L-pattern.
-        return (None, popped, stop);
+        return (None, popped, Some(stop));
     }
-    if !stamps.is_fresh(goal) {
+    if !kernel.dist(goal).is_finite() {
         return (None, popped, None);
     }
     // Canonical backtrace: from the goal, take the first in-window
@@ -734,18 +678,15 @@ fn maze_route(
     // The settled distances are the exact minima over all path sums, so the
     // chosen predecessor — and hence the whole path — does not depend on
     // the order the search expanded vertices in.
+    let dist = |x: usize, y: usize| kernel.dist(grid.index(x, y) as u32);
     let mut path = vec![dst];
     let (mut cx, mut cy) = dst;
     while (cx, cy) != src {
-        let cur = grid.index(cx, cy);
-        let d = dist[cur];
+        let d = dist(cx, cy);
         let mut step: Option<(usize, usize)> = None;
         let consider = |vx: usize, vy: usize, cost: f64, step: &mut Option<(usize, usize)>| {
-            if step.is_none() {
-                let v = grid.index(vx, vy);
-                if stamps.is_fresh(v) && dist[v] + cost == d {
-                    *step = Some((vx, vy));
-                }
+            if step.is_none() && dist(vx, vy) + cost == d {
+                *step = Some((vx, vy));
             }
         };
         if cx > wx0 {
@@ -769,16 +710,6 @@ fn maze_route(
     }
     path.reverse();
     (Some(path), popped, None)
-}
-
-/// Convenience: the centre of a pin's bounding box (used by tests).
-#[allow(dead_code)]
-fn pin_center(design: &Design, pin: tpl_design::PinId) -> Point {
-    design
-        .pin(pin)
-        .bbox()
-        .map(|b| b.center())
-        .unwrap_or(Point::ORIGIN)
 }
 
 #[cfg(test)]
@@ -891,7 +822,7 @@ mod tests {
         let edges = EdgeMap::new(grid.nx(), grid.ny(), 10);
         let window = (0, 0, grid.nx() - 1, grid.ny() - 1);
         let cfg = GlobalConfig::default();
-        let mut scratch = MazeScratch::new(grid.len());
+        let mut kernel = Kernel::new(grid.len(), KEY_RESOLUTION);
         let (path, nodes, stop) = maze_route(
             &grid,
             &edges,
@@ -899,7 +830,7 @@ mod tests {
             (5, 5),
             window,
             &cfg,
-            &mut scratch,
+            &mut kernel,
             u64::MAX,
             &RouteBudget::default(),
         );
@@ -925,7 +856,7 @@ mod tests {
         let grid = GCellGrid::build(&d, 5);
         let edges = EdgeMap::new(grid.nx(), grid.ny(), 10);
         let cfg = GlobalConfig::default();
-        let mut scratch = MazeScratch::new(grid.len());
+        let mut kernel = Kernel::new(grid.len(), KEY_RESOLUTION);
         let full = (0, 0, grid.nx() - 1, grid.ny() - 1);
         let (wide_path, wide_nodes, _) = maze_route(
             &grid,
@@ -934,7 +865,7 @@ mod tests {
             (5, 5),
             full,
             &cfg,
-            &mut scratch,
+            &mut kernel,
             u64::MAX,
             &RouteBudget::default(),
         );
@@ -945,7 +876,7 @@ mod tests {
             (5, 5),
             (0, 0, 5, 5),
             &cfg,
-            &mut scratch,
+            &mut kernel,
             u64::MAX,
             &RouteBudget::default(),
         );
@@ -1048,7 +979,7 @@ mod tests {
         let (nx, ny) = (grid.nx(), grid.ny());
         let window = (0, 0, nx - 1, ny - 1);
         let cfg = GlobalConfig::default();
-        let mut scratch = MazeScratch::new(grid.len());
+        let mut kernel = Kernel::new(grid.len(), KEY_RESOLUTION);
         for seed in 1..=6u64 {
             let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
             let mut edges = EdgeMap::new(nx, ny, 3);
@@ -1076,7 +1007,7 @@ mod tests {
                 dst,
                 window,
                 &cfg,
-                &mut scratch,
+                &mut kernel,
                 u64::MAX,
                 &RouteBudget::default(),
             );
@@ -1103,7 +1034,7 @@ mod tests {
         let edges = EdgeMap::new(grid.nx(), grid.ny(), 10);
         let window = (0, 0, grid.nx() - 1, grid.ny() - 1);
         let cfg = GlobalConfig::default();
-        let mut scratch = MazeScratch::new(grid.len());
+        let mut kernel = Kernel::new(grid.len(), KEY_RESOLUTION);
         let (path, nodes, stop) = maze_route(
             &grid,
             &edges,
@@ -1111,7 +1042,7 @@ mod tests {
             (5, 5),
             window,
             &cfg,
-            &mut scratch,
+            &mut kernel,
             3,
             &RouteBudget::default(),
         );

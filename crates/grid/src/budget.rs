@@ -164,6 +164,17 @@ impl RouteBudget {
         }
     }
 
+    /// What the next unit of work (a net or a batch) may spend after `used`
+    /// committed pops, or why the run must stop before it: the node budget
+    /// is exhausted, the deadline passed, or the token was cancelled.
+    pub fn allowance(&self, used: u64) -> Result<u64, StopReason> {
+        let remaining = self.remaining_nodes(used);
+        if remaining == 0 {
+            return Err(StopReason::SearchNodes);
+        }
+        self.interrupted().map_or(Ok(remaining), Err)
+    }
+
     /// The wall-clock/cancellation check routers run cooperatively:
     /// `Some(reason)` once the deadline passed or the token was cancelled.
     pub fn interrupted(&self) -> Option<StopReason> {
@@ -199,6 +210,21 @@ mod tests {
         assert_eq!(budget.remaining_nodes(40), 60);
         assert_eq!(budget.remaining_nodes(100), 0);
         assert_eq!(budget.remaining_nodes(1000), 0);
+    }
+
+    #[test]
+    fn allowance_stops_on_exhaustion_or_interruption() {
+        let budget = RouteBudget::with_max_search_nodes(100);
+        assert_eq!(budget.allowance(40), Ok(60));
+        assert_eq!(budget.allowance(100), Err(StopReason::SearchNodes));
+        let token = CancelToken::new();
+        token.cancel();
+        let cancelled = RouteBudget {
+            cancel: Some(token),
+            ..RouteBudget::default()
+        };
+        assert_eq!(cancelled.allowance(0), Err(StopReason::Cancelled));
+        assert_eq!(RouteBudget::default().allowance(u64::MAX), Ok(u64::MAX));
     }
 
     #[test]

@@ -1,0 +1,297 @@
+//! The best-first search kernel every router in the workspace runs on.
+//!
+//! Mr.TPL's colour-state search, the DAC'12 vertex-splitting search, the
+//! colour-blind maze of the Dr.CU-like router and the global router's gcell
+//! maze differ only in the graph they search.  [`Kernel`] owns everything
+//! else:
+//!
+//! * the frontier, one reused `BinaryHeap` that pops `(key, node)` pairs in
+//!   ascending order, where the key is the `f64` priority quantised at the
+//!   router's key resolution;
+//! * epoch-stamped per-node `dist`, `prev` and payload (the colour state in
+//!   Mr.TPL, `()` elsewhere), so a search starts in O(sources) and the
+//!   buffers are allocated once per routing run;
+//! * the exact stale-entry test;
+//! * the node-limit, deadline and cancellation probes;
+//! * the pop counter, the pruned-entry counter and the frontier high-water
+//!   mark.
+//!
+//! A router supplies a [`SearchSpace`] (its node encoding, `expand` and goal
+//! test) and a heuristic, which is zero for plain Dijkstra.
+//!
+//! # Exact stale-entry test
+//!
+//! The kernel stores no per-node queued key.  Every relaxation leaves the
+//! node queued under exactly `key(dist + h)`, so a popped `(k, node)` is live
+//! iff `k == key(dist[node] + h(node))`.  Two costs that quantise to the same
+//! key never resurrect a stale entry, and an improvement that lands on the
+//! already-queued key reuses that entry instead of pushing a duplicate: the
+//! node is expanded once, with the better distance.
+
+use crate::{EpochStamps, RouteBudget, StopReason};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+/// Pops between two deadline/cancellation probes, minus one.  The node
+/// limit is checked on every pop.
+const INTERRUPT_PROBE_MASK: usize = 0x0FFF;
+
+/// The graph a [`Kernel`] searches: node encoding, successors and goal test.
+pub trait SearchSpace {
+    /// Per-node state carried alongside the distance (e.g. a colour state).
+    type Payload: Copy;
+    /// What a successful search returns.
+    type Goal;
+
+    /// Called on every live pop before expansion; `Some` ends the search.
+    /// `key` is the popped key and `search` the kernel's current state, so
+    /// a stop rule may read settled distances.
+    fn goal(&mut self, node: u32, key: u64, search: &Kernel<Self::Payload>) -> Option<Self::Goal>;
+
+    /// Calls `relax(successor, dist + step, payload)` for every successor of
+    /// `node`, which was popped with distance `dist` and `payload`.
+    fn expand(
+        &mut self,
+        node: u32,
+        dist: f64,
+        payload: Self::Payload,
+        relax: impl FnMut(u32, f64, Self::Payload),
+    );
+}
+
+/// Reusable best-first search state over `num_nodes` nodes.
+///
+/// [`arm`](Kernel::arm) sets the pop allowance and the wall-clock probes and
+/// restarts the counters; [`run`](Kernel::run) performs one search.  A search
+/// that stops on a limit leaves the reason in
+/// [`stop_reason`](Kernel::stop_reason), and every later `run` returns
+/// `None` at once until the kernel is armed again.
+#[derive(Debug)]
+pub struct Kernel<P> {
+    key_resolution: f64,
+    stamps: EpochStamps,
+    dist: Vec<f64>,
+    prev: Vec<u32>,
+    payload: Vec<P>,
+    frontier: BinaryHeap<Reverse<(u64, u32)>>,
+    popped: usize,
+    pruned: usize,
+    peak: usize,
+    node_limit: u64,
+    /// Deadline and cancellation token of the armed budget.
+    probes: RouteBudget,
+    stop: Option<StopReason>,
+}
+
+impl<P: Copy + Default> Kernel<P> {
+    /// Creates an unbudgeted kernel over `num_nodes` nodes whose keys are
+    /// costs times `key_resolution`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `num_nodes` does not fit node ids in a `u32`.
+    pub fn new(num_nodes: usize, key_resolution: f64) -> Self {
+        assert!(
+            u32::try_from(num_nodes).is_ok(),
+            "{num_nodes} nodes do not fit u32 node ids"
+        );
+        Self {
+            key_resolution,
+            stamps: EpochStamps::new(num_nodes),
+            dist: vec![f64::INFINITY; num_nodes],
+            prev: vec![u32::MAX; num_nodes],
+            payload: vec![P::default(); num_nodes],
+            frontier: BinaryHeap::new(),
+            popped: 0,
+            pruned: 0,
+            peak: 0,
+            node_limit: u64::MAX,
+            probes: RouteBudget::default(),
+            stop: None,
+        }
+    }
+
+    /// Quantises a cost to its frontier key.
+    #[inline]
+    pub fn key(&self, cost: f64) -> u64 {
+        (cost * self.key_resolution) as u64
+    }
+
+    /// Allows the next searches `node_limit` pops in total, probes the
+    /// deadline and cancellation of `budget` every few thousand pops, and
+    /// restarts the counters and the stop reason.
+    pub fn arm(&mut self, node_limit: u64, budget: &RouteBudget) {
+        self.node_limit = node_limit;
+        self.probes = budget.clone();
+        self.stop = None;
+        self.popped = 0;
+        self.pruned = 0;
+        self.peak = 0;
+    }
+
+    /// Starts a new search: every node's distance, predecessor and payload
+    /// become stale in O(1), and the frontier empties.
+    pub fn begin(&mut self) {
+        self.stamps.begin();
+        self.frontier.clear();
+    }
+
+    /// Sets a node's distance, predecessor and payload in the current search
+    /// (without queueing it).
+    #[inline]
+    pub fn relax(&mut self, node: u32, dist: f64, prev: Option<u32>, payload: P) {
+        let i = node as usize;
+        self.stamps.touch(i);
+        self.dist[i] = dist;
+        self.prev[i] = prev.unwrap_or(u32::MAX);
+        self.payload[i] = payload;
+    }
+
+    /// Tentative distance of a node in the current search (infinite when the
+    /// search has not reached it).
+    #[inline]
+    pub fn dist(&self, node: u32) -> f64 {
+        if self.stamps.is_fresh(node as usize) {
+            self.dist[node as usize]
+        } else {
+            f64::INFINITY
+        }
+    }
+
+    /// Predecessor of a node in the current search.
+    #[inline]
+    pub fn prev(&self, node: u32) -> Option<u32> {
+        let i = node as usize;
+        (self.stamps.is_fresh(i) && self.prev[i] != u32::MAX).then_some(self.prev[i])
+    }
+
+    /// Payload a node was last relaxed with in the current search.
+    #[inline]
+    pub fn payload(&self, node: u32) -> Option<P> {
+        let i = node as usize;
+        self.stamps.is_fresh(i).then_some(self.payload[i])
+    }
+
+    /// The predecessor chain ending at `node`, source first.
+    pub fn path(&self, node: u32) -> Vec<u32> {
+        let mut path = vec![node];
+        let mut cur = node;
+        while let Some(p) = self.prev(cur) {
+            path.push(p);
+            cur = p;
+        }
+        path.reverse();
+        path
+    }
+
+    /// Frontier pops since [`arm`](Kernel::arm), stale entries included: the
+    /// search effort reported as `search_nodes`.
+    #[inline]
+    pub fn popped(&self) -> usize {
+        self.popped
+    }
+
+    /// Frontier entries left unexpanded when searches ended, since `arm`.
+    #[inline]
+    pub fn pruned(&self) -> usize {
+        self.pruned
+    }
+
+    /// High-water mark of queued entries since `arm`.
+    #[inline]
+    pub fn peak(&self) -> usize {
+        self.peak
+    }
+
+    /// Why a search stopped early since `arm`, if one did.  A `None` result
+    /// from [`run`](Kernel::run) with a stop reason set means "limit hit",
+    /// not "no path exists".
+    #[inline]
+    pub fn stop_reason(&self) -> Option<StopReason> {
+        self.stop
+    }
+
+    /// Test hook: jumps the epoch counter to `epoch` to exercise the `u32`
+    /// wrap without 2^32 searches.
+    #[doc(hidden)]
+    pub fn force_epoch(&mut self, epoch: u32) {
+        self.stamps.force_epoch(epoch);
+    }
+
+    /// Best-first search from `sources` (distance 0, each with its payload)
+    /// in ascending `(key(dist + h), node)` order until `space` reports a
+    /// goal.  Returns `None` when the frontier runs dry or a limit stops the
+    /// search (see [`stop_reason`](Kernel::stop_reason)).
+    pub fn run<S, H>(
+        &mut self,
+        space: &mut S,
+        sources: impl IntoIterator<Item = (u32, P)>,
+        h: H,
+    ) -> Option<S::Goal>
+    where
+        S: SearchSpace<Payload = P>,
+        H: Fn(u32) -> f64,
+    {
+        if self.stop.is_some() {
+            return None;
+        }
+        self.begin();
+        for (node, payload) in sources {
+            self.relax(node, 0.0, None, payload);
+            self.push(self.key(h(node)), node);
+        }
+        let mut found = None;
+        while let Some(Reverse((k, node))) = self.frontier.pop() {
+            if self.popped as u64 >= self.node_limit {
+                self.stop = Some(StopReason::SearchNodes);
+                break;
+            }
+            if self.popped & INTERRUPT_PROBE_MASK == 0 {
+                if let Some(reason) = self.probes.interrupted() {
+                    self.stop = Some(reason);
+                    break;
+                }
+            }
+            self.popped += 1;
+            let i = node as usize;
+            if !self.stamps.is_fresh(i) || k != self.key(self.dist[i] + h(node)) {
+                continue; // stale entry
+            }
+            if let Some(goal) = space.goal(node, k, self) {
+                found = Some(goal);
+                break;
+            }
+            let (dist, payload) = (self.dist[i], self.payload[i]);
+            space.expand(node, dist, payload, |to, nd, p| {
+                self.improve(node, to, nd, p, &h);
+            });
+        }
+        self.pruned += self.frontier.len();
+        found
+    }
+
+    /// Lowers `to` to distance `nd` via `from` if that is an improvement,
+    /// and queues it unless it already sits in the frontier under the same
+    /// key.
+    #[inline]
+    fn improve(&mut self, from: u32, to: u32, nd: f64, payload: P, h: &impl Fn(u32) -> f64) {
+        let i = to as usize;
+        let fresh = self.stamps.is_fresh(i);
+        if fresh && nd >= self.dist[i] {
+            return;
+        }
+        let h_to = h(to);
+        let key = self.key(nd + h_to);
+        let queued = fresh && self.key(self.dist[i] + h_to) == key;
+        self.relax(to, nd, Some(from), payload);
+        if !queued {
+            self.push(key, to);
+        }
+    }
+
+    #[inline]
+    fn push(&mut self, key: u64, node: u32) {
+        self.frontier.push(Reverse((key, node)));
+        self.peak = self.peak.max(self.frontier.len());
+    }
+}

@@ -9,8 +9,16 @@
 //! vertices and to convert vertex paths into routed geometry.
 //!
 //! All routers in the workspace (the TPL-unaware Dr.CU-like baseline, the
-//! DAC'12 vertex-splitting baseline and Mr.TPL itself) share this substrate,
-//! which keeps the Table II runtime comparison apples-to-apples.
+//! DAC'12 vertex-splitting baseline, Mr.TPL itself and the global router)
+//! share this substrate, which keeps the Table II runtime comparison
+//! apples-to-apples:
+//!
+//! * [`Kernel`] — the one best-first search loop every router runs, each
+//!   over its own [`SearchSpace`];
+//! * [`TradCost`] — the one traditional step cost (`Cost_trad` of Eq. (1)),
+//!   over the net's [`guide_membership`];
+//! * [`EpochStamps`] — the O(1)-reset generation stamps behind every reused
+//!   per-vertex buffer.
 //!
 //! # Examples
 //!
@@ -26,21 +34,21 @@
 #![warn(missing_docs)]
 
 mod bitset;
-mod bucket;
 mod budget;
 mod costs;
 mod epoch;
 mod graph;
+mod kernel;
 mod path;
 mod pins;
 mod state;
 
 pub use bitset::DenseBitSet;
-pub use bucket::BucketQueue;
 pub use budget::{CancelToken, Outcome, RouteBudget, StopReason};
-pub use costs::CostParams;
+pub use costs::{guide_membership, CostParams, TradCost};
 pub use epoch::EpochStamps;
 pub use graph::{GridGraph, VertexId};
+pub use kernel::{Kernel, SearchSpace};
 pub use path::path_to_routed_net;
 pub use pins::PinCoverage;
 pub use state::GridState;

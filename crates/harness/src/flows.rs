@@ -56,13 +56,14 @@ pub fn run_mrtpl(
     )
 }
 
-/// Runs the DAC'12 baseline on a prepared case.
+/// Runs the DAC'12 baseline on a prepared case under a [`RouteBudget`].
 pub fn run_dac12(
     design: &Design,
     guides: &RouteGuides,
     config: &Dac12Config,
+    budget: &RouteBudget,
 ) -> (CaseRecord, tpl_dac12::Dac12Result) {
-    let result = Dac12Router::new(*config).route(design, guides);
+    let result = Dac12Router::new(*config).route_with_budget(design, guides, budget);
     let cost = score_solution(design, guides, &result.solution, &ScoreWeights::default());
     (
         CaseRecord {
@@ -73,15 +74,16 @@ pub fn run_dac12(
             runtime_seconds: result.stats.runtime_seconds,
             wirelength: result.solution.total_wirelength(),
             vias: result.solution.total_vias(),
-            search_nodes: 0,
+            search_nodes: result.stats.search_nodes,
             rrr_iterations: result.stats.rrr_iterations,
-            outcome: Outcome::Complete,
+            outcome: result.stats.outcome,
         },
         result,
     )
 }
 
-/// Runs the colour-blind Dr.CU-like router alone on a prepared case.
+/// Runs the colour-blind Dr.CU-like router alone on a prepared case under a
+/// [`RouteBudget`].
 ///
 /// The flow never colours the layout, so the conflict and stitch columns are
 /// not applicable and reported as zero; the record's value is in the ISPD
@@ -90,9 +92,10 @@ pub fn run_drcu(
     design: &Design,
     guides: &RouteGuides,
     config: &DrCuConfig,
+    budget: &RouteBudget,
 ) -> (CaseRecord, tpl_drcu::DrCuResult) {
     let start = Instant::now();
-    let result = DrCuRouter::new(*config).route(design, guides);
+    let result = DrCuRouter::new(*config).route_with_budget(design, guides, budget);
     let runtime_seconds = start.elapsed().as_secs_f64();
     let cost = score_solution(design, guides, &result.solution, &ScoreWeights::default());
     (
@@ -104,24 +107,25 @@ pub fn run_drcu(
             runtime_seconds,
             wirelength: result.solution.total_wirelength(),
             vias: result.solution.total_vias(),
-            search_nodes: 0,
+            search_nodes: result.stats.search_nodes,
             rrr_iterations: result.stats.rrr_iterations,
-            outcome: Outcome::Complete,
+            outcome: result.stats.outcome,
         },
         result,
     )
 }
 
-/// Runs the Dr.CU-like colour-blind router followed by the OpenMPL-style
-/// decomposition on a prepared case.
+/// Runs the Dr.CU-like colour-blind router (under a [`RouteBudget`])
+/// followed by the OpenMPL-style decomposition on a prepared case.
 pub fn run_decompose(
     design: &Design,
     guides: &RouteGuides,
     route_config: &DrCuConfig,
     decompose_config: &DecomposeConfig,
+    budget: &RouteBudget,
 ) -> (CaseRecord, tpl_decompose::DecomposeResult) {
     let start = Instant::now();
-    let routed = DrCuRouter::new(*route_config).route(design, guides);
+    let routed = DrCuRouter::new(*route_config).route_with_budget(design, guides, budget);
     let result = Decomposer::new(*decompose_config).decompose(design, &routed.solution);
     // Route + decompose only: scoring is excluded, like the TPL-aware flows
     // whose runtimes come from the routers' internal stats.
@@ -136,9 +140,9 @@ pub fn run_decompose(
             runtime_seconds,
             wirelength: routed.solution.total_wirelength(),
             vias: routed.solution.total_vias(),
-            search_nodes: 0,
+            search_nodes: routed.stats.search_nodes,
             rrr_iterations: routed.stats.rrr_iterations,
-            outcome: Outcome::Complete,
+            outcome: routed.stats.outcome,
         },
         result,
     )
@@ -152,10 +156,12 @@ mod tests {
     fn drcu_flow_reports_no_colour_columns() {
         let case = Case::synthetic(tpl_ispd::CaseParams::ispd18_like(1).scaled(0.25));
         let (design, guides, _) = prepare(&case, &RouteBudget::default());
-        let (record, result) = run_drcu(&design, &guides, &DrCuConfig::default());
+        let budget = RouteBudget::default();
+        let (record, result) = run_drcu(&design, &guides, &DrCuConfig::default(), &budget);
         assert_eq!(record.conflicts, 0);
         assert_eq!(record.stitches, 0);
         assert!(record.cost > 0.0);
+        assert!(record.search_nodes > 0);
         assert_eq!(record.case, design.name());
         assert_eq!(result.solution.routed_count(), design.nets().len());
     }

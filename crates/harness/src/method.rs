@@ -77,7 +77,7 @@ impl Method for Dac12Method {
     fn run(&self, case: &PreparedCase) -> CaseRecord {
         let prepared = case.get();
         let (design, guides, prep_outcome) = &*prepared;
-        let mut record = flows::run_dac12(design, guides, &self.config).0;
+        let mut record = flows::run_dac12(design, guides, &self.config, &case.budget()).0;
         record.outcome = record.outcome.merge(*prep_outcome);
         record
     }
@@ -102,7 +102,7 @@ impl Method for DrCuMethod {
     fn run(&self, case: &PreparedCase) -> CaseRecord {
         let prepared = case.get();
         let (design, guides, prep_outcome) = &*prepared;
-        let mut record = flows::run_drcu(design, guides, &self.config).0;
+        let mut record = flows::run_drcu(design, guides, &self.config, &case.budget()).0;
         record.outcome = record.outcome.merge(*prep_outcome);
         record
     }
@@ -130,7 +130,8 @@ impl Method for DecomposeMethod {
     fn run(&self, case: &PreparedCase) -> CaseRecord {
         let prepared = case.get();
         let (design, guides, prep_outcome) = &*prepared;
-        let mut record = flows::run_decompose(design, guides, &self.route, &self.decompose).0;
+        let mut record =
+            flows::run_decompose(design, guides, &self.route, &self.decompose, &case.budget()).0;
         record.outcome = record.outcome.merge(*prep_outcome);
         record
     }

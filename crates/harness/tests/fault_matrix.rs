@@ -150,12 +150,25 @@ fn a_zero_budget_degrades_but_still_reports_every_case() {
     let records = run_with_plan(None, 2, Some(0));
     for record in &records {
         let case = record.record().expect("zero budget degrades, never fails");
-        if record.method == "mrtpl" {
-            assert!(
-                !case.outcome.is_complete(),
-                "a zero-budget mrtpl run cannot complete"
-            );
-        }
+        assert!(
+            !case.outcome.is_complete(),
+            "a zero-budget {} run cannot complete",
+            record.method
+        );
     }
     assert_report_valid(&report(records).to_json());
+}
+
+#[test]
+fn a_tight_budget_degrades_dac12_records() {
+    let _serial = FAULT_PLAN.lock().unwrap_or_else(|p| p.into_inner());
+    let _clear = ClearPlan;
+    let records = run_with_plan(None, 2, Some(2_000));
+    let dac12: Vec<_> = records.iter().filter(|r| r.method == "dac12").collect();
+    assert!(!dac12.is_empty());
+    for record in dac12 {
+        let case = record.record().expect("a budget degrades, never fails");
+        assert_eq!(case.outcome.as_str(), "degraded", "{}", case.case);
+        assert!(case.search_nodes <= 2_000, "{}", case.case);
+    }
 }

@@ -147,11 +147,17 @@ fn real_flow_phases_match_between_worker_counts() {
         assert!(!phases.is_empty());
         assert_eq!(phases.span("harness.execute").map(|s| s.count), Some(1));
         // The instrumented Mr.TPL flow runs the core detailed router, which
-        // traces every net it routes (dac12 is an uninstrumented baseline).
+        // traces every net it routes; dac12 reports its search effort.
         if record.method == "mrtpl" {
             assert!(
                 phases.span("core.route_net").map(|s| s.count).unwrap_or(0) > 0,
                 "no core.route_net spans in {phases:?}"
+            );
+        }
+        if record.method == "dac12" {
+            assert!(
+                phases.counter("dac12.search_nodes").unwrap_or(0) > 0,
+                "no dac12.search_nodes counter in {phases:?}"
             );
         }
     }

@@ -6,11 +6,11 @@
 //! cargo run --release --example fig3_walkthrough
 //! ```
 
-use mr_tpl::color::{ColorMap, ColorState, Feature, Mask};
-use mr_tpl::core::{backtrace, search, ColorCostCache, MrTplConfig, NetBuffers, SearchContext};
-use mr_tpl::design::{DesignBuilder, LayerId, NetId, RouteGuides, Technology};
+use mr_tpl::color::{ColorCostCache, ColorMap, ColorState, Feature, Mask};
+use mr_tpl::core::{backtrace, search, MrTplConfig, NetBuffers, SearchContext};
+use mr_tpl::design::{DesignBuilder, LayerId, NetId, Technology};
 use mr_tpl::geom::Rect;
-use mr_tpl::grid::{DenseBitSet, GridGraph, GridState, PinCoverage};
+use mr_tpl::grid::{DenseBitSet, GridGraph, GridState, PinCoverage, TradCost};
 use tpl_color::ColorSetArena;
 
 fn main() {
@@ -51,19 +51,20 @@ fn main() {
     }
 
     let config = MrTplConfig::default();
-    let guides = RouteGuides::new(design.nets().len());
     let in_guide = DenseBitSet::full(grid.num_vertices());
     let ctx = SearchContext {
-        grid: &grid,
-        state: &gstate,
-        coverage: &coverage,
-        design: &design,
+        trad: TradCost {
+            grid: &grid,
+            state: &gstate,
+            coverage: &coverage,
+            design: &design,
+            params: &config.cost,
+            net,
+            in_guide: &in_guide,
+        },
         config: &config,
-        net,
-        in_guide: &in_guide,
         map: &map,
     };
-    let _ = &guides;
 
     let mut buffers = NetBuffers::new(grid.num_vertices());
     let mut cache = ColorCostCache::new(&grid);
