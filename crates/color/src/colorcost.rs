@@ -1,24 +1,39 @@
-//! Cached colour-conflict pressure per grid vertex.
+//! The per-vertex record of the routers' colour-aware searches: node penalty
+//! and colour-conflict pressure, cached per scope.
 
 use crate::ColorMap;
-use tpl_design::NetId;
-use tpl_geom::Rect;
-use tpl_grid::{EpochStamps, GridGraph, VertexId};
+use tpl_geom::{Dbu, Rect};
+use tpl_grid::{EpochStamps, GridGraph, TradCost, VertexId};
 
-/// An epoch-invalidated cache of per-vertex, per-mask colour pressure.
+/// Half-width of the wire footprint a route through a vertex would occupy.
+const HALF_WIDTH: Dbu = 4;
+
+/// The penalty slot of a blocked vertex.
+const BLOCKED: f64 = f64::INFINITY;
+
+/// An epoch-invalidated cache of one record per grid vertex: the vertex's
+/// node penalty ([`TradCost::node_penalty`], the vertex-dependent part of
+/// `Cost_trad`) and its per-mask colour pressure.
 ///
 /// The pressure of a vertex is the number of already-coloured features of
 /// *other* nets within `Dcolor` of the wire footprint a route through that
 /// vertex would create, split by mask.  This is the quantity the paper
-/// pre-computes "by GR guide" before routing a net; caching it per vertex per
-/// net is equivalent (the map does not change while one net is being routed)
-/// and avoids recomputing it for vertices visited by several expansions.
-/// Mr.TPL and the DAC'12 baseline share it.
+/// pre-computes "by GR guide" before routing a net; caching it per vertex is
+/// equivalent and avoids recomputing it for vertices visited by several
+/// expansions.  Mr.TPL and the DAC'12 baseline share the cache.
+///
+/// **Contract:** between [`begin`](Self::begin) and the last
+/// [`record`](Self::record) read of a scope, every read passes the same
+/// `TradCost` net and guide, and neither the `GridState` nor the `ColorMap`
+/// changes.  Mr.TPL begins a scope per net, and the borrow checker holds it
+/// to that: routing a net borrows both immutably.  DAC'12 begins a scope per
+/// 2-pin connection, because committing one connection's occupancy changes
+/// the node penalties the net's next connection sees.
 #[derive(Clone, Debug)]
 pub struct ColorCostCache {
     stamps: EpochStamps,
+    penalty: Vec<f64>,
     pressure: Vec<[u16; 3]>,
-    half_width: i64,
 }
 
 impl ColorCostCache {
@@ -26,45 +41,46 @@ impl ColorCostCache {
     pub fn new(grid: &GridGraph) -> Self {
         Self {
             stamps: EpochStamps::new(grid.num_vertices()),
+            penalty: vec![0.0; grid.num_vertices()],
             pressure: vec![[0; 3]; grid.num_vertices()],
-            half_width: 4,
         }
     }
 
-    /// Invalidates the cache; call when starting a new net (the colour map
-    /// has changed since the last net committed its colours).
-    pub fn begin_net(&mut self) {
+    /// Starts a new scope: every record becomes stale in O(1).
+    pub fn begin(&mut self) {
         self.stamps.begin();
     }
 
-    /// The wire footprint a route through vertex `v` would occupy.
-    fn footprint(&self, grid: &GridGraph, v: VertexId) -> Rect {
-        Rect::from_point(grid.point_of(v)).expanded(self.half_width)
+    /// The record of routing `trad`'s net through vertex `v`: the node
+    /// penalty and the per-mask pressure, or `None` when `v` is blocked.
+    /// Computed on the scope's first read of `v`, one load afterwards.
+    #[inline]
+    pub fn record(
+        &mut self,
+        trad: &TradCost<'_>,
+        map: &ColorMap,
+        v: VertexId,
+    ) -> Option<(f64, [u16; 3])> {
+        let i = v.index();
+        if !self.stamps.is_fresh(i) {
+            self.fill(trad, map, v);
+        }
+        let penalty = self.penalty[i];
+        (penalty != BLOCKED).then(|| (penalty, self.pressure[i]))
     }
 
-    /// The per-mask pressure of routing net `net` through vertex `v`.
-    #[inline]
-    pub fn pressure(
-        &mut self,
-        grid: &GridGraph,
-        map: &ColorMap,
-        net: NetId,
-        v: VertexId,
-    ) -> [u16; 3] {
+    fn fill(&mut self, trad: &TradCost<'_>, map: &ColorMap, v: VertexId) {
         let i = v.index();
-        if self.stamps.is_fresh(i) {
-            return self.pressure[i];
-        }
-        let rect = self.footprint(grid, v);
-        let raw = map.mask_pressure(net, grid.layer_of(v), &rect);
-        let clamped = [
-            raw[0].min(u16::MAX as usize) as u16,
-            raw[1].min(u16::MAX as usize) as u16,
-            raw[2].min(u16::MAX as usize) as u16,
-        ];
         self.stamps.touch(i);
-        self.pressure[i] = clamped;
-        clamped
+        let Some(penalty) = trad.node_penalty(v) else {
+            self.penalty[i] = BLOCKED;
+            return;
+        };
+        let grid = trad.grid;
+        let footprint = Rect::from_point(grid.point_of(v)).expanded(HALF_WIDTH);
+        let raw = map.mask_pressure(trad.net, grid.layer_of(v), &footprint);
+        self.penalty[i] = penalty;
+        self.pressure[i] = raw.map(|p| p.min(u16::MAX as usize) as u16);
     }
 }
 
@@ -72,10 +88,21 @@ impl ColorCostCache {
 mod tests {
     use super::*;
     use crate::{Feature, Mask};
-    use tpl_design::{DesignBuilder, LayerId, Technology};
+    use tpl_design::{Design, DesignBuilder, LayerId, NetId, Technology};
     use tpl_geom::Rect as GRect;
+    use tpl_grid::{CostParams, DenseBitSet, GridState, PinCoverage};
 
-    fn setup() -> (tpl_design::Design, GridGraph, ColorMap) {
+    struct Setup {
+        design: Design,
+        grid: GridGraph,
+        state: GridState,
+        coverage: PinCoverage,
+        params: CostParams,
+        in_guide: DenseBitSet,
+        map: ColorMap,
+    }
+
+    fn setup() -> Setup {
         let mut b = DesignBuilder::new(
             "cc",
             Technology::ispd_like(3),
@@ -84,61 +111,106 @@ mod tests {
         let p0 = b.add_pin_shape("a", 0, GRect::from_coords(6, 6, 14, 14));
         let p1 = b.add_pin_shape("b", 0, GRect::from_coords(366, 366, 374, 374));
         b.add_net("n0", vec![p0, p1]);
-        let d = b.build().unwrap();
-        let g = GridGraph::build(&d);
-        let map = ColorMap::new(d.die(), d.tech().num_layers(), d.tech().dcolor());
-        (d, g, map)
+        b.add_obstacle(1, GRect::from_coords(200, 200, 260, 260));
+        let design = b.build().unwrap();
+        let grid = GridGraph::build(&design);
+        Setup {
+            state: GridState::new(&grid, &design),
+            coverage: PinCoverage::build(&grid, &design),
+            params: CostParams::default(),
+            in_guide: DenseBitSet::full(grid.num_vertices()),
+            map: ColorMap::new(
+                design.die(),
+                design.tech().num_layers(),
+                design.tech().dcolor(),
+            ),
+            grid,
+            design,
+        }
+    }
+
+    impl Setup {
+        fn trad(&self, net: u32) -> TradCost<'_> {
+            TradCost {
+                grid: &self.grid,
+                state: &self.state,
+                coverage: &self.coverage,
+                design: &self.design,
+                params: &self.params,
+                net: NetId::new(net),
+                in_guide: &self.in_guide,
+            }
+        }
+
+        fn pressure(&self, cache: &mut ColorCostCache, net: u32, v: VertexId) -> [u16; 3] {
+            cache.record(&self.trad(net), &self.map, v).unwrap().1
+        }
     }
 
     #[test]
     fn pressure_reflects_nearby_colored_features() {
-        let (_, grid, mut map) = setup();
+        let mut s = setup();
         // A red wire of another net along y=110 on layer 0.
-        map.insert(Feature::wire(
+        s.map.insert(Feature::wire(
             NetId::new(5),
             LayerId::new(0),
             GRect::from_coords(0, 106, 400, 114),
             Some(Mask::Red),
         ));
-        let mut cache = ColorCostCache::new(&grid);
-        cache.begin_net();
+        let grid = &s.grid;
+        let mut cache = ColorCostCache::new(grid);
+        cache.begin();
         // Vertex on layer 0 at y=130 (one track away, within dcolor=45).
         let v_near = grid.vertex(0, 5, grid.iy_near(130));
-        let p = cache.pressure(&grid, &map, NetId::new(0), v_near);
-        assert_eq!(p, [1, 0, 0]);
+        assert_eq!(s.pressure(&mut cache, 0, v_near), [1, 0, 0]);
         // Vertex three tracks away (70 dbu) sees nothing.
         let v_far = grid.vertex(0, 5, grid.iy_near(190));
-        let p = cache.pressure(&grid, &map, NetId::new(0), v_far);
-        assert_eq!(p, [0, 0, 0]);
+        assert_eq!(s.pressure(&mut cache, 0, v_far), [0, 0, 0]);
         // The owning net itself feels no pressure from its own wire.
-        let p = cache.pressure(
-            &grid,
-            &map,
-            NetId::new(5),
-            grid.vertex(0, 7, grid.iy_near(130)),
-        );
-        assert_eq!(p, [0, 0, 0]);
+        let v_own = grid.vertex(0, 7, grid.iy_near(130));
+        assert_eq!(s.pressure(&mut cache, 5, v_own), [0, 0, 0]);
     }
 
     #[test]
-    fn cache_is_invalidated_between_nets() {
-        let (_, grid, mut map) = setup();
-        let mut cache = ColorCostCache::new(&grid);
-        cache.begin_net();
-        let v = grid.vertex(0, 5, 5);
-        assert_eq!(cache.pressure(&grid, &map, NetId::new(0), v), [0, 0, 0]);
+    fn cache_is_invalidated_between_scopes() {
+        let mut s = setup();
+        let mut cache = ColorCostCache::new(&s.grid);
+        cache.begin();
+        let v = s.grid.vertex(0, 5, 5);
+        assert_eq!(s.pressure(&mut cache, 0, v), [0, 0, 0]);
         // A green wire appears right next to the vertex.
-        let p = grid.point_of(v);
-        map.insert(Feature::wire(
+        let p = s.grid.point_of(v);
+        s.map.insert(Feature::wire(
             NetId::new(9),
             LayerId::new(0),
             GRect::from_coords(p.x - 4, p.y + 16, p.x + 100, p.y + 24),
             Some(Mask::Green),
         ));
-        // Same epoch: stale (still cached as zero).
-        assert_eq!(cache.pressure(&grid, &map, NetId::new(0), v), [0, 0, 0]);
-        // New net epoch: fresh value.
-        cache.begin_net();
-        assert_eq!(cache.pressure(&grid, &map, NetId::new(0), v), [0, 1, 0]);
+        // Same scope: stale (still cached as zero).
+        assert_eq!(s.pressure(&mut cache, 0, v), [0, 0, 0]);
+        // New scope: fresh value.
+        cache.begin();
+        assert_eq!(s.pressure(&mut cache, 0, v), [0, 1, 0]);
+    }
+
+    #[test]
+    fn record_carries_the_node_penalty_and_skips_blocked_vertices() {
+        let mut s = setup();
+        let grid = &s.grid;
+        let free = grid.vertex(0, 5, 5);
+        let taken = grid.vertex(0, 6, 5);
+        let blocked = grid.vertex(1, grid.ix_near(230), grid.iy_near(230));
+        s.state.occupy(taken, NetId::new(3));
+        let mut cache = ColorCostCache::new(grid);
+        cache.begin();
+        let trad = s.trad(0);
+        assert_eq!(cache.record(&trad, &s.map, free).unwrap().0, 0.0);
+        assert_eq!(
+            cache.record(&trad, &s.map, taken).unwrap().0,
+            s.params.occupied
+        );
+        assert_eq!(cache.record(&trad, &s.map, blocked), None);
+        // Cached: the second read answers the same.
+        assert_eq!(cache.record(&trad, &s.map, blocked), None);
     }
 }

@@ -147,42 +147,26 @@ impl ColorMap {
         removed
     }
 
-    /// Live features of other nets within `dcolor` of `rect` on `layer`.
-    ///
-    /// Features belonging to `net` itself are excluded (a net never conflicts
-    /// with itself), as are features without an assigned mask.
-    pub fn colored_neighbors(
-        &self,
-        net: NetId,
-        layer: LayerId,
-        rect: &Rect,
-    ) -> impl Iterator<Item = &Feature> {
-        let window = rect.expanded(self.dcolor - 1);
-        let ids = self.per_layer[layer.index()].query(&window);
-        let dcolor = self.dcolor;
-        let rect = *rect;
-        ids.into_iter().filter_map(move |id| {
-            let id = id as usize;
-            if !self.alive[id] {
-                return None;
-            }
-            let f = &self.features[id];
-            if f.net == Some(net) || f.mask.is_none() {
-                return None;
-            }
-            (f.rect.spacing_to(&rect) < dcolor).then_some(f)
-        })
-    }
-
-    /// Per-mask pressure around a rectangle: `result[m]` is the number of
-    /// live features of *other* nets printed on mask `m` within `dcolor`.
+    /// Per-mask pressure around a rectangle on `layer`: `result[m]` is the
+    /// number of live features of *other* nets printed on mask `m` within
+    /// `dcolor`.  Features of `net` itself (a net never conflicts with
+    /// itself) and features without a mask exert no pressure.  The query
+    /// does not allocate.
     pub fn mask_pressure(&self, net: NetId, layer: LayerId, rect: &Rect) -> [usize; 3] {
+        let window = rect.expanded(self.dcolor - 1);
         let mut pressure = [0usize; 3];
-        for f in self.colored_neighbors(net, layer, rect) {
-            if let Some(mask) = f.mask {
-                pressure[mask.index()] += 1;
+        self.per_layer[layer.index()].for_each_intersecting(&window, |id, _| {
+            let id = id as usize;
+            let f = &self.features[id];
+            if !self.alive[id] || f.net == Some(net) {
+                return;
             }
-        }
+            if let Some(mask) = f.mask {
+                if f.rect.spacing_to(rect) < self.dcolor {
+                    pressure[mask.index()] += 1;
+                }
+            }
+        });
         pressure
     }
 

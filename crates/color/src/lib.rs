@@ -14,8 +14,9 @@
 //!   answering "how many features of another net with mask *m* lie within
 //!   `Dcolor` of this rectangle?", the quantity behind `Cost_color` in
 //!   Eq. (1).
-//! * [`ColorCostCache`] — that pressure per grid vertex, cached for the net
-//!   being routed (shared by Mr.TPL and the DAC'12 baseline).
+//! * [`ColorCostCache`] — that pressure per grid vertex together with the
+//!   vertex's `Cost_trad` node penalty, one cached record per vertex while
+//!   a net is routed (shared by Mr.TPL and the DAC'12 baseline).
 //! * [`ColoredLayout`] — a finished, fully coloured layout on which colour
 //!   conflicts and stitches are counted for the evaluation tables.
 //!

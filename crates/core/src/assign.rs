@@ -1,12 +1,11 @@
 //! Final mask assignment and coloured-geometry emission.
 
-use crate::NetBuffers;
+use crate::{NetBuffers, SearchContext};
 use std::collections::HashMap;
-use tpl_color::ColorCostCache;
-use tpl_color::{ColorMap, ColorSetArena, Mask, SegSetId};
-use tpl_design::{Design, NetId, PinId, RouteSegment, RoutedNet, ViaInstance};
+use tpl_color::{ColorCostCache, ColorSetArena, Mask, SegSetId};
+use tpl_design::{PinId, RouteSegment, RoutedNet, ViaInstance};
 use tpl_geom::Segment;
-use tpl_grid::{GridGraph, PinCoverage, VertexId};
+use tpl_grid::{GridGraph, TradCost, VertexId};
 
 /// The fully coloured routing result of one net.
 #[derive(Clone, Debug, Default)]
@@ -39,18 +38,21 @@ impl ColoredNet {
 /// colour-pressure over its member vertices wins (deterministic tie-break on
 /// mask order).  Wire geometry is then emitted per path, splitting segments
 /// wherever the layer, the routing axis or the assigned mask changes.
-#[allow(clippy::too_many_arguments)]
 pub fn assign_and_emit(
-    grid: &GridGraph,
-    design: &Design,
-    coverage: &PinCoverage,
+    ctx: &SearchContext<'_>,
     arena: &mut ColorSetArena,
     buffers: &NetBuffers,
     cache: &mut ColorCostCache,
-    map: &ColorMap,
-    net: NetId,
     paths: &[Vec<VertexId>],
 ) -> ColoredNet {
+    let TradCost {
+        grid,
+        design,
+        coverage,
+        net,
+        ..
+    } = ctx.trad;
+    let map = ctx.map;
     // 1. Group vertices by segSet.
     let mut members: HashMap<SegSetId, Vec<VertexId>> = HashMap::new();
     for path in paths {
@@ -78,7 +80,12 @@ pub fn assign_and_emit(
         for mask in candidates {
             let pressure: u64 = vertices
                 .iter()
-                .map(|v| cache.pressure(grid, map, net, *v)[mask.index()] as u64)
+                .map(|v| {
+                    let (_, pressure) = cache
+                        .record(&ctx.trad, map, *v)
+                        .expect("the search never enters a blocked vertex");
+                    pressure[mask.index()] as u64
+                })
                 .sum();
             if pressure < best_pressure {
                 best_pressure = pressure;
@@ -230,11 +237,22 @@ fn emit_path(
 mod tests {
     use super::*;
     use crate::MrTplConfig;
-    use tpl_color::ColorState;
-    use tpl_design::{DesignBuilder, Technology};
+    use tpl_color::{ColorMap, ColorState};
+    use tpl_design::{Design, DesignBuilder, NetId, Technology};
     use tpl_geom::Rect;
+    use tpl_grid::{DenseBitSet, GridState, PinCoverage};
 
-    fn fixture() -> (Design, GridGraph, PinCoverage, ColorMap) {
+    struct Fixture {
+        design: Design,
+        grid: GridGraph,
+        gstate: GridState,
+        coverage: PinCoverage,
+        map: ColorMap,
+        config: MrTplConfig,
+        in_guide: DenseBitSet,
+    }
+
+    fn fixture() -> Fixture {
         let mut b = DesignBuilder::new(
             "assign",
             Technology::ispd_like(3),
@@ -243,25 +261,57 @@ mod tests {
         let p0 = b.add_pin_shape("a", 0, Rect::from_coords(6, 6, 14, 14));
         let p1 = b.add_pin_shape("b", 0, Rect::from_coords(166, 6, 174, 14));
         b.add_net("n0", vec![p0, p1]);
-        let d = b.build().unwrap();
-        let g = GridGraph::build(&d);
-        let c = PinCoverage::build(&g, &d);
-        let m = ColorMap::new(d.die(), d.tech().num_layers(), d.tech().dcolor());
-        (d, g, c, m)
+        let design = b.build().unwrap();
+        let grid = GridGraph::build(&design);
+        Fixture {
+            gstate: GridState::new(&grid, &design),
+            coverage: PinCoverage::build(&grid, &design),
+            map: ColorMap::new(
+                design.die(),
+                design.tech().num_layers(),
+                design.tech().dcolor(),
+            ),
+            config: MrTplConfig::default(),
+            in_guide: DenseBitSet::full(grid.num_vertices()),
+            grid,
+            design,
+        }
+    }
+
+    impl Fixture {
+        /// Assigns and emits net 0's paths under a fresh cache scope.
+        fn assign(
+            &self,
+            arena: &mut ColorSetArena,
+            buffers: &NetBuffers,
+            paths: &[Vec<VertexId>],
+        ) -> ColoredNet {
+            let trad = TradCost {
+                grid: &self.grid,
+                state: &self.gstate,
+                coverage: &self.coverage,
+                design: &self.design,
+                params: &self.config.cost,
+                net: NetId::new(0),
+                in_guide: &self.in_guide,
+            };
+            let ctx = SearchContext::new(trad, &self.config, &self.map);
+            let mut cache = ColorCostCache::new(&self.grid);
+            cache.begin();
+            assign_and_emit(&ctx, arena, buffers, &mut cache, paths)
+        }
     }
 
     /// Builds buffers describing a straight horizontal path on layer 0 with
     /// uniform colour state, then checks the emitted geometry.
     #[test]
     fn uniform_path_emits_one_segment_with_one_mask() {
-        let (design, grid, coverage, map) = fixture();
-        let _ = MrTplConfig::default();
+        let f = fixture();
+        let grid = &f.grid;
         let mut buffers = NetBuffers::new(grid.num_vertices());
-        let mut cache = ColorCostCache::new(&grid);
         let mut arena = ColorSetArena::new();
         buffers.begin_net();
         buffers.begin_search();
-        cache.begin_net();
 
         let path: Vec<VertexId> = (0..9).map(|i| grid.vertex(0, i, 0)).collect();
         let vs = arena.make_ver_set(ColorState::all());
@@ -271,17 +321,7 @@ mod tests {
             buffers.set_ver_set(v, vs);
         }
 
-        let colored = assign_and_emit(
-            &grid,
-            &design,
-            &coverage,
-            &mut arena,
-            &buffers,
-            &mut cache,
-            &map,
-            NetId::new(0),
-            std::slice::from_ref(&path),
-        );
+        let colored = f.assign(&mut arena, &buffers, std::slice::from_ref(&path));
         assert_eq!(colored.routed.segments.len(), 1);
         assert_eq!(colored.segment_masks.len(), 1);
         assert_eq!(colored.segment_masks[0], Some(Mask::Red)); // deterministic tie-break
@@ -293,13 +333,12 @@ mod tests {
 
     #[test]
     fn mask_change_splits_the_wire_and_keeps_it_continuous() {
-        let (design, grid, coverage, map) = fixture();
+        let f = fixture();
+        let grid = &f.grid;
         let mut buffers = NetBuffers::new(grid.num_vertices());
-        let mut cache = ColorCostCache::new(&grid);
         let mut arena = ColorSetArena::new();
         buffers.begin_net();
         buffers.begin_search();
-        cache.begin_net();
 
         let path: Vec<VertexId> = (0..9).map(|i| grid.vertex(0, i, 0)).collect();
         // First half green, second half red (two segSets = one stitch).
@@ -316,17 +355,7 @@ mod tests {
             buffers.set_ver_set(v, if i < 4 { vs_a } else { vs_b });
         }
 
-        let colored = assign_and_emit(
-            &grid,
-            &design,
-            &coverage,
-            &mut arena,
-            &buffers,
-            &mut cache,
-            &map,
-            NetId::new(0),
-            std::slice::from_ref(&path),
-        );
+        let colored = f.assign(&mut arena, &buffers, std::slice::from_ref(&path));
         assert_eq!(colored.routed.segments.len(), 2);
         assert_eq!(colored.seg_sets, 2);
         let masks: Vec<_> = colored.segment_masks.iter().flatten().collect();
@@ -343,13 +372,12 @@ mod tests {
 
     #[test]
     fn corner_paths_split_at_the_bend() {
-        let (design, grid, coverage, map) = fixture();
+        let f = fixture();
+        let grid = &f.grid;
         let mut buffers = NetBuffers::new(grid.num_vertices());
-        let mut cache = ColorCostCache::new(&grid);
         let mut arena = ColorSetArena::new();
         buffers.begin_net();
         buffers.begin_search();
-        cache.begin_net();
 
         // L-shaped path on layer 0: east 4 steps then north 3 steps.
         let mut path: Vec<VertexId> = (0..5).map(|i| grid.vertex(0, i, 0)).collect();
@@ -360,17 +388,7 @@ mod tests {
             buffers.relax(v, i as f64, prev, ColorState::all());
             buffers.set_ver_set(v, vs);
         }
-        let colored = assign_and_emit(
-            &grid,
-            &design,
-            &coverage,
-            &mut arena,
-            &buffers,
-            &mut cache,
-            &map,
-            NetId::new(0),
-            &[path],
-        );
+        let colored = f.assign(&mut arena, &buffers, &[path]);
         assert_eq!(colored.routed.segments.len(), 2);
         assert_eq!(colored.routed.wirelength(), (4 + 3) * 20);
         // Single segSet: no stitch despite the bend.
@@ -381,13 +399,12 @@ mod tests {
 
     #[test]
     fn via_paths_emit_vias_and_segments_on_both_layers() {
-        let (design, grid, coverage, map) = fixture();
+        let f = fixture();
+        let grid = &f.grid;
         let mut buffers = NetBuffers::new(grid.num_vertices());
-        let mut cache = ColorCostCache::new(&grid);
         let mut arena = ColorSetArena::new();
         buffers.begin_net();
         buffers.begin_search();
-        cache.begin_net();
 
         let path = vec![
             grid.vertex(0, 0, 0),
@@ -402,17 +419,7 @@ mod tests {
             buffers.relax(v, i as f64, prev, ColorState::all());
             buffers.set_ver_set(v, vs);
         }
-        let colored = assign_and_emit(
-            &grid,
-            &design,
-            &coverage,
-            &mut arena,
-            &buffers,
-            &mut cache,
-            &map,
-            NetId::new(0),
-            &[path],
-        );
+        let colored = f.assign(&mut arena, &buffers, &[path]);
         assert_eq!(colored.routed.vias.len(), 1);
         assert_eq!(colored.routed.segments.len(), 2);
         assert_eq!(colored.routed.segments[0].layer.index(), 0);

@@ -351,22 +351,21 @@ impl MrTplRouter {
         tpl_fault::point!("core.route_net", net_id.index());
         let net = design.net(net_id);
         let in_guide = guide_membership(grid, guides, net_id);
-        let ctx = SearchContext {
-            trad: TradCost {
-                grid,
-                state: gstate,
-                coverage,
-                design,
-                params: &self.config.cost,
-                net: net_id,
-                in_guide: &in_guide,
-            },
-            config: &self.config,
-            map,
+        let trad = TradCost {
+            grid,
+            state: gstate,
+            coverage,
+            design,
+            params: &self.config.cost,
+            net: net_id,
+            in_guide: &in_guide,
         };
+        let ctx = SearchContext::new(trad, &self.config, map);
 
+        // One cache scope per net: `gstate` and `map` are borrowed
+        // immutably until the net is assigned.
         buffers.begin_net();
-        cache.begin_net();
+        cache.begin();
         let mut arena = ColorSetArena::new();
 
         // The routed tree: vertices plus the colour state they are re-seeded
@@ -424,9 +423,7 @@ impl MrTplRouter {
         }
 
         let assign_span = tpl_trace::span!("core.assign");
-        let colored = assign_and_emit(
-            grid, design, coverage, &mut arena, buffers, cache, map, net_id, &paths,
-        );
+        let colored = assign_and_emit(&ctx, &mut arena, buffers, cache, &paths);
         drop(assign_span);
         (colored, tree, complete)
     }

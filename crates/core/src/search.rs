@@ -16,10 +16,16 @@
 //!   engages it only during negotiation iterations (see
 //!   [`NetBuffers::set_goal_directed`]), which hold the bulk of the search
 //!   effort, so the initial pass keeps the seed's solution quality.
+//! * **One cached record per relaxation** — a step costs the direction-class
+//!   [`TradCost::base`], read from a per-layer table [`SearchContext::new`]
+//!   builds once per net, plus the entered vertex's record in the
+//!   [`ColorCostCache`] (node penalty and 3-mask pressure, filled on the
+//!   net's first visit).  Neighbour ids come from one coordinate decode per
+//!   pop, in [`Dir::ALL`] order.
 
 use crate::{MrTplConfig, SearchPolicy};
 use tpl_color::{ColorCostCache, ColorMap, ColorState, Mask};
-use tpl_design::PinId;
+use tpl_design::{LayerId, PinId};
 use tpl_geom::Dir;
 use tpl_grid::{
     EpochStamps, GridGraph, Kernel, RouteBudget, SearchSpace, StopReason, TradCost, VertexId,
@@ -201,20 +207,35 @@ pub struct SearchContext<'a> {
     pub config: &'a MrTplConfig,
     /// Already-coloured features of other nets.
     pub map: &'a ColorMap,
+    /// [`TradCost::base`] per layer and direction of [`Dir::ALL`].
+    base: Vec<[f64; 6]>,
 }
 
-impl SearchContext<'_> {
-    /// Evaluates the 3×2 colour-cost table of Algorithm 2 for one step and
-    /// returns the minimum cost together with the set of masks attaining it.
+impl<'a> SearchContext<'a> {
+    /// The context of one net; tabulates the direction-class costs once.
+    pub fn new(trad: TradCost<'a>, config: &'a MrTplConfig, map: &'a ColorMap) -> Self {
+        let base = (0..trad.grid.num_layers())
+            .map(|layer| Dir::ALL.map(|dir| trad.base(LayerId::from(layer), dir)))
+            .collect();
+        Self {
+            trad,
+            config,
+            map,
+            base,
+        }
+    }
+
+    /// Evaluates the 3×2 colour-cost table of Algorithm 2 for one step in
+    /// direction `dir` with traditional cost `trad` onto a vertex with the
+    /// given per-mask `pressure`, and returns the minimum cost together with
+    /// the set of masks attaining it.
     pub fn color_step(
         &self,
-        cache: &mut ColorCostCache,
         from_state: ColorState,
-        to: VertexId,
         dir: Dir,
         trad: f64,
+        pressure: [u16; 3],
     ) -> (f64, ColorState) {
-        let pressure = cache.pressure(self.trad.grid, self.map, self.trad.net, to);
         let mut best = f64::INFINITY;
         let mut best_set = ColorState::none();
         const EPS: f64 = 1e-9;
@@ -246,10 +267,12 @@ impl SearchContext<'_> {
 /// in track coordinates plus its layer range; `h(v)` is the cheapest
 /// conceivable cost of closing the Manhattan gap to the nearest box: planar
 /// track gaps cost at least the minimum planar step and layer gaps at least
-/// one via each.  Every additive cost term of [`TradCost::step`] and
-/// [`SearchContext::color_step`] is non-negative on top of these minima,
-/// so the bound is admissible; one grid move changes each gap by at most one
-/// step, so it is also consistent and the first goal popped is optimal.
+/// one via each.  A step costs `alpha` times [`TradCost::base`] of its
+/// direction class, which these minima bound from below, plus `alpha` times
+/// the [`TradCost::node_penalty`] of the vertex it enters and the colour and
+/// stitch terms of [`SearchContext::color_step`], all non-negative.  So the
+/// bound is admissible; one grid move changes each gap by at most one step,
+/// so it is also consistent and the first goal popped is optimal.
 struct GoalBound {
     boxes: Vec<(i32, i32, i32, i32, i32, i32)>,
     step: f64,
@@ -339,12 +362,19 @@ impl SearchSpace for ColorSearch<'_, '_> {
         from_state: ColorState,
         mut relax: impl FnMut(u32, f64, ColorState),
     ) {
+        let ctx = self.ctx;
         let v = VertexId::new(node);
-        for (dir, n) in self.ctx.trad.grid.neighbors(v) {
-            let Some(trad) = self.ctx.trad.step(v, n, dir) else {
+        let at = ctx.trad.grid.coords(v);
+        let base = &ctx.base[at.0];
+        let around = ctx.trad.grid.neighbors_at(v, at);
+        for (k, (dir, n)) in Dir::ALL.into_iter().zip(around).enumerate() {
+            let Some(n) = n else {
                 continue;
             };
-            let (step, state) = self.ctx.color_step(self.cache, from_state, n, dir, trad);
+            let Some((penalty, pressure)) = self.cache.record(&ctx.trad, ctx.map, n) else {
+                continue;
+            };
+            let (step, state) = ctx.color_step(from_state, dir, base[k] + penalty, pressure);
             relax(n.0, dist + step, state);
         }
     }
@@ -445,19 +475,16 @@ mod tests {
     }
 
     fn ctx<'a>(f: &'a Fixture, in_guide: &'a DenseBitSet) -> SearchContext<'a> {
-        SearchContext {
-            trad: TradCost {
-                grid: &f.grid,
-                state: &f.gstate,
-                coverage: &f.coverage,
-                design: &f.design,
-                params: &f.config.cost,
-                net: NetId::new(0),
-                in_guide,
-            },
-            config: &f.config,
-            map: &f.map,
-        }
+        let trad = TradCost {
+            grid: &f.grid,
+            state: &f.gstate,
+            coverage: &f.coverage,
+            design: &f.design,
+            params: &f.config.cost,
+            net: NetId::new(0),
+            in_guide,
+        };
+        SearchContext::new(trad, &f.config, &f.map)
     }
 
     fn all_sources(f: &Fixture) -> Vec<(VertexId, ColorState)> {
@@ -476,7 +503,7 @@ mod tests {
         let mut buffers = NetBuffers::new(f.grid.num_vertices());
         let mut cache = ColorCostCache::new(&f.grid);
         buffers.begin_net();
-        cache.begin_net();
+        cache.begin();
         let sources = all_sources(&f);
         let (dst, pin) =
             search(&c, &mut buffers, &mut cache, &sources, &[PinId::new(1)]).expect("path exists");
@@ -507,7 +534,7 @@ mod tests {
             buffers.set_goal_directed(a_star);
             let mut cache = ColorCostCache::new(&f.grid);
             buffers.begin_net();
-            cache.begin_net();
+            cache.begin();
             let sources = all_sources(&f);
             let (dst, _) = search(&c, &mut buffers, &mut cache, &sources, &[PinId::new(1)])
                 .expect("path exists");
@@ -527,7 +554,7 @@ mod tests {
             buffers.set_goal_directed(a_star);
             let mut cache = ColorCostCache::new(&f.grid);
             buffers.begin_net();
-            cache.begin_net();
+            cache.begin();
             let sources = all_sources(&f);
             search(&c, &mut buffers, &mut cache, &sources, &[PinId::new(1)]).expect("path exists");
             popped.push(buffers.nodes_popped());
@@ -567,7 +594,7 @@ mod tests {
         let mut buffers = NetBuffers::new(f.grid.num_vertices());
         let mut cache = ColorCostCache::new(&f.grid);
         buffers.begin_net();
-        cache.begin_net();
+        cache.begin();
         let sources = all_sources(&f);
         let (dst, _) =
             search(&c, &mut buffers, &mut cache, &sources, &[PinId::new(1)]).expect("path exists");
@@ -589,7 +616,7 @@ mod tests {
         let mut buffers = NetBuffers::new(f.grid.num_vertices());
         let mut cache = ColorCostCache::new(&f.grid);
         buffers.begin_net();
-        cache.begin_net();
+        cache.begin();
         let sources = all_sources(&f);
         let (dst, _) =
             search(&c, &mut buffers, &mut cache, &sources, &[PinId::new(1)]).expect("path exists");
@@ -601,35 +628,34 @@ mod tests {
         let f = fixture();
         let in_guide = DenseBitSet::full(f.grid.num_vertices());
         let c = ctx(&f, &in_guide);
-        let mut cache = ColorCostCache::new(&f.grid);
-        cache.begin_net();
         let v = f.grid.vertex(0, 5, 5);
         let n = f.grid.vertex(0, 6, 5);
         let trad = c.trad.step(v, n, Dir::East).unwrap();
+        let none = [0; 3];
         // From a green-only state, staying green is cheapest and red/blue pay
         // the stitch cost on top.
         let (cost_green_state, set) = c.color_step(
-            &mut cache,
             ColorState::from_mask(tpl_color::Mask::Green),
-            n,
             Dir::East,
             trad,
+            none,
         );
         assert_eq!(set.single(), Some(tpl_color::Mask::Green));
-        let (cost_full_state, full_set) =
-            c.color_step(&mut cache, ColorState::all(), n, Dir::East, trad);
+        let (cost_full_state, full_set) = c.color_step(ColorState::all(), Dir::East, trad, none);
         assert_eq!(full_set, ColorState::all());
         assert!((cost_green_state - cost_full_state).abs() < 1e-9);
         // Via steps never pay a stitch cost.
         let above = f.grid.vertex(1, 5, 5);
         let via_trad = c.trad.step(v, above, Dir::Up).unwrap();
         let (_, via_set) = c.color_step(
-            &mut cache,
             ColorState::from_mask(tpl_color::Mask::Green),
-            above,
             Dir::Up,
             via_trad,
+            none,
         );
         assert_eq!(via_set, ColorState::all());
+        // Pressure on a mask removes it from the minimum-cost set.
+        let (_, pressed) = c.color_step(ColorState::all(), Dir::East, trad, [1, 0, 0]);
+        assert!(!pressed.contains(tpl_color::Mask::Red));
     }
 }

@@ -128,6 +128,30 @@ impl BinIndex {
         out
     }
 
+    /// Calls `f(id, rect)` once for every entry that intersects the window,
+    /// in bin order, without allocating.
+    ///
+    /// An entry stored in several bins is reported only from the first bin
+    /// it shares with the window: in bin `(bx, by)` past the window's first
+    /// column (row) it is skipped when it also reaches into the column (row)
+    /// before, which the window covers too.  Callers whose results depend on
+    /// visit order use the sorted [`query`](Self::query) instead.
+    pub fn for_each_intersecting(&self, window: &Rect, mut f: impl FnMut(u64, &Rect)) {
+        let (bx0, by0, bx1, by1) = self.clamp_bin_range(window);
+        for by in by0..=by1 {
+            let y_edge = self.region.lo.y + by as Dbu * self.bin;
+            for bx in bx0..=bx1 {
+                let x_edge = self.region.lo.x + bx as Dbu * self.bin;
+                for (id, r) in &self.bins[by * self.nx + bx] {
+                    let seen = (bx > bx0 && r.lo.x < x_edge) || (by > by0 && r.lo.y < y_edge);
+                    if !seen && r.intersects(window) {
+                        f(*id, r);
+                    }
+                }
+            }
+        }
+    }
+
     /// Returns `(id, rect)` pairs intersecting the window, deduplicated,
     /// in deterministic (id, rect) order.
     pub fn query_entries(&self, window: &Rect) -> Vec<(u64, Rect)> {

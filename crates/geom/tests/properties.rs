@@ -114,6 +114,39 @@ proptest! {
         prop_assert_eq!(idx.query(&window), expected);
     }
 
+    /// The allocation-free visitor reports every intersecting id exactly once
+    /// and the same id set as the sorted query: rects spanning many bins,
+    /// rects outside the indexed region (clamped into its boundary bins) and
+    /// rects that only touch the window's edge.
+    #[test]
+    fn bin_index_visitor_reports_each_hit_once(
+        rects in prop::collection::vec((-1_500i64..1_500, -1_500i64..1_500, 0i64..1_200, 0i64..1_200), 1..40),
+        window in (-1_500i64..1_500, -1_500i64..1_500, 0i64..1_200, 0i64..1_200),
+        touch in any::<bool>(),
+    ) {
+        let mut idx = BinIndex::new(Rect::from_coords(-1_000, -1_000, 1_000, 1_000), 100);
+        let window = Rect::from_coords(window.0, window.1, window.0 + window.2, window.1 + window.3);
+        for (i, &(x, y, w, h)) in rects.iter().enumerate() {
+            let rect = if touch && i % 2 == 0 {
+                // Abut the window's right edge exactly.
+                Rect::from_coords(window.hi.x, y, window.hi.x + w, y + h)
+            } else {
+                Rect::from_coords(x, y, x + w, y + h)
+            };
+            idx.insert(i as u64, rect);
+        }
+        let mut seen = Vec::new();
+        idx.for_each_intersecting(&window, |id, r| {
+            assert!(r.intersects(&window));
+            seen.push(id);
+        });
+        seen.sort_unstable();
+        let hits = seen.len();
+        seen.dedup();
+        prop_assert_eq!(seen.len(), hits);
+        prop_assert_eq!(seen, idx.query(&window));
+    }
+
     #[test]
     fn bin_index_remove_is_exact(rects in prop::collection::vec(arb_rect(), 1..20)) {
         let region = Rect::from_coords(-10_000, -10_000, 10_000, 10_000);

@@ -1,7 +1,7 @@
 //! The shared traditional cost model (`Cost_trad` of Eq. (1)).
 
 use crate::{DenseBitSet, GridGraph, GridState, PinCoverage, VertexId};
-use tpl_design::{Design, NetId, RouteGuides};
+use tpl_design::{Design, LayerId, NetId, RouteGuides};
 use tpl_geom::{Dbu, Dir};
 
 /// Parameters of the traditional (non-colour) part of the routing cost.
@@ -86,23 +86,53 @@ pub struct TradCost<'a> {
 
 impl TradCost<'_> {
     /// The cost of stepping from `from` onto `to` in direction `dir`, or
-    /// `None` when `to` is blocked.
+    /// `None` when `to` is blocked: [`base`](Self::base) of the direction
+    /// class plus the [`node_penalty`](Self::node_penalty) of `to`.
+    ///
+    /// Splitting the sum this way groups the node terms before adding the
+    /// base, which reassociates one `f64` sum.  Every default weight is an
+    /// integer (unit wire 1, via 40, occupied 5000, history increments 30
+    /// and 60, pitch-multiple wire costs), so every partial sum is exact and
+    /// the split changes no result.
     #[inline]
     pub fn step(&self, from: VertexId, to: VertexId, dir: Dir) -> Option<f64> {
+        let penalty = self.node_penalty(to)?;
+        Some(self.base(self.grid.layer_of(from), dir) + penalty)
+    }
+
+    /// The direction-class cost of a step leaving a vertex on `layer` in
+    /// direction `dir`: a via, preferred-direction wire or wrong-way wire,
+    /// with planar wire on the lowest layer times the M1 multiplier.
+    #[inline]
+    pub fn base(&self, layer: LayerId, dir: Dir) -> f64 {
+        let p = self.params;
+        match dir.axis() {
+            None => p.via,
+            Some(axis) => {
+                let c = if axis == self.grid.layer_axis(layer) {
+                    p.wire_cost(self.grid.pitch())
+                } else {
+                    p.wrong_way_cost(self.grid.pitch())
+                };
+                if layer.index() == 0 {
+                    c * p.base_layer_mult
+                } else {
+                    c
+                }
+            }
+        }
+    }
+
+    /// The vertex-dependent part of stepping onto `to`, or `None` when `to`
+    /// is blocked: the out-of-guide, foreign-occupancy, foreign-pin and
+    /// history terms.
+    #[inline]
+    pub fn node_penalty(&self, to: VertexId) -> Option<f64> {
         if self.state.is_blocked(to) {
             return None;
         }
         let p = self.params;
-        let mut c = if dir.is_via() {
-            p.via
-        } else if self.grid.is_wrong_way(from, dir) {
-            p.wrong_way_cost(self.grid.pitch())
-        } else {
-            p.wire_cost(self.grid.pitch())
-        };
-        if dir.is_planar() && self.grid.layer_of(to).index() == 0 {
-            c *= p.base_layer_mult;
-        }
+        let mut c = 0.0;
         if !self.in_guide.get(to.index()) {
             c += p.out_of_guide * self.grid.pitch() as f64;
         }
@@ -144,6 +174,37 @@ mod tests {
         let p = CostParams::default();
         assert!(p.wrong_way_cost(20) > p.wire_cost(20));
         assert_eq!(p.wire_cost(20), 20.0);
+    }
+
+    #[test]
+    fn base_follows_the_layer_axis_and_the_m1_multiplier() {
+        let design = tpl_ispd::CaseParams::ispd18_like(1).scaled(0.25).generate();
+        let grid = GridGraph::build(&design);
+        let state = GridState::new(&grid, &design);
+        let coverage = PinCoverage::build(&grid, &design);
+        let in_guide = DenseBitSet::full(grid.num_vertices());
+        let p = CostParams::default();
+        let trad = TradCost {
+            grid: &grid,
+            state: &state,
+            coverage: &coverage,
+            design: &design,
+            params: &p,
+            net: NetId::new(0),
+            in_guide: &in_guide,
+        };
+        let (wire, wrong_way) = (p.wire_cost(grid.pitch()), p.wrong_way_cost(grid.pitch()));
+        // Layer 0 is horizontal and pays the M1 multiplier on planar wire.
+        let m1 = LayerId::new(0);
+        assert_eq!(trad.base(m1, Dir::East), wire * p.base_layer_mult);
+        assert_eq!(trad.base(m1, Dir::North), wrong_way * p.base_layer_mult);
+        // Layer 1 is vertical.
+        let m2 = LayerId::new(1);
+        assert_eq!(trad.base(m2, Dir::East), wrong_way);
+        assert_eq!(trad.base(m2, Dir::South), wire);
+        // Vias pay the via cost only, on every layer.
+        assert_eq!(trad.base(m1, Dir::Up), p.via);
+        assert_eq!(trad.base(m2, Dir::Down), p.via);
     }
 
     #[test]

@@ -202,21 +202,35 @@ impl GridGraph {
         }
     }
 
-    /// Iterates over all `(dir, neighbor)` pairs of a vertex.
-    pub fn neighbors(&self, v: VertexId) -> impl Iterator<Item = (Dir, VertexId)> + '_ {
-        Dir::ALL
-            .into_iter()
-            .filter_map(move |d| self.neighbor(v, d).map(|n| (d, n)))
+    /// The neighbour of `v` in each direction of [`Dir::ALL`], in that
+    /// order, given `v`'s [`coords`](Self::coords): ids differ by ±1, ±nx
+    /// and ±nx·ny, so no neighbour is decoded again.
+    #[inline]
+    pub fn neighbors_at(
+        &self,
+        v: VertexId,
+        (layer, ix, iy): (usize, usize, usize),
+    ) -> [Option<VertexId>; 6] {
+        let (row, plane) = (self.nx as u32, (self.nx * self.ny) as u32);
+        let id = v.0;
+        [
+            (ix + 1 < self.nx).then(|| VertexId(id + 1)),
+            (ix > 0).then(|| VertexId(id - 1)),
+            (iy + 1 < self.ny).then(|| VertexId(id + row)),
+            (iy > 0).then(|| VertexId(id - row)),
+            (layer + 1 < self.num_layers).then(|| VertexId(id + plane)),
+            (layer > 0).then(|| VertexId(id - plane)),
+        ]
     }
 
-    /// `true` when moving from a vertex in `dir` runs against the preferred
-    /// axis of its layer.
-    #[inline]
-    pub fn is_wrong_way(&self, v: VertexId, dir: Dir) -> bool {
-        match dir.axis() {
-            Some(axis) => axis != self.layer_axes[self.coords(v).0],
-            None => false,
-        }
+    /// Iterates over all `(dir, neighbor)` pairs of a vertex, in
+    /// [`Dir::ALL`] order.
+    pub fn neighbors(&self, v: VertexId) -> impl Iterator<Item = (Dir, VertexId)> {
+        let around = self.neighbors_at(v, self.coords(v));
+        Dir::ALL
+            .into_iter()
+            .zip(around)
+            .filter_map(|(d, n)| n.map(|n| (d, n)))
     }
 
     /// All vertices (on every layer present in `layers`) whose point lies
@@ -302,6 +316,17 @@ mod tests {
     }
 
     #[test]
+    fn neighbor_ids_match_the_per_direction_lookup() {
+        let g = grid();
+        for v in g.iter_vertices() {
+            let around = g.neighbors_at(v, g.coords(v));
+            for (d, n) in Dir::ALL.into_iter().zip(around) {
+                assert_eq!(n, g.neighbor(v, d), "{v} {d:?}");
+            }
+        }
+    }
+
+    #[test]
     fn neighbor_is_inverse_of_opposite() {
         let g = grid();
         for v in [g.vertex(1, 5, 5), g.vertex(0, 0, 9), g.vertex(2, 9, 0)] {
@@ -309,21 +334,6 @@ mod tests {
                 assert_eq!(g.neighbor(n, d.opposite()), Some(v));
             }
         }
-    }
-
-    #[test]
-    fn wrong_way_detection_follows_layer_axis() {
-        let g = grid();
-        // Layer 0 is horizontal: east/west are preferred, north/south wrong.
-        let v = g.vertex(0, 5, 5);
-        assert!(!g.is_wrong_way(v, Dir::East));
-        assert!(g.is_wrong_way(v, Dir::North));
-        // Layer 1 is vertical.
-        let v1 = g.vertex(1, 5, 5);
-        assert!(g.is_wrong_way(v1, Dir::East));
-        assert!(!g.is_wrong_way(v1, Dir::South));
-        // Vias are never wrong-way.
-        assert!(!g.is_wrong_way(v, Dir::Up));
     }
 
     #[test]

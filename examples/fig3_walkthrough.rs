@@ -52,25 +52,22 @@ fn main() {
 
     let config = MrTplConfig::default();
     let in_guide = DenseBitSet::full(grid.num_vertices());
-    let ctx = SearchContext {
-        trad: TradCost {
-            grid: &grid,
-            state: &gstate,
-            coverage: &coverage,
-            design: &design,
-            params: &config.cost,
-            net,
-            in_guide: &in_guide,
-        },
-        config: &config,
-        map: &map,
+    let trad = TradCost {
+        grid: &grid,
+        state: &gstate,
+        coverage: &coverage,
+        design: &design,
+        params: &config.cost,
+        net,
+        in_guide: &in_guide,
     };
+    let ctx = SearchContext::new(trad, &config, &map);
 
     let mut buffers = NetBuffers::new(grid.num_vertices());
     let mut cache = ColorCostCache::new(&grid);
     let mut arena = ColorSetArena::new();
     buffers.begin_net();
-    cache.begin_net();
+    cache.begin();
 
     println!("Fig. 3 walkthrough: routing the 4-pin net\n");
     println!("step 0: seed the queue with the vertices covered by pin1, color state 111");
