@@ -11,7 +11,8 @@ use tpl_color::{
 use tpl_design::{Design, NetId, PinId, RouteGuides, RoutingSolution};
 use tpl_geom::Rect;
 use tpl_grid::{
-    guide_membership, GridGraph, GridState, Outcome, PinCoverage, RouteBudget, TradCost, VertexId,
+    guide_membership, DenseBitSet, GridGraph, GridState, Outcome, PinCoverage, RouteBudget,
+    TradCost, VertexId,
 };
 
 /// The result of a Mr.TPL routing run.
@@ -92,6 +93,7 @@ impl MrTplRouter {
         );
         let mut buffers = NetBuffers::new(grid.num_vertices());
         let mut cache = ColorCostCache::new(&grid);
+        let mut in_guide = DenseBitSet::new(grid.num_vertices());
 
         let mut solution = RoutingSolution::new(design.nets().len());
         let mut segment_masks: Vec<Vec<Option<Mask>>> = vec![Vec::new(); design.nets().len()];
@@ -181,6 +183,7 @@ impl MrTplRouter {
                             &gstate,
                             &mut buffers,
                             &mut cache,
+                            &mut in_guide,
                             &map,
                             guides,
                             net_id,
@@ -207,8 +210,9 @@ impl MrTplRouter {
                     stats.search_nodes += nodes;
                     tpl_trace::counter!("core.search_nodes", nodes);
                     // Kernel effort counters: pruned / popped quantifies how
-                    // much of the wavefront goal direction cut away, and the
-                    // frontier peak is the heap's high-water mark.
+                    // much of the wavefront was left queued when searches
+                    // ended, and the frontier peak is the heap's high-water
+                    // mark.
                     tpl_trace::counter!("core.search_frontier_pruned", pruned);
                     tpl_trace::value!("core.frontier_peak", peak);
                     total_seg_sets += colored.seg_sets;
@@ -242,7 +246,12 @@ impl MrTplRouter {
             drop(detect_span);
             tpl_trace::counter!("core.conflicts_found", conflicts.len());
             stats.conflict_history.push(conflicts.len());
-            if conflicts.is_empty() || iteration == self.config.max_rrr_iterations {
+            // A budget stop inside this iteration ends the run here, so the
+            // net it left incomplete still counts in `failed_nets`.
+            if conflicts.is_empty()
+                || iteration == self.config.max_rrr_iterations
+                || !run_outcome.is_complete()
+            {
                 break;
             }
 
@@ -343,6 +352,7 @@ impl MrTplRouter {
         gstate: &GridState,
         buffers: &mut NetBuffers,
         cache: &mut ColorCostCache,
+        in_guide: &mut DenseBitSet,
         map: &ColorMap,
         guides: &RouteGuides,
         net_id: NetId,
@@ -350,7 +360,7 @@ impl MrTplRouter {
         let _net_span = tpl_trace::span!("core.route_net", net = net_id.index());
         tpl_fault::point!("core.route_net", net_id.index());
         let net = design.net(net_id);
-        let in_guide = guide_membership(grid, guides, net_id);
+        guide_membership(grid, guides, net_id, in_guide);
         let trad = TradCost {
             grid,
             state: gstate,
@@ -358,9 +368,9 @@ impl MrTplRouter {
             design,
             params: &self.config.cost,
             net: net_id,
-            in_guide: &in_guide,
+            in_guide,
         };
-        let ctx = SearchContext::new(trad, &self.config, map);
+        let mut ctx = SearchContext::new(trad, &self.config, map);
 
         // One cache scope per net: `gstate` and `map` are borrowed
         // immutably until the net is assigned.
@@ -397,7 +407,7 @@ impl MrTplRouter {
                 .collect();
 
             let search_span = tpl_trace::span!("core.color_search");
-            let found = search(&ctx, buffers, cache, &sources, &unreached);
+            let found = search(&mut ctx, buffers, cache, &sources, &unreached);
             drop(search_span);
             match found {
                 Some((dst, pin)) => {
@@ -513,6 +523,67 @@ mod tests {
             }
         );
         assert_eq!(again.segment_masks, base.segment_masks);
+    }
+
+    #[test]
+    fn a_budget_stop_in_the_last_batch_of_an_iteration_counts_its_net() {
+        let design = CaseParams::ispd18_like(4).scaled(0.25).generate();
+        let guides = GlobalRouter::new(GlobalConfig::default()).route(&design);
+        let first_pass = MrTplRouter::new(MrTplConfig {
+            max_rrr_iterations: 0,
+            ..MrTplConfig::default()
+        });
+        let first = |nodes| {
+            first_pass.route_with_budget(
+                &design,
+                &guides,
+                &RouteBudget::with_max_search_nodes(nodes),
+            )
+        };
+        let unbudgeted = first(u64::MAX);
+        assert!(
+            unbudgeted.stats.conflicts > 0,
+            "the first pass leaves conflicts to rip up"
+        );
+        // The smallest budget the first pass completes under; one node less
+        // stops a net of its last batch.
+        let (mut lo, mut hi) = (0, unbudgeted.stats.search_nodes as u64);
+        while hi - lo > 1 {
+            let mid = (lo + hi) / 2;
+            if first(mid).stats.outcome.is_complete() {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        assert!(
+            design
+                .nets()
+                .iter()
+                .all(|n| first(lo).solution.get(n.id()).is_some()),
+            "the stop lands in the last batch"
+        );
+        let result = MrTplRouter::new(MrTplConfig::default()).route_with_budget(
+            &design,
+            &guides,
+            &RouteBudget::with_max_search_nodes(lo),
+        );
+        assert_eq!(
+            result.stats.outcome,
+            Outcome::Degraded(StopReason::SearchNodes)
+        );
+        let broken = design
+            .nets()
+            .iter()
+            .filter(|n| {
+                result
+                    .solution
+                    .get(n.id())
+                    .is_none_or(|r| !r.connects_all_pins(&design, n.id()))
+            })
+            .count();
+        assert!(broken > 0);
+        assert_eq!(result.stats.failed_nets, broken);
     }
 
     #[test]

@@ -10,12 +10,15 @@
 //!   [`EpochStamps`], so starting a search costs O(sources + targets)
 //!   instead of O(V).  The buffers are reused across every net of a routing
 //!   run.
-//! * **Goal-directed A\*** — an admissible, consistent Manhattan lower bound
-//!   to the nearest unreached pin's coverage box steers expansion towards
+//! * **Goal-directed A\*** — [`GoalBound`], an admissible, consistent
+//!   Manhattan lower bound to the nearest unreached pin's coverage box
+//!   (priced at `alpha` times the cheapest step), steers expansion towards
 //!   the goal instead of growing a full circle around the tree.  The router
-//!   engages it only during negotiation iterations (see
+//!   engages A\* order only during negotiation iterations (see
 //!   [`NetBuffers::set_goal_directed`]), which hold the bulk of the search
-//!   effort, so the initial pass keeps the seed's solution quality.
+//!   effort, so the initial pass keeps the seed's solution quality.  The
+//!   other passes run [`Kernel::run_dijkstra`]: the same bound prunes them
+//!   without changing their Dijkstra answers.
 //! * **One cached record per relaxation** — a step costs the direction-class
 //!   [`TradCost::base`], read from a per-layer table [`SearchContext::new`]
 //!   builds once per net, plus the entered vertex's record in the
@@ -28,7 +31,7 @@ use tpl_color::{ColorCostCache, ColorMap, ColorState, Mask};
 use tpl_design::{LayerId, PinId};
 use tpl_geom::Dir;
 use tpl_grid::{
-    EpochStamps, GridGraph, Kernel, RouteBudget, SearchSpace, StopReason, TradCost, VertexId,
+    EpochStamps, GoalBound, Kernel, RouteBudget, SearchSpace, StopReason, TradCost, VertexId,
 };
 
 /// Key units per cost unit when quantising `f64` costs to frontier keys.
@@ -101,7 +104,7 @@ impl NetBuffers {
     }
 
     /// Frontier entries abandoned unexpanded when searches of this net ended
-    /// early — the goal-direction pruning counter.
+    /// (see [`Kernel::pruned`]).
     #[inline]
     pub fn frontier_pruned(&self) -> usize {
         self.kernel.pruned()
@@ -120,7 +123,8 @@ impl NetBuffers {
     }
 
     /// Enables or disables goal-directed ordering for subsequent searches of
-    /// this buffer.
+    /// this buffer.  Disabled, a search returns plain Dijkstra's answer
+    /// through [`Kernel::run_dijkstra`].
     ///
     /// The router keeps the seed's pure-Dijkstra expansion order for the
     /// initial routing pass and engages A* during the negotiation
@@ -209,6 +213,8 @@ pub struct SearchContext<'a> {
     pub map: &'a ColorMap,
     /// [`TradCost::base`] per layer and direction of [`Dir::ALL`].
     base: Vec<[f64; 6]>,
+    /// The search's lower bound, priced at `alpha` and aimed per search.
+    bound: GoalBound,
 }
 
 impl<'a> SearchContext<'a> {
@@ -222,6 +228,7 @@ impl<'a> SearchContext<'a> {
             config,
             map,
             base,
+            bound: GoalBound::new(trad.grid, &config.cost, config.alpha),
         }
     }
 
@@ -258,81 +265,6 @@ impl<'a> SearchContext<'a> {
             }
         }
         (best, best_set)
-    }
-}
-
-/// Admissible lower bound to the nearest unreached pin.
-///
-/// Each unreached pin contributes the bounding box of its coverage vertices
-/// in track coordinates plus its layer range; `h(v)` is the cheapest
-/// conceivable cost of closing the Manhattan gap to the nearest box: planar
-/// track gaps cost at least the minimum planar step and layer gaps at least
-/// one via each.  A step costs `alpha` times [`TradCost::base`] of its
-/// direction class, which these minima bound from below, plus `alpha` times
-/// the [`TradCost::node_penalty`] of the vertex it enters and the colour and
-/// stitch terms of [`SearchContext::color_step`], all non-negative.  So the
-/// bound is admissible; one grid move changes each gap by at most one step,
-/// so it is also consistent and the first goal popped is optimal.
-struct GoalBound {
-    boxes: Vec<(i32, i32, i32, i32, i32, i32)>,
-    step: f64,
-    via: f64,
-}
-
-impl GoalBound {
-    fn build(ctx: &SearchContext<'_>, unreached: &[PinId]) -> Option<Self> {
-        let cost = &ctx.config.cost;
-        // Conservative minima: honour configs where the wrong-way or
-        // base-layer multipliers dip below 1.
-        let mult = cost
-            .wrong_way_mult
-            .min(1.0)
-            .min(cost.base_layer_mult.min(1.0));
-        let step = (ctx.config.alpha * cost.wire_cost(ctx.trad.grid.pitch()) * mult).max(0.0);
-        let via = (ctx.config.alpha * cost.via).max(0.0);
-        let mut boxes = Vec::with_capacity(unreached.len());
-        for &pin in unreached {
-            let mut bbox: Option<(i32, i32, i32, i32, i32, i32)> = None;
-            for &v in ctx.trad.coverage.vertices(pin) {
-                let (layer, ix, iy) = ctx.trad.grid.coords(v);
-                let (l, x, y) = (layer as i32, ix as i32, iy as i32);
-                bbox = Some(match bbox {
-                    None => (x, x, y, y, l, l),
-                    Some((x0, x1, y0, y1, l0, l1)) => (
-                        x0.min(x),
-                        x1.max(x),
-                        y0.min(y),
-                        y1.max(y),
-                        l0.min(l),
-                        l1.max(l),
-                    ),
-                });
-            }
-            if let Some(b) = bbox {
-                boxes.push(b);
-            }
-        }
-        if boxes.is_empty() {
-            return None;
-        }
-        Some(Self { boxes, step, via })
-    }
-
-    #[inline]
-    fn h(&self, grid: &GridGraph, v: VertexId) -> f64 {
-        let (layer, ix, iy) = grid.coords(v);
-        let (l, x, y) = (layer as i32, ix as i32, iy as i32);
-        let mut best = f64::INFINITY;
-        for &(x0, x1, y0, y1, l0, l1) in &self.boxes {
-            let dx = (x0 - x).max(x - x1).max(0);
-            let dy = (y0 - y).max(y - y1).max(0);
-            let dl = (l0 - l).max(l - l1).max(0);
-            let h = (dx + dy) as f64 * self.step + dl as f64 * self.via;
-            if h < best {
-                best = h;
-            }
-        }
-        best
     }
 }
 
@@ -383,9 +315,10 @@ impl SearchSpace for ColorSearch<'_, '_> {
 /// Colour-state searching (Algorithm 2): multi-source best-first search from
 /// the routed tree until a vertex covered by an unreached pin of the net is
 /// popped.  Returns that vertex and the pin, or `None` if no unreached pin is
-/// reachable.
+/// reachable.  The search runs in A\* order when the buffers are goal
+/// directed, and returns plain Dijkstra's answer otherwise.
 pub fn search(
-    ctx: &SearchContext<'_>,
+    ctx: &mut SearchContext<'_>,
     buffers: &mut NetBuffers,
     cache: &mut ColorCostCache,
     sources: &[(VertexId, ColorState)],
@@ -394,7 +327,7 @@ pub fn search(
     // O(targets) goal marking: a vertex is a goal exactly when it is covered
     // by an unreached pin (`pin_at(v)` names that pin).
     buffers.target.begin();
-    let coverage = ctx.trad.coverage;
+    let (grid, coverage) = (ctx.trad.grid, ctx.trad.coverage);
     for &pin in unreached {
         for &v in coverage.vertices(pin) {
             if coverage.pin_at(v) == Some(pin) {
@@ -402,13 +335,10 @@ pub fn search(
             }
         }
     }
-    let bound = if buffers.goal_directed {
-        GoalBound::build(ctx, unreached)
-    } else {
-        None
-    };
-    let grid = ctx.trad.grid;
+    ctx.bound.aim(grid, coverage, unreached);
+    let ctx = &*ctx;
     let NetBuffers {
+        goal_directed,
         kernel,
         target,
         target_pin,
@@ -424,9 +354,12 @@ pub fn search(
         .iter()
         .filter(|(s, _)| !ctx.trad.state.is_blocked(*s))
         .map(|&(s, state)| (s.0, state));
-    kernel.run(&mut space, sources, |v| {
-        bound.as_ref().map_or(0.0, |b| b.h(grid, VertexId::new(v)))
-    })
+    let h = |v| ctx.bound.h(grid, VertexId::new(v));
+    if *goal_directed {
+        kernel.run(&mut space, sources, h)
+    } else {
+        kernel.run_dijkstra(&mut space, sources, h)
+    }
 }
 
 #[cfg(test)]
@@ -435,7 +368,7 @@ mod tests {
     use tpl_color::Feature;
     use tpl_design::{Design, DesignBuilder, LayerId, NetId, Technology};
     use tpl_geom::Rect;
-    use tpl_grid::{DenseBitSet, GridState, PinCoverage};
+    use tpl_grid::{DenseBitSet, GridGraph, GridState, PinCoverage};
 
     struct Fixture {
         design: Design,
@@ -499,14 +432,14 @@ mod tests {
     fn search_reaches_the_second_pin_with_full_color_state() {
         let f = fixture();
         let in_guide = DenseBitSet::full(f.grid.num_vertices());
-        let c = ctx(&f, &in_guide);
+        let mut c = ctx(&f, &in_guide);
         let mut buffers = NetBuffers::new(f.grid.num_vertices());
         let mut cache = ColorCostCache::new(&f.grid);
         buffers.begin_net();
         cache.begin();
         let sources = all_sources(&f);
-        let (dst, pin) =
-            search(&c, &mut buffers, &mut cache, &sources, &[PinId::new(1)]).expect("path exists");
+        let (dst, pin) = search(&mut c, &mut buffers, &mut cache, &sources, &[PinId::new(1)])
+            .expect("path exists");
         assert_eq!(pin, PinId::new(1));
         // On an empty die nothing constrains the colours: the destination
         // keeps all three candidates alive.
@@ -527,7 +460,7 @@ mod tests {
     fn goal_direction_reaches_the_pin_at_identical_cost() {
         let f = fixture();
         let in_guide = DenseBitSet::full(f.grid.num_vertices());
-        let c = ctx(&f, &in_guide);
+        let mut c = ctx(&f, &in_guide);
         let mut costs = Vec::new();
         for a_star in [false, true] {
             let mut buffers = NetBuffers::new(f.grid.num_vertices());
@@ -536,19 +469,52 @@ mod tests {
             buffers.begin_net();
             cache.begin();
             let sources = all_sources(&f);
-            let (dst, _) = search(&c, &mut buffers, &mut cache, &sources, &[PinId::new(1)])
+            let (dst, _) = search(&mut c, &mut buffers, &mut cache, &sources, &[PinId::new(1)])
                 .expect("path exists");
             costs.push(buffers.dist(dst));
         }
         assert!((costs[0] - costs[1]).abs() < 1e-6, "costs {costs:?}");
     }
 
+    /// Pops and goal distance of plain Dijkstra (`h = 0`) from pin 0 to pin
+    /// 1, run on the kernel directly.
+    fn plain_dijkstra(f: &Fixture, c: &SearchContext) -> (usize, f64) {
+        let mut buffers = NetBuffers::new(f.grid.num_vertices());
+        let mut cache = ColorCostCache::new(&f.grid);
+        buffers.begin_net();
+        cache.begin();
+        buffers.target.begin();
+        let pin = PinId::new(1);
+        for &v in f.coverage.vertices(pin) {
+            if f.coverage.pin_at(v) == Some(pin) {
+                buffers.mark_target(v, pin);
+            }
+        }
+        let NetBuffers {
+            kernel,
+            target,
+            target_pin,
+            ..
+        } = &mut buffers;
+        let mut space = ColorSearch {
+            ctx: c,
+            cache: &mut cache,
+            target,
+            target_pin,
+        };
+        let sources = all_sources(f).into_iter().map(|(s, state)| (s.0, state));
+        let (dst, _) = kernel
+            .run(&mut space, sources, |_| 0.0)
+            .expect("path exists");
+        (kernel.popped(), kernel.dist(dst.0))
+    }
+
     #[test]
-    fn a_star_prunes_the_frontier() {
+    fn the_goal_bound_cuts_pops_in_both_orders() {
         let f = fixture();
         let in_guide = DenseBitSet::full(f.grid.num_vertices());
-        let c = ctx(&f, &in_guide);
-        let mut popped = Vec::new();
+        let mut c = ctx(&f, &in_guide);
+        let (plain_pops, plain_cost) = plain_dijkstra(&f, &c);
         for a_star in [false, true] {
             let mut buffers = NetBuffers::new(f.grid.num_vertices());
             buffers.set_goal_directed(a_star);
@@ -556,13 +522,15 @@ mod tests {
             buffers.begin_net();
             cache.begin();
             let sources = all_sources(&f);
-            search(&c, &mut buffers, &mut cache, &sources, &[PinId::new(1)]).expect("path exists");
-            popped.push(buffers.nodes_popped());
+            let (dst, _) = search(&mut c, &mut buffers, &mut cache, &sources, &[PinId::new(1)])
+                .expect("path exists");
+            assert_eq!(buffers.dist(dst), plain_cost, "a_star = {a_star}");
+            assert!(
+                buffers.nodes_popped() < plain_pops,
+                "a_star = {a_star}: {} pops, plain Dijkstra {plain_pops}",
+                buffers.nodes_popped()
+            );
         }
-        assert!(
-            popped[1] < popped[0],
-            "goal direction must reduce pops: {popped:?}"
-        );
     }
 
     #[test]
@@ -590,14 +558,14 @@ mod tests {
             Some(tpl_color::Mask::Red),
         ));
         let in_guide = DenseBitSet::full(f.grid.num_vertices());
-        let c = ctx(&f, &in_guide);
+        let mut c = ctx(&f, &in_guide);
         let mut buffers = NetBuffers::new(f.grid.num_vertices());
         let mut cache = ColorCostCache::new(&f.grid);
         buffers.begin_net();
         cache.begin();
         let sources = all_sources(&f);
-        let (dst, _) =
-            search(&c, &mut buffers, &mut cache, &sources, &[PinId::new(1)]).expect("path exists");
+        let (dst, _) = search(&mut c, &mut buffers, &mut cache, &sources, &[PinId::new(1)])
+            .expect("path exists");
         // The straight path on layer 0 runs within dcolor of the red wire,
         // so red is no longer among the minimum-cost candidates at the
         // destination.
@@ -612,14 +580,14 @@ mod tests {
         let mut f = fixture();
         f.config.policy = SearchPolicy::GreedySingleColor;
         let in_guide = DenseBitSet::full(f.grid.num_vertices());
-        let c = ctx(&f, &in_guide);
+        let mut c = ctx(&f, &in_guide);
         let mut buffers = NetBuffers::new(f.grid.num_vertices());
         let mut cache = ColorCostCache::new(&f.grid);
         buffers.begin_net();
         cache.begin();
         let sources = all_sources(&f);
-        let (dst, _) =
-            search(&c, &mut buffers, &mut cache, &sources, &[PinId::new(1)]).expect("path exists");
+        let (dst, _) = search(&mut c, &mut buffers, &mut cache, &sources, &[PinId::new(1)])
+            .expect("path exists");
         assert_eq!(buffers.state(dst).len(), 1);
     }
 

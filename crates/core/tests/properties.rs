@@ -5,7 +5,8 @@ use tpl_color::{ColorCostCache, ColorMap, Feature, Mask};
 use tpl_design::{LayerId, NetId, RouteGuides};
 use tpl_geom::{Dir, Rect};
 use tpl_grid::{
-    guide_membership, CostParams, GridGraph, GridState, PinCoverage, TradCost, VertexId,
+    guide_membership, CostParams, DenseBitSet, GridGraph, GridState, PinCoverage, TradCost,
+    VertexId,
 };
 use tpl_ispd::CaseParams;
 
@@ -52,7 +53,8 @@ proptest! {
             let layer = LayerId::from(layer % num_layers);
             route_guides.add(net, layer, Rect::from_coords(x, y, x + size, y + size / 2));
         }
-        let in_guide = guide_membership(&grid, &route_guides, net);
+        let mut in_guide = DenseBitSet::new(grid.num_vertices());
+        guide_membership(&grid, &route_guides, net, &mut in_guide);
         let mut map = ColorMap::new(design.die(), num_layers, design.tech().dcolor());
         for &(layer, x, y, owner, mask) in &wires {
             map.insert(Feature::wire(

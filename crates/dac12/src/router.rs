@@ -10,8 +10,8 @@ use tpl_design::{
 };
 use tpl_geom::{Dir, Segment};
 use tpl_grid::{
-    guide_membership, CostParams, GridGraph, GridState, Kernel, Outcome, PinCoverage, RouteBudget,
-    SearchSpace, TradCost, VertexId,
+    guide_membership, CostParams, DenseBitSet, GoalBound, GridGraph, GridState, Kernel, Outcome,
+    PinCoverage, RouteBudget, SearchSpace, TradCost, VertexId,
 };
 
 /// Key units per cost unit of the search frontier.
@@ -80,6 +80,14 @@ pub struct Dac12Result {
     pub stats: Dac12Stats,
 }
 
+/// The per-run buffers every connection's search reuses.
+struct SearchBuffers {
+    kernel: Kernel<()>,
+    cache: ColorCostCache,
+    bound: GoalBound,
+    in_guide: DenseBitSet,
+}
+
 /// The DAC'12 vertex-splitting TPL-aware router.
 #[derive(Clone, Debug)]
 pub struct Dac12Router {
@@ -96,6 +104,8 @@ struct SplitSearch<'s, 'a> {
     config: &'s Dac12Config,
     /// The target pin's coverage.
     targets: &'s [VertexId],
+    /// The lower bound, aimed at the target pin.
+    bound: &'s GoalBound,
 }
 
 impl SearchSpace for SplitSearch<'_, '_> {
@@ -145,16 +155,19 @@ impl SearchSpace for SplitSearch<'_, '_> {
 impl SplitSearch<'_, '_> {
     /// Dijkstra over the expanded graph from the coverage of pin `from` to
     /// the targets.  Returns the path as `(vertex, mask)` pairs from source
-    /// to destination.
+    /// to destination.  The bound on a node's vertex only prunes nodes that
+    /// cannot lie on an optimal path (see [`Kernel::run_dijkstra`]).
     fn route(&mut self, kernel: &mut Kernel<()>, from: PinId) -> Option<Vec<(VertexId, Mask)>> {
-        let (trad, expanded) = (self.trad, self.expanded);
+        let (trad, expanded, bound) = (self.trad, self.expanded, self.bound);
         let sources = trad
             .coverage
             .vertices(from)
             .iter()
             .filter(|v| !trad.state.is_blocked(**v))
             .flat_map(|&v| Mask::ALL.map(|mask| (expanded.node(v, mask, 0), ())));
-        let goal = kernel.run(self, sources, |_| 0.0)?;
+        let goal = kernel.run_dijkstra(self, sources, |node| {
+            bound.h(trad.grid, expanded.unpack(node).0)
+        })?;
         let path = kernel.path(goal).into_iter().map(|node| {
             let (v, mask, _) = expanded.unpack(node);
             (v, mask)
@@ -198,10 +211,16 @@ impl Dac12Router {
             design.tech().num_layers(),
             design.tech().dcolor(),
         );
-        let mut kernel = Kernel::new(expanded.num_nodes(), KEY_RESOLUTION);
-        let mut cache = ColorCostCache::new(&grid);
+        let mut buffers = SearchBuffers {
+            kernel: Kernel::new(expanded.num_nodes(), KEY_RESOLUTION),
+            cache: ColorCostCache::new(&grid),
+            bound: GoalBound::new(&grid, &self.config.cost, 1.0),
+            in_guide: DenseBitSet::new(grid.num_vertices()),
+        };
         let mut solution = RoutingSolution::new(design.nets().len());
         let mut segment_masks: Vec<Vec<Option<Mask>>> = vec![Vec::new(); design.nets().len()];
+        // The vertices each net occupies, for an O(net) rip-up.
+        let mut net_vertices: Vec<Vec<VertexId>> = vec![Vec::new(); design.nets().len()];
         let mut stats = Dac12Stats::default();
 
         let mut order: Vec<NetId> = design.nets().iter().map(|n| n.id()).collect();
@@ -231,12 +250,14 @@ impl Dac12Router {
                         break 'rrr;
                     }
                 };
-                gstate.release_net(net_id);
+                let occupied = &mut net_vertices[net_id.index()];
+                gstate.release_vertices(occupied, net_id);
+                occupied.clear();
                 map.remove_net(net_id);
                 solution.rip_up(net_id);
                 segment_masks[net_id.index()].clear();
 
-                kernel.arm(remaining, budget);
+                buffers.kernel.arm(remaining, budget);
                 let complete = self.route_net(
                     design,
                     &grid,
@@ -244,17 +265,18 @@ impl Dac12Router {
                     &coverage,
                     &mut gstate,
                     &mut map,
-                    &mut kernel,
-                    &mut cache,
+                    &mut buffers,
                     guides,
                     net_id,
+                    occupied,
                     &mut solution,
                     &mut segment_masks,
                     &mut stats,
                 );
-                stats.search_nodes += kernel.popped();
-                tpl_trace::counter!("dac12.search_nodes", kernel.popped());
-                if let Some(reason) = kernel.stop_reason() {
+                let popped = buffers.kernel.popped();
+                stats.search_nodes += popped;
+                tpl_trace::counter!("dac12.search_nodes", popped);
+                if let Some(reason) = buffers.kernel.stop_reason() {
                     stats.outcome = stats.outcome.merge(Outcome::from_stop(reason));
                 }
                 if !complete {
@@ -264,7 +286,12 @@ impl Dac12Router {
 
             let layout = self.build_layout(design, &map);
             let conflicts = layout.conflicts();
-            if conflicts.is_empty() || iteration == self.config.max_rrr_iterations {
+            // A budget stop inside this iteration ends the run here, so the
+            // net it left incomplete still counts in `failed_nets`.
+            if conflicts.is_empty()
+                || iteration == self.config.max_rrr_iterations
+                || !stats.outcome.is_complete()
+            {
                 break;
             }
             let features = layout.features();
@@ -329,7 +356,8 @@ impl Dac12Router {
         layout
     }
 
-    /// Routes one net as independent 2-pin connections along its MST.
+    /// Routes one net as independent 2-pin connections along its MST,
+    /// recording every vertex it occupies in `occupied`.
     #[allow(clippy::too_many_arguments)]
     fn route_net(
         &self,
@@ -339,16 +367,22 @@ impl Dac12Router {
         coverage: &PinCoverage,
         gstate: &mut GridState,
         map: &mut ColorMap,
-        kernel: &mut Kernel<()>,
-        cache: &mut ColorCostCache,
+        buffers: &mut SearchBuffers,
         guides: &RouteGuides,
         net_id: NetId,
+        occupied: &mut Vec<VertexId>,
         solution: &mut RoutingSolution,
         segment_masks: &mut [Vec<Option<Mask>>],
         stats: &mut Dac12Stats,
     ) -> bool {
         let net = design.net(net_id);
-        let in_guide = guide_membership(grid, guides, net_id);
+        let SearchBuffers {
+            kernel,
+            cache,
+            bound,
+            in_guide,
+        } = buffers;
+        guide_membership(grid, guides, net_id, in_guide);
 
         // MST over the pins (Prim, Manhattan distance of pin centres).
         let centers: Vec<(PinId, tpl_geom::Point)> = net
@@ -371,11 +405,12 @@ impl Dac12Router {
                 design,
                 params: &self.config.cost,
                 net: net_id,
-                in_guide: &in_guide,
+                in_guide,
             };
             // One cache scope per connection: committing the previous
             // connection's occupancy changed the node penalties.
             cache.begin();
+            bound.aim(grid, coverage, &[centers[b].0]);
             let mut search = SplitSearch {
                 trad,
                 expanded,
@@ -383,6 +418,7 @@ impl Dac12Router {
                 cache,
                 config: &self.config,
                 targets: coverage.vertices(centers[b].0),
+                bound,
             };
             match search.route(kernel, centers[a].0) {
                 Some(path) => {
@@ -392,6 +428,7 @@ impl Dac12Router {
                     emit_colored_path(grid, &path, &mut routed, &mut masks);
                     for &(v, _) in &path {
                         gstate.occupy(v, net_id);
+                        occupied.push(v);
                     }
                 }
                 None => {

@@ -2,7 +2,7 @@
 //! search kernel.
 
 use tpl_design::PinId;
-use tpl_grid::{Kernel, SearchSpace, TradCost, VertexId};
+use tpl_grid::{GoalBound, Kernel, SearchSpace, TradCost, VertexId};
 
 /// Key units per cost unit of the maze frontier.
 pub(crate) const KEY_RESOLUTION: f64 = 256.0;
@@ -39,17 +39,27 @@ impl SearchSpace for Maze<'_, '_> {
 /// covered by a pin of the net listed in `unreached`, returning that vertex
 /// and the pin.  Returns `None` when no unreached pin can be reached, or
 /// when the kernel's budget stopped the search.
+///
+/// The answer is plain Dijkstra's; `bound`, aimed here at the unreached
+/// pins, only prunes the nodes that cannot lie on an optimal path (see
+/// [`Kernel::run_dijkstra`]).
 pub(crate) fn search(
     cost: &TradCost<'_>,
     kernel: &mut Kernel<()>,
+    bound: &mut GoalBound,
     sources: &[VertexId],
     unreached: &[PinId],
 ) -> Option<(VertexId, PinId)> {
+    let grid = cost.grid;
+    bound.aim(grid, cost.coverage, unreached);
+    let bound = &*bound;
     let sources = sources
         .iter()
         .filter(|s| !cost.state.is_blocked(**s))
         .map(|s| (s.0, ()));
-    kernel.run(&mut Maze { cost, unreached }, sources, |_| 0.0)
+    kernel.run_dijkstra(&mut Maze { cost, unreached }, sources, |v| {
+        bound.h(grid, VertexId::new(v))
+    })
 }
 
 /// The path the last search found to `dst`, source first.
@@ -62,7 +72,7 @@ mod tests {
     use super::*;
     use tpl_design::{Design, DesignBuilder, NetId, RouteGuides, Technology};
     use tpl_geom::Rect;
-    use tpl_grid::{guide_membership, CostParams, GridGraph, GridState, PinCoverage};
+    use tpl_grid::{guide_membership, CostParams, DenseBitSet, GridGraph, GridState, PinCoverage};
 
     fn setup() -> (Design, GridGraph, GridState, PinCoverage) {
         let mut b = DesignBuilder::new(
@@ -86,7 +96,8 @@ mod tests {
     fn search_connects_two_pins_around_obstacles() {
         let (d, g, s, c) = setup();
         let guides = RouteGuides::new(1);
-        let in_guide = guide_membership(&g, &guides, NetId::new(0));
+        let mut in_guide = DenseBitSet::new(g.num_vertices());
+        guide_membership(&g, &guides, NetId::new(0), &mut in_guide);
         let params = CostParams::default();
         let cost = TradCost {
             grid: &g,
@@ -98,9 +109,11 @@ mod tests {
             in_guide: &in_guide,
         };
         let mut kernel = Kernel::new(g.num_vertices(), KEY_RESOLUTION);
+        let mut bound = GoalBound::new(&g, &params, 1.0);
         let sources = c.vertices(PinId::new(0)).to_vec();
         let unreached = vec![PinId::new(1)];
-        let (dst, pin) = search(&cost, &mut kernel, &sources, &unreached).expect("path exists");
+        let (dst, pin) =
+            search(&cost, &mut kernel, &mut bound, &sources, &unreached).expect("path exists");
         assert_eq!(pin, PinId::new(1));
         let path = backtrace(&kernel, dst);
         assert!(path.len() >= 2);
@@ -119,7 +132,8 @@ mod tests {
     fn searching_with_no_unreached_pins_returns_none() {
         let (d, g, s, c) = setup();
         let guides = RouteGuides::new(1);
-        let in_guide = guide_membership(&g, &guides, NetId::new(0));
+        let mut in_guide = DenseBitSet::new(g.num_vertices());
+        guide_membership(&g, &guides, NetId::new(0), &mut in_guide);
         let params = CostParams::default();
         let cost = TradCost {
             grid: &g,
@@ -131,8 +145,9 @@ mod tests {
             in_guide: &in_guide,
         };
         let mut kernel = Kernel::new(g.num_vertices(), KEY_RESOLUTION);
+        let mut bound = GoalBound::new(&g, &params, 1.0);
         let sources = c.vertices(PinId::new(0)).to_vec();
-        assert!(search(&cost, &mut kernel, &sources, &[]).is_none());
+        assert!(search(&cost, &mut kernel, &mut bound, &sources, &[]).is_none());
     }
 
     #[test]
@@ -150,7 +165,8 @@ mod tests {
             }
         }
         let guides = RouteGuides::new(1);
-        let in_guide = guide_membership(&g, &guides, NetId::new(0));
+        let mut in_guide = DenseBitSet::new(g.num_vertices());
+        guide_membership(&g, &guides, NetId::new(0), &mut in_guide);
         let params = CostParams::default();
         let cost = TradCost {
             grid: &g,
@@ -162,8 +178,9 @@ mod tests {
             in_guide: &in_guide,
         };
         let mut kernel = Kernel::new(g.num_vertices(), KEY_RESOLUTION);
+        let mut bound = GoalBound::new(&g, &params, 1.0);
         let sources = c.vertices(PinId::new(0)).to_vec();
-        let (dst, _) = search(&cost, &mut kernel, &sources, &[PinId::new(1)]).unwrap();
+        let (dst, _) = search(&cost, &mut kernel, &mut bound, &sources, &[PinId::new(1)]).unwrap();
         let path = backtrace(&kernel, dst);
         // The path never steps on an occupied vertex because the detour
         // through the gap is cheaper than the occupancy penalty.

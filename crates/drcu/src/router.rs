@@ -4,8 +4,8 @@ use crate::maze::{backtrace, search, KEY_RESOLUTION};
 use std::collections::HashSet;
 use tpl_design::{Design, NetId, PinId, RouteGuides, RoutedNet, RoutingSolution};
 use tpl_grid::{
-    guide_membership, path_to_routed_net, CostParams, GridGraph, GridState, Kernel, Outcome,
-    PinCoverage, RouteBudget, TradCost, VertexId,
+    guide_membership, path_to_routed_net, CostParams, DenseBitSet, GoalBound, GridGraph, GridState,
+    Kernel, Outcome, PinCoverage, RouteBudget, TradCost, VertexId,
 };
 
 /// Configuration of the Dr.CU-like router.
@@ -59,6 +59,13 @@ pub struct DrCuResult {
     pub net_vertices: Vec<Vec<VertexId>>,
 }
 
+/// The per-run buffers every net's search reuses.
+struct SearchBuffers {
+    kernel: Kernel<()>,
+    bound: GoalBound,
+    in_guide: DenseBitSet,
+}
+
 /// The TPL-unaware detailed router.
 #[derive(Clone, Debug)]
 pub struct DrCuRouter {
@@ -93,7 +100,11 @@ impl DrCuRouter {
         let grid = GridGraph::build(design);
         let coverage = PinCoverage::build(&grid, design);
         let mut state = GridState::new(&grid, design);
-        let mut kernel = Kernel::new(grid.num_vertices(), KEY_RESOLUTION);
+        let mut buffers = SearchBuffers {
+            kernel: Kernel::new(grid.num_vertices(), KEY_RESOLUTION),
+            bound: GoalBound::new(&grid, &self.config.cost, 1.0),
+            in_guide: DenseBitSet::new(grid.num_vertices()),
+        };
         let mut solution = RoutingSolution::new(design.nets().len());
         let mut net_vertices: Vec<Vec<VertexId>> = vec![Vec::new(); design.nets().len()];
         let mut stats = DrCuStats::default();
@@ -130,23 +141,24 @@ impl DrCuRouter {
                     }
                 };
                 // Rip up any stale geometry of this net.
-                state.release_net(net_id);
+                state.release_vertices(&net_vertices[net_id.index()], net_id);
                 solution.rip_up(net_id);
                 net_vertices[net_id.index()].clear();
 
-                kernel.arm(remaining, budget);
+                buffers.kernel.arm(remaining, budget);
                 let (routed, vertices, complete) = self.route_net(
                     design,
                     &grid,
                     &coverage,
-                    &mut kernel,
+                    &mut buffers,
                     &state,
                     guides,
                     net_id,
                 );
-                stats.search_nodes += kernel.popped();
-                tpl_trace::counter!("drcu.search_nodes", kernel.popped());
-                if let Some(reason) = kernel.stop_reason() {
+                let popped = buffers.kernel.popped();
+                stats.search_nodes += popped;
+                tpl_trace::counter!("drcu.search_nodes", popped);
+                if let Some(reason) = buffers.kernel.stop_reason() {
                     stats.outcome = stats.outcome.merge(Outcome::from_stop(reason));
                 }
                 if !complete {
@@ -163,7 +175,12 @@ impl DrCuRouter {
             // an earlier-committed net are detectable by re-walking every
             // net's vertex list and checking the final occupant.
             let victims = collect_overlap_victims(design, &state, &net_vertices);
-            if victims.is_empty() || iteration == self.config.max_rrr_iterations {
+            // A budget stop inside this iteration ends the run here, so the
+            // net it left incomplete still counts in `failed_nets`.
+            if victims.is_empty()
+                || iteration == self.config.max_rrr_iterations
+                || !stats.outcome.is_complete()
+            {
                 stats.remaining_overlaps = victims.len();
                 break;
             }
@@ -175,7 +192,7 @@ impl DrCuRouter {
                 state.add_history(vertex, self.config.history_increment);
             }
             for &net in &next {
-                state.release_net(net);
+                state.release_vertices(&net_vertices[net.index()], net);
             }
             to_route = next;
         }
@@ -195,13 +212,18 @@ impl DrCuRouter {
         design: &Design,
         grid: &GridGraph,
         coverage: &PinCoverage,
-        kernel: &mut Kernel<()>,
+        buffers: &mut SearchBuffers,
         state: &GridState,
         guides: &RouteGuides,
         net_id: NetId,
     ) -> (RoutedNet, Vec<VertexId>, bool) {
         let net = design.net(net_id);
-        let in_guide = guide_membership(grid, guides, net_id);
+        let SearchBuffers {
+            kernel,
+            bound,
+            in_guide,
+        } = buffers;
+        guide_membership(grid, guides, net_id, in_guide);
         let cost = TradCost {
             grid,
             state,
@@ -209,7 +231,7 @@ impl DrCuRouter {
             design,
             params: &self.config.cost,
             net: net_id,
-            in_guide: &in_guide,
+            in_guide,
         };
 
         let mut routed = RoutedNet::new();
@@ -226,7 +248,7 @@ impl DrCuRouter {
         let mut complete = true;
 
         while !unreached.is_empty() {
-            match search(&cost, kernel, &tree, &unreached) {
+            match search(&cost, kernel, bound, &tree, &unreached) {
                 Some((dst, pin)) => {
                     let path = backtrace(kernel, dst);
                     path_to_routed_net(grid, &path, &mut routed);
@@ -350,6 +372,41 @@ mod tests {
         let again = router.route_with_budget(&design, &guides, &budget);
         assert_eq!(again.stats, base.stats);
         assert_eq!(again.net_vertices, base.net_vertices);
+    }
+
+    #[test]
+    fn a_budget_stop_in_the_last_net_of_an_iteration_counts_that_net() {
+        let design = CaseParams::ispd19_like(2).scaled(0.3).generate();
+        let guides = GlobalRouter::new(GlobalConfig::default()).route(&design);
+        let first_pass = DrCuRouter::new(DrCuConfig {
+            max_rrr_iterations: 0,
+            ..DrCuConfig::default()
+        })
+        .route(&design, &guides);
+        assert!(
+            first_pass.stats.remaining_overlaps > 0,
+            "the first pass leaves overlaps to rip up"
+        );
+        // One node short of the first pass: the stop lands in its last net.
+        let budget = RouteBudget::with_max_search_nodes(first_pass.stats.search_nodes as u64 - 1);
+        let result =
+            DrCuRouter::new(DrCuConfig::default()).route_with_budget(&design, &guides, &budget);
+        assert_eq!(
+            result.stats.outcome,
+            Outcome::Degraded(StopReason::SearchNodes)
+        );
+        let broken = design
+            .nets()
+            .iter()
+            .filter(|n| {
+                result
+                    .solution
+                    .get(n.id())
+                    .is_none_or(|r| !r.connects_all_pins(&design, n.id()))
+            })
+            .count();
+        assert_eq!(broken, 1, "only the last net is cut short");
+        assert_eq!(result.stats.failed_nets, broken);
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! A dense, word-packed bitset over grid vertices.
 
+use std::ops::Range;
+
 /// A fixed-size bitset packed into 64-bit words.
 ///
 /// The routers keep one bit per grid vertex for blockages and per-net guide
@@ -67,6 +69,18 @@ impl DenseBitSet {
         self.words[i / 64] |= 1u64 << (i % 64);
     }
 
+    /// Sets every bit of `range`, a word at a time.
+    pub fn insert_range(&mut self, range: Range<usize>) {
+        debug_assert!(range.end <= self.len);
+        let (mut i, end) = (range.start, range.end);
+        while i < end {
+            let (word, bit) = (i / 64, i % 64);
+            let n = (64 - bit).min(end - i);
+            self.words[word] |= (u64::MAX >> (64 - n)) << bit;
+            i += n;
+        }
+    }
+
     /// Clears bit `i`.
     #[inline]
     pub fn remove(&mut self, i: usize) {
@@ -110,6 +124,25 @@ mod tests {
         assert!(!s.get(64));
         s.clear_all();
         assert_eq!(s.count_ones(), 0);
+    }
+
+    #[test]
+    fn insert_range_sets_exactly_the_range() {
+        for (start, end) in [
+            (0, 0),
+            (0, 1),
+            (3, 64),
+            (0, 64),
+            (63, 65),
+            (5, 200),
+            (64, 128),
+        ] {
+            let mut s = DenseBitSet::new(200);
+            s.insert_range(start..end);
+            for i in 0..200 {
+                assert_eq!(s.get(i), (start..end).contains(&i), "{start}..{end} at {i}");
+            }
+        }
     }
 
     #[test]

@@ -149,25 +149,38 @@ impl TradCost<'_> {
     }
 }
 
-/// Per-net guide membership: the vertices inside the net's guide regions,
-/// or every vertex for a net without guides.
-pub fn guide_membership(grid: &GridGraph, guides: &RouteGuides, net: NetId) -> DenseBitSet {
+/// Fills `in_guide` with one net's guide membership: the vertices inside
+/// the net's guide regions, or every vertex for a net without guides.  Each
+/// router owns one `in_guide` set over the grid's vertices and refills it
+/// per net, a row of each guide rectangle at a time.
+pub fn guide_membership(
+    grid: &GridGraph,
+    guides: &RouteGuides,
+    net: NetId,
+    in_guide: &mut DenseBitSet,
+) {
     let regions = guides.regions(net);
     if regions.is_empty() {
-        return DenseBitSet::full(grid.num_vertices());
+        in_guide.set_all();
+        return;
     }
-    let mut mask = DenseBitSet::new(grid.num_vertices());
+    in_guide.clear_all();
     for region in regions {
-        for v in grid.vertices_in_rect(region.layer, &region.rect) {
-            mask.insert(v.index());
+        let (xs, ys) = grid.tracks_in_rect(&region.rect);
+        if xs.is_empty() {
+            continue;
+        }
+        for iy in ys {
+            let row = grid.vertex(region.layer.index(), xs.start, iy).index();
+            in_guide.insert_range(row..row + xs.len());
         }
     }
-    mask
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tpl_geom::Rect;
 
     #[test]
     fn wrong_way_is_more_expensive() {
@@ -218,7 +231,51 @@ mod tests {
         let design = tpl_ispd::CaseParams::ispd18_like(1).scaled(0.25).generate();
         let grid = GridGraph::build(&design);
         let guides = RouteGuides::new(design.nets().len());
-        let mask = guide_membership(&grid, &guides, NetId::new(0));
+        let mut mask = DenseBitSet::new(grid.num_vertices());
+        guide_membership(&grid, &guides, NetId::new(0), &mut mask);
         assert_eq!(mask.count_ones(), grid.num_vertices());
+    }
+
+    #[test]
+    fn guide_membership_is_exactly_the_region_vertices() {
+        let design = tpl_ispd::CaseParams::ispd18_like(1).scaled(0.25).generate();
+        let grid = GridGraph::build(&design);
+        let die = design.die();
+        let mut guides = RouteGuides::new(design.nets().len());
+        let mut s = 0x2545_F491_4F6C_DD1Du64;
+        let mut r = |m: i64| {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            (s % m as u64) as i64
+        };
+        // Off-grid corners, rects reaching past the die, and thin rects
+        // that miss every track.
+        for net in design.nets().iter().take(20) {
+            for _ in 0..1 + r(4) {
+                let (x, y) = (
+                    die.lo.x - 40 + r(die.width() + 80),
+                    die.lo.y - 40 + r(die.height() + 80),
+                );
+                let rect = Rect::from_coords(x, y, x + r(300), y + r(300));
+                let layer = LayerId::from(r(grid.num_layers() as i64) as usize);
+                guides.add(net.id(), layer, rect);
+            }
+        }
+        let mut mask = DenseBitSet::full(grid.num_vertices());
+        for net in design.nets().iter().take(25) {
+            guide_membership(&grid, &guides, net.id(), &mut mask);
+            let regions = guides.regions(net.id());
+            let mut want = DenseBitSet::new(grid.num_vertices());
+            for region in regions {
+                for v in grid.vertices_in_rect(region.layer, &region.rect) {
+                    want.insert(v.index());
+                }
+            }
+            if regions.is_empty() {
+                want.set_all();
+            }
+            assert_eq!(mask, want, "net {}", net.name());
+        }
     }
 }

@@ -1,5 +1,6 @@
 //! The immutable routing grid graph.
 
+use std::ops::Range;
 use tpl_design::{Design, LayerId};
 use tpl_geom::{Axis, Dbu, Dir, Point, Rect};
 
@@ -233,22 +234,48 @@ impl GridGraph {
             .filter_map(|(d, n)| n.map(|n| (d, n)))
     }
 
-    /// All vertices (on every layer present in `layers`) whose point lies
-    /// within `rect` expanded by half a pitch.
+    /// The track ranges `(ix, iy)` whose crossings lie within `rect`
+    /// expanded by half a pitch (either range may be empty).
+    pub fn tracks_in_rect(&self, rect: &Rect) -> (Range<usize>, Range<usize>) {
+        let r = rect.expanded(self.pitch / 2);
+        let span = |lo: usize, hi: usize, at: &dyn Fn(usize) -> Dbu, min: Dbu, max: Dbu| {
+            // `ix_near`/`iy_near` round, so at most the end tracks fall
+            // outside; the tracks inside are contiguous.
+            let mut start = lo;
+            while start <= hi && at(start) < min {
+                start += 1;
+            }
+            let mut end = hi + 1;
+            while end > start && at(end - 1) > max {
+                end -= 1;
+            }
+            start..end.max(start)
+        };
+        let xs = span(
+            self.ix_near(r.lo.x),
+            self.ix_near(r.hi.x),
+            &|ix| self.x_of(ix),
+            r.lo.x,
+            r.hi.x,
+        );
+        let ys = span(
+            self.iy_near(r.lo.y),
+            self.iy_near(r.hi.y),
+            &|iy| self.y_of(iy),
+            r.lo.y,
+            r.hi.y,
+        );
+        (xs, ys)
+    }
+
+    /// All vertices on `layer` whose point lies within `rect` expanded by
+    /// half a pitch, row by row.
     pub fn vertices_in_rect(&self, layer: LayerId, rect: &Rect) -> Vec<VertexId> {
-        let halo = self.pitch / 2;
-        let r = rect.expanded(halo);
-        let ix_lo = self.ix_near(r.lo.x);
-        let ix_hi = self.ix_near(r.hi.x);
-        let iy_lo = self.iy_near(r.lo.y);
-        let iy_hi = self.iy_near(r.hi.y);
-        let mut out = Vec::new();
-        for iy in iy_lo..=iy_hi {
-            for ix in ix_lo..=ix_hi {
-                let p = Point::new(self.x_of(ix), self.y_of(iy));
-                if r.contains(&p) {
-                    out.push(self.vertex(layer.index(), ix, iy));
-                }
+        let (xs, ys) = self.tracks_in_rect(rect);
+        let mut out = Vec::with_capacity(xs.len() * ys.len());
+        for iy in ys {
+            for ix in xs.clone() {
+                out.push(self.vertex(layer.index(), ix, iy));
             }
         }
         out
@@ -354,5 +381,25 @@ mod tests {
         // A large rect covers many vertices.
         let vs = g.vertices_in_rect(LayerId::new(1), &Rect::from_coords(0, 0, 60, 60));
         assert!(vs.len() >= 9);
+    }
+
+    #[test]
+    fn vertices_in_rect_is_the_brute_force_scan_in_row_order() {
+        let g = grid();
+        let layer = LayerId::new(1);
+        for (x0, y0, w, h) in [
+            (0, 0, 10, 10),
+            (-30, 15, 70, 3),
+            (33, 47, 1, 1),
+            (190, 190, 40, 40),
+        ] {
+            let rect = Rect::from_coords(x0, y0, x0 + w, y0 + h);
+            let r = rect.expanded(g.pitch() / 2);
+            let want: Vec<VertexId> = g
+                .iter_vertices()
+                .filter(|&v| g.layer_of(v) == layer && r.contains(&g.point_of(v)))
+                .collect();
+            assert_eq!(g.vertices_in_rect(layer, &rect), want, "{rect:?}");
+        }
     }
 }

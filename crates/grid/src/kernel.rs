@@ -10,23 +10,31 @@
 //!   router's key resolution;
 //! * epoch-stamped per-node `dist`, `prev` and payload (the colour state in
 //!   Mr.TPL, `()` elsewhere), so a search starts in O(sources) and the
-//!   buffers are allocated once per routing run;
+//!   buffers, the source list included, are allocated once per routing run;
 //! * the exact stale-entry test;
 //! * the node-limit, deadline and cancellation probes;
 //! * the pop counter, the pruned-entry counter and the frontier high-water
 //!   mark.
 //!
 //! A router supplies a [`SearchSpace`] (its node encoding, `expand` and goal
-//! test) and a heuristic, which is zero for plain Dijkstra.
+//! test) and a consistent lower bound `h` on the cost still to go (such as
+//! [`GoalBound`](crate::GoalBound)), and picks one of two search orders:
+//!
+//! * [`run`](Kernel::run) is A\*: it pops in `(key(dist + h), node)` order;
+//! * [`run_dijkstra`](Kernel::run_dijkstra) returns exactly what plain
+//!   Dijkstra (`run` with `h = 0`) returns, but uses `h` to expand only the
+//!   nodes that can lie on an optimal path; its documentation gives the
+//!   pruning rule and why it is exact.
 //!
 //! # Exact stale-entry test
 //!
 //! The kernel stores no per-node queued key.  Every relaxation leaves the
-//! node queued under exactly `key(dist + h)`, so a popped `(k, node)` is live
-//! iff `k == key(dist[node] + h(node))`.  Two costs that quantise to the same
-//! key never resurrect a stale entry, and an improvement that lands on the
-//! already-queued key reuses that entry instead of pushing a duplicate: the
-//! node is expanded once, with the better distance.
+//! node queued under exactly `key(dist + h)` (`h = 0` in Dijkstra order), so
+//! a popped `(k, node)` is live iff `k == key(dist[node] + h(node))`.  Two
+//! costs that quantise to the same key never resurrect a stale entry, and an
+//! improvement that lands on the already-queued key reuses that entry
+//! instead of pushing a duplicate: the node is expanded once, with the
+//! better distance.
 
 use crate::{EpochStamps, RouteBudget, StopReason};
 use std::cmp::Reverse;
@@ -35,6 +43,12 @@ use std::collections::BinaryHeap;
 /// Pops between two deadline/cancellation probes, minus one.  The node
 /// limit is checked on every pop.
 const INTERRUPT_PROBE_MASK: usize = 0x0FFF;
+
+/// A cost's frontier key at `resolution` keys per unit cost.
+#[inline]
+fn quantise(cost: f64, resolution: f64) -> u64 {
+    (cost * resolution) as u64
+}
 
 /// The graph a [`Kernel`] searches: node encoding, successors and goal test.
 pub trait SearchSpace {
@@ -81,6 +95,9 @@ pub struct Kernel<P> {
     /// Deadline and cancellation token of the armed budget.
     probes: RouteBudget,
     stop: Option<StopReason>,
+    /// The current search's sources, kept for the second pass of
+    /// [`run_dijkstra`](Kernel::run_dijkstra).
+    sources: Vec<(u32, P)>,
 }
 
 impl<P: Copy + Default> Kernel<P> {
@@ -108,13 +125,14 @@ impl<P: Copy + Default> Kernel<P> {
             node_limit: u64::MAX,
             probes: RouteBudget::default(),
             stop: None,
+            sources: Vec::new(),
         }
     }
 
     /// Quantises a cost to its frontier key.
     #[inline]
     pub fn key(&self, cost: f64) -> u64 {
-        (cost * self.key_resolution) as u64
+        quantise(cost, self.key_resolution)
     }
 
     /// Allows the next searches `node_limit` pops in total, probes the
@@ -191,7 +209,8 @@ impl<P: Copy + Default> Kernel<P> {
         self.popped
     }
 
-    /// Frontier entries left unexpanded when searches ended, since `arm`.
+    /// Frontier entries left unexpanded when searches ended, since `arm`
+    /// (the second pass's only, in [`run_dijkstra`](Kernel::run_dijkstra)).
     #[inline]
     pub fn pruned(&self) -> usize {
         self.pruned
@@ -218,10 +237,11 @@ impl<P: Copy + Default> Kernel<P> {
         self.stamps.force_epoch(epoch);
     }
 
-    /// Best-first search from `sources` (distance 0, each with its payload)
-    /// in ascending `(key(dist + h), node)` order until `space` reports a
-    /// goal.  Returns `None` when the frontier runs dry or a limit stops the
-    /// search (see [`stop_reason`](Kernel::stop_reason)).
+    /// A\* from `sources` (distance 0, each with its payload) in ascending
+    /// `(key(dist + h), node)` order until `space` reports a goal.  Returns
+    /// `None` when the frontier runs dry or a limit stops the search (see
+    /// [`stop_reason`](Kernel::stop_reason)).  With `h = 0` this is plain
+    /// Dijkstra.
     pub fn run<S, H>(
         &mut self,
         space: &mut S,
@@ -235,10 +255,91 @@ impl<P: Copy + Default> Kernel<P> {
         if self.stop.is_some() {
             return None;
         }
+        self.load(sources);
+        self.search(space, &h, |_, _| true).map(|(_, goal)| goal)
+    }
+
+    /// Returns exactly what `run(space, sources, |_| 0.0)` returns — the
+    /// same goal, and the same `dist`, `prev` and payload on the path to it
+    /// — while expanding only nodes whose `dist + h` can reach the optimum.
+    ///
+    /// It searches twice.  Pass 1 runs A\* to its first goal, whose
+    /// distance `ub` bounds the optimum from above.  Pass 2 runs in Dijkstra
+    /// order (`key(dist)`) and drops every relaxation with
+    /// `key(nd + h(to)) > key(ub) + 1` before it touches `dist`, `prev`, the
+    /// payload or the frontier.  The extra key quantum absorbs `f64`
+    /// rounding: the same cost summed along another path, or with `h` added,
+    /// can differ in the last bit and so cross a key boundary.  Both passes
+    /// count in [`popped`](Kernel::popped) and against the node limit,
+    /// deadline and cancellation; [`pruned`](Kernel::pruned) counts pass 2's
+    /// leftover frontier only.
+    ///
+    /// Three conditions make the pruning exact: `h` is consistent
+    /// (`h(u) <= step(u, v) + h(v)`) and zero on goals; every step costs at
+    /// least one key quantum, so plain Dijkstra never improves a node it has
+    /// already expanded; and `space`'s goal test depends on the node alone,
+    /// since both passes call it.  Let `D` be plain Dijkstra's distance and
+    /// call a node *inside* when `D(u) + h(u) <= ub`.  Then:
+    ///
+    /// * every distance pass 2 assigns is the cost of a real path, so never
+    ///   below `D`;
+    /// * an inside node's plain-Dijkstra predecessor `p` is inside too, by
+    ///   consistency (`D(p) + h(p) <= D(p) + step + h(u) = D(u) + h(u)`), and
+    ///   the relaxation from `p` is kept; by induction in pop order every
+    ///   inside node gets `D`, and survivors with `D` pop in plain
+    ///   Dijkstra's `(key, node)` order;
+    /// * any node that relaxes an inside node `u` to `D(u)` lies on an
+    ///   optimal path to `u`, so it is inside and already holds its own `D`:
+    ///   the first such node to pop is the same in both searches, and `u`
+    ///   gets plain Dijkstra's `prev` and payload;
+    /// * plain Dijkstra's goal is inside (`h = 0` there, and its distance is
+    ///   at most `ub`), and no other goal can pop before it, since one that
+    ///   did would pop at least as early in plain Dijkstra.
+    pub fn run_dijkstra<S, H>(
+        &mut self,
+        space: &mut S,
+        sources: impl IntoIterator<Item = (u32, P)>,
+        h: H,
+    ) -> Option<S::Goal>
+    where
+        S: SearchSpace<Payload = P>,
+        H: Fn(u32) -> f64,
+    {
+        if self.stop.is_some() {
+            return None;
+        }
+        self.load(sources);
+        let pruned = self.pruned;
+        let (goal, _) = self.search(space, &h, |_, _| true)?;
+        self.pruned = pruned;
+        let resolution = self.key_resolution;
+        let limit = self.key(self.dist[goal as usize]) + 1;
+        let within = |to: u32, nd: f64| quantise(nd + h(to), resolution) <= limit;
+        self.search(space, &|_| 0.0, within).map(|(_, goal)| goal)
+    }
+
+    /// Replaces the stored sources.
+    fn load(&mut self, sources: impl IntoIterator<Item = (u32, P)>) {
+        self.sources.clear();
+        self.sources.extend(sources);
+    }
+
+    /// One search from the stored sources in `(key(dist + order), node)`
+    /// order, relaxing only where `keep(to, nd)` holds.  Returns the goal
+    /// node and what `space` made of it.
+    fn search<S, O, K>(&mut self, space: &mut S, order: &O, keep: K) -> Option<(u32, S::Goal)>
+    where
+        S: SearchSpace<Payload = P>,
+        O: Fn(u32) -> f64,
+        K: Fn(u32, f64) -> bool,
+    {
         self.begin();
-        for (node, payload) in sources {
-            self.relax(node, 0.0, None, payload);
-            self.push(self.key(h(node)), node);
+        for i in 0..self.sources.len() {
+            let (node, payload) = self.sources[i];
+            if keep(node, 0.0) {
+                self.relax(node, 0.0, None, payload);
+                self.push(self.key(order(node)), node);
+            }
         }
         let mut found = None;
         while let Some(Reverse((k, node))) = self.frontier.pop() {
@@ -254,33 +355,44 @@ impl<P: Copy + Default> Kernel<P> {
             }
             self.popped += 1;
             let i = node as usize;
-            if !self.stamps.is_fresh(i) || k != self.key(self.dist[i] + h(node)) {
+            if !self.stamps.is_fresh(i) || k != self.key(self.dist[i] + order(node)) {
                 continue; // stale entry
             }
             if let Some(goal) = space.goal(node, k, self) {
-                found = Some(goal);
+                found = Some((node, goal));
                 break;
             }
             let (dist, payload) = (self.dist[i], self.payload[i]);
             space.expand(node, dist, payload, |to, nd, p| {
-                self.improve(node, to, nd, p, &h);
+                self.improve(node, to, nd, p, order, &keep);
             });
         }
         self.pruned += self.frontier.len();
         found
     }
 
-    /// Lowers `to` to distance `nd` via `from` if that is an improvement,
-    /// and queues it unless it already sits in the frontier under the same
-    /// key.
+    /// Lowers `to` to distance `nd` via `from` if that is an improvement the
+    /// search `keep`s, and queues it unless it already sits in the frontier
+    /// under the same key.
     #[inline]
-    fn improve(&mut self, from: u32, to: u32, nd: f64, payload: P, h: &impl Fn(u32) -> f64) {
+    fn improve(
+        &mut self,
+        from: u32,
+        to: u32,
+        nd: f64,
+        payload: P,
+        order: &impl Fn(u32) -> f64,
+        keep: &impl Fn(u32, f64) -> bool,
+    ) {
         let i = to as usize;
         let fresh = self.stamps.is_fresh(i);
         if fresh && nd >= self.dist[i] {
             return;
         }
-        let h_to = h(to);
+        if !keep(to, nd) {
+            return;
+        }
+        let h_to = order(to);
         let key = self.key(nd + h_to);
         let queued = fresh && self.key(self.dist[i] + h_to) == key;
         self.relax(to, nd, Some(from), payload);

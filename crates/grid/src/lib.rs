@@ -14,7 +14,8 @@
 //! apples-to-apples:
 //!
 //! * [`Kernel`] — the one best-first search loop every router runs, each
-//!   over its own [`SearchSpace`];
+//!   over its own [`SearchSpace`], in A\* or bounded-Dijkstra order;
+//! * [`GoalBound`] — the one consistent lower bound both orders use;
 //! * [`TradCost`] — the one traditional step cost (`Cost_trad` of Eq. (1)),
 //!   over the net's [`guide_membership`];
 //! * [`EpochStamps`] — the O(1)-reset generation stamps behind every reused
@@ -34,6 +35,7 @@
 #![warn(missing_docs)]
 
 mod bitset;
+mod bound;
 mod budget;
 mod costs;
 mod epoch;
@@ -44,6 +46,7 @@ mod pins;
 mod state;
 
 pub use bitset::DenseBitSet;
+pub use bound::GoalBound;
 pub use budget::{CancelToken, Outcome, RouteBudget, StopReason};
 pub use costs::{guide_membership, CostParams, TradCost};
 pub use epoch::EpochStamps;

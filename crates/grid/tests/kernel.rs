@@ -28,42 +28,60 @@ struct Graph {
     key_resolution: f64,
 }
 
-/// The kernel's view of a [`Graph`]; logs every expansion.
+/// The kernel's view of a [`Graph`]; logs every expansion.  The payload
+/// hashes the path a node was reached by, so two searches that agree on a
+/// node's payload agree on its whole predecessor chain.
 struct Space<'a> {
     graph: &'a Graph,
     expanded: Vec<(u32, f64)>,
 }
 
 impl SearchSpace for Space<'_> {
-    type Payload = ();
+    type Payload = u64;
     type Goal = u32;
 
-    fn goal(&mut self, node: u32, _: u64, _: &Kernel<()>) -> Option<u32> {
+    fn goal(&mut self, node: u32, _: u64, _: &Kernel<u64>) -> Option<u32> {
         self.graph.goals[node as usize].then_some(node)
     }
 
-    fn expand(&mut self, node: u32, dist: f64, _: (), mut relax: impl FnMut(u32, f64, ())) {
+    fn expand(&mut self, node: u32, dist: f64, hash: u64, mut relax: impl FnMut(u32, f64, u64)) {
         self.expanded.push((node, dist));
         for &(to, cost) in &self.graph.succ[node as usize] {
-            relax(to, dist + cost, ());
+            let next = (hash ^ u64::from(to)).wrapping_mul(0x0000_0100_0000_01B3);
+            relax(to, dist + cost, next);
         }
     }
 }
 
+/// The search orders of the kernel.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Order {
+    /// `run` with `h = 0`.
+    Dijkstra,
+    /// `run` with the graph's bound.
+    AStar,
+    /// `run_dijkstra` with the graph's bound.
+    Bounded,
+}
+
 impl Graph {
-    fn kernel(&self) -> Kernel<()> {
+    fn kernel(&self) -> Kernel<u64> {
         Kernel::new(self.succ.len(), self.key_resolution)
     }
 
-    /// Runs one search; `a_star` switches the heuristic on.
-    fn search(&self, kernel: &mut Kernel<()>, a_star: bool) -> Option<u32> {
+    /// Runs one search in the given order.
+    fn search(&self, kernel: &mut Kernel<u64>, order: Order) -> Option<u32> {
         let mut space = Space {
             graph: self,
             expanded: Vec::new(),
         };
-        let sources = self.sources.iter().map(|&s| (s, ()));
-        let h = |v: u32| if a_star { self.h[v as usize] } else { 0.0 };
-        kernel.run(&mut space, sources, h)
+        let sources = self.sources.iter().map(|&s| (s, u64::from(s)));
+        let h = |v: u32| self.h[v as usize];
+        match order {
+            Order::Dijkstra => kernel.run(&mut space, sources, |_| 0.0),
+            Order::AStar => kernel.run(&mut space, sources, h),
+            Order::Bounded => kernel.run_dijkstra(&mut space, sources, h),
+        }
     }
 
     /// Textbook O(V²) Dijkstra: the cheapest distance to any goal.
@@ -242,8 +260,9 @@ fn expanded_grid(seed: u64) -> Graph {
             }
         }
     }
+    let targets = coverage.vertices(PinId::new(1));
     let mut goals = vec![false; succ.len()];
-    for t in coverage.vertices(PinId::new(1)) {
+    for t in targets {
         for slot in 0..12 {
             goals[t.index() * 12 + slot] = true;
         }
@@ -253,8 +272,21 @@ fn expanded_grid(seed: u64) -> Graph {
         .iter()
         .flat_map(|&v| (0..3).map(move |mask| node(v, mask, 0)))
         .collect();
+    // The Manhattan bound of the node's grid vertex.
+    let step = params.wire_cost(grid.pitch());
+    let h = (0..succ.len())
+        .map(|n| {
+            manhattan_bound(
+                &grid,
+                targets,
+                VertexId::new((n / 12) as u32),
+                step,
+                params.via,
+            )
+        })
+        .collect();
     Graph {
-        h: vec![0.0; succ.len()],
+        h,
         succ,
         goals,
         sources,
@@ -305,28 +337,89 @@ fn gcell_window(seed: u64) -> Graph {
     }
 }
 
-/// Every graph shape, for a few seeds.
-fn graphs() -> Vec<(&'static str, Graph)> {
+/// Two goals at equal distance where A\* and Dijkstra disagree: `s -> q ->
+/// g1` and `s -> p -> g2` at unit cost with an exact bound.  Dijkstra
+/// relaxes both goals before popping either and returns the lower id `g2`;
+/// A\* pops `q` (f = 2) before `p` (f = 2, higher id) and returns `g1`
+/// before `g2` is even queued.
+fn goal_tie() -> Graph {
+    let (s, g2, g1, q, p) = (0u32, 1u32, 2u32, 3u32, 4u32);
+    let mut succ = vec![Vec::new(); 5];
+    succ[s as usize] = vec![(p, 1.0), (q, 1.0)];
+    succ[p as usize] = vec![(g2, 1.0)];
+    succ[q as usize] = vec![(g1, 1.0)];
+    Graph {
+        succ,
+        goals: vec![false, true, true, false, false],
+        sources: vec![s],
+        h: vec![2.0, 0.0, 0.0, 1.0, 1.0],
+        key_resolution: 256.0,
+    }
+}
+
+/// A 6 × 6 grid of 0.1-cost steps at ten keys per unit, from one corner to
+/// the other, with the exact bound `0.1 × (Manhattan distance)`.  Ten steps
+/// sum to 0.9999999999999999, so the goal's key is 9, while halfway `0.5 +
+/// 0.5` is 1.0 with key 10: without its quantum of slack, bounded Dijkstra
+/// would drop the optimal paths.
+fn rounded_sums() -> Graph {
+    let n = 6usize;
+    let index = |x: usize, y: usize| (y * n + x) as u32;
+    let mut succ = vec![Vec::new(); n * n];
+    for y in 0..n {
+        for x in 0..n {
+            let out = &mut succ[index(x, y) as usize];
+            if x + 1 < n {
+                out.push((index(x + 1, y), 0.1));
+            }
+            if y + 1 < n {
+                out.push((index(x, y + 1), 0.1));
+            }
+        }
+    }
+    let mut goals = vec![false; n * n];
+    goals[index(n - 1, n - 1) as usize] = true;
+    let h = (0..n * n)
+        .map(|i| 0.1 * ((n - 1 - i % n) + (n - 1 - i / n)) as f64)
+        .collect();
+    Graph {
+        succ,
+        goals,
+        sources: vec![index(0, 0)],
+        h,
+        key_resolution: 10.0,
+    }
+}
+
+/// Every graph shape, for the given seeds.
+fn graphs_for(seeds: std::ops::RangeInclusive<u64>) -> Vec<(&'static str, Graph)> {
     let mut out = Vec::new();
-    for seed in 1..=3u64 {
+    for seed in seeds {
         out.push(("plain grid", plain_grid(seed)));
         out.push(("expanded graph", expanded_grid(seed)));
         out.push(("gcell window", gcell_window(seed)));
     }
+    out.push(("goal tie", goal_tie()));
+    out.push(("rounded sums", rounded_sums()));
     out
 }
 
+/// Every graph shape, for a few seeds.
+fn graphs() -> Vec<(&'static str, Graph)> {
+    graphs_for(1..=3)
+}
+
 #[test]
-fn every_graph_matches_reference_dijkstra_with_and_without_a_star() {
+fn every_graph_matches_reference_dijkstra_in_every_order() {
     for (name, graph) in graphs() {
         let want = graph.reference();
         assert!(want.is_finite(), "{name}: no path in the reference");
-        for a_star in [false, true] {
+        for order in [Order::Dijkstra, Order::AStar, Order::Bounded] {
             let mut kernel = graph.kernel();
-            let goal = graph.search(&mut kernel, a_star).expect("path exists");
+            let goal = graph.search(&mut kernel, order).expect("path exists");
             assert!(
                 (kernel.dist(goal) - want).abs() < 1e-9,
-                "{name} a_star={a_star}: {} != reference {want}",
+                "{name} {order:?}: {} != reference {want}",
                 kernel.dist(goal)
             );
             // The predecessor chain runs from a source to the goal.
@@ -341,9 +434,9 @@ fn every_graph_matches_reference_dijkstra_with_and_without_a_star() {
 fn goal_direction_never_pops_more() {
     for (name, graph) in graphs() {
         let mut popped = Vec::new();
-        for a_star in [false, true] {
+        for order in [Order::Dijkstra, Order::AStar] {
             let mut kernel = graph.kernel();
-            graph.search(&mut kernel, a_star).expect("path exists");
+            graph.search(&mut kernel, order).expect("path exists");
             popped.push(kernel.popped());
         }
         assert!(popped[1] <= popped[0], "{name}: {popped:?}");
@@ -354,14 +447,16 @@ fn goal_direction_never_pops_more() {
 fn epoch_wrap_does_not_leak_stale_search_state() {
     for (name, graph) in graphs() {
         let mut kernel = graph.kernel();
-        let goal = graph.search(&mut kernel, true).expect("path exists");
+        let goal = graph
+            .search(&mut kernel, Order::AStar)
+            .expect("path exists");
         let cost = kernel.dist(goal);
         // The next two searches cross u32::MAX and restart at 1, which must
         // not resurrect any stamp written before the wrap.
         kernel.force_epoch(u32::MAX - 1);
         for _ in 0..3 {
             let again = graph
-                .search(&mut kernel, true)
+                .search(&mut kernel, Order::AStar)
                 .expect("path exists after wrap");
             assert_eq!(again, goal, "{name}");
             assert!((kernel.dist(again) - cost).abs() < 1e-9, "{name}");
@@ -374,15 +469,19 @@ fn node_budget_stops_the_search_with_a_reason() {
     for (name, graph) in graphs() {
         let mut kernel = graph.kernel();
         kernel.arm(3, &RouteBudget::with_max_search_nodes(3));
-        assert_eq!(graph.search(&mut kernel, false), None, "{name}");
+        assert_eq!(graph.search(&mut kernel, Order::Dijkstra), None, "{name}");
         assert_eq!(kernel.stop_reason(), Some(StopReason::SearchNodes));
         assert!(kernel.popped() <= 3);
         // Once stopped, further searches refuse to start.
-        assert_eq!(graph.search(&mut kernel, false), None);
+        assert_eq!(graph.search(&mut kernel, Order::Dijkstra), None);
+        assert_eq!(graph.search(&mut kernel, Order::Bounded), None);
         assert!(kernel.popped() <= 3);
         // Re-arming unbudgeted finds the goal again.
         kernel.arm(u64::MAX, &RouteBudget::default());
-        assert!(graph.search(&mut kernel, false).is_some(), "{name}");
+        assert!(
+            graph.search(&mut kernel, Order::Dijkstra).is_some(),
+            "{name}"
+        );
         assert_eq!(kernel.stop_reason(), None);
     }
 }
@@ -405,9 +504,11 @@ fn cancellation_and_deadline_abort_the_search() {
             (&late, StopReason::Deadline),
         ] {
             let mut kernel = graph.kernel();
-            kernel.arm(u64::MAX, budget);
-            assert_eq!(graph.search(&mut kernel, true), None, "{name}");
-            assert_eq!(kernel.stop_reason(), Some(reason), "{name}");
+            for order in [Order::AStar, Order::Bounded] {
+                kernel.arm(u64::MAX, budget);
+                assert_eq!(graph.search(&mut kernel, order), None, "{name}");
+                assert_eq!(kernel.stop_reason(), Some(reason), "{name}");
+            }
         }
     }
 }
@@ -439,7 +540,7 @@ fn an_improvement_within_one_key_quantum_is_expanded_once_with_the_better_distan
         graph: &graph,
         expanded: Vec::new(),
     };
-    assert_eq!(kernel.run(&mut space, [(0, ())], |_| 0.0), None);
+    assert_eq!(kernel.run(&mut space, [(0, 0)], |_| 0.0), None);
     let a: Vec<f64> = space
         .expanded
         .iter()
@@ -462,7 +563,7 @@ fn an_improvement_across_keys_leaves_one_stale_entry() {
         graph: &graph,
         expanded: Vec::new(),
     };
-    assert_eq!(kernel.run(&mut space, [(0, ())], |_| 0.0), None);
+    assert_eq!(kernel.run(&mut space, [(0, 0)], |_| 0.0), None);
     let a: Vec<f64> = space
         .expanded
         .iter()
@@ -478,10 +579,14 @@ fn an_improvement_across_keys_leaves_one_stale_entry() {
 fn counters_restart_when_armed() {
     let graph = gcell_window(1);
     let mut kernel = graph.kernel();
-    graph.search(&mut kernel, true).expect("path exists");
+    graph
+        .search(&mut kernel, Order::AStar)
+        .expect("path exists");
     let (popped, peak) = (kernel.popped(), kernel.peak());
     assert!(popped > 0 && peak > 0);
-    graph.search(&mut kernel, true).expect("path exists");
+    graph
+        .search(&mut kernel, Order::AStar)
+        .expect("path exists");
     assert_eq!(
         kernel.popped(),
         2 * popped,
@@ -489,4 +594,86 @@ fn counters_restart_when_armed() {
     );
     kernel.arm(u64::MAX, &RouteBudget::default());
     assert_eq!((kernel.popped(), kernel.pruned(), kernel.peak()), (0, 0, 0));
+}
+
+#[test]
+fn bounded_dijkstra_returns_plain_dijkstras_answer() {
+    let mut pops = [0usize; 2];
+    for (name, graph) in graphs_for(1..=16) {
+        let mut plain = graph.kernel();
+        let want = graph.search(&mut plain, Order::Dijkstra);
+        let mut bounded = graph.kernel();
+        let got = graph.search(&mut bounded, Order::Bounded);
+        assert_eq!(got, want, "{name}: goal");
+        let goal = want.expect("path exists");
+        assert_eq!(
+            bounded.dist(goal).to_bits(),
+            plain.dist(goal).to_bits(),
+            "{name}: dist"
+        );
+        let path = plain.path(goal);
+        assert_eq!(bounded.path(goal), path, "{name}: path");
+        for &node in &path {
+            assert_eq!(bounded.dist(node).to_bits(), plain.dist(node).to_bits());
+            assert_eq!(
+                bounded.payload(node),
+                plain.payload(node),
+                "{name}: payload"
+            );
+        }
+        pops[0] += plain.popped();
+        pops[1] += bounded.popped();
+    }
+    // Both passes together still pop fewer nodes than plain Dijkstra.
+    assert!(pops[1] < pops[0], "{pops:?}");
+}
+
+/// Pops of the A* pass and of the whole bounded search, unbudgeted.
+fn pass_pops(graph: &Graph) -> (usize, usize) {
+    let mut kernel = graph.kernel();
+    graph
+        .search(&mut kernel, Order::AStar)
+        .expect("path exists");
+    let first = kernel.popped();
+    let mut kernel = graph.kernel();
+    graph
+        .search(&mut kernel, Order::Bounded)
+        .expect("path exists");
+    (first, kernel.popped())
+}
+
+#[test]
+fn a_node_limit_inside_the_a_star_pass_stops_bounded_dijkstra() {
+    for (name, graph) in graphs() {
+        let (first, _) = pass_pops(&graph);
+        let limit = first / 2;
+        let mut kernel = graph.kernel();
+        kernel.arm(limit as u64, &RouteBudget::default());
+        assert_eq!(graph.search(&mut kernel, Order::Bounded), None, "{name}");
+        assert_eq!(
+            kernel.stop_reason(),
+            Some(StopReason::SearchNodes),
+            "{name}"
+        );
+        assert!(kernel.popped() <= limit, "{name}");
+    }
+}
+
+#[test]
+fn a_node_limit_inside_the_dijkstra_pass_stops_bounded_dijkstra() {
+    for (name, graph) in graphs() {
+        let (first, total) = pass_pops(&graph);
+        assert!(total > first + 1, "{name}: the second pass pops");
+        let limit = first + (total - first) / 2;
+        let mut kernel = graph.kernel();
+        kernel.arm(limit as u64, &RouteBudget::default());
+        assert_eq!(graph.search(&mut kernel, Order::Bounded), None, "{name}");
+        assert_eq!(
+            kernel.stop_reason(),
+            Some(StopReason::SearchNodes),
+            "{name}"
+        );
+        assert!(kernel.popped() <= limit, "{name}");
+        assert!(kernel.popped() > first, "{name}: pass 1 completed");
+    }
 }

@@ -61,7 +61,7 @@ fn main() {
         net,
         in_guide: &in_guide,
     };
-    let ctx = SearchContext::new(trad, &config, &map);
+    let mut ctx = SearchContext::new(trad, &config, &map);
 
     let mut buffers = NetBuffers::new(grid.num_vertices());
     let mut cache = ColorCostCache::new(&grid);
@@ -86,7 +86,8 @@ fn main() {
                 (v, state)
             })
             .collect();
-        let Some((dst, pin)) = search(&ctx, &mut buffers, &mut cache, &sources, &unreached) else {
+        let Some((dst, pin)) = search(&mut ctx, &mut buffers, &mut cache, &sources, &unreached)
+        else {
             println!("  no path found — layout infeasible");
             break;
         };
