@@ -1,22 +1,21 @@
-//! The mask-and-direction expanded search graph.
+//! The mask-expanded search graph.
 
 use tpl_color::Mask;
-use tpl_geom::Dir;
 use tpl_grid::{GridGraph, VertexId};
 
 /// Node indexing for the expanded graph of the DAC'12 method: every grid
-/// vertex is split into `3 masks × 4 incoming planar directions` nodes
-/// (vias keep the incoming direction of the planar move that preceded them).
+/// vertex is split into one node per mask.
 ///
-/// A node is addressed as `vertex * 12 + mask * 4 + direction_class`.
+/// A node is addressed as `vertex * 3 + mask`.  The step cost reads only
+/// `(vertex, mask)`: a stitch is a mask change on a planar step.
 #[derive(Clone, Debug)]
 pub struct ExpandedGraph {
     num_vertices: usize,
 }
 
 impl ExpandedGraph {
-    /// Number of expansion slots per grid vertex.
-    pub const SLOTS: usize = 12;
+    /// Number of expansion slots (masks) per grid vertex.
+    pub const SLOTS: usize = 3;
 
     /// Creates the indexing helper for a grid.
     ///
@@ -39,35 +38,20 @@ impl ExpandedGraph {
         self.num_vertices * Self::SLOTS
     }
 
-    /// The direction class (0..4) of a direction: planar directions map to
-    /// their own class, via directions inherit class 0 (the class is carried
-    /// forward by the router for vias, so this value is only used when a
-    /// search starts).
+    /// Packs `(vertex, mask)` into a node id.
     #[inline]
-    pub fn dir_class(dir: Dir) -> usize {
-        match dir {
-            Dir::East => 0,
-            Dir::West => 1,
-            Dir::North => 2,
-            Dir::South => 3,
-            Dir::Up | Dir::Down => 0,
-        }
+    pub fn node(&self, v: VertexId, mask: Mask) -> u32 {
+        (v.index() * Self::SLOTS + mask.index()) as u32
     }
 
-    /// Packs `(vertex, mask, direction class)` into a node id.
+    /// Unpacks a node id into `(vertex, mask)`.
     #[inline]
-    pub fn node(&self, v: VertexId, mask: Mask, dir_class: usize) -> u32 {
-        debug_assert!(dir_class < 4);
-        (v.index() * Self::SLOTS + mask.index() * 4 + dir_class) as u32
-    }
-
-    /// Unpacks a node id into `(vertex, mask, direction class)`.
-    #[inline]
-    pub fn unpack(&self, node: u32) -> (VertexId, Mask, usize) {
+    pub fn unpack(&self, node: u32) -> (VertexId, Mask) {
         let node = node as usize;
-        let v = node / Self::SLOTS;
-        let rem = node % Self::SLOTS;
-        (VertexId::new(v as u32), Mask::from_index(rem / 4), rem % 4)
+        (
+            VertexId::new((node / Self::SLOTS) as u32),
+            Mask::from_index(node % Self::SLOTS),
+        )
     }
 }
 
@@ -90,46 +74,23 @@ mod tests {
     }
 
     #[test]
-    fn node_packing_round_trips() {
+    fn vertex_mask_packing_round_trips_onto_every_node_once() {
         let g = grid();
         let eg = ExpandedGraph::new(&g);
-        assert_eq!(eg.num_nodes(), g.num_vertices() * 12);
-        for raw in [0u32, 7, 42, (g.num_vertices() - 1) as u32] {
-            let v = VertexId::new(raw);
-            for mask in Mask::ALL {
-                for dc in 0..4 {
-                    let n = eg.node(v, mask, dc);
-                    assert!((n as usize) < eg.num_nodes());
-                    assert_eq!(eg.unpack(n), (v, mask, dc));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn node_ids_are_unique() {
-        let g = grid();
-        let eg = ExpandedGraph::new(&g);
+        assert_eq!(eg.num_nodes(), g.num_vertices() * 3);
         let mut seen = vec![false; eg.num_nodes()];
         for raw in 0..g.num_vertices() as u32 {
+            let v = VertexId::new(raw);
             for mask in Mask::ALL {
-                for dc in 0..4 {
-                    let n = eg.node(VertexId::new(raw), mask, dc);
-                    assert!(!seen[n as usize]);
-                    seen[n as usize] = true;
-                }
+                let n = eg.node(v, mask);
+                assert_eq!(eg.unpack(n), (v, mask));
+                assert!(!seen[n as usize], "node {n} packed twice");
+                seen[n as usize] = true;
             }
         }
-        assert!(seen.iter().all(|&b| b));
-    }
-
-    #[test]
-    fn direction_classes_cover_planar_dirs() {
-        let classes: std::collections::HashSet<usize> = Dir::PLANAR
-            .iter()
-            .map(|d| ExpandedGraph::dir_class(*d))
-            .collect();
-        assert_eq!(classes.len(), 4);
-        assert_eq!(ExpandedGraph::dir_class(Dir::Up), 0);
+        assert!(
+            seen.iter().all(|&b| b),
+            "every node id is some (vertex, mask)"
+        );
     }
 }

@@ -4,10 +4,11 @@
 //! Table II.  The method differs from Mr.TPL in two essential ways:
 //!
 //! 1. **Vertex splitting instead of colour states.**  The routing graph is
-//!    expanded so that every grid vertex becomes `3 masks × 4 incoming
-//!    directions = 12` search nodes; a path through the expanded graph
-//!    simultaneously chooses the geometry *and* a single concrete mask per
-//!    vertex.  The expansion makes every search proportionally more
+//!    expanded so that every grid vertex becomes one search node per mask
+//!    (3 nodes); a path through the expanded graph simultaneously chooses
+//!    the geometry *and* a single concrete mask per vertex.  A stitch is a
+//!    mask change on a planar step, so `(vertex, mask)` is all the state the
+//!    step cost reads.  The expansion makes every search proportionally more
 //!    expensive, which is where the paper's runtime gap comes from.
 //! 2. **2-pin decomposition.**  Multi-pin nets are broken into 2-pin
 //!    connections along a minimum spanning tree and each connection is routed

@@ -94,8 +94,11 @@ pub struct Dac12Router {
     config: Dac12Config,
 }
 
-/// The expanded search graph of one 2-pin connection: `(vertex, mask,
-/// incoming direction)` nodes, with the target pin's coverage as goals.
+/// The expanded search graph of one 2-pin connection: `(vertex, mask)`
+/// nodes, with the target pin's coverage as goals.  A step costs the
+/// traditional cost of the entered vertex plus the colour-conflict pressure
+/// on its mask, plus `stitch_cost` when a planar step changes the mask; a
+/// mask change across a via is free.
 struct SplitSearch<'s, 'a> {
     trad: TradCost<'a>,
     expanded: &'s ExpandedGraph,
@@ -113,12 +116,12 @@ impl SearchSpace for SplitSearch<'_, '_> {
     type Goal = u32;
 
     fn goal(&mut self, node: u32, _: u64, _: &Kernel<()>) -> Option<u32> {
-        let (v, _, _) = self.expanded.unpack(node);
+        let (v, _) = self.expanded.unpack(node);
         self.targets.contains(&v).then_some(node)
     }
 
     fn expand(&mut self, node: u32, dist: f64, _: (), mut relax: impl FnMut(u32, f64, ())) {
-        let (v, mask, dir_class) = self.expanded.unpack(node);
+        let (v, mask) = self.expanded.unpack(node);
         let grid = self.trad.grid;
         let at = grid.coords(v);
         let layer = LayerId::from(at.0);
@@ -130,23 +133,13 @@ impl SearchSpace for SplitSearch<'_, '_> {
                 continue;
             };
             let trad = self.trad.base(layer, dir) + penalty;
-            // Vias carry the incoming direction of the planar move before them.
-            let next_class = if dir.is_planar() {
-                ExpandedGraph::dir_class(dir)
-            } else {
-                dir_class
-            };
             for next_mask in Mask::ALL {
                 let mut step =
                     trad + self.config.color_conflict_cost * pressure[next_mask.index()] as f64;
                 if dir.is_planar() && next_mask != mask {
                     step += self.config.stitch_cost;
                 }
-                relax(
-                    self.expanded.node(n, next_mask, next_class),
-                    dist + step,
-                    (),
-                );
+                relax(self.expanded.node(n, next_mask), dist + step, ());
             }
         }
     }
@@ -164,14 +157,14 @@ impl SplitSearch<'_, '_> {
             .vertices(from)
             .iter()
             .filter(|v| !trad.state.is_blocked(**v))
-            .flat_map(|&v| Mask::ALL.map(|mask| (expanded.node(v, mask, 0), ())));
+            .flat_map(|&v| Mask::ALL.map(|mask| (expanded.node(v, mask), ())));
         let goal = kernel.run_dijkstra(self, sources, |node| {
             bound.h(trad.grid, expanded.unpack(node).0)
         })?;
-        let path = kernel.path(goal).into_iter().map(|node| {
-            let (v, mask, _) = expanded.unpack(node);
-            (v, mask)
-        });
+        let path = kernel
+            .path(goal)
+            .into_iter()
+            .map(|node| expanded.unpack(node));
         Some(path.collect())
     }
 }
@@ -603,6 +596,8 @@ fn pin_wire_mask(
 mod tests {
     use super::*;
     use tpl_color::ColorState;
+    use tpl_design::{DesignBuilder, Technology};
+    use tpl_geom::{Point, Rect};
     use tpl_global::{GlobalConfig, GlobalRouter};
     use tpl_grid::StopReason;
     use tpl_ispd::CaseParams;
@@ -655,34 +650,142 @@ mod tests {
 
     #[test]
     fn ispd18_case1_quarter_scale_reproduces_its_results() {
-        // Pinned to the results of the search loop the kernel replaced:
-        // same expansion order, same paths, same masks.
+        // Pinned to the results of the `(vertex, mask)` search graph; any
+        // change to the expansion order, the paths or the masks shows here.
         let (design, guides) = small_case(0.25);
         let result = Dac12Router::new(Dac12Config::default()).route(&design, &guides);
         let stats = &result.stats;
-        assert_eq!((stats.conflicts, stats.stitches), (0, 9));
+        assert_eq!((stats.conflicts, stats.stitches), (0, 6));
         assert_eq!(result.solution.total_wirelength(), 2540);
         assert_eq!(result.solution.total_vias(), 28);
         assert_eq!(stats.outcome, Outcome::Complete);
         assert!(stats.search_nodes > 0);
     }
 
+    /// The point of track `(ix, iy)` on a grid of `Technology::ispd_like`
+    /// (pitch 20, offset 10).
+    fn track(ix: i64, iy: i64) -> Point {
+        Point::new(10 + 20 * ix, 10 + 20 * iy)
+    }
+
+    fn dot(ix: i64, iy: i64) -> Rect {
+        let p = track(ix, iy);
+        Rect::from_coords(p.x - 2, p.y - 2, p.x + 2, p.y + 2)
+    }
+
     #[test]
     fn every_connection_reads_fresh_node_penalties() {
-        // Case 1 ×0.25 under the salt of the benchmark's replica 2.  A net's
-        // earlier connections take vertices over from other nets; node
-        // penalties cached before that commit would still charge the net's
-        // later connections for them as foreign occupancy (this case then
-        // routes 1520 dbu of wire instead of 1760).
-        let mut params = CaseParams::ispd18_like(1).scaled(0.25);
-        params.seed = params.seed.wrapping_add(2 << 32);
-        let design = params.generate();
-        let guides = GlobalRouter::new(GlobalConfig::default()).route(&design);
+        // One layer, 9 × 8 tracks.  Net `b` (routed first, smaller box) runs
+        // straight along row 5 from edge to edge, a wall every path of net
+        // `a` must cross at `occupied` cost.  `a`'s first connection, (2, 0)
+        // → (2, 6), crosses at (2, 5) and takes that vertex over.  Its
+        // second connection, (2, 6) → (6, 4), crosses there again for free:
+        // down column 2 and around the blocked (3, 4) through row 3, two
+        // vertical steps (320) more than a monotone path, rather than pay
+        // `occupied` (5000) to cross anywhere else.  A node penalty cached
+        // before the first connection committed would still charge (2, 5)
+        // as foreign, and the detour would no longer pay: `a` would cross
+        // the wall twice, on 2 fewer pitches.
+        let mut builder = DesignBuilder::new(
+            "wall",
+            Technology::ispd_like(1),
+            Rect::from_coords(0, 0, 180, 160),
+        );
+        let b0 = builder.add_pin_shape("b0", 0, dot(0, 5));
+        let b1 = builder.add_pin_shape("b1", 0, dot(8, 5));
+        let a0 = builder.add_pin_shape("a0", 0, dot(2, 0));
+        let a1 = builder.add_pin_shape("a1", 0, dot(2, 6));
+        let a2 = builder.add_pin_shape("a2", 0, dot(6, 4));
+        let a = builder.add_net("a", vec![a0, a1, a2]);
+        let b = builder.add_net("b", vec![b0, b1]);
+        builder.add_blockage(0, dot(3, 4));
+        let design = builder.build().unwrap();
+        let guides = RouteGuides::new(design.nets().len());
         let result = Dac12Router::new(Dac12Config::default()).route(&design, &guides);
         let stats = &result.stats;
-        assert_eq!((stats.conflicts, stats.stitches), (0, 2));
-        assert_eq!(result.solution.total_wirelength(), 1760);
-        assert_eq!(result.solution.total_vias(), 12);
+        assert_eq!((stats.failed_nets, stats.rrr_iterations), (0, 0));
+
+        let routed = |net| result.solution.get(net).expect("every net is routed");
+        let crossings: Vec<i64> = (0..9)
+            .filter(|&ix| {
+                let p = track(ix, 5);
+                routed(a).segments.iter().any(|s| s.seg.contains_point(&p))
+            })
+            .collect();
+        assert_eq!(crossings, [2]);
+        let length = |net| routed(net).wirelength();
+        // 6 pitches for the first connection, 3 + 4 + 1 for the second.
+        assert_eq!((length(a), length(b)), (14 * 20, 8 * 20));
+    }
+
+    #[test]
+    fn a_planar_mask_change_costs_one_stitch_and_a_via_mask_change_none() {
+        let mut builder = DesignBuilder::new(
+            "steps",
+            Technology::ispd_like(2),
+            Rect::from_coords(0, 0, 200, 200),
+        );
+        let p0 = builder.add_pin_shape("p0", 0, dot(0, 0));
+        let p1 = builder.add_pin_shape("p1", 0, dot(9, 9));
+        builder.add_net("n", vec![p0, p1]);
+        let design = builder.build().unwrap();
+        let grid = GridGraph::build(&design);
+        let expanded = ExpandedGraph::new(&grid);
+        let coverage = PinCoverage::build(&grid, &design);
+        let state = GridState::new(&grid, &design);
+        let map = ColorMap::new(design.die(), 2, design.tech().dcolor());
+        let mut cache = ColorCostCache::new(&grid);
+        cache.begin();
+        let config = Dac12Config::default();
+        let bound = GoalBound::new(&grid, &config.cost, 1.0);
+        let in_guide = DenseBitSet::full(grid.num_vertices());
+        let trad = TradCost {
+            grid: &grid,
+            state: &state,
+            coverage: &coverage,
+            design: &design,
+            params: &config.cost,
+            net: NetId::new(0),
+            in_guide: &in_guide,
+        };
+        let mut search = SplitSearch {
+            trad,
+            expanded: &expanded,
+            map: &map,
+            cache: &mut cache,
+            config: &config,
+            targets: &[],
+            bound: &bound,
+        };
+
+        // Expands `(v, mask)` at distance 100, checks every relaxation
+        // against the traditional step plus a stitch on a planar change, and
+        // counts them.
+        let mut check = |v: VertexId, mask: Mask| {
+            let mut relaxed = 0;
+            search.expand(expanded.node(v, mask), 100.0, (), |n, d, ()| {
+                let (to, to_mask) = expanded.unpack(n);
+                let dir = Dir::ALL
+                    .into_iter()
+                    .find(|dir| grid.neighbor(v, *dir) == Some(to))
+                    .expect("relaxed nodes are neighbours");
+                let stitch = dir.is_planar() && to_mask != mask;
+                let step = trad.step(v, to, dir).unwrap();
+                let expected = 100.0 + step + if stitch { config.stitch_cost } else { 0.0 };
+                assert_eq!(d, expected, "{dir:?} onto {to_mask:?} from {mask:?}");
+                relaxed += 1;
+            });
+            relaxed
+        };
+        // Each vertex below has four planar neighbours and one via (up from
+        // layer 0, down from layer 1), each relaxed at all three masks.  From
+        // the stitched-to mask, staying on it is free again.
+        let v = grid.vertex(0, 4, 4);
+        let up = grid.neighbor(v, Dir::Up).unwrap();
+        let east = grid.neighbor(v, Dir::East).unwrap();
+        for (v, mask) in [(v, 0), (up, 1), (east, 1)] {
+            assert_eq!(check(v, Mask::from_index(mask)), 5 * 3);
+        }
     }
 
     #[test]
