@@ -8,11 +8,7 @@
 //!   binary.  Its presets reproduce Table II (`--suite ispd18 --methods
 //!   dac12,mrtpl`) and Table III (`--suite ispd19 --methods
 //!   decompose,mrtpl`).
-//! * Re-exported flow functions ([`prepare`], [`run_mrtpl`], …) used by
-//!   the Criterion benches to iterate on a pre-generated case.
 
 #![warn(missing_docs)]
 
 pub mod cli;
-
-pub use tpl_harness::flows::{prepare, run_dac12, run_decompose, run_drcu, run_mrtpl};

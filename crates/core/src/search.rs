@@ -6,10 +6,10 @@
 //! and the goal-directed A\* bound:
 //!
 //! * **Epoch-stamped buffers** — [`NetBuffers`] keeps the kernel, target
-//!   marks, verSet and tree membership in flat arrays guarded by
-//!   [`EpochStamps`], so starting a search costs O(sources + targets)
-//!   instead of O(V).  The buffers are reused across every net of a routing
-//!   run.
+//!   marks ([`GoalMarks`]), verSet and tree membership in flat arrays
+//!   guarded by epoch stamps ([`EpochMap`]), so starting a search costs
+//!   O(sources + targets) instead of O(V).  The buffers are reused across
+//!   every net of a routing run.
 //! * **Goal-directed A\*** — [`GoalBound`], an admissible, consistent
 //!   Manhattan lower bound to the nearest unreached pin's coverage box
 //!   (priced at `alpha` times the cheapest step), steers expansion towards
@@ -20,18 +20,20 @@
 //!   other passes run [`Kernel::run_dijkstra`]: the same bound prunes them
 //!   without changing their Dijkstra answers.
 //! * **One cached record per relaxation** — a step costs the direction-class
-//!   [`TradCost::base`], read from a per-layer table [`SearchContext::new`]
-//!   builds once per net, plus the entered vertex's record in the
-//!   [`ColorCostCache`] (node penalty and 3-mask pressure, filled on the
-//!   net's first visit).  Neighbour ids come from one coordinate decode per
-//!   pop, in [`Dir::ALL`] order.
+//!   [`TradCost::base`], read from the per-layer table
+//!   [`CostParams::base_table`](tpl_grid::CostParams::base_table) that
+//!   [`SearchContext::new`] builds once per net, plus the entered vertex's
+//!   record in the [`ColorCostCache`] (node penalty and 3-mask pressure,
+//!   filled on the net's first visit).  Neighbour ids come from one
+//!   coordinate decode per pop, in [`Dir::ALL`] order.
 
 use crate::{MrTplConfig, SearchPolicy};
 use tpl_color::{ColorCostCache, ColorMap, ColorState, Mask};
-use tpl_design::{LayerId, PinId};
+use tpl_design::PinId;
 use tpl_geom::Dir;
 use tpl_grid::{
-    EpochStamps, GoalBound, Kernel, RouteBudget, SearchSpace, StopReason, TradCost, VertexId,
+    EpochMap, EpochStamps, GoalBound, GoalMarks, Kernel, RouteBudget, SearchSpace, StopReason,
+    TradCost, VertexId,
 };
 
 /// Key units per cost unit when quantising `f64` costs to frontier keys.
@@ -48,12 +50,10 @@ pub struct NetBuffers {
     goal_directed: bool,
     /// The search kernel; its payload is the colour state.
     kernel: Kernel<ColorState>,
-    /// Guards `target_pin`: which vertices are goals of the current search.
-    target: EpochStamps,
-    target_pin: Vec<u32>,
-    /// Guards `ver_set`.
-    net: EpochStamps,
-    ver_set: Vec<u32>,
+    /// Which vertices are goals of the current search, and for which pin.
+    target: GoalMarks,
+    /// The raw verSet id of each vertex within the current net.
+    ver_set: EpochMap<u32>,
     /// Guards routed-tree membership (replaces the router's `HashSet`).
     tree: EpochStamps,
 }
@@ -64,17 +64,15 @@ impl NetBuffers {
         Self {
             goal_directed: true,
             kernel: Kernel::new(num_vertices, KEY_RESOLUTION),
-            target: EpochStamps::new(num_vertices),
-            target_pin: vec![u32::MAX; num_vertices],
-            net: EpochStamps::new(num_vertices),
-            ver_set: vec![u32::MAX; num_vertices],
+            target: GoalMarks::new(num_vertices),
+            ver_set: EpochMap::new(num_vertices),
             tree: EpochStamps::new(num_vertices),
         }
     }
 
     /// Starts routing a new net: verSet and tree membership become stale.
     pub fn begin_net(&mut self) {
-        self.net.begin();
+        self.ver_set.begin();
         self.tree.begin();
     }
 
@@ -164,30 +162,16 @@ impl NetBuffers {
         self.kernel.payload(v.0).unwrap_or(ColorState::none())
     }
 
-    /// Marks a vertex as a goal of the current search for `pin`.
-    #[inline]
-    pub fn mark_target(&mut self, v: VertexId, pin: PinId) {
-        let i = v.index();
-        self.target.touch(i);
-        self.target_pin[i] = pin.0;
-    }
-
     /// The verSet the vertex belongs to within the current net, if assigned.
     #[inline]
     pub fn ver_set(&self, v: VertexId) -> Option<tpl_color::VerSetId> {
-        if self.net.is_fresh(v.index()) && self.ver_set[v.index()] != u32::MAX {
-            Some(tpl_color::VerSetId(self.ver_set[v.index()]))
-        } else {
-            None
-        }
+        self.ver_set.get(v.index()).map(tpl_color::VerSetId)
     }
 
     /// Assigns the vertex to a verSet for the current net.
     #[inline]
     pub fn set_ver_set(&mut self, v: VertexId, set: tpl_color::VerSetId) {
-        let i = v.index();
-        self.net.touch(i);
-        self.ver_set[i] = set.0;
+        self.ver_set.insert(v.index(), set.0);
     }
 
     /// Marks a vertex as part of the current net's routed tree.
@@ -211,7 +195,8 @@ pub struct SearchContext<'a> {
     pub config: &'a MrTplConfig,
     /// Already-coloured features of other nets.
     pub map: &'a ColorMap,
-    /// [`TradCost::base`] per layer and direction of [`Dir::ALL`].
+    /// [`TradCost::base`] per layer and direction of [`Dir::ALL`]
+    /// ([`CostParams::base_table`](tpl_grid::CostParams::base_table)).
     base: Vec<[f64; 6]>,
     /// The search's lower bound, priced at `alpha` and aimed per search.
     bound: GoalBound,
@@ -220,14 +205,11 @@ pub struct SearchContext<'a> {
 impl<'a> SearchContext<'a> {
     /// The context of one net; tabulates the direction-class costs once.
     pub fn new(trad: TradCost<'a>, config: &'a MrTplConfig, map: &'a ColorMap) -> Self {
-        let base = (0..trad.grid.num_layers())
-            .map(|layer| Dir::ALL.map(|dir| trad.base(LayerId::from(layer), dir)))
-            .collect();
         Self {
             trad,
             config,
             map,
-            base,
+            base: trad.params.base_table(trad.grid),
             bound: GoalBound::new(trad.grid, &config.cost, config.alpha),
         }
     }
@@ -272,8 +254,7 @@ impl<'a> SearchContext<'a> {
 struct ColorSearch<'s, 'a> {
     ctx: &'s SearchContext<'a>,
     cache: &'s mut ColorCostCache,
-    target: &'s EpochStamps,
-    target_pin: &'s [u32],
+    target: &'s GoalMarks,
 }
 
 impl SearchSpace for ColorSearch<'_, '_> {
@@ -281,10 +262,8 @@ impl SearchSpace for ColorSearch<'_, '_> {
     type Goal = (VertexId, PinId);
 
     fn goal(&mut self, node: u32, _: u64, _: &Kernel<ColorState>) -> Option<(VertexId, PinId)> {
-        let i = node as usize;
-        self.target
-            .is_fresh(i)
-            .then(|| (VertexId::new(node), PinId::new(self.target_pin[i])))
+        let v = VertexId::new(node);
+        self.target.pin(v).map(|pin| (v, pin))
     }
 
     fn expand(
@@ -324,32 +303,17 @@ pub fn search(
     sources: &[(VertexId, ColorState)],
     unreached: &[PinId],
 ) -> Option<(VertexId, PinId)> {
-    // O(targets) goal marking: a vertex is a goal exactly when it is covered
-    // by an unreached pin (`pin_at(v)` names that pin).
-    buffers.target.begin();
     let (grid, coverage) = (ctx.trad.grid, ctx.trad.coverage);
-    for &pin in unreached {
-        for &v in coverage.vertices(pin) {
-            if coverage.pin_at(v) == Some(pin) {
-                buffers.mark_target(v, pin);
-            }
-        }
-    }
+    buffers.target.mark_unreached(coverage, unreached);
     ctx.bound.aim(grid, coverage, unreached);
     let ctx = &*ctx;
     let NetBuffers {
         goal_directed,
         kernel,
         target,
-        target_pin,
         ..
     } = buffers;
-    let mut space = ColorSearch {
-        ctx,
-        cache,
-        target,
-        target_pin,
-    };
+    let mut space = ColorSearch { ctx, cache, target };
     let sources = sources
         .iter()
         .filter(|(s, _)| !ctx.trad.state.is_blocked(*s))
@@ -483,24 +447,12 @@ mod tests {
         let mut cache = ColorCostCache::new(&f.grid);
         buffers.begin_net();
         cache.begin();
-        buffers.target.begin();
-        let pin = PinId::new(1);
-        for &v in f.coverage.vertices(pin) {
-            if f.coverage.pin_at(v) == Some(pin) {
-                buffers.mark_target(v, pin);
-            }
-        }
-        let NetBuffers {
-            kernel,
-            target,
-            target_pin,
-            ..
-        } = &mut buffers;
+        buffers.target.mark_unreached(&f.coverage, &[PinId::new(1)]);
+        let NetBuffers { kernel, target, .. } = &mut buffers;
         let mut space = ColorSearch {
             ctx: c,
             cache: &mut cache,
             target,
-            target_pin,
         };
         let sources = all_sources(f).into_iter().map(|(s, state)| (s.0, state));
         let (dst, _) = kernel

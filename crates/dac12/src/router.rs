@@ -10,8 +10,8 @@ use tpl_design::{
 };
 use tpl_geom::{Dir, Segment};
 use tpl_grid::{
-    guide_membership, CostParams, DenseBitSet, GoalBound, GridGraph, GridState, Kernel, Outcome,
-    PinCoverage, RouteBudget, SearchSpace, TradCost, VertexId,
+    guide_membership, CostParams, DenseBitSet, GoalBound, GoalMarks, GridGraph, GridState, Kernel,
+    Outcome, PinCoverage, RouteBudget, SearchSpace, TradCost, VertexId,
 };
 
 /// Key units per cost unit of the search frontier.
@@ -85,6 +85,9 @@ struct SearchBuffers {
     kernel: Kernel<()>,
     cache: ColorCostCache,
     bound: GoalBound,
+    targets: GoalMarks,
+    /// [`CostParams::base`] per layer and direction of [`Dir::ALL`].
+    base: Vec<[f64; 6]>,
     in_guide: DenseBitSet,
 }
 
@@ -105,8 +108,10 @@ struct SplitSearch<'s, 'a> {
     map: &'s ColorMap,
     cache: &'s mut ColorCostCache,
     config: &'s Dac12Config,
-    /// The target pin's coverage.
-    targets: &'s [VertexId],
+    /// The target pin's coverage, marked once per connection.
+    targets: &'s GoalMarks,
+    /// [`CostParams::base`] per layer and direction of [`Dir::ALL`].
+    base: &'s [[f64; 6]],
     /// The lower bound, aimed at the target pin.
     bound: &'s GoalBound,
 }
@@ -117,22 +122,23 @@ impl SearchSpace for SplitSearch<'_, '_> {
 
     fn goal(&mut self, node: u32, _: u64, _: &Kernel<()>) -> Option<u32> {
         let (v, _) = self.expanded.unpack(node);
-        self.targets.contains(&v).then_some(node)
+        self.targets.pin(v).map(|_| node)
     }
 
     fn expand(&mut self, node: u32, dist: f64, _: (), mut relax: impl FnMut(u32, f64, ())) {
         let (v, mask) = self.expanded.unpack(node);
         let grid = self.trad.grid;
         let at = grid.coords(v);
-        let layer = LayerId::from(at.0);
-        for (dir, n) in Dir::ALL.into_iter().zip(grid.neighbors_at(v, at)) {
+        let base = &self.base[at.0];
+        let around = grid.neighbors_at(v, at);
+        for (k, (dir, n)) in Dir::ALL.into_iter().zip(around).enumerate() {
             let Some(n) = n else {
                 continue;
             };
             let Some((penalty, pressure)) = self.cache.record(&self.trad, self.map, n) else {
                 continue;
             };
-            let trad = self.trad.base(layer, dir) + penalty;
+            let trad = base[k] + penalty;
             for next_mask in Mask::ALL {
                 let mut step =
                     trad + self.config.color_conflict_cost * pressure[next_mask.index()] as f64;
@@ -208,6 +214,8 @@ impl Dac12Router {
             kernel: Kernel::new(expanded.num_nodes(), KEY_RESOLUTION),
             cache: ColorCostCache::new(&grid),
             bound: GoalBound::new(&grid, &self.config.cost, 1.0),
+            targets: GoalMarks::new(grid.num_vertices()),
+            base: self.config.cost.base_table(&grid),
             in_guide: DenseBitSet::new(grid.num_vertices()),
         };
         let mut solution = RoutingSolution::new(design.nets().len());
@@ -373,6 +381,8 @@ impl Dac12Router {
             kernel,
             cache,
             bound,
+            targets,
+            base,
             in_guide,
         } = buffers;
         guide_membership(grid, guides, net_id, in_guide);
@@ -403,14 +413,17 @@ impl Dac12Router {
             // One cache scope per connection: committing the previous
             // connection's occupancy changed the node penalties.
             cache.begin();
-            bound.aim(grid, coverage, &[centers[b].0]);
+            let target = centers[b].0;
+            bound.aim(grid, coverage, &[target]);
+            mark_targets(targets, coverage, target);
             let mut search = SplitSearch {
                 trad,
                 expanded,
                 map,
                 cache,
                 config: &self.config,
-                targets: coverage.vertices(centers[b].0),
+                targets,
+                base,
                 bound,
             };
             match search.route(kernel, centers[a].0) {
@@ -468,6 +481,15 @@ impl Dac12Router {
         segment_masks[net_id.index()] = masks;
         solution.set(net_id, routed);
         complete
+    }
+}
+
+/// Marks the goals of a connection to `target`: every vertex it covers,
+/// even one whose `pin_at` names an overlapping pin.
+fn mark_targets(targets: &mut GoalMarks, coverage: &PinCoverage, target: PinId) {
+    targets.begin();
+    for &v in coverage.vertices(target) {
+        targets.mark(v, target);
     }
 }
 
@@ -719,6 +741,62 @@ mod tests {
     }
 
     #[test]
+    fn every_vertex_the_target_pin_covers_is_a_goal_at_every_mask() {
+        // `wide` overlaps `dot`, which was added first and so owns (4, 4)
+        // in `pin_at`; a connection to `wide` still ends there.
+        let mut builder = DesignBuilder::new(
+            "overlap",
+            Technology::ispd_like(1),
+            Rect::from_coords(0, 0, 200, 200),
+        );
+        let dot_pin = builder.add_pin_shape("dot", 0, dot(4, 4));
+        let (lo, hi) = (track(4, 4), track(6, 4));
+        let wide = builder.add_pin_shape("wide", 0, Rect::from_coords(lo.x, lo.y, hi.x, hi.y));
+        builder.add_net("n", vec![dot_pin, wide]);
+        let design = builder.build().unwrap();
+        let grid = GridGraph::build(&design);
+        let expanded = ExpandedGraph::new(&grid);
+        let coverage = PinCoverage::build(&grid, &design);
+        let shared = grid.vertex(0, 4, 4);
+        assert_eq!(coverage.pin_at(shared), Some(dot_pin));
+        assert!(coverage.vertices(wide).contains(&shared));
+
+        let state = GridState::new(&grid, &design);
+        let map = ColorMap::new(design.die(), 1, design.tech().dcolor());
+        let mut cache = ColorCostCache::new(&grid);
+        let config = Dac12Config::default();
+        let bound = GoalBound::new(&grid, &config.cost, 1.0);
+        let mut targets = GoalMarks::new(grid.num_vertices());
+        mark_targets(&mut targets, &coverage, wide);
+        let base = config.cost.base_table(&grid);
+        let in_guide = DenseBitSet::full(grid.num_vertices());
+        let mut search = SplitSearch {
+            trad: TradCost {
+                grid: &grid,
+                state: &state,
+                coverage: &coverage,
+                design: &design,
+                params: &config.cost,
+                net: NetId::new(0),
+                in_guide: &in_guide,
+            },
+            expanded: &expanded,
+            map: &map,
+            cache: &mut cache,
+            config: &config,
+            targets: &targets,
+            base: &base,
+            bound: &bound,
+        };
+        let kernel = Kernel::new(expanded.num_nodes(), KEY_RESOLUTION);
+        for node in 0..expanded.num_nodes() as u32 {
+            let (v, _) = expanded.unpack(node);
+            let want = coverage.vertices(wide).contains(&v).then_some(node);
+            assert_eq!(search.goal(node, 0, &kernel), want, "{v:?}");
+        }
+    }
+
+    #[test]
     fn a_planar_mask_change_costs_one_stitch_and_a_via_mask_change_none() {
         let mut builder = DesignBuilder::new(
             "steps",
@@ -738,6 +816,8 @@ mod tests {
         cache.begin();
         let config = Dac12Config::default();
         let bound = GoalBound::new(&grid, &config.cost, 1.0);
+        let targets = GoalMarks::new(grid.num_vertices());
+        let base = config.cost.base_table(&grid);
         let in_guide = DenseBitSet::full(grid.num_vertices());
         let trad = TradCost {
             grid: &grid,
@@ -754,7 +834,8 @@ mod tests {
             map: &map,
             cache: &mut cache,
             config: &config,
-            targets: &[],
+            targets: &targets,
+            base: &base,
             bound: &bound,
         };
 

@@ -1,11 +1,11 @@
 //! The full-design colour-blind detailed router (rip-up & reroute loop).
 
-use crate::maze::{backtrace, search, KEY_RESOLUTION};
+use crate::maze::{backtrace, search, MazeBuffers};
 use std::collections::HashSet;
 use tpl_design::{Design, NetId, PinId, RouteGuides, RoutedNet, RoutingSolution};
 use tpl_grid::{
-    guide_membership, path_to_routed_net, CostParams, DenseBitSet, GoalBound, GridGraph, GridState,
-    Kernel, Outcome, PinCoverage, RouteBudget, TradCost, VertexId,
+    guide_membership, path_to_routed_net, CostParams, DenseBitSet, GridGraph, GridState, Outcome,
+    PinCoverage, RouteBudget, TradCost, VertexId,
 };
 
 /// Configuration of the Dr.CU-like router.
@@ -61,8 +61,7 @@ pub struct DrCuResult {
 
 /// The per-run buffers every net's search reuses.
 struct SearchBuffers {
-    kernel: Kernel<()>,
-    bound: GoalBound,
+    maze: MazeBuffers,
     in_guide: DenseBitSet,
 }
 
@@ -101,8 +100,7 @@ impl DrCuRouter {
         let coverage = PinCoverage::build(&grid, design);
         let mut state = GridState::new(&grid, design);
         let mut buffers = SearchBuffers {
-            kernel: Kernel::new(grid.num_vertices(), KEY_RESOLUTION),
-            bound: GoalBound::new(&grid, &self.config.cost, 1.0),
+            maze: MazeBuffers::new(&grid, &self.config.cost),
             in_guide: DenseBitSet::new(grid.num_vertices()),
         };
         let mut solution = RoutingSolution::new(design.nets().len());
@@ -145,7 +143,7 @@ impl DrCuRouter {
                 solution.rip_up(net_id);
                 net_vertices[net_id.index()].clear();
 
-                buffers.kernel.arm(remaining, budget);
+                buffers.maze.kernel.arm(remaining, budget);
                 let (routed, vertices, complete) = self.route_net(
                     design,
                     &grid,
@@ -155,10 +153,10 @@ impl DrCuRouter {
                     guides,
                     net_id,
                 );
-                let popped = buffers.kernel.popped();
+                let popped = buffers.maze.kernel.popped();
                 stats.search_nodes += popped;
                 tpl_trace::counter!("drcu.search_nodes", popped);
-                if let Some(reason) = buffers.kernel.stop_reason() {
+                if let Some(reason) = buffers.maze.kernel.stop_reason() {
                     stats.outcome = stats.outcome.merge(Outcome::from_stop(reason));
                 }
                 if !complete {
@@ -218,11 +216,7 @@ impl DrCuRouter {
         net_id: NetId,
     ) -> (RoutedNet, Vec<VertexId>, bool) {
         let net = design.net(net_id);
-        let SearchBuffers {
-            kernel,
-            bound,
-            in_guide,
-        } = buffers;
+        let SearchBuffers { maze, in_guide } = buffers;
         guide_membership(grid, guides, net_id, in_guide);
         let cost = TradCost {
             grid,
@@ -248,9 +242,9 @@ impl DrCuRouter {
         let mut complete = true;
 
         while !unreached.is_empty() {
-            match search(&cost, kernel, bound, &tree, &unreached) {
+            match search(&cost, maze, &tree, &unreached) {
                 Some((dst, pin)) => {
-                    let path = backtrace(kernel, dst);
+                    let path = backtrace(&maze.kernel, dst);
                     path_to_routed_net(grid, &path, &mut routed);
                     for &v in &path {
                         if tree_set.insert(v) {

@@ -61,6 +61,38 @@ impl CostParams {
     pub fn wrong_way_cost(&self, len: Dbu) -> f64 {
         self.unit_wire * self.wrong_way_mult * len as f64
     }
+
+    /// The direction-class cost of a step leaving a vertex on `layer` of
+    /// `grid` in direction `dir`: a via, preferred-direction wire or
+    /// wrong-way wire, with planar wire on the lowest layer times the M1
+    /// multiplier.
+    pub fn base(&self, grid: &GridGraph, layer: LayerId, dir: Dir) -> f64 {
+        match dir.axis() {
+            None => self.via,
+            Some(axis) => {
+                let c = if axis == grid.layer_axis(layer) {
+                    self.wire_cost(grid.pitch())
+                } else {
+                    self.wrong_way_cost(grid.pitch())
+                };
+                if layer.index() == 0 {
+                    c * self.base_layer_mult
+                } else {
+                    c
+                }
+            }
+        }
+    }
+
+    /// [`base`](Self::base) per layer of `grid` and direction of
+    /// [`Dir::ALL`]: the table the detailed routers read per relaxation,
+    /// indexed by the popped vertex's layer and the direction's position in
+    /// [`GridGraph::neighbors_at`].
+    pub fn base_table(&self, grid: &GridGraph) -> Vec<[f64; 6]> {
+        (0..grid.num_layers())
+            .map(|layer| Dir::ALL.map(|dir| self.base(grid, LayerId::from(layer), dir)))
+            .collect()
+    }
 }
 
 /// One net's `Cost_trad`: the colour-free cost of stepping onto a grid
@@ -100,27 +132,11 @@ impl TradCost<'_> {
         Some(self.base(self.grid.layer_of(from), dir) + penalty)
     }
 
-    /// The direction-class cost of a step leaving a vertex on `layer` in
-    /// direction `dir`: a via, preferred-direction wire or wrong-way wire,
-    /// with planar wire on the lowest layer times the M1 multiplier.
+    /// [`CostParams::base`] on this net's grid: the direction-class cost of
+    /// a step leaving a vertex on `layer` in direction `dir`.
     #[inline]
     pub fn base(&self, layer: LayerId, dir: Dir) -> f64 {
-        let p = self.params;
-        match dir.axis() {
-            None => p.via,
-            Some(axis) => {
-                let c = if axis == self.grid.layer_axis(layer) {
-                    p.wire_cost(self.grid.pitch())
-                } else {
-                    p.wrong_way_cost(self.grid.pitch())
-                };
-                if layer.index() == 0 {
-                    c * p.base_layer_mult
-                } else {
-                    c
-                }
-            }
-        }
+        self.params.base(self.grid, layer, dir)
     }
 
     /// The vertex-dependent part of stepping onto `to`, or `None` when `to`
@@ -218,6 +234,17 @@ mod tests {
         // Vias pay the via cost only, on every layer.
         assert_eq!(trad.base(m1, Dir::Up), p.via);
         assert_eq!(trad.base(m2, Dir::Down), p.via);
+        // The table holds the same values, in `Dir::ALL` order.
+        let table = p.base_table(&grid);
+        assert_eq!(table.len(), grid.num_layers());
+        for (layer, row) in table.iter().enumerate() {
+            for (dir, &base) in Dir::ALL.into_iter().zip(row) {
+                assert_eq!(
+                    base.to_bits(),
+                    trad.base(LayerId::from(layer), dir).to_bits()
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,63 +1,68 @@
 //! Generation-stamped validity tracking for reusable search buffers.
 //!
 //! A search kernel that runs thousands of times per case cannot afford to
-//! re-initialise O(V) scratch vectors before every run.  [`EpochStamps`]
+//! re-initialise O(V) scratch vectors before every run.  [`EpochMap`]
 //! implements the classic generation-counter trick: every slot carries the
 //! epoch in which it was last written, and bumping the epoch invalidates all
 //! slots in O(1).  The wrap-around case (`u32::MAX` epochs) is handled by
-//! clearing the stamp array once and restarting, so stale stamps from a
-//! previous lap can never alias a fresh epoch.
+//! clearing the stamps once and restarting, so stale stamps from a previous
+//! lap can never alias a fresh epoch.
 
-/// Per-slot generation stamps with O(1) bulk invalidation.
+/// Per-slot values with O(1) bulk invalidation.
 ///
-/// A slot is *fresh* when its stamp equals the current epoch.  Callers mark a
-/// slot fresh with [`EpochStamps::touch`] after writing the payload arrays it
-/// guards, and must treat the payload as garbage whenever
-/// [`EpochStamps::is_fresh`] is false.
+/// Each slot holds a value beside the epoch that wrote it, in one record, so
+/// a lookup reads one cache line.  A slot is *fresh* when its stamp equals
+/// the current epoch; a stale slot's value is never returned.
 #[derive(Debug, Clone)]
-pub struct EpochStamps {
+pub struct EpochMap<T> {
     epoch: u32,
-    stamp: Vec<u32>,
+    slots: Vec<(u32, T)>,
 }
 
-impl EpochStamps {
-    /// Creates stamps for `len` slots, all stale until the first `begin`.
+/// Per-slot generation stamps with no value: callers mark a slot fresh with
+/// [`EpochStamps::touch`] after writing the payload arrays it guards, and
+/// must treat the payload as garbage whenever [`EpochMap::is_fresh`] is
+/// false.
+pub type EpochStamps = EpochMap<()>;
+
+impl<T: Copy + Default> EpochMap<T> {
+    /// Creates `len` slots, all stale until the first `begin`.
     pub fn new(len: usize) -> Self {
         Self {
             // Slots start at 0 and the first `begin` moves the epoch to 1,
             // so a freshly-built instance has no accidentally-fresh slot.
             epoch: 0,
-            stamp: vec![0; len],
+            slots: vec![(0, T::default()); len],
         }
     }
 
     /// Number of slots.
     pub fn len(&self) -> usize {
-        self.stamp.len()
+        self.slots.len()
     }
 
     /// True when there are no slots.
     pub fn is_empty(&self) -> bool {
-        self.stamp.is_empty()
+        self.slots.is_empty()
     }
 
     /// Grows the slot count to at least `len` (new slots are stale).
     pub fn resize(&mut self, len: usize) {
-        if len > self.stamp.len() {
+        if len > self.slots.len() {
             // 0 is never the current epoch (begin() starts at 1), so new
             // slots are stale regardless of how many epochs have passed.
-            self.stamp.resize(len, 0);
+            self.slots.resize(len, (0, T::default()));
         }
     }
 
     /// Starts a new epoch, invalidating every slot in O(1).
     ///
-    /// On `u32` exhaustion the stamp array is cleared once and the counter
+    /// On `u32` exhaustion the stamps are cleared once and the counter
     /// restarts at 1, so stamps written billions of epochs ago can never
     /// collide with the new epoch.
     pub fn begin(&mut self) {
         if self.epoch == u32::MAX {
-            self.stamp.fill(0);
+            self.slots.fill((0, T::default()));
             self.epoch = 0;
         }
         self.epoch += 1;
@@ -76,16 +81,43 @@ impl EpochStamps {
         self.epoch = epoch;
     }
 
-    /// True when slot `i` was touched in the current epoch.
+    /// True when slot `i` was written in the current epoch.
     #[inline]
     pub fn is_fresh(&self, i: usize) -> bool {
-        self.stamp[i] == self.epoch
+        self.slots[i].0 == self.epoch
     }
 
+    /// Slot `i`'s value, if it was written in the current epoch.
+    #[inline]
+    pub fn get(&self, i: usize) -> Option<T> {
+        let (stamp, value) = self.slots[i];
+        (stamp == self.epoch).then_some(value)
+    }
+
+    /// Writes slot `i` in the current epoch.
+    #[inline]
+    pub fn insert(&mut self, i: usize, value: T) {
+        self.slots[i] = (self.epoch, value);
+    }
+
+    /// Slot `i`'s value, written first from `f` unless the current epoch
+    /// already wrote it.
+    #[inline]
+    pub fn get_or_insert_with(&mut self, i: usize, f: impl FnOnce() -> T) -> T {
+        let epoch = self.epoch;
+        let slot = &mut self.slots[i];
+        if slot.0 != epoch {
+            *slot = (epoch, f());
+        }
+        slot.1
+    }
+}
+
+impl EpochStamps {
     /// Marks slot `i` fresh for the current epoch.
     #[inline]
     pub fn touch(&mut self, i: usize) {
-        self.stamp[i] = self.epoch;
+        self.insert(i, ());
     }
 }
 
@@ -129,6 +161,26 @@ mod tests {
         // And the restarted counter behaves normally.
         s.touch(2);
         assert!(s.is_fresh(2));
+    }
+
+    #[test]
+    fn values_are_read_back_only_in_the_epoch_that_wrote_them() {
+        let mut m = EpochMap::<f64>::new(3);
+        m.begin();
+        assert_eq!(m.get(0), None);
+        m.insert(0, 2.5);
+        assert_eq!(m.get(0), Some(2.5));
+        assert_eq!(m.get_or_insert_with(0, || unreachable!()), 2.5);
+        assert_eq!(m.get_or_insert_with(1, || 4.0), 4.0);
+        assert_eq!(m.get(1), Some(4.0));
+        m.begin();
+        assert_eq!((m.get(0), m.get(1)), (None, None));
+        assert_eq!(m.get_or_insert_with(0, || 1.0), 1.0);
+        // Across the wrap, nothing written before it is read back.
+        m.force_epoch(u32::MAX);
+        m.insert(2, 9.0);
+        m.begin();
+        assert_eq!((m.get(0), m.get(2)), (None, None));
     }
 
     #[test]

@@ -5,16 +5,25 @@
 //! maze differ only in the graph they search.  [`Kernel`] owns everything
 //! else:
 //!
-//! * the frontier, one reused `BinaryHeap` that pops `(key, node)` pairs in
-//!   ascending order, where the key is the `f64` priority quantised at the
-//!   router's key resolution;
+//! * the frontier, one reused `BinaryHeap` of one-word entries
+//!   `(key << 32) | node`, which pop in ascending `(key, node)` order, where
+//!   the key is the `f64` priority quantised at the router's key
+//!   resolution;
 //! * epoch-stamped per-node `dist`, `prev` and payload (the colour state in
 //!   Mr.TPL, `()` elsewhere), so a search starts in O(sources) and the
 //!   buffers, the source list included, are allocated once per routing run;
+//! * an epoch-stamped memo of the bound `h` ([`EpochMap`]), so one call of
+//!   [`run`](Kernel::run) or [`run_dijkstra`](Kernel::run_dijkstra)
+//!   evaluates `h` at most once per node, both passes of the latter
+//!   included;
 //! * the exact stale-entry test;
 //! * the node-limit, deadline and cancellation probes;
 //! * the pop counter, the pruned-entry counter and the frontier high-water
 //!   mark.
+//!
+//! Per node that is 32 bytes plus the payload: `dist` (8 B), `prev` and its
+//! stamp (4 B each), and the `h` memo's record of stamp and value (16 B,
+//! read in one access).
 //!
 //! A router supplies a [`SearchSpace`] (its node encoding, `expand` and goal
 //! test) and a consistent lower bound `h` on the cost still to go (such as
@@ -26,6 +35,9 @@
 //!   nodes that can lie on an optimal path; its documentation gives the
 //!   pruning rule and why it is exact.
 //!
+//! `h` must be a pure function of the node for the length of one call: a
+//! router may re-aim its bound between calls, never within one.
+//!
 //! # Exact stale-entry test
 //!
 //! The kernel stores no per-node queued key.  Every relaxation leaves the
@@ -35,8 +47,13 @@
 //! improvement that lands on the already-queued key reuses that entry
 //! instead of pushing a duplicate: the node is expanded once, with the
 //! better distance.
+//!
+//! A frontier entry packs `(key, node)` into one `u128` whose integer order
+//! is the pair's lexicographic order, and equal entries are
+//! indistinguishable, so the pops come out exactly as they would from a
+//! heap of pairs.
 
-use crate::{EpochStamps, RouteBudget, StopReason};
+use crate::{EpochMap, EpochStamps, RouteBudget, StopReason};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -44,10 +61,16 @@ use std::collections::BinaryHeap;
 /// limit is checked on every pop.
 const INTERRUPT_PROBE_MASK: usize = 0x0FFF;
 
-/// A cost's frontier key at `resolution` keys per unit cost.
+/// The frontier entry of `node` queued under `key`.
 #[inline]
-fn quantise(cost: f64, resolution: f64) -> u64 {
-    (cost * resolution) as u64
+fn pack(key: u64, node: u32) -> u128 {
+    (u128::from(key) << 32) | u128::from(node)
+}
+
+/// The `(key, node)` pair of a frontier entry.
+#[inline]
+fn unpack(entry: u128) -> (u64, u32) {
+    ((entry >> 32) as u64, entry as u32)
 }
 
 /// The graph a [`Kernel`] searches: node encoding, successors and goal test.
@@ -87,7 +110,9 @@ pub struct Kernel<P> {
     dist: Vec<f64>,
     prev: Vec<u32>,
     payload: Vec<P>,
-    frontier: BinaryHeap<Reverse<(u64, u32)>>,
+    /// `h` of the nodes it was evaluated on in the current call.
+    h_memo: EpochMap<f64>,
+    frontier: BinaryHeap<Reverse<u128>>,
     popped: usize,
     pruned: usize,
     peak: usize,
@@ -118,6 +143,7 @@ impl<P: Copy + Default> Kernel<P> {
             dist: vec![f64::INFINITY; num_nodes],
             prev: vec![u32::MAX; num_nodes],
             payload: vec![P::default(); num_nodes],
+            h_memo: EpochMap::new(num_nodes),
             frontier: BinaryHeap::new(),
             popped: 0,
             pruned: 0,
@@ -132,7 +158,7 @@ impl<P: Copy + Default> Kernel<P> {
     /// Quantises a cost to its frontier key.
     #[inline]
     pub fn key(&self, cost: f64) -> u64 {
-        quantise(cost, self.key_resolution)
+        (cost * self.key_resolution) as u64
     }
 
     /// Allows the next searches `node_limit` pops in total, probes the
@@ -230,11 +256,12 @@ impl<P: Copy + Default> Kernel<P> {
         self.stop
     }
 
-    /// Test hook: jumps the epoch counter to `epoch` to exercise the `u32`
+    /// Test hook: jumps the epoch counters to `epoch` to exercise the `u32`
     /// wrap without 2^32 searches.
     #[doc(hidden)]
     pub fn force_epoch(&mut self, epoch: u32) {
         self.stamps.force_epoch(epoch);
+        self.h_memo.force_epoch(epoch);
     }
 
     /// A\* from `sources` (distance 0, each with its payload) in ascending
@@ -256,7 +283,7 @@ impl<P: Copy + Default> Kernel<P> {
             return None;
         }
         self.load(sources);
-        self.search(space, &h, |_, _| true).map(|(_, goal)| goal)
+        self.search(space, &h, None).map(|(_, goal)| goal)
     }
 
     /// Returns exactly what `run(space, sources, |_| 0.0)` returns — the
@@ -310,39 +337,71 @@ impl<P: Copy + Default> Kernel<P> {
         }
         self.load(sources);
         let pruned = self.pruned;
-        let (goal, _) = self.search(space, &h, |_, _| true)?;
+        let (goal, _) = self.search(space, &h, None)?;
         self.pruned = pruned;
-        let resolution = self.key_resolution;
         let limit = self.key(self.dist[goal as usize]) + 1;
-        let within = |to: u32, nd: f64| quantise(nd + h(to), resolution) <= limit;
-        self.search(space, &|_| 0.0, within).map(|(_, goal)| goal)
+        self.search(space, &h, Some(limit)).map(|(_, goal)| goal)
     }
 
-    /// Replaces the stored sources.
+    /// Replaces the stored sources and forgets every memoised bound: the
+    /// caller may have re-aimed `h` since the last call.
     fn load(&mut self, sources: impl IntoIterator<Item = (u32, P)>) {
         self.sources.clear();
         self.sources.extend(sources);
+        self.h_memo.begin();
     }
 
-    /// One search from the stored sources in `(key(dist + order), node)`
-    /// order, relaxing only where `keep(to, nd)` holds.  Returns the goal
-    /// node and what `space` made of it.
-    fn search<S, O, K>(&mut self, space: &mut S, order: &O, keep: K) -> Option<(u32, S::Goal)>
+    /// `h(node)`, evaluated on the node's first use in the current call and
+    /// read from the memo afterwards.
+    #[inline]
+    fn bound(&mut self, node: u32, h: &impl Fn(u32) -> f64) -> f64 {
+        self.h_memo.get_or_insert_with(node as usize, || h(node))
+    }
+
+    /// What the frontier adds to a node's distance: `h` in A\* order
+    /// (`limit` is `None`), nothing in Dijkstra order.
+    #[inline]
+    fn order(&mut self, node: u32, h: &impl Fn(u32) -> f64, limit: Option<u64>) -> f64 {
+        match limit {
+            None => self.bound(node, h),
+            Some(_) => 0.0,
+        }
+    }
+
+    /// Whether a search with pass-2 key `limit` keeps a relaxation of `to`
+    /// to distance `nd`: always in A\* order, and in Dijkstra order iff
+    /// `key(nd + h(to)) <= limit`.
+    #[inline]
+    fn keep(&mut self, to: u32, nd: f64, h: &impl Fn(u32) -> f64, limit: Option<u64>) -> bool {
+        match limit {
+            None => true,
+            Some(limit) => {
+                let h_to = self.bound(to, h);
+                self.key(nd + h_to) <= limit
+            }
+        }
+    }
+
+    /// One search from the stored sources: in `(key(dist + h), node)` order
+    /// when `limit` is `None`, else in `(key(dist), node)` order relaxing
+    /// only what [`keep`](Self::keep)s under `limit`.  Returns the goal node
+    /// and what `space` made of it.
+    fn search<S, H>(&mut self, space: &mut S, h: &H, limit: Option<u64>) -> Option<(u32, S::Goal)>
     where
         S: SearchSpace<Payload = P>,
-        O: Fn(u32) -> f64,
-        K: Fn(u32, f64) -> bool,
+        H: Fn(u32) -> f64,
     {
         self.begin();
         for i in 0..self.sources.len() {
             let (node, payload) = self.sources[i];
-            if keep(node, 0.0) {
+            if self.keep(node, 0.0, h, limit) {
                 self.relax(node, 0.0, None, payload);
-                self.push(self.key(order(node)), node);
+                let h_node = self.order(node, h, limit);
+                self.push(self.key(h_node), node);
             }
         }
         let mut found = None;
-        while let Some(Reverse((k, node))) = self.frontier.pop() {
+        while let Some(Reverse(entry)) = self.frontier.pop() {
             if self.popped as u64 >= self.node_limit {
                 self.stop = Some(StopReason::SearchNodes);
                 break;
@@ -354,8 +413,13 @@ impl<P: Copy + Default> Kernel<P> {
                 }
             }
             self.popped += 1;
+            let (k, node) = unpack(entry);
             let i = node as usize;
-            if !self.stamps.is_fresh(i) || k != self.key(self.dist[i] + order(node)) {
+            let live = self.stamps.is_fresh(i) && {
+                let h_node = self.order(node, h, limit);
+                k == self.key(self.dist[i] + h_node)
+            };
+            if !live {
                 continue; // stale entry
             }
             if let Some(goal) = space.goal(node, k, self) {
@@ -364,7 +428,7 @@ impl<P: Copy + Default> Kernel<P> {
             }
             let (dist, payload) = (self.dist[i], self.payload[i]);
             space.expand(node, dist, payload, |to, nd, p| {
-                self.improve(node, to, nd, p, order, &keep);
+                self.improve(node, to, nd, p, h, limit);
             });
         }
         self.pruned += self.frontier.len();
@@ -372,8 +436,8 @@ impl<P: Copy + Default> Kernel<P> {
     }
 
     /// Lowers `to` to distance `nd` via `from` if that is an improvement the
-    /// search `keep`s, and queues it unless it already sits in the frontier
-    /// under the same key.
+    /// search [`keep`](Self::keep)s, and queues it unless it already sits in
+    /// the frontier under the same key.
     #[inline]
     fn improve(
         &mut self,
@@ -381,18 +445,18 @@ impl<P: Copy + Default> Kernel<P> {
         to: u32,
         nd: f64,
         payload: P,
-        order: &impl Fn(u32) -> f64,
-        keep: &impl Fn(u32, f64) -> bool,
+        h: &impl Fn(u32) -> f64,
+        limit: Option<u64>,
     ) {
         let i = to as usize;
         let fresh = self.stamps.is_fresh(i);
         if fresh && nd >= self.dist[i] {
             return;
         }
-        if !keep(to, nd) {
+        if !self.keep(to, nd, h, limit) {
             return;
         }
-        let h_to = order(to);
+        let h_to = self.order(to, h, limit);
         let key = self.key(nd + h_to);
         let queued = fresh && self.key(self.dist[i] + h_to) == key;
         self.relax(to, nd, Some(from), payload);
@@ -403,7 +467,7 @@ impl<P: Copy + Default> Kernel<P> {
 
     #[inline]
     fn push(&mut self, key: u64, node: u32) {
-        self.frontier.push(Reverse((key, node)));
+        self.frontier.push(Reverse(pack(key, node)));
         self.peak = self.peak.max(self.frontier.len());
     }
 }

@@ -17,9 +17,11 @@
 //!   over its own [`SearchSpace`], in A\* or bounded-Dijkstra order;
 //! * [`GoalBound`] — the one consistent lower bound both orders use;
 //! * [`TradCost`] — the one traditional step cost (`Cost_trad` of Eq. (1)),
-//!   over the net's [`guide_membership`];
-//! * [`EpochStamps`] — the O(1)-reset generation stamps behind every reused
-//!   per-vertex buffer.
+//!   over the net's [`guide_membership`], with its direction-class part
+//!   tabulated once by [`CostParams::base_table`];
+//! * [`GoalMarks`] — the O(1) goal test of the detailed routers' searches;
+//! * [`EpochMap`] (and [`EpochStamps`], its value-less form) — the O(1)-reset
+//!   generation stamps behind every reused per-vertex buffer.
 //!
 //! # Examples
 //!
@@ -49,9 +51,9 @@ pub use bitset::DenseBitSet;
 pub use bound::GoalBound;
 pub use budget::{CancelToken, Outcome, RouteBudget, StopReason};
 pub use costs::{guide_membership, CostParams, TradCost};
-pub use epoch::EpochStamps;
+pub use epoch::{EpochMap, EpochStamps};
 pub use graph::{GridGraph, VertexId};
 pub use kernel::{Kernel, SearchSpace};
 pub use path::path_to_routed_net;
-pub use pins::PinCoverage;
+pub use pins::{GoalMarks, PinCoverage};
 pub use state::GridState;

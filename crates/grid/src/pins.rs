@@ -1,6 +1,6 @@
 //! Mapping pins onto the grid vertices they cover.
 
-use crate::{GridGraph, VertexId};
+use crate::{EpochMap, GridGraph, VertexId};
 use tpl_design::{Design, NetId, PinId};
 
 /// Pre-computed pin-to-vertex coverage for a design.
@@ -83,6 +83,56 @@ impl PinCoverage {
     }
 }
 
+/// The goals of one search: which vertices end it, and for which pin.
+///
+/// Marks are epoch-stamped, so starting a new search's marks costs O(1) and
+/// the goal test on a pop is one stamp and one slot read.
+#[derive(Clone, Debug)]
+pub struct GoalMarks {
+    /// The raw id of the pin each marked vertex ends the search for.
+    pin: EpochMap<u32>,
+}
+
+impl GoalMarks {
+    /// Marks over `num_vertices` vertices, none set.
+    pub fn new(num_vertices: usize) -> Self {
+        Self {
+            pin: EpochMap::new(num_vertices),
+        }
+    }
+
+    /// Clears every mark in O(1).
+    pub fn begin(&mut self) {
+        self.pin.begin();
+    }
+
+    /// Marks `v` as a goal for `pin`.
+    #[inline]
+    pub fn mark(&mut self, v: VertexId, pin: PinId) {
+        self.pin.insert(v.index(), pin.0);
+    }
+
+    /// Clears every mark, then marks the vertices an `unreached` pin owns: a
+    /// vertex `v` of `coverage.vertices(pin)` is a goal for `pin` exactly
+    /// when `coverage.pin_at(v)` names that pin.  Costs O(targets).
+    pub fn mark_unreached(&mut self, coverage: &PinCoverage, unreached: &[PinId]) {
+        self.begin();
+        for &pin in unreached {
+            for &v in coverage.vertices(pin) {
+                if coverage.pin_at(v) == Some(pin) {
+                    self.mark(v, pin);
+                }
+            }
+        }
+    }
+
+    /// The pin `v` is marked for, if any.
+    #[inline]
+    pub fn pin(&self, v: VertexId) -> Option<PinId> {
+        self.pin.get(v.index()).map(PinId::new)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,6 +183,21 @@ mod tests {
         for v in vs {
             assert_eq!(g.layer_of(*v).index(), 1);
         }
+    }
+
+    #[test]
+    fn goal_marks_hold_the_owning_unreached_pins_until_the_next_search() {
+        let (_, g, cov) = setup();
+        let mut marks = GoalMarks::new(g.num_vertices());
+        let (a, c) = (PinId::new(0), PinId::new(2));
+        marks.mark_unreached(&cov, &[c]);
+        for v in g.iter_vertices() {
+            let want = (cov.pin_at(v) == Some(c)).then_some(c);
+            assert_eq!(marks.pin(v), want, "{v:?}");
+        }
+        marks.mark_unreached(&cov, &[a]);
+        assert!(cov.vertices(c).iter().all(|&v| marks.pin(v).is_none()));
+        assert!(cov.vertices(a).iter().all(|&v| marks.pin(v) == Some(a)));
     }
 
     #[test]

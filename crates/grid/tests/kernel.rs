@@ -3,6 +3,7 @@
 //! colour-blind router), the DAC'12 mask × direction expanded graph, and a
 //! window of the global router's gcell grid.
 
+use std::cell::Cell;
 use std::time::{Duration, Instant};
 use tpl_design::{Design, DesignBuilder, NetId, PinId, Technology};
 use tpl_geom::{Dir, Rect};
@@ -626,6 +627,49 @@ fn bounded_dijkstra_returns_plain_dijkstras_answer() {
     }
     // Both passes together still pop fewer nodes than plain Dijkstra.
     assert!(pops[1] < pops[0], "{pops:?}");
+}
+
+#[test]
+fn the_bound_is_evaluated_at_most_once_per_node_per_call() {
+    for (name, graph) in graphs() {
+        let mut kernel = graph.kernel();
+        for order in [Order::AStar, Order::Bounded] {
+            let mut first = None;
+            // The second call must evaluate `h` afresh: a router re-aims its
+            // bound between calls.
+            for call in 0..2 {
+                let calls: Vec<Cell<u32>> = vec![Cell::new(0); graph.succ.len()];
+                let h = |v: u32| {
+                    let c = &calls[v as usize];
+                    c.set(c.get() + 1);
+                    graph.h[v as usize]
+                };
+                let mut space = Space {
+                    graph: &graph,
+                    expanded: Vec::new(),
+                };
+                let sources = graph.sources.iter().map(|&s| (s, u64::from(s)));
+                let goal = match order {
+                    Order::AStar => kernel.run(&mut space, sources, h),
+                    _ => kernel.run_dijkstra(&mut space, sources, h),
+                };
+                assert!(goal.is_some(), "{name} {order:?}");
+                let counts: Vec<u32> = calls.iter().map(Cell::get).collect();
+                assert!(
+                    counts.iter().all(|&c| c <= 1),
+                    "{name} {order:?}: {counts:?}"
+                );
+                // Every expanded node had its bound evaluated.
+                for &(node, _) in &space.expanded {
+                    assert_eq!(counts[node as usize], 1, "{name} {order:?} call {call}");
+                }
+                match &first {
+                    None => first = Some(counts),
+                    Some(first) => assert_eq!(&counts, first, "{name} {order:?}"),
+                }
+            }
+        }
+    }
 }
 
 /// Pops of the A* pass and of the whole bounded search, unbudgeted.

@@ -2,8 +2,7 @@
 //!
 //! Each flow takes a prepared case (design plus route guides) and returns the
 //! per-case [`CaseRecord`] alongside the flow's full native result.  The
-//! [`Method`](crate::Method) wrappers build on these; the Criterion benches in
-//! `tpl-bench` call them directly so they can iterate on a pre-generated case.
+//! [`Method`](crate::Method) wrappers build on these.
 
 use mrtpl_core::{MrTplConfig, MrTplRouter};
 use std::time::Instant;

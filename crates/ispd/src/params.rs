@@ -116,7 +116,7 @@ impl CaseParams {
     ///
     /// `factor` scales the die linearly and the net/obstacle counts
     /// quadratically so routing density stays roughly constant.  Used by unit
-    /// tests and Criterion benches to keep runtimes small.
+    /// tests and smoke runs to keep runtimes small.
     ///
     /// # Panics
     ///
