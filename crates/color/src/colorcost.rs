@@ -2,11 +2,7 @@
 //! and colour-conflict pressure, cached per scope.
 
 use crate::ColorMap;
-use tpl_geom::{Dbu, Rect};
 use tpl_grid::{EpochStamps, GridGraph, TradCost, VertexId};
-
-/// Half-width of the wire footprint a route through a vertex would occupy.
-const HALF_WIDTH: Dbu = 4;
 
 /// The penalty slot of a blocked vertex.
 const BLOCKED: f64 = f64::INFINITY;
@@ -18,9 +14,12 @@ const BLOCKED: f64 = f64::INFINITY;
 /// The pressure of a vertex is the number of already-coloured features of
 /// *other* nets within `Dcolor` of the wire footprint a route through that
 /// vertex would create, split by mask.  This is the quantity the paper
-/// pre-computes "by GR guide" before routing a net; caching it per vertex is
-/// equivalent and avoids recomputing it for vertices visited by several
-/// expansions.  Mr.TPL and the DAC'12 baseline share the cache.
+/// pre-computes "by GR guide" before routing a net.  The [`ColorMap`] keeps
+/// it current per vertex as features are committed and ripped up
+/// ([`ColorMap::vertex_pressure`]), so a fill reads a count and queries no
+/// spatial index; the cache pairs it with the node penalty so every later
+/// read of the vertex in the scope is one load.  Mr.TPL and the DAC'12
+/// baseline share the cache.
 ///
 /// **Contract:** between [`begin`](Self::begin) and the last
 /// [`record`](Self::record) read of a scope, every read passes the same
@@ -76,9 +75,7 @@ impl ColorCostCache {
             self.penalty[i] = BLOCKED;
             return;
         };
-        let grid = trad.grid;
-        let footprint = Rect::from_point(grid.point_of(v)).expanded(HALF_WIDTH);
-        let raw = map.mask_pressure(trad.net, grid.layer_of(v), &footprint);
+        let raw = map.vertex_pressure(trad.net, v);
         self.penalty[i] = penalty;
         self.pressure[i] = raw.map(|p| p.min(u16::MAX as usize) as u16);
     }
@@ -119,11 +116,7 @@ mod tests {
             coverage: PinCoverage::build(&grid, &design),
             params: CostParams::default(),
             in_guide: DenseBitSet::full(grid.num_vertices()),
-            map: ColorMap::new(
-                design.die(),
-                design.tech().num_layers(),
-                design.tech().dcolor(),
-            ),
+            map: ColorMap::new(&grid, design.tech().dcolor()),
             grid,
             design,
         }

@@ -2,7 +2,8 @@
 
 use crate::Mask;
 use tpl_design::{LayerId, NetId};
-use tpl_geom::{BinIndex, Dbu, Rect};
+use tpl_geom::{BinIndex, Dbu, Point, Rect};
+use tpl_grid::{GridGraph, VertexId};
 
 /// What kind of layout object a feature represents.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -65,37 +66,61 @@ impl Feature {
     }
 }
 
+/// Half-width of the wire footprint a route through a vertex would occupy.
+const HALF_WIDTH: Dbu = 4;
+
+/// The wire footprint of a route through the vertex at `p`.
+fn footprint(p: Point) -> Rect {
+    Rect::from_point(p).expanded(HALF_WIDTH)
+}
+
 /// An incremental spatial index of coloured features.
 ///
 /// Routers insert each net's coloured wires as they commit them and query the
-/// map while routing later nets: [`ColorMap::mask_pressure`] answers "how
-/// many features of *other* nets printed on mask *m* lie within `Dcolor` of
-/// this rectangle?" — the per-mask colour cost of Eq. (1).  Rip-up removes a
-/// net's features again.
+/// map while routing later nets.  Rip-up removes a net's features again.  The
+/// map answers the per-mask colour cost of Eq. (1), "how many features of
+/// *other* nets printed on mask *m* lie within `Dcolor`?", two ways:
+///
+/// * [`ColorMap::vertex_pressure`] for the wire footprint of a grid vertex.
+///   The map keeps every vertex's per-mask count current as features come
+///   and go, so the routers' searches read it in O(1) instead of querying
+///   the spatial index per visited vertex.
+/// * [`ColorMap::mask_pressure`] for an arbitrary rectangle (pin shapes),
+///   answered by a spatial-index query.
 #[derive(Clone, Debug)]
 pub struct ColorMap {
     dcolor: Dbu,
+    grid: GridGraph,
     per_layer: Vec<BinIndex>,
     features: Vec<Feature>,
     alive: Vec<bool>,
+    /// The live feature ids of each net, indexed by net.
+    by_net: Vec<Vec<u32>>,
+    /// Per vertex, per mask: the live masked features within `dcolor` of
+    /// the vertex's footprint, whatever their net.
+    pressure: Vec<[u32; 3]>,
 }
 
 impl ColorMap {
-    /// Creates an empty map covering `die` with `num_layers` layers and the
-    /// given colour-spacing distance.
+    /// Creates an empty map over `grid`'s die and layers with the given
+    /// colour-spacing distance.
     ///
     /// # Panics
     ///
-    /// Panics if `num_layers` is zero or `dcolor` is not positive.
-    pub fn new(die: Rect, num_layers: usize, dcolor: Dbu) -> Self {
-        assert!(num_layers > 0, "need at least one layer");
+    /// Panics if `dcolor` is not positive.
+    pub fn new(grid: &GridGraph, dcolor: Dbu) -> Self {
         assert!(dcolor > 0, "dcolor must be positive");
         let bin = (4 * dcolor).max(64);
         Self {
             dcolor,
-            per_layer: (0..num_layers).map(|_| BinIndex::new(die, bin)).collect(),
+            grid: grid.clone(),
+            per_layer: (0..grid.num_layers())
+                .map(|_| BinIndex::new(grid.die(), bin))
+                .collect(),
             features: Vec::new(),
             alive: Vec::new(),
+            by_net: Vec::new(),
+            pressure: vec![[0; 3]; grid.num_vertices()],
         }
     }
 
@@ -128,23 +153,93 @@ impl ColorMap {
         );
         let id = self.features.len();
         self.per_layer[feature.layer.index()].insert(id as u64, feature.rect);
+        if let Some(net) = feature.net {
+            if self.by_net.len() <= net.index() {
+                self.by_net.resize_with(net.index() + 1, Vec::new);
+            }
+            self.by_net[net.index()].push(id as u32);
+        }
         self.features.push(feature);
         self.alive.push(true);
+        let updates = self.update_pressure(&feature, true);
+        tpl_trace::counter!("color.pressure_updates", updates);
         id
     }
 
-    /// Removes every live feature of the given net (rip-up).  Returns how
-    /// many features were removed.
+    /// Removes every live feature of the given net (rip-up), in O(net).
+    /// Returns how many features were removed.
     pub fn remove_net(&mut self, net: NetId) -> usize {
-        let mut removed = 0;
-        for (id, feature) in self.features.iter().enumerate() {
-            if self.alive[id] && feature.net == Some(net) {
-                self.alive[id] = false;
-                self.per_layer[feature.layer.index()].remove(id as u64, feature.rect);
-                removed += 1;
+        let Some(ids) = self.by_net.get_mut(net.index()) else {
+            return 0;
+        };
+        let mut ids = std::mem::take(ids);
+        let mut updates = 0;
+        for &id in &ids {
+            let feature = self.features[id as usize];
+            self.alive[id as usize] = false;
+            self.per_layer[feature.layer.index()].remove(id as u64, feature.rect);
+            updates += self.update_pressure(&feature, false);
+        }
+        tpl_trace::counter!("color.pressure_updates", updates);
+        let removed = ids.len();
+        ids.clear();
+        self.by_net[net.index()] = ids;
+        removed
+    }
+
+    /// Adds (or removes) a feature's contribution to the pressure of every
+    /// vertex on its layer whose footprint lies within `dcolor` of it.
+    /// Returns the number of vertices updated.
+    fn update_pressure(&mut self, feature: &Feature, add: bool) -> usize {
+        let Some(mask) = feature.mask else {
+            return 0;
+        };
+        let layer = feature.layer.index();
+        let window = feature.rect.expanded(self.dcolor + HALF_WIDTH);
+        let (xs, ys) = self.grid.tracks_in_rect(&window);
+        let mut updates = 0;
+        for iy in ys {
+            for ix in xs.clone() {
+                let at = footprint(Point::new(self.grid.x_of(ix), self.grid.y_of(iy)));
+                if feature.rect.spacing_to(&at) >= self.dcolor {
+                    continue;
+                }
+                let count =
+                    &mut self.pressure[self.grid.vertex(layer, ix, iy).index()][mask.index()];
+                if add {
+                    *count += 1;
+                } else {
+                    *count -= 1;
+                }
+                updates += 1;
             }
         }
-        removed
+        updates
+    }
+
+    /// Per-mask pressure on the wire footprint of vertex `v` (its point
+    /// expanded by the wire half-width): `result[m]` is the number of live
+    /// features of *other* nets printed on mask `m` within `dcolor`.  Equal
+    /// to [`mask_pressure`](Self::mask_pressure) over that footprint, read
+    /// from the maintained count minus `net`'s own nearby features (none
+    /// while the routers search a ripped-up net).
+    #[inline]
+    pub fn vertex_pressure(&self, net: NetId, v: VertexId) -> [usize; 3] {
+        let mut pressure = self.pressure[v.index()].map(|c| c as usize);
+        let own = self.by_net.get(net.index()).map_or(&[][..], Vec::as_slice);
+        if !own.is_empty() {
+            let layer = self.grid.layer_of(v);
+            let at = footprint(self.grid.point_of(v));
+            for &id in own {
+                let f = &self.features[id as usize];
+                if let Some(mask) = f.mask {
+                    if f.layer == layer && f.rect.spacing_to(&at) < self.dcolor {
+                        pressure[mask.index()] -= 1;
+                    }
+                }
+            }
+        }
+        pressure
     }
 
     /// Per-mask pressure around a rectangle on `layer`: `result[m]` is the
@@ -183,9 +278,17 @@ impl ColorMap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tpl_design::{DesignBuilder, Technology};
 
     fn map() -> ColorMap {
-        ColorMap::new(Rect::from_coords(0, 0, 1000, 1000), 3, 45)
+        let design = DesignBuilder::new(
+            "map",
+            Technology::ispd_like(3),
+            Rect::from_coords(0, 0, 1000, 1000),
+        )
+        .build()
+        .unwrap();
+        ColorMap::new(&GridGraph::build(&design), 45)
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //! * [`ColorMap`] — an incremental spatial map of already-coloured features,
 //!   answering "how many features of another net with mask *m* lie within
 //!   `Dcolor` of this rectangle?", the quantity behind `Cost_color` in
-//!   Eq. (1).
+//!   Eq. (1).  It keeps that count current for every grid vertex's wire
+//!   footprint as features are inserted and removed.
 //! * [`ColorCostCache`] — that pressure per grid vertex together with the
 //!   vertex's `Cost_trad` node penalty, one cached record per vertex while
 //!   a net is routed (shared by Mr.TPL and the DAC'12 baseline).

@@ -266,11 +266,7 @@ mod tests {
         Fixture {
             gstate: GridState::new(&grid, &design),
             coverage: PinCoverage::build(&grid, &design),
-            map: ColorMap::new(
-                design.die(),
-                design.tech().num_layers(),
-                design.tech().dcolor(),
-            ),
+            map: ColorMap::new(&grid, design.tech().dcolor()),
             config: MrTplConfig::default(),
             in_guide: DenseBitSet::full(grid.num_vertices()),
             grid,

@@ -86,11 +86,7 @@ impl MrTplRouter {
         let grid = GridGraph::build(design);
         let coverage = PinCoverage::build(&grid, design);
         let mut gstate = GridState::new(&grid, design);
-        let mut map = ColorMap::new(
-            design.die(),
-            design.tech().num_layers(),
-            design.tech().dcolor(),
-        );
+        let mut map = ColorMap::new(&grid, design.tech().dcolor());
         let mut buffers = NetBuffers::new(grid.num_vertices());
         let mut cache = ColorCostCache::new(&grid);
         let mut in_guide = DenseBitSet::new(grid.num_vertices());
@@ -200,6 +196,7 @@ impl MrTplRouter {
 
                 // ... and the batch commits occupancy, colour map and
                 // solution together, in net order.
+                let _commit_span = tpl_trace::span!("core.commit", nets = routed.len());
                 for (net_id, (colored, vertices, complete), (nodes, pruned, peak, stop)) in routed {
                     if !complete {
                         stats.failed_nets += 1;

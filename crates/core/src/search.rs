@@ -356,11 +356,7 @@ mod tests {
         let grid = GridGraph::build(&design);
         let gstate = GridState::new(&grid, &design);
         let coverage = PinCoverage::build(&grid, &design);
-        let map = ColorMap::new(
-            design.die(),
-            design.tech().num_layers(),
-            design.tech().dcolor(),
-        );
+        let map = ColorMap::new(&grid, design.tech().dcolor());
         Fixture {
             design,
             grid,

@@ -55,7 +55,7 @@ proptest! {
         }
         let mut in_guide = DenseBitSet::new(grid.num_vertices());
         guide_membership(&grid, &route_guides, net, &mut in_guide);
-        let mut map = ColorMap::new(design.die(), num_layers, design.tech().dcolor());
+        let mut map = ColorMap::new(&grid, design.tech().dcolor());
         for &(layer, x, y, owner, mask) in &wires {
             map.insert(Feature::wire(
                 NetId::new((owner % num_nets) as u32),

@@ -205,11 +205,7 @@ impl Dac12Router {
         let expanded = ExpandedGraph::new(&grid);
         let coverage = PinCoverage::build(&grid, design);
         let mut gstate = GridState::new(&grid, design);
-        let mut map = ColorMap::new(
-            design.die(),
-            design.tech().num_layers(),
-            design.tech().dcolor(),
-        );
+        let mut map = ColorMap::new(&grid, design.tech().dcolor());
         let mut buffers = SearchBuffers {
             kernel: Kernel::new(expanded.num_nodes(), KEY_RESOLUTION),
             cache: ColorCostCache::new(&grid),
@@ -762,7 +758,7 @@ mod tests {
         assert!(coverage.vertices(wide).contains(&shared));
 
         let state = GridState::new(&grid, &design);
-        let map = ColorMap::new(design.die(), 1, design.tech().dcolor());
+        let map = ColorMap::new(&grid, design.tech().dcolor());
         let mut cache = ColorCostCache::new(&grid);
         let config = Dac12Config::default();
         let bound = GoalBound::new(&grid, &config.cost, 1.0);
@@ -811,7 +807,7 @@ mod tests {
         let expanded = ExpandedGraph::new(&grid);
         let coverage = PinCoverage::build(&grid, &design);
         let state = GridState::new(&grid, &design);
-        let map = ColorMap::new(design.die(), 2, design.tech().dcolor());
+        let map = ColorMap::new(&grid, design.tech().dcolor());
         let mut cache = ColorCostCache::new(&grid);
         cache.begin();
         let config = Dac12Config::default();

@@ -29,7 +29,7 @@ fn main() {
     let grid = GridGraph::build(&design);
     let gstate = GridState::new(&grid, &design);
     let coverage = PinCoverage::build(&grid, &design);
-    let mut map = ColorMap::new(design.die(), 2, design.tech().dcolor());
+    let mut map = ColorMap::new(&grid, design.tech().dcolor());
 
     // The two pre-coloured neighbour wires of Fig. 3 (mask 2 and mask 3).
     // They run across the middle of the net's bounding box on both routing
