@@ -1,8 +1,9 @@
 //! Counting conflicts and stitches on a finished, coloured layout.
 
-use crate::{Feature, FeatureKind, Mask};
-use tpl_design::{LayerId, NetId};
+use crate::{ColorMap, Feature, FeatureKind, Mask};
+use tpl_design::{Design, LayerId, NetId};
 use tpl_geom::{BinIndex, Dbu, Rect};
+use tpl_grid::{GridGraph, GridState};
 
 /// A colour conflict: two features of different nets printed on the same mask
 /// closer than `Dcolor`.
@@ -88,6 +89,20 @@ impl ColoredLayout {
             dcolor,
             features: Vec::new(),
         }
+    }
+
+    /// The layout of a design's live colour map: every feature the map
+    /// currently holds, in the map's order.
+    pub fn of_map(design: &Design, map: &ColorMap) -> Self {
+        let mut layout = Self::new(
+            design.die(),
+            design.tech().num_layers(),
+            design.tech().dcolor(),
+        );
+        for f in map.live_features() {
+            layout.add(*f);
+        }
+        layout
     }
 
     /// Adds a feature and returns its index.
@@ -227,6 +242,47 @@ impl ColoredLayout {
     /// Number of stitches.
     pub fn count_stitches(&self) -> usize {
         self.stitches().len()
+    }
+
+    /// The conflict-negotiation step of the colour-aware routers: names the
+    /// nets to rip up for `conflicts` (pairs into this layout) and charges
+    /// the conflict regions with history cost.
+    ///
+    /// Pins cannot move, so in a wire-pin conflict the wire's net loses;
+    /// otherwise the larger net id loses.  Rerouting either net of a pin-pin
+    /// conflict re-colours its pin with full knowledge of the other.
+    /// Conflicts involving an obstacle are skipped.  Every grid vertex under
+    /// either feature of a conflict gets `history_increment`, once per
+    /// conflict, so the reroute avoids the region.  The victims come back
+    /// sorted by id and deduplicated.
+    pub fn victims(
+        &self,
+        conflicts: &[ConflictPair],
+        grid: &GridGraph,
+        state: &mut GridState,
+        history_increment: f64,
+    ) -> Vec<NetId> {
+        let mut victims = Vec::new();
+        for c in conflicts {
+            let (fa, fb) = (&self.features[c.a], &self.features[c.b]);
+            let (Some(na), Some(nb)) = (fa.net, fb.net) else {
+                continue;
+            };
+            let victim = match (fa.kind == FeatureKind::Wire, fb.kind == FeatureKind::Wire) {
+                (true, false) => na,
+                (false, true) => nb,
+                _ => na.max(nb),
+            };
+            victims.push(victim);
+            for rect in [fa.rect, fb.rect] {
+                for v in grid.vertices_in_rect(c.layer, &rect) {
+                    state.add_history(v, history_increment);
+                }
+            }
+        }
+        victims.sort_unstable();
+        victims.dedup();
+        victims
     }
 
     /// Aggregate statistics.
@@ -376,6 +432,120 @@ mod tests {
         // A wire next to a same-mask pin is a routing conflict.
         l.add(wire(2, 0, Rect::from_coords(0, 60, 200, 68), Mask::Red));
         assert_eq!(l.count_conflicts(), 1);
+    }
+
+    fn pin(net: u32, rect: Rect, mask: Mask) -> Feature {
+        Feature::pin(NetId::new(net), LayerId::new(0), rect, Some(mask))
+    }
+
+    /// An empty design's grid (pitch 20, tracks at 10, 30, 50, ...) and
+    /// state, over the same die as [`layout`].
+    fn grid() -> (GridGraph, GridState) {
+        let design = tpl_design::DesignBuilder::new(
+            "victims",
+            tpl_design::Technology::ispd_like(3),
+            Rect::from_coords(0, 0, 1000, 1000),
+        )
+        .build()
+        .unwrap();
+        let grid = GridGraph::build(&design);
+        let state = GridState::new(&grid, &design);
+        (grid, state)
+    }
+
+    fn victims(l: &ColoredLayout, conflicts: &[ConflictPair]) -> Vec<NetId> {
+        let (grid, mut state) = grid();
+        l.victims(conflicts, &grid, &mut state, 1.0)
+    }
+
+    #[test]
+    fn a_wire_loses_to_a_pin_whatever_the_ids() {
+        let (p, w) = (
+            pin(5, Rect::from_coords(0, 0, 8, 8), Mask::Red),
+            wire(1, 0, Rect::from_coords(0, 30, 200, 38), Mask::Red),
+        );
+        // Both feature orders, so the wire is once `a` and once `b`.
+        for features in [[p, w], [w, p]] {
+            let mut l = layout();
+            for f in features {
+                l.add(f);
+            }
+            assert_eq!(victims(&l, &l.conflicts()), vec![NetId::new(1)]);
+        }
+    }
+
+    #[test]
+    fn between_two_wires_or_two_pins_the_larger_net_id_loses() {
+        let mut l = layout();
+        l.add(wire(7, 0, Rect::from_coords(0, 0, 200, 8), Mask::Red));
+        l.add(wire(2, 0, Rect::from_coords(0, 20, 200, 28), Mask::Red));
+        assert_eq!(victims(&l, &l.conflicts()), vec![NetId::new(7)]);
+
+        let mut l = layout();
+        l.add(pin(3, Rect::from_coords(0, 0, 8, 8), Mask::Red));
+        l.add(pin(4, Rect::from_coords(0, 30, 8, 38), Mask::Red));
+        assert_eq!(victims(&l, &l.input_conflicts()), vec![NetId::new(4)]);
+    }
+
+    #[test]
+    fn obstacle_conflicts_name_no_victim_and_charge_no_history() {
+        let mut l = layout();
+        let a = l.add(wire(1, 0, Rect::from_coords(0, 0, 200, 8), Mask::Red));
+        let b = l.add(Feature::obstacle(
+            LayerId::new(0),
+            Rect::from_coords(0, 20, 200, 28),
+            Some(Mask::Red),
+        ));
+        let pair = ConflictPair {
+            a,
+            b,
+            layer: LayerId::new(0),
+            mask: Mask::Red,
+        };
+        let (grid, mut state) = grid();
+        assert!(l.victims(&[pair], &grid, &mut state, 1.0).is_empty());
+        assert!(grid.iter_vertices().all(|v| state.history(v) == 0.0));
+    }
+
+    #[test]
+    fn victims_come_back_sorted_and_deduplicated() {
+        // Net 9 conflicts with nets 2 and 3 (it loses both), and 3 with 2.
+        let mut l = layout();
+        l.add(wire(9, 0, Rect::from_coords(0, 0, 200, 8), Mask::Red));
+        l.add(wire(2, 0, Rect::from_coords(0, 20, 200, 28), Mask::Red));
+        l.add(wire(3, 0, Rect::from_coords(0, 40, 200, 48), Mask::Red));
+        assert_eq!(l.count_conflicts(), 3);
+        assert_eq!(
+            victims(&l, &l.conflicts()),
+            vec![NetId::new(3), NetId::new(9)]
+        );
+    }
+
+    #[test]
+    fn history_is_charged_once_per_conflict_under_both_features() {
+        // A (y 0..8) conflicts with B (y 30..38), B with C (y 60..68); A and
+        // C are 52 apart.  Their vertices lie on tracks y = 10, 30 and 50/70.
+        let mut l = layout();
+        l.add(wire(1, 0, Rect::from_coords(0, 0, 200, 8), Mask::Red));
+        l.add(wire(2, 0, Rect::from_coords(0, 30, 200, 38), Mask::Red));
+        l.add(wire(3, 0, Rect::from_coords(0, 60, 200, 68), Mask::Red));
+        let conflicts = l.conflicts();
+        assert_eq!(conflicts.len(), 2);
+        let (grid, mut state) = grid();
+        let victims = l.victims(&conflicts, &grid, &mut state, 2.5);
+        assert_eq!(victims, vec![NetId::new(2), NetId::new(3)]);
+        for (layer, ix, iy, want) in [
+            (0, 0, 0, 2.5),  // under A only
+            (0, 10, 1, 5.0), // under B, which is in both conflicts
+            (0, 5, 2, 2.5),  // under C only
+            (0, 5, 3, 2.5),
+            (0, 5, 4, 0.0),  // above C
+            (0, 11, 0, 0.0), // right of A
+            (1, 0, 0, 0.0),  // another layer
+        ] {
+            let v = grid.vertex(layer, ix, iy);
+            assert_eq!(state.history(v), want, "vertex ({layer}, {ix}, {iy})");
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Vertice colour-sets and segment colour-sets (Definitions 2 and 3).
 
-use crate::{ColorState, Mask};
+use crate::ColorState;
 
 /// Identifier of a vertice colour-set (`verSet`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -12,7 +12,6 @@ pub struct SegSetId(pub u32);
 
 #[derive(Clone, Debug)]
 struct VerSet {
-    state: ColorState,
     seg: SegSetId,
     members: usize,
 }
@@ -20,7 +19,6 @@ struct VerSet {
 #[derive(Clone, Debug)]
 struct SegSet {
     state: ColorState,
-    assigned: Option<Mask>,
 }
 
 /// Arena holding the verSet / segSet structures used by the backtrace phase
@@ -61,32 +59,10 @@ impl ColorSetArena {
     /// colour state, mirroring `make_verSet` / `make_segSet` in Algorithm 3.
     pub fn make_ver_set(&mut self, state: ColorState) -> VerSetId {
         let seg = SegSetId(self.seg_sets.len() as u32);
-        self.seg_sets.push(SegSet {
-            state,
-            assigned: None,
-        });
+        self.seg_sets.push(SegSet { state });
         let ver = VerSetId(self.ver_sets.len() as u32);
-        self.ver_sets.push(VerSet {
-            state,
-            seg,
-            members: 1,
-        });
+        self.ver_sets.push(VerSet { seg, members: 1 });
         ver
-    }
-
-    /// Number of verSets created so far.
-    pub fn num_ver_sets(&self) -> usize {
-        self.ver_sets.len()
-    }
-
-    /// Number of segSets created so far.
-    pub fn num_seg_sets(&self) -> usize {
-        self.seg_sets.len()
-    }
-
-    /// The colour state of a verSet.
-    pub fn ver_state(&self, id: VerSetId) -> ColorState {
-        self.ver_sets[id.0 as usize].state
     }
 
     /// The segSet a verSet currently belongs to.
@@ -134,40 +110,17 @@ impl ColorSetArena {
             Some(narrowed)
         }
     }
-
-    /// Commits a final mask for a segSet.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the mask is not allowed by the segSet's colour state (this
-    /// would silently manufacture a conflict, so it is a programming error).
-    pub fn assign_mask(&mut self, id: SegSetId, mask: Mask) {
-        let set = &mut self.seg_sets[id.0 as usize];
-        assert!(
-            set.state.contains(mask) || set.state.is_empty(),
-            "mask {mask} is not a candidate of segSet state {}",
-            set.state
-        );
-        set.assigned = Some(mask);
-    }
-
-    /// The mask assigned to a segSet, if already committed.
-    pub fn assigned_mask(&self, id: SegSetId) -> Option<Mask> {
-        self.seg_sets[id.0 as usize].assigned
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Mask;
 
     #[test]
     fn make_ver_set_creates_matching_seg_set() {
         let mut a = ColorSetArena::new();
         let v = a.make_ver_set(ColorState::from_bits(0b110));
-        assert_eq!(a.num_ver_sets(), 1);
-        assert_eq!(a.num_seg_sets(), 1);
-        assert_eq!(a.ver_state(v), ColorState::from_bits(0b110));
         assert_eq!(a.seg_state(a.seg_of(v)), ColorState::from_bits(0b110));
         assert_eq!(a.members(v), 1);
     }
@@ -201,24 +154,6 @@ mod tests {
         let seg1 = a.seg_of(v1);
         a.set_seg_of(v2, seg1);
         assert_eq!(a.seg_of(v2), seg1);
-    }
-
-    #[test]
-    fn mask_assignment_respects_candidates() {
-        let mut a = ColorSetArena::new();
-        let v = a.make_ver_set(ColorState::from_bits(0b011));
-        let seg = a.seg_of(v);
-        a.assign_mask(seg, Mask::Green);
-        assert_eq!(a.assigned_mask(seg), Some(Mask::Green));
-    }
-
-    #[test]
-    #[should_panic(expected = "not a candidate")]
-    fn assigning_a_non_candidate_mask_panics() {
-        let mut a = ColorSetArena::new();
-        let v = a.make_ver_set(ColorState::from_bits(0b011));
-        let seg = a.seg_of(v);
-        a.assign_mask(seg, Mask::Red);
     }
 
     #[test]

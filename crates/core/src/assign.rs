@@ -21,16 +21,6 @@ pub struct ColoredNet {
     pub seg_sets: usize,
 }
 
-impl ColoredNet {
-    /// Total number of stitches implied by the segment masks: touching
-    /// same-net segments on the same layer with different masks are counted
-    /// by the layout evaluator; this is just the number of mask regions - 1
-    /// as a quick internal indicator.
-    pub fn mask_regions(&self) -> usize {
-        self.seg_sets
-    }
-}
-
 /// Commits a final mask to every segSet of a net and emits the coloured
 /// geometry.
 ///
@@ -92,7 +82,6 @@ pub fn assign_and_emit(
                 best = mask;
             }
         }
-        arena.assign_mask(seg, best);
         seg_mask.insert(seg, best);
     }
 

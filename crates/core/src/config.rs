@@ -7,7 +7,7 @@ use tpl_grid::{CostParams, Outcome};
 /// The default ([`SearchPolicy::ColorStateSet`]) is the paper's contribution;
 /// [`SearchPolicy::GreedySingleColor`] is the ablation baseline that commits
 /// a single mask per vertex during search (the behaviour 2-pin methods are
-/// stuck with), used by the `ablation_colorstate` bench.
+/// stuck with); only unit tests run it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SearchPolicy {
     /// Keep the full set of minimum-cost masks alive (set-based colour state
@@ -80,8 +80,9 @@ pub struct MrTplStats {
     /// Wall-clock routing time in seconds.
     pub runtime_seconds: f64,
     /// Conflict count measured after each routing pass (index 0 = initial
-    /// pass, then one entry per rip-up-and-reroute iteration).  Used by the
-    /// convergence ablation.
+    /// pass, then one entry per rip-up-and-reroute iteration).  The
+    /// `conflict_breakdown` example prints it and perfbench reports its first
+    /// entry.
     pub conflict_history: Vec<usize>,
     /// How the run ended: `Complete` without a budget, `Degraded` after a
     /// search-node budget trip (best-so-far partial solution), `Aborted` on

@@ -97,25 +97,13 @@ impl MrTplRouter {
         let mut stats = MrTplStats::default();
         let mut total_seg_sets = 0usize;
 
-        // Net ordering: small bounding boxes first, deterministic tie-break.
-        let mut order: Vec<NetId> = design.nets().iter().map(|n| n.id()).collect();
-        order.sort_by_key(|id| {
-            (
-                design
-                    .net_bbox(*id)
-                    .map(|b| b.half_perimeter())
-                    .unwrap_or(0),
-                id.index(),
-            )
-        });
-
         // Influence margin of a net's batch region: nets whose bounding
         // boxes expanded by this stay disjoint cannot interact within dcolor
         // even after detouring a couple of tracks.
         let margin = design.tech().dcolor() + 2 * grid.pitch();
 
         let mut run_outcome = Outcome::Complete;
-        let mut to_route: Vec<NetId> = order.clone();
+        let mut to_route = design.nets_by_bbox();
         'rrr: for iteration in 0..=self.config.max_rrr_iterations {
             let _iter_span = tpl_trace::span!("core.rrr_iteration", iteration = iteration);
             tpl_fault::point!("core.rrr_iteration", iteration);
@@ -238,7 +226,7 @@ impl MrTplRouter {
 
             // Conflict detection on the committed colour map.
             let detect_span = tpl_trace::span!("core.conflict_detect");
-            let layout = self.build_layout(design, &map);
+            let layout = ColoredLayout::of_map(design, &map);
             let conflicts = layout.conflicts();
             drop(detect_span);
             tpl_trace::counter!("core.conflicts_found", conflicts.len());
@@ -252,62 +240,19 @@ impl MrTplRouter {
                 break;
             }
 
-            // Rip up & update history cost: for every conflict the feature
-            // pair identifies two nets.  Pins cannot move, so the victim is
-            // preferably a net whose conflicting feature is a wire; among
-            // wires the larger net id loses (deterministic).  The conflict
-            // region's vertices get history cost so the reroute avoids it.
-            let features = layout.features();
-            // Victims are collected into a Vec and sorted+deduped below:
-            // deterministic iteration order and no hashing in the RRR loop.
-            let mut victims: Vec<NetId> = Vec::new();
-            for c in &conflicts {
-                let fa = &features[c.a];
-                let fb = &features[c.b];
-                let (Some(na), Some(nb)) = (fa.net, fb.net) else {
-                    continue;
-                };
-                let a_is_wire = fa.kind == tpl_color::FeatureKind::Wire;
-                let b_is_wire = fb.kind == tpl_color::FeatureKind::Wire;
-                let victim = match (a_is_wire, b_is_wire) {
-                    (true, false) => na,
-                    (false, true) => nb,
-                    // Wire-wire: the larger net id loses (deterministic).
-                    (true, true) => {
-                        if na.index() >= nb.index() {
-                            na
-                        } else {
-                            nb
-                        }
-                    }
-                    // Pin-pin: pins cannot move, but rerouting either net
-                    // re-colours its pin with full knowledge of the other,
-                    // which resolves the conflict unless three differently
-                    // coloured neighbours surround the pin.
-                    (false, false) => {
-                        if na.index() >= nb.index() {
-                            na
-                        } else {
-                            nb
-                        }
-                    }
-                };
-                victims.push(victim);
-                for rect in [fa.rect, fb.rect] {
-                    for v in grid.vertices_in_rect(c.layer, &rect) {
-                        gstate.add_history(v, self.config.history_increment);
-                    }
-                }
-            }
-            victims.sort_unstable_by_key(|id| id.index());
-            victims.dedup();
+            let victims = layout.victims(
+                &conflicts,
+                &grid,
+                &mut gstate,
+                self.config.history_increment,
+            );
             if victims.is_empty() {
                 break;
             }
             to_route = victims;
         }
 
-        let layout = self.build_layout(design, &map);
+        let layout = ColoredLayout::of_map(design, &map);
         let layout_stats = layout.stats();
         stats.conflicts = layout_stats.conflicts;
         stats.stitches = layout_stats.stitches;
@@ -321,19 +266,6 @@ impl MrTplRouter {
             layout,
             stats,
         }
-    }
-
-    /// Builds the evaluation layout from the live colour map.
-    fn build_layout(&self, design: &Design, map: &ColorMap) -> ColoredLayout {
-        let mut layout = ColoredLayout::new(
-            design.die(),
-            design.tech().num_layers(),
-            design.tech().dcolor(),
-        );
-        for f in map.live_features() {
-            layout.add(*f);
-        }
-        layout
     }
 
     /// Routes one multi-pin net (Algorithm 1): seeds the queue with the first

@@ -1,7 +1,6 @@
 //! The DAC'12 baseline router: expanded-graph search over 2-pin connections.
 
 use crate::ExpandedGraph;
-use std::collections::HashSet;
 use std::time::Instant;
 use tpl_color::{ColorCostCache, ColorMap, ColoredLayout, Feature, Mask};
 use tpl_design::{
@@ -220,18 +219,7 @@ impl Dac12Router {
         let mut net_vertices: Vec<Vec<VertexId>> = vec![Vec::new(); design.nets().len()];
         let mut stats = Dac12Stats::default();
 
-        let mut order: Vec<NetId> = design.nets().iter().map(|n| n.id()).collect();
-        order.sort_by_key(|id| {
-            (
-                design
-                    .net_bbox(*id)
-                    .map(|b| b.half_perimeter())
-                    .unwrap_or(0),
-                id.index(),
-            )
-        });
-
-        let mut to_route: Vec<NetId> = order.clone();
+        let mut to_route = design.nets_by_bbox();
         'rrr: for iteration in 0..=self.config.max_rrr_iterations {
             stats.rrr_iterations = iteration;
             stats.failed_nets = 0;
@@ -281,7 +269,7 @@ impl Dac12Router {
                 }
             }
 
-            let layout = self.build_layout(design, &map);
+            let layout = ColoredLayout::of_map(design, &map);
             let conflicts = layout.conflicts();
             // A budget stop inside this iteration ends the run here, so the
             // net it left incomplete still counts in `failed_nets`.
@@ -291,43 +279,19 @@ impl Dac12Router {
             {
                 break;
             }
-            let features = layout.features();
-            let mut victims: HashSet<NetId> = HashSet::new();
-            for c in &conflicts {
-                let fa = &features[c.a];
-                let fb = &features[c.b];
-                let (Some(na), Some(nb)) = (fa.net, fb.net) else {
-                    continue;
-                };
-                let a_is_wire = fa.kind == tpl_color::FeatureKind::Wire;
-                let b_is_wire = fb.kind == tpl_color::FeatureKind::Wire;
-                let victim = match (a_is_wire, b_is_wire) {
-                    (true, false) => na,
-                    (false, true) => nb,
-                    _ => {
-                        if na.index() >= nb.index() {
-                            na
-                        } else {
-                            nb
-                        }
-                    }
-                };
-                victims.insert(victim);
-                for rect in [fa.rect, fb.rect] {
-                    for v in grid.vertices_in_rect(c.layer, &rect) {
-                        gstate.add_history(v, self.config.history_increment);
-                    }
-                }
-            }
-            let mut next: Vec<NetId> = victims.into_iter().collect();
-            next.sort_unstable_by_key(|id| id.index());
-            if next.is_empty() {
+            let victims = layout.victims(
+                &conflicts,
+                &grid,
+                &mut gstate,
+                self.config.history_increment,
+            );
+            if victims.is_empty() {
                 break;
             }
-            to_route = next;
+            to_route = victims;
         }
 
-        let layout = self.build_layout(design, &map);
+        let layout = ColoredLayout::of_map(design, &map);
         let layout_stats = layout.stats();
         stats.conflicts = layout_stats.conflicts;
         stats.stitches = layout_stats.stitches;
@@ -339,18 +303,6 @@ impl Dac12Router {
             layout,
             stats,
         }
-    }
-
-    fn build_layout(&self, design: &Design, map: &ColorMap) -> ColoredLayout {
-        let mut layout = ColoredLayout::new(
-            design.die(),
-            design.tech().num_layers(),
-            design.tech().dcolor(),
-        );
-        for f in map.live_features() {
-            layout.add(*f);
-        }
-        layout
     }
 
     /// Routes one net as independent 2-pin connections along its MST,

@@ -7,7 +7,7 @@ use tpl_geom::Rect;
 /// obstacles.
 ///
 /// `Design` is immutable once built; construct it through [`DesignBuilder`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Design {
     name: String,
     tech: Technology,
@@ -86,6 +86,19 @@ impl Design {
             }
         }
         acc
+    }
+
+    /// The nets in detailed-routing order: ascending half-perimeter of
+    /// [`Design::net_bbox`] (a net without shapes counts as zero), ties
+    /// broken by id.  Short nets route first because they are the hardest
+    /// to detour later.
+    pub fn nets_by_bbox(&self) -> Vec<NetId> {
+        let mut order: Vec<NetId> = self.nets.iter().map(|n| n.id()).collect();
+        order.sort_by_key(|id| {
+            let span = self.net_bbox(*id).map(|b| b.half_perimeter());
+            (span.unwrap_or(0), id.index())
+        });
+        order
     }
 
     /// Summary statistics used by reports and benchmark tables.

@@ -1,9 +1,9 @@
-//! Error types for design construction and IO.
+//! Error types for design construction.
 
 use std::error::Error;
 use std::fmt;
 
-/// Errors produced while building, validating or parsing a design.
+/// Errors produced while building or validating a design.
 #[derive(Clone, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum DesignError {
@@ -13,13 +13,6 @@ pub enum DesignError {
     InvalidNet(String),
     /// A pin or obstacle shape lies outside the die or on a missing layer.
     InvalidGeometry(String),
-    /// The textual design format could not be parsed.
-    Parse {
-        /// 1-based line number where parsing failed.
-        line: usize,
-        /// Description of the problem.
-        message: String,
-    },
 }
 
 impl fmt::Display for DesignError {
@@ -28,9 +21,6 @@ impl fmt::Display for DesignError {
             DesignError::InvalidTechnology(msg) => write!(f, "invalid technology: {msg}"),
             DesignError::InvalidNet(msg) => write!(f, "invalid net: {msg}"),
             DesignError::InvalidGeometry(msg) => write!(f, "invalid geometry: {msg}"),
-            DesignError::Parse { line, message } => {
-                write!(f, "parse error at line {line}: {message}")
-            }
         }
     }
 }
@@ -45,11 +35,6 @@ mod tests {
     fn display_messages_are_lowercase_and_informative() {
         let e = DesignError::InvalidNet("net n1 has no pins".into());
         assert_eq!(e.to_string(), "invalid net: net n1 has no pins");
-        let p = DesignError::Parse {
-            line: 3,
-            message: "expected rect".into(),
-        };
-        assert!(p.to_string().contains("line 3"));
     }
 
     #[test]

@@ -26,7 +26,6 @@
 
 mod design;
 mod error;
-mod format;
 mod guide;
 mod ids;
 mod layer;
@@ -37,7 +36,6 @@ mod route;
 
 pub use crate::design::{Design, DesignBuilder, DesignStats};
 pub use error::DesignError;
-pub use format::{read_design, write_design};
 pub use guide::{GuideRegion, RouteGuides};
 pub use ids::{LayerId, NetId, ObstacleId, PinId};
 pub use layer::{Layer, Technology};

@@ -1,7 +1,7 @@
-//! Property-based tests for the design model and its textual format.
+//! Property-based tests for the design model.
 
 use proptest::prelude::*;
-use tpl_design::{read_design, write_design, DesignBuilder, Technology};
+use tpl_design::{DesignBuilder, Technology};
 use tpl_geom::Rect;
 
 /// A random but always-valid design: pins inside the die, at least 2 pins per
@@ -42,25 +42,6 @@ fn arb_design() -> impl Strategy<Value = tpl_design::Design> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn text_format_round_trips(design in arb_design()) {
-        let text = write_design(&design);
-        let parsed = read_design(&text).expect("round trip parses");
-        prop_assert_eq!(parsed.name(), design.name());
-        prop_assert_eq!(parsed.die(), design.die());
-        prop_assert_eq!(parsed.nets().len(), design.nets().len());
-        prop_assert_eq!(parsed.pins().len(), design.pins().len());
-        prop_assert_eq!(parsed.obstacles().len(), design.obstacles().len());
-        prop_assert_eq!(parsed.tech().dcolor(), design.tech().dcolor());
-        // Net memberships survive.
-        for (a, b) in design.nets().iter().zip(parsed.nets().iter()) {
-            prop_assert_eq!(a.pin_count(), b.pin_count());
-            prop_assert_eq!(a.name(), b.name());
-        }
-        // Writing the parsed design again is byte-identical (canonical form).
-        prop_assert_eq!(write_design(&parsed), text);
-    }
 
     #[test]
     fn stats_are_consistent(design in arb_design()) {

@@ -107,20 +107,7 @@ impl DrCuRouter {
         let mut net_vertices: Vec<Vec<VertexId>> = vec![Vec::new(); design.nets().len()];
         let mut stats = DrCuStats::default();
 
-        // Net ordering: short nets first (they are hardest to detour later),
-        // deterministic tie-break on the id.
-        let mut order: Vec<NetId> = design.nets().iter().map(|n| n.id()).collect();
-        order.sort_by_key(|id| {
-            (
-                design
-                    .net_bbox(*id)
-                    .map(|b| b.half_perimeter())
-                    .unwrap_or(0),
-                id.index(),
-            )
-        });
-
-        let mut to_route: Vec<NetId> = order.clone();
+        let mut to_route = design.nets_by_bbox();
         'rrr: for iteration in 0..=self.config.max_rrr_iterations {
             stats.rrr_iterations = iteration;
             stats.failed_nets = 0;

@@ -48,12 +48,6 @@ impl Point {
         (self.x - other.x).abs() + (self.y - other.y).abs()
     }
 
-    /// Chebyshev (L∞) distance to another point.
-    #[inline]
-    pub fn chebyshev(&self, other: &Point) -> Dbu {
-        (self.x - other.x).abs().max((self.y - other.y).abs())
-    }
-
     /// Squared Euclidean distance to another point.
     #[inline]
     pub fn dist_sq(&self, other: &Point) -> i128 {
@@ -138,13 +132,6 @@ mod tests {
         let b = Point::new(-2, 9);
         assert_eq!(a.manhattan(&b), b.manhattan(&a));
         assert_eq!(a.manhattan(&b), 5 + 16);
-    }
-
-    #[test]
-    fn chebyshev_distance() {
-        let a = Point::new(0, 0);
-        let b = Point::new(3, -8);
-        assert_eq!(a.chebyshev(&b), 8);
     }
 
     #[test]

@@ -170,15 +170,6 @@ impl Rect {
         dx.max(dy)
     }
 
-    /// Squared Euclidean spacing between two rectangles (0 when they touch or
-    /// overlap).  Used when the colour-spacing rule is a Euclidean distance.
-    #[inline]
-    pub fn euclidean_spacing_sq(&self, other: &Rect) -> i128 {
-        let dx = self.x_span().gap_to(&other.x_span());
-        let dy = self.y_span().gap_to(&other.y_span());
-        crate::dist_sq(dx, dy)
-    }
-
     /// Spacing from the rectangle to a point (0 if the point is inside).
     #[inline]
     pub fn spacing_to_point(&self, p: &Point) -> Dbu {
@@ -255,7 +246,6 @@ mod tests {
         let a = Rect::from_coords(0, 0, 10, 10);
         let b = Rect::from_coords(13, 14, 20, 20);
         assert_eq!(a.spacing_to(&b), 4);
-        assert_eq!(a.euclidean_spacing_sq(&b), 9 + 16);
     }
 
     #[test]

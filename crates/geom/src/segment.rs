@@ -61,12 +61,6 @@ impl Segment {
         }
     }
 
-    /// `true` when both endpoints coincide.
-    #[inline]
-    pub fn is_point(&self) -> bool {
-        self.a == self.b
-    }
-
     /// Expands the centre line into a rectangle of the given total `width`.
     ///
     /// The width is applied symmetrically (half on each side); the ends are
@@ -127,7 +121,6 @@ mod tests {
         assert_eq!(h.axis(), Some(Axis::Horizontal));
         assert_eq!(v.length(), 7);
         assert_eq!(v.axis(), Some(Axis::Vertical));
-        assert!(p.is_point());
         assert_eq!(p.axis(), None);
     }
 

@@ -150,11 +150,6 @@ impl RouteBudget {
         }
     }
 
-    /// `true` when no limit is set at all.
-    pub fn is_unlimited(&self) -> bool {
-        self.max_search_nodes.is_none() && self.deadline.is_none() && self.cancel.is_none()
-    }
-
     /// Search nodes still available after `used` committed pops
     /// (`u64::MAX` when uncapped).
     pub fn remaining_nodes(&self, used: u64) -> u64 {
@@ -196,7 +191,6 @@ mod tests {
     #[test]
     fn default_budget_is_unlimited_and_never_interrupts() {
         let budget = RouteBudget::default();
-        assert!(budget.is_unlimited());
         assert_eq!(budget.remaining_nodes(0), u64::MAX);
         assert_eq!(budget.remaining_nodes(u64::MAX), u64::MAX);
         assert_eq!(budget.interrupted(), None);
@@ -205,7 +199,6 @@ mod tests {
     #[test]
     fn node_budget_saturates_at_zero() {
         let budget = RouteBudget::with_max_search_nodes(100);
-        assert!(!budget.is_unlimited());
         assert_eq!(budget.remaining_nodes(0), 100);
         assert_eq!(budget.remaining_nodes(40), 60);
         assert_eq!(budget.remaining_nodes(100), 0);

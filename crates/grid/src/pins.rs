@@ -1,7 +1,7 @@
 //! Mapping pins onto the grid vertices they cover.
 
 use crate::{EpochMap, GridGraph, VertexId};
-use tpl_design::{Design, NetId, PinId};
+use tpl_design::{Design, PinId};
 
 /// Pre-computed pin-to-vertex coverage for a design.
 ///
@@ -69,11 +69,6 @@ impl PinCoverage {
     #[inline]
     pub fn pin_at(&self, v: VertexId) -> Option<PinId> {
         self.vertex_pin[v.index()]
-    }
-
-    /// The pin of net `net` covering vertex `v`, if any.
-    pub fn net_pin_at(&self, design: &Design, net: NetId, v: VertexId) -> Option<PinId> {
-        self.pin_at(v).filter(|p| design.pin(*p).net() == net)
     }
 
     /// Number of pins covered.
@@ -198,15 +193,5 @@ mod tests {
         marks.mark_unreached(&cov, &[a]);
         assert!(cov.vertices(c).iter().all(|&v| marks.pin(v).is_none()));
         assert!(cov.vertices(a).iter().all(|&v| marks.pin(v) == Some(a)));
-    }
-
-    #[test]
-    fn net_pin_lookup_filters_by_net() {
-        let (d, g, cov) = setup();
-        let v = g.vertex(0, 1, 1);
-        assert_eq!(cov.net_pin_at(&d, NetId::new(0), v), Some(PinId::new(0)));
-        // A vertex not covered by any pin.
-        let empty = g.vertex(2, 0, 0);
-        assert_eq!(cov.net_pin_at(&d, NetId::new(0), empty), None);
     }
 }

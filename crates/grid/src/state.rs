@@ -107,16 +107,6 @@ impl GridState {
     pub fn add_history(&mut self, v: VertexId, amount: f64) {
         self.history[v.index()] += amount;
     }
-
-    /// Clears all occupancy while keeping blockages and history.
-    pub fn clear_occupancy(&mut self) {
-        self.occupant.fill(FREE);
-    }
-
-    /// Number of occupied vertices (mostly useful for tests and reports).
-    pub fn occupied_count(&self) -> usize {
-        self.occupant.iter().filter(|o| **o != FREE).count()
-    }
 }
 
 #[cfg(test)]
@@ -167,7 +157,6 @@ mod tests {
         assert_eq!(s.occupant(v), Some(net));
         assert!(!s.is_occupied_by_other(v, net));
         assert!(s.is_occupied_by_other(v, other));
-        assert_eq!(s.occupied_count(), 1);
         assert_eq!(s.release_vertices(&[v], net), 1);
         assert_eq!(s.occupant(v), None);
     }
@@ -187,7 +176,7 @@ mod tests {
         assert_eq!(s.release_vertices(&[mine, theirs, stale], NetId::new(0)), 1);
         assert_eq!(s.occupant(mine), None);
         assert_eq!(s.occupant(theirs), Some(NetId::new(1)));
-        assert_eq!(s.occupied_count(), 1);
+        assert_eq!(s.occupant(stale), None);
     }
 
     #[test]
@@ -200,17 +189,5 @@ mod tests {
         s.add_history(v, 2.5);
         s.add_history(v, 1.0);
         assert_eq!(s.history(v), 3.5);
-    }
-
-    #[test]
-    fn clear_occupancy_keeps_blockages() {
-        let d = design_with_obstacle();
-        let g = GridGraph::build(&d);
-        let mut s = GridState::new(&g, &d);
-        let blocked = g.vertex(1, g.ix_near(100), g.iy_near(100));
-        s.occupy(g.vertex(0, 1, 1), NetId::new(0));
-        s.clear_occupancy();
-        assert_eq!(s.occupied_count(), 0);
-        assert!(s.is_blocked(blocked));
     }
 }

@@ -27,6 +27,27 @@ pub fn prepare(case: &Case, budget: &RouteBudget) -> (Design, RouteGuides, Outco
     (design, guides, stats.outcome)
 }
 
+/// The record of a colour-aware router's run.  Mr.TPL and DAC'12 report
+/// their statistics under the same field names and time themselves.
+macro_rules! colored_record {
+    ($design:expr, $guides:expr, $result:expr) => {{
+        let (design, guides, result) = ($design, $guides, &$result);
+        let cost = score_solution(design, guides, &result.solution, &ScoreWeights::default());
+        CaseRecord {
+            case: design.name().to_string(),
+            conflicts: result.stats.conflicts,
+            stitches: result.stats.stitches,
+            cost: cost.total(),
+            runtime_seconds: result.stats.runtime_seconds,
+            wirelength: result.solution.total_wirelength(),
+            vias: result.solution.total_vias(),
+            search_nodes: result.stats.search_nodes,
+            rrr_iterations: result.stats.rrr_iterations,
+            outcome: result.stats.outcome,
+        }
+    }};
+}
+
 /// Runs Mr.TPL on a prepared case under a [`RouteBudget`].  The record's
 /// `outcome` reports whether the run completed, degraded on a budget trip
 /// (the record then describes a best-so-far partial solution), or aborted.
@@ -37,22 +58,7 @@ pub fn run_mrtpl(
     budget: &RouteBudget,
 ) -> (CaseRecord, mrtpl_core::MrTplResult) {
     let result = MrTplRouter::new(*config).route_with_budget(design, guides, budget);
-    let cost = score_solution(design, guides, &result.solution, &ScoreWeights::default());
-    (
-        CaseRecord {
-            case: design.name().to_string(),
-            conflicts: result.stats.conflicts,
-            stitches: result.stats.stitches,
-            cost: cost.total(),
-            runtime_seconds: result.stats.runtime_seconds,
-            wirelength: result.solution.total_wirelength(),
-            vias: result.solution.total_vias(),
-            search_nodes: result.stats.search_nodes,
-            rrr_iterations: result.stats.rrr_iterations,
-            outcome: result.stats.outcome,
-        },
-        result,
-    )
+    (colored_record!(design, guides, result), result)
 }
 
 /// Runs the DAC'12 baseline on a prepared case under a [`RouteBudget`].
@@ -63,22 +69,7 @@ pub fn run_dac12(
     budget: &RouteBudget,
 ) -> (CaseRecord, tpl_dac12::Dac12Result) {
     let result = Dac12Router::new(*config).route_with_budget(design, guides, budget);
-    let cost = score_solution(design, guides, &result.solution, &ScoreWeights::default());
-    (
-        CaseRecord {
-            case: design.name().to_string(),
-            conflicts: result.stats.conflicts,
-            stitches: result.stats.stitches,
-            cost: cost.total(),
-            runtime_seconds: result.stats.runtime_seconds,
-            wirelength: result.solution.total_wirelength(),
-            vias: result.solution.total_vias(),
-            search_nodes: result.stats.search_nodes,
-            rrr_iterations: result.stats.rrr_iterations,
-            outcome: result.stats.outcome,
-        },
-        result,
-    )
+    (colored_record!(design, guides, result), result)
 }
 
 /// Runs the colour-blind Dr.CU-like router alone on a prepared case under a

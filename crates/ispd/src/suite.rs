@@ -1,8 +1,6 @@
 //! Convenience constructors for whole benchmark suites.
 
 use crate::{Case, CaseParams};
-use std::path::Path;
-use tpl_lefdef::LefDefError;
 
 /// The two synthetic benchmark suites the paper's tables run over.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -41,16 +39,6 @@ impl Suite {
             Suite::Ispd18 => CaseParams::ispd18_like(idx),
             Suite::Ispd19 => CaseParams::ispd19_like(idx),
         }
-    }
-
-    /// Loads every `*.def` file in `dir` as an externally ingested case, in
-    /// file-name order (see [`crate::cases_from_def_dir`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O, parse and lowering errors from the LEF/DEF files.
-    pub fn from_def_dir(dir: &Path) -> Result<Vec<Case>, LefDefError> {
-        crate::cases_from_def_dir(dir)
     }
 }
 

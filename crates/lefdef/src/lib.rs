@@ -55,10 +55,7 @@
 //!     &parse_def(&write_def(&lowered.design, None)).unwrap(),
 //! )
 //! .unwrap();
-//! assert_eq!(
-//!     tpl_design::write_design(&again.design),
-//!     tpl_design::write_design(&lowered.design)
-//! );
+//! assert_eq!(again.design, lowered.design);
 //! ```
 
 #![warn(missing_docs)]

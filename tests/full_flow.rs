@@ -94,16 +94,6 @@ fn the_whole_flow_is_deterministic_end_to_end() {
 }
 
 #[test]
-fn design_text_format_round_trips_through_the_generator() {
-    let design = CaseParams::ispd18_like(1).scaled(0.4).generate();
-    let text = mr_tpl::design::write_design(&design);
-    let parsed = mr_tpl::design::read_design(&text).expect("parses");
-    assert_eq!(parsed.nets().len(), design.nets().len());
-    assert_eq!(parsed.pins().len(), design.pins().len());
-    assert_eq!(parsed.tech().dcolor(), design.tech().dcolor());
-}
-
-#[test]
 fn colored_layouts_report_consistent_statistics() {
     let (design, guides) = tiny_case18();
     let result = MrTplRouter::new(MrTplConfig::default()).route(&design, &guides);
