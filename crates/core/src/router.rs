@@ -382,6 +382,24 @@ mod tests {
         (design, result)
     }
 
+    /// A case whose colour-state step costs, which depend on the colour
+    /// state a vertex inherits, let the A\* pass of a bounded Dijkstra find
+    /// a cheaper goal than plain Dijkstra does: its pruned second pass then
+    /// finds no goal at all, and the kernel must rerun unpruned.
+    #[test]
+    fn the_initial_pass_connects_a_net_whose_a_star_bound_undercuts_dijkstra() {
+        let mut params = CaseParams::ispd18_like(10).scaled(0.25);
+        params.seed += 3 << 32;
+        let design = params.generate();
+        let guides = GlobalRouter::new(GlobalConfig::default()).route(&design);
+        let config = MrTplConfig {
+            max_rrr_iterations: 0,
+            ..MrTplConfig::default()
+        };
+        let result = MrTplRouter::new(config).route(&design, &guides);
+        assert_eq!(result.stats.failed_nets, 0);
+    }
+
     #[test]
     fn routes_and_colors_every_net() {
         let (design, result) = route_case(0.3);

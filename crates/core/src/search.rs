@@ -10,15 +10,21 @@
 //!   guarded by epoch stamps ([`EpochMap`]), so starting a search costs
 //!   O(sources + targets) instead of O(V).  The buffers are reused across
 //!   every net of a routing run.
-//! * **Goal-directed A\*** — [`GoalBound`], an admissible, consistent
-//!   Manhattan lower bound to the nearest unreached pin's coverage box
-//!   (priced at `alpha` times the cheapest step), steers expansion towards
-//!   the goal instead of growing a full circle around the tree.  The router
-//!   engages A\* order only during negotiation iterations (see
-//!   [`NetBuffers::set_goal_directed`]), which hold the bulk of the search
-//!   effort, so the initial pass keeps the seed's solution quality.  The
-//!   other passes run [`Kernel::run_dijkstra`]: the same bound prunes them
-//!   without changing their Dijkstra answers.
+//! * **Goal-directed A\*** — [`GoalBound::manhattan`], an admissible,
+//!   consistent Manhattan lower bound to the nearest unreached pin's
+//!   coverage box (priced at `alpha` times the cheapest step), steers
+//!   expansion towards the goal instead of growing a full circle around the
+//!   tree.  The router engages A\* order only during negotiation iterations
+//!   (see [`NetBuffers::set_goal_directed`]), which hold the bulk of the
+//!   search effort, so the initial pass keeps the seed's solution quality.
+//!   A\* order is part of those iterations' results, so they keep this
+//!   bound even though a tighter one exists.
+//! * **Bounded Dijkstra** — the other passes run [`Kernel::run_dijkstra`]
+//!   with the tighter layer-aware [`GoalBound::h`] and return plain
+//!   Dijkstra's answers.  A colour-state step's cost reads the inherited
+//!   colour state, so the A\* pass can find a cheaper goal than plain
+//!   Dijkstra; the pruned pass then finds no goal, and the kernel reruns
+//!   unpruned, so the answer stays plain Dijkstra's.
 //! * **One cached record per relaxation** — a step costs the direction-class
 //!   [`TradCost::base`], read from the per-layer table
 //!   [`CostParams::base_table`](tpl_grid::CostParams::base_table) that
@@ -318,11 +324,13 @@ pub fn search(
         .iter()
         .filter(|(s, _)| !ctx.trad.state.is_blocked(*s))
         .map(|&(s, state)| (s.0, state));
-    let h = |v| ctx.bound.h(grid, VertexId::new(v));
+    let bound = &ctx.bound;
     if *goal_directed {
-        kernel.run(&mut space, sources, h)
+        kernel.run(&mut space, sources, |v| {
+            bound.manhattan(grid, VertexId::new(v))
+        })
     } else {
-        kernel.run_dijkstra(&mut space, sources, h)
+        kernel.run_dijkstra(&mut space, sources, |v| bound.h(grid, VertexId::new(v)))
     }
 }
 
@@ -478,6 +486,84 @@ mod tests {
                 "a_star = {a_star}: {} pops, plain Dijkstra {plain_pops}",
                 buffers.nodes_popped()
             );
+        }
+    }
+
+    #[test]
+    fn both_bounds_are_consistent_with_every_color_state_step() {
+        for (salt, alpha) in [(0u64, 1.0), (1, 0.7), (2, 1.0), (3, 0.7)] {
+            let mut case = tpl_ispd::CaseParams::ispd18_like(1 + salt as usize).scaled(0.3);
+            case.seed = case.seed.wrapping_add(salt << 32);
+            let design = case.generate();
+            let grid = GridGraph::build(&design);
+            let coverage = PinCoverage::build(&grid, &design);
+            let mut gstate = GridState::new(&grid, &design);
+            let mut map = ColorMap::new(&grid, design.tech().dcolor());
+            let net = design.nets()[salt as usize].id();
+            let other = NetId::new(net.0 + 1);
+            let mut r = salt.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            for v in grid.iter_vertices() {
+                r ^= r << 13;
+                r ^= r >> 7;
+                r ^= r << 17;
+                match r % 16 {
+                    0 => gstate.add_history(v, 60.0 * (r >> 4 & 3) as f64),
+                    1 => gstate.occupy(v, other),
+                    2 => {
+                        map.insert(Feature::wire(
+                            other,
+                            grid.layer_of(v),
+                            Rect::from_point(grid.point_of(v)).expanded(4),
+                            Some(Mask::from_index((r >> 4) as usize % 3)),
+                        ));
+                    }
+                    _ => {}
+                }
+            }
+            let config = MrTplConfig {
+                alpha,
+                ..MrTplConfig::default()
+            };
+            let in_guide = DenseBitSet::full(grid.num_vertices());
+            let trad = TradCost {
+                grid: &grid,
+                state: &gstate,
+                coverage: &coverage,
+                design: &design,
+                params: &config.cost,
+                net,
+                in_guide: &in_guide,
+            };
+            let mut ctx = SearchContext::new(trad, &config, &map);
+            ctx.bound
+                .aim(&grid, &coverage, &design.net(net).pins()[1..]);
+            let mut cache = ColorCostCache::new(&grid);
+            cache.begin();
+            let target = GoalMarks::new(grid.num_vertices());
+            let mut space = ColorSearch {
+                ctx: &ctx,
+                cache: &mut cache,
+                target: &target,
+            };
+            let states = [
+                ColorState::all(),
+                ColorState::from_mask(Mask::Red),
+                ColorState::from_mask(Mask::Green).with(Mask::Blue),
+            ];
+            let bound = &ctx.bound;
+            // `f64` slack for the non-integer `alpha`.
+            let below = |a: f64, b: f64| a <= b + 1e-9 * (1.0 + b);
+            for v in grid.iter_vertices() {
+                let (h, m) = (bound.h(&grid, v), bound.manhattan(&grid, v));
+                for state in states {
+                    space.expand(v.0, 0.0, state, |to, step, _| {
+                        let to = VertexId::new(to);
+                        assert!(below(h, step + bound.h(&grid, to)), "h {v:?} -> {to:?}");
+                        let m_to = bound.manhattan(&grid, to);
+                        assert!(below(m, step + m_to), "manhattan {v:?} -> {to:?}");
+                    });
+                }
+            }
         }
     }
 

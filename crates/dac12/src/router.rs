@@ -745,6 +745,73 @@ mod tests {
     }
 
     #[test]
+    fn the_bound_is_consistent_with_every_split_step() {
+        for salt in 0..3u64 {
+            let mut case = CaseParams::ispd18_like(1 + salt as usize).scaled(0.3);
+            case.seed = case.seed.wrapping_add(salt << 32);
+            let design = case.generate();
+            let grid = GridGraph::build(&design);
+            let expanded = ExpandedGraph::new(&grid);
+            let coverage = PinCoverage::build(&grid, &design);
+            let mut state = GridState::new(&grid, &design);
+            let mut map = ColorMap::new(&grid, design.tech().dcolor());
+            let net = design.nets()[salt as usize].id();
+            let other = NetId::new(net.0 + 1);
+            let mut r = salt.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            for v in grid.iter_vertices() {
+                r ^= r << 13;
+                r ^= r >> 7;
+                r ^= r << 17;
+                match r % 16 {
+                    0 => state.add_history(v, 60.0 * (r >> 4 & 3) as f64),
+                    1 => state.occupy(v, other),
+                    2 => {
+                        map.insert(Feature::wire(
+                            other,
+                            grid.layer_of(v),
+                            Rect::from_point(grid.point_of(v)).expanded(4),
+                            Some(Mask::from_index((r >> 4) as usize % 3)),
+                        ));
+                    }
+                    _ => {}
+                }
+            }
+            let mut cache = ColorCostCache::new(&grid);
+            cache.begin();
+            let config = Dac12Config::default();
+            let mut bound = GoalBound::new(&grid, &config.cost, 1.0);
+            bound.aim(&grid, &coverage, &design.net(net).pins()[1..2]);
+            let targets = GoalMarks::new(grid.num_vertices());
+            let base = config.cost.base_table(&grid);
+            let in_guide = DenseBitSet::full(grid.num_vertices());
+            let mut search = SplitSearch {
+                trad: TradCost {
+                    grid: &grid,
+                    state: &state,
+                    coverage: &coverage,
+                    design: &design,
+                    params: &config.cost,
+                    net,
+                    in_guide: &in_guide,
+                },
+                expanded: &expanded,
+                map: &map,
+                cache: &mut cache,
+                config: &config,
+                targets: &targets,
+                base: &base,
+                bound: &bound,
+            };
+            let h = |node: u32| bound.h(&grid, expanded.unpack(node).0);
+            for node in 0..expanded.num_nodes() as u32 {
+                search.expand(node, 0.0, (), |to, step, ()| {
+                    assert!(h(node) <= step + h(to), "{node} -> {to}");
+                });
+            }
+        }
+    }
+
+    #[test]
     fn a_planar_mask_change_costs_one_stitch_and_a_via_mask_change_none() {
         let mut builder = DesignBuilder::new(
             "steps",

@@ -258,6 +258,52 @@ mod tests {
     }
 
     #[test]
+    fn the_bound_is_consistent_with_every_maze_step() {
+        for salt in 0..3u64 {
+            let mut case = tpl_ispd::CaseParams::ispd18_like(1 + salt as usize).scaled(0.3);
+            case.seed = case.seed.wrapping_add(salt << 32);
+            let d = case.generate();
+            let g = GridGraph::build(&d);
+            let c = PinCoverage::build(&g, &d);
+            let mut s = GridState::new(&g, &d);
+            let net = d.nets()[salt as usize].id();
+            let mut r = salt.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            for v in g.iter_vertices() {
+                r ^= r << 13;
+                r ^= r >> 7;
+                r ^= r << 17;
+                match r % 8 {
+                    0 => s.add_history(v, 30.0 * (r >> 3 & 3) as f64),
+                    1 => s.occupy(v, NetId::new(net.0 + 1)),
+                    _ => {}
+                }
+            }
+            let params = CostParams::default();
+            let mut in_guide = DenseBitSet::new(g.num_vertices());
+            in_guide.insert_range(0..g.num_vertices() / 2);
+            let cost = TradCost {
+                net,
+                ..cost(&d, &g, &s, &c, &params, &in_guide)
+            };
+            let mut buffers = MazeBuffers::new(&g, &params);
+            buffers.bound.aim(&g, &c, &d.net(net).pins()[1..]);
+            let bound = &buffers.bound;
+            let mut maze = Maze {
+                cost: &cost,
+                base: &buffers.base,
+                goals: &buffers.goals,
+            };
+            for v in g.iter_vertices() {
+                let h = bound.h(&g, v);
+                maze.expand(v.0, 0.0, (), |to, step, ()| {
+                    let h_to = bound.h(&g, VertexId::new(to));
+                    assert!(h <= step + h_to, "{v:?} -> {to}: {h} > {step} + {h_to}");
+                });
+            }
+        }
+    }
+
+    #[test]
     fn reached_and_foreign_pins_are_never_goals() {
         let mut b = DesignBuilder::new(
             "goals",

@@ -1,11 +1,10 @@
 //! The full-design colour-blind detailed router (rip-up & reroute loop).
 
 use crate::maze::{backtrace, search, MazeBuffers};
-use std::collections::HashSet;
 use tpl_design::{Design, NetId, PinId, RouteGuides, RoutedNet, RoutingSolution};
 use tpl_grid::{
-    guide_membership, path_to_routed_net, CostParams, DenseBitSet, GridGraph, GridState, Outcome,
-    PinCoverage, RouteBudget, TradCost, VertexId,
+    guide_membership, path_to_routed_net, CostParams, DenseBitSet, EpochStamps, GridGraph,
+    GridState, Outcome, PinCoverage, RouteBudget, TradCost, VertexId,
 };
 
 /// Configuration of the Dr.CU-like router.
@@ -63,6 +62,8 @@ pub struct DrCuResult {
 struct SearchBuffers {
     maze: MazeBuffers,
     in_guide: DenseBitSet,
+    /// Membership in the routed tree of the net being routed.
+    in_tree: EpochStamps,
 }
 
 /// The TPL-unaware detailed router.
@@ -102,6 +103,7 @@ impl DrCuRouter {
         let mut buffers = SearchBuffers {
             maze: MazeBuffers::new(&grid, &self.config.cost),
             in_guide: DenseBitSet::new(grid.num_vertices()),
+            in_tree: EpochStamps::new(grid.num_vertices()),
         };
         let mut solution = RoutingSolution::new(design.nets().len());
         let mut net_vertices: Vec<Vec<VertexId>> = vec![Vec::new(); design.nets().len()];
@@ -203,7 +205,11 @@ impl DrCuRouter {
         net_id: NetId,
     ) -> (RoutedNet, Vec<VertexId>, bool) {
         let net = design.net(net_id);
-        let SearchBuffers { maze, in_guide } = buffers;
+        let SearchBuffers {
+            maze,
+            in_guide,
+            in_tree,
+        } = buffers;
         guide_membership(grid, guides, net_id, in_guide);
         let cost = TradCost {
             grid,
@@ -217,14 +223,8 @@ impl DrCuRouter {
 
         let mut routed = RoutedNet::new();
         let mut tree: Vec<VertexId> = Vec::new();
-        let mut tree_set: HashSet<VertexId> = HashSet::new();
-
-        let start_pin = net.pins()[0];
-        for &v in coverage.vertices(start_pin) {
-            if tree_set.insert(v) {
-                tree.push(v);
-            }
-        }
+        in_tree.begin();
+        grow(&mut tree, in_tree, coverage.vertices(net.pins()[0]));
         let mut unreached: Vec<PinId> = net.pins()[1..].to_vec();
         let mut complete = true;
 
@@ -233,22 +233,18 @@ impl DrCuRouter {
                 Some((dst, pin)) => {
                     let path = backtrace(&maze.kernel, dst);
                     path_to_routed_net(grid, &path, &mut routed);
-                    for &v in &path {
-                        if tree_set.insert(v) {
-                            tree.push(v);
-                        }
-                    }
+                    grow(&mut tree, in_tree, &path);
                     // The reached pin's own access vertices join the tree so
                     // later connections can start from them.
-                    for &v in coverage.vertices(pin) {
-                        if tree_set.insert(v) {
-                            tree.push(v);
-                        }
-                    }
+                    grow(&mut tree, in_tree, coverage.vertices(pin));
                     unreached.retain(|p| *p != pin);
                     // Any other pin covered by the path is also reached.
-                    unreached
-                        .retain(|p| !coverage.vertices(*p).iter().any(|v| tree_set.contains(v)));
+                    unreached.retain(|p| {
+                        !coverage
+                            .vertices(*p)
+                            .iter()
+                            .any(|v| in_tree.is_fresh(v.index()))
+                    });
                 }
                 None => {
                     complete = false;
@@ -257,6 +253,17 @@ impl DrCuRouter {
             }
         }
         (routed, tree, complete)
+    }
+}
+
+/// Appends to `tree` the `vertices` not yet in it, in order, marking them
+/// in `in_tree`.
+fn grow(tree: &mut Vec<VertexId>, in_tree: &mut EpochStamps, vertices: &[VertexId]) {
+    for &v in vertices {
+        if !in_tree.is_fresh(v.index()) {
+            in_tree.touch(v.index());
+            tree.push(v);
+        }
     }
 }
 

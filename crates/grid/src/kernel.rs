@@ -33,7 +33,8 @@
 //! * [`run_dijkstra`](Kernel::run_dijkstra) returns exactly what plain
 //!   Dijkstra (`run` with `h = 0`) returns, but uses `h` to expand only the
 //!   nodes that can lie on an optimal path; its documentation gives the
-//!   pruning rule and why it is exact.
+//!   pruning rule, why it is exact, and the unpruned rerun it falls back on
+//!   when a step's cost reads the payload and A\* undercuts plain Dijkstra.
 //!
 //! `h` must be a pure function of the node for the length of one call: a
 //! router may re-aim its bound between calls, never within one.
@@ -71,6 +72,20 @@ fn pack(key: u64, node: u32) -> u128 {
 #[inline]
 fn unpack(entry: u128) -> (u64, u32) {
     ((entry >> 32) as u64, entry as u32)
+}
+
+/// The frontier order of one [`Kernel`] search, and which relaxations it
+/// keeps.
+#[derive(Clone, Copy, Debug)]
+enum Order {
+    /// `(key(dist + h), node)`, every relaxation kept: A\*.
+    AStar,
+    /// `(key(dist), node)`, keeping a relaxation of `to` to `nd` iff
+    /// `key(nd + h(to))` is at most the limit: the second pass of
+    /// [`Kernel::run_dijkstra`].
+    Bounded(u64),
+    /// `(key(dist), node)`, every relaxation kept: plain Dijkstra.
+    Dijkstra,
 }
 
 /// The graph a [`Kernel`] searches: node encoding, successors and goal test.
@@ -283,45 +298,60 @@ impl<P: Copy + Default> Kernel<P> {
             return None;
         }
         self.load(sources);
-        self.search(space, &h, None).map(|(_, goal)| goal)
+        self.search(space, &h, Order::AStar).map(|(_, goal)| goal)
     }
 
     /// Returns exactly what `run(space, sources, |_| 0.0)` returns — the
     /// same goal, and the same `dist`, `prev` and payload on the path to it
-    /// — while expanding only nodes whose `dist + h` can reach the optimum.
+    /// — while expanding, as a rule, only nodes whose `dist + h` can reach
+    /// the optimum.
     ///
-    /// It searches twice.  Pass 1 runs A\* to its first goal, whose
-    /// distance `ub` bounds the optimum from above.  Pass 2 runs in Dijkstra
-    /// order (`key(dist)`) and drops every relaxation with
+    /// Pass 1 runs A\* to its first goal, at distance `ub`.  Pass 2 runs in
+    /// Dijkstra order (`key(dist)`) and drops every relaxation with
     /// `key(nd + h(to)) > key(ub) + 1` before it touches `dist`, `prev`, the
     /// payload or the frontier.  The extra key quantum absorbs `f64`
     /// rounding: the same cost summed along another path, or with `h` added,
-    /// can differ in the last bit and so cross a key boundary.  Both passes
-    /// count in [`popped`](Kernel::popped) and against the node limit,
-    /// deadline and cancellation; [`pruned`](Kernel::pruned) counts pass 2's
-    /// leftover frontier only.
+    /// can differ in the last bit and so cross a key boundary.  If pass 2
+    /// pops no goal and no limit stopped it, pass 3 reruns in Dijkstra order
+    /// without pruning, which is plain Dijkstra itself (the
+    /// `grid.dijkstra_reruns` trace counter counts these).  Every pass
+    /// counts in [`popped`](Kernel::popped) and against the node limit,
+    /// deadline and cancellation; [`pruned`](Kernel::pruned) counts the
+    /// leftover frontier of the Dijkstra-order passes only.
     ///
     /// Three conditions make the pruning exact: `h` is consistent
-    /// (`h(u) <= step(u, v) + h(v)`) and zero on goals; every step costs at
-    /// least one key quantum, so plain Dijkstra never improves a node it has
-    /// already expanded; and `space`'s goal test depends on the node alone,
-    /// since both passes call it.  Let `D` be plain Dijkstra's distance and
-    /// call a node *inside* when `D(u) + h(u) <= ub`.  Then:
+    /// (`h(u) <= step(u, v) + h(v)` for every step, whatever the payload)
+    /// and zero on goals; every step costs at least one key quantum, so
+    /// plain Dijkstra never improves a node it has already expanded; and
+    /// `space`'s goal test and successors depend on the node alone, since
+    /// every pass calls them.  Let `D` be plain Dijkstra's distance and call
+    /// a node *inside* when `D(u) + h(u) <= ub`.  Then, by induction in pop
+    /// order:
     ///
-    /// * every distance pass 2 assigns is the cost of a real path, so never
-    ///   below `D`;
+    /// * pass 2 pops a subsequence of plain Dijkstra's pops, each with plain
+    ///   Dijkstra's distance and payload, so every relaxation it makes is
+    ///   one plain Dijkstra makes and no distance falls below `D`;
     /// * an inside node's plain-Dijkstra predecessor `p` is inside too, by
     ///   consistency (`D(p) + h(p) <= D(p) + step + h(u) = D(u) + h(u)`), and
-    ///   the relaxation from `p` is kept; by induction in pop order every
-    ///   inside node gets `D`, and survivors with `D` pop in plain
-    ///   Dijkstra's `(key, node)` order;
-    /// * any node that relaxes an inside node `u` to `D(u)` lies on an
-    ///   optimal path to `u`, so it is inside and already holds its own `D`:
-    ///   the first such node to pop is the same in both searches, and `u`
-    ///   gets plain Dijkstra's `prev` and payload;
-    /// * plain Dijkstra's goal is inside (`h = 0` there, and its distance is
-    ///   at most `ub`), and no other goal can pop before it, since one that
-    ///   did would pop at least as early in plain Dijkstra.
+    ///   the relaxation from `p` is kept, so every inside node gets `D`;
+    /// * any node that relaxes an inside node `u` to `D(u)` lies on plain
+    ///   Dijkstra's path to `u`, so it is inside: the first such node to pop
+    ///   is the same in both searches, and `u` gets plain Dijkstra's `prev`
+    ///   and payload;
+    /// * a goal pass 2 pops is inside; a goal that plain Dijkstra pops
+    ///   later has at least its key (`h = 0` on goals), so if plain
+    ///   Dijkstra's goal is not inside, pass 2 pops no goal at all.
+    ///
+    /// So a goal pass 2 returns is plain Dijkstra's.  When a step's cost
+    /// depends on the nodes alone, `D` is the true shortest distance and
+    /// plain Dijkstra's goal is inside (its distance is at most `ub`), so
+    /// pass 2 finds it.  When a step's cost also reads the payload, as
+    /// Mr.TPL's colour-state steps do (a stitch is charged unless the
+    /// inherited colour state holds the mask), plain Dijkstra keeps the
+    /// payload of the first relaxation that reaches a node's distance, and
+    /// A\*, popping in another order, may keep one whose later steps are
+    /// cheaper.  Then `ub` can fall below plain Dijkstra's goal distance,
+    /// pass 2 runs dry, and pass 3 returns plain Dijkstra's answer.
     pub fn run_dijkstra<S, H>(
         &mut self,
         space: &mut S,
@@ -337,10 +367,18 @@ impl<P: Copy + Default> Kernel<P> {
         }
         self.load(sources);
         let pruned = self.pruned;
-        let (goal, _) = self.search(space, &h, None)?;
+        let (goal, _) = self.search(space, &h, Order::AStar)?;
         self.pruned = pruned;
         let limit = self.key(self.dist[goal as usize]) + 1;
-        self.search(space, &h, Some(limit)).map(|(_, goal)| goal)
+        if let Some((_, goal)) = self.search(space, &h, Order::Bounded(limit)) {
+            return Some(goal);
+        }
+        if self.stop.is_some() {
+            return None;
+        }
+        tpl_trace::counter!("grid.dijkstra_reruns", 1);
+        self.search(space, &h, Order::Dijkstra)
+            .map(|(_, goal)| goal)
     }
 
     /// Replaces the stored sources and forgets every memoised bound: the
@@ -358,35 +396,33 @@ impl<P: Copy + Default> Kernel<P> {
         self.h_memo.get_or_insert_with(node as usize, || h(node))
     }
 
-    /// What the frontier adds to a node's distance: `h` in A\* order
-    /// (`limit` is `None`), nothing in Dijkstra order.
+    /// What the frontier adds to a node's distance: `h` in A\* order,
+    /// nothing in Dijkstra order.
     #[inline]
-    fn order(&mut self, node: u32, h: &impl Fn(u32) -> f64, limit: Option<u64>) -> f64 {
-        match limit {
-            None => self.bound(node, h),
-            Some(_) => 0.0,
+    fn order(&mut self, node: u32, h: &impl Fn(u32) -> f64, order: Order) -> f64 {
+        match order {
+            Order::AStar => self.bound(node, h),
+            Order::Bounded(_) | Order::Dijkstra => 0.0,
         }
     }
 
-    /// Whether a search with pass-2 key `limit` keeps a relaxation of `to`
-    /// to distance `nd`: always in A\* order, and in Dijkstra order iff
-    /// `key(nd + h(to)) <= limit`.
+    /// Whether a search in `order` keeps a relaxation of `to` to distance
+    /// `nd`: always, except in [`Order::Bounded`].
     #[inline]
-    fn keep(&mut self, to: u32, nd: f64, h: &impl Fn(u32) -> f64, limit: Option<u64>) -> bool {
-        match limit {
-            None => true,
-            Some(limit) => {
+    fn keep(&mut self, to: u32, nd: f64, h: &impl Fn(u32) -> f64, order: Order) -> bool {
+        match order {
+            Order::AStar | Order::Dijkstra => true,
+            Order::Bounded(limit) => {
                 let h_to = self.bound(to, h);
                 self.key(nd + h_to) <= limit
             }
         }
     }
 
-    /// One search from the stored sources: in `(key(dist + h), node)` order
-    /// when `limit` is `None`, else in `(key(dist), node)` order relaxing
-    /// only what [`keep`](Self::keep)s under `limit`.  Returns the goal node
-    /// and what `space` made of it.
-    fn search<S, H>(&mut self, space: &mut S, h: &H, limit: Option<u64>) -> Option<(u32, S::Goal)>
+    /// One search from the stored sources in `order`, relaxing only what
+    /// [`keep`](Self::keep)s.  Returns the goal node and what `space` made
+    /// of it.
+    fn search<S, H>(&mut self, space: &mut S, h: &H, order: Order) -> Option<(u32, S::Goal)>
     where
         S: SearchSpace<Payload = P>,
         H: Fn(u32) -> f64,
@@ -394,9 +430,9 @@ impl<P: Copy + Default> Kernel<P> {
         self.begin();
         for i in 0..self.sources.len() {
             let (node, payload) = self.sources[i];
-            if self.keep(node, 0.0, h, limit) {
+            if self.keep(node, 0.0, h, order) {
                 self.relax(node, 0.0, None, payload);
-                let h_node = self.order(node, h, limit);
+                let h_node = self.order(node, h, order);
                 self.push(self.key(h_node), node);
             }
         }
@@ -416,7 +452,7 @@ impl<P: Copy + Default> Kernel<P> {
             let (k, node) = unpack(entry);
             let i = node as usize;
             let live = self.stamps.is_fresh(i) && {
-                let h_node = self.order(node, h, limit);
+                let h_node = self.order(node, h, order);
                 k == self.key(self.dist[i] + h_node)
             };
             if !live {
@@ -428,7 +464,7 @@ impl<P: Copy + Default> Kernel<P> {
             }
             let (dist, payload) = (self.dist[i], self.payload[i]);
             space.expand(node, dist, payload, |to, nd, p| {
-                self.improve(node, to, nd, p, h, limit);
+                self.improve(node, to, nd, p, h, order);
             });
         }
         self.pruned += self.frontier.len();
@@ -446,17 +482,17 @@ impl<P: Copy + Default> Kernel<P> {
         nd: f64,
         payload: P,
         h: &impl Fn(u32) -> f64,
-        limit: Option<u64>,
+        order: Order,
     ) {
         let i = to as usize;
         let fresh = self.stamps.is_fresh(i);
         if fresh && nd >= self.dist[i] {
             return;
         }
-        if !self.keep(to, nd, h, limit) {
+        if !self.keep(to, nd, h, order) {
             return;
         }
-        let h_to = self.order(to, h, limit);
+        let h_to = self.order(to, h, order);
         let key = self.key(nd + h_to);
         let queued = fresh && self.key(self.dist[i] + h_to) == key;
         self.relax(to, nd, Some(from), payload);

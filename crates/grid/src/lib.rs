@@ -15,7 +15,9 @@
 //!
 //! * [`Kernel`] — the one best-first search loop every router runs, each
 //!   over its own [`SearchSpace`], in A\* or bounded-Dijkstra order;
-//! * [`GoalBound`] — the one consistent lower bound both orders use;
+//! * [`GoalBound`] — the detailed routers' consistent lower bounds, from
+//!   one box list: the layer-aware [`GoalBound::h`] for bounded Dijkstra,
+//!   and the Manhattan value Mr.TPL's A\* passes keep;
 //! * [`TradCost`] — the one traditional step cost (`Cost_trad` of Eq. (1)),
 //!   over the net's [`guide_membership`], with its direction-class part
 //!   tabulated once by [`CostParams::base_table`];

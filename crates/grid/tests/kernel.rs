@@ -4,6 +4,8 @@
 //! window of the global router's gcell grid.
 
 use std::cell::Cell;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::time::{Duration, Instant};
 use tpl_design::{Design, DesignBuilder, NetId, PinId, Technology};
 use tpl_geom::{Dir, Rect};
@@ -27,6 +29,10 @@ struct Graph {
     sources: Vec<u32>,
     h: Vec<f64>,
     key_resolution: f64,
+    /// A step from a node with payload `hash` costs its listed cost plus
+    /// `toll · (hash % 3)`, so with a toll step costs depend on the path
+    /// taken, as Mr.TPL's colour-state steps do.
+    toll: f64,
 }
 
 /// The kernel's view of a [`Graph`]; logs every expansion.  The payload
@@ -47,9 +53,10 @@ impl SearchSpace for Space<'_> {
 
     fn expand(&mut self, node: u32, dist: f64, hash: u64, mut relax: impl FnMut(u32, f64, u64)) {
         self.expanded.push((node, dist));
+        let toll = self.graph.toll * (hash % 3) as f64;
         for &(to, cost) in &self.graph.succ[node as usize] {
             let next = (hash ^ u64::from(to)).wrapping_mul(0x0000_0100_0000_01B3);
-            relax(to, dist + cost, next);
+            relax(to, dist + cost + toll, next);
         }
     }
 }
@@ -83,6 +90,40 @@ impl Graph {
             Order::AStar => kernel.run(&mut space, sources, h),
             Order::Bounded => kernel.run_dijkstra(&mut space, sources, h),
         }
+    }
+
+    /// The same graph searched with the exact untolled distance to the
+    /// nearest goal as its bound: consistent under any toll, since a toll
+    /// only adds, and as tight as a bound gets.
+    fn with_exact_bound(mut self) -> Self {
+        let n = self.succ.len();
+        let mut pred = vec![Vec::new(); n];
+        for (from, out) in self.succ.iter().enumerate() {
+            for &(to, cost) in out {
+                pred[to as usize].push((from, cost));
+            }
+        }
+        // Non-negative `f64`s order like their bit patterns.
+        let mut dist = vec![f64::INFINITY; n];
+        let mut heap = BinaryHeap::new();
+        for (i, _) in self.goals.iter().enumerate().filter(|(_, g)| **g) {
+            dist[i] = 0.0;
+            heap.push(Reverse((0u64, i)));
+        }
+        while let Some(Reverse((bits, v))) = heap.pop() {
+            if bits != dist[v].to_bits() {
+                continue;
+            }
+            for &(u, cost) in &pred[v] {
+                let d = dist[v] + cost;
+                if d < dist[u] {
+                    dist[u] = d;
+                    heap.push(Reverse((d.to_bits(), u)));
+                }
+            }
+        }
+        self.h = dist;
+        self
     }
 
     /// Textbook O(V²) Dijkstra: the cheapest distance to any goal.
@@ -210,6 +251,7 @@ fn plain_grid(seed: u64) -> Graph {
             .collect(),
         h,
         key_resolution: 256.0,
+        toll: 0.0,
     }
 }
 
@@ -292,6 +334,7 @@ fn expanded_grid(seed: u64) -> Graph {
         goals,
         sources,
         key_resolution: 256.0,
+        toll: 0.0,
     }
 }
 
@@ -335,6 +378,7 @@ fn gcell_window(seed: u64) -> Graph {
         sources: vec![index(start.0, start.1)],
         h,
         key_resolution: 1024.0,
+        toll: 0.0,
     }
 }
 
@@ -355,6 +399,7 @@ fn goal_tie() -> Graph {
         sources: vec![s],
         h: vec![2.0, 0.0, 0.0, 1.0, 1.0],
         key_resolution: 256.0,
+        toll: 0.0,
     }
 }
 
@@ -389,6 +434,7 @@ fn rounded_sums() -> Graph {
         sources: vec![index(0, 0)],
         h,
         key_resolution: 10.0,
+        toll: 0.0,
     }
 }
 
@@ -528,6 +574,7 @@ fn diamond(b_to_a: f64) -> Graph {
         sources: vec![s],
         h: vec![0.0; 4],
         key_resolution: 1.0,
+        toll: 0.0,
     }
 }
 
@@ -597,36 +644,115 @@ fn counters_restart_when_armed() {
     assert_eq!((kernel.popped(), kernel.pruned(), kernel.peak()), (0, 0, 0));
 }
 
+/// Runs plain Dijkstra and bounded Dijkstra on `graph`, asserts that they
+/// agree on goal, distance, path and payload, and returns their pops and
+/// whether A\* found a cheaper goal than plain Dijkstra (so that bounded
+/// Dijkstra's pruned pass found none and it reran unpruned).
+fn assert_bounded_matches_plain(name: &str, graph: &Graph) -> ([usize; 2], bool) {
+    let mut plain = graph.kernel();
+    let want = graph.search(&mut plain, Order::Dijkstra);
+    let mut bounded = graph.kernel();
+    let got = graph.search(&mut bounded, Order::Bounded);
+    assert_eq!(got, want, "{name}: goal");
+    let goal = want.expect("path exists");
+    assert_eq!(
+        bounded.dist(goal).to_bits(),
+        plain.dist(goal).to_bits(),
+        "{name}: dist"
+    );
+    let path = plain.path(goal);
+    assert_eq!(bounded.path(goal), path, "{name}: path");
+    for &node in &path {
+        assert_eq!(bounded.dist(node).to_bits(), plain.dist(node).to_bits());
+        assert_eq!(
+            bounded.payload(node),
+            plain.payload(node),
+            "{name}: payload"
+        );
+    }
+    let mut a_star = graph.kernel();
+    let a_star_goal = graph
+        .search(&mut a_star, Order::AStar)
+        .expect("path exists");
+    let undercut = a_star.key(a_star.dist(a_star_goal)) + 1 < plain.key(plain.dist(goal));
+    ([plain.popped(), bounded.popped()], undercut)
+}
+
 #[test]
 fn bounded_dijkstra_returns_plain_dijkstras_answer() {
     let mut pops = [0usize; 2];
     for (name, graph) in graphs_for(1..=16) {
-        let mut plain = graph.kernel();
-        let want = graph.search(&mut plain, Order::Dijkstra);
-        let mut bounded = graph.kernel();
-        let got = graph.search(&mut bounded, Order::Bounded);
-        assert_eq!(got, want, "{name}: goal");
-        let goal = want.expect("path exists");
-        assert_eq!(
-            bounded.dist(goal).to_bits(),
-            plain.dist(goal).to_bits(),
-            "{name}: dist"
-        );
-        let path = plain.path(goal);
-        assert_eq!(bounded.path(goal), path, "{name}: path");
-        for &node in &path {
-            assert_eq!(bounded.dist(node).to_bits(), plain.dist(node).to_bits());
-            assert_eq!(
-                bounded.payload(node),
-                plain.payload(node),
-                "{name}: payload"
-            );
-        }
-        pops[0] += plain.popped();
-        pops[1] += bounded.popped();
+        let ([plain, bounded], _) = assert_bounded_matches_plain(name, &graph);
+        pops[0] += plain;
+        pops[1] += bounded;
     }
     // Both passes together still pop fewer nodes than plain Dijkstra.
     assert!(pops[1] < pops[0], "{pops:?}");
+}
+
+#[test]
+fn bounded_dijkstra_returns_plain_dijkstras_answer_when_steps_read_the_payload() {
+    let mut undercuts = 0;
+    for (name, graph) in graphs_for(1..=8) {
+        let mut graph = graph.with_exact_bound();
+        for toll in [0.5, 7.0, 40.0] {
+            graph.toll = toll;
+            let (_, undercut) = assert_bounded_matches_plain(name, &graph);
+            undercuts += usize::from(undercut);
+        }
+    }
+    // Some cases take the unpruned rerun.
+    assert!(undercuts > 0);
+}
+
+/// `s -> a -> m` and `s -> b -> m` both cost 2, and `m -> g` costs 1 when
+/// `m` was reached from `b`, 10 otherwise: the payload is the node a node
+/// was reached from.  The bound `(0, 1, 0, 1, 0)` is consistent with every
+/// step and makes A\* pop `b` before `a`, so A\* reaches `g` at 3.  Plain
+/// Dijkstra pops `a` first (the lower id), so `m` keeps `a` as its payload
+/// and `g` costs 12.
+struct Detour;
+
+impl SearchSpace for Detour {
+    type Payload = u32;
+    type Goal = u32;
+
+    fn goal(&mut self, node: u32, _: u64, _: &Kernel<u32>) -> Option<u32> {
+        (node == 4).then_some(node)
+    }
+
+    fn expand(&mut self, node: u32, dist: f64, from: u32, mut relax: impl FnMut(u32, f64, u32)) {
+        match node {
+            0 => {
+                relax(1, dist + 1.0, 0);
+                relax(2, dist + 1.0, 0);
+            }
+            1 | 2 => relax(3, dist + 1.0, node),
+            3 => relax(4, dist + if from == 2 { 1.0 } else { 10.0 }, node),
+            _ => {}
+        }
+    }
+}
+
+#[test]
+fn bounded_dijkstra_reruns_unpruned_when_a_star_undercuts_dijkstra() {
+    let h = |v: u32| [0.0, 1.0, 0.0, 1.0, 0.0][v as usize];
+    let mut a_star = Kernel::new(5, 256.0);
+    assert_eq!(a_star.run(&mut Detour, [(0, 0)], h), Some(4));
+    assert_eq!(a_star.dist(4), 3.0);
+    let mut plain = Kernel::new(5, 256.0);
+    assert_eq!(plain.run(&mut Detour, [(0, 0)], |_| 0.0), Some(4));
+    assert_eq!(plain.dist(4), 12.0);
+    // The pruned pass keeps only `f <= 3`, so it drops `m -> g` at 12 and
+    // runs dry; the unpruned rerun returns plain Dijkstra's answer.
+    let mut bounded = Kernel::new(5, 256.0);
+    assert_eq!(bounded.run_dijkstra(&mut Detour, [(0, 0)], h), Some(4));
+    assert_eq!(bounded.dist(4), 12.0);
+    assert_eq!(bounded.path(4), plain.path(4));
+    assert_eq!(bounded.payload(3), Some(1));
+    assert_eq!(bounded.stop_reason(), None);
+    // A* and the pruned pass pop 5 and 4 nodes, the rerun 5.
+    assert_eq!(bounded.popped(), 14);
 }
 
 #[test]
