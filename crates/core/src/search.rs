@@ -24,7 +24,14 @@
 //!   Dijkstra's answers.  A colour-state step's cost reads the inherited
 //!   colour state, so the A\* pass can find a cheaper goal than plain
 //!   Dijkstra; the pruned pass then finds no goal, and the kernel reruns
-//!   unpruned, so the answer stays plain Dijkstra's.
+//!   unpruned, so the answer stays plain Dijkstra's.  The same payload is
+//!   why these searches keep two passes where the colour-blind maze and
+//!   DAC'12 need one ([`Kernel::run_one_pass`]): plain Dijkstra keeps the
+//!   colour state of the first relaxation to reach a vertex's distance, a
+//!   tying relaxation with another colour state prices the vertex's
+//!   successors differently, and an A\*-order pass cannot tell which one
+//!   plain Dijkstra would have kept.  Forced onto one pass, Mr.TPL's
+//!   results change.
 //! * **One cached record per relaxation** — a step costs the direction-class
 //!   [`TradCost::base`], read from the per-layer table
 //!   [`CostParams::base_table`](tpl_grid::CostParams::base_table) that

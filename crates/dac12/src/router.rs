@@ -153,8 +153,9 @@ impl SearchSpace for SplitSearch<'_, '_> {
 impl SplitSearch<'_, '_> {
     /// Dijkstra over the expanded graph from the coverage of pin `from` to
     /// the targets.  Returns the path as `(vertex, mask)` pairs from source
-    /// to destination.  The bound on a node's vertex only prunes nodes that
-    /// cannot lie on an optimal path (see [`Kernel::run_dijkstra`]).
+    /// to destination.  The search has no payload, so it returns plain
+    /// Dijkstra's path from one A\*-order pass ([`Kernel::run_one_pass`]),
+    /// with the bound on a node's vertex as its `h`.
     fn route(&mut self, kernel: &mut Kernel<()>, from: PinId) -> Option<Vec<(VertexId, Mask)>> {
         let (trad, expanded, bound) = (self.trad, self.expanded, self.bound);
         let sources = trad
@@ -163,9 +164,12 @@ impl SplitSearch<'_, '_> {
             .iter()
             .filter(|v| !trad.state.is_blocked(**v))
             .flat_map(|&v| Mask::ALL.map(|mask| (expanded.node(v, mask), ())));
-        let goal = kernel.run_dijkstra(self, sources, |node| {
+        let goal = kernel.run_one_pass(self, sources.clone(), |node| {
             bound.h(trad.grid, expanded.unpack(node).0)
-        })?;
+        });
+        #[cfg(test)]
+        tests::cross_check(self, kernel, sources, goal);
+        let goal = goal?;
         let path = kernel
             .path(goal)
             .into_iter()
@@ -565,12 +569,63 @@ fn pin_wire_mask(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
     use tpl_color::ColorState;
     use tpl_design::{DesignBuilder, Technology};
     use tpl_geom::{Point, Rect};
     use tpl_global::{GlobalConfig, GlobalRouter};
     use tpl_grid::StopReason;
     use tpl_ispd::CaseParams;
+
+    thread_local! {
+        /// Searches checked against plain Dijkstra on this thread, counted
+        /// while a test has set it; `None` leaves [`SplitSearch::route`]
+        /// unchecked.
+        static CROSS_CHECKS: Cell<Option<usize>> = const { Cell::new(None) };
+    }
+
+    /// When a test on this thread asked for it, reruns a search as plain
+    /// Dijkstra (`Kernel::run` with `h = 0`) on a kernel of its own and
+    /// asserts that the one pass found the same goal and path.
+    pub(super) fn cross_check(
+        search: &mut SplitSearch<'_, '_>,
+        kernel: &Kernel<()>,
+        sources: impl Iterator<Item = (u32, ())>,
+        found: Option<u32>,
+    ) {
+        let Some(checked) = CROSS_CHECKS.get() else {
+            return;
+        };
+        assert_eq!(
+            kernel.stop_reason(),
+            None,
+            "cross-checked runs are unbudgeted"
+        );
+        let mut plain = Kernel::new(search.expanded.num_nodes(), KEY_RESOLUTION);
+        let want = plain.run(search, sources, |_| 0.0);
+        assert_eq!(found, want, "goal");
+        if let Some(goal) = want {
+            assert_eq!(kernel.path(goal), plain.path(goal), "path to {goal}");
+        }
+        CROSS_CHECKS.set(Some(checked + 1));
+    }
+
+    #[test]
+    fn every_search_of_a_routing_run_returns_plain_dijkstras_goal_and_path() {
+        CROSS_CHECKS.set(Some(0));
+        for suite in [CaseParams::ispd18_like, CaseParams::ispd19_like] {
+            for case in 1..=6 {
+                let mut params = suite(case).scaled(0.3);
+                // A salt per case, so the seeds differ from the suites'.
+                params.seed = params.seed.wrapping_add((case as u64 % 3) << 32);
+                let design = params.generate();
+                let guides = GlobalRouter::new(GlobalConfig::default()).route(&design);
+                Dac12Router::new(Dac12Config::default()).route(&design, &guides);
+            }
+        }
+        let checked = CROSS_CHECKS.take().expect("still counting");
+        assert!(checked > 500, "{checked} searches checked");
+    }
 
     fn small_case(scale: f64) -> (Design, RouteGuides) {
         let design = CaseParams::ispd18_like(1).scaled(scale).generate();

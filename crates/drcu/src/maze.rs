@@ -77,9 +77,10 @@ impl SearchSpace for Maze<'_, '_> {
 /// and the pin.  Returns `None` when no unreached pin can be reached, or
 /// when the kernel's budget stopped the search.
 ///
-/// The answer is plain Dijkstra's; the bound, aimed here at the unreached
-/// pins, only prunes the nodes that cannot lie on an optimal path (see
-/// [`Kernel::run_dijkstra`]).
+/// The answer is plain Dijkstra's, found in one A\*-order pass: the maze
+/// has no payload, so [`Kernel::run_one_pass`] applies, and the bound,
+/// aimed here at the unreached pins, only steers the pass past the nodes
+/// that cannot lie on an optimal path.
 pub(crate) fn search(
     cost: &TradCost<'_>,
     buffers: &mut MazeBuffers,
@@ -101,7 +102,12 @@ pub(crate) fn search(
         .filter(|s| !cost.state.is_blocked(**s))
         .map(|s| (s.0, ()));
     let mut maze = Maze { cost, base, goals };
-    kernel.run_dijkstra(&mut maze, sources, |v| bound.h(grid, VertexId::new(v)))
+    let found = kernel.run_one_pass(&mut maze, sources.clone(), |v| {
+        bound.h(grid, VertexId::new(v))
+    });
+    #[cfg(test)]
+    tests::cross_check(&mut maze, kernel, sources, found);
+    found
 }
 
 /// The path the last search found to `dst`, source first.
@@ -112,9 +118,44 @@ pub(crate) fn backtrace(kernel: &Kernel<()>, dst: VertexId) -> Vec<VertexId> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
     use tpl_design::{Design, DesignBuilder, NetId, RouteGuides, Technology};
     use tpl_geom::Rect;
+    use tpl_global::{GlobalConfig, GlobalRouter};
     use tpl_grid::{guide_membership, DenseBitSet, GridState, PinCoverage};
+    use tpl_ispd::CaseParams;
+
+    thread_local! {
+        /// Searches checked against plain Dijkstra on this thread, counted
+        /// while a test has set it; `None` leaves [`search`] unchecked.
+        static CROSS_CHECKS: Cell<Option<usize>> = const { Cell::new(None) };
+    }
+
+    /// When a test on this thread asked for it, reruns a search as plain
+    /// Dijkstra (`Kernel::run` with `h = 0`) on a kernel of its own and
+    /// asserts that the one pass found the same goal and path.
+    pub(super) fn cross_check(
+        maze: &mut Maze<'_, '_>,
+        kernel: &Kernel<()>,
+        sources: impl Iterator<Item = (u32, ())>,
+        found: Option<(VertexId, PinId)>,
+    ) {
+        let Some(checked) = CROSS_CHECKS.get() else {
+            return;
+        };
+        assert_eq!(
+            kernel.stop_reason(),
+            None,
+            "cross-checked runs are unbudgeted"
+        );
+        let mut plain = Kernel::new(maze.cost.grid.num_vertices(), KEY_RESOLUTION);
+        let want = plain.run(maze, sources, |_| 0.0);
+        assert_eq!(found, want, "goal");
+        if let Some((v, _)) = want {
+            assert_eq!(kernel.path(v.0), plain.path(v.0), "path to {v:?}");
+        }
+        CROSS_CHECKS.set(Some(checked + 1));
+    }
 
     fn setup() -> (Design, GridGraph, GridState, PinCoverage) {
         let mut b = DesignBuilder::new(
@@ -347,5 +388,22 @@ mod tests {
         for pin in [0, 1, 3, 4].map(PinId::new) {
             assert!(!c.vertices(pin).is_empty(), "{pin:?} covers a vertex");
         }
+    }
+
+    #[test]
+    fn every_search_of_a_routing_run_returns_plain_dijkstras_goal_and_path() {
+        CROSS_CHECKS.set(Some(0));
+        for suite in [CaseParams::ispd18_like, CaseParams::ispd19_like] {
+            for case in 1..=10 {
+                let mut params = suite(case).scaled(0.3);
+                // A salt per case, so the seeds differ from the suites'.
+                params.seed = params.seed.wrapping_add((case as u64 % 3) << 32);
+                let design = params.generate();
+                let guides = GlobalRouter::new(GlobalConfig::default()).route(&design);
+                crate::DrCuRouter::new(crate::DrCuConfig::default()).route(&design, &guides);
+            }
+        }
+        let checked = CROSS_CHECKS.take().expect("still counting");
+        assert!(checked > 1000, "{checked} searches checked");
     }
 }

@@ -13,9 +13,9 @@
 //!   Mr.TPL, `()` elsewhere), so a search starts in O(sources) and the
 //!   buffers, the source list included, are allocated once per routing run;
 //! * an epoch-stamped memo of the bound `h` ([`EpochMap`]), so one call of
-//!   [`run`](Kernel::run) or [`run_dijkstra`](Kernel::run_dijkstra)
-//!   evaluates `h` at most once per node, both passes of the latter
-//!   included;
+//!   [`run`](Kernel::run), [`run_dijkstra`](Kernel::run_dijkstra) or
+//!   [`run_one_pass`](Kernel::run_one_pass) evaluates `h` at most once per
+//!   node, both passes of `run_dijkstra` included;
 //! * the exact stale-entry test;
 //! * the node-limit, deadline and cancellation probes;
 //! * the pop counter, the pruned-entry counter and the frontier high-water
@@ -27,14 +27,24 @@
 //!
 //! A router supplies a [`SearchSpace`] (its node encoding, `expand` and goal
 //! test) and a consistent lower bound `h` on the cost still to go (such as
-//! [`GoalBound`](crate::GoalBound)), and picks one of two search orders:
+//! [`GoalBound`](crate::GoalBound)), and picks one of three searches:
 //!
 //! * [`run`](Kernel::run) is A\*: it pops in `(key(dist + h), node)` order;
 //! * [`run_dijkstra`](Kernel::run_dijkstra) returns exactly what plain
 //!   Dijkstra (`run` with `h = 0`) returns, but uses `h` to expand only the
-//!   nodes that can lie on an optimal path; its documentation gives the
-//!   pruning rule, why it is exact, and the unpruned rerun it falls back on
-//!   when a step's cost reads the payload and A\* undercuts plain Dijkstra.
+//!   nodes that can lie on an optimal path.  It searches twice: an A\* pass
+//!   learns the optimum, and a pruned pass in Dijkstra order reproduces
+//!   plain Dijkstra's tie-breaks.  Its documentation gives the pruning rule,
+//!   why it is exact, and the unpruned rerun it falls back on when a step's
+//!   cost reads the payload and A\* undercuts plain Dijkstra.  Mr.TPL's
+//!   colour-state search, whose steps read the payload, uses it.
+//! * [`run_one_pass`](Kernel::run_one_pass) returns plain Dijkstra's answer
+//!   too, in a single A\*-order pass, for searches without a payload
+//!   (`Kernel<()>`), whose steps depend on the nodes alone: it breaks
+//!   distance ties towards plain Dijkstra's predecessor and keeps popping
+//!   past the first goal through a one-quantum band.  Its documentation
+//!   gives the rules and why they are exact.  The Dr.CU-like maze and the
+//!   DAC'12 search use it.
 //!
 //! `h` must be a pure function of the node for the length of one call: a
 //! router may re-aim its bound between calls, never within one.
@@ -47,7 +57,12 @@
 //! costs that quantise to the same key never resurrect a stale entry, and an
 //! improvement that lands on the already-queued key reuses that entry
 //! instead of pushing a duplicate: the node is expanded once, with the
-//! better distance.
+//! better distance.  The one pass of
+//! [`run_one_pass`](Kernel::run_one_pass) is the exception: it queues every
+//! improvement afresh, because in A\* order a node can be improved within
+//! its key after it was expanded (a neighbour popped later under the same
+//! key, with a larger share of `h`, can undercut it), and the pass must
+//! expand it again to stay exact.
 //!
 //! A frontier entry packs `(key, node)` into one `u128` whose integer order
 //! is the pair's lexicographic order, and equal entries are
@@ -95,9 +110,10 @@ pub trait SearchSpace {
     /// What a successful search returns.
     type Goal;
 
-    /// Called on every live pop before expansion; `Some` ends the search.
-    /// `key` is the popped key and `search` the kernel's current state, so
-    /// a stop rule may read settled distances.
+    /// Called on every live pop before expansion; `Some` ends the search
+    /// (in [`Kernel::run_one_pass`], records a goal and skips the
+    /// expansion).  `key` is the popped key and `search` the kernel's
+    /// current state, so a stop rule may read settled distances.
     fn goal(&mut self, node: u32, key: u64, search: &Kernel<Self::Payload>) -> Option<Self::Goal>;
 
     /// Calls `relax(successor, dist + step, payload)` for every successor of
@@ -251,7 +267,8 @@ impl<P: Copy + Default> Kernel<P> {
     }
 
     /// Frontier entries left unexpanded when searches ended, since `arm`
-    /// (the second pass's only, in [`run_dijkstra`](Kernel::run_dijkstra)).
+    /// (in [`run_dijkstra`](Kernel::run_dijkstra), those of its
+    /// Dijkstra-order passes only).
     #[inline]
     pub fn pruned(&self) -> usize {
         self.pruned
@@ -298,7 +315,8 @@ impl<P: Copy + Default> Kernel<P> {
             return None;
         }
         self.load(sources);
-        self.search(space, &h, Order::AStar).map(|(_, goal)| goal)
+        self.search::<S, H, false>(space, &h, Order::AStar)
+            .map(|(_, goal)| goal)
     }
 
     /// Returns exactly what `run(space, sources, |_| 0.0)` returns — the
@@ -352,6 +370,11 @@ impl<P: Copy + Default> Kernel<P> {
     /// A\*, popping in another order, may keep one whose later steps are
     /// cheaper.  Then `ub` can fall below plain Dijkstra's goal distance,
     /// pass 2 runs dry, and pass 3 returns plain Dijkstra's answer.
+    ///
+    /// A search without a payload gets the same answer in one pass from
+    /// [`run_one_pass`](Kernel::run_one_pass); this two-pass form is for
+    /// searches whose steps read the payload, where A\* order alone cannot
+    /// tell which payload plain Dijkstra would have kept.
     pub fn run_dijkstra<S, H>(
         &mut self,
         space: &mut S,
@@ -367,17 +390,18 @@ impl<P: Copy + Default> Kernel<P> {
         }
         self.load(sources);
         let pruned = self.pruned;
-        let (goal, _) = self.search(space, &h, Order::AStar)?;
+        let first = self.search::<S, H, false>(space, &h, Order::AStar);
         self.pruned = pruned;
+        let (goal, _) = first?;
         let limit = self.key(self.dist[goal as usize]) + 1;
-        if let Some((_, goal)) = self.search(space, &h, Order::Bounded(limit)) {
+        if let Some((_, goal)) = self.search::<S, H, false>(space, &h, Order::Bounded(limit)) {
             return Some(goal);
         }
         if self.stop.is_some() {
             return None;
         }
         tpl_trace::counter!("grid.dijkstra_reruns", 1);
-        self.search(space, &h, Order::Dijkstra)
+        self.search::<S, H, false>(space, &h, Order::Dijkstra)
             .map(|(_, goal)| goal)
     }
 
@@ -421,8 +445,16 @@ impl<P: Copy + Default> Kernel<P> {
 
     /// One search from the stored sources in `order`, relaxing only what
     /// [`keep`](Self::keep)s.  Returns the goal node and what `space` made
-    /// of it.
-    fn search<S, H>(&mut self, space: &mut S, h: &H, order: Order) -> Option<(u32, S::Goal)>
+    /// of it: the first goal popped, or with `ONE_PASS` (the rules of
+    /// [`run_one_pass`](Kernel::run_one_pass), in A\* order) the least
+    /// `(key, node)` goal popped inside the band.  Returns `None` when a
+    /// limit stopped the search.
+    fn search<S, H, const ONE_PASS: bool>(
+        &mut self,
+        space: &mut S,
+        h: &H,
+        order: Order,
+    ) -> Option<(u32, S::Goal)>
     where
         S: SearchSpace<Payload = P>,
         H: Fn(u32) -> f64,
@@ -436,8 +468,16 @@ impl<P: Copy + Default> Kernel<P> {
                 self.push(self.key(h_node), node);
             }
         }
-        let mut found = None;
+        let mut found: Option<(u64, u32, S::Goal)> = None;
+        // The largest key still popped; with `ONE_PASS`, the first goal
+        // narrows it.
+        let mut band = u64::MAX;
         while let Some(Reverse(entry)) = self.frontier.pop() {
+            let (k, node) = unpack(entry);
+            if k > band {
+                self.frontier.push(Reverse(entry)); // left unexpanded
+                break;
+            }
             if self.popped as u64 >= self.node_limit {
                 self.stop = Some(StopReason::SearchNodes);
                 break;
@@ -449,7 +489,6 @@ impl<P: Copy + Default> Kernel<P> {
                 }
             }
             self.popped += 1;
-            let (k, node) = unpack(entry);
             let i = node as usize;
             let live = self.stamps.is_fresh(i) && {
                 let h_node = self.order(node, h, order);
@@ -459,23 +498,39 @@ impl<P: Copy + Default> Kernel<P> {
                 continue; // stale entry
             }
             if let Some(goal) = space.goal(node, k, self) {
-                found = Some((node, goal));
-                break;
+                if found
+                    .as_ref()
+                    .is_none_or(|&(best, at, _)| (k, node) < (best, at))
+                {
+                    found = Some((k, node, goal));
+                }
+                if !ONE_PASS {
+                    break;
+                }
+                if band == u64::MAX {
+                    band = k + 1;
+                }
+                continue; // goals are not expanded
             }
             let (dist, payload) = (self.dist[i], self.payload[i]);
             space.expand(node, dist, payload, |to, nd, p| {
-                self.improve(node, to, nd, p, h, order);
+                self.improve::<ONE_PASS>(node, to, nd, p, h, order);
             });
         }
         self.pruned += self.frontier.len();
-        found
+        if self.stop.is_some() {
+            return None;
+        }
+        found.map(|(_, node, goal)| (node, goal))
     }
 
     /// Lowers `to` to distance `nd` via `from` if that is an improvement the
     /// search [`keep`](Self::keep)s, and queues it unless it already sits in
-    /// the frontier under the same key.
+    /// the frontier under the same key.  With `ONE_PASS` it queues every
+    /// improvement, and a relaxation that ties `to`'s distance exactly
+    /// applies the tie rule of [`run_one_pass`](Kernel::run_one_pass).
     #[inline]
-    fn improve(
+    fn improve<const ONE_PASS: bool>(
         &mut self,
         from: u32,
         to: u32,
@@ -487,6 +542,9 @@ impl<P: Copy + Default> Kernel<P> {
         let i = to as usize;
         let fresh = self.stamps.is_fresh(i);
         if fresh && nd >= self.dist[i] {
+            if ONE_PASS && nd == self.dist[i] {
+                self.break_tie(from, i);
+            }
             return;
         }
         if !self.keep(to, nd, h, order) {
@@ -494,10 +552,27 @@ impl<P: Copy + Default> Kernel<P> {
         }
         let h_to = self.order(to, h, order);
         let key = self.key(nd + h_to);
-        let queued = fresh && self.key(self.dist[i] + h_to) == key;
+        let queued = !ONE_PASS && fresh && self.key(self.dist[i] + h_to) == key;
         self.relax(to, nd, Some(from), payload);
         if !queued {
             self.push(key, to);
+        }
+    }
+
+    /// The tie rule of [`run_one_pass`](Kernel::run_one_pass): node `to`,
+    /// reached by `from` at exactly its distance, takes `from` as its
+    /// predecessor when plain Dijkstra would expand `from` first, that is
+    /// when `(key(dist), node)` of `from` is less than of the current
+    /// predecessor.  A source keeps having none.
+    #[inline]
+    fn break_tie(&mut self, from: u32, to: usize) {
+        let prev = self.prev[to];
+        if prev == u32::MAX {
+            return;
+        }
+        let rank = |node: u32| (self.key(self.dist[node as usize]), node);
+        if rank(from) < rank(prev) {
+            self.prev[to] = from;
         }
     }
 
@@ -505,5 +580,92 @@ impl<P: Copy + Default> Kernel<P> {
     fn push(&mut self, key: u64, node: u32) {
         self.frontier.push(Reverse(pack(key, node)));
         self.peak = self.peak.max(self.frontier.len());
+    }
+}
+
+impl Kernel<()> {
+    /// Returns exactly what `run(space, sources, |_| 0.0)` returns — the
+    /// same goal, and the same `dist` and `prev` on the path to it — in one
+    /// pass in A\* order, `(key(dist + h), node)`, where
+    /// [`run_dijkstra`](Kernel::run_dijkstra) needs two.  The pass differs
+    /// from [`run`](Kernel::run) in three rules:
+    ///
+    /// * **Tie rule.** A relaxation that reaches `to` at exactly its current
+    ///   distance makes `from` its predecessor when `(key(dist[from]),
+    ///   from) < (key(dist[prev[to]]), prev[to])`: of the two, plain
+    ///   Dijkstra expands `from` first, and keeps it.
+    /// * **Goals.** A goal pop is recorded and not expanded.  The first one
+    ///   sets the band limit `key(dist) + 1`; the extra key quantum is the
+    ///   `f64` rounding slack that `run_dijkstra`'s pruned pass allows too.
+    /// * **End.** The search stops at the first frontier entry above the
+    ///   band, or when the frontier runs dry, and returns the recorded goal
+    ///   with the least `(key(dist), node)`.  A limit stop returns `None`,
+    ///   with the reason in [`stop_reason`](Kernel::stop_reason), even if a
+    ///   goal was recorded.
+    ///
+    /// An improvement always queues a fresh frontier entry here (see the
+    /// stale-entry test in the module docs), so a node that A\* order
+    /// improves after expanding it is expanded again.  Every pop counts in
+    /// [`popped`](Kernel::popped) and against the node limit, deadline and
+    /// cancellation; [`pruned`](Kernel::pruned) counts the frontier left
+    /// when the pass ends.
+    ///
+    /// The rules are exact under three conditions: `h` is consistent and
+    /// zero on goals; every step costs at least one key quantum; and
+    /// `space`'s steps and goal test depend on the node alone, as they do
+    /// when there is no payload to read.  Let `D` be the distance plain
+    /// Dijkstra settles a node at (goals are never expanded by either
+    /// search, so they are sinks), `G` its goal, and call `p` a *tight
+    /// predecessor* of `v` when `D(p) + step(p, v) == D(v)`.  Then:
+    ///
+    /// * a tight predecessor has a strictly smaller key than its node, as a
+    ///   step is at least one quantum, so plain Dijkstra expands every tight
+    ///   predecessor of a node it pops, with its `D`, before that node, and
+    ///   in `(key(D), node)` order; the first one sets the node's `prev` and
+    ///   the later ones only tie, so plain Dijkstra's `prev` is the least
+    ///   `(key(D), node)` tight predecessor;
+    /// * no distance in the pass falls below `D`, since each is a sum along
+    ///   a path, and `f64` addition is monotone;
+    /// * every tight predecessor `p` of a node `v` on plain Dijkstra's path
+    ///   has `D(p) + h(p) <= D(v) + h(v) <= D(G)` by consistency, so its
+    ///   frontier key is inside the band, which is at least `key(D(G)) + 1`:
+    ///   the first goal the pass pops has a distance of at least its `D`,
+    ///   no goal's `D` has a smaller key than `G`'s, and the extra quantum
+    ///   absorbs the rounding of `D(p) + h(p)`.  By induction on the key,
+    ///   the pass expands `p` with `D(p)` (last, if it improved `p` after
+    ///   an earlier expansion), which relaxes `v` to `D(v)`;
+    /// * each such relaxation either lowers `v` to `D(v)` or ties, and the
+    ///   tie rule compares the current keys, which only fall; the least
+    ///   tight predecessor's last relaxation comes with its final key, which
+    ///   nothing beats afterwards, so `v` ends with plain Dijkstra's `prev`;
+    /// * no goal is a tight predecessor of a node on the path, since plain
+    ///   Dijkstra, popping it first, would have stopped there; so recording
+    ///   goals instead of expanding them loses no predecessor;
+    /// * every goal whose key is at most `G`'s is recorded with its `D`, so
+    ///   the least recorded `(key(dist), node)` is `G`, the goal plain
+    ///   Dijkstra pops first.
+    ///
+    /// A search whose steps read the payload, such as Mr.TPL's colour-state
+    /// search, cannot take this pass: plain Dijkstra keeps the payload of
+    /// the first relaxation to reach a node's distance, and a later, tying
+    /// relaxation with another payload prices the node's successors
+    /// differently.  The `()` payload keeps such searches on
+    /// `run_dijkstra`.
+    pub fn run_one_pass<S, H>(
+        &mut self,
+        space: &mut S,
+        sources: impl IntoIterator<Item = (u32, ())>,
+        h: H,
+    ) -> Option<S::Goal>
+    where
+        S: SearchSpace<Payload = ()>,
+        H: Fn(u32) -> f64,
+    {
+        if self.stop.is_some() {
+            return None;
+        }
+        self.load(sources);
+        self.search::<S, H, true>(space, &h, Order::AStar)
+            .map(|(_, goal)| goal)
     }
 }

@@ -14,10 +14,14 @@
 //! apples-to-apples:
 //!
 //! * [`Kernel`] — the one best-first search loop every router runs, each
-//!   over its own [`SearchSpace`], in A\* or bounded-Dijkstra order;
+//!   over its own [`SearchSpace`]: A\*, or plain Dijkstra's answer from
+//!   fewer pops, in two passes when a step reads the payload (Mr.TPL's
+//!   colour state) and in one A\*-order pass when there is no payload
+//!   (DAC'12 and the Dr.CU-like maze);
 //! * [`GoalBound`] — the detailed routers' consistent lower bounds, from
-//!   one box list: the layer-aware [`GoalBound::h`] for bounded Dijkstra,
-//!   and the Manhattan value Mr.TPL's A\* passes keep;
+//!   one box list: the layer-aware [`GoalBound::h`] for the searches that
+//!   return plain Dijkstra's answer, and the Manhattan value Mr.TPL's A\*
+//!   passes keep;
 //! * [`TradCost`] — the one traditional step cost (`Cost_trad` of Eq. (1)),
 //!   over the net's [`guide_membership`], with its direction-class part
 //!   tabulated once by [`CostParams::base_table`];

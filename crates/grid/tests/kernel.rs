@@ -61,6 +61,30 @@ impl SearchSpace for Space<'_> {
     }
 }
 
+/// The payload-free view of a toll-free [`Graph`], the search
+/// [`Kernel::run_one_pass`] takes; logs every expansion.
+struct UnitSpace<'a> {
+    graph: &'a Graph,
+    expanded: Vec<(u32, f64)>,
+}
+
+impl SearchSpace for UnitSpace<'_> {
+    type Payload = ();
+    type Goal = u32;
+
+    fn goal(&mut self, node: u32, _: u64, _: &Kernel<()>) -> Option<u32> {
+        self.graph.goals[node as usize].then_some(node)
+    }
+
+    fn expand(&mut self, node: u32, dist: f64, _: (), mut relax: impl FnMut(u32, f64, ())) {
+        assert_eq!(self.graph.toll, 0.0, "a payload-free step reads no toll");
+        self.expanded.push((node, dist));
+        for &(to, cost) in &self.graph.succ[node as usize] {
+            relax(to, dist + cost, ());
+        }
+    }
+}
+
 /// The search orders of the kernel.
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum Order {
@@ -90,6 +114,20 @@ impl Graph {
             Order::AStar => kernel.run(&mut space, sources, h),
             Order::Bounded => kernel.run_dijkstra(&mut space, sources, h),
         }
+    }
+
+    fn unit_kernel(&self) -> Kernel<()> {
+        Kernel::new(self.succ.len(), self.key_resolution)
+    }
+
+    /// Runs the one-pass search with the graph's bound.
+    fn one_pass(&self, kernel: &mut Kernel<()>) -> Option<u32> {
+        let mut space = UnitSpace {
+            graph: self,
+            expanded: Vec::new(),
+        };
+        let sources = self.sources.iter().map(|&s| (s, ()));
+        kernel.run_one_pass(&mut space, sources, |v| self.h[v as usize])
     }
 
     /// The same graph searched with the exact untolled distance to the
@@ -438,6 +476,120 @@ fn rounded_sums() -> Graph {
     }
 }
 
+/// A 9 × 9 grid of unit steps in all four directions, from three sources
+/// to two goals on the east edge, bounded by the columns still to cross.
+/// Most nodes have two tight predecessors at equal distance.  Where the
+/// path climbs to lower rows, plain Dijkstra keeps the west one (the lower
+/// id), while A\* order relaxes the node first from the one below it (the
+/// same column, so a smaller bound): the path hangs on the tie rule.
+fn uniform_grid() -> Graph {
+    let n = 9usize;
+    let index = |x: usize, y: usize| (y * n + x) as u32;
+    let mut succ = vec![Vec::new(); n * n];
+    for y in 0..n {
+        for x in 0..n {
+            let out = &mut succ[index(x, y) as usize];
+            if x + 1 < n {
+                out.push((index(x + 1, y), 1.0));
+            }
+            if x > 0 {
+                out.push((index(x - 1, y), 1.0));
+            }
+            if y + 1 < n {
+                out.push((index(x, y + 1), 1.0));
+            }
+            if y > 0 {
+                out.push((index(x, y - 1), 1.0));
+            }
+        }
+    }
+    let mut goals = vec![false; n * n];
+    goals[index(n - 1, 1) as usize] = true;
+    goals[index(n - 1, 6) as usize] = true;
+    Graph {
+        succ,
+        goals,
+        sources: vec![index(0, 3), index(0, 7), index(4, 8)],
+        h: (0..n * n).map(|i| (n - 1 - i % n) as f64).collect(),
+        key_resolution: 256.0,
+        toll: 0.0,
+    }
+}
+
+/// Two tight predecessors at different distances: `s -> p1 -> v` costs
+/// 1 + 2 and `s -> q -> p2 -> v` costs 1 + 1 + 1.  Plain Dijkstra expands
+/// `p1` (distance 1) before `p2` (distance 2) and keeps `p1`.  Under the
+/// bound every node but `v` and the goal sits at key 4, so A\* pops by id,
+/// and `p2` (id 2) reaches `v` before `p1` (id 3) ties it.
+fn tie_across_keys() -> Graph {
+    let (s, q, p2, p1, v, g) = (0usize, 1u32, 2u32, 3u32, 4u32, 5u32);
+    let mut succ = vec![Vec::new(); 6];
+    succ[s] = vec![(q, 1.0), (p1, 1.0)];
+    succ[q as usize] = vec![(p2, 1.0)];
+    succ[p2 as usize] = vec![(v, 1.0)];
+    succ[p1 as usize] = vec![(v, 2.0)];
+    succ[v as usize] = vec![(g, 1.0)];
+    Graph {
+        succ,
+        goals: vec![false, false, false, false, false, true],
+        sources: vec![s as u32],
+        h: vec![4.0, 3.0, 2.0, 3.0, 1.0, 0.0],
+        key_resolution: 1.0,
+        toll: 0.0,
+    }
+}
+
+/// Two goals whose distances, 2.0 and 2.1, share key 8 at four keys per
+/// unit: `s -> a -> ga` and `s -> b -> gb` under the exact bound, every
+/// node at key 8 in A\* order.  A\* pops `a`, then `ga` (its id is below
+/// `b`'s) before `b` is expanded, so the one pass records `ga` first.
+/// Plain Dijkstra pops both goals under key 8 and returns the lower id,
+/// whichever distance is smaller: `gb` here, `ga` when `swap` exchanges
+/// the goals' ids.
+fn equal_key_goals(swap: bool) -> Graph {
+    let (s, a, b) = (0usize, 3usize, 4usize);
+    let (ga, gb) = if swap { (1, 2) } else { (2, 1) };
+    let mut succ = vec![Vec::new(); 5];
+    succ[s] = vec![(a as u32, 1.0), (b as u32, 1.0)];
+    succ[a] = vec![(ga as u32, 1.0)];
+    succ[b] = vec![(gb as u32, 1.1)];
+    let mut goals = vec![false; 5];
+    goals[ga] = true;
+    goals[gb] = true;
+    let mut h = vec![0.0; 5];
+    (h[s], h[a], h[b]) = (2.0, 1.0, 1.1);
+    Graph {
+        succ,
+        goals,
+        sources: vec![s as u32],
+        h,
+        key_resolution: 4.0,
+        toll: 0.0,
+    }
+}
+
+/// A node that A\* order improves after expanding it.  At one key per unit,
+/// `v` (f = 5.05 + 0.9) and `u` (f = 4 + 1) share key 5, so A\* pops `v`
+/// first, reached at 5.05 by `s -> v`, and then `u` improves it to 5
+/// within that key.  Plain Dijkstra pops `u` first and reaches the goal at
+/// 6 by `s -> u -> v -> g`; a search that did not expand `v` again would
+/// reach it at 6.05.
+fn reopening() -> Graph {
+    let (s, v, u, g) = (0usize, 1u32, 2u32, 3u32);
+    let mut succ = vec![Vec::new(); 4];
+    succ[s] = vec![(v, 5.05), (u, 4.0)];
+    succ[u as usize] = vec![(v, 1.0)];
+    succ[v as usize] = vec![(g, 1.0)];
+    Graph {
+        succ,
+        goals: vec![false, false, false, true],
+        sources: vec![s as u32],
+        h: vec![5.0, 0.9, 1.0, 0.0],
+        key_resolution: 1.0,
+        toll: 0.0,
+    }
+}
+
 /// Every graph shape, for the given seeds.
 fn graphs_for(seeds: std::ops::RangeInclusive<u64>) -> Vec<(&'static str, Graph)> {
     let mut out = Vec::new();
@@ -474,6 +626,9 @@ fn every_graph_matches_reference_dijkstra_in_every_order() {
             assert!(graph.sources.contains(&path[0]), "{name}");
             assert_eq!(*path.last().unwrap(), goal);
         }
+        let mut kernel = graph.unit_kernel();
+        let goal = graph.one_pass(&mut kernel).expect("path exists");
+        assert!((kernel.dist(goal) - want).abs() < 1e-9, "{name} one pass");
     }
 }
 
@@ -523,6 +678,11 @@ fn node_budget_stops_the_search_with_a_reason() {
         assert_eq!(graph.search(&mut kernel, Order::Dijkstra), None);
         assert_eq!(graph.search(&mut kernel, Order::Bounded), None);
         assert!(kernel.popped() <= 3);
+        let mut unit = graph.unit_kernel();
+        unit.arm(3, &RouteBudget::with_max_search_nodes(3));
+        assert_eq!(graph.one_pass(&mut unit), None, "{name}");
+        assert_eq!(unit.stop_reason(), Some(StopReason::SearchNodes));
+        assert_eq!(unit.popped(), 3);
         // Re-arming unbudgeted finds the goal again.
         kernel.arm(u64::MAX, &RouteBudget::default());
         assert!(
@@ -556,6 +716,10 @@ fn cancellation_and_deadline_abort_the_search() {
                 assert_eq!(graph.search(&mut kernel, order), None, "{name}");
                 assert_eq!(kernel.stop_reason(), Some(reason), "{name}");
             }
+            let mut unit = graph.unit_kernel();
+            unit.arm(u64::MAX, budget);
+            assert_eq!(graph.one_pass(&mut unit), None, "{name}");
+            assert_eq!(unit.stop_reason(), Some(reason), "{name}");
         }
     }
 }
@@ -826,6 +990,8 @@ fn a_node_limit_inside_the_a_star_pass_stops_bounded_dijkstra() {
             "{name}"
         );
         assert!(kernel.popped() <= limit, "{name}");
+        // `pruned` counts the Dijkstra-order passes only, and none ran.
+        assert_eq!(kernel.pruned(), 0, "{name}");
     }
 }
 
@@ -845,5 +1011,156 @@ fn a_node_limit_inside_the_dijkstra_pass_stops_bounded_dijkstra() {
         );
         assert!(kernel.popped() <= limit, "{name}");
         assert!(kernel.popped() > first, "{name}: pass 1 completed");
+    }
+}
+
+/// Runs plain Dijkstra and the one pass on `graph` and asserts that they
+/// agree on the goal and on the distance and predecessor of every node of
+/// the path to it.  Returns the pops of both.
+fn assert_one_pass_matches_plain(name: &str, graph: &Graph) -> [usize; 2] {
+    let mut plain = graph.kernel();
+    let want = graph.search(&mut plain, Order::Dijkstra);
+    let mut one_pass = graph.unit_kernel();
+    let got = graph.one_pass(&mut one_pass);
+    assert_eq!(got, want, "{name}: goal");
+    if let Some(goal) = want {
+        let path = plain.path(goal);
+        assert_eq!(one_pass.path(goal), path, "{name}: path");
+        for &node in &path {
+            assert_eq!(
+                one_pass.dist(node).to_bits(),
+                plain.dist(node).to_bits(),
+                "{name}: dist of {node}"
+            );
+        }
+    }
+    assert_eq!(one_pass.stop_reason(), None, "{name}");
+    [plain.popped(), one_pass.popped()]
+}
+
+/// Every graph shape of the other tests, and the ones built to trip each
+/// rule of the one pass.
+fn one_pass_graphs() -> Vec<(&'static str, Graph)> {
+    let mut out = graphs_for(1..=16);
+    out.push(("uniform grid", uniform_grid()));
+    out.push(("tie across keys", tie_across_keys()));
+    out.push(("equal-key goals", equal_key_goals(false)));
+    out.push(("equal-key goals, swapped ids", equal_key_goals(true)));
+    out.push(("reopening", reopening()));
+    out.push(("diamond without goals", diamond(1.0)));
+    out
+}
+
+#[test]
+fn one_pass_returns_plain_dijkstras_goal_dist_and_path() {
+    for (name, graph) in one_pass_graphs() {
+        assert_one_pass_matches_plain(name, &graph);
+    }
+}
+
+#[test]
+fn one_pass_pops_fewer_nodes_than_both_passes_of_bounded_dijkstra() {
+    let (mut bounded, mut one_pass) = (0, 0);
+    for (name, graph) in graphs_for(1..=16) {
+        let mut kernel = graph.kernel();
+        graph
+            .search(&mut kernel, Order::Bounded)
+            .expect("path exists");
+        bounded += kernel.popped();
+        one_pass += assert_one_pass_matches_plain(name, &graph)[1];
+    }
+    // About one pass's worth: under 60% of the two passes.
+    assert!(5 * one_pass < 3 * bounded, "{one_pass} vs {bounded}");
+}
+
+#[test]
+fn one_pass_records_every_goal_in_the_band_and_returns_the_least_key_and_id() {
+    // The lower id is 1 in both orders of the goals' ids.
+    for swap in [false, true] {
+        let graph = equal_key_goals(swap);
+        let mut kernel = graph.unit_kernel();
+        let mut space = UnitSpace {
+            graph: &graph,
+            expanded: Vec::new(),
+        };
+        let got = kernel.run_one_pass(&mut space, [(0, ())], |v| graph.h[v as usize]);
+        assert_eq!(got, Some(1), "swap {swap}");
+        // s, a, ga, b, gb: the pass went on past the first goal, and
+        // expanded neither.
+        assert_eq!(kernel.popped(), 5, "swap {swap}");
+        let expanded: Vec<u32> = space.expanded.iter().map(|&(n, _)| n).collect();
+        assert_eq!(expanded, vec![0, 3, 4], "swap {swap}");
+    }
+}
+
+#[test]
+fn one_pass_expands_a_node_again_when_a_star_order_improves_it_late() {
+    let graph = reopening();
+    let mut kernel = graph.unit_kernel();
+    let mut space = UnitSpace {
+        graph: &graph,
+        expanded: Vec::new(),
+    };
+    assert_eq!(
+        kernel.run_one_pass(&mut space, [(0, ())], |v| graph.h[v as usize]),
+        Some(3)
+    );
+    assert_eq!(kernel.dist(3), 6.0);
+    assert_eq!(kernel.path(3), vec![0, 2, 1, 3]);
+    let v: Vec<f64> = space
+        .expanded
+        .iter()
+        .filter(|(n, _)| *n == 1)
+        .map(|(_, d)| *d)
+        .collect();
+    assert_eq!(v, vec![5.05, 5.0]);
+}
+
+#[test]
+fn a_node_limit_after_the_first_goal_stops_the_one_pass_without_an_answer() {
+    for (name, graph) in one_pass_graphs() {
+        let mut kernel = graph.unit_kernel();
+        graph.one_pass(&mut kernel);
+        let limit = kernel.popped() - 1;
+        let mut kernel = graph.unit_kernel();
+        kernel.arm(limit as u64, &RouteBudget::default());
+        assert_eq!(graph.one_pass(&mut kernel), None, "{name}");
+        assert_eq!(
+            kernel.stop_reason(),
+            Some(StopReason::SearchNodes),
+            "{name}"
+        );
+        assert_eq!(kernel.popped(), limit, "{name}");
+        // Later searches refuse to start until the kernel is armed again.
+        assert_eq!(graph.one_pass(&mut kernel), None, "{name}");
+        assert_eq!(kernel.popped(), limit, "{name}");
+    }
+    // In the equal-key goals, the stop falls after `ga` was recorded.
+    let graph = equal_key_goals(false);
+    let mut kernel = graph.unit_kernel();
+    kernel.arm(4, &RouteBudget::default());
+    assert_eq!(graph.one_pass(&mut kernel), None);
+}
+
+#[test]
+fn the_one_pass_evaluates_the_bound_at_most_once_per_node() {
+    for (name, graph) in graphs() {
+        let mut kernel = graph.unit_kernel();
+        let calls: Vec<Cell<u32>> = vec![Cell::new(0); graph.succ.len()];
+        let h = |v: u32| {
+            let c = &calls[v as usize];
+            c.set(c.get() + 1);
+            graph.h[v as usize]
+        };
+        let mut space = UnitSpace {
+            graph: &graph,
+            expanded: Vec::new(),
+        };
+        let sources = graph.sources.iter().map(|&s| (s, ()));
+        assert!(kernel.run_one_pass(&mut space, sources, h).is_some());
+        assert!(calls.iter().all(|c| c.get() <= 1), "{name}");
+        for &(node, _) in &space.expanded {
+            assert_eq!(calls[node as usize].get(), 1, "{name}");
+        }
     }
 }
