@@ -42,8 +42,6 @@ pub struct BenchArgs {
     /// Write trace exports (Chrome trace, per-phase metrics, wall-clock
     /// timings) into this directory; also turns tracing on for the run.
     pub trace: Option<String>,
-    /// Goal-directed A* on Mr.TPL negotiation passes (`--a-star on|off`).
-    pub a_star: bool,
     /// Search-node budget per job (`--budget`); deterministic, so it
     /// composes with `--deterministic` byte-comparisons.
     pub budget: Option<u64>,
@@ -73,7 +71,6 @@ impl Default for BenchArgs {
             lef: None,
             deterministic: false,
             trace: None,
-            a_star: true,
             budget: None,
             deadline: None,
             fault_plan: None,
@@ -109,9 +106,6 @@ OPTIONS:
                             (load in chrome://tracing or Perfetto),
                             DIR/metrics.json (report + per-phase counters)
                             and DIR/timings.json; never changes the report
-  --a-star <on|off>         goal-directed A* on mrtpl rip-up-and-reroute
-                            passes (default: on); may pick different
-                            equal-cost ties in the colour search
   --budget <NODES>          search-node budget per job; budget-stopped runs
                             return best-so-far partial results marked
                             degraded/aborted; deterministic across --jobs
@@ -167,15 +161,6 @@ pub fn parse_seed_value(v: &str) -> Result<u64, String> {
         .map_err(|_| format!("invalid --fault-plan seed `{v}`"))
 }
 
-/// Parses an `on|off` knob value (used by `--a-star`).
-pub fn parse_on_off(flag: &str, v: &str) -> Result<bool, String> {
-    match v {
-        "on" => Ok(true),
-        "off" => Ok(false),
-        _ => Err(format!("invalid {flag} value `{v}` (on or off)")),
-    }
-}
-
 /// Parses `mrtpl-bench` arguments (without the program name).
 pub fn parse_bench_args(args: impl Iterator<Item = String>) -> Result<BenchArgs, String> {
     let mut parsed = BenchArgs::default();
@@ -209,7 +194,6 @@ pub fn parse_bench_args(args: impl Iterator<Item = String>) -> Result<BenchArgs,
             "--budget" => parsed.budget = Some(parse_budget_value(&take("--budget")?)?),
             "--deadline" => parsed.deadline = Some(parse_deadline_value(&take("--deadline")?)?),
             "--fault-plan" => parsed.fault_plan = Some(parse_seed_value(&take("--fault-plan")?)?),
-            "--a-star" => parsed.a_star = parse_on_off("--a-star", &take("--a-star")?)?,
             "--def" => parsed.def = Some(take("--def")?),
             "--lef" => parsed.lef = Some(take("--lef")?),
             "--out" => parsed.out = Some(take("--out")?),
@@ -319,7 +303,6 @@ pub fn execute(args: &BenchArgs) -> Result<RunReport, String> {
         jobs: args.jobs,
         deterministic: args.deterministic,
         trace: args.trace.is_some(),
-        a_star: args.a_star,
         max_search_nodes: args.budget,
         deadline_seconds: args.deadline,
     };
@@ -499,8 +482,6 @@ mod tests {
             "--trace",
             "out/trace",
             "--deterministic",
-            "--a-star",
-            "off",
         ])
         .unwrap();
         assert_eq!(args.suite, Suite::Ispd19);
@@ -512,14 +493,6 @@ mod tests {
         assert_eq!(args.out.as_deref(), Some("report.json"));
         assert_eq!(args.trace.as_deref(), Some("out/trace"));
         assert!(args.deterministic);
-        assert!(!args.a_star);
-    }
-
-    #[test]
-    fn a_star_defaults_on_and_parses_on_off() {
-        assert!(parse(&[]).unwrap().a_star);
-        assert!(!parse(&["--a-star", "off"]).unwrap().a_star);
-        assert!(parse(&["--a-star", "on"]).unwrap().a_star);
     }
 
     #[test]
@@ -573,9 +546,7 @@ mod tests {
         assert!(parse(&["--scale", "NaN"]).unwrap_err().contains("scale"));
         assert!(parse(&["--jobs", "0"]).unwrap_err().contains("job"));
         assert!(parse(&["--format", "xml"]).unwrap_err().contains("format"));
-        assert!(parse(&["--a-star", "maybe"])
-            .unwrap_err()
-            .contains("a-star"));
+        assert!(parse(&["--a-star", "off"]).unwrap_err().contains("unknown"));
         assert!(parse(&["--scale"]).unwrap_err().contains("missing value"));
         assert!(parse(&["--frobnicate"]).unwrap_err().contains("unknown"));
     }

@@ -248,10 +248,12 @@ impl ColoredLayout {
     /// nets to rip up for `conflicts` (pairs into this layout) and charges
     /// the conflict regions with history cost.
     ///
-    /// Pins cannot move, so in a wire-pin conflict the wire's net loses;
-    /// otherwise the larger net id loses.  Rerouting either net of a pin-pin
-    /// conflict re-colours its pin with full knowledge of the other.
-    /// Conflicts involving an obstacle are skipped.  Every grid vertex under
+    /// A wire-pin conflict rips up both nets: a rerouted net picks its pin
+    /// masks again, so the pin's net can resolve the conflict as well as
+    /// the wire's.  Between two wires, or two pins, the larger net id
+    /// loses; rerouting either net of a pin-pin conflict re-colours its pin
+    /// with full knowledge of the other.  Conflicts involving an obstacle
+    /// are skipped.  Every grid vertex under
     /// either feature of a conflict gets `history_increment`, once per
     /// conflict, so the reroute avoids the region.  The victims come back
     /// sorted by id and deduplicated.
@@ -268,12 +270,11 @@ impl ColoredLayout {
             let (Some(na), Some(nb)) = (fa.net, fb.net) else {
                 continue;
             };
-            let victim = match (fa.kind == FeatureKind::Wire, fb.kind == FeatureKind::Wire) {
-                (true, false) => na,
-                (false, true) => nb,
-                _ => na.max(nb),
-            };
-            victims.push(victim);
+            if fa.kind == fb.kind {
+                victims.push(na.max(nb));
+            } else {
+                victims.extend([na, nb]);
+            }
             for rect in [fa.rect, fb.rect] {
                 for v in grid.vertices_in_rect(c.layer, &rect) {
                     state.add_history(v, history_increment);
@@ -459,7 +460,7 @@ mod tests {
     }
 
     #[test]
-    fn a_wire_loses_to_a_pin_whatever_the_ids() {
+    fn a_wire_pin_conflict_rips_up_both_nets() {
         let (p, w) = (
             pin(5, Rect::from_coords(0, 0, 8, 8), Mask::Red),
             wire(1, 0, Rect::from_coords(0, 30, 200, 38), Mask::Red),
@@ -470,7 +471,10 @@ mod tests {
             for f in features {
                 l.add(f);
             }
-            assert_eq!(victims(&l, &l.conflicts()), vec![NetId::new(1)]);
+            assert_eq!(
+                victims(&l, &l.conflicts()),
+                vec![NetId::new(1), NetId::new(5)]
+            );
         }
     }
 

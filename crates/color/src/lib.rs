@@ -19,7 +19,10 @@
 //!   vertex's `Cost_trad` node penalty, one cached record per vertex while
 //!   a net is routed (shared by Mr.TPL and the DAC'12 baseline).
 //! * [`ColoredLayout`] — a finished, fully coloured layout on which colour
-//!   conflicts and stitches are counted for the evaluation tables.
+//!   conflicts and stitches are counted for the evaluation tables, and
+//!   whose conflicts name the nets to rip up.
+//! * [`negotiate`] — the rip-up-and-reroute loop of Mr.TPL and the DAC'12
+//!   baseline: each router supplies only a closure that routes one net.
 //!
 //! # Examples
 //!
@@ -39,6 +42,7 @@ mod colorcost;
 mod colormap;
 mod layout;
 mod mask;
+mod negotiate;
 mod sets;
 mod state;
 
@@ -46,5 +50,6 @@ pub use colorcost::ColorCostCache;
 pub use colormap::{ColorMap, Feature, FeatureKind};
 pub use layout::{ColoredLayout, ConflictPair, LayoutStats, StitchSite};
 pub use mask::Mask;
+pub use negotiate::{negotiate, Negotiated, Negotiation, NetRoute, NetTurn, TraceNames};
 pub use sets::{ColorSetArena, SegSetId, VerSetId};
 pub use state::ColorState;

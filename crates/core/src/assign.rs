@@ -104,8 +104,8 @@ pub fn assign_and_emit(
     // it; if that mask already collides with a coloured feature of another
     // net within `Dcolor` of the pin, the pin is re-coloured to the least
     // conflicting candidate instead (paying a pin-access stitch, which the
-    // evaluator counts, rather than a hard colour conflict that no rip-up
-    // could ever repair because pins cannot move).
+    // evaluator counts, rather than a colour conflict: pin geometry cannot
+    // move, so only another reroute that re-colours a pin could repair it).
     for &pin in design.net(net).pins() {
         let wire_mask = coverage
             .vertices(pin)

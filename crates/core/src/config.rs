@@ -40,10 +40,6 @@ pub struct MrTplConfig {
     pub history_increment: f64,
     /// Search policy (set-based states vs greedy single colour).
     pub policy: SearchPolicy,
-    /// Goal-directed A* on negotiation (rip-up-and-reroute) passes.  It
-    /// preserves path cost but may pick a different equal-cost tie where
-    /// expansion order matters (see `NetBuffers::set_goal_directed`).
-    pub a_star: bool,
 }
 
 impl Default for MrTplConfig {
@@ -56,7 +52,6 @@ impl Default for MrTplConfig {
             max_rrr_iterations: 5,
             history_increment: 60.0,
             policy: SearchPolicy::ColorStateSet,
-            a_star: true,
         }
     }
 }

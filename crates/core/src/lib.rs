@@ -17,7 +17,11 @@
 //!    mask with the lowest conflict pressure; wire geometry is emitted with
 //!    one mask per segment.
 //! 4. **Rip-up and reroute**: remaining colour conflicts bump history costs
-//!    and send the cheaper party back through steps 1–3.
+//!    and send their victims back through steps 1–3, one net at a time:
+//!    each victim is ripped up just before it reroutes and committed before
+//!    the next one routes.  A wire–pin conflict rips up both nets, a
+//!    wire–wire conflict the larger net id.  The loop is
+//!    [`tpl_color::negotiate`], shared with the DAC'12 baseline.
 //!
 //! # Examples
 //!
@@ -36,7 +40,6 @@
 
 mod assign;
 mod backtrace;
-mod batch;
 mod config;
 mod router;
 mod search;

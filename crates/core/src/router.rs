@@ -1,18 +1,18 @@
 //! The full-design Mr.TPL router (Algorithm 1 + rip-up & reroute).
 
 use crate::{
-    assign::assign_and_emit, backtrace, batch::plan_batches, search, ColoredNet, MrTplConfig,
-    MrTplStats, NetBuffers, SearchContext,
+    assign::assign_and_emit, backtrace, search, ColoredNet, MrTplConfig, MrTplStats, NetBuffers,
+    SearchContext,
 };
 use std::time::Instant;
 use tpl_color::{
-    ColorCostCache, ColorMap, ColorSetArena, ColorState, ColoredLayout, Feature, Mask,
+    negotiate, ColorCostCache, ColorMap, ColorSetArena, ColorState, ColoredLayout, Mask,
+    Negotiation, NetRoute, TraceNames,
 };
 use tpl_design::{Design, NetId, PinId, RouteGuides, RoutingSolution};
-use tpl_geom::Rect;
 use tpl_grid::{
-    guide_membership, DenseBitSet, GridGraph, GridState, Outcome, PinCoverage, RouteBudget,
-    TradCost, VertexId,
+    guide_membership, DenseBitSet, GridGraph, GridState, PinCoverage, RouteBudget, TradCost,
+    VertexId,
 };
 
 /// The result of a Mr.TPL routing run.
@@ -35,6 +35,16 @@ pub struct MrTplRouter {
     config: MrTplConfig,
 }
 
+/// Where Mr.TPL's negotiation reports in traces.
+const TRACE: TraceNames = TraceNames {
+    pass: "core.rrr_iteration",
+    rip_up: "core.rip_up",
+    commit: "core.commit",
+    conflict_detect: "core.conflict_detect",
+    conflicts_found: "core.conflicts_found",
+    search_nodes: "core.search_nodes",
+};
+
 impl MrTplRouter {
     /// Creates a router with the given configuration.
     pub fn new(config: MrTplConfig) -> Self {
@@ -48,25 +58,27 @@ impl MrTplRouter {
 
     /// Routes and colours every net of the design inside the given guides.
     ///
-    /// Each rip-up-and-reroute iteration rips up every queued net, then
-    /// reroutes the queue in conflict-free batches: every net of a batch
-    /// routes against the state committed before the batch, and the batch
-    /// commits in net order (see `crate::batch` for why).
+    /// The initial pass routes every net with plain Dijkstra's answers;
+    /// each rip-up-and-reroute iteration then reroutes the victims of the
+    /// remaining conflicts under A\* order (see
+    /// [`NetBuffers::set_goal_directed`]).  Every net is ripped up just
+    /// before it reroutes and committed as soon as it is routed
+    /// ([`tpl_color::negotiate`]).
     pub fn route(&self, design: &Design, guides: &RouteGuides) -> MrTplResult {
         self.route_with_budget(design, guides, &RouteBudget::default())
     }
 
     /// Like [`route`](MrTplRouter::route), under a [`RouteBudget`].
     ///
-    /// Budget accounting is deterministic: committed search nodes are
-    /// charged between batches, and every net of a batch runs under the same
-    /// remaining-node snapshot, so where the budget trips is a pure function
-    /// of the input.  On exhaustion the router stops before the next batch
-    /// and returns its best-so-far partial solution with `stats.outcome` set
-    /// to [`Outcome::Degraded`]; a passed deadline or a cancelled token
-    /// aborts the same way with [`Outcome::Aborted`].  Unrouted nets are counted
-    /// in `stats.failed_nets` and simply absent from the solution — the
-    /// returned structures are always internally consistent.
+    /// Search nodes are charged net by net: each net searches under what
+    /// the budget has left after the nets before it, so where the budget
+    /// trips is a pure function of the input.  On exhaustion the router
+    /// stops and returns its best-so-far solution with `stats.outcome` set
+    /// to [`Outcome::Degraded`](tpl_grid::Outcome::Degraded); a passed
+    /// deadline or a cancelled token aborts the same way with
+    /// [`Outcome::Aborted`](tpl_grid::Outcome::Aborted).  Nets left without
+    /// a complete route count in `stats.failed_nets`; the returned
+    /// structures are always internally consistent.
     pub fn route_with_budget(
         &self,
         design: &Design,
@@ -81,190 +93,68 @@ impl MrTplRouter {
             // budget and exercise the degraded path.
             budget.max_search_nodes = Some(0);
         }
-        let budget = &budget;
         let start = Instant::now();
         let grid = GridGraph::build(design);
         let coverage = PinCoverage::build(&grid, design);
-        let mut gstate = GridState::new(&grid, design);
-        let mut map = ColorMap::new(&grid, design.tech().dcolor());
         let mut buffers = NetBuffers::new(grid.num_vertices());
         let mut cache = ColorCostCache::new(&grid);
         let mut in_guide = DenseBitSet::new(grid.num_vertices());
+        let mut seg_sets = 0usize;
 
-        let mut solution = RoutingSolution::new(design.nets().len());
-        let mut segment_masks: Vec<Vec<Option<Mask>>> = vec![Vec::new(); design.nets().len()];
-        let mut net_vertices: Vec<Vec<VertexId>> = vec![Vec::new(); design.nets().len()];
-        let mut stats = MrTplStats::default();
-        let mut total_seg_sets = 0usize;
-
-        // Influence margin of a net's batch region: nets whose bounding
-        // boxes expanded by this stay disjoint cannot interact within dcolor
-        // even after detouring a couple of tracks.
-        let margin = design.tech().dcolor() + 2 * grid.pitch();
-
-        let mut run_outcome = Outcome::Complete;
-        let mut to_route = design.nets_by_bbox();
-        'rrr: for iteration in 0..=self.config.max_rrr_iterations {
-            let _iter_span = tpl_trace::span!("core.rrr_iteration", iteration = iteration);
-            tpl_fault::point!("core.rrr_iteration", iteration);
-            stats.rrr_iterations = iteration;
-            stats.failed_nets = 0;
-
-            // Rip up every queued net before any of them reroutes, so no
-            // victim detours around another victim's stale wiring.
-            {
-                let _rip_span = tpl_trace::span!("core.rip_up", nets = to_route.len());
-                for &net_id in &to_route {
-                    gstate.release_vertices(&net_vertices[net_id.index()], net_id);
-                    map.remove_net(net_id);
-                    solution.rip_up(net_id);
-                    segment_masks[net_id.index()].clear();
-                    net_vertices[net_id.index()].clear();
-                }
-            }
-
-            // The routing schedule of this pass: see `crate::batch`.
-            let regions: Vec<Rect> = to_route
-                .iter()
-                .map(|id| {
-                    design
-                        .net_bbox(*id)
-                        .unwrap_or(design.die())
-                        .expanded(margin)
-                })
-                .collect();
-            let batches = plan_batches(&regions);
-            for (batch_index, batch) in batches.iter().enumerate() {
-                // Budget accounting happens between batches: every net of a
-                // batch runs under the same remaining-node snapshot.
-                let remaining = match budget.allowance(stats.search_nodes as u64) {
-                    Ok(remaining) => remaining,
-                    Err(reason) => {
-                        run_outcome = run_outcome.merge(Outcome::from_stop(reason));
-                        // The unprocessed batches were ripped up at iteration
-                        // start and stay unrouted; count them so the partial
-                        // result is honest about what is missing.
-                        stats.failed_nets +=
-                            batches[batch_index..].iter().map(Vec::len).sum::<usize>();
-                        break 'rrr;
-                    }
-                };
-                tpl_trace::value!("core.batch_size", batch.len());
-                // Every net of the batch routes against the state committed
-                // before the batch ...
-                let routed: Vec<_> = batch
-                    .iter()
-                    .map(|&i| {
-                        let net_id = to_route[i];
-                        // Goal direction only during negotiation: see
-                        // `NetBuffers::set_goal_directed`.
-                        buffers.set_goal_directed(self.config.a_star && iteration > 0);
-                        buffers.arm_budget(remaining, budget);
-                        let out = self.route_net(
-                            design,
-                            &grid,
-                            &coverage,
-                            &gstate,
-                            &mut buffers,
-                            &mut cache,
-                            &mut in_guide,
-                            &map,
-                            guides,
-                            net_id,
-                        );
-                        let effort = (
-                            buffers.nodes_popped(),
-                            buffers.frontier_pruned(),
-                            buffers.frontier_peak(),
-                            buffers.stop_reason(),
-                        );
-                        (net_id, out, effort)
-                    })
-                    .collect();
-
-                // ... and the batch commits occupancy, colour map and
-                // solution together, in net order.
-                let _commit_span = tpl_trace::span!("core.commit", nets = routed.len());
-                for (net_id, (colored, vertices, complete), (nodes, pruned, peak, stop)) in routed {
-                    if !complete {
-                        stats.failed_nets += 1;
-                    }
-                    if let Some(reason) = stop {
-                        run_outcome = run_outcome.merge(Outcome::from_stop(reason));
-                    }
-                    stats.search_nodes += nodes;
-                    tpl_trace::counter!("core.search_nodes", nodes);
-                    // Kernel effort counters: pruned / popped quantifies how
-                    // much of the wavefront was left queued when searches
-                    // ended, and the frontier peak is the heap's high-water
-                    // mark.
-                    tpl_trace::counter!("core.search_frontier_pruned", pruned);
-                    tpl_trace::value!("core.frontier_peak", peak);
-                    total_seg_sets += colored.seg_sets;
-
-                    for &v in &vertices {
-                        gstate.occupy(v, net_id);
-                    }
-                    for (seg, mask) in colored
-                        .routed
-                        .segments
-                        .iter()
-                        .zip(colored.segment_masks.iter())
-                    {
-                        map.insert(Feature::wire(net_id, seg.layer, seg.rect(), *mask));
-                    }
-                    for (pin, mask) in &colored.pin_masks {
-                        for (layer, rect) in design.pin(*pin).shapes() {
-                            map.insert(Feature::pin(net_id, *layer, *rect, *mask));
-                        }
-                    }
-                    segment_masks[net_id.index()] = colored.segment_masks;
-                    net_vertices[net_id.index()] = vertices;
-                    solution.set(net_id, colored.routed);
-                }
-            }
-
-            // Conflict detection on the committed colour map.
-            let detect_span = tpl_trace::span!("core.conflict_detect");
-            let layout = ColoredLayout::of_map(design, &map);
-            let conflicts = layout.conflicts();
-            drop(detect_span);
-            tpl_trace::counter!("core.conflicts_found", conflicts.len());
-            stats.conflict_history.push(conflicts.len());
-            // A budget stop inside this iteration ends the run here, so the
-            // net it left incomplete still counts in `failed_nets`.
-            if conflicts.is_empty()
-                || iteration == self.config.max_rrr_iterations
-                || !run_outcome.is_complete()
-            {
-                break;
-            }
-
-            let victims = layout.victims(
-                &conflicts,
+        let rules = Negotiation {
+            max_rrr_iterations: self.config.max_rrr_iterations,
+            history_increment: self.config.history_increment,
+            trace: TRACE,
+        };
+        let run = negotiate(design, &grid, &budget, &rules, |turn, gstate, map| {
+            // Goal direction only during negotiation: see
+            // `NetBuffers::set_goal_directed`.
+            buffers.set_goal_directed(turn.pass > 0);
+            buffers.arm_budget(turn.allowance, &budget);
+            let (colored, vertices, complete) = self.route_net(
+                design,
                 &grid,
-                &mut gstate,
-                self.config.history_increment,
+                &coverage,
+                gstate,
+                &mut buffers,
+                &mut cache,
+                &mut in_guide,
+                map,
+                guides,
+                turn.net,
             );
-            if victims.is_empty() {
-                break;
+            // Kernel effort counters: pruned / popped quantifies how much of
+            // the wavefront was left queued when searches ended, and the
+            // frontier peak is the heap's high-water mark.
+            tpl_trace::counter!("core.search_frontier_pruned", buffers.frontier_pruned());
+            tpl_trace::value!("core.frontier_peak", buffers.frontier_peak());
+            seg_sets += colored.seg_sets;
+            NetRoute {
+                routed: colored.routed,
+                segment_masks: colored.segment_masks,
+                pin_masks: colored.pin_masks,
+                vertices,
+                complete,
+                search_nodes: buffers.nodes_popped(),
+                stop: buffers.stop_reason(),
             }
-            to_route = victims;
-        }
-
-        let layout = ColoredLayout::of_map(design, &map);
-        let layout_stats = layout.stats();
-        stats.conflicts = layout_stats.conflicts;
-        stats.stitches = layout_stats.stitches;
-        stats.seg_sets = total_seg_sets;
-        stats.runtime_seconds = start.elapsed().as_secs_f64();
-        stats.outcome = run_outcome;
+        });
 
         MrTplResult {
-            solution,
-            segment_masks,
-            layout,
-            stats,
+            stats: MrTplStats {
+                conflicts: run.conflicts,
+                stitches: run.stitches,
+                rrr_iterations: run.rrr_iterations,
+                failed_nets: run.failed_nets,
+                seg_sets,
+                search_nodes: run.search_nodes,
+                runtime_seconds: start.elapsed().as_secs_f64(),
+                conflict_history: run.conflict_history,
+                outcome: run.outcome,
+            },
+            solution: run.solution,
+            segment_masks: run.segment_masks,
+            layout: run.layout,
         }
     }
 
@@ -372,7 +262,7 @@ impl MrTplRouter {
 mod tests {
     use super::*;
     use tpl_global::{GlobalConfig, GlobalRouter};
-    use tpl_grid::StopReason;
+    use tpl_grid::{Outcome, StopReason};
     use tpl_ispd::CaseParams;
 
     fn route_case(scale: f64) -> (Design, MrTplResult) {
@@ -388,15 +278,24 @@ mod tests {
     /// finds no goal at all, and the kernel must rerun unpruned.
     #[test]
     fn the_initial_pass_connects_a_net_whose_a_star_bound_undercuts_dijkstra() {
-        let mut params = CaseParams::ispd18_like(10).scaled(0.25);
-        params.seed += 3 << 32;
+        let mut params = CaseParams::ispd18_like(5).scaled(0.25);
+        params.seed += 2 << 32;
         let design = params.generate();
         let guides = GlobalRouter::new(GlobalConfig::default()).route(&design);
         let config = MrTplConfig {
             max_rrr_iterations: 0,
             ..MrTplConfig::default()
         };
+        // Trace this thread's run to read the kernel's rerun counter; no
+        // other test of this crate traces.
+        const TASK: u64 = 0x7e57;
+        tpl_trace::enable();
+        let task = tpl_trace::task(TASK);
         let result = MrTplRouter::new(config).route(&design, &guides);
+        drop(task);
+        tpl_trace::disable();
+        let phases = tpl_trace::take_task_phases(TASK).expect("traced");
+        assert_eq!(phases.counter("grid.dijkstra_reruns"), Some(1));
         assert_eq!(result.stats.failed_nets, 0);
     }
 
@@ -473,7 +372,7 @@ mod tests {
     }
 
     #[test]
-    fn a_budget_stop_in_the_last_batch_of_an_iteration_counts_its_net() {
+    fn a_budget_stop_in_the_last_net_of_an_iteration_counts_its_net() {
         let design = CaseParams::ispd18_like(4).scaled(0.25).generate();
         let guides = GlobalRouter::new(GlobalConfig::default()).route(&design);
         let first_pass = MrTplRouter::new(MrTplConfig {
@@ -493,7 +392,7 @@ mod tests {
             "the first pass leaves conflicts to rip up"
         );
         // The smallest budget the first pass completes under; one node less
-        // stops a net of its last batch.
+        // stops its last net.
         let (mut lo, mut hi) = (0, unbudgeted.stats.search_nodes as u64);
         while hi - lo > 1 {
             let mid = (lo + hi) / 2;
@@ -508,7 +407,7 @@ mod tests {
                 .nets()
                 .iter()
                 .all(|n| first(lo).solution.get(n.id()).is_some()),
-            "the stop lands in the last batch"
+            "the stop lands in the last net"
         );
         let result = MrTplRouter::new(MrTplConfig::default()).route_with_budget(
             &design,
@@ -563,17 +462,9 @@ mod tests {
     fn greedy_policy_produces_at_least_as_many_stitches() {
         let design = CaseParams::ispd18_like(2).scaled(0.35).generate();
         let guides = GlobalRouter::new(GlobalConfig::default()).route(&design);
-        // Pin goal direction off so both policies expand in plain Dijkstra
-        // order: the comparison is about the colour policy, and A*'s
-        // equal-cost tie-breaking would add noise to the stitch counts.
-        let set_based = MrTplRouter::new(MrTplConfig {
-            a_star: false,
-            ..MrTplConfig::default()
-        })
-        .route(&design, &guides);
+        let set_based = MrTplRouter::new(MrTplConfig::default()).route(&design, &guides);
         let greedy = MrTplRouter::new(MrTplConfig {
             policy: crate::SearchPolicy::GreedySingleColor,
-            a_star: false,
             ..MrTplConfig::default()
         })
         .route(&design, &guides);

@@ -90,7 +90,7 @@ impl NetBuffers {
     }
 
     /// Arms the cooperative budget for the next net: `remaining` caps this
-    /// net's frontier pops (the batch's snapshot of the run budget), the
+    /// net's frontier pops (what the run budget has left for it), the
     /// budget's deadline/cancellation are probed at expansion granularity,
     /// and the per-net search statistics restart from zero.  Buffers start
     /// unbudgeted.

@@ -17,8 +17,8 @@
 //!    force stitches — exactly the behaviour of Fig. 1(c) in the paper.
 //!
 //! The cost model (traditional cost, colour-conflict pressure, stitch cost)
-//! and the rip-up-and-reroute loop are shared with Mr.TPL so the comparison
-//! isolates the colour-handling strategy.
+//! and the rip-up-and-reroute loop ([`tpl_color::negotiate`]) are shared
+//! with Mr.TPL so the comparison isolates the colour-handling strategy.
 //!
 //! # Examples
 //!

@@ -2,7 +2,9 @@
 
 use crate::ExpandedGraph;
 use std::time::Instant;
-use tpl_color::{ColorCostCache, ColorMap, ColoredLayout, Feature, Mask};
+use tpl_color::{
+    negotiate, ColorCostCache, ColorMap, ColoredLayout, Mask, Negotiation, NetRoute, TraceNames,
+};
 use tpl_design::{
     Design, LayerId, NetId, PinId, RouteGuides, RouteSegment, RoutedNet, RoutingSolution,
     ViaInstance,
@@ -15,6 +17,16 @@ use tpl_grid::{
 
 /// Key units per cost unit of the search frontier.
 const KEY_RESOLUTION: f64 = 256.0;
+
+/// Where DAC'12's negotiation reports in traces.
+const TRACE: TraceNames = TraceNames {
+    pass: "dac12.rrr_iteration",
+    rip_up: "dac12.rip_up",
+    commit: "dac12.commit",
+    conflict_detect: "dac12.conflict_detect",
+    conflicts_found: "dac12.conflicts_found",
+    search_nodes: "dac12.search_nodes",
+};
 
 /// Configuration of the DAC'12 baseline router.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -185,17 +197,20 @@ impl Dac12Router {
     }
 
     /// Routes and colours every net of the design inside the given guides.
+    ///
+    /// Each net is ripped up just before it reroutes and committed as soon
+    /// as it is routed ([`tpl_color::negotiate`], the loop Mr.TPL shares).
     pub fn route(&self, design: &Design, guides: &RouteGuides) -> Dac12Result {
         self.route_with_budget(design, guides, &RouteBudget::default())
     }
 
     /// Like [`route`](Dac12Router::route), under a [`RouteBudget`].
     ///
-    /// Search nodes are charged between nets: each net searches under what
+    /// Search nodes are charged net by net: each net searches under what
     /// the budget has left after the nets before it, so where the budget
     /// trips is a pure function of the input.  On exhaustion (or a passed
-    /// deadline, or cancellation) the router stops before the next net and
-    /// returns its best-so-far solution; nets left without geometry count in
+    /// deadline, or cancellation) the router stops and returns its
+    /// best-so-far solution; nets left without a complete route count in
     /// `stats.failed_nets`, and `stats.outcome` says why the run stopped.
     pub fn route_with_budget(
         &self,
@@ -207,8 +222,6 @@ impl Dac12Router {
         let grid = GridGraph::build(design);
         let expanded = ExpandedGraph::new(&grid);
         let coverage = PinCoverage::build(&grid, design);
-        let mut gstate = GridState::new(&grid, design);
-        let mut map = ColorMap::new(&grid, design.tech().dcolor());
         let mut buffers = SearchBuffers {
             kernel: Kernel::new(expanded.num_nodes(), KEY_RESOLUTION),
             cache: ColorCostCache::new(&grid),
@@ -217,100 +230,50 @@ impl Dac12Router {
             base: self.config.cost.base_table(&grid),
             in_guide: DenseBitSet::new(grid.num_vertices()),
         };
-        let mut solution = RoutingSolution::new(design.nets().len());
-        let mut segment_masks: Vec<Vec<Option<Mask>>> = vec![Vec::new(); design.nets().len()];
-        // The vertices each net occupies, for an O(net) rip-up.
-        let mut net_vertices: Vec<Vec<VertexId>> = vec![Vec::new(); design.nets().len()];
-        let mut stats = Dac12Stats::default();
+        let mut two_pin_connections = 0;
 
-        let mut to_route = design.nets_by_bbox();
-        'rrr: for iteration in 0..=self.config.max_rrr_iterations {
-            stats.rrr_iterations = iteration;
-            stats.failed_nets = 0;
-            for (i, &net_id) in to_route.iter().enumerate() {
-                let remaining = match budget.allowance(stats.search_nodes as u64) {
-                    Ok(remaining) => remaining,
-                    Err(reason) => {
-                        stats.outcome = stats.outcome.merge(Outcome::from_stop(reason));
-                        stats.failed_nets += to_route[i..]
-                            .iter()
-                            .filter(|id| solution.get(**id).is_none())
-                            .count();
-                        break 'rrr;
-                    }
-                };
-                let occupied = &mut net_vertices[net_id.index()];
-                gstate.release_vertices(occupied, net_id);
-                occupied.clear();
-                map.remove_net(net_id);
-                solution.rip_up(net_id);
-                segment_masks[net_id.index()].clear();
-
-                buffers.kernel.arm(remaining, budget);
-                let complete = self.route_net(
-                    design,
-                    &grid,
-                    &expanded,
-                    &coverage,
-                    &mut gstate,
-                    &mut map,
-                    &mut buffers,
-                    guides,
-                    net_id,
-                    occupied,
-                    &mut solution,
-                    &mut segment_masks,
-                    &mut stats,
-                );
-                let popped = buffers.kernel.popped();
-                stats.search_nodes += popped;
-                tpl_trace::counter!("dac12.search_nodes", popped);
-                if let Some(reason) = buffers.kernel.stop_reason() {
-                    stats.outcome = stats.outcome.merge(Outcome::from_stop(reason));
-                }
-                if !complete {
-                    stats.failed_nets += 1;
-                }
-            }
-
-            let layout = ColoredLayout::of_map(design, &map);
-            let conflicts = layout.conflicts();
-            // A budget stop inside this iteration ends the run here, so the
-            // net it left incomplete still counts in `failed_nets`.
-            if conflicts.is_empty()
-                || iteration == self.config.max_rrr_iterations
-                || !stats.outcome.is_complete()
-            {
-                break;
-            }
-            let victims = layout.victims(
-                &conflicts,
+        let rules = Negotiation {
+            max_rrr_iterations: self.config.max_rrr_iterations,
+            history_increment: self.config.history_increment,
+            trace: TRACE,
+        };
+        let run = negotiate(design, &grid, budget, &rules, |turn, gstate, map| {
+            buffers.kernel.arm(turn.allowance, budget);
+            let (route, connections) = self.route_net(
+                design,
                 &grid,
-                &mut gstate,
-                self.config.history_increment,
+                &expanded,
+                &coverage,
+                gstate,
+                map,
+                &mut buffers,
+                guides,
+                turn.net,
             );
-            if victims.is_empty() {
-                break;
-            }
-            to_route = victims;
-        }
-
-        let layout = ColoredLayout::of_map(design, &map);
-        let layout_stats = layout.stats();
-        stats.conflicts = layout_stats.conflicts;
-        stats.stitches = layout_stats.stitches;
-        stats.runtime_seconds = start.elapsed().as_secs_f64();
+            two_pin_connections += connections;
+            route
+        });
 
         Dac12Result {
-            solution,
-            segment_masks,
-            layout,
-            stats,
+            stats: Dac12Stats {
+                conflicts: run.conflicts,
+                stitches: run.stitches,
+                rrr_iterations: run.rrr_iterations,
+                failed_nets: run.failed_nets,
+                two_pin_connections,
+                search_nodes: run.search_nodes,
+                runtime_seconds: start.elapsed().as_secs_f64(),
+                outcome: run.outcome,
+            },
+            solution: run.solution,
+            segment_masks: run.segment_masks,
+            layout: run.layout,
         }
     }
 
     /// Routes one net as independent 2-pin connections along its MST,
-    /// recording every vertex it occupies in `occupied`.
+    /// occupying each connection's vertices before the next one searches.
+    /// Returns the net's route and its number of connections.
     #[allow(clippy::too_many_arguments)]
     fn route_net(
         &self,
@@ -319,15 +282,11 @@ impl Dac12Router {
         expanded: &ExpandedGraph,
         coverage: &PinCoverage,
         gstate: &mut GridState,
-        map: &mut ColorMap,
+        map: &ColorMap,
         buffers: &mut SearchBuffers,
         guides: &RouteGuides,
         net_id: NetId,
-        occupied: &mut Vec<VertexId>,
-        solution: &mut RoutingSolution,
-        segment_masks: &mut [Vec<Option<Mask>>],
-        stats: &mut Dac12Stats,
-    ) -> bool {
+    ) -> (NetRoute, usize) {
         let net = design.net(net_id);
         let SearchBuffers {
             kernel,
@@ -346,12 +305,12 @@ impl Dac12Router {
             .filter_map(|p| design.pin(*p).bbox().map(|b| (*p, b.center())))
             .collect();
         let mst = pin_mst(&centers);
-        stats.two_pin_connections += mst.len();
+        let connections = mst.len();
 
-        let mut routed = RoutedNet::new();
-        let mut masks: Vec<Option<Mask>> = Vec::new();
-        let mut complete = true;
-
+        let mut route = NetRoute {
+            complete: true,
+            ..NetRoute::default()
+        };
         for (a, b) in mst {
             let trad = TradCost {
                 grid,
@@ -383,14 +342,14 @@ impl Dac12Router {
                     // Commit this connection immediately: later connections of
                     // the same net do not get to revise its colours (the
                     // fundamental limitation of 2-pin methods).
-                    emit_colored_path(grid, &path, &mut routed, &mut masks);
+                    emit_colored_path(grid, &path, &mut route.routed, &mut route.segment_masks);
                     for &(v, _) in &path {
                         gstate.occupy(v, net_id);
-                        occupied.push(v);
+                        route.vertices.push(v);
                     }
                 }
                 None => {
-                    complete = false;
+                    route.complete = false;
                 }
             }
         }
@@ -399,40 +358,30 @@ impl Dac12Router {
         // already collides with a coloured neighbour of another net, pick the
         // least conflicting candidate (same post-processing as Mr.TPL so the
         // comparison isolates the routing strategy).
-        for (seg, mask) in routed.segments.iter().zip(masks.iter()) {
-            map.insert(Feature::wire(net_id, seg.layer, seg.rect(), *mask));
-        }
         for &pin in net.pins() {
-            let preferred = pin_wire_mask(design, pin, &routed, &masks);
-            let mask = match preferred {
-                None => None,
-                Some(m) => {
-                    let mut pressure = [0usize; 3];
-                    for (layer, rect) in design.pin(pin).shapes() {
-                        let p = map.mask_pressure(net_id, *layer, rect);
-                        for i in 0..3 {
-                            pressure[i] += p[i];
-                        }
-                    }
-                    if pressure[m.index()] == 0 {
-                        Some(m)
-                    } else {
-                        Mask::ALL
-                            .into_iter()
-                            .min_by_key(|c| (pressure[c.index()], (*c != m) as usize, c.index()))
-                            .map(Some)
-                            .unwrap_or(None)
+            let preferred = pin_wire_mask(design, pin, &route.routed, &route.segment_masks);
+            let mask = preferred.map(|m| {
+                let mut pressure = [0usize; 3];
+                for (layer, rect) in design.pin(pin).shapes() {
+                    let p = map.mask_pressure(net_id, *layer, rect);
+                    for i in 0..3 {
+                        pressure[i] += p[i];
                     }
                 }
-            };
-            for (layer, rect) in design.pin(pin).shapes() {
-                map.insert(Feature::pin(net_id, *layer, *rect, mask));
-            }
+                if pressure[m.index()] == 0 {
+                    m
+                } else {
+                    Mask::ALL
+                        .into_iter()
+                        .min_by_key(|c| (pressure[c.index()], (*c != m) as usize, c.index()))
+                        .unwrap_or(m)
+                }
+            });
+            route.pin_masks.push((pin, mask));
         }
-
-        segment_masks[net_id.index()] = masks;
-        solution.set(net_id, routed);
-        complete
+        route.search_nodes = kernel.popped();
+        route.stop = kernel.stop_reason();
+        (route, connections)
     }
 }
 
@@ -570,7 +519,7 @@ fn pin_wire_mask(
 mod tests {
     use super::*;
     use std::cell::Cell;
-    use tpl_color::ColorState;
+    use tpl_color::{ColorState, Feature};
     use tpl_design::{DesignBuilder, Technology};
     use tpl_geom::{Point, Rect};
     use tpl_global::{GlobalConfig, GlobalRouter};

@@ -4,9 +4,8 @@
 //!
 //! * **Search nodes** — a cap on frontier pops, the unit `search_nodes`
 //!   statistics already count.  Node accounting is *deterministic*: the
-//!   routers charge committed work between nets (the global router) or
-//!   between conflict-free batches (Mr.TPL), so where the budget trips is a
-//!   pure function of the input.
+//!   routers charge committed work between nets, so where the budget trips
+//!   is a pure function of the input.
 //! * **Deadline** — an optional wall-clock [`Instant`]; cooperative checks
 //!   run at expansion granularity (every few thousand pops).  Wall clock is
 //!   inherently nondeterministic, so deadlines are meant for services, not
@@ -127,8 +126,7 @@ impl CancelToken {
 /// exactly as if no budget existed.
 #[derive(Clone, Debug, Default)]
 pub struct RouteBudget {
-    /// Cap on search-node pops (deterministic; charged between nets or
-    /// batches).
+    /// Cap on search-node pops (deterministic; charged between nets).
     pub max_search_nodes: Option<u64>,
     /// Wall-clock cut-off (nondeterministic; cooperative checks).
     pub deadline: Option<Instant>,
@@ -159,7 +157,7 @@ impl RouteBudget {
         }
     }
 
-    /// What the next unit of work (a net or a batch) may spend after `used`
+    /// What the next unit of work (a net) may spend after `used`
     /// committed pops, or why the run must stop before it: the node budget
     /// is exhausted, the deadline passed, or the token was cancelled.
     pub fn allowance(&self, used: u64) -> Result<u64, StopReason> {

@@ -47,12 +47,7 @@ impl Method for MrTplMethod {
     fn run(&self, case: &PreparedCase) -> CaseRecord {
         let prepared = case.get();
         let (design, guides, prep_outcome) = &*prepared;
-        // The scheduler's `--a-star` overrides the method's own default.
-        let config = MrTplConfig {
-            a_star: case.a_star(),
-            ..self.config
-        };
-        let mut record = flows::run_mrtpl(design, guides, &config, &case.budget()).0;
+        let mut record = flows::run_mrtpl(design, guides, &self.config, &case.budget()).0;
         record.outcome = record.outcome.merge(*prep_outcome);
         record
     }

@@ -51,7 +51,6 @@ fn lock_ignoring_poison<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 pub struct PreparedCase<'a> {
     case: &'a Case,
     slot: &'a CaseSlot,
-    a_star: bool,
     max_search_nodes: Option<u64>,
     deadline_seconds: Option<f64>,
 }
@@ -60,12 +59,6 @@ impl PreparedCase<'_> {
     /// The case this preparation belongs to.
     pub fn case(&self) -> &Case {
         self.case
-    }
-
-    /// Whether goal-directed A* is enabled in the Mr.TPL colour search
-    /// (`RunOptions::a_star`).
-    pub fn a_star(&self) -> bool {
-        self.a_star
     }
 
     /// A fresh [`RouteBudget`] for this job.  The search-node ceiling is
@@ -128,10 +121,6 @@ pub struct RunOptions {
     /// primary report ([`RunReport::to_json`](crate::RunReport::to_json)
     /// ignores phases) — they surface only in trace exports.
     pub trace: bool,
-    /// Goal-directed A* on Mr.TPL negotiation passes (default on).  It
-    /// preserves path cost but may pick different equal-cost ties, so
-    /// turning it off can change mrtpl records.
-    pub a_star: bool,
     /// Search-node budget per job (`--budget`).  Deterministic: the routers
     /// charge nodes net by net, so a budgeted run produces identical records
     /// for every `jobs` value.  `None` means unlimited.
@@ -148,7 +137,6 @@ impl Default for RunOptions {
             jobs: 1,
             deterministic: false,
             trace: false,
-            a_star: true,
             max_search_nodes: None,
             deadline_seconds: None,
         }
@@ -325,7 +313,6 @@ fn run_job(
     let prepared = PreparedCase {
         case,
         slot,
-        a_star: options.a_star,
         max_search_nodes: options.max_search_nodes,
         deadline_seconds: options.deadline_seconds,
     };
