@@ -265,6 +265,27 @@ impl ColorMap {
         pressure
     }
 
+    /// The mask of a pin of `net` with `shapes` whose wire arrives on
+    /// `wire`: the least-pressed mask over the shapes
+    /// ([`mask_pressure`](Self::mask_pressure) summed), `wire` first among
+    /// equals and then mask order.  So the pin keeps its wire's mask unless
+    /// a feature of another net presses it harder than another mask, and
+    /// pays a stitch rather than a conflict: pin geometry cannot move.
+    /// Mr.TPL and the DAC'12 baseline colour their pins by this rule.
+    pub fn pin_mask(&self, net: NetId, shapes: &[(LayerId, Rect)], wire: Mask) -> Mask {
+        let mut pressure = [0usize; 3];
+        for (layer, rect) in shapes {
+            let p = self.mask_pressure(net, *layer, rect);
+            for m in 0..3 {
+                pressure[m] += p[m];
+            }
+        }
+        Mask::ALL
+            .into_iter()
+            .min_by_key(|m| (pressure[m.index()], *m != wire, m.index()))
+            .expect("three masks")
+    }
+
     /// All live features (mostly for building the final [`crate::ColoredLayout`]).
     pub fn live_features(&self) -> impl Iterator<Item = &Feature> {
         self.features
@@ -425,5 +446,72 @@ mod tests {
             Rect::from_coords(0, 0, 10, 10),
             Some(Mask::Red),
         ));
+    }
+
+    #[test]
+    fn a_pin_keeps_its_wire_mask_unless_another_net_presses_it() {
+        let mut m = map();
+        let (a, b) = (
+            Rect::from_coords(100, 100, 110, 110),
+            Rect::from_coords(500, 100, 510, 110),
+        );
+        let pin = [(LayerId::new(0), a)];
+        let pin_net = NetId::new(0);
+        // Nothing nearby: every wire mask is kept.
+        for wire in Mask::ALL {
+            assert_eq!(m.pin_mask(pin_net, &pin, wire), wire);
+        }
+        // The pin's own net exerts no pressure.
+        let near_a = Rect::from_coords(100, 120, 110, 130);
+        m.insert(Feature::wire(
+            pin_net,
+            LayerId::new(0),
+            near_a,
+            Some(Mask::Red),
+        ));
+        assert_eq!(m.pin_mask(pin_net, &pin, Mask::Red), Mask::Red);
+        // A red wire of another net: a red pin moves to the least pressed
+        // mask, green before blue; a free mask stays.
+        m.insert(Feature::wire(
+            NetId::new(1),
+            LayerId::new(0),
+            near_a,
+            Some(Mask::Red),
+        ));
+        assert_eq!(m.pin_mask(pin_net, &pin, Mask::Red), Mask::Green);
+        assert_eq!(m.pin_mask(pin_net, &pin, Mask::Blue), Mask::Blue);
+        // Every mask pressed once: the wire's mask wins the tie.
+        m.insert(Feature::wire(
+            NetId::new(2),
+            LayerId::new(0),
+            near_a,
+            Some(Mask::Green),
+        ));
+        m.insert(Feature::wire(
+            NetId::new(3),
+            LayerId::new(0),
+            near_a,
+            Some(Mask::Blue),
+        ));
+        assert_eq!(m.pin_mask(pin_net, &pin, Mask::Green), Mask::Green);
+        // Pressure sums over the shapes: two green wires by the second
+        // shape press green hardest, so a green pin moves to red and a red
+        // one stays.
+        let near_b = Rect::from_coords(500, 120, 510, 130);
+        m.insert(Feature::wire(
+            NetId::new(4),
+            LayerId::new(0),
+            near_b,
+            Some(Mask::Green),
+        ));
+        m.insert(Feature::wire(
+            NetId::new(5),
+            LayerId::new(0),
+            near_b,
+            Some(Mask::Green),
+        ));
+        let both = [(LayerId::new(0), a), (LayerId::new(0), b)];
+        assert_eq!(m.pin_mask(pin_net, &both, Mask::Red), Mask::Red);
+        assert_eq!(m.pin_mask(pin_net, &both, Mask::Green), Mask::Red);
     }
 }

@@ -21,8 +21,18 @@
 //! * [`ColoredLayout`] — a finished, fully coloured layout on which colour
 //!   conflicts and stitches are counted for the evaluation tables, and
 //!   whose conflicts name the nets to rip up.
+//! * [`TplConfig`] — the one configuration of Mr.TPL and the DAC'12
+//!   baseline, and its [`step_costs`](TplConfig::step_costs), the one
+//!   mask-step cost both routers' searches price (`Cost_trad` plus colour
+//!   pressure plus a stitch off the inherited masks, Eq. (1)).
+//! * [`ColorMap::pin_mask`] — the one rule both routers colour pins by.
 //! * [`negotiate`] — the rip-up-and-reroute loop of Mr.TPL and the DAC'12
 //!   baseline: each router supplies only a closure that routes one net.
+//!
+//! With the shared path emitter [`tpl_grid::emit_wires`] and MST
+//! [`tpl_geom::manhattan_mst`], the two routers differ only in their search
+//! graph (colour states on grid vertices, or one node per vertex and mask)
+//! and in routing a net whole or as 2-pin connections.
 //!
 //! # Examples
 //!
@@ -40,6 +50,7 @@
 
 mod colorcost;
 mod colormap;
+mod config;
 mod layout;
 mod mask;
 mod negotiate;
@@ -48,8 +59,9 @@ mod state;
 
 pub use colorcost::ColorCostCache;
 pub use colormap::{ColorMap, Feature, FeatureKind};
+pub use config::TplConfig;
 pub use layout::{ColoredLayout, ConflictPair, LayoutStats, StitchSite};
 pub use mask::Mask;
-pub use negotiate::{negotiate, Negotiated, Negotiation, NetRoute, NetTurn, TraceNames};
+pub use negotiate::{negotiate, Negotiated, NetRoute, NetTurn, TraceNames};
 pub use sets::{ColorSetArena, SegSetId, VerSetId};
 pub use state::ColorState;

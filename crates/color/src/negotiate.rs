@@ -13,7 +13,7 @@
 //! budget has left after the nets before it, so where a search-node budget
 //! trips is a pure function of the input.
 
-use crate::{ColorMap, ColoredLayout, Feature, Mask};
+use crate::{ColorMap, ColoredLayout, Feature, Mask, TplConfig};
 use tpl_design::{Design, NetId, PinId, RoutedNet, RoutingSolution};
 use tpl_grid::{GridGraph, GridState, Outcome, RouteBudget, StopReason, VertexId};
 
@@ -34,18 +34,6 @@ pub struct TraceNames {
     pub conflicts_found: &'static str,
     /// Counter of frontier pops, charged net by net.
     pub search_nodes: &'static str,
-}
-
-/// The rules of a negotiation.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Negotiation {
-    /// Passes after the initial one (the rip-up-and-reroute iterations).
-    pub max_rrr_iterations: usize,
-    /// History cost charged under both features of every conflict a pass
-    /// leaves (see [`ColoredLayout::victims`]).
-    pub history_increment: f64,
-    /// Where the negotiation's spans and counters go.
-    pub trace: TraceNames,
 }
 
 /// One net for a router to route: the net, the pass, and the search nodes
@@ -108,7 +96,9 @@ pub struct Negotiated {
 }
 
 /// Routes every net of `design` with `route_net`, then negotiates colour
-/// conflicts away for up to `rules.max_rrr_iterations` more passes.
+/// conflicts away for up to `config.max_rrr_iterations` more passes,
+/// charging `config.history_increment` under every conflict a pass leaves.
+/// Spans and counters go under `names`.
 ///
 /// `route_net` routes one net against the committed occupancy and colour
 /// map.  It may occupy vertices of `state` as it goes, as long as it
@@ -126,10 +116,10 @@ pub fn negotiate(
     design: &Design,
     grid: &GridGraph,
     budget: &RouteBudget,
-    rules: &Negotiation,
+    config: &TplConfig,
+    names: TraceNames,
     mut route_net: impl FnMut(NetTurn, &mut GridState, &ColorMap) -> NetRoute,
 ) -> Negotiated {
-    let names = rules.trace;
     let nets = design.nets().len();
     let mut state = GridState::new(grid, design);
     let mut map = ColorMap::new(grid, design.tech().dcolor());
@@ -198,10 +188,10 @@ pub fn negotiate(
         drop(detect_span);
         tpl_trace::counter(names.conflicts_found, conflicts.len() as u64);
         conflict_history.push(conflicts.len());
-        if conflicts.is_empty() || pass == rules.max_rrr_iterations || !outcome.is_complete() {
+        if conflicts.is_empty() || pass == config.max_rrr_iterations || !outcome.is_complete() {
             break (layout, conflicts.len());
         }
-        to_route = layout.victims(&conflicts, grid, &mut state, rules.history_increment);
+        to_route = layout.victims(&conflicts, grid, &mut state, config.history_increment);
         pass += 1;
     };
 
@@ -237,11 +227,11 @@ mod tests {
     /// Frontier pops every fake route costs.
     const POPS: usize = 10;
 
-    fn rules(max_rrr_iterations: usize) -> Negotiation {
-        Negotiation {
+    fn config(max_rrr_iterations: usize) -> TplConfig {
+        TplConfig {
             max_rrr_iterations,
             history_increment: 1.0,
-            trace: TRACE,
+            ..TplConfig::default()
         }
     }
 
@@ -317,7 +307,8 @@ mod tests {
             &design,
             &grid,
             &RouteBudget::default(),
-            &rules(5),
+            &config(5),
+            TRACE,
             |turn, state, map| match (turn.pass, turn.net.index()) {
                 (0, i) => straight(&design, &grid, turn.net, 2 + i, Mask::Red),
                 (1, 0) => straight(&design, &grid, n0, 1, Mask::Green),
@@ -373,7 +364,8 @@ mod tests {
             &design,
             &grid,
             &RouteBudget::with_max_search_nodes(25),
-            &rules(5),
+            &config(5),
+            TRACE,
             |turn, _, _| budgeted(&design, &grid, turn, rows[turn.net.index()], Mask::Red),
         );
         let without_geometry = run
@@ -394,7 +386,8 @@ mod tests {
             &design,
             &grid,
             &RouteBudget::with_max_search_nodes(3 * POPS as u64),
-            &rules(5),
+            &config(5),
+            TRACE,
             |turn, _, _| {
                 let mask = if turn.pass == 0 {
                     Mask::Red
@@ -419,7 +412,8 @@ mod tests {
             &design,
             &grid,
             &RouteBudget::default(),
-            &rules(5),
+            &config(5),
+            TRACE,
             |turn, _, _| {
                 turns += 1;
                 straight(
@@ -442,7 +436,8 @@ mod tests {
             &design,
             &grid,
             &RouteBudget::default(),
-            &rules(2),
+            &config(2),
+            TRACE,
             |turn, _, _| {
                 passes.push(turn.pass);
                 straight(&design, &grid, turn.net, 2 + turn.net.index(), Mask::Red)

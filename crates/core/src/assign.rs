@@ -3,9 +3,8 @@
 use crate::{NetBuffers, SearchContext};
 use std::collections::HashMap;
 use tpl_color::{ColorCostCache, ColorSetArena, Mask, SegSetId};
-use tpl_design::{PinId, RouteSegment, RoutedNet, ViaInstance};
-use tpl_geom::Segment;
-use tpl_grid::{GridGraph, TradCost, VertexId};
+use tpl_design::{PinId, RoutedNet};
+use tpl_grid::{emit_wires, TradCost, VertexId};
 
 /// The fully coloured routing result of one net.
 #[derive(Clone, Debug, Default)]
@@ -26,8 +25,10 @@ pub struct ColoredNet {
 ///
 /// For every segSet the candidate mask with the smallest accumulated
 /// colour-pressure over its member vertices wins (deterministic tie-break on
-/// mask order).  Wire geometry is then emitted per path, splitting segments
-/// wherever the layer, the routing axis or the assigned mask changes.
+/// mask order).  Wire geometry is then emitted per path by
+/// [`emit_wires`], splitting segments wherever the layer, the routing axis
+/// or the assigned mask changes, and every pin takes its mask by
+/// [`ColorMap::pin_mask`](tpl_color::ColorMap::pin_mask).
 pub fn assign_and_emit(
     ctx: &SearchContext<'_>,
     arena: &mut ColorSetArena,
@@ -97,15 +98,17 @@ pub fn assign_and_emit(
         ..ColoredNet::default()
     };
     for path in paths {
-        emit_path(grid, path, &mask_of, &mut out);
+        emit_wires(
+            grid,
+            path,
+            |i| mask_of(path[i]),
+            &mut out.routed,
+            &mut out.segment_masks,
+        );
     }
 
-    // 4. Pin masks.  A pin first inherits the mask of the wire that reaches
-    // it; if that mask already collides with a coloured feature of another
-    // net within `Dcolor` of the pin, the pin is re-coloured to the least
-    // conflicting candidate instead (paying a pin-access stitch, which the
-    // evaluator counts, rather than a colour conflict: pin geometry cannot
-    // move, so only another reroute that re-colours a pin could repair it).
+    // 4. Pin masks: the mask of the wire that reaches the pin, unless
+    // another net presses it (`ColorMap::pin_mask`).
     for &pin in design.net(net).pins() {
         let wire_mask = coverage
             .vertices(pin)
@@ -126,110 +129,19 @@ pub fn assign_and_emit(
                     .map(|(_, m)| m)
             });
 
-        let mask = match wire_mask {
-            None => None,
-            Some(preferred) => {
-                let mut pressure = [0usize; 3];
-                for (layer, rect) in design.pin(pin).shapes() {
-                    let p = map.mask_pressure(net, *layer, rect);
-                    for m in 0..3 {
-                        pressure[m] += p[m];
-                    }
-                }
-                if pressure[preferred.index()] == 0 {
-                    Some(preferred)
-                } else {
-                    let best = Mask::ALL
-                        .into_iter()
-                        .min_by_key(|m| {
-                            (pressure[m.index()], (*m != preferred) as usize, m.index())
-                        })
-                        .expect("three masks");
-                    Some(best)
-                }
-            }
-        };
+        let mask = wire_mask.map(|wire| map.pin_mask(net, design.pin(pin).shapes(), wire));
         out.pin_masks.push((pin, mask));
     }
     out
 }
 
-/// Emits one path as coloured segments and vias.
-fn emit_path(
-    grid: &GridGraph,
-    path: &[VertexId],
-    mask_of: &dyn Fn(VertexId) -> Option<Mask>,
-    out: &mut ColoredNet,
-) {
-    if path.len() < 2 {
-        return;
-    }
-
-    // Current run: (start vertex, end vertex, layer, axis key, mask).
-    let mut run_start = path[0];
-    let mut run_end = path[0];
-    let mut run_mask = mask_of(path[0]);
-
-    let flush = |start: VertexId, end: VertexId, mask: Option<Mask>, out: &mut ColoredNet| {
-        if start == end {
-            return;
-        }
-        let layer = grid.layer_of(start);
-        let a = grid.point_of(start);
-        let b = grid.point_of(end);
-        out.routed.segments.push(RouteSegment::new(
-            layer,
-            Segment::new(a, b),
-            grid.wire_width(layer),
-        ));
-        out.segment_masks.push(mask);
-    };
-
-    for i in 1..path.len() {
-        let prev = path[i - 1];
-        let curr = path[i];
-        let (pl, px, py) = grid.coords(prev);
-        let (cl, cx, cy) = grid.coords(curr);
-        let is_via = pl != cl;
-        if is_via {
-            flush(run_start, run_end, run_mask, out);
-            out.routed.vias.push(ViaInstance::new(
-                tpl_design::LayerId::from(pl.min(cl)),
-                grid.point_of(prev),
-            ));
-            run_start = curr;
-            run_end = curr;
-            run_mask = mask_of(curr);
-            continue;
-        }
-        // Planar step: decide whether the run continues.
-        let curr_mask = mask_of(curr);
-        let collinear = {
-            let (_, sx, sy) = grid.coords(run_start);
-            (sx == px && px == cx) || (sy == py && py == cy)
-        };
-        if curr_mask == run_mask && collinear {
-            run_end = curr;
-        } else {
-            flush(run_start, run_end, run_mask, out);
-            // The new run starts at the boundary vertex `prev` so the wire
-            // stays electrically continuous; its mask is the next segment's.
-            run_start = prev;
-            run_end = curr;
-            run_mask = curr_mask;
-        }
-    }
-    flush(run_start, run_end, run_mask, out);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MrTplConfig;
-    use tpl_color::{ColorMap, ColorState};
+    use tpl_color::{ColorMap, ColorState, TplConfig};
     use tpl_design::{Design, DesignBuilder, NetId, Technology};
     use tpl_geom::Rect;
-    use tpl_grid::{DenseBitSet, GridState, PinCoverage};
+    use tpl_grid::{DenseBitSet, GridGraph, GridState, PinCoverage};
 
     struct Fixture {
         design: Design,
@@ -237,7 +149,7 @@ mod tests {
         gstate: GridState,
         coverage: PinCoverage,
         map: ColorMap,
-        config: MrTplConfig,
+        config: TplConfig,
         in_guide: DenseBitSet,
     }
 
@@ -256,7 +168,7 @@ mod tests {
             gstate: GridState::new(&grid, &design),
             coverage: PinCoverage::build(&grid, &design),
             map: ColorMap::new(&grid, design.tech().dcolor()),
-            config: MrTplConfig::default(),
+            config: TplConfig::default(),
             in_guide: DenseBitSet::full(grid.num_vertices()),
             grid,
             design,

@@ -8,14 +8,16 @@
 //! 1. **Colour-state searching** ([`search`], Algorithm 2): a multi-source
 //!    Dijkstra whose expansion evaluates, per direction, the cost of each of
 //!    the three masks (traditional cost + colour-conflict pressure + stitch
-//!    cost when the mask is not in the current state) and keeps the *set* of
-//!    masks attaining the minimum.
+//!    cost when the mask is not in the current state: Eq. (1) with α fixed
+//!    at 1, priced by [`tpl_color::TplConfig::step_costs`]) and keeps
+//!    the *set* of masks attaining the minimum.
 //! 2. **Backtrace** ([`backtrace`], Algorithm 3): walks predecessors from the
 //!    reached pin, grouping vertices into verSets and segSets; states are
 //!    intersected along the path, and a stitch is exactly a segSet boundary.
 //! 3. **Mask assignment** (the `assign` module): every segSet commits to the candidate
 //!    mask with the lowest conflict pressure; wire geometry is emitted with
-//!    one mask per segment.
+//!    one mask per segment ([`tpl_grid::emit_wires`]), and pins take their
+//!    masks by [`tpl_color::ColorMap::pin_mask`], as in the DAC'12 baseline.
 //! 4. **Rip-up and reroute**: remaining colour conflicts bump history costs
 //!    and send their victims back through steps 1–3, one net at a time:
 //!    each victim is ripped up just before it reroutes and committed before
@@ -46,6 +48,6 @@ mod search;
 
 pub use assign::ColoredNet;
 pub use backtrace::backtrace;
-pub use config::{MrTplConfig, MrTplStats, SearchPolicy};
+pub use config::{MrTplConfig, MrTplStats};
 pub use router::{MrTplResult, MrTplRouter};
 pub use search::{search, NetBuffers, SearchContext};

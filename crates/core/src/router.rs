@@ -6,8 +6,8 @@ use crate::{
 };
 use std::time::Instant;
 use tpl_color::{
-    negotiate, ColorCostCache, ColorMap, ColorSetArena, ColorState, ColoredLayout, Mask,
-    Negotiation, NetRoute, TraceNames,
+    negotiate, ColorCostCache, ColorMap, ColorSetArena, ColorState, ColoredLayout, Mask, NetRoute,
+    TraceNames,
 };
 use tpl_design::{Design, NetId, PinId, RouteGuides, RoutingSolution};
 use tpl_grid::{
@@ -101,44 +101,46 @@ impl MrTplRouter {
         let mut in_guide = DenseBitSet::new(grid.num_vertices());
         let mut seg_sets = 0usize;
 
-        let rules = Negotiation {
-            max_rrr_iterations: self.config.max_rrr_iterations,
-            history_increment: self.config.history_increment,
-            trace: TRACE,
-        };
-        let run = negotiate(design, &grid, &budget, &rules, |turn, gstate, map| {
-            // Goal direction only during negotiation: see
-            // `NetBuffers::set_goal_directed`.
-            buffers.set_goal_directed(turn.pass > 0);
-            buffers.arm_budget(turn.allowance, &budget);
-            let (colored, vertices, complete) = self.route_net(
-                design,
-                &grid,
-                &coverage,
-                gstate,
-                &mut buffers,
-                &mut cache,
-                &mut in_guide,
-                map,
-                guides,
-                turn.net,
-            );
-            // Kernel effort counters: pruned / popped quantifies how much of
-            // the wavefront was left queued when searches ended, and the
-            // frontier peak is the heap's high-water mark.
-            tpl_trace::counter!("core.search_frontier_pruned", buffers.frontier_pruned());
-            tpl_trace::value!("core.frontier_peak", buffers.frontier_peak());
-            seg_sets += colored.seg_sets;
-            NetRoute {
-                routed: colored.routed,
-                segment_masks: colored.segment_masks,
-                pin_masks: colored.pin_masks,
-                vertices,
-                complete,
-                search_nodes: buffers.nodes_popped(),
-                stop: buffers.stop_reason(),
-            }
-        });
+        let run = negotiate(
+            design,
+            &grid,
+            &budget,
+            &self.config,
+            TRACE,
+            |turn, gstate, map| {
+                // Goal direction only during negotiation: see
+                // `NetBuffers::set_goal_directed`.
+                buffers.set_goal_directed(turn.pass > 0);
+                buffers.arm_budget(turn.allowance, &budget);
+                let (colored, vertices, complete) = self.route_net(
+                    design,
+                    &grid,
+                    &coverage,
+                    gstate,
+                    &mut buffers,
+                    &mut cache,
+                    &mut in_guide,
+                    map,
+                    guides,
+                    turn.net,
+                );
+                // Kernel effort counters: pruned / popped quantifies how much of
+                // the wavefront was left queued when searches ended, and the
+                // frontier peak is the heap's high-water mark.
+                tpl_trace::counter!("core.search_frontier_pruned", buffers.frontier_pruned());
+                tpl_trace::value!("core.frontier_peak", buffers.frontier_peak());
+                seg_sets += colored.seg_sets;
+                NetRoute {
+                    routed: colored.routed,
+                    segment_masks: colored.segment_masks,
+                    pin_masks: colored.pin_masks,
+                    vertices,
+                    complete,
+                    search_nodes: buffers.nodes_popped(),
+                    stop: buffers.stop_reason(),
+                }
+            },
+        );
 
         MrTplResult {
             stats: MrTplStats {
@@ -456,23 +458,5 @@ mod tests {
     fn unbudgeted_run_reports_complete() {
         let (_, result) = route_case(0.25);
         assert!(result.stats.outcome.is_complete());
-    }
-
-    #[test]
-    fn greedy_policy_produces_at_least_as_many_stitches() {
-        let design = CaseParams::ispd18_like(2).scaled(0.35).generate();
-        let guides = GlobalRouter::new(GlobalConfig::default()).route(&design);
-        let set_based = MrTplRouter::new(MrTplConfig::default()).route(&design, &guides);
-        let greedy = MrTplRouter::new(MrTplConfig {
-            policy: crate::SearchPolicy::GreedySingleColor,
-            ..MrTplConfig::default()
-        })
-        .route(&design, &guides);
-        assert!(
-            greedy.stats.stitches >= set_based.stats.stitches,
-            "greedy {} vs set-based {}",
-            greedy.stats.stitches,
-            set_based.stats.stitches
-        );
     }
 }

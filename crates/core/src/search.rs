@@ -12,7 +12,7 @@
 //!   every net of a routing run.
 //! * **Goal-directed A\*** — [`GoalBound::manhattan`], an admissible,
 //!   consistent Manhattan lower bound to the nearest unreached pin's
-//!   coverage box (priced at `alpha` times the cheapest step), steers
+//!   coverage box (priced at the cheapest step), steers
 //!   expansion towards the goal instead of growing a full circle around the
 //!   tree.  The router engages A\* order only during negotiation iterations
 //!   (see [`NetBuffers::set_goal_directed`]), which hold the bulk of the
@@ -32,16 +32,16 @@
 //!   successors differently, and an A\*-order pass cannot tell which one
 //!   plain Dijkstra would have kept.  Forced onto one pass, Mr.TPL's
 //!   results change.
-//! * **One cached record per relaxation** — a step costs the direction-class
-//!   [`TradCost::base`], read from the per-layer table
+//! * **One cached record per relaxation** — a step's traditional cost is
+//!   the direction-class [`TradCost::base`], read from the per-layer table
 //!   [`CostParams::base_table`](tpl_grid::CostParams::base_table) that
 //!   [`SearchContext::new`] builds once per net, plus the entered vertex's
 //!   record in the [`ColorCostCache`] (node penalty and 3-mask pressure,
-//!   filled on the net's first visit).  Neighbour ids come from one
-//!   coordinate decode per pop, in [`Dir::ALL`] order.
+//!   filled on the net's first visit); [`TplConfig::step_costs`] adds the
+//!   colour and stitch terms, the same way DAC'12 does.  Neighbour ids come
+//!   from one coordinate decode per pop, in [`Dir::ALL`] order.
 
-use crate::{MrTplConfig, SearchPolicy};
-use tpl_color::{ColorCostCache, ColorMap, ColorState, Mask};
+use tpl_color::{ColorCostCache, ColorMap, ColorState, Mask, TplConfig};
 use tpl_design::PinId;
 use tpl_geom::Dir;
 use tpl_grid::{
@@ -205,32 +205,32 @@ pub struct SearchContext<'a> {
     /// The net's traditional step cost (grid, occupancy, guide, pins).
     pub trad: TradCost<'a>,
     /// Router configuration (weights of Eq. (1)).
-    pub config: &'a MrTplConfig,
+    pub config: &'a TplConfig,
     /// Already-coloured features of other nets.
     pub map: &'a ColorMap,
     /// [`TradCost::base`] per layer and direction of [`Dir::ALL`]
     /// ([`CostParams::base_table`](tpl_grid::CostParams::base_table)).
     base: Vec<[f64; 6]>,
-    /// The search's lower bound, priced at `alpha` and aimed per search.
+    /// The search's lower bound, aimed per search.
     bound: GoalBound,
 }
 
 impl<'a> SearchContext<'a> {
     /// The context of one net; tabulates the direction-class costs once.
-    pub fn new(trad: TradCost<'a>, config: &'a MrTplConfig, map: &'a ColorMap) -> Self {
+    pub fn new(trad: TradCost<'a>, config: &'a TplConfig, map: &'a ColorMap) -> Self {
         Self {
             trad,
             config,
             map,
             base: trad.params.base_table(trad.grid),
-            bound: GoalBound::new(trad.grid, &config.cost, config.alpha),
+            bound: GoalBound::new(trad.grid, &config.cost),
         }
     }
 
     /// Evaluates the 3×2 colour-cost table of Algorithm 2 for one step in
     /// direction `dir` with traditional cost `trad` onto a vertex with the
-    /// given per-mask `pressure`, and returns the minimum cost together with
-    /// the set of masks attaining it.
+    /// given per-mask `pressure` ([`TplConfig::step_costs`]), and returns
+    /// the minimum cost together with the set of masks attaining it.
     pub fn color_step(
         &self,
         from_state: ColorState,
@@ -241,22 +241,13 @@ impl<'a> SearchContext<'a> {
         let mut best = f64::INFINITY;
         let mut best_set = ColorState::none();
         const EPS: f64 = 1e-9;
-        for mask in Mask::ALL {
-            let mut c = self.config.alpha * trad
-                + self.config.color_conflict_cost * pressure[mask.index()] as f64;
-            if dir.is_planar() && !from_state.contains(mask) {
-                c += self.config.stitch_cost;
-            }
+        let costs = self.config.step_costs(trad, pressure, dir, from_state);
+        for (mask, c) in Mask::ALL.into_iter().zip(costs) {
             if c + EPS < best {
                 best = c;
                 best_set = ColorState::from_mask(mask);
             } else if (c - best).abs() <= EPS {
                 best_set = best_set.with(mask);
-            }
-        }
-        if self.config.policy == SearchPolicy::GreedySingleColor {
-            if let Some(first) = best_set.first() {
-                best_set = ColorState::from_mask(first);
             }
         }
         (best, best_set)
@@ -355,7 +346,7 @@ mod tests {
         gstate: GridState,
         coverage: PinCoverage,
         map: ColorMap,
-        config: MrTplConfig,
+        config: TplConfig,
     }
 
     fn fixture() -> Fixture {
@@ -378,7 +369,7 @@ mod tests {
             gstate,
             coverage,
             map,
-            config: MrTplConfig::default(),
+            config: TplConfig::default(),
         }
     }
 
@@ -498,7 +489,7 @@ mod tests {
 
     #[test]
     fn both_bounds_are_consistent_with_every_color_state_step() {
-        for (salt, alpha) in [(0u64, 1.0), (1, 0.7), (2, 1.0), (3, 0.7)] {
+        for salt in 0..4u64 {
             let mut case = tpl_ispd::CaseParams::ispd18_like(1 + salt as usize).scaled(0.3);
             case.seed = case.seed.wrapping_add(salt << 32);
             let design = case.generate();
@@ -527,10 +518,7 @@ mod tests {
                     _ => {}
                 }
             }
-            let config = MrTplConfig {
-                alpha,
-                ..MrTplConfig::default()
-            };
+            let config = TplConfig::default();
             let in_guide = DenseBitSet::full(grid.num_vertices());
             let trad = TradCost {
                 grid: &grid,
@@ -558,16 +546,14 @@ mod tests {
                 ColorState::from_mask(Mask::Green).with(Mask::Blue),
             ];
             let bound = &ctx.bound;
-            // `f64` slack for the non-integer `alpha`.
-            let below = |a: f64, b: f64| a <= b + 1e-9 * (1.0 + b);
             for v in grid.iter_vertices() {
                 let (h, m) = (bound.h(&grid, v), bound.manhattan(&grid, v));
                 for state in states {
                     space.expand(v.0, 0.0, state, |to, step, _| {
                         let to = VertexId::new(to);
-                        assert!(below(h, step + bound.h(&grid, to)), "h {v:?} -> {to:?}");
+                        assert!(h <= step + bound.h(&grid, to), "h {v:?} -> {to:?}");
                         let m_to = bound.manhattan(&grid, to);
-                        assert!(below(m, step + m_to), "manhattan {v:?} -> {to:?}");
+                        assert!(m <= step + m_to, "manhattan {v:?} -> {to:?}");
                     });
                 }
             }
@@ -614,22 +600,6 @@ mod tests {
         assert!(!state.contains(tpl_color::Mask::Red));
         assert!(state.contains(tpl_color::Mask::Green));
         assert!(state.contains(tpl_color::Mask::Blue));
-    }
-
-    #[test]
-    fn greedy_policy_keeps_a_single_candidate() {
-        let mut f = fixture();
-        f.config.policy = SearchPolicy::GreedySingleColor;
-        let in_guide = DenseBitSet::full(f.grid.num_vertices());
-        let mut c = ctx(&f, &in_guide);
-        let mut buffers = NetBuffers::new(f.grid.num_vertices());
-        let mut cache = ColorCostCache::new(&f.grid);
-        buffers.begin_net();
-        cache.begin();
-        let sources = all_sources(&f);
-        let (dst, _) = search(&mut c, &mut buffers, &mut cache, &sources, &[PinId::new(1)])
-            .expect("path exists");
-        assert_eq!(buffers.state(dst).len(), 1);
     }
 
     #[test]

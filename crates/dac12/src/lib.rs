@@ -16,9 +16,13 @@
 //!    can never change its mask, junctions between connections frequently
 //!    force stitches — exactly the behaviour of Fig. 1(c) in the paper.
 //!
-//! The cost model (traditional cost, colour-conflict pressure, stitch cost)
-//! and the rip-up-and-reroute loop ([`tpl_color::negotiate`]) are shared
-//! with Mr.TPL so the comparison isolates the colour-handling strategy.
+//! Everything else is Mr.TPL's own code, so the comparison isolates the
+//! colour-handling strategy: the configuration and the mask-step cost
+//! ([`tpl_color::TplConfig`] and its `step_costs`), the path emitter
+//! ([`tpl_grid::emit_wires`]), the pin-mask rule
+//! ([`tpl_color::ColorMap::pin_mask`]), the rip-up-and-reroute loop
+//! ([`tpl_color::negotiate`]), and the MST, which the global router shares
+//! too ([`tpl_geom::manhattan_mst`]).
 //!
 //! # Examples
 //!

@@ -3,15 +3,13 @@
 use crate::ExpandedGraph;
 use std::time::Instant;
 use tpl_color::{
-    negotiate, ColorCostCache, ColorMap, ColoredLayout, Mask, Negotiation, NetRoute, TraceNames,
+    negotiate, ColorCostCache, ColorMap, ColorState, ColoredLayout, Mask, NetRoute, TplConfig,
+    TraceNames,
 };
-use tpl_design::{
-    Design, LayerId, NetId, PinId, RouteGuides, RouteSegment, RoutedNet, RoutingSolution,
-    ViaInstance,
-};
-use tpl_geom::{Dir, Segment};
+use tpl_design::{Design, NetId, PinId, RouteGuides, RoutedNet, RoutingSolution};
+use tpl_geom::{manhattan_mst, Dir, Point};
 use tpl_grid::{
-    guide_membership, CostParams, DenseBitSet, GoalBound, GoalMarks, GridGraph, GridState, Kernel,
+    emit_wires, guide_membership, DenseBitSet, GoalBound, GoalMarks, GridGraph, GridState, Kernel,
     Outcome, PinCoverage, RouteBudget, SearchSpace, TradCost, VertexId,
 };
 
@@ -28,32 +26,9 @@ const TRACE: TraceNames = TraceNames {
     search_nodes: "dac12.search_nodes",
 };
 
-/// Configuration of the DAC'12 baseline router.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Dac12Config {
-    /// Traditional cost parameters (shared with the other routers).
-    pub cost: CostParams,
-    /// Cost of a stitch (mask change along a path).
-    pub stitch_cost: f64,
-    /// Cost per conflicting same-mask neighbour within `Dcolor`.
-    pub color_conflict_cost: f64,
-    /// Maximum number of rip-up-and-reroute iterations on colour conflicts.
-    pub max_rrr_iterations: usize,
-    /// History cost added to vertices in conflict regions when ripping up.
-    pub history_increment: f64,
-}
-
-impl Default for Dac12Config {
-    fn default() -> Self {
-        Self {
-            cost: CostParams::default(),
-            stitch_cost: 20.0,
-            color_conflict_cost: 350.0,
-            max_rrr_iterations: 5,
-            history_increment: 60.0,
-        }
-    }
-}
+/// Configuration of the DAC'12 baseline router: the [`TplConfig`] it
+/// shares with Mr.TPL, so both price a step, a stitch and a conflict alike.
+pub type Dac12Config = TplConfig;
 
 /// Statistics of a DAC'12 baseline run.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -97,7 +72,8 @@ struct SearchBuffers {
     cache: ColorCostCache,
     bound: GoalBound,
     targets: GoalMarks,
-    /// [`CostParams::base`] per layer and direction of [`Dir::ALL`].
+    /// [`CostParams::base`](tpl_grid::CostParams::base) per layer and direction
+    /// of [`Dir::ALL`].
     base: Vec<[f64; 6]>,
     in_guide: DenseBitSet,
 }
@@ -109,19 +85,21 @@ pub struct Dac12Router {
 }
 
 /// The expanded search graph of one 2-pin connection: `(vertex, mask)`
-/// nodes, with the target pin's coverage as goals.  A step costs the
-/// traditional cost of the entered vertex plus the colour-conflict pressure
-/// on its mask, plus `stitch_cost` when a planar step changes the mask; a
-/// mask change across a via is free.
+/// nodes, with the target pin's coverage as goals.  A step costs
+/// [`TplConfig::step_costs`] with the node's one mask as the inherited
+/// state: the traditional cost of the entered vertex plus the
+/// colour-conflict pressure on its mask, plus `stitch_cost` when a planar
+/// step changes the mask; a mask change across a via is free.
 struct SplitSearch<'s, 'a> {
     trad: TradCost<'a>,
     expanded: &'s ExpandedGraph,
     map: &'s ColorMap,
     cache: &'s mut ColorCostCache,
-    config: &'s Dac12Config,
+    config: &'s TplConfig,
     /// The target pin's coverage, marked once per connection.
     targets: &'s GoalMarks,
-    /// [`CostParams::base`] per layer and direction of [`Dir::ALL`].
+    /// [`CostParams::base`](tpl_grid::CostParams::base) per layer and direction
+    /// of [`Dir::ALL`].
     base: &'s [[f64; 6]],
     /// The lower bound, aimed at the target pin.
     bound: &'s GoalBound,
@@ -138,6 +116,7 @@ impl SearchSpace for SplitSearch<'_, '_> {
 
     fn expand(&mut self, node: u32, dist: f64, _: (), mut relax: impl FnMut(u32, f64, ())) {
         let (v, mask) = self.expanded.unpack(node);
+        let inherited = ColorState::from_mask(mask);
         let grid = self.trad.grid;
         let at = grid.coords(v);
         let base = &self.base[at.0];
@@ -149,13 +128,10 @@ impl SearchSpace for SplitSearch<'_, '_> {
             let Some((penalty, pressure)) = self.cache.record(&self.trad, self.map, n) else {
                 continue;
             };
-            let trad = base[k] + penalty;
-            for next_mask in Mask::ALL {
-                let mut step =
-                    trad + self.config.color_conflict_cost * pressure[next_mask.index()] as f64;
-                if dir.is_planar() && next_mask != mask {
-                    step += self.config.stitch_cost;
-                }
+            let steps = self
+                .config
+                .step_costs(base[k] + penalty, pressure, dir, inherited);
+            for (next_mask, step) in Mask::ALL.into_iter().zip(steps) {
                 relax(self.expanded.node(n, next_mask), dist + step, ());
             }
         }
@@ -164,11 +140,15 @@ impl SearchSpace for SplitSearch<'_, '_> {
 
 impl SplitSearch<'_, '_> {
     /// Dijkstra over the expanded graph from the coverage of pin `from` to
-    /// the targets.  Returns the path as `(vertex, mask)` pairs from source
-    /// to destination.  The search has no payload, so it returns plain
+    /// the targets.  Returns the path's vertices from source to destination
+    /// and the mask of each.  The search has no payload, so it returns plain
     /// Dijkstra's path from one A\*-order pass ([`Kernel::run_one_pass`]),
     /// with the bound on a node's vertex as its `h`.
-    fn route(&mut self, kernel: &mut Kernel<()>, from: PinId) -> Option<Vec<(VertexId, Mask)>> {
+    fn route(
+        &mut self,
+        kernel: &mut Kernel<()>,
+        from: PinId,
+    ) -> Option<(Vec<VertexId>, Vec<Mask>)> {
         let (trad, expanded, bound) = (self.trad, self.expanded, self.bound);
         let sources = trad
             .coverage
@@ -181,12 +161,8 @@ impl SplitSearch<'_, '_> {
         });
         #[cfg(test)]
         tests::cross_check(self, kernel, sources, goal);
-        let goal = goal?;
-        let path = kernel
-            .path(goal)
-            .into_iter()
-            .map(|node| expanded.unpack(node));
-        Some(path.collect())
+        let path = kernel.path(goal?).into_iter();
+        Some(path.map(|node| expanded.unpack(node)).unzip())
     }
 }
 
@@ -225,34 +201,36 @@ impl Dac12Router {
         let mut buffers = SearchBuffers {
             kernel: Kernel::new(expanded.num_nodes(), KEY_RESOLUTION),
             cache: ColorCostCache::new(&grid),
-            bound: GoalBound::new(&grid, &self.config.cost, 1.0),
+            bound: GoalBound::new(&grid, &self.config.cost),
             targets: GoalMarks::new(grid.num_vertices()),
             base: self.config.cost.base_table(&grid),
             in_guide: DenseBitSet::new(grid.num_vertices()),
         };
         let mut two_pin_connections = 0;
 
-        let rules = Negotiation {
-            max_rrr_iterations: self.config.max_rrr_iterations,
-            history_increment: self.config.history_increment,
-            trace: TRACE,
-        };
-        let run = negotiate(design, &grid, budget, &rules, |turn, gstate, map| {
-            buffers.kernel.arm(turn.allowance, budget);
-            let (route, connections) = self.route_net(
-                design,
-                &grid,
-                &expanded,
-                &coverage,
-                gstate,
-                map,
-                &mut buffers,
-                guides,
-                turn.net,
-            );
-            two_pin_connections += connections;
-            route
-        });
+        let run = negotiate(
+            design,
+            &grid,
+            budget,
+            &self.config,
+            TRACE,
+            |turn, gstate, map| {
+                buffers.kernel.arm(turn.allowance, budget);
+                let (route, connections) = self.route_net(
+                    design,
+                    &grid,
+                    &expanded,
+                    &coverage,
+                    gstate,
+                    map,
+                    &mut buffers,
+                    guides,
+                    turn.net,
+                );
+                two_pin_connections += connections;
+                route
+            },
+        );
 
         Dac12Result {
             stats: Dac12Stats {
@@ -298,13 +276,13 @@ impl Dac12Router {
         } = buffers;
         guide_membership(grid, guides, net_id, in_guide);
 
-        // MST over the pins (Prim, Manhattan distance of pin centres).
-        let centers: Vec<(PinId, tpl_geom::Point)> = net
+        // MST over the pins' centres.
+        let (pins, centers): (Vec<PinId>, Vec<Point>) = net
             .pins()
             .iter()
             .filter_map(|p| design.pin(*p).bbox().map(|b| (*p, b.center())))
-            .collect();
-        let mst = pin_mst(&centers);
+            .unzip();
+        let mst = manhattan_mst(&centers);
         let connections = mst.len();
 
         let mut route = NetRoute {
@@ -324,7 +302,7 @@ impl Dac12Router {
             // One cache scope per connection: committing the previous
             // connection's occupancy changed the node penalties.
             cache.begin();
-            let target = centers[b].0;
+            let target = pins[b];
             bound.aim(grid, coverage, &[target]);
             mark_targets(targets, coverage, target);
             let mut search = SplitSearch {
@@ -337,16 +315,22 @@ impl Dac12Router {
                 base,
                 bound,
             };
-            match search.route(kernel, centers[a].0) {
-                Some(path) => {
+            match search.route(kernel, pins[a]) {
+                Some((path, masks)) => {
                     // Commit this connection immediately: later connections of
                     // the same net do not get to revise its colours (the
                     // fundamental limitation of 2-pin methods).
-                    emit_colored_path(grid, &path, &mut route.routed, &mut route.segment_masks);
-                    for &(v, _) in &path {
+                    emit_wires(
+                        grid,
+                        &path,
+                        |i| Some(masks[i]),
+                        &mut route.routed,
+                        &mut route.segment_masks,
+                    );
+                    for &v in &path {
                         gstate.occupy(v, net_id);
-                        route.vertices.push(v);
                     }
+                    route.vertices.extend(path);
                 }
                 None => {
                     route.complete = false;
@@ -354,29 +338,11 @@ impl Dac12Router {
             }
         }
 
-        // Pin colours: inherit the mask of the touching wire; if that mask
-        // already collides with a coloured neighbour of another net, pick the
-        // least conflicting candidate (same post-processing as Mr.TPL so the
-        // comparison isolates the routing strategy).
+        // Pin colours: the mask of the nearest wire, unless another net
+        // presses it (the rule Mr.TPL colours its pins by).
         for &pin in net.pins() {
-            let preferred = pin_wire_mask(design, pin, &route.routed, &route.segment_masks);
-            let mask = preferred.map(|m| {
-                let mut pressure = [0usize; 3];
-                for (layer, rect) in design.pin(pin).shapes() {
-                    let p = map.mask_pressure(net_id, *layer, rect);
-                    for i in 0..3 {
-                        pressure[i] += p[i];
-                    }
-                }
-                if pressure[m.index()] == 0 {
-                    m
-                } else {
-                    Mask::ALL
-                        .into_iter()
-                        .min_by_key(|c| (pressure[c.index()], (*c != m) as usize, c.index()))
-                        .unwrap_or(m)
-                }
-            });
+            let wire = pin_wire_mask(design, pin, &route.routed, &route.segment_masks);
+            let mask = wire.map(|wire| map.pin_mask(net_id, design.pin(pin).shapes(), wire));
             route.pin_masks.push((pin, mask));
         }
         route.search_nodes = kernel.popped();
@@ -392,110 +358,6 @@ fn mark_targets(targets: &mut GoalMarks, coverage: &PinCoverage, target: PinId) 
     for &v in coverage.vertices(target) {
         targets.mark(v, target);
     }
-}
-
-/// Prim MST over pin centres; returns index pairs into the input slice.
-fn pin_mst(centers: &[(PinId, tpl_geom::Point)]) -> Vec<(usize, usize)> {
-    let n = centers.len();
-    if n < 2 {
-        return Vec::new();
-    }
-    let mut in_tree = vec![false; n];
-    let mut best = vec![i64::MAX; n];
-    let mut parent = vec![0usize; n];
-    in_tree[0] = true;
-    for i in 1..n {
-        best[i] = centers[0].1.manhattan(&centers[i].1);
-    }
-    let mut edges = Vec::with_capacity(n - 1);
-    for _ in 1..n {
-        let mut pick = usize::MAX;
-        let mut pick_d = i64::MAX;
-        for i in 0..n {
-            if !in_tree[i] && best[i] < pick_d {
-                pick = i;
-                pick_d = best[i];
-            }
-        }
-        if pick == usize::MAX {
-            break;
-        }
-        in_tree[pick] = true;
-        edges.push((parent[pick], pick));
-        for i in 0..n {
-            if !in_tree[i] {
-                let d = centers[pick].1.manhattan(&centers[i].1);
-                if d < best[i] {
-                    best[i] = d;
-                    parent[i] = pick;
-                }
-            }
-        }
-    }
-    edges
-}
-
-/// Emits a `(vertex, mask)` path as coloured wire segments and vias.
-fn emit_colored_path(
-    grid: &GridGraph,
-    path: &[(VertexId, Mask)],
-    routed: &mut RoutedNet,
-    masks: &mut Vec<Option<Mask>>,
-) {
-    if path.len() < 2 {
-        return;
-    }
-    let mut run_start = path[0].0;
-    let mut run_end = path[0].0;
-    let mut run_mask = path[0].1;
-
-    let flush = |start: VertexId,
-                 end: VertexId,
-                 mask: Mask,
-                 routed: &mut RoutedNet,
-                 masks: &mut Vec<Option<Mask>>| {
-        if start == end {
-            return;
-        }
-        let layer = grid.layer_of(start);
-        routed.segments.push(RouteSegment::new(
-            layer,
-            Segment::new(grid.point_of(start), grid.point_of(end)),
-            grid.wire_width(layer),
-        ));
-        masks.push(Some(mask));
-    };
-
-    for i in 1..path.len() {
-        let (pv, _) = path[i - 1];
-        let (cv, cmask) = path[i];
-        let (pl, px, py) = grid.coords(pv);
-        let (cl, cx, cy) = grid.coords(cv);
-        if pl != cl {
-            flush(run_start, run_end, run_mask, routed, masks);
-            routed.vias.push(ViaInstance::new(
-                LayerId::from(pl.min(cl)),
-                grid.point_of(pv),
-            ));
-            run_start = cv;
-            run_end = cv;
-            run_mask = cmask;
-            continue;
-        }
-        let collinear = {
-            let (_, sx, sy) = grid.coords(run_start);
-            (sx == px && px == cx) || (sy == py && py == cy)
-        };
-        if cmask == run_mask && collinear {
-            run_end = cv;
-        } else {
-            flush(run_start, run_end, run_mask, routed, masks);
-            run_start = pv;
-            run_end = cv;
-            run_mask = cmask;
-        }
-    }
-    flush(run_start, run_end, run_mask, routed, masks);
 }
 
 /// The mask of the wire touching a pin, if any (nearest segment wins).
@@ -717,7 +579,7 @@ mod tests {
         let map = ColorMap::new(&grid, design.tech().dcolor());
         let mut cache = ColorCostCache::new(&grid);
         let config = Dac12Config::default();
-        let bound = GoalBound::new(&grid, &config.cost, 1.0);
+        let bound = GoalBound::new(&grid, &config.cost);
         let mut targets = GoalMarks::new(grid.num_vertices());
         mark_targets(&mut targets, &coverage, wide);
         let base = config.cost.base_table(&grid);
@@ -783,7 +645,7 @@ mod tests {
             let mut cache = ColorCostCache::new(&grid);
             cache.begin();
             let config = Dac12Config::default();
-            let mut bound = GoalBound::new(&grid, &config.cost, 1.0);
+            let mut bound = GoalBound::new(&grid, &config.cost);
             bound.aim(&grid, &coverage, &design.net(net).pins()[1..2]);
             let targets = GoalMarks::new(grid.num_vertices());
             let base = config.cost.base_table(&grid);
@@ -834,7 +696,7 @@ mod tests {
         let mut cache = ColorCostCache::new(&grid);
         cache.begin();
         let config = Dac12Config::default();
-        let bound = GoalBound::new(&grid, &config.cost, 1.0);
+        let bound = GoalBound::new(&grid, &config.cost);
         let targets = GoalMarks::new(grid.num_vertices());
         let base = config.cost.base_table(&grid);
         let in_guide = DenseBitSet::full(grid.num_vertices());
@@ -913,18 +775,6 @@ mod tests {
             }
         );
         assert_eq!(again.segment_masks, base.segment_masks);
-    }
-
-    #[test]
-    fn mst_spans_all_pins() {
-        let pts = vec![
-            (PinId::new(0), tpl_geom::Point::new(0, 0)),
-            (PinId::new(1), tpl_geom::Point::new(100, 0)),
-            (PinId::new(2), tpl_geom::Point::new(0, 100)),
-            (PinId::new(3), tpl_geom::Point::new(100, 100)),
-        ];
-        let mst = pin_mst(&pts);
-        assert_eq!(mst.len(), 3);
     }
 
     #[test]

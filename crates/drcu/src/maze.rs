@@ -32,7 +32,7 @@ impl MazeBuffers {
     pub(crate) fn new(grid: &GridGraph, params: &CostParams) -> Self {
         Self {
             kernel: Kernel::new(grid.num_vertices(), KEY_RESOLUTION),
-            bound: GoalBound::new(grid, params, 1.0),
+            bound: GoalBound::new(grid, params),
             goals: GoalMarks::new(grid.num_vertices()),
             base: params.base_table(grid),
         }

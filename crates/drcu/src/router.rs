@@ -3,8 +3,8 @@
 use crate::maze::{backtrace, search, MazeBuffers};
 use tpl_design::{Design, NetId, PinId, RouteGuides, RoutedNet, RoutingSolution};
 use tpl_grid::{
-    guide_membership, path_to_routed_net, CostParams, DenseBitSet, EpochStamps, GridGraph,
-    GridState, Outcome, PinCoverage, RouteBudget, TradCost, VertexId,
+    emit_wires, guide_membership, CostParams, DenseBitSet, EpochStamps, GridGraph, GridState,
+    Outcome, PinCoverage, RouteBudget, TradCost, VertexId,
 };
 
 /// Configuration of the Dr.CU-like router.
@@ -89,8 +89,9 @@ impl DrCuRouter {
     /// the budget has left after the nets before it, so where the budget
     /// trips is a pure function of the input.  On exhaustion (or a passed
     /// deadline, or cancellation) the router stops before the next net and
-    /// returns its best-so-far solution; nets left without geometry count in
-    /// `stats.failed_nets`, and `stats.outcome` says why the run stopped.
+    /// returns its best-so-far solution; `stats.outcome` says why the run
+    /// stopped.  `stats.failed_nets` counts the nets whose last route left a
+    /// pin unconnected and the nets a budget stop left without geometry.
     pub fn route_with_budget(
         &self,
         design: &Design,
@@ -107,21 +108,17 @@ impl DrCuRouter {
         };
         let mut solution = RoutingSolution::new(design.nets().len());
         let mut net_vertices: Vec<Vec<VertexId>> = vec![Vec::new(); design.nets().len()];
+        let mut complete = vec![false; design.nets().len()];
         let mut stats = DrCuStats::default();
 
         let mut to_route = design.nets_by_bbox();
         'rrr: for iteration in 0..=self.config.max_rrr_iterations {
             stats.rrr_iterations = iteration;
-            stats.failed_nets = 0;
-            for (i, &net_id) in to_route.iter().enumerate() {
+            for &net_id in &to_route {
                 let remaining = match budget.allowance(stats.search_nodes as u64) {
                     Ok(remaining) => remaining,
                     Err(reason) => {
                         stats.outcome = stats.outcome.merge(Outcome::from_stop(reason));
-                        stats.failed_nets += to_route[i..]
-                            .iter()
-                            .filter(|id| solution.get(**id).is_none())
-                            .count();
                         stats.remaining_overlaps =
                             collect_overlap_victims(design, &state, &net_vertices).len();
                         break 'rrr;
@@ -133,7 +130,7 @@ impl DrCuRouter {
                 net_vertices[net_id.index()].clear();
 
                 buffers.maze.kernel.arm(remaining, budget);
-                let (routed, vertices, complete) = self.route_net(
+                let (routed, vertices, connected) = self.route_net(
                     design,
                     &grid,
                     &coverage,
@@ -148,9 +145,7 @@ impl DrCuRouter {
                 if let Some(reason) = buffers.maze.kernel.stop_reason() {
                     stats.outcome = stats.outcome.merge(Outcome::from_stop(reason));
                 }
-                if !complete {
-                    stats.failed_nets += 1;
-                }
+                complete[net_id.index()] = connected;
                 for &v in &vertices {
                     state.occupy(v, net_id);
                 }
@@ -162,8 +157,7 @@ impl DrCuRouter {
             // an earlier-committed net are detectable by re-walking every
             // net's vertex list and checking the final occupant.
             let victims = collect_overlap_victims(design, &state, &net_vertices);
-            // A budget stop inside this iteration ends the run here, so the
-            // net it left incomplete still counts in `failed_nets`.
+            // A budget stop inside this iteration ends the run here.
             if victims.is_empty()
                 || iteration == self.config.max_rrr_iterations
                 || !stats.outcome.is_complete()
@@ -184,6 +178,7 @@ impl DrCuRouter {
             to_route = next;
         }
 
+        stats.failed_nets = complete.iter().filter(|c| !**c).count();
         DrCuResult {
             solution,
             stats,
@@ -232,7 +227,7 @@ impl DrCuRouter {
             match search(&cost, maze, &tree, &unreached) {
                 Some((dst, pin)) => {
                     let path = backtrace(&maze.kernel, dst);
-                    path_to_routed_net(grid, &path, &mut routed);
+                    emit_wires(grid, &path, |_| (), &mut routed, &mut Vec::new());
                     grow(&mut tree, in_tree, &path);
                     // The reached pin's own access vertices join the tree so
                     // later connections can start from them.
@@ -289,6 +284,8 @@ fn collect_overlap_victims(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tpl_design::{DesignBuilder, Technology};
+    use tpl_geom::Rect;
     use tpl_global::{GlobalConfig, GlobalRouter};
     use tpl_grid::StopReason;
     use tpl_ispd::CaseParams;
@@ -395,6 +392,56 @@ mod tests {
             .count();
         assert_eq!(broken, 1, "only the last net is cut short");
         assert_eq!(result.stats.failed_nets, broken);
+    }
+
+    #[test]
+    fn a_net_that_failed_in_an_earlier_pass_still_counts() {
+        // One layer, 10 × 10 tracks.  Net `a`'s second pin is walled in by
+        // blockages, so `a` fails in pass 0; it never overlaps another net,
+        // so no later pass reroutes it.  Nets `b` (row 5) and `c` (column
+        // 4) both run from edge to edge, so they must share a vertex on the
+        // one layer: every pass leaves an overlap, and the loop runs its
+        // last pass, which routes `b` or `c` completely.
+        let dot = |ix: i64, iy: i64| {
+            let (x, y) = (10 + 20 * ix, 10 + 20 * iy);
+            Rect::from_coords(x - 2, y - 2, x + 2, y + 2)
+        };
+        let mut builder = DesignBuilder::new(
+            "walled",
+            Technology::ispd_like(1),
+            Rect::from_coords(0, 0, 200, 200),
+        );
+        let a0 = builder.add_pin_shape("a0", 0, dot(1, 8));
+        let a1 = builder.add_pin_shape("a1", 0, dot(8, 1));
+        let b0 = builder.add_pin_shape("b0", 0, dot(0, 5));
+        let b1 = builder.add_pin_shape("b1", 0, dot(9, 5));
+        let c0 = builder.add_pin_shape("c0", 0, dot(4, 0));
+        let c1 = builder.add_pin_shape("c1", 0, dot(4, 9));
+        builder.add_net("a", vec![a0, a1]);
+        builder.add_net("b", vec![b0, b1]);
+        builder.add_net("c", vec![c0, c1]);
+        for (ix, iy) in [(7, 1), (9, 1), (8, 0), (8, 2)] {
+            builder.add_blockage(0, dot(ix, iy));
+        }
+        let design = builder.build().unwrap();
+        let guides = RouteGuides::new(design.nets().len());
+        let result = DrCuRouter::new(DrCuConfig::default()).route(&design, &guides);
+        let max_rrr_iterations = DrCuConfig::default().max_rrr_iterations;
+        assert_eq!(result.stats.rrr_iterations, max_rrr_iterations);
+        assert!(result.stats.remaining_overlaps > 0);
+        let broken: Vec<&str> = design
+            .nets()
+            .iter()
+            .filter(|n| {
+                result
+                    .solution
+                    .get(n.id())
+                    .is_none_or(|r| !r.connects_all_pins(&design, n.id()))
+            })
+            .map(|n| n.name())
+            .collect();
+        assert_eq!(broken, ["a"]);
+        assert_eq!(result.stats.failed_nets, 1);
     }
 
     #[test]

@@ -4,8 +4,10 @@
 //! ([`Dbu`]).  The routing problem is rectilinear, so the crate only provides
 //! axis-aligned primitives: [`Point`], [`Rect`], [`Segment`] and [`Interval`],
 //! together with the direction/axis vocabulary ([`Dir`], [`Axis`]) shared by
-//! the grid graph and the routers, and a simple uniform-bin spatial index
-//! ([`BinIndex`]) used for conflict detection and color-cost queries.
+//! the grid graph and the routers, a simple uniform-bin spatial index
+//! ([`BinIndex`]) used for conflict detection and color-cost queries, and the
+//! Manhattan minimum spanning tree ([`manhattan_mst`]) that the global router
+//! and the DAC'12 baseline split multi-pin nets by.
 //!
 //! # Examples
 //!
@@ -24,6 +26,7 @@ mod axis;
 mod dir;
 mod index;
 mod interval;
+mod mst;
 mod point;
 mod rect;
 mod segment;
@@ -32,6 +35,7 @@ pub use axis::Axis;
 pub use dir::Dir;
 pub use index::BinIndex;
 pub use interval::Interval;
+pub use mst::manhattan_mst;
 pub use point::Point;
 pub use rect::Rect;
 pub use segment::Segment;

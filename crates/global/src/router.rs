@@ -3,6 +3,7 @@
 use crate::GCellGrid;
 use std::cmp::Reverse;
 use tpl_design::{Design, LayerId, NetId, RouteGuides};
+use tpl_geom::{manhattan_mst, Point};
 use tpl_grid::{Kernel, Outcome, RouteBudget, SearchSpace, StopReason};
 
 /// Key units per cost unit of the maze frontier: the minimum edge cost of
@@ -412,7 +413,11 @@ impl GlobalRouter {
             return (Vec::new(), net_stats);
         }
         let window = self.net_window(grid, terminals);
-        let mst = minimum_spanning_tree(terminals);
+        let cells: Vec<Point> = terminals
+            .iter()
+            .map(|&(x, y)| Point::new(x as i64, y as i64))
+            .collect();
+        let mst = manhattan_mst(&cells);
         let mut paths = Vec::with_capacity(mst.len());
         for (a, b) in mst {
             let src = terminals[a];
@@ -476,51 +481,6 @@ impl GlobalRouter {
         // net stays connected on the coarse grid.
         path.unwrap_or(best_l.0)
     }
-}
-
-/// Manhattan-distance MST (Prim) over terminal gcells; returns index pairs.
-fn minimum_spanning_tree(terminals: &[(usize, usize)]) -> Vec<(usize, usize)> {
-    let n = terminals.len();
-    if n < 2 {
-        return Vec::new();
-    }
-    let dist = |a: (usize, usize), b: (usize, usize)| -> i64 {
-        (a.0 as i64 - b.0 as i64).abs() + (a.1 as i64 - b.1 as i64).abs()
-    };
-    let mut in_tree = vec![false; n];
-    let mut best_dist = vec![i64::MAX; n];
-    let mut best_parent = vec![0usize; n];
-    in_tree[0] = true;
-    for i in 1..n {
-        best_dist[i] = dist(terminals[0], terminals[i]);
-        best_parent[i] = 0;
-    }
-    let mut result = Vec::with_capacity(n - 1);
-    for _ in 1..n {
-        let mut pick = usize::MAX;
-        let mut pick_d = i64::MAX;
-        for i in 0..n {
-            if !in_tree[i] && best_dist[i] < pick_d {
-                pick = i;
-                pick_d = best_dist[i];
-            }
-        }
-        if pick == usize::MAX {
-            break;
-        }
-        in_tree[pick] = true;
-        result.push((best_parent[pick], pick));
-        for i in 0..n {
-            if !in_tree[i] {
-                let d = dist(terminals[pick], terminals[i]);
-                if d < best_dist[i] {
-                    best_dist[i] = d;
-                    best_parent[i] = pick;
-                }
-            }
-        }
-    }
-    result
 }
 
 /// The two L-shaped gcell paths between two cells.
@@ -718,31 +678,6 @@ mod tests {
     use tpl_design::{DesignBuilder, Technology};
     use tpl_geom::Rect;
     use tpl_ispd::CaseParams;
-
-    #[test]
-    fn mst_connects_all_terminals() {
-        let terminals = vec![(0, 0), (5, 0), (5, 7), (1, 6), (9, 9)];
-        let mst = minimum_spanning_tree(&terminals);
-        assert_eq!(mst.len(), terminals.len() - 1);
-        // Union-find check that the tree spans everything.
-        let mut parent: Vec<usize> = (0..terminals.len()).collect();
-        fn find(p: &mut Vec<usize>, x: usize) -> usize {
-            if p[x] != x {
-                let r = find(p, p[x]);
-                p[x] = r;
-            }
-            p[x]
-        }
-        for (a, b) in mst {
-            let ra = find(&mut parent, a);
-            let rb = find(&mut parent, b);
-            parent[rb] = ra;
-        }
-        let root = find(&mut parent, 0);
-        for i in 0..terminals.len() {
-            assert_eq!(find(&mut parent, i), root);
-        }
-    }
 
     #[test]
     fn l_paths_have_manhattan_length() {

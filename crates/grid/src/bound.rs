@@ -79,7 +79,7 @@ struct Target {
 /// Each target pin contributes the bounding box of its coverage vertices in
 /// track coordinates plus its layer range.  Both bounds are minima over the
 /// boxes of a price of the gaps `dx`, `dy` (tracks) and `dl` (layers) from
-/// the vertex to the box, all times `scale`:
+/// the vertex to the box:
 ///
 /// * [`h`](Self::h) is the exact distance to the box on an infinite grid
 ///   that charges only the base costs [`CostParams::base`] per layer.  A
@@ -98,9 +98,9 @@ struct Target {
 ///   above `h`; Mr.TPL's A\*-order negotiation passes keep it because their
 ///   answers depend on the expansion order.
 ///
-/// A detailed-routing step costs `scale` times [`CostParams::base`] of its
-/// direction class on the layer it leaves, plus non-negative node, colour
-/// and stitch terms.  So every real path costs at least its path on the
+/// A detailed-routing step costs [`CostParams::base`] of its direction
+/// class on the layer it leaves, plus non-negative node, colour and stitch
+/// terms.  So every real path costs at least its path on the
 /// base-cost grid, and both bounds are admissible.  Each is the exact
 /// distance in a graph whose every edge is at most the real step (the base
 /// grid for `h`, the base grid at the cheapest planar step for
@@ -125,17 +125,14 @@ pub struct GoalBound {
 }
 
 impl GoalBound {
-    /// Bounds priced for steps of `scale` times `Cost_trad` under `params`
-    /// (`scale` is Mr.TPL's `alpha`, 1 for the other routers), aimed at no
+    /// Bounds priced for steps of `Cost_trad` under `params`, aimed at no
     /// pin yet: both are zero until [`aim`](Self::aim).
-    pub fn new(grid: &GridGraph, params: &CostParams, scale: f64) -> Self {
+    pub fn new(grid: &GridGraph, params: &CostParams) -> Self {
         let layers = grid.num_layers();
-        let price = |layer: usize, dir: Dir| {
-            (scale * params.base(grid, LayerId::from(layer), dir)).max(0.0)
-        };
+        let price = |layer: usize, dir: Dir| params.base(grid, LayerId::from(layer), dir).max(0.0);
         let cx: Vec<f64> = (0..layers).map(|l| price(l, Dir::East)).collect();
         let cy: Vec<f64> = (0..layers).map(|l| price(l, Dir::North)).collect();
-        let via = (scale * params.via).max(0.0);
+        let via = params.via.max(0.0);
         let mut spans = Vec::with_capacity(layers * layers * layers);
         let mut terms = Vec::new();
         for l in 0..layers {
@@ -157,7 +154,7 @@ impl GoalBound {
             layers,
             spans,
             terms,
-            step: (scale * params.wire_cost(grid.pitch()) * mult).max(0.0),
+            step: (params.wire_cost(grid.pitch()) * mult).max(0.0),
             via,
             targets: Vec::new(),
         }
@@ -271,7 +268,7 @@ mod tests {
             net,
             in_guide: &in_guide,
         };
-        let mut bound = GoalBound::new(&grid, &params, 1.0);
+        let mut bound = GoalBound::new(&grid, &params);
         assert_eq!(bound.h(&grid, VertexId::new(0)), 0.0, "unaimed");
         let pins = &design.net(net).pins()[1..];
         bound.aim(&grid, &coverage, pins);
@@ -300,7 +297,7 @@ mod tests {
     fn default_costs_need_at_most_three_terms_per_entry() {
         let design = tpl_ispd::CaseParams::ispd19_like(1).scaled(0.25).generate();
         let grid = GridGraph::build(&design);
-        let bound = GoalBound::new(&grid, &CostParams::default(), 1.0);
+        let bound = GoalBound::new(&grid, &CostParams::default());
         let most = bound.spans.iter().map(|(a, b)| b - a).max();
         assert_eq!(most, Some(3));
     }

@@ -6,7 +6,8 @@
 //! or wrong-way) and vias between adjacent layers.  On top of the immutable
 //! [`GridGraph`] sits the mutable [`GridState`] holding blockages, net
 //! occupancy and negotiation history, plus helpers to map pins onto covered
-//! vertices and to convert vertex paths into routed geometry.
+//! vertices and to convert vertex paths into routed geometry ([`emit_wires`],
+//! the one path emitter of every detailed router).
 //!
 //! All routers in the workspace (the TPL-unaware Dr.CU-like baseline, the
 //! DAC'12 vertex-splitting baseline, Mr.TPL itself and the global router)
@@ -60,6 +61,6 @@ pub use costs::{guide_membership, CostParams, TradCost};
 pub use epoch::{EpochMap, EpochStamps};
 pub use graph::{GridGraph, VertexId};
 pub use kernel::{Kernel, SearchSpace};
-pub use path::path_to_routed_net;
+pub use path::emit_wires;
 pub use pins::{GoalMarks, PinCoverage};
 pub use state::GridState;

@@ -1,6 +1,6 @@
 //! Property tests of `GoalBound` on random grids of 1–9 layers under unusual
-//! costs: wrong-way and M1 multipliers below 1, free vias and a non-integer
-//! scale, beside the defaults.
+//! costs: wrong-way and M1 multipliers below 1 and free vias, beside the
+//! defaults.
 
 use proptest::prelude::*;
 use std::cmp::Reverse;
@@ -16,8 +16,7 @@ use tpl_grid::{
 const PITCH: i64 = 20;
 const OFFSET: i64 = 10;
 
-/// Relative slack for `f64` rounding: with a scale of 0.7 the same cost
-/// summed in another order can differ in its last bits.
+/// Relative slack for `f64` rounding of costs summed in another order.
 fn close_below(a: f64, b: f64) -> bool {
     a <= b + 1e-9 * (1.0 + b.abs())
 }
@@ -84,14 +83,9 @@ fn boxes(grid: &GridGraph, coverage: &PinCoverage, pins: &[PinId]) -> Vec<[usize
         .collect()
 }
 
-/// Brute force: the cheapest path, at `scale` times the base costs, from
-/// every vertex to any vertex inside one of the boxes.
-fn base_distance(
-    grid: &GridGraph,
-    params: &CostParams,
-    scale: f64,
-    boxes: &[[usize; 6]],
-) -> Vec<f64> {
+/// Brute force: the cheapest path, at the base costs, from every vertex to
+/// any vertex inside one of the boxes.
+fn base_distance(grid: &GridGraph, params: &CostParams, boxes: &[[usize; 6]]) -> Vec<f64> {
     let mut dist = vec![f64::INFINITY; grid.num_vertices()];
     let mut heap = BinaryHeap::new();
     for v in grid.iter_vertices() {
@@ -113,7 +107,7 @@ fn base_distance(
         // Steps are symmetric up to the layer they leave: `u -> v` costs
         // the base of `u`'s layer.
         for (dir, u) in grid.neighbors(v) {
-            let step = scale * params.base(grid, grid.layer_of(u), dir.opposite());
+            let step = params.base(grid, grid.layer_of(u), dir.opposite());
             let d = dist[v.index()] + step;
             if d < dist[u.index()] {
                 dist[u.index()] = d;
@@ -124,12 +118,11 @@ fn base_distance(
     dist
 }
 
-/// A grid search at `scale` times `Cost_trad` that also charges `toll`
+/// A grid search at `Cost_trad` that also charges `toll`
 /// on a planar step whenever the path's hash payload says so, as Mr.TPL's
 /// stitch cost depends on the colour state a vertex inherits.
 struct TolledGrid<'a> {
     trad: TradCost<'a>,
-    scale: f64,
     toll: f64,
     goals: &'a [bool],
 }
@@ -154,7 +147,7 @@ impl SearchSpace for TolledGrid<'_> {
             } else {
                 0.0
             };
-            relax(n.0, dist + self.scale * step + toll, next);
+            relax(n.0, dist + step + toll, next);
         }
     }
 }
@@ -168,20 +161,18 @@ proptest! {
         n in 3i64..=10,
         seed in any::<u64>(),
         (wrong_way, base_layer, via) in (0usize..3, 0usize..3, 0usize..3),
-        alpha in 0usize..2,
     ) {
         let design = random_design(layers, n, seed);
         let grid = GridGraph::build(&design);
         let coverage = PinCoverage::build(&grid, &design);
         let params = params(wrong_way, base_layer, via);
-        let scale = [1.0, 0.7][alpha];
         let pins = design.net(NetId::new(0)).pins();
-        let mut bound = GoalBound::new(&grid, &params, scale);
+        let mut bound = GoalBound::new(&grid, &params);
         // Aim twice: the second aim replaces the first's targets.
         bound.aim(&grid, &coverage, &pins[..1]);
         let targets = &pins[1..];
         bound.aim(&grid, &coverage, targets);
-        let want = base_distance(&grid, &params, scale, &boxes(&grid, &coverage, targets));
+        let want = base_distance(&grid, &params, &boxes(&grid, &coverage, targets));
         for v in grid.iter_vertices() {
             let (h, w) = (bound.h(&grid, v), want[v.index()]);
             prop_assert!(close_below(h, w) && close_below(w, h), "{:?}: h {} != {}", v, h, w);
@@ -194,15 +185,13 @@ proptest! {
         n in 3i64..=10,
         seed in any::<u64>(),
         (wrong_way, base_layer, via) in (0usize..3, 0usize..3, 0usize..3),
-        alpha in 0usize..2,
     ) {
         let design = random_design(layers, n, seed);
         let grid = GridGraph::build(&design);
         let coverage = PinCoverage::build(&grid, &design);
         let params = params(wrong_way, base_layer, via);
-        let scale = [1.0, 0.7][alpha];
         let targets = &design.net(NetId::new(0)).pins()[1..];
-        let mut bound = GoalBound::new(&grid, &params, scale);
+        let mut bound = GoalBound::new(&grid, &params);
         for v in grid.iter_vertices() {
             prop_assert_eq!(bound.h(&grid, v), 0.0);
             prop_assert_eq!(bound.manhattan(&grid, v), 0.0);
@@ -218,7 +207,7 @@ proptest! {
             let (h, m) = (bound.h(&grid, u), bound.manhattan(&grid, u));
             prop_assert!(close_below(m, h), "{:?}: manhattan {} above h {}", u, m, h);
             for (dir, v) in grid.neighbors(u) {
-                let step = scale * params.base(&grid, grid.layer_of(u), dir);
+                let step = params.base(&grid, grid.layer_of(u), dir);
                 prop_assert!(close_below(h, step + bound.h(&grid, v)), "h {:?} {:?}", u, dir);
                 prop_assert!(close_below(m, step + bound.manhattan(&grid, v)), "manhattan {:?} {:?}", u, dir);
             }
@@ -231,7 +220,6 @@ proptest! {
         n in 6i64..=12,
         seed in any::<u64>(),
         (wrong_way, base_layer, via) in (0usize..3, 0usize..3, 0usize..3),
-        alpha in 0usize..2,
         toll in 0usize..3,
     ) {
         let design = random_design(layers, n, seed);
@@ -242,7 +230,6 @@ proptest! {
             state.add_history(v, (seed >> (v.0 % 32)) as f64 % 90.0);
         }
         let params = params(wrong_way, base_layer, via);
-        let scale = [1.0, 0.7][alpha];
         let in_guide = DenseBitSet::full(grid.num_vertices());
         let net = design.net(NetId::new(0));
         let targets = &net.pins()[1..];
@@ -262,11 +249,10 @@ proptest! {
                 net: net.id(),
                 in_guide: &in_guide,
             },
-            scale,
             toll: [0.0, 20.0, 350.0][toll],
             goals: &goals,
         };
-        let mut bound = GoalBound::new(&grid, &params, scale);
+        let mut bound = GoalBound::new(&grid, &params);
         bound.aim(&grid, &coverage, targets);
         let sources: Vec<(u32, u64)> = coverage
             .vertices(net.pins()[0])

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use tpl_design::RoutedNet;
-use tpl_grid::{path_to_routed_net, GridGraph, PinCoverage, VertexId};
+use tpl_grid::{emit_wires, GridGraph, PinCoverage, VertexId};
 use tpl_ispd::CaseParams;
 
 fn small_grid() -> (tpl_design::Design, GridGraph) {
@@ -67,8 +67,9 @@ proptest! {
             path.push(n);
             v = n;
         }
-        let mut rn = RoutedNet::new();
-        path_to_routed_net(&grid, &path, &mut rn);
+        let (mut rn, mut labels) = (RoutedNet::new(), Vec::new());
+        emit_wires(&grid, &path, |_| (), &mut rn, &mut labels);
+        prop_assert_eq!(labels.len(), rn.segments.len());
         prop_assert_eq!(rn.wirelength(), planar_steps * grid.pitch());
         prop_assert_eq!(rn.via_count(), via_steps);
     }

@@ -49,7 +49,7 @@ pub use tpl_metrics as metrics;
 
 /// The most common imports for running the full flow.
 pub mod prelude {
-    pub use mrtpl_core::{MrTplConfig, MrTplResult, MrTplRouter, SearchPolicy};
+    pub use mrtpl_core::{MrTplConfig, MrTplResult, MrTplRouter};
     pub use tpl_color::{ColorState, ColoredLayout, Mask};
     pub use tpl_design::{Design, DesignBuilder, NetId, RouteGuides, RoutingSolution, Technology};
     pub use tpl_drcu::{DrCuConfig, DrCuRouter};

@@ -15,6 +15,9 @@
 //! and the committed baselines are deterministic-mode reports with zeroed
 //! runtimes anyway.
 //!
+//! `--methods mrtpl,dac12` restricts both reports to those methods first, so
+//! a baseline can gate the methods whose results did not move.
+//!
 //! Exit status: 0 when no counter regressed and every baseline record is
 //! present and `ok` in the new report; 1 otherwise; 2 on usage/parse errors.
 
@@ -42,6 +45,7 @@ USAGE:
              [--format <lines|table>] [--ignore <COUNTER>]...
              [--require-improvement <COUNTER>]...
              [--require-no-regression <COUNTER>]... [--totals] [--exact]
+             [--methods <LIST>]
 
 Fails (exit 1) when any non-wall-clock counter of any (method, case) pair
 regresses by more than the threshold (default 0.25 = 25%), or when a
@@ -63,6 +67,11 @@ baseline record is missing or failed in the new report.
   --exact                          any drift of any compared counter is
                                    fatal, improvements included (used to
                                    prove two runs are result-identical)
+  --methods <LIST>                 compare only these methods (comma
+                                   separated): drops the other methods'
+                                   records, `methods` entries and `totals`
+                                   from both reports; every listed method
+                                   must have a record in the baseline
 
 When both reports carry `phases` blocks (the metrics.json export of
 `mrtpl-bench --trace`), per-phase counters are compared too; phase drift is
@@ -408,6 +417,30 @@ fn render_table(rows: &[[String; 5]]) -> String {
     out
 }
 
+/// Keeps only the records, `methods` entries and `totals` of `methods` in a
+/// report (`--methods`).
+fn keep_methods(report: &mut JsonValue, methods: &[String]) {
+    let keep = |method: &str| methods.iter().any(|m| m == method);
+    let JsonValue::Object(entries) = report else {
+        return;
+    };
+    for (key, value) in entries {
+        match (key.as_str(), value) {
+            ("records", JsonValue::Array(records)) => records.retain(|record| {
+                record
+                    .get("method")
+                    .and_then(JsonValue::as_str)
+                    .is_some_and(keep)
+            }),
+            ("methods", JsonValue::Array(names)) => {
+                names.retain(|name| name.as_str().is_some_and(keep))
+            }
+            ("totals", JsonValue::Object(totals)) => totals.retain(|(method, _)| keep(method)),
+            _ => {}
+        }
+    }
+}
+
 /// Reads and parses one report, failing with the path (and, for corrupt
 /// JSON, the 1-based line:column) in the message — a missing or truncated
 /// committed baseline must be a clear exit-2 diagnostic, never a panic or a
@@ -430,6 +463,7 @@ fn run(args: &[String]) -> Result<(Vec<Problem>, Option<String>), String> {
         ..DiffOptions::default()
     };
     let mut table = false;
+    let mut methods: Option<Vec<String>> = None;
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
@@ -469,6 +503,14 @@ fn run(args: &[String]) -> Result<(Vec<Problem>, Option<String>), String> {
                 }
                 options.require_no_regression.push(v.clone());
             }
+            "--methods" => {
+                let v = iter.next().ok_or("missing value after --methods")?;
+                let list: Vec<String> = v.split(',').map(str::to_string).collect();
+                if list.iter().any(String::is_empty) {
+                    return Err(format!("invalid --methods list `{v}`"));
+                }
+                methods = Some(list);
+            }
             "--totals" => options.totals = true,
             "--exact" => options.exact = true,
             "--format" => {
@@ -486,8 +528,21 @@ fn run(args: &[String]) -> Result<(Vec<Problem>, Option<String>), String> {
     let [baseline_path, new_path] = paths.as_slice() else {
         return Err(USAGE.to_string());
     };
-    let baseline = load_report(baseline_path)?;
-    let new = load_report(new_path)?;
+    let mut baseline = load_report(baseline_path)?;
+    let mut new = load_report(new_path)?;
+    if let Some(methods) = &methods {
+        let (records, _) = records_by_key(&baseline)?;
+        if let Some(absent) = methods
+            .iter()
+            .find(|m| !records.iter().any(|((method, _), _)| method == *m))
+        {
+            return Err(format!(
+                "--methods: `{baseline_path}` has no `{absent}` record"
+            ));
+        }
+        keep_methods(&mut baseline, methods);
+        keep_methods(&mut new, methods);
+    }
     let problems = diff_reports(&baseline, &new, &options)?;
     let rendered_table = if table {
         Some(render_table(&comparison_rows(&baseline, &new)?))
@@ -926,6 +981,48 @@ mod tests {
         fn drop(&mut self) {
             let _ = std::fs::remove_file(&self.0);
         }
+    }
+
+    #[test]
+    fn methods_filter_both_reports_and_must_name_baseline_methods() {
+        let old = report(&[
+            ("mrtpl", "t1", "ok", &[("conflicts", 1.0)]),
+            ("dac12", "t1", "ok", &[("conflicts", 1.0)]),
+        ]);
+        let new = report(&[
+            ("mrtpl", "t1", "ok", &[("conflicts", 1.0)]),
+            ("dac12", "t1", "ok", &[("conflicts", 9.0)]),
+            ("drcu", "t1", "ok", &[]),
+        ]);
+        let old_file = ScratchFile::new("methods_old.json", &old.render());
+        let new_file = ScratchFile::new("methods_new.json", &new.render());
+        let diff = |extra: &[&str]| {
+            let mut args = vec![old_file.path(), new_file.path(), "--exact".to_string()];
+            args.extend(extra.iter().map(|a| a.to_string()));
+            run(&args)
+        };
+        assert_eq!(diff(&[]).unwrap().0.len(), 1);
+        assert_eq!(diff(&["--methods", "mrtpl"]).unwrap().0, vec![]);
+        assert_eq!(diff(&["--methods", "dac12,mrtpl"]).unwrap().0.len(), 1);
+        let err = diff(&["--methods", "mrtpl,drcu"]).unwrap_err();
+        assert!(err.contains("no `drcu` record"), "{err}");
+        let err = diff(&["--methods", "mrtpl,"]).unwrap_err();
+        assert!(err.contains("invalid --methods"), "{err}");
+
+        // The `methods` list and the `totals` keep the listed methods only.
+        let mut full = JsonValue::parse(
+            r#"{"methods": ["mrtpl", "dac12"], "totals": {"mrtpl": {}, "dac12": {}}, "records": []}"#,
+        )
+        .unwrap();
+        keep_methods(&mut full, &["dac12".to_string()]);
+        let names = full.get("methods").and_then(JsonValue::as_array).unwrap();
+        assert_eq!(names.len(), 1);
+        assert_eq!(names[0].as_str(), Some("dac12"));
+        let Some(JsonValue::Object(totals)) = full.get("totals") else {
+            panic!("totals is an object");
+        };
+        assert_eq!(totals.len(), 1);
+        assert_eq!(totals[0].0, "dac12");
     }
 
     #[test]
