@@ -386,10 +386,7 @@ pub fn render_text(report: &RunReport) -> String {
                 summary.cost_improvement,
             ));
             if !report.deterministic {
-                out.push_str(&format!(
-                    ", speedup {:.2}x (geomean {:.2}x)",
-                    summary.speedup, summary.geomean_speedup
-                ));
+                out.push_str(&format!(", speedup {:.2}x", summary.speedup));
             }
             out.push('\n');
         }

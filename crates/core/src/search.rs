@@ -265,7 +265,7 @@ impl SearchSpace for ColorSearch<'_, '_> {
     type Payload = ColorState;
     type Goal = (VertexId, PinId);
 
-    fn goal(&mut self, node: u32, _: u64, _: &Kernel<ColorState>) -> Option<(VertexId, PinId)> {
+    fn goal(&mut self, node: u32) -> Option<(VertexId, PinId)> {
         let v = VertexId::new(node);
         self.target.pin(v).map(|pin| (v, pin))
     }

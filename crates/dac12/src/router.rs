@@ -109,7 +109,7 @@ impl SearchSpace for SplitSearch<'_, '_> {
     type Payload = ();
     type Goal = u32;
 
-    fn goal(&mut self, node: u32, _: u64, _: &Kernel<()>) -> Option<u32> {
+    fn goal(&mut self, node: u32) -> Option<u32> {
         let (v, _) = self.expanded.unpack(node);
         self.targets.pin(v).map(|_| node)
     }
@@ -602,11 +602,10 @@ mod tests {
             base: &base,
             bound: &bound,
         };
-        let kernel = Kernel::new(expanded.num_nodes(), KEY_RESOLUTION);
         for node in 0..expanded.num_nodes() as u32 {
             let (v, _) = expanded.unpack(node);
             let want = coverage.vertices(wide).contains(&v).then_some(node);
-            assert_eq!(search.goal(node, 0, &kernel), want, "{v:?}");
+            assert_eq!(search.goal(node), want, "{v:?}");
         }
     }
 

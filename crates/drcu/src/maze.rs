@@ -51,7 +51,7 @@ impl SearchSpace for Maze<'_, '_> {
     type Payload = ();
     type Goal = (VertexId, PinId);
 
-    fn goal(&mut self, node: u32, _: u64, _: &Kernel<()>) -> Option<(VertexId, PinId)> {
+    fn goal(&mut self, node: u32) -> Option<(VertexId, PinId)> {
         let v = VertexId::new(node);
         self.goals.pin(v).map(|pin| (v, pin))
     }
@@ -375,7 +375,7 @@ mod tests {
         };
         let mut goals = 0;
         for v in g.iter_vertices() {
-            let goal = maze.goal(v.0, 0, &buffers.kernel);
+            let goal = maze.goal(v.0);
             match c.pin_at(v) {
                 Some(pin) if pin == PinId::new(2) => {
                     assert_eq!(goal, Some((v, pin)), "{v:?}");

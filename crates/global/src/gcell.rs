@@ -73,24 +73,6 @@ impl GCellGrid {
         );
         Rect::new(lo, hi)
     }
-
-    /// Dense index of a gcell.
-    #[inline]
-    pub fn index(&self, gx: usize, gy: usize) -> usize {
-        gy * self.nx + gx
-    }
-
-    /// Total number of gcells.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.nx * self.ny
-    }
-
-    /// `true` when the grid has no cells (never happens for valid designs).
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 #[cfg(test)]
@@ -117,8 +99,6 @@ mod tests {
         assert_eq!(g.nx(), 5);
         assert_eq!(g.ny(), 5);
         assert_eq!(g.cell_size(), 100);
-        assert_eq!(g.len(), 25);
-        assert!(!g.is_empty());
     }
 
     #[test]

@@ -1,15 +1,23 @@
-//! Coarse-grid congestion-aware global router producing route guides.
+//! Coarse-grid pattern global router producing route guides.
 //!
 //! The paper's detailed routers consume global-routing (GR) guides: Mr.TPL
 //! "calculates color cost by GR guide" and the ISPD cost function penalises
-//! out-of-guide wiring.  This crate provides the guide-producing substrate:
-//! a classic gcell-based global router with
+//! out-of-guide wiring.  This crate provides the guide-producing substrate
+//! on a grid of gcells.  Per net, the router
 //!
-//! 1. minimum-spanning-tree topology generation per net,
-//! 2. L-shape pattern routing with congestion lookahead,
-//! 3. a maze-routing fallback on the coarse grid, and
-//! 4. a small number of negotiation (rip-up and reroute) rounds on
-//!    over-capacity gcell edges.
+//! 1. collects the gcells of the pins' centres (its terminals),
+//! 2. joins them with a Manhattan minimum spanning tree
+//!    ([`tpl_geom::manhattan_mst`]),
+//! 3. lays the horizontal-first L on each tree edge, and
+//! 4. emits every gcell on those Ls and every terminal, grown by
+//!    [`GlobalConfig::guide_expansion`] gcells, as guide regions on every
+//!    layer.
+//!
+//! It keeps no congestion map.  On the ISPD-18-like and ISPD-19-like suites
+//! at ×0.3, ×0.5 and ×1.0, cases 1–10 and four generator seeds each (240
+//! runs, 77,450 two-pin connections), a congestion-aware router with an
+//! edge-demand map, a maze fallback and negotiation rounds overflowed no
+//! gcell edge, never ran its maze, and produced exactly these guides.
 //!
 //! # Examples
 //!

@@ -1,9 +1,9 @@
-//! The best-first search kernel every router in the workspace runs on.
+//! The best-first search kernel every detailed router in the workspace runs
+//! on.
 //!
-//! Mr.TPL's colour-state search, the DAC'12 vertex-splitting search, the
-//! colour-blind maze of the Dr.CU-like router and the global router's gcell
-//! maze differ only in the graph they search.  [`Kernel`] owns everything
-//! else:
+//! Mr.TPL's colour-state search, the DAC'12 vertex-splitting search and the
+//! colour-blind maze of the Dr.CU-like router differ only in the graph they
+//! search.  [`Kernel`] owns everything else:
 //!
 //! * the frontier, one reused `BinaryHeap` of one-word entries
 //!   `(key << 32) | node`, which pop in ascending `(key, node)` order, where
@@ -112,9 +112,8 @@ pub trait SearchSpace {
 
     /// Called on every live pop before expansion; `Some` ends the search
     /// (in [`Kernel::run_one_pass`], records a goal and skips the
-    /// expansion).  `key` is the popped key and `search` the kernel's
-    /// current state, so a stop rule may read settled distances.
-    fn goal(&mut self, node: u32, key: u64, search: &Kernel<Self::Payload>) -> Option<Self::Goal>;
+    /// expansion).
+    fn goal(&mut self, node: u32) -> Option<Self::Goal>;
 
     /// Calls `relax(successor, dist + step, payload)` for every successor of
     /// `node`, which was popped with distance `dist` and `payload`.
@@ -497,7 +496,7 @@ impl<P: Copy + Default> Kernel<P> {
             if !live {
                 continue; // stale entry
             }
-            if let Some(goal) = space.goal(node, k, self) {
+            if let Some(goal) = space.goal(node) {
                 if found
                     .as_ref()
                     .is_none_or(|&(best, at, _)| (k, node) < (best, at))

@@ -9,9 +9,9 @@
 //! vertices and to convert vertex paths into routed geometry ([`emit_wires`],
 //! the one path emitter of every detailed router).
 //!
-//! All routers in the workspace (the TPL-unaware Dr.CU-like baseline, the
-//! DAC'12 vertex-splitting baseline, Mr.TPL itself and the global router)
-//! share this substrate, which keeps the Table II runtime comparison
+//! All detailed routers in the workspace (the TPL-unaware Dr.CU-like
+//! baseline, the DAC'12 vertex-splitting baseline and Mr.TPL itself) share
+//! this substrate, which keeps the Table II runtime comparison
 //! apples-to-apples:
 //!
 //! * [`Kernel`] — the one best-first search loop every router runs, each

@@ -131,7 +131,7 @@ impl SearchSpace for TolledGrid<'_> {
     type Payload = u64;
     type Goal = u32;
 
-    fn goal(&mut self, node: u32, _: u64, _: &Kernel<u64>) -> Option<u32> {
+    fn goal(&mut self, node: u32) -> Option<u32> {
         self.goals[node as usize].then_some(node)
     }
 

@@ -1,7 +1,7 @@
 //! Tests of the shared best-first search kernel on the three graph shapes
 //! the routers search: the plain detailed-routing grid (Mr.TPL and the
 //! colour-blind router), the DAC'12 mask × direction expanded graph, and a
-//! window of the global router's gcell grid.
+//! 4-neighbour window of a coarse grid at uneven step costs.
 
 use std::cell::Cell;
 use std::cmp::Reverse;
@@ -47,7 +47,7 @@ impl SearchSpace for Space<'_> {
     type Payload = u64;
     type Goal = u32;
 
-    fn goal(&mut self, node: u32, _: u64, _: &Kernel<u64>) -> Option<u32> {
+    fn goal(&mut self, node: u32) -> Option<u32> {
         self.graph.goals[node as usize].then_some(node)
     }
 
@@ -72,7 +72,7 @@ impl SearchSpace for UnitSpace<'_> {
     type Payload = ();
     type Goal = u32;
 
-    fn goal(&mut self, node: u32, _: u64, _: &Kernel<()>) -> Option<u32> {
+    fn goal(&mut self, node: u32) -> Option<u32> {
         self.graph.goals[node as usize].then_some(node)
     }
 
@@ -376,10 +376,10 @@ fn expanded_grid(seed: u64) -> Graph {
     }
 }
 
-/// A window of the global router's gcell grid: 4-neighbour moves inside
-/// `[x0, x1] × [y0, y1]` at random congestion costs of at least 1.0, with
-/// the plain gcell Manhattan distance as heuristic.
-fn gcell_window(seed: u64) -> Graph {
+/// A window of a coarse grid: 4-neighbour moves inside `[x0, x1] × [y0,
+/// y1]` at random costs of at least 1.0, with the plain Manhattan distance
+/// as heuristic.
+fn grid_window(seed: u64) -> Graph {
     let (nx, ny) = (24usize, 20usize);
     let (x0, y0, x1, y1) = (3usize, 2usize, 18usize, 16usize);
     let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
@@ -596,7 +596,7 @@ fn graphs_for(seeds: std::ops::RangeInclusive<u64>) -> Vec<(&'static str, Graph)
     for seed in seeds {
         out.push(("plain grid", plain_grid(seed)));
         out.push(("expanded graph", expanded_grid(seed)));
-        out.push(("gcell window", gcell_window(seed)));
+        out.push(("grid window", grid_window(seed)));
     }
     out.push(("goal tie", goal_tie()));
     out.push(("rounded sums", rounded_sums()));
@@ -789,7 +789,7 @@ fn an_improvement_across_keys_leaves_one_stale_entry() {
 
 #[test]
 fn counters_restart_when_armed() {
-    let graph = gcell_window(1);
+    let graph = grid_window(1);
     let mut kernel = graph.kernel();
     graph
         .search(&mut kernel, Order::AStar)
@@ -881,7 +881,7 @@ impl SearchSpace for Detour {
     type Payload = u32;
     type Goal = u32;
 
-    fn goal(&mut self, node: u32, _: u64, _: &Kernel<u32>) -> Option<u32> {
+    fn goal(&mut self, node: u32) -> Option<u32> {
         (node == 4).then_some(node)
     }
 

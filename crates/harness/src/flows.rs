@@ -17,9 +17,10 @@ use tpl_metrics::CaseRecord;
 
 /// Prepares a benchmark [`Case`] — synthetic or externally ingested — by
 /// instantiating its design and routing its guides under `budget` (the part
-/// shared by every method).  Budget-stopped mazes degrade to L-patterns, so
-/// the guides always cover every pin; the returned [`Outcome`] says whether
-/// guide generation ran to completion or degraded/aborted.
+/// shared by every method).  Nets after a budget stop keep their pins'
+/// gcells as guides, so the guides always cover every pin; the returned
+/// [`Outcome`] says whether guide generation ran to completion or
+/// degraded/aborted.
 pub fn prepare(case: &Case, budget: &RouteBudget) -> (Design, RouteGuides, Outcome) {
     let design = case.instantiate();
     let (guides, stats) =

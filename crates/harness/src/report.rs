@@ -31,13 +31,13 @@
 //!       "outcome": "failed" }
 //!   ],
 //!   "totals": { "dac12": { "cases": 10, "failed": 0, "conflicts": 3, ... } },
-//!   "geomean_speedup_vs_dac12": { "mrtpl": 1.7 }
+//!   "speedup_vs_dac12": { "mrtpl": 1.7 }
 //! }
 //! ```
 
 use crate::json::JsonValue;
 use crate::scheduler::{JobOutcome, JobRecord};
-use tpl_metrics::{geomean_speedup, CaseRecord, SuiteTotals};
+use tpl_metrics::{total_speedup, CaseRecord, SuiteTotals};
 
 /// Where a run's cases came from, recorded in the report for traceability.
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
@@ -207,13 +207,10 @@ impl RunReport {
                 .iter()
                 .map(|m| {
                     let (base, ours) = self.paired_records(baseline, m);
-                    (m.clone(), JsonValue::Float(geomean_speedup(&base, &ours)))
+                    (m.clone(), JsonValue::Float(total_speedup(&base, &ours)))
                 })
                 .collect();
-            root.push((
-                format!("geomean_speedup_vs_{baseline}"),
-                JsonValue::Object(entries),
-            ));
+            root.push((format!("speedup_vs_{baseline}"), JsonValue::Object(entries)));
         }
         JsonValue::Object(root).render()
     }
@@ -422,7 +419,7 @@ mod tests {
             "\"outcome\": \"complete\"",
             "\"outcome\": \"failed\"",
             "\"totals\"",
-            "\"geomean_speedup_vs_dac12\"",
+            "\"speedup_vs_dac12\"",
         ] {
             assert!(json.contains(needle), "missing {needle} in:\n{json}");
         }
@@ -468,20 +465,21 @@ mod tests {
         assert_eq!(base.len(), 2);
         assert_eq!(ours[0].runtime_seconds, 2.0);
         assert_eq!(ours[1].runtime_seconds, 3.0);
-        // Geomean of 4x and 2x, not of 4x and 3x.
-        assert!((geomean_speedup(&base, &ours) - 8.0f64.sqrt()).abs() < 1e-12);
+        // 14 s over 5 s; pairing the first match twice would give 14 s
+        // over 4 s.
+        assert!((total_speedup(&base, &ours) - 2.8).abs() < 1e-12);
     }
 
     #[test]
     fn deterministic_reports_omit_jobs_and_speedup() {
         let mut report = sample();
         assert!(report.to_json().contains("\"jobs\": 4"));
-        assert!(report.to_json().contains("geomean_speedup_vs_dac12"));
+        assert!(report.to_json().contains("speedup_vs_dac12"));
         report.deterministic = true;
         let a = report.to_json();
         // Zeroed wall-clock makes both meaningless; neither is emitted.
         assert!(!a.contains("\"jobs\""));
-        assert!(!a.contains("geomean_speedup"));
+        assert!(!a.contains("speedup"));
         report.jobs = 8;
         // Same matrix, different worker count: byte-identical.
         assert_eq!(a, report.to_json());
@@ -564,6 +562,6 @@ mod tests {
         assert_eq!(base.len(), 1);
         assert_eq!(base[0].case, "t3");
         assert_eq!(ours[0].case, "t3");
-        assert!((geomean_speedup(&base, &ours) - 3.0).abs() < 1e-12);
+        assert!((total_speedup(&base, &ours) - 3.0).abs() < 1e-12);
     }
 }

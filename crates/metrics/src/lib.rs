@@ -12,5 +12,5 @@ mod summary;
 
 pub use report::{format_table, TableRow};
 pub use summary::{
-    geomean_speedup, improvement_percent, safe_speedup, CaseRecord, SuiteSummary, SuiteTotals,
+    improvement_percent, safe_speedup, total_speedup, CaseRecord, SuiteSummary, SuiteTotals,
 };

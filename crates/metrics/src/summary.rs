@@ -99,29 +99,20 @@ impl SuiteTotals {
     }
 }
 
-/// Geometric-mean runtime ratio `baseline / ours` over paired records, the
-/// way the paper's "Average" row aggregates speedups.
+/// Table II's speed-up over paired records: the summed baseline runtime over
+/// the summed runtime of ours, zero-guarded like [`safe_speedup`].
 ///
-/// Pairs where either runtime is non-positive are skipped (a zero wall-clock
-/// has no meaningful ratio); if no pair remains the result is `0.0`, matching
-/// the zero-baseline convention of [`improvement_percent`].
+/// Summing before dividing weighs each case by its runtime, so a case that
+/// takes milliseconds, whose ratio is mostly timer noise, moves the result
+/// no more than its share of the time.
 ///
 /// # Panics
 ///
 /// Panics if the two slices have different lengths.
-pub fn geomean_speedup(baseline: &[CaseRecord], ours: &[CaseRecord]) -> f64 {
+pub fn total_speedup(baseline: &[CaseRecord], ours: &[CaseRecord]) -> f64 {
     assert_eq!(baseline.len(), ours.len(), "paired records required");
-    let ratios: Vec<f64> = baseline
-        .iter()
-        .zip(ours.iter())
-        .filter(|(b, o)| b.runtime_seconds > 0.0 && o.runtime_seconds > 0.0)
-        .map(|(b, o)| (b.runtime_seconds / o.runtime_seconds).ln())
-        .collect();
-    if ratios.is_empty() {
-        0.0
-    } else {
-        (ratios.iter().sum::<f64>() / ratios.len() as f64).exp()
-    }
+    let seconds = |records: &[CaseRecord]| records.iter().map(|r| r.runtime_seconds).sum();
+    safe_speedup(seconds(baseline), seconds(ours))
 }
 
 /// Aggregate of a whole suite: average improvements over all cases where the
@@ -143,10 +134,8 @@ pub struct SuiteSummary {
     pub stitch_improvement: f64,
     /// Mean cost improvement in percent.
     pub cost_improvement: f64,
-    /// Mean speedup (baseline runtime / ours).
+    /// Speedup: summed baseline runtime over ours ([`total_speedup`]).
     pub speedup: f64,
-    /// Geometric-mean speedup over cases where both runtimes are positive.
-    pub geomean_speedup: f64,
 }
 
 impl SuiteSummary {
@@ -178,19 +167,6 @@ impl SuiteSummary {
                     / pairs.len() as f64
             }
         };
-        let avg_speedup = {
-            let pairs: Vec<f64> = baseline
-                .iter()
-                .zip(ours.iter())
-                .filter(|(b, o)| b.runtime_seconds > 0.0 && o.runtime_seconds > 0.0)
-                .map(|(b, o)| safe_speedup(b.runtime_seconds, o.runtime_seconds))
-                .collect();
-            if pairs.is_empty() {
-                0.0
-            } else {
-                pairs.iter().sum::<f64>() / pairs.len() as f64
-            }
-        };
         SuiteSummary {
             baseline_conflicts: mean(&|r| r.conflicts as f64, baseline),
             ours_conflicts: mean(&|r| r.conflicts as f64, ours),
@@ -199,8 +175,7 @@ impl SuiteSummary {
             ours_stitches: mean(&|r| r.stitches as f64, ours),
             stitch_improvement: avg_improvement(&|r| r.stitches as f64),
             cost_improvement: avg_improvement(&|r| r.cost),
-            speedup: avg_speedup,
-            geomean_speedup: geomean_speedup(baseline, ours),
+            speedup: total_speedup(baseline, ours),
         }
     }
 }
@@ -279,7 +254,6 @@ mod tests {
         assert_eq!(s.stitch_improvement, 0.0);
         assert_eq!(s.cost_improvement, 0.0);
         assert_eq!(s.speedup, 0.0);
-        assert_eq!(s.geomean_speedup, 0.0);
     }
 
     #[test]
@@ -313,21 +287,25 @@ mod tests {
     }
 
     #[test]
-    fn geomean_speedup_is_the_geometric_mean_of_ratios() {
-        let baseline = vec![rec("t1", 0, 0, 0.0, 8.0), rec("t2", 0, 0, 0.0, 2.0)];
-        let ours = vec![rec("t1", 0, 0, 0.0, 2.0), rec("t2", 0, 0, 0.0, 1.0)];
-        // Ratios 4 and 2 -> geomean sqrt(8).
-        assert!((geomean_speedup(&baseline, &ours) - 8.0f64.sqrt()).abs() < 1e-12);
+    fn speedup_is_the_ratio_of_summed_runtimes() {
+        // A 1 ms case at 1x and a 2 s case at 2x: the mean of the ratios
+        // would read 1.5x, the summed runtimes give what the suite took.
+        let baseline = vec![rec("t1", 0, 0, 0.0, 0.001), rec("t2", 0, 0, 0.0, 4.0)];
+        let ours = vec![rec("t1", 0, 0, 0.0, 0.001), rec("t2", 0, 0, 0.0, 2.0)];
+        let want = 4.001 / 2.001;
+        assert!((total_speedup(&baseline, &ours) - want).abs() < 1e-12);
+        assert_eq!(
+            SuiteSummary::from_records(&baseline, &ours).speedup,
+            total_speedup(&baseline, &ours)
+        );
     }
 
     #[test]
-    fn geomean_speedup_skips_non_positive_runtimes() {
-        let baseline = vec![rec("t1", 0, 0, 0.0, 0.0), rec("t2", 0, 0, 0.0, 6.0)];
-        let ours = vec![rec("t1", 0, 0, 0.0, 1.0), rec("t2", 0, 0, 0.0, 2.0)];
-        assert!((geomean_speedup(&baseline, &ours) - 3.0).abs() < 1e-12);
-        // No valid pair at all -> 0, the zero-baseline convention.
-        let zeros = vec![rec("t1", 0, 0, 0.0, 0.0)];
+    fn speedup_is_zero_without_a_positive_runtime_of_ours() {
         let ones = vec![rec("t1", 0, 0, 0.0, 1.0)];
-        assert_eq!(geomean_speedup(&zeros, &ones), 0.0);
+        let zeros = vec![rec("t1", 0, 0, 0.0, 0.0)];
+        assert_eq!(total_speedup(&ones, &zeros), 0.0);
+        assert_eq!(total_speedup(&[], &[]), 0.0);
+        assert_eq!(total_speedup(&zeros, &ones), 0.0);
     }
 }
