@@ -205,7 +205,7 @@ mod tests {
     fn uniform_path_emits_one_segment_with_one_mask() {
         let f = fixture();
         let grid = &f.grid;
-        let mut buffers = NetBuffers::new(grid.num_vertices());
+        let mut buffers = NetBuffers::new(grid, &f.config.cost);
         let mut arena = ColorSetArena::new();
         buffers.begin_net();
         buffers.begin_search();
@@ -232,7 +232,7 @@ mod tests {
     fn mask_change_splits_the_wire_and_keeps_it_continuous() {
         let f = fixture();
         let grid = &f.grid;
-        let mut buffers = NetBuffers::new(grid.num_vertices());
+        let mut buffers = NetBuffers::new(grid, &f.config.cost);
         let mut arena = ColorSetArena::new();
         buffers.begin_net();
         buffers.begin_search();
@@ -271,7 +271,7 @@ mod tests {
     fn corner_paths_split_at_the_bend() {
         let f = fixture();
         let grid = &f.grid;
-        let mut buffers = NetBuffers::new(grid.num_vertices());
+        let mut buffers = NetBuffers::new(grid, &f.config.cost);
         let mut arena = ColorSetArena::new();
         buffers.begin_net();
         buffers.begin_search();
@@ -298,7 +298,7 @@ mod tests {
     fn via_paths_emit_vias_and_segments_on_both_layers() {
         let f = fixture();
         let grid = &f.grid;
-        let mut buffers = NetBuffers::new(grid.num_vertices());
+        let mut buffers = NetBuffers::new(grid, &f.config.cost);
         let mut arena = ColorSetArena::new();
         buffers.begin_net();
         buffers.begin_search();

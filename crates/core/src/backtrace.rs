@@ -81,11 +81,20 @@ pub fn backtrace(
 mod tests {
     use super::*;
     use tpl_color::{ColorState, Mask};
+    use tpl_design::{DesignBuilder, Technology};
+    use tpl_geom::Rect;
+    use tpl_grid::{CostParams, GridGraph};
 
     /// Builds a tiny artificial "search result" in the buffers: a straight
     /// chain of vertices v0 <- v1 <- ... <- vn with given colour states.
     fn chain(states: &[ColorState]) -> (NetBuffers, Vec<VertexId>) {
-        let mut buffers = NetBuffers::new(states.len());
+        let die = Rect::from_coords(0, 0, 400, 400);
+        let design = DesignBuilder::new("chain", Technology::ispd_like(1), die)
+            .build()
+            .unwrap();
+        let grid = GridGraph::build(&design);
+        assert!(grid.num_vertices() >= states.len());
+        let mut buffers = NetBuffers::new(&grid, &CostParams::default());
         buffers.begin_net();
         buffers.begin_search();
         let vertices: Vec<VertexId> = (0..states.len() as u32).map(VertexId::new).collect();

@@ -23,7 +23,7 @@ pub struct MrTplStats {
     pub failed_nets: usize,
     /// Total number of segSets created (one mask decision each).
     pub seg_sets: usize,
-    /// Total heap pops across all colour-state searches (search effort,
+    /// Total frontier pops across all colour-state searches (search effort,
     /// independent of wall clock and worker count).
     pub search_nodes: usize,
     /// Wall-clock routing time in seconds.

@@ -96,7 +96,7 @@ impl MrTplRouter {
         let start = Instant::now();
         let grid = GridGraph::build(design);
         let coverage = PinCoverage::build(&grid, design);
-        let mut buffers = NetBuffers::new(grid.num_vertices());
+        let mut buffers = NetBuffers::new(&grid, &self.config.cost);
         let mut cache = ColorCostCache::new(&grid);
         let mut in_guide = DenseBitSet::new(grid.num_vertices());
         let mut seg_sets = 0usize;
@@ -126,7 +126,7 @@ impl MrTplRouter {
                 );
                 // Kernel effort counters: pruned / popped quantifies how much of
                 // the wavefront was left queued when searches ended, and the
-                // frontier peak is the heap's high-water mark.
+                // frontier peak is its high-water mark.
                 tpl_trace::counter!("core.search_frontier_pruned", buffers.frontier_pruned());
                 tpl_trace::value!("core.frontier_peak", buffers.frontier_peak());
                 seg_sets += colored.seg_sets;
@@ -191,7 +191,7 @@ impl MrTplRouter {
             net: net_id,
             in_guide,
         };
-        let mut ctx = SearchContext::new(trad, &self.config, map);
+        let ctx = SearchContext::new(trad, &self.config, map);
 
         // One cache scope per net: `gstate` and `map` are borrowed
         // immutably until the net is assigned.
@@ -228,7 +228,7 @@ impl MrTplRouter {
                 .collect();
 
             let search_span = tpl_trace::span!("core.color_search");
-            let found = search(&mut ctx, buffers, cache, &sources, &unreached);
+            let found = search(&ctx, buffers, cache, &sources, &unreached);
             drop(search_span);
             match found {
                 Some((dst, pin)) => {

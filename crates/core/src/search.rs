@@ -8,7 +8,8 @@
 //! * **Epoch-stamped buffers** — [`NetBuffers`] keeps the kernel, target
 //!   marks ([`GoalMarks`]), verSet and tree membership in flat arrays
 //!   guarded by epoch stamps ([`EpochMap`]), so starting a search costs
-//!   O(sources + targets) instead of O(V).  The buffers are reused across
+//!   O(sources + targets) instead of O(V).  The buffers, with the bound's
+//!   tables and the base-cost table, are built once and reused across
 //!   every net of a routing run.
 //! * **Goal-directed A\*** — [`GoalBound::manhattan`], an admissible,
 //!   consistent Manhattan lower bound to the nearest unreached pin's
@@ -34,8 +35,8 @@
 //!   results change.
 //! * **One cached record per relaxation** — a step's traditional cost is
 //!   the direction-class [`TradCost::base`], read from the per-layer table
-//!   [`CostParams::base_table`](tpl_grid::CostParams::base_table) that
-//!   [`SearchContext::new`] builds once per net, plus the entered vertex's
+//!   [`CostParams::base_table`] that [`NetBuffers::new`] builds once per
+//!   routing run, plus the entered vertex's
 //!   record in the [`ColorCostCache`] (node penalty and 3-mask pressure,
 //!   filled on the net's first visit); [`TplConfig::step_costs`] adds the
 //!   colour and stitch terms, the same way DAC'12 does.  Neighbour ids come
@@ -45,8 +46,8 @@ use tpl_color::{ColorCostCache, ColorMap, ColorState, Mask, TplConfig};
 use tpl_design::PinId;
 use tpl_geom::Dir;
 use tpl_grid::{
-    EpochMap, EpochStamps, GoalBound, GoalMarks, Kernel, RouteBudget, SearchSpace, StopReason,
-    TradCost, VertexId,
+    CostParams, EpochMap, EpochStamps, GoalBound, GoalMarks, GridGraph, Kernel, RouteBudget,
+    SearchSpace, StopReason, TradCost, VertexId,
 };
 
 /// Key units per cost unit when quantising `f64` costs to frontier keys.
@@ -56,7 +57,8 @@ const KEY_RESOLUTION: f64 = 256.0;
 /// per-search (the kernel's distance, predecessor and colour state, plus
 /// target marks), and per-net (verSet membership and routed-tree
 /// membership, which must survive across the several pin-to-tree searches
-/// of one multi-pin net).
+/// of one multi-pin net); plus the per-run tables of the step cost and the
+/// bound.
 #[derive(Debug)]
 pub struct NetBuffers {
     /// Order the frontier by distance plus the A* lower bound.
@@ -69,17 +71,25 @@ pub struct NetBuffers {
     ver_set: EpochMap<u32>,
     /// Guards routed-tree membership (replaces the router's `HashSet`).
     tree: EpochStamps,
+    /// The lower bound, aimed at the unreached pins per search.
+    bound: GoalBound,
+    /// [`TradCost::base`] per layer and direction of [`Dir::ALL`].
+    base: Vec<[f64; 6]>,
 }
 
 impl NetBuffers {
-    /// Creates buffers for `num_vertices` grid vertices, goal direction on.
-    pub fn new(num_vertices: usize) -> Self {
+    /// Creates buffers for searches over `grid` at the costs of `params`,
+    /// goal direction on.
+    pub fn new(grid: &GridGraph, params: &CostParams) -> Self {
+        let num_vertices = grid.num_vertices();
         Self {
             goal_directed: true,
             kernel: Kernel::new(num_vertices, KEY_RESOLUTION),
             target: GoalMarks::new(num_vertices),
             ver_set: EpochMap::new(num_vertices),
             tree: EpochStamps::new(num_vertices),
+            bound: GoalBound::new(grid, params),
+            base: params.base_table(grid),
         }
     }
 
@@ -208,23 +218,12 @@ pub struct SearchContext<'a> {
     pub config: &'a TplConfig,
     /// Already-coloured features of other nets.
     pub map: &'a ColorMap,
-    /// [`TradCost::base`] per layer and direction of [`Dir::ALL`]
-    /// ([`CostParams::base_table`](tpl_grid::CostParams::base_table)).
-    base: Vec<[f64; 6]>,
-    /// The search's lower bound, aimed per search.
-    bound: GoalBound,
 }
 
 impl<'a> SearchContext<'a> {
-    /// The context of one net; tabulates the direction-class costs once.
+    /// The context of one net.
     pub fn new(trad: TradCost<'a>, config: &'a TplConfig, map: &'a ColorMap) -> Self {
-        Self {
-            trad,
-            config,
-            map,
-            base: trad.params.base_table(trad.grid),
-            bound: GoalBound::new(trad.grid, &config.cost),
-        }
+        Self { trad, config, map }
     }
 
     /// Evaluates the 3×2 colour-cost table of Algorithm 2 for one step in
@@ -257,6 +256,8 @@ impl<'a> SearchContext<'a> {
 /// The colour-state search graph: grid vertices carrying colour states.
 struct ColorSearch<'s, 'a> {
     ctx: &'s SearchContext<'a>,
+    /// [`NetBuffers`]' base-cost table.
+    base: &'s [[f64; 6]],
     cache: &'s mut ColorCostCache,
     target: &'s GoalMarks,
 }
@@ -280,7 +281,7 @@ impl SearchSpace for ColorSearch<'_, '_> {
         let ctx = self.ctx;
         let v = VertexId::new(node);
         let at = ctx.trad.grid.coords(v);
-        let base = &ctx.base[at.0];
+        let base = &self.base[at.0];
         let around = ctx.trad.grid.neighbors_at(v, at);
         for (k, (dir, n)) in Dir::ALL.into_iter().zip(around).enumerate() {
             let Some(n) = n else {
@@ -301,28 +302,34 @@ impl SearchSpace for ColorSearch<'_, '_> {
 /// reachable.  The search runs in A\* order when the buffers are goal
 /// directed, and returns plain Dijkstra's answer otherwise.
 pub fn search(
-    ctx: &mut SearchContext<'_>,
+    ctx: &SearchContext<'_>,
     buffers: &mut NetBuffers,
     cache: &mut ColorCostCache,
     sources: &[(VertexId, ColorState)],
     unreached: &[PinId],
 ) -> Option<(VertexId, PinId)> {
     let (grid, coverage) = (ctx.trad.grid, ctx.trad.coverage);
-    buffers.target.mark_unreached(coverage, unreached);
-    ctx.bound.aim(grid, coverage, unreached);
-    let ctx = &*ctx;
     let NetBuffers {
         goal_directed,
         kernel,
         target,
+        bound,
+        base,
         ..
     } = buffers;
-    let mut space = ColorSearch { ctx, cache, target };
+    target.mark_unreached(coverage, unreached);
+    bound.aim(grid, coverage, unreached);
+    let mut space = ColorSearch {
+        ctx,
+        base,
+        cache,
+        target,
+    };
     let sources = sources
         .iter()
         .filter(|(s, _)| !ctx.trad.state.is_blocked(*s))
         .map(|&(s, state)| (s.0, state));
-    let bound = &ctx.bound;
+    let bound = &*bound;
     if *goal_directed {
         kernel.run(&mut space, sources, |v| {
             bound.manhattan(grid, VertexId::new(v))
@@ -398,14 +405,14 @@ mod tests {
     fn search_reaches_the_second_pin_with_full_color_state() {
         let f = fixture();
         let in_guide = DenseBitSet::full(f.grid.num_vertices());
-        let mut c = ctx(&f, &in_guide);
-        let mut buffers = NetBuffers::new(f.grid.num_vertices());
+        let c = ctx(&f, &in_guide);
+        let mut buffers = NetBuffers::new(&f.grid, &f.config.cost);
         let mut cache = ColorCostCache::new(&f.grid);
         buffers.begin_net();
         cache.begin();
         let sources = all_sources(&f);
-        let (dst, pin) = search(&mut c, &mut buffers, &mut cache, &sources, &[PinId::new(1)])
-            .expect("path exists");
+        let (dst, pin) =
+            search(&c, &mut buffers, &mut cache, &sources, &[PinId::new(1)]).expect("path exists");
         assert_eq!(pin, PinId::new(1));
         // On an empty die nothing constrains the colours: the destination
         // keeps all three candidates alive.
@@ -426,16 +433,16 @@ mod tests {
     fn goal_direction_reaches_the_pin_at_identical_cost() {
         let f = fixture();
         let in_guide = DenseBitSet::full(f.grid.num_vertices());
-        let mut c = ctx(&f, &in_guide);
+        let c = ctx(&f, &in_guide);
         let mut costs = Vec::new();
         for a_star in [false, true] {
-            let mut buffers = NetBuffers::new(f.grid.num_vertices());
+            let mut buffers = NetBuffers::new(&f.grid, &f.config.cost);
             buffers.set_goal_directed(a_star);
             let mut cache = ColorCostCache::new(&f.grid);
             buffers.begin_net();
             cache.begin();
             let sources = all_sources(&f);
-            let (dst, _) = search(&mut c, &mut buffers, &mut cache, &sources, &[PinId::new(1)])
+            let (dst, _) = search(&c, &mut buffers, &mut cache, &sources, &[PinId::new(1)])
                 .expect("path exists");
             costs.push(buffers.dist(dst));
         }
@@ -445,14 +452,20 @@ mod tests {
     /// Pops and goal distance of plain Dijkstra (`h = 0`) from pin 0 to pin
     /// 1, run on the kernel directly.
     fn plain_dijkstra(f: &Fixture, c: &SearchContext) -> (usize, f64) {
-        let mut buffers = NetBuffers::new(f.grid.num_vertices());
+        let mut buffers = NetBuffers::new(&f.grid, &f.config.cost);
         let mut cache = ColorCostCache::new(&f.grid);
         buffers.begin_net();
         cache.begin();
         buffers.target.mark_unreached(&f.coverage, &[PinId::new(1)]);
-        let NetBuffers { kernel, target, .. } = &mut buffers;
+        let NetBuffers {
+            kernel,
+            target,
+            base,
+            ..
+        } = &mut buffers;
         let mut space = ColorSearch {
             ctx: c,
+            base,
             cache: &mut cache,
             target,
         };
@@ -467,16 +480,16 @@ mod tests {
     fn the_goal_bound_cuts_pops_in_both_orders() {
         let f = fixture();
         let in_guide = DenseBitSet::full(f.grid.num_vertices());
-        let mut c = ctx(&f, &in_guide);
+        let c = ctx(&f, &in_guide);
         let (plain_pops, plain_cost) = plain_dijkstra(&f, &c);
         for a_star in [false, true] {
-            let mut buffers = NetBuffers::new(f.grid.num_vertices());
+            let mut buffers = NetBuffers::new(&f.grid, &f.config.cost);
             buffers.set_goal_directed(a_star);
             let mut cache = ColorCostCache::new(&f.grid);
             buffers.begin_net();
             cache.begin();
             let sources = all_sources(&f);
-            let (dst, _) = search(&mut c, &mut buffers, &mut cache, &sources, &[PinId::new(1)])
+            let (dst, _) = search(&c, &mut buffers, &mut cache, &sources, &[PinId::new(1)])
                 .expect("path exists");
             assert_eq!(buffers.dist(dst), plain_cost, "a_star = {a_star}");
             assert!(
@@ -529,23 +542,25 @@ mod tests {
                 net,
                 in_guide: &in_guide,
             };
-            let mut ctx = SearchContext::new(trad, &config, &map);
-            ctx.bound
+            let ctx = SearchContext::new(trad, &config, &map);
+            let mut buffers = NetBuffers::new(&grid, &config.cost);
+            buffers
+                .bound
                 .aim(&grid, &coverage, &design.net(net).pins()[1..]);
             let mut cache = ColorCostCache::new(&grid);
             cache.begin();
-            let target = GoalMarks::new(grid.num_vertices());
             let mut space = ColorSearch {
                 ctx: &ctx,
+                base: &buffers.base,
                 cache: &mut cache,
-                target: &target,
+                target: &buffers.target,
             };
             let states = [
                 ColorState::all(),
                 ColorState::from_mask(Mask::Red),
                 ColorState::from_mask(Mask::Green).with(Mask::Blue),
             ];
-            let bound = &ctx.bound;
+            let bound = &buffers.bound;
             for v in grid.iter_vertices() {
                 let (h, m) = (bound.h(&grid, v), bound.manhattan(&grid, v));
                 for state in states {
@@ -563,7 +578,7 @@ mod tests {
     #[test]
     fn tree_membership_is_per_net() {
         let f = fixture();
-        let mut buffers = NetBuffers::new(f.grid.num_vertices());
+        let mut buffers = NetBuffers::new(&f.grid, &f.config.cost);
         buffers.begin_net();
         let v = VertexId::new(7);
         assert!(!buffers.in_tree(v));
@@ -585,14 +600,14 @@ mod tests {
             Some(tpl_color::Mask::Red),
         ));
         let in_guide = DenseBitSet::full(f.grid.num_vertices());
-        let mut c = ctx(&f, &in_guide);
-        let mut buffers = NetBuffers::new(f.grid.num_vertices());
+        let c = ctx(&f, &in_guide);
+        let mut buffers = NetBuffers::new(&f.grid, &f.config.cost);
         let mut cache = ColorCostCache::new(&f.grid);
         buffers.begin_net();
         cache.begin();
         let sources = all_sources(&f);
-        let (dst, _) = search(&mut c, &mut buffers, &mut cache, &sources, &[PinId::new(1)])
-            .expect("path exists");
+        let (dst, _) =
+            search(&c, &mut buffers, &mut cache, &sources, &[PinId::new(1)]).expect("path exists");
         // The straight path on layer 0 runs within dcolor of the red wire,
         // so red is no longer among the minimum-cost candidates at the
         // destination.

@@ -5,10 +5,9 @@
 //! colour-blind maze of the Dr.CU-like router differ only in the graph they
 //! search.  [`Kernel`] owns everything else:
 //!
-//! * the frontier, one reused `BinaryHeap` of one-word entries
-//!   `(key << 32) | node`, which pop in ascending `(key, node)` order, where
-//!   the key is the `f64` priority quantised at the router's key
-//!   resolution;
+//! * the frontier, one reused radix queue of `(key, node)` entries that pop
+//!   in exactly ascending `(key, node)` order, where the key is the `f64`
+//!   priority quantised at the router's key resolution (see below);
 //! * epoch-stamped per-node `dist`, `prev` and payload (the colour state in
 //!   Mr.TPL, `()` elsewhere), so a search starts in O(sources) and the
 //!   buffers, the source list included, are allocated once per routing run;
@@ -64,30 +63,28 @@
 //! key, with a larger share of `h`, can undercut it), and the pass must
 //! expand it again to stay exact.
 //!
-//! A frontier entry packs `(key, node)` into one `u128` whose integer order
-//! is the pair's lexicographic order, and equal entries are
-//! indistinguishable, so the pops come out exactly as they would from a
-//! heap of pairs.
+//! # Frontier
+//!
+//! The frontier is a radix queue with no fixed bucket span.  Entries above
+//! the last popped key sit in one bucket per bit, by the highest bit in
+//! which their key differs from that key; the nodes at the last popped key
+//! sit in one vector in descending order.  A bucket is settled with one
+//! sort, and a push onto the key being popped (a search makes many, some
+//! below the node just popped) is placed by binary insertion.  A push below
+//! the last popped key, which only `f64` rounding of a consistent bound in
+//! A\* order can cause, rebuckets the frontier.  So the pops come out in
+//! exactly the order of a binary heap of `(key, node)` pairs; equal
+//! entries are indistinguishable.  The
+//! routers' searches push up to twice as many entries as they pop, and an
+//! entry that is never popped costs one append to a bucket, where a heap
+//! sifts it in.
 
+use crate::frontier::Frontier;
 use crate::{EpochMap, EpochStamps, RouteBudget, StopReason};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Pops between two deadline/cancellation probes, minus one.  The node
 /// limit is checked on every pop.
 const INTERRUPT_PROBE_MASK: usize = 0x0FFF;
-
-/// The frontier entry of `node` queued under `key`.
-#[inline]
-fn pack(key: u64, node: u32) -> u128 {
-    (u128::from(key) << 32) | u128::from(node)
-}
-
-/// The `(key, node)` pair of a frontier entry.
-#[inline]
-fn unpack(entry: u128) -> (u64, u32) {
-    ((entry >> 32) as u64, entry as u32)
-}
 
 /// The frontier order of one [`Kernel`] search, and which relaxations it
 /// keeps.
@@ -142,7 +139,7 @@ pub struct Kernel<P> {
     payload: Vec<P>,
     /// `h` of the nodes it was evaluated on in the current call.
     h_memo: EpochMap<f64>,
-    frontier: BinaryHeap<Reverse<u128>>,
+    frontier: Frontier,
     popped: usize,
     pruned: usize,
     peak: usize,
@@ -174,7 +171,7 @@ impl<P: Copy + Default> Kernel<P> {
             prev: vec![u32::MAX; num_nodes],
             payload: vec![P::default(); num_nodes],
             h_memo: EpochMap::new(num_nodes),
-            frontier: BinaryHeap::new(),
+            frontier: Frontier::default(),
             popped: 0,
             pruned: 0,
             peak: 0,
@@ -471,10 +468,9 @@ impl<P: Copy + Default> Kernel<P> {
         // The largest key still popped; with `ONE_PASS`, the first goal
         // narrows it.
         let mut band = u64::MAX;
-        while let Some(Reverse(entry)) = self.frontier.pop() {
-            let (k, node) = unpack(entry);
+        while let Some((k, node)) = self.frontier.pop() {
             if k > band {
-                self.frontier.push(Reverse(entry)); // left unexpanded
+                self.frontier.push(k, node); // left unexpanded
                 break;
             }
             if self.popped as u64 >= self.node_limit {
@@ -577,7 +573,7 @@ impl<P: Copy + Default> Kernel<P> {
 
     #[inline]
     fn push(&mut self, key: u64, node: u32) {
-        self.frontier.push(Reverse(pack(key, node)));
+        self.frontier.push(key, node);
         self.peak = self.peak.max(self.frontier.len());
     }
 }

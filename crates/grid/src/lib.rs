@@ -48,6 +48,7 @@ mod bound;
 mod budget;
 mod costs;
 mod epoch;
+mod frontier;
 mod graph;
 mod kernel;
 mod path;

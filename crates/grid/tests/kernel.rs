@@ -808,6 +808,49 @@ fn counters_restart_when_armed() {
     assert_eq!((kernel.popped(), kernel.pruned(), kernel.peak()), (0, 0, 0));
 }
 
+/// `s -> a -> b -> g` and `s -> c -> g` both cost 4, and `s -> d` leads to
+/// a sink.  The bound is admissible but drops `f = dist + h` by one key
+/// quantum on the step `a -> b` (`h(a) = 2`, `h(b) = 0`), so `b` is queued
+/// at key 2 after the pop of `a` at key 3.
+fn rounding_drop() -> Graph {
+    let (s, a, b, c, g, d) = (0u32, 1u32, 2u32, 3u32, 4u32, 5u32);
+    let mut succ = vec![Vec::new(); 6];
+    succ[s as usize] = vec![(a, 1.0), (c, 1.0), (d, 2.0)];
+    succ[a as usize] = vec![(b, 1.0)];
+    succ[b as usize] = vec![(g, 2.0)];
+    succ[c as usize] = vec![(g, 3.0)];
+    let mut goals = vec![false; 6];
+    goals[g as usize] = true;
+    Graph {
+        succ,
+        goals,
+        sources: vec![s],
+        h: vec![3.0, 2.0, 0.0, 3.0, 0.0, 1.0],
+        key_resolution: 1.0,
+        toll: 0.0,
+    }
+}
+
+#[test]
+fn a_relaxation_below_the_popped_key_pops_next_and_the_rest_stay_in_order() {
+    let graph = rounding_drop();
+    let mut kernel = graph.kernel();
+    let mut space = Space {
+        graph: &graph,
+        expanded: Vec::new(),
+    };
+    let h = |v: u32| graph.h[v as usize];
+    assert_eq!(kernel.run(&mut space, [(0, 0)], h), Some(4));
+    // The pops of a binary heap of `(key, node)` pairs: `b` (key 2) right
+    // after `a` (key 3), then `d` (key 3), then `c` and `g` (key 4) in
+    // node order.
+    let expanded: Vec<u32> = space.expanded.iter().map(|&(n, _)| n).collect();
+    assert_eq!(expanded, [0, 1, 2, 5, 3]);
+    assert_eq!(kernel.popped(), 6);
+    assert_eq!(kernel.path(4), [0, 1, 2, 4]);
+    assert_eq!(kernel.dist(4), 4.0);
+}
+
 /// Runs plain Dijkstra and bounded Dijkstra on `graph`, asserts that they
 /// agree on goal, distance, path and payload, and returns their pops and
 /// whether A\* found a cheaper goal than plain Dijkstra (so that bounded

@@ -61,9 +61,9 @@ fn main() {
         net,
         in_guide: &in_guide,
     };
-    let mut ctx = SearchContext::new(trad, &config, &map);
+    let ctx = SearchContext::new(trad, &config, &map);
 
-    let mut buffers = NetBuffers::new(grid.num_vertices());
+    let mut buffers = NetBuffers::new(&grid, &config.cost);
     let mut cache = ColorCostCache::new(&grid);
     let mut arena = ColorSetArena::new();
     buffers.begin_net();
@@ -86,8 +86,7 @@ fn main() {
                 (v, state)
             })
             .collect();
-        let Some((dst, pin)) = search(&mut ctx, &mut buffers, &mut cache, &sources, &unreached)
-        else {
+        let Some((dst, pin)) = search(&ctx, &mut buffers, &mut cache, &sources, &unreached) else {
             println!("  no path found — layout infeasible");
             break;
         };
