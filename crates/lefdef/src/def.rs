@@ -34,6 +34,7 @@
 
 use crate::lex::{err_at, Cursor, Token};
 use crate::ParseError;
+use std::collections::HashSet;
 use tpl_geom::{Dbu, Point, Rect};
 
 /// A placement row.
@@ -155,9 +156,21 @@ pub struct DefDesign {
     pub special_nets: Vec<DefSpecialNet>,
 }
 
+/// The names declared so far, one set per kind.  Each set spans the whole
+/// parse, so a name repeated in a second section of the same kind is still
+/// a duplicate.
+#[derive(Default)]
+struct Declared<'a> {
+    components: HashSet<&'a str>,
+    pins: HashSet<&'a str>,
+    nets: HashSet<&'a str>,
+    special_nets: HashSet<&'a str>,
+}
+
 /// Parses a DEF source into a [`DefDesign`].
 pub fn parse_def(src: &str) -> Result<DefDesign, ParseError> {
     let mut c = Cursor::new(src);
+    let mut declared = Declared::default();
     let mut def = DefDesign {
         name: String::new(),
         dbu_per_micron: 0,
@@ -201,10 +214,10 @@ pub fn parse_def(src: &str) -> Result<DefDesign, ParseError> {
                 seen_die = true;
             }
             "ROW" => def.rows.push(parse_row(&mut c)?),
-            "COMPONENTS" => parse_components(&mut c, &mut def)?,
-            "PINS" => parse_pins(&mut c, &mut def)?,
-            "NETS" => parse_nets(&mut c, &mut def)?,
-            "SPECIALNETS" => parse_special_nets(&mut c, &mut def)?,
+            "COMPONENTS" => parse_components(&mut c, &mut def, &mut declared.components)?,
+            "PINS" => parse_pins(&mut c, &mut def, &mut declared.pins)?,
+            "NETS" => parse_nets(&mut c, &mut def, &mut declared.nets)?,
+            "SPECIALNETS" => parse_special_nets(&mut c, &mut def, &mut declared.special_nets)?,
             "END" => {
                 c.expect("DESIGN")?;
                 if def.name.is_empty() {
@@ -303,7 +316,11 @@ fn check_count(kw: Token<'_>, what: &str, declared: usize, got: usize) -> Result
     }
 }
 
-fn parse_components(c: &mut Cursor<'_>, def: &mut DefDesign) -> Result<(), ParseError> {
+fn parse_components<'a>(
+    c: &mut Cursor<'a>,
+    def: &mut DefDesign,
+    seen: &mut HashSet<&'a str>,
+) -> Result<(), ParseError> {
     let kw = c.peek().unwrap_or(Token {
         text: "",
         line: 0,
@@ -316,7 +333,7 @@ fn parse_components(c: &mut Cursor<'_>, def: &mut DefDesign) -> Result<(), Parse
             "-" => {
                 let name_tok = c.word("an instance name")?;
                 let name = name_tok.text.to_string();
-                if def.components.iter().any(|x| x.name == name) {
+                if !seen.insert(name_tok.text) {
                     return Err(err_at(name_tok, format!("duplicate component `{name}`")));
                 }
                 let macro_name = c.word("a macro name")?.text.to_string();
@@ -346,7 +363,11 @@ fn parse_components(c: &mut Cursor<'_>, def: &mut DefDesign) -> Result<(), Parse
     }
 }
 
-fn parse_pins(c: &mut Cursor<'_>, def: &mut DefDesign) -> Result<(), ParseError> {
+fn parse_pins<'a>(
+    c: &mut Cursor<'a>,
+    def: &mut DefDesign,
+    seen: &mut HashSet<&'a str>,
+) -> Result<(), ParseError> {
     let kw = c.peek().unwrap_or(Token {
         text: "",
         line: 0,
@@ -359,7 +380,7 @@ fn parse_pins(c: &mut Cursor<'_>, def: &mut DefDesign) -> Result<(), ParseError>
             "-" => {
                 let name_tok = c.word("a pin name")?;
                 let name = name_tok.text.to_string();
-                if def.pins.iter().any(|x| x.name == name) {
+                if !seen.insert(name_tok.text) {
                     return Err(err_at(name_tok, format!("duplicate pin `{name}`")));
                 }
                 let mut pin = DefPin {
@@ -416,7 +437,11 @@ fn parse_pins(c: &mut Cursor<'_>, def: &mut DefDesign) -> Result<(), ParseError>
     }
 }
 
-fn parse_nets(c: &mut Cursor<'_>, def: &mut DefDesign) -> Result<(), ParseError> {
+fn parse_nets<'a>(
+    c: &mut Cursor<'a>,
+    def: &mut DefDesign,
+    seen: &mut HashSet<&'a str>,
+) -> Result<(), ParseError> {
     let kw = c.peek().unwrap_or(Token {
         text: "",
         line: 0,
@@ -429,7 +454,7 @@ fn parse_nets(c: &mut Cursor<'_>, def: &mut DefDesign) -> Result<(), ParseError>
             "-" => {
                 let name_tok = c.word("a net name")?;
                 let name = name_tok.text.to_string();
-                if def.nets.iter().any(|x| x.name == name) {
+                if !seen.insert(name_tok.text) {
                     return Err(err_at(name_tok, format!("duplicate net `{name}`")));
                 }
                 let mut net = DefNet {
@@ -507,7 +532,11 @@ fn parse_wiring(c: &mut Cursor<'_>, out: &mut Vec<DefWire>) -> Result<(), ParseE
     }
 }
 
-fn parse_special_nets(c: &mut Cursor<'_>, def: &mut DefDesign) -> Result<(), ParseError> {
+fn parse_special_nets<'a>(
+    c: &mut Cursor<'a>,
+    def: &mut DefDesign,
+    seen: &mut HashSet<&'a str>,
+) -> Result<(), ParseError> {
     let kw = c.peek().unwrap_or(Token {
         text: "",
         line: 0,
@@ -520,7 +549,7 @@ fn parse_special_nets(c: &mut Cursor<'_>, def: &mut DefDesign) -> Result<(), Par
             "-" => {
                 let name_tok = c.word("a special net name")?;
                 let name = name_tok.text.to_string();
-                if def.special_nets.iter().any(|x| x.name == name) {
+                if !seen.insert(name_tok.text) {
                     return Err(err_at(name_tok, format!("duplicate special net `{name}`")));
                 }
                 let mut snet = DefSpecialNet {

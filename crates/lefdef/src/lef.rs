@@ -26,6 +26,7 @@
 
 use crate::lex::{err_at, Cursor};
 use crate::ParseError;
+use std::collections::HashSet;
 use tpl_geom::{Axis, Dbu, Rect};
 
 /// A routing layer description from a LEF `LAYER ... TYPE ROUTING` block.
@@ -97,6 +98,7 @@ pub struct LefLibrary {
 /// Parses a LEF source into a [`LefLibrary`].
 pub fn parse_lef(src: &str) -> Result<LefLibrary, ParseError> {
     let mut c = Cursor::new(src);
+    let mut macro_names: HashSet<&str> = HashSet::new();
     let mut lib = LefLibrary {
         dbu_per_micron: 0,
         layers: Vec::new(),
@@ -119,7 +121,7 @@ pub fn parse_lef(src: &str) -> Result<LefLibrary, ParseError> {
             }
             "LAYER" => parse_layer(&mut c, &mut lib, t)?,
             "SITE" => parse_site(&mut c, &mut lib, t)?,
-            "MACRO" => parse_macro(&mut c, &mut lib, t)?,
+            "MACRO" => parse_macro(&mut c, &mut lib, t, &mut macro_names)?,
             "END" => {
                 c.expect("LIBRARY")?;
                 if lib.dbu_per_micron == 0 {
@@ -286,12 +288,17 @@ fn parse_site(
     Ok(())
 }
 
-fn parse_macro(
-    c: &mut Cursor<'_>,
+/// Parses one `MACRO` block; `macro_names` holds the names of the macros
+/// before it.
+fn parse_macro<'a>(
+    c: &mut Cursor<'a>,
     lib: &mut LefLibrary,
     kw: crate::lex::Token<'_>,
+    macro_names: &mut HashSet<&'a str>,
 ) -> Result<(), ParseError> {
-    let name = c.word("a macro name")?.text.to_string();
+    let name_tok = c.word("a macro name")?;
+    let name = name_tok.text.to_string();
+    let mut pin_names: HashSet<&str> = HashSet::new();
     let dbu = units(lib, kw)?;
     let mut size: Option<(Dbu, Dbu)> = None;
     let mut pins: Vec<LefPin> = Vec::new();
@@ -308,8 +315,8 @@ fn parse_macro(
                 size = Some((w, h));
             }
             "PIN" => {
-                let pin = parse_macro_pin(c, dbu)?;
-                if pins.iter().any(|p| p.name == pin.name) {
+                let (pin_name, pin) = parse_macro_pin(c, dbu)?;
+                if !pin_names.insert(pin_name) {
                     return Err(err_at(
                         t,
                         format!("duplicate pin `{}` in macro {name}", pin.name),
@@ -330,7 +337,7 @@ fn parse_macro(
             }
         }
     }
-    if lib.macros.iter().any(|m| m.name == name) {
+    if !macro_names.insert(name_tok.text) {
         return Err(err_at(kw, format!("duplicate macro `{name}`")));
     }
     lib.macros.push(LefMacro {
@@ -342,8 +349,11 @@ fn parse_macro(
     Ok(())
 }
 
-fn parse_macro_pin(c: &mut Cursor<'_>, dbu: Dbu) -> Result<LefPin, ParseError> {
-    let name = c.word("a pin name")?.text.to_string();
+/// Parses one macro `PIN` block, returning the pin and its name's source
+/// text.
+fn parse_macro_pin<'a>(c: &mut Cursor<'a>, dbu: Dbu) -> Result<(&'a str, LefPin), ParseError> {
+    let name_tok = c.word("a pin name")?;
+    let name = name_tok.text.to_string();
     let mut ports: Vec<(String, Rect)> = Vec::new();
     loop {
         let t = c.next("a pin statement or `END`")?;
@@ -357,7 +367,7 @@ fn parse_macro_pin(c: &mut Cursor<'_>, dbu: Dbu) -> Result<LefPin, ParseError> {
             other => return Err(err_at(t, format!("unknown PIN statement `{other}`"))),
         }
     }
-    Ok(LefPin { name, ports })
+    Ok((name_tok.text, LefPin { name, ports }))
 }
 
 /// Parses the shared body of `PORT`/`OBS` blocks: a sequence of

@@ -1,10 +1,21 @@
-//! Shared tokenizer and parse cursor for the LEF and DEF grammars.
+//! Shared streaming lexer and parse cursor for the LEF and DEF grammars.
 //!
 //! Both formats are whitespace-separated token streams with `#` line
-//! comments, `;` statement terminators and parenthesised points.  The lexer
-//! keeps `(`, `)` and `;` as standalone tokens even when glued to a word and
-//! records the 1-based line/column of every token so parse errors point at
-//! real source positions.
+//! comments, `;` statement terminators and parenthesised points.  The
+//! [`Cursor`] scans the source bytes on demand, one token ahead of the
+//! parser, so ingestion is a single linear pass that builds no token list:
+//!
+//! * `(`, `)` and `;` are standalone tokens even when glued to a word;
+//! * a `#` ends the line's tokens at its first occurrence, even inside a
+//!   token;
+//! * separators are exactly [`char::is_whitespace`] — a byte table decides
+//!   ASCII, and a non-ASCII byte decodes its character;
+//! * lines end at `\n`, like [`str::lines`] (a `\r` is whitespace).
+//!
+//! Every token records its 1-based line and 1-based byte column within the
+//! line, so parse errors point at real source positions.  The cursor's
+//! success paths allocate nothing; error text is built only when an error
+//! is returned.
 
 use crate::ParseError;
 use tpl_geom::Dbu;
@@ -25,104 +36,175 @@ pub struct Token<'a> {
     pub text: &'a str,
     /// 1-based source line.
     pub line: usize,
-    /// 1-based source column of the token's first character.
+    /// 1-based byte column of the token's first character within its line.
     pub col: usize,
 }
 
-/// Splits a source into tokens; `#` comments run to end of line.
-pub fn tokenize(src: &str) -> Vec<Token<'_>> {
-    let mut tokens = Vec::new();
-    for (lineno, raw) in src.lines().enumerate() {
-        let line = match raw.find('#') {
-            Some(i) => &raw[..i],
-            None => raw,
-        };
-        let mut start: Option<usize> = None;
-        for (i, ch) in line.char_indices() {
-            let is_punct = matches!(ch, '(' | ')' | ';');
-            if ch.is_whitespace() || is_punct {
-                if let Some(s) = start.take() {
-                    tokens.push(Token {
-                        text: &line[s..i],
-                        line: lineno + 1,
-                        col: s + 1,
-                    });
-                }
-                if is_punct {
-                    tokens.push(Token {
-                        text: &line[i..i + ch.len_utf8()],
-                        line: lineno + 1,
-                        col: i + 1,
-                    });
-                }
-            } else if start.is_none() {
-                start = Some(i);
-            }
-        }
-        if let Some(s) = start {
-            tokens.push(Token {
-                text: &line[s..],
-                line: lineno + 1,
-                col: s + 1,
-            });
-        }
-    }
-    tokens
-}
+/// Byte classes of the scanner.
+const WORD: u8 = 0;
+const SPACE: u8 = 1;
+const NEWLINE: u8 = 2;
+const PUNCT: u8 = 3;
+const COMMENT: u8 = 4;
+/// A byte of a multi-byte character: decode it to classify.
+const WIDE: u8 = 5;
 
-/// A cursor over the token stream with positioned error helpers.
+/// The class of every byte value; ASCII whitespace is exactly the ASCII
+/// part of [`char::is_whitespace`] (which, unlike
+/// [`u8::is_ascii_whitespace`], includes the vertical tab).
+static CLASS: [u8; 256] = {
+    let mut table = [WIDE; 256];
+    let mut b = 0;
+    while b < 0x80 {
+        table[b] = WORD;
+        b += 1;
+    }
+    table[b' ' as usize] = SPACE;
+    table[b'\t' as usize] = SPACE;
+    table[b'\r' as usize] = SPACE;
+    table[0x0b] = SPACE;
+    table[0x0c] = SPACE;
+    table[b'\n' as usize] = NEWLINE;
+    table[b'(' as usize] = PUNCT;
+    table[b')' as usize] = PUNCT;
+    table[b';' as usize] = PUNCT;
+    table[b'#' as usize] = COMMENT;
+    table
+};
+
+/// A streaming cursor over a source's tokens with positioned error helpers.
 pub struct Cursor<'a> {
-    tokens: Vec<Token<'a>>,
+    src: &'a str,
+    /// Byte offset where the next scan starts.
     pos: usize,
-    last_line: usize,
+    /// 1-based line of `pos`.
+    line: usize,
+    /// Byte offset of the start of `pos`'s line.
+    line_start: usize,
+    /// The next token, scanned one ahead so [`Cursor::peek`] is free.
+    ahead: Option<Token<'a>>,
 }
 
 impl<'a> Cursor<'a> {
-    /// Tokenizes a source and positions the cursor at its start.
+    /// Positions a cursor at the first token of a source.
     pub fn new(src: &'a str) -> Self {
-        let tokens = tokenize(src);
-        let last_line = src.lines().count().max(1);
-        Cursor {
-            tokens,
+        let mut c = Cursor {
+            src,
             pos: 0,
-            last_line,
-        }
+            line: 1,
+            line_start: 0,
+            ahead: None,
+        };
+        c.ahead = c.scan();
+        c
     }
 
     /// The next token without consuming it.
     pub fn peek(&self) -> Option<Token<'a>> {
-        self.tokens.get(self.pos).copied()
+        self.ahead
+    }
+
+    /// Consumes and returns the next token, `None` at end of file.
+    fn bump(&mut self) -> Option<Token<'a>> {
+        let t = self.ahead?;
+        self.ahead = self.scan();
+        Some(t)
+    }
+
+    /// Scans the token that starts at or after `pos`.
+    fn scan(&mut self) -> Option<Token<'a>> {
+        let bytes = self.src.as_bytes();
+        let mut i = self.pos;
+        while let Some(&b) = bytes.get(i) {
+            match CLASS[usize::from(b)] {
+                SPACE => i += 1,
+                NEWLINE => {
+                    i += 1;
+                    self.line += 1;
+                    self.line_start = i;
+                }
+                COMMENT => {
+                    i = bytes[i..]
+                        .iter()
+                        .position(|&b| b == b'\n')
+                        .map_or(bytes.len(), |k| i + k);
+                }
+                PUNCT => return Some(self.token(i, i + 1)),
+                WIDE => {
+                    let ch = self.char_at(i);
+                    if !ch.is_whitespace() {
+                        return Some(self.scan_word(i));
+                    }
+                    i += ch.len_utf8();
+                }
+                _ => return Some(self.scan_word(i)),
+            }
+        }
+        self.pos = i;
+        None
+    }
+
+    /// Scans the word token that starts at `start`.
+    fn scan_word(&mut self, start: usize) -> Token<'a> {
+        let bytes = self.src.as_bytes();
+        let mut i = start;
+        while let Some(&b) = bytes.get(i) {
+            match CLASS[usize::from(b)] {
+                WORD => i += 1,
+                WIDE => {
+                    let ch = self.char_at(i);
+                    if ch.is_whitespace() {
+                        break;
+                    }
+                    i += ch.len_utf8();
+                }
+                _ => break,
+            }
+        }
+        self.token(start, i)
+    }
+
+    /// The character at byte offset `i`, which is always a char boundary:
+    /// the scanner steps over ASCII bytes and whole characters only.
+    fn char_at(&self, i: usize) -> char {
+        self.src[i..]
+            .chars()
+            .next()
+            .expect("scanner stops inside the source")
+    }
+
+    /// The token `src[start..end]` on the current line; the scan resumes at
+    /// `end`.
+    fn token(&mut self, start: usize, end: usize) -> Token<'a> {
+        self.pos = end;
+        Token {
+            text: &self.src[start..end],
+            line: self.line,
+            col: start - self.line_start + 1,
+        }
     }
 
     /// Consumes and returns the next token, or errors at end of file.
     pub fn next(&mut self, expected: &str) -> Result<Token<'a>, ParseError> {
-        match self.tokens.get(self.pos) {
-            Some(t) => {
-                self.pos += 1;
-                Ok(*t)
-            }
-            None => Err(self.eof(expected)),
-        }
+        self.bump().ok_or_else(|| self.eof(expected))
     }
 
     /// Consumes the next token, requiring its exact text.
     pub fn expect(&mut self, text: &str) -> Result<(), ParseError> {
-        let t = self.next(&format!("`{text}`"))?;
-        if t.text == text {
-            Ok(())
-        } else {
-            Err(err_at(t, format!("expected `{text}`, found `{}`", t.text)))
+        match self.bump() {
+            Some(t) if t.text == text => Ok(()),
+            Some(t) => Err(err_at(t, format!("expected `{text}`, found `{}`", t.text))),
+            None => Err(self.eof(&format!("`{text}`"))),
         }
     }
 
     /// `true` when the next token matches, consuming it.
     pub fn eat(&mut self, text: &str) -> bool {
-        if self.peek().is_some_and(|t| t.text == text) {
-            self.pos += 1;
-            true
-        } else {
-            false
+        let hit = self.ahead.is_some_and(|t| t.text == text);
+        if hit {
+            self.bump();
         }
+        hit
     }
 
     /// Consumes a token as an identifier-like word.
@@ -171,10 +253,11 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    /// An end-of-file error located at the last source line.
+    /// An end-of-file error located at the last source line, counted only
+    /// now that the error is being built.
     pub fn eof(&self, expected: &str) -> ParseError {
         ParseError::new(
-            self.last_line,
+            self.src.lines().count().max(1),
             1,
             format!("unexpected end of file, expected {expected}"),
         )
@@ -271,10 +354,66 @@ fn decimal_digits(value: Dbu) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The char-by-char tokenizer the streaming cursor replaced, kept as its
+    /// oracle: `lines()`, cut each line at its first `#`, split on
+    /// `char::is_whitespace` and on `(`, `)`, `;`.
+    fn tokenize(src: &str) -> Vec<Token<'_>> {
+        let mut tokens = Vec::new();
+        for (lineno, raw) in src.lines().enumerate() {
+            let line = match raw.find('#') {
+                Some(i) => &raw[..i],
+                None => raw,
+            };
+            let mut start: Option<usize> = None;
+            for (i, ch) in line.char_indices() {
+                let is_punct = matches!(ch, '(' | ')' | ';');
+                if ch.is_whitespace() || is_punct {
+                    if let Some(s) = start.take() {
+                        tokens.push(Token {
+                            text: &line[s..i],
+                            line: lineno + 1,
+                            col: s + 1,
+                        });
+                    }
+                    if is_punct {
+                        tokens.push(Token {
+                            text: &line[i..i + ch.len_utf8()],
+                            line: lineno + 1,
+                            col: i + 1,
+                        });
+                    }
+                } else if start.is_none() {
+                    start = Some(i);
+                }
+            }
+            if let Some(s) = start {
+                tokens.push(Token {
+                    text: &line[s..],
+                    line: lineno + 1,
+                    col: s + 1,
+                });
+            }
+        }
+        tokens
+    }
+
+    /// Every token the streaming cursor yields, in order.
+    fn stream(src: &str) -> Vec<Token<'_>> {
+        let mut c = Cursor::new(src);
+        let mut tokens = Vec::new();
+        while let Some(t) = c.peek() {
+            assert_eq!(c.next("a token"), Ok(t), "peek and next agree");
+            tokens.push(t);
+        }
+        assert!(c.next("a token").is_err(), "the stream stays at its end");
+        tokens
+    }
 
     #[test]
     fn tokenizer_splits_punctuation_and_tracks_positions() {
-        let toks = tokenize("DIEAREA ( 0 0 ) ( 800 800 ) ;\nEND DESIGN # trailing\n");
+        let toks = stream("DIEAREA ( 0 0 ) ( 800 800 ) ;\nEND DESIGN # trailing\n");
         let texts: Vec<&str> = toks.iter().map(|t| t.text).collect();
         assert_eq!(
             texts,
@@ -286,9 +425,100 @@ mod tests {
 
     #[test]
     fn tokenizer_handles_glued_semicolons() {
-        let toks = tokenize("PITCH 0.02;END");
+        let toks = stream("PITCH 0.02;END");
         let texts: Vec<&str> = toks.iter().map(|t| t.text).collect();
         assert_eq!(texts, vec!["PITCH", "0.02", ";", "END"]);
+    }
+
+    #[test]
+    fn ascii_classes_are_char_is_whitespace() {
+        for b in 0u8..0x80 {
+            let ch = char::from(b);
+            let class = CLASS[usize::from(b)];
+            assert_eq!(
+                matches!(class, SPACE | NEWLINE),
+                ch.is_whitespace(),
+                "byte {b:#04x}"
+            );
+            assert_eq!(class == NEWLINE, b == b'\n', "byte {b:#04x}");
+        }
+        assert!(CLASS[0x80..].iter().all(|&c| c == WIDE));
+    }
+
+    #[test]
+    fn cursor_matches_the_char_tokenizer_on_the_golden_corpus() {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/data/lefdef");
+        let mut files = 0;
+        for entry in std::fs::read_dir(&dir).expect("the golden corpus is present") {
+            let path = entry.unwrap().path();
+            let src = std::fs::read_to_string(&path).unwrap();
+            assert_eq!(stream(&src), tokenize(&src), "{}", path.display());
+            files += 1;
+        }
+        assert!(
+            files >= 6,
+            "found {files} corpus files in {}",
+            dir.display()
+        );
+    }
+
+    #[test]
+    fn cursor_matches_the_char_tokenizer_on_edge_cases() {
+        for src in [
+            "",
+            "\n\n",
+            "a",
+            "ab#cd ;\nef",
+            "#only a comment",
+            "x\r\ny\r\n",
+            "x\ry",
+            "a\u{a0}b\u{3000}c\u{85}d",
+            "\u{a0}\u{3000}lead",
+            "é(ü);ß#ñ\nz",
+            "a\x0bb\x0cc",
+            "(((;)))",
+        ] {
+            assert_eq!(stream(src), tokenize(src), "{src:?}");
+        }
+    }
+
+    /// Source fragments the random sources are drawn from: words, glued
+    /// punctuation, comments (also inside a token), ASCII and non-ASCII
+    /// whitespace, non-ASCII letters and every line-ending form.
+    const FRAGMENTS: [&str; 26] = [
+        "LAYER", "M1", "0.02", "-4", "é", "名前", "x#y", "#", "# note", "(", ")", ";", "a;b", "(1",
+        "2)", " ", "  ", "\t", "\x0b", "\x0c", "\u{a0}", "\u{3000}", "\u{85}", "\n", "\r\n", "\r",
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// On any source built from the fragments — blank lines, CRLF,
+        /// no final newline included — the streaming cursor yields the
+        /// oracle's `(text, line, col)` sequence.
+        #[test]
+        fn cursor_matches_the_char_tokenizer_on_random_sources(
+            picks in prop::collection::vec(0usize..FRAGMENTS.len(), 0..64)
+        ) {
+            let src: String = picks.iter().map(|&i| FRAGMENTS[i]).collect();
+            prop_assert_eq!(stream(&src), tokenize(&src));
+        }
+    }
+
+    #[test]
+    fn allocation_free_helpers_keep_their_error_text() {
+        let mut c = Cursor::new("LAYER ;\nM1");
+        assert_eq!(c.expect("LAYER"), Ok(()));
+        let err = c.word("a layer name").unwrap_err();
+        assert_eq!((err.line, err.col), (1, 7));
+        assert_eq!(err.message, "expected a layer name, found `;`");
+        let err = c.expect("END").unwrap_err();
+        assert_eq!((err.line, err.col), (2, 1));
+        assert_eq!(err.message, "expected `END`, found `M1`");
+        let err = c.expect(";").unwrap_err();
+        assert_eq!((err.line, err.col), (2, 1));
+        assert_eq!(err.message, "unexpected end of file, expected `;`");
+        assert!(!c.eat(";"));
     }
 
     #[test]

@@ -5,9 +5,12 @@
 //! placement, netlist) files.  This crate provides a pragmatic,
 //! zero-dependency subset of both formats:
 //!
-//! * a hand-rolled tokenizer and recursive-descent parsers producing plain
-//!   ASTs ([`LefLibrary`], [`DefDesign`]) with positioned [`ParseError`]s —
-//!   malformed input never panics;
+//! * a streaming lexer and recursive-descent parsers producing plain ASTs
+//!   ([`LefLibrary`], [`DefDesign`]) with positioned [`ParseError`]s —
+//!   malformed input never panics.  The lexer's cursor scans the source
+//!   bytes on demand with one token of lookahead, so no token list is
+//!   built, and duplicate names are found through hash sets: parsing is
+//!   linear in the input size;
 //! * a [`lower()`] pass that cross-checks the pair and produces a validated
 //!   [`Design`](tpl_design::Design) plus any `+ ROUTED` wiring as a
 //!   [`RoutingSolution`](tpl_design::RoutingSolution);

@@ -24,8 +24,10 @@ use crate::def::{DefDesign, DefTerminal, DefWire};
 use crate::lef::{LefLibrary, LefMacro};
 use crate::LefDefError;
 use std::collections::HashMap;
+use std::fmt;
+use std::hash::{Hash, Hasher};
 use tpl_design::{
-    Design, DesignBuilder, Layer, LayerId, NetId, RouteSegment, RoutedNet, RoutingSolution,
+    Design, DesignBuilder, Layer, LayerId, NetId, PinId, RouteSegment, RoutedNet, RoutingSolution,
     Technology, ViaInstance,
 };
 use tpl_geom::{Point, Rect, Segment};
@@ -89,7 +91,9 @@ pub fn lower(lef: &LefLibrary, def: &DefDesign) -> Result<LoweredDesign, LefDefE
         .enumerate()
         .map(|(i, l)| (l.name.as_str(), i as u32))
         .collect();
-    let layer_id = |name: &str, what: &str| -> Result<u32, LefDefError> {
+    // `what` names the referencing object for the error only, so it is
+    // formatted lazily.
+    let layer_id = |name: &str, what: fmt::Arguments<'_>| -> Result<u32, LefDefError> {
         layer_ids
             .get(name)
             .copied()
@@ -99,16 +103,16 @@ pub fn lower(lef: &LefLibrary, def: &DefDesign) -> Result<LoweredDesign, LefDefE
     let macros: HashMap<&str, &LefMacro> =
         lef.macros.iter().map(|m| (m.name.as_str(), m)).collect();
 
-    // Which pin names the NETS section references.
-    let mut referenced: HashMap<String, bool> = HashMap::new();
+    // The pin names the NETS section references, each with the design pin
+    // it resolves to once one matches (the last match wins).
+    let mut referenced: HashMap<PinName<'_>, Option<PinId>> = HashMap::new();
     for net in &def.nets {
         for term in &net.terminals {
-            referenced.insert(terminal_name(term), false);
+            referenced.insert(PinName::of(term), None);
         }
     }
 
     let mut builder = DesignBuilder::new(def.name.clone(), tech, def.die);
-    let mut pin_ids: HashMap<String, tpl_design::PinId> = HashMap::new();
     // Unreferenced metal collected as colourable obstacles, after the
     // special nets and macro obstructions.
     let mut leftover: Vec<(u32, Rect)> = Vec::new();
@@ -117,21 +121,20 @@ pub fn lower(lef: &LefLibrary, def: &DefDesign) -> Result<LoweredDesign, LefDefE
     for pin in &def.pins {
         let mut shapes: Vec<(LayerId, Rect)> = Vec::new();
         for (layer, rect) in &pin.shapes {
-            let id = layer_id(layer, &format!("pin {}", pin.name))?;
+            let id = layer_id(layer, format_args!("pin {}", pin.name))?;
             shapes.push((
                 LayerId::new(id),
-                translate(*rect, pin.at, &format!("pin {}", pin.name))?,
+                translate(*rect, pin.at, format_args!("pin {}", pin.name))?,
             ));
         }
-        if let Some(seen) = referenced.get_mut(pin.name.as_str()) {
+        if let Some(slot) = referenced.get_mut(&PinName::pin(&pin.name)) {
             if shapes.is_empty() {
                 return Err(lower_err(format!(
                     "pin {} is connected to a net but has no LAYER geometry",
                     pin.name
                 )));
             }
-            *seen = true;
-            pin_ids.insert(pin.name.clone(), builder.add_pin(pin.name.clone(), shapes));
+            *slot = Some(builder.add_pin(pin.name.clone(), shapes));
         } else {
             leftover.extend(shapes.into_iter().map(|(l, r)| (l.index() as u32, r)));
         }
@@ -146,30 +149,36 @@ pub fn lower(lef: &LefLibrary, def: &DefDesign) -> Result<LoweredDesign, LefDefE
             ))
         })?;
         for pin in &mac.pins {
-            let name = format!("{}/{}", comp.name, pin.name);
+            let name = PinName::component(&comp.name, &pin.name);
             let mut shapes: Vec<(LayerId, Rect)> = Vec::new();
             for (layer, rect) in &pin.ports {
-                let id = layer_id(layer, &format!("macro pin {name}"))?;
+                let id = layer_id(layer, format_args!("macro pin {name}"))?;
                 shapes.push((
                     LayerId::new(id),
-                    translate(*rect, comp.at, &format!("macro pin {name}"))?,
+                    translate(*rect, comp.at, format_args!("macro pin {name}"))?,
                 ));
             }
-            if let Some(seen) = referenced.get_mut(name.as_str()) {
+            if let Some(slot) = referenced.get_mut(&name) {
                 if shapes.is_empty() {
                     return Err(lower_err(format!(
                         "component pin {name} is connected to a net but its macro port is empty"
                     )));
                 }
-                *seen = true;
-                pin_ids.insert(name.clone(), builder.add_pin(name, shapes));
+                *slot = Some(builder.add_pin(name.to_string(), shapes));
             } else {
                 leftover.extend(shapes.into_iter().map(|(l, r)| (l.index() as u32, r)));
             }
         }
     }
 
-    if let Some((name, _)) = referenced.iter().find(|(_, seen)| !**seen) {
+    // The first unmatched terminal in NETS file order.
+    if let Some(name) = def
+        .nets
+        .iter()
+        .flat_map(|net| &net.terminals)
+        .map(PinName::of)
+        .find(|name| referenced[name].is_none())
+    {
         return Err(lower_err(format!(
             "net terminal `{name}` matches no DEF pin and no placed component pin"
         )));
@@ -180,7 +189,7 @@ pub fn lower(lef: &LefLibrary, def: &DefDesign) -> Result<LoweredDesign, LefDefE
         let ids = net
             .terminals
             .iter()
-            .map(|t| pin_ids[&terminal_name(t)])
+            .map(|t| referenced[&PinName::of(t)].expect("every terminal matched a pin"))
             .collect();
         builder.add_net(net.name.clone(), ids);
     }
@@ -197,13 +206,13 @@ pub fn lower(lef: &LefLibrary, def: &DefDesign) -> Result<LoweredDesign, LefDefE
         };
         for (layer, rect) in &snet.rects {
             add(
-                layer_id(layer, &format!("special net {}", snet.name))?,
+                layer_id(layer, format_args!("special net {}", snet.name))?,
                 *rect,
             );
         }
         for (layer, width, a, b) in &snet.wires {
-            let id = layer_id(layer, &format!("special net {}", snet.name))?;
-            check_axis_aligned(*a, *b, &format!("special net {}", snet.name))?;
+            let id = layer_id(layer, format_args!("special net {}", snet.name))?;
+            check_axis_aligned(*a, *b, format_args!("special net {}", snet.name))?;
             let rect = Segment::new(*a, *b).to_rect(*width);
             add(id, rect);
         }
@@ -213,10 +222,10 @@ pub fn lower(lef: &LefLibrary, def: &DefDesign) -> Result<LoweredDesign, LefDefE
     for comp in &def.components {
         let mac = macros[comp.macro_name.as_str()];
         for (layer, rect) in &mac.obs {
-            let id = layer_id(layer, &format!("macro {} OBS", mac.name))?;
+            let id = layer_id(layer, format_args!("macro {} OBS", mac.name))?;
             builder.add_blockage(
                 id,
-                translate(*rect, comp.at, &format!("macro {} OBS", mac.name))?,
+                translate(*rect, comp.at, format_args!("macro {} OBS", mac.name))?,
             );
         }
     }
@@ -240,8 +249,8 @@ pub fn lower(lef: &LefLibrary, def: &DefDesign) -> Result<LoweredDesign, LefDefE
             for wire in &net.routed {
                 match wire {
                     DefWire::Segment { layer, a, b } => {
-                        let id = layer_id(layer, &format!("net {} wiring", net.name))?;
-                        check_axis_aligned(*a, *b, &format!("net {} wiring", net.name))?;
+                        let id = layer_id(layer, format_args!("net {} wiring", net.name))?;
+                        check_axis_aligned(*a, *b, format_args!("net {} wiring", net.name))?;
                         let width = design.tech().layer(LayerId::new(id)).width;
                         routed.segments.push(RouteSegment::new(
                             LayerId::new(id),
@@ -250,7 +259,7 @@ pub fn lower(lef: &LefLibrary, def: &DefDesign) -> Result<LoweredDesign, LefDefE
                         ));
                     }
                     DefWire::Via { layer, at } => {
-                        let id = layer_id(layer, &format!("net {} wiring", net.name))?;
+                        let id = layer_id(layer, format_args!("net {} wiring", net.name))?;
                         if id as usize + 1 >= design.tech().num_layers() {
                             return Err(lower_err(format!(
                                 "net {} has a via on the top layer `{layer}`",
@@ -271,16 +280,90 @@ pub fn lower(lef: &LefLibrary, def: &DefDesign) -> Result<LoweredDesign, LefDefE
     Ok(LoweredDesign { design, routing })
 }
 
-/// The design-level pin name a terminal resolves to.
-fn terminal_name(term: &DefTerminal) -> String {
-    match term {
-        DefTerminal::Pin(name) => name.clone(),
-        DefTerminal::Component(inst, pin) => format!("{inst}/{pin}"),
+/// A design-level pin name — a DEF pin's own name, or `inst/pin` for a
+/// component pin — compared and hashed as that joined text without building
+/// it, so `( PIN u1/a )` and `( u1 a )` still name the same pin.
+#[derive(Clone, Copy, Debug)]
+struct PinName<'a> {
+    head: &'a str,
+    /// The macro pin after the `/`, for a component pin.
+    tail: Option<&'a str>,
+}
+
+impl<'a> PinName<'a> {
+    fn pin(name: &'a str) -> Self {
+        PinName {
+            head: name,
+            tail: None,
+        }
+    }
+
+    fn component(inst: &'a str, pin: &'a str) -> Self {
+        PinName {
+            head: inst,
+            tail: Some(pin),
+        }
+    }
+
+    /// The name a net terminal resolves to.
+    fn of(term: &'a DefTerminal) -> Self {
+        match term {
+            DefTerminal::Pin(name) => PinName::pin(name),
+            DefTerminal::Component(inst, pin) => PinName::component(inst, pin),
+        }
+    }
+
+    /// The joined text's pieces, in order.
+    fn parts(&self) -> [&'a [u8]; 3] {
+        match self.tail {
+            Some(tail) => [self.head.as_bytes(), b"/", tail.as_bytes()],
+            None => [self.head.as_bytes(), b"", b""],
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.parts().iter().map(|p| p.len()).sum()
+    }
+}
+
+impl fmt::Display for PinName<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.tail {
+            Some(tail) => write!(f, "{}/{tail}", self.head),
+            None => f.write_str(self.head),
+        }
+    }
+}
+
+impl PartialEq for PinName<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        let bytes = |n: &Self| n.parts().into_iter().flatten();
+        self.len() == other.len() && bytes(self).eq(bytes(other))
+    }
+}
+
+impl Eq for PinName<'_> {}
+
+impl Hash for PinName<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        // Fixed-size chunks of the joined text: equal texts hash alike
+        // however they split into head and tail.
+        let mut chunk = [0u8; 32];
+        let mut fill = 0;
+        for &b in self.parts().into_iter().flatten() {
+            chunk[fill] = b;
+            fill += 1;
+            if fill == chunk.len() {
+                state.write(&chunk);
+                fill = 0;
+            }
+        }
+        state.write(&chunk[..fill]);
     }
 }
 
 /// Rejects diagonal wiring (the model only supports Manhattan geometry).
-fn check_axis_aligned(a: Point, b: Point, what: &str) -> Result<(), LefDefError> {
+fn check_axis_aligned(a: Point, b: Point, what: fmt::Arguments<'_>) -> Result<(), LefDefError> {
     if a.x == b.x || a.y == b.y {
         Ok(())
     } else {
@@ -295,7 +378,7 @@ fn check_axis_aligned(a: Point, b: Point, what: &str) -> Result<(), LefDefError>
 /// entry point for hand-built [`DefDesign`]s, so an overflowing placement
 /// must come back as an error rather than a panic (debug) or a silently
 /// wrapped rectangle (release).
-fn translate(rect: Rect, by: Point, what: &str) -> Result<Rect, LefDefError> {
+fn translate(rect: Rect, by: Point, what: fmt::Arguments<'_>) -> Result<Rect, LefDefError> {
     let add = |a: i64, b: i64| {
         a.checked_add(b)
             .ok_or_else(|| lower_err(format!("{what}: placement overflows a coordinate")))
@@ -441,6 +524,63 @@ END DESIGN
             .push(DefTerminal::Component("u9".into(), "a".into()));
         let err = lower(&lef, &def).unwrap_err();
         assert!(err.to_string().contains("u9/a"), "{err}");
+    }
+
+    #[test]
+    fn the_first_unmatched_terminal_in_file_order_is_named() {
+        let lef = parse_lef(LEF).unwrap();
+        let mut def = parse_def(DEF).unwrap();
+        def.nets[0]
+            .terminals
+            .push(DefTerminal::Pin("missing_first".into()));
+        def.nets[0]
+            .terminals
+            .push(DefTerminal::Component("u9".into(), "z".into()));
+        // Every lowering hashes with fresh keys, so an error picked from a
+        // map's iteration order would differ between these calls.
+        for _ in 0..16 {
+            let err = lower(&lef, &def).unwrap_err().to_string();
+            assert!(err.contains("net terminal `missing_first`"), "{err}");
+            assert!(!err.contains("u9/z"), "{err}");
+        }
+    }
+
+    #[test]
+    fn a_pin_terminal_spelled_inst_slash_pin_resolves_to_the_component_pin() {
+        let lef = parse_lef(LEF).unwrap();
+        let def = parse_def(&DEF.replace("( u1 a )", "( PIN u1/a )")).unwrap();
+        let lowered = lower(&lef, &def).unwrap();
+        assert_eq!(
+            lowered.design,
+            lower(&lef, &parse_def(DEF).unwrap()).unwrap().design
+        );
+    }
+
+    #[test]
+    fn pin_names_compare_and_hash_as_their_joined_text() {
+        use std::collections::hash_map::DefaultHasher;
+        let hash = |n: PinName<'_>| {
+            let mut h = DefaultHasher::new();
+            n.hash(&mut h);
+            h.finish()
+        };
+        let long = "a_name_long_enough_to_cross_a_hash_chunk";
+        let joined = format!("{long}/{long}/pin");
+        let tail = format!("{long}/pin");
+        let splits = [
+            PinName::pin(&joined),
+            PinName::component(long, &tail),
+            PinName::component(&joined[..long.len() * 2 + 1], "pin"),
+        ];
+        for a in splits {
+            assert_eq!(a.to_string(), joined);
+            for b in splits {
+                assert_eq!(a, b);
+                assert_eq!(hash(a), hash(b));
+            }
+        }
+        assert_ne!(PinName::pin("u1/a"), PinName::component("u1", "b"));
+        assert_ne!(PinName::pin("u1"), PinName::component("u1", ""));
     }
 
     #[test]

@@ -355,6 +355,88 @@ END DESIGN
     let err = parse_def(dup_comp).unwrap_err();
     assert!(err.message.contains("duplicate component `u1`"), "{err}");
     assert_eq!(err.line, 6, "{err}");
+
+    let dup_special = "\
+DESIGN d ;
+UNITS DISTANCE MICRONS 1000 ;
+DIEAREA ( 0 0 ) ( 100 100 ) ;
+SPECIALNETS 2 ;
+- vdd + RECT M1 ( 0 0 ) ( 8 8 ) ;
+- vdd + RECT M1 ( 20 20 ) ( 28 28 ) ;
+END SPECIALNETS
+END DESIGN
+";
+    let err = parse_def(dup_special).unwrap_err();
+    assert!(err.message.contains("duplicate special net `vdd`"), "{err}");
+    assert_eq!((err.line, err.col), (6, 3), "{err}");
+}
+
+#[test]
+fn def_names_repeated_in_a_second_section_of_a_kind_are_duplicates() {
+    let src = "\
+DESIGN d ;
+UNITS DISTANCE MICRONS 1000 ;
+DIEAREA ( 0 0 ) ( 100 100 ) ;
+PINS 2 ;
+- a + LAYER M1 ( 0 0 ) ( 8 8 ) ;
+- b + LAYER M1 ( 20 20 ) ( 28 28 ) ;
+END PINS
+PINS 1 ;
+- a + LAYER M1 ( 40 40 ) ( 48 48 ) ;
+END PINS
+END DESIGN
+";
+    let err = parse_def(src).unwrap_err();
+    assert!(err.message.contains("duplicate pin `a`"), "{err}");
+    assert_eq!((err.line, err.col), (9, 3), "{err}");
+
+    // Each kind has its own namespace: a pin, a net, a component and a
+    // special net may all be called `x`.
+    let shared = "\
+DESIGN d ;
+UNITS DISTANCE MICRONS 1000 ;
+DIEAREA ( 0 0 ) ( 100 100 ) ;
+COMPONENTS 1 ;
+- x buf + PLACED ( 0 0 ) N ;
+END COMPONENTS
+PINS 1 ;
+- x + LAYER M1 ( 0 0 ) ( 8 8 ) ;
+END PINS
+NETS 1 ;
+- x ( PIN x ) ;
+END NETS
+SPECIALNETS 1 ;
+- x + RECT M1 ( 20 20 ) ( 28 28 ) ;
+END SPECIALNETS
+END DESIGN
+";
+    let def = parse_def(shared).expect("one name per kind is no duplicate");
+    assert_eq!(
+        (def.components.len(), def.pins.len(), def.nets.len()),
+        (1, 1, 1)
+    );
+}
+
+#[test]
+fn lef_pin_names_are_scoped_to_their_macro() {
+    let src = "\
+UNITS
+  DATABASE MICRONS 1000 ;
+END UNITS
+MACRO buf
+  SIZE 0.06 BY 0.06 ;
+  PIN a
+  END a
+END buf
+MACRO inv
+  SIZE 0.06 BY 0.06 ;
+  PIN a
+  END a
+END inv
+END LIBRARY
+";
+    let lib = parse_lef(src).expect("macros may reuse pin names");
+    assert_eq!(lib.macros.len(), 2);
 }
 
 #[test]

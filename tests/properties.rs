@@ -103,6 +103,19 @@ proptest! {
     }
 }
 
+/// The round-trip at full size: ISPD-19-like cases 1–10 at ×1.0 with their
+/// canonical seeds (the inputs of perfbench's `decompose-ispd19` replica 0),
+/// far larger than the proptest's ×0.15–0.40 designs.
+#[test]
+fn lefdef_round_trip_preserves_full_scale_ispd19_cases() {
+    for idx in 1..=10 {
+        let design = CaseParams::ispd19_like(idx).scaled(1.0).generate();
+        if let Err(e) = assert_lefdef_round_trips(&design) {
+            panic!("ISPD-19-like case {idx} ×1.0: {e}");
+        }
+    }
+}
+
 /// A wider parameter space than `arb_case`: both suite families, more
 /// scales, any seed — round-tripping is cheap enough to cover it.
 fn arb_roundtrip_case() -> impl Strategy<Value = CaseParams> {
