@@ -5,7 +5,8 @@ use tpl_geom::Dir;
 use tpl_grid::CostParams;
 
 /// Configuration of the colour-aware routers, Mr.TPL and the DAC'12
-/// baseline, and of their shared negotiation ([`negotiate`](crate::negotiate)).
+/// baseline, and of their negotiation ([`tpl_grid::negotiate`] under the
+/// [`ColorRule`](crate::ColorRule)).
 ///
 /// The weights are those of Eq. (1) of the paper with α fixed at 1:
 /// `cost` prices `Cost_trad`, `stitch_cost` is `β·Cost_stitch` and

@@ -26,8 +26,10 @@
 //!   mask-step cost both routers' searches price (`Cost_trad` plus colour
 //!   pressure plus a stitch off the inherited masks, Eq. (1)).
 //! * [`ColorMap::pin_mask`] — the one rule both routers colour pins by.
-//! * [`negotiate`] — the rip-up-and-reroute loop of Mr.TPL and the DAC'12
-//!   baseline: each router supplies only a closure that routes one net.
+//! * [`ColorRule`] — the colour rule both routers hand the shared
+//!   negotiation driver [`tpl_grid::negotiate`]: it keeps the colour map of
+//!   the committed nets, and a pass leaves colour conflicts whose victims
+//!   reroute.
 //!
 //! With the shared path emitter [`tpl_grid::emit_wires`] and MST
 //! [`tpl_geom::manhattan_mst`], the two routers differ only in their search
@@ -53,7 +55,7 @@ mod colormap;
 mod config;
 mod layout;
 mod mask;
-mod negotiate;
+mod rule;
 mod sets;
 mod state;
 
@@ -62,6 +64,6 @@ pub use colormap::{ColorMap, Feature, FeatureKind};
 pub use config::TplConfig;
 pub use layout::{ColoredLayout, ConflictPair, LayoutStats, StitchSite};
 pub use mask::Mask;
-pub use negotiate::{negotiate, Negotiated, NetRoute, NetTurn, TraceNames};
+pub use rule::ColorRule;
 pub use sets::{ColorSetArena, SegSetId, VerSetId};
 pub use state::ColorState;

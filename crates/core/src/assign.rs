@@ -3,25 +3,12 @@
 use crate::{NetBuffers, SearchContext};
 use std::collections::HashMap;
 use tpl_color::{ColorCostCache, ColorSetArena, Mask, SegSetId};
-use tpl_design::{PinId, RoutedNet};
-use tpl_grid::{emit_wires, TradCost, VertexId};
-
-/// The fully coloured routing result of one net.
-#[derive(Clone, Debug, Default)]
-pub struct ColoredNet {
-    /// The routed geometry.
-    pub routed: RoutedNet,
-    /// The mask of each wire segment, parallel to `routed.segments`.
-    pub segment_masks: Vec<Option<Mask>>,
-    /// The mask used at each pin of the net (None when the pin ended up
-    /// untouched by any coloured wire, which only happens for failed nets).
-    pub pin_masks: Vec<(PinId, Option<Mask>)>,
-    /// Number of segSets (mask regions) the net was divided into.
-    pub seg_sets: usize,
-}
+use tpl_grid::{emit_wires, NetRoute, TradCost, VertexId};
 
 /// Commits a final mask to every segSet of a net and emits the coloured
-/// geometry.
+/// geometry: the route's segments, their masks and its pins' masks (`None`
+/// only for a pin no coloured wire reaches, which happens for failed nets),
+/// and the number of segSets (mask regions) the net was divided into.
 ///
 /// For every segSet the candidate mask with the smallest accumulated
 /// colour-pressure over its member vertices wins (deterministic tie-break on
@@ -35,7 +22,7 @@ pub fn assign_and_emit(
     buffers: &NetBuffers,
     cache: &mut ColorCostCache,
     paths: &[Vec<VertexId>],
-) -> ColoredNet {
+) -> (NetRoute<Option<Mask>>, usize) {
     let TradCost {
         grid,
         design,
@@ -93,17 +80,14 @@ pub fn assign_and_emit(
     };
 
     // 3. Emit geometry path by path.
-    let mut out = ColoredNet {
-        seg_sets: seg_mask.len(),
-        ..ColoredNet::default()
-    };
+    let mut out = NetRoute::default();
     for path in paths {
         emit_wires(
             grid,
             path,
             |i| mask_of(path[i]),
             &mut out.routed,
-            &mut out.segment_masks,
+            &mut out.labels,
         );
     }
 
@@ -130,9 +114,9 @@ pub fn assign_and_emit(
             });
 
         let mask = wire_mask.map(|wire| map.pin_mask(net, design.pin(pin).shapes(), wire));
-        out.pin_masks.push((pin, mask));
+        out.pins.push((pin, mask));
     }
-    out
+    (out, seg_mask.len())
 }
 
 #[cfg(test)]
@@ -182,7 +166,7 @@ mod tests {
             arena: &mut ColorSetArena,
             buffers: &NetBuffers,
             paths: &[Vec<VertexId>],
-        ) -> ColoredNet {
+        ) -> (NetRoute<Option<Mask>>, usize) {
             let trad = TradCost {
                 grid: &self.grid,
                 state: &self.gstate,
@@ -218,14 +202,14 @@ mod tests {
             buffers.set_ver_set(v, vs);
         }
 
-        let colored = f.assign(&mut arena, &buffers, std::slice::from_ref(&path));
+        let (colored, seg_sets) = f.assign(&mut arena, &buffers, std::slice::from_ref(&path));
         assert_eq!(colored.routed.segments.len(), 1);
-        assert_eq!(colored.segment_masks.len(), 1);
-        assert_eq!(colored.segment_masks[0], Some(Mask::Red)); // deterministic tie-break
+        assert_eq!(colored.labels.len(), 1);
+        assert_eq!(colored.labels[0], Some(Mask::Red)); // deterministic tie-break
         assert_eq!(colored.routed.wirelength(), 8 * 20);
-        assert_eq!(colored.seg_sets, 1);
+        assert_eq!(seg_sets, 1);
         // Both pins received the same mask.
-        assert!(colored.pin_masks.iter().all(|(_, m)| *m == Some(Mask::Red)));
+        assert!(colored.pins.iter().all(|(_, m)| *m == Some(Mask::Red)));
     }
 
     #[test]
@@ -252,10 +236,10 @@ mod tests {
             buffers.set_ver_set(v, if i < 4 { vs_a } else { vs_b });
         }
 
-        let colored = f.assign(&mut arena, &buffers, std::slice::from_ref(&path));
+        let (colored, seg_sets) = f.assign(&mut arena, &buffers, std::slice::from_ref(&path));
         assert_eq!(colored.routed.segments.len(), 2);
-        assert_eq!(colored.seg_sets, 2);
-        let masks: Vec<_> = colored.segment_masks.iter().flatten().collect();
+        assert_eq!(seg_sets, 2);
+        let masks: Vec<_> = colored.labels.iter().flatten().collect();
         assert_eq!(masks, vec![&Mask::Green, &Mask::Red]);
         // The two segments share the boundary point: total length is the full
         // span even though the wire is split.
@@ -285,12 +269,12 @@ mod tests {
             buffers.relax(v, i as f64, prev, ColorState::all());
             buffers.set_ver_set(v, vs);
         }
-        let colored = f.assign(&mut arena, &buffers, &[path]);
+        let (colored, seg_sets) = f.assign(&mut arena, &buffers, &[path]);
         assert_eq!(colored.routed.segments.len(), 2);
         assert_eq!(colored.routed.wirelength(), (4 + 3) * 20);
         // Single segSet: no stitch despite the bend.
-        assert_eq!(colored.seg_sets, 1);
-        let unique: std::collections::HashSet<_> = colored.segment_masks.iter().flatten().collect();
+        assert_eq!(seg_sets, 1);
+        let unique: std::collections::HashSet<_> = colored.labels.iter().flatten().collect();
         assert_eq!(unique.len(), 1);
     }
 
@@ -316,7 +300,7 @@ mod tests {
             buffers.relax(v, i as f64, prev, ColorState::all());
             buffers.set_ver_set(v, vs);
         }
-        let colored = f.assign(&mut arena, &buffers, &[path]);
+        let (colored, _) = f.assign(&mut arena, &buffers, &[path]);
         assert_eq!(colored.routed.vias.len(), 1);
         assert_eq!(colored.routed.segments.len(), 2);
         assert_eq!(colored.routed.segments[0].layer.index(), 0);

@@ -23,7 +23,8 @@
 //!    each victim is ripped up just before it reroutes and committed before
 //!    the next one routes.  A wire–pin conflict rips up both nets, a
 //!    wire–wire conflict the larger net id.  The loop is
-//!    [`tpl_color::negotiate`], shared with the DAC'12 baseline.
+//!    [`tpl_grid::negotiate`], shared with both baselines, under the
+//!    [`tpl_color::ColorRule`] the DAC'12 baseline shares.
 //!
 //! # Examples
 //!
@@ -46,7 +47,6 @@ mod config;
 mod router;
 mod search;
 
-pub use assign::ColoredNet;
 pub use backtrace::backtrace;
 pub use config::{MrTplConfig, MrTplStats};
 pub use router::{MrTplResult, MrTplRouter};

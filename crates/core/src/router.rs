@@ -1,18 +1,16 @@
 //! The full-design Mr.TPL router (Algorithm 1 + rip-up & reroute).
 
 use crate::{
-    assign::assign_and_emit, backtrace, search, ColoredNet, MrTplConfig, MrTplStats, NetBuffers,
-    SearchContext,
+    assign::assign_and_emit, backtrace, search, MrTplConfig, MrTplStats, NetBuffers, SearchContext,
 };
 use std::time::Instant;
 use tpl_color::{
-    negotiate, ColorCostCache, ColorMap, ColorSetArena, ColorState, ColoredLayout, Mask, NetRoute,
-    TraceNames,
+    ColorCostCache, ColorMap, ColorRule, ColorSetArena, ColorState, ColoredLayout, Mask,
 };
 use tpl_design::{Design, NetId, PinId, RouteGuides, RoutingSolution};
 use tpl_grid::{
-    guide_membership, DenseBitSet, GridGraph, GridState, PinCoverage, RouteBudget, TradCost,
-    VertexId,
+    guide_membership, negotiate, DenseBitSet, GridGraph, GridState, NetRoute, PinCoverage,
+    RouteBudget, TraceNames, TradCost, VertexId,
 };
 
 /// The result of a Mr.TPL routing run.
@@ -40,8 +38,8 @@ const TRACE: TraceNames = TraceNames {
     pass: "core.rrr_iteration",
     rip_up: "core.rip_up",
     commit: "core.commit",
-    conflict_detect: "core.conflict_detect",
-    conflicts_found: "core.conflicts_found",
+    detect: "core.conflict_detect",
+    found: "core.conflicts_found",
     search_nodes: "core.search_nodes",
 };
 
@@ -63,22 +61,16 @@ impl MrTplRouter {
     /// remaining conflicts under A\* order (see
     /// [`NetBuffers::set_goal_directed`]).  Every net is ripped up just
     /// before it reroutes and committed as soon as it is routed
-    /// ([`tpl_color::negotiate`]).
+    /// ([`tpl_grid::negotiate`] under the [`ColorRule`]).
     pub fn route(&self, design: &Design, guides: &RouteGuides) -> MrTplResult {
         self.route_with_budget(design, guides, &RouteBudget::default())
     }
 
-    /// Like [`route`](MrTplRouter::route), under a [`RouteBudget`].
-    ///
-    /// Search nodes are charged net by net: each net searches under what
-    /// the budget has left after the nets before it, so where the budget
-    /// trips is a pure function of the input.  On exhaustion the router
-    /// stops and returns its best-so-far solution with `stats.outcome` set
-    /// to [`Outcome::Degraded`](tpl_grid::Outcome::Degraded); a passed
-    /// deadline or a cancelled token aborts the same way with
-    /// [`Outcome::Aborted`](tpl_grid::Outcome::Aborted).  Nets left without
-    /// a complete route count in `stats.failed_nets`; the returned
-    /// structures are always internally consistent.
+    /// Like [`route`](MrTplRouter::route), under a [`RouteBudget`] that
+    /// [`tpl_grid::negotiate`] charges net by net, so where it trips is a
+    /// pure function of the input.  The run returns its best-so-far
+    /// solution; `stats.outcome` says why it stopped, and nets left without
+    /// a complete route count in `stats.failed_nets`.
     pub fn route_with_budget(
         &self,
         design: &Design,
@@ -101,18 +93,20 @@ impl MrTplRouter {
         let mut in_guide = DenseBitSet::new(grid.num_vertices());
         let mut seg_sets = 0usize;
 
+        let mut rule = ColorRule::new(design, &grid, self.config.history_increment);
         let run = negotiate(
             design,
             &grid,
             &budget,
-            &self.config,
+            self.config.max_rrr_iterations,
             TRACE,
-            |turn, gstate, map| {
+            &mut rule,
+            |turn, gstate, rule| {
                 // Goal direction only during negotiation: see
                 // `NetBuffers::set_goal_directed`.
                 buffers.set_goal_directed(turn.pass > 0);
-                buffers.arm_budget(turn.allowance, &budget);
-                let (colored, vertices, complete) = self.route_net(
+                buffers.kernel.arm(turn.allowance, &budget);
+                let (mut route, net_seg_sets) = self.route_net(
                     design,
                     &grid,
                     &coverage,
@@ -120,50 +114,46 @@ impl MrTplRouter {
                     &mut buffers,
                     &mut cache,
                     &mut in_guide,
-                    map,
+                    rule.map(),
                     guides,
                     turn.net,
                 );
                 // Kernel effort counters: pruned / popped quantifies how much of
                 // the wavefront was left queued when searches ended, and the
                 // frontier peak is its high-water mark.
-                tpl_trace::counter!("core.search_frontier_pruned", buffers.frontier_pruned());
-                tpl_trace::value!("core.frontier_peak", buffers.frontier_peak());
-                seg_sets += colored.seg_sets;
-                NetRoute {
-                    routed: colored.routed,
-                    segment_masks: colored.segment_masks,
-                    pin_masks: colored.pin_masks,
-                    vertices,
-                    complete,
-                    search_nodes: buffers.nodes_popped(),
-                    stop: buffers.stop_reason(),
-                }
+                tpl_trace::counter!("core.search_frontier_pruned", buffers.kernel.pruned());
+                tpl_trace::value!("core.frontier_peak", buffers.kernel.peak());
+                seg_sets += net_seg_sets;
+                route.search_nodes = buffers.kernel.popped();
+                route.stop = buffers.kernel.stop_reason();
+                route
             },
         );
+        let layout = rule.into_layout();
 
         MrTplResult {
             stats: MrTplStats {
-                conflicts: run.conflicts,
-                stitches: run.stitches,
+                conflicts: run.left,
+                stitches: layout.count_stitches(),
                 rrr_iterations: run.rrr_iterations,
                 failed_nets: run.failed_nets,
                 seg_sets,
                 search_nodes: run.search_nodes,
                 runtime_seconds: start.elapsed().as_secs_f64(),
-                conflict_history: run.conflict_history,
+                conflict_history: run.left_by_pass,
                 outcome: run.outcome,
             },
             solution: run.solution,
-            segment_masks: run.segment_masks,
-            layout: run.layout,
+            segment_masks: run.labels,
+            layout,
         }
     }
 
     /// Routes one multi-pin net (Algorithm 1): seeds the queue with the first
     /// pin's covered vertices in state `111`, repeatedly performs colour-state
     /// searching and backtrace until every pin is connected, then assigns
-    /// masks and emits coloured geometry.
+    /// masks and emits coloured geometry.  Returns the net's route, without
+    /// its search effort, and its number of segSets.
     #[allow(clippy::too_many_arguments)]
     fn route_net(
         &self,
@@ -177,7 +167,7 @@ impl MrTplRouter {
         map: &ColorMap,
         guides: &RouteGuides,
         net_id: NetId,
-    ) -> (ColoredNet, Vec<VertexId>, bool) {
+    ) -> (NetRoute<Option<Mask>>, usize) {
         let _net_span = tpl_trace::span!("core.route_net", net = net_id.index());
         tpl_fault::point!("core.route_net", net_id.index());
         let net = design.net(net_id);
@@ -254,9 +244,11 @@ impl MrTplRouter {
         }
 
         let assign_span = tpl_trace::span!("core.assign");
-        let colored = assign_and_emit(&ctx, &mut arena, buffers, cache, &paths);
+        let (mut route, seg_sets) = assign_and_emit(&ctx, &mut arena, buffers, cache, &paths);
         drop(assign_span);
-        (colored, tree, complete)
+        route.vertices = tree;
+        route.complete = complete;
+        (route, seg_sets)
     }
 }
 

@@ -46,8 +46,8 @@ use tpl_color::{ColorCostCache, ColorMap, ColorState, Mask, TplConfig};
 use tpl_design::PinId;
 use tpl_geom::Dir;
 use tpl_grid::{
-    CostParams, EpochMap, EpochStamps, GoalBound, GoalMarks, GridGraph, Kernel, RouteBudget,
-    SearchSpace, StopReason, TradCost, VertexId,
+    CostParams, EpochMap, EpochStamps, GoalBound, GoalMarks, GridGraph, Kernel, SearchSpace,
+    TradCost, VertexId,
 };
 
 /// Key units per cost unit when quantising `f64` costs to frontier keys.
@@ -63,8 +63,9 @@ const KEY_RESOLUTION: f64 = 256.0;
 pub struct NetBuffers {
     /// Order the frontier by distance plus the A* lower bound.
     goal_directed: bool,
-    /// The search kernel; its payload is the colour state.
-    kernel: Kernel<ColorState>,
+    /// The search kernel; its payload is the colour state.  The router arms
+    /// it per net and reads its counters.
+    pub(crate) kernel: Kernel<ColorState>,
     /// Which vertices are goals of the current search, and for which pin.
     target: GoalMarks,
     /// The raw verSet id of each vertex within the current net.
@@ -97,44 +98,6 @@ impl NetBuffers {
     pub fn begin_net(&mut self) {
         self.ver_set.begin();
         self.tree.begin();
-    }
-
-    /// Arms the cooperative budget for the next net: `remaining` caps this
-    /// net's frontier pops (what the run budget has left for it), the
-    /// budget's deadline/cancellation are probed at expansion granularity,
-    /// and the per-net search statistics restart from zero.  Buffers start
-    /// unbudgeted.
-    pub fn arm_budget(&mut self, remaining: u64, budget: &RouteBudget) {
-        self.kernel.arm(remaining, budget);
-    }
-
-    /// Why searches of the current net stopped early, if they did.  A
-    /// `None` result from [`search`] with a stop reason set means "budget
-    /// exhausted", not "no path exists".
-    #[inline]
-    pub fn stop_reason(&self) -> Option<StopReason> {
-        self.kernel.stop_reason()
-    }
-
-    /// Frontier pops performed by [`search`] since the last
-    /// [`arm_budget`](Self::arm_budget) — the search-effort counter reported
-    /// as `search_nodes` in run statistics.
-    #[inline]
-    pub fn nodes_popped(&self) -> usize {
-        self.kernel.popped()
-    }
-
-    /// Frontier entries abandoned unexpanded when searches of this net ended
-    /// (see [`Kernel::pruned`]).
-    #[inline]
-    pub fn frontier_pruned(&self) -> usize {
-        self.kernel.pruned()
-    }
-
-    /// High-water mark of live frontier entries across this net's searches.
-    #[inline]
-    pub fn frontier_peak(&self) -> usize {
-        self.kernel.peak()
     }
 
     /// Starts a new pin-to-tree search within the current net.
@@ -493,9 +456,9 @@ mod tests {
                 .expect("path exists");
             assert_eq!(buffers.dist(dst), plain_cost, "a_star = {a_star}");
             assert!(
-                buffers.nodes_popped() < plain_pops,
+                buffers.kernel.popped() < plain_pops,
                 "a_star = {a_star}: {} pops, plain Dijkstra {plain_pops}",
-                buffers.nodes_popped()
+                buffers.kernel.popped()
             );
         }
     }

@@ -21,8 +21,8 @@
 //! ([`tpl_color::TplConfig`] and its `step_costs`), the path emitter
 //! ([`tpl_grid::emit_wires`]), the pin-mask rule
 //! ([`tpl_color::ColorMap::pin_mask`]), the rip-up-and-reroute loop
-//! ([`tpl_color::negotiate`]), and the MST, which the global router shares
-//! too ([`tpl_geom::manhattan_mst`]).
+//! ([`tpl_grid::negotiate`] under [`tpl_color::ColorRule`]), and the MST,
+//! which the global router shares too ([`tpl_geom::manhattan_mst`]).
 //!
 //! # Examples
 //!

@@ -2,15 +2,13 @@
 
 use crate::ExpandedGraph;
 use std::time::Instant;
-use tpl_color::{
-    negotiate, ColorCostCache, ColorMap, ColorState, ColoredLayout, Mask, NetRoute, TplConfig,
-    TraceNames,
-};
+use tpl_color::{ColorCostCache, ColorMap, ColorRule, ColorState, ColoredLayout, Mask, TplConfig};
 use tpl_design::{Design, NetId, PinId, RouteGuides, RoutedNet, RoutingSolution};
 use tpl_geom::{manhattan_mst, Dir, Point};
 use tpl_grid::{
-    emit_wires, guide_membership, DenseBitSet, GoalBound, GoalMarks, GridGraph, GridState, Kernel,
-    Outcome, PinCoverage, RouteBudget, SearchSpace, TradCost, VertexId,
+    emit_wires, guide_membership, negotiate, DenseBitSet, GoalBound, GoalMarks, GridGraph,
+    GridState, Kernel, NetRoute, Outcome, PinCoverage, RouteBudget, SearchSpace, TraceNames,
+    TradCost, VertexId,
 };
 
 /// Key units per cost unit of the search frontier.
@@ -21,8 +19,8 @@ const TRACE: TraceNames = TraceNames {
     pass: "dac12.rrr_iteration",
     rip_up: "dac12.rip_up",
     commit: "dac12.commit",
-    conflict_detect: "dac12.conflict_detect",
-    conflicts_found: "dac12.conflicts_found",
+    detect: "dac12.conflict_detect",
+    found: "dac12.conflicts_found",
     search_nodes: "dac12.search_nodes",
 };
 
@@ -175,19 +173,17 @@ impl Dac12Router {
     /// Routes and colours every net of the design inside the given guides.
     ///
     /// Each net is ripped up just before it reroutes and committed as soon
-    /// as it is routed ([`tpl_color::negotiate`], the loop Mr.TPL shares).
+    /// as it is routed ([`tpl_grid::negotiate`] under the [`ColorRule`] Mr.TPL
+    /// shares).
     pub fn route(&self, design: &Design, guides: &RouteGuides) -> Dac12Result {
         self.route_with_budget(design, guides, &RouteBudget::default())
     }
 
-    /// Like [`route`](Dac12Router::route), under a [`RouteBudget`].
-    ///
-    /// Search nodes are charged net by net: each net searches under what
-    /// the budget has left after the nets before it, so where the budget
-    /// trips is a pure function of the input.  On exhaustion (or a passed
-    /// deadline, or cancellation) the router stops and returns its
-    /// best-so-far solution; nets left without a complete route count in
-    /// `stats.failed_nets`, and `stats.outcome` says why the run stopped.
+    /// Like [`route`](Dac12Router::route), under a [`RouteBudget`] that
+    /// [`tpl_grid::negotiate`] charges net by net, so where it trips is a
+    /// pure function of the input.  The run returns its best-so-far
+    /// solution; `stats.outcome` says why it stopped, and nets left without
+    /// a complete route count in `stats.failed_nets`.
     pub fn route_with_budget(
         &self,
         design: &Design,
@@ -208,13 +204,15 @@ impl Dac12Router {
         };
         let mut two_pin_connections = 0;
 
+        let mut rule = ColorRule::new(design, &grid, self.config.history_increment);
         let run = negotiate(
             design,
             &grid,
             budget,
-            &self.config,
+            self.config.max_rrr_iterations,
             TRACE,
-            |turn, gstate, map| {
+            &mut rule,
+            |turn, gstate, rule| {
                 buffers.kernel.arm(turn.allowance, budget);
                 let (route, connections) = self.route_net(
                     design,
@@ -222,7 +220,7 @@ impl Dac12Router {
                     &expanded,
                     &coverage,
                     gstate,
-                    map,
+                    rule.map(),
                     &mut buffers,
                     guides,
                     turn.net,
@@ -231,11 +229,12 @@ impl Dac12Router {
                 route
             },
         );
+        let layout = rule.into_layout();
 
         Dac12Result {
             stats: Dac12Stats {
-                conflicts: run.conflicts,
-                stitches: run.stitches,
+                conflicts: run.left,
+                stitches: layout.count_stitches(),
                 rrr_iterations: run.rrr_iterations,
                 failed_nets: run.failed_nets,
                 two_pin_connections,
@@ -244,8 +243,8 @@ impl Dac12Router {
                 outcome: run.outcome,
             },
             solution: run.solution,
-            segment_masks: run.segment_masks,
-            layout: run.layout,
+            segment_masks: run.labels,
+            layout,
         }
     }
 
@@ -264,7 +263,7 @@ impl Dac12Router {
         buffers: &mut SearchBuffers,
         guides: &RouteGuides,
         net_id: NetId,
-    ) -> (NetRoute, usize) {
+    ) -> (NetRoute<Option<Mask>>, usize) {
         let net = design.net(net_id);
         let SearchBuffers {
             kernel,
@@ -325,7 +324,7 @@ impl Dac12Router {
                         &path,
                         |i| Some(masks[i]),
                         &mut route.routed,
-                        &mut route.segment_masks,
+                        &mut route.labels,
                     );
                     for &v in &path {
                         gstate.occupy(v, net_id);
@@ -341,9 +340,9 @@ impl Dac12Router {
         // Pin colours: the mask of the nearest wire, unless another net
         // presses it (the rule Mr.TPL colours its pins by).
         for &pin in net.pins() {
-            let wire = pin_wire_mask(design, pin, &route.routed, &route.segment_masks);
+            let wire = pin_wire_mask(design, pin, &route.routed, &route.labels);
             let mask = wire.map(|wire| map.pin_mask(net_id, design.pin(pin).shapes(), wire));
-            route.pin_masks.push((pin, mask));
+            route.pins.push((pin, mask));
         }
         route.search_nodes = kernel.popped();
         route.stop = kernel.stop_reason();

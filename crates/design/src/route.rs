@@ -193,7 +193,7 @@ impl RoutedNet {
 /// The routing result for a whole design.
 ///
 /// Nets that have not been routed yet map to `None`.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RoutingSolution {
     nets: Vec<Option<RoutedNet>>,
 }

@@ -23,7 +23,7 @@ pub(crate) struct MazeBuffers {
     bound: GoalBound,
     /// The unreached pins' vertices, marked per search.
     goals: GoalMarks,
-    /// [`CostParams::base`] per layer and direction of [`tpl_geom::Dir::ALL`].
+    /// [`CostParams::base`] per layer and direction of `tpl_geom::Dir::ALL`.
     base: Vec<[f64; 6]>,
 }
 

@@ -1,10 +1,21 @@
-//! The full-design colour-blind detailed router (rip-up & reroute loop).
+//! The full-design colour-blind detailed router.
 
 use crate::maze::{backtrace, search, MazeBuffers};
-use tpl_design::{Design, NetId, PinId, RouteGuides, RoutedNet, RoutingSolution};
+use tpl_design::{Design, NetId, PinId, RouteGuides, RoutingSolution};
 use tpl_grid::{
-    emit_wires, guide_membership, CostParams, DenseBitSet, EpochStamps, GridGraph, GridState,
-    Outcome, PinCoverage, RouteBudget, TradCost, VertexId,
+    emit_wires, guide_membership, negotiate, CostParams, DenseBitSet, EpochStamps, GridGraph,
+    GridState, NetRoute, Outcome, OverlapRule, PinCoverage, RouteBudget, TraceNames, TradCost,
+    VertexId,
+};
+
+/// Where the Dr.CU-like router's negotiation reports in traces.
+const TRACE: TraceNames = TraceNames {
+    pass: "drcu.rrr_iteration",
+    rip_up: "drcu.rip_up",
+    commit: "drcu.commit",
+    detect: "drcu.overlap_detect",
+    found: "drcu.overlaps_found",
+    search_nodes: "drcu.search_nodes",
 };
 
 /// Configuration of the Dr.CU-like router.
@@ -54,8 +65,6 @@ pub struct DrCuResult {
     pub solution: RoutingSolution,
     /// Run statistics.
     pub stats: DrCuStats,
-    /// The grid paths (vertex lists) per net, kept for downstream colouring.
-    pub net_vertices: Vec<Vec<VertexId>>,
 }
 
 /// The per-run buffers every net's search reuses.
@@ -79,19 +88,21 @@ impl DrCuRouter {
     }
 
     /// Routes every net of the design inside the given guides.
+    ///
+    /// The passes are [`tpl_grid::negotiate`]'s under the
+    /// [`OverlapRule`]: a pass leaves the vertices a later net took over
+    /// from an earlier one, and the earlier net reroutes against the
+    /// history charged under them.  Each net is ripped up just before it
+    /// reroutes and committed as soon as it is routed.
     pub fn route(&self, design: &Design, guides: &RouteGuides) -> DrCuResult {
         self.route_with_budget(design, guides, &RouteBudget::default())
     }
 
-    /// Like [`route`](DrCuRouter::route), under a [`RouteBudget`].
-    ///
-    /// Search nodes are charged between nets: each net searches under what
-    /// the budget has left after the nets before it, so where the budget
-    /// trips is a pure function of the input.  On exhaustion (or a passed
-    /// deadline, or cancellation) the router stops before the next net and
-    /// returns its best-so-far solution; `stats.outcome` says why the run
-    /// stopped.  `stats.failed_nets` counts the nets whose last route left a
-    /// pin unconnected and the nets a budget stop left without geometry.
+    /// Like [`route`](DrCuRouter::route), under a [`RouteBudget`] that
+    /// [`tpl_grid::negotiate`] charges net by net, so where it trips is a
+    /// pure function of the input.  The run returns its best-so-far
+    /// solution; `stats.outcome` says why it stopped, and nets left without
+    /// a complete route count in `stats.failed_nets`.
     pub fn route_with_budget(
         &self,
         design: &Design,
@@ -100,94 +111,40 @@ impl DrCuRouter {
     ) -> DrCuResult {
         let grid = GridGraph::build(design);
         let coverage = PinCoverage::build(&grid, design);
-        let mut state = GridState::new(&grid, design);
         let mut buffers = SearchBuffers {
             maze: MazeBuffers::new(&grid, &self.config.cost),
             in_guide: DenseBitSet::new(grid.num_vertices()),
             in_tree: EpochStamps::new(grid.num_vertices()),
         };
-        let mut solution = RoutingSolution::new(design.nets().len());
-        let mut net_vertices: Vec<Vec<VertexId>> = vec![Vec::new(); design.nets().len()];
-        let mut complete = vec![false; design.nets().len()];
-        let mut stats = DrCuStats::default();
-
-        let mut to_route = design.nets_by_bbox();
-        'rrr: for iteration in 0..=self.config.max_rrr_iterations {
-            stats.rrr_iterations = iteration;
-            for &net_id in &to_route {
-                let remaining = match budget.allowance(stats.search_nodes as u64) {
-                    Ok(remaining) => remaining,
-                    Err(reason) => {
-                        stats.outcome = stats.outcome.merge(Outcome::from_stop(reason));
-                        stats.remaining_overlaps =
-                            collect_overlap_victims(design, &state, &net_vertices).len();
-                        break 'rrr;
-                    }
-                };
-                // Rip up any stale geometry of this net.
-                state.release_vertices(&net_vertices[net_id.index()], net_id);
-                solution.rip_up(net_id);
-                net_vertices[net_id.index()].clear();
-
-                buffers.maze.kernel.arm(remaining, budget);
-                let (routed, vertices, connected) = self.route_net(
-                    design,
-                    &grid,
-                    &coverage,
-                    &mut buffers,
-                    &state,
-                    guides,
-                    net_id,
-                );
-                let popped = buffers.maze.kernel.popped();
-                stats.search_nodes += popped;
-                tpl_trace::counter!("drcu.search_nodes", popped);
-                if let Some(reason) = buffers.maze.kernel.stop_reason() {
-                    stats.outcome = stats.outcome.merge(Outcome::from_stop(reason));
-                }
-                complete[net_id.index()] = connected;
-                for &v in &vertices {
-                    state.occupy(v, net_id);
-                }
-                solution.set(net_id, routed);
-                net_vertices[net_id.index()] = vertices;
-            }
-
-            // Find overlap victims: nets whose vertices are also claimed by
-            // an earlier-committed net are detectable by re-walking every
-            // net's vertex list and checking the final occupant.
-            let victims = collect_overlap_victims(design, &state, &net_vertices);
-            // A budget stop inside this iteration ends the run here.
-            if victims.is_empty()
-                || iteration == self.config.max_rrr_iterations
-                || !stats.outcome.is_complete()
-            {
-                stats.remaining_overlaps = victims.len();
-                break;
-            }
-            // Rip up the victims and try again.
-            let mut next: Vec<NetId> = victims.iter().map(|(net, _)| *net).collect();
-            next.sort_unstable_by_key(|id| id.index());
-            next.dedup();
-            for &(_, vertex) in &victims {
-                state.add_history(vertex, self.config.history_increment);
-            }
-            for &net in &next {
-                state.release_vertices(&net_vertices[net.index()], net);
-            }
-            to_route = next;
-        }
-
-        stats.failed_nets = complete.iter().filter(|c| !**c).count();
+        let rule = &mut OverlapRule {
+            history_increment: self.config.history_increment,
+        };
+        let run = negotiate(
+            design,
+            &grid,
+            budget,
+            self.config.max_rrr_iterations,
+            TRACE,
+            rule,
+            |turn, state, _| {
+                buffers.maze.kernel.arm(turn.allowance, budget);
+                let net = turn.net;
+                self.route_net(design, &grid, &coverage, &mut buffers, state, guides, net)
+            },
+        );
         DrCuResult {
-            solution,
-            stats,
-            net_vertices,
+            stats: DrCuStats {
+                rrr_iterations: run.rrr_iterations,
+                failed_nets: run.failed_nets,
+                remaining_overlaps: run.left,
+                search_nodes: run.search_nodes,
+                outcome: run.outcome,
+            },
+            solution: run.solution,
         }
     }
 
-    /// Routes one (multi-pin) net; returns its geometry, the grid vertices it
-    /// uses, and whether every pin was connected.
+    /// Routes one (multi-pin) net.
     #[allow(clippy::too_many_arguments)]
     fn route_net(
         &self,
@@ -198,7 +155,7 @@ impl DrCuRouter {
         state: &GridState,
         guides: &RouteGuides,
         net_id: NetId,
-    ) -> (RoutedNet, Vec<VertexId>, bool) {
+    ) -> NetRoute {
         let net = design.net(net_id);
         let SearchBuffers {
             maze,
@@ -216,38 +173,38 @@ impl DrCuRouter {
             in_guide,
         };
 
-        let mut routed = RoutedNet::new();
-        let mut tree: Vec<VertexId> = Vec::new();
+        let mut route = NetRoute {
+            complete: true,
+            ..NetRoute::default()
+        };
+        let tree = &mut route.vertices;
         in_tree.begin();
-        grow(&mut tree, in_tree, coverage.vertices(net.pins()[0]));
+        grow(tree, in_tree, coverage.vertices(net.pins()[0]));
         let mut unreached: Vec<PinId> = net.pins()[1..].to_vec();
-        let mut complete = true;
 
         while !unreached.is_empty() {
-            match search(&cost, maze, &tree, &unreached) {
-                Some((dst, pin)) => {
-                    let path = backtrace(&maze.kernel, dst);
-                    emit_wires(grid, &path, |_| (), &mut routed, &mut Vec::new());
-                    grow(&mut tree, in_tree, &path);
-                    // The reached pin's own access vertices join the tree so
-                    // later connections can start from them.
-                    grow(&mut tree, in_tree, coverage.vertices(pin));
-                    unreached.retain(|p| *p != pin);
-                    // Any other pin covered by the path is also reached.
-                    unreached.retain(|p| {
-                        !coverage
-                            .vertices(*p)
-                            .iter()
-                            .any(|v| in_tree.is_fresh(v.index()))
-                    });
-                }
-                None => {
-                    complete = false;
-                    break;
-                }
-            }
+            let Some((dst, pin)) = search(&cost, maze, tree, &unreached) else {
+                route.complete = false;
+                break;
+            };
+            let path = backtrace(&maze.kernel, dst);
+            emit_wires(grid, &path, |_| (), &mut route.routed, &mut route.labels);
+            grow(tree, in_tree, &path);
+            // The reached pin's own access vertices join the tree so later
+            // connections can start from them.
+            grow(tree, in_tree, coverage.vertices(pin));
+            unreached.retain(|p| *p != pin);
+            // Any other pin covered by the path is also reached.
+            unreached.retain(|p| {
+                !coverage
+                    .vertices(*p)
+                    .iter()
+                    .any(|v| in_tree.is_fresh(v.index()))
+            });
         }
-        (routed, tree, complete)
+        route.search_nodes = maze.kernel.popped();
+        route.stop = maze.kernel.stop_reason();
+        route
     }
 }
 
@@ -260,25 +217,6 @@ fn grow(tree: &mut Vec<VertexId>, in_tree: &mut EpochStamps, vertices: &[VertexI
             tree.push(v);
         }
     }
-}
-
-/// Returns `(net, vertex)` pairs where a net's committed vertex is now
-/// occupied by a different net (an overlap/short created because the
-/// occupancy penalty was paid during search).
-fn collect_overlap_victims(
-    design: &Design,
-    state: &GridState,
-    net_vertices: &[Vec<VertexId>],
-) -> Vec<(NetId, VertexId)> {
-    let mut victims = Vec::new();
-    for net in design.nets() {
-        for &v in &net_vertices[net.id().index()] {
-            if state.is_occupied_by_other(v, net.id()) {
-                victims.push((net.id(), v));
-            }
-        }
-    }
-    victims
 }
 
 #[cfg(test)]
@@ -356,7 +294,7 @@ mod tests {
         assert!(base.solution.routed_count() < design.nets().len());
         let again = router.route_with_budget(&design, &guides, &budget);
         assert_eq!(again.stats, base.stats);
-        assert_eq!(again.net_vertices, base.net_vertices);
+        assert_eq!(again.solution, base.solution);
     }
 
     #[test]

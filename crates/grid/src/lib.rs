@@ -26,6 +26,7 @@
 //! * [`TradCost`] — the one traditional step cost (`Cost_trad` of Eq. (1)),
 //!   over the net's [`guide_membership`], with its direction-class part
 //!   tabulated once by [`CostParams::base_table`];
+//! * [`negotiate`] — the one rip-up-and-reroute loop, under each router's rule;
 //! * [`GoalMarks`] — the O(1) goal test of the detailed routers' searches;
 //! * [`EpochMap`] (and [`EpochStamps`], its value-less form) — the O(1)-reset
 //!   generation stamps behind every reused per-vertex buffer.
@@ -51,6 +52,7 @@ mod epoch;
 mod frontier;
 mod graph;
 mod kernel;
+mod negotiate;
 mod path;
 mod pins;
 mod state;
@@ -62,6 +64,9 @@ pub use costs::{guide_membership, CostParams, TradCost};
 pub use epoch::{EpochMap, EpochStamps};
 pub use graph::{GridGraph, VertexId};
 pub use kernel::{Kernel, SearchSpace};
+pub use negotiate::{
+    negotiate, Negotiation, NegotiationRule, NetRoute, NetTurn, OverlapRule, TraceNames,
+};
 pub use path::emit_wires;
 pub use pins::{GoalMarks, PinCoverage};
 pub use state::GridState;

@@ -88,20 +88,8 @@ pub fn run_drcu(
     let start = Instant::now();
     let result = DrCuRouter::new(*config).route_with_budget(design, guides, budget);
     let runtime_seconds = start.elapsed().as_secs_f64();
-    let cost = score_solution(design, guides, &result.solution, &ScoreWeights::default());
     (
-        CaseRecord {
-            case: design.name().to_string(),
-            conflicts: 0,
-            stitches: 0,
-            cost: cost.total(),
-            runtime_seconds,
-            wirelength: result.solution.total_wirelength(),
-            vias: result.solution.total_vias(),
-            search_nodes: result.stats.search_nodes,
-            rrr_iterations: result.stats.rrr_iterations,
-            outcome: result.stats.outcome,
-        },
+        drcu_record(design, guides, &result, runtime_seconds),
         result,
     )
 }
@@ -121,22 +109,34 @@ pub fn run_decompose(
     // Route + decompose only: scoring is excluded, like the TPL-aware flows
     // whose runtimes come from the routers' internal stats.
     let runtime_seconds = start.elapsed().as_secs_f64();
+    let record = CaseRecord {
+        conflicts: result.stats.conflicts,
+        stitches: result.stats.stitches,
+        ..drcu_record(design, guides, &routed, runtime_seconds)
+    };
+    (record, result)
+}
+
+/// The record of a Dr.CU-like routing run, with no conflicts or stitches.
+fn drcu_record(
+    design: &Design,
+    guides: &RouteGuides,
+    routed: &tpl_drcu::DrCuResult,
+    runtime_seconds: f64,
+) -> CaseRecord {
     let cost = score_solution(design, guides, &routed.solution, &ScoreWeights::default());
-    (
-        CaseRecord {
-            case: design.name().to_string(),
-            conflicts: result.stats.conflicts,
-            stitches: result.stats.stitches,
-            cost: cost.total(),
-            runtime_seconds,
-            wirelength: routed.solution.total_wirelength(),
-            vias: routed.solution.total_vias(),
-            search_nodes: routed.stats.search_nodes,
-            rrr_iterations: routed.stats.rrr_iterations,
-            outcome: routed.stats.outcome,
-        },
-        result,
-    )
+    CaseRecord {
+        case: design.name().to_string(),
+        conflicts: 0,
+        stitches: 0,
+        cost: cost.total(),
+        runtime_seconds,
+        wirelength: routed.solution.total_wirelength(),
+        vias: routed.solution.total_vias(),
+        search_nodes: routed.stats.search_nodes,
+        rrr_iterations: routed.stats.rrr_iterations,
+        outcome: routed.stats.outcome,
+    }
 }
 
 #[cfg(test)]

@@ -164,6 +164,43 @@ fn real_flow_phases_match_between_worker_counts() {
     tpl_trace::disable();
 }
 
+#[test]
+fn a_traced_drcu_run_reports_every_pass_and_what_it_left() {
+    let _guard = trace_lock();
+    tpl_trace::enable();
+    let registry = MethodRegistry::builtin();
+    let methods = registry.select("drcu").unwrap();
+    // The first pass of ISPD-19-like case 2 at x0.3 leaves overlaps.
+    let cases = run_suite(Suite::Ispd19, &[2], 0.3);
+    let jobs = run_matrix(
+        &methods,
+        &cases,
+        &RunOptions {
+            jobs: 1,
+            deterministic: true,
+            trace: true,
+            ..RunOptions::default()
+        },
+    );
+    tpl_trace::disable();
+    let record = jobs[0].record().expect("drcu completes");
+    let phases = jobs[0].phases.as_ref().expect("traced jobs carry phases");
+    let passes = record.rrr_iterations as u64 + 1;
+    assert!(passes > 1, "the run negotiates");
+    for span in ["drcu.rrr_iteration", "drcu.overlap_detect"] {
+        assert_eq!(
+            phases.span(span).map(|s| s.count),
+            Some(passes),
+            "{span} in {phases:?}"
+        );
+    }
+    assert!(
+        phases.counter("drcu.overlaps_found").unwrap_or(0) > 0,
+        "no drcu.overlaps_found counter in {phases:?}"
+    );
+    assert!(phases.counter("drcu.search_nodes").unwrap_or(0) > 0);
+}
+
 /// A stub that panics inside its own distinctly-named innermost span, so
 /// attribution mix-ups between concurrent jobs are detectable.
 struct PanicsInOwnSpan {
