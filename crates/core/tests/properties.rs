@@ -51,7 +51,7 @@ proptest! {
         let mut route_guides = RouteGuides::new(num_nets);
         for &(layer, x, y, size) in &guides {
             let layer = LayerId::from(layer % num_layers);
-            route_guides.add(net, layer, Rect::from_coords(x, y, x + size, y + size / 2));
+            route_guides.add(net, (layer, layer), Rect::from_coords(x, y, x + size, y + size / 2));
         }
         let mut in_guide = DenseBitSet::new(grid.num_vertices());
         guide_membership(&grid, &route_guides, net, &mut in_guide);

@@ -3,21 +3,23 @@
 use crate::{LayerId, NetId};
 use tpl_geom::Rect;
 
-/// A single rectangular guide region on one layer.
+/// A rectangular guide region over an inclusive span of layers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct GuideRegion {
-    /// Layer the region applies to.
-    pub layer: LayerId,
+    /// The lowest and highest layer the region applies to (inclusive).
+    pub layers: (LayerId, LayerId),
     /// The guided area in database units.
     pub rect: Rect,
 }
 
 /// Route guides for every net of a design.
 ///
-/// A detailed router is free to leave the guide, but pays an out-of-guide
-/// penalty (exactly as in the ISPD contests).  Mr.TPL additionally uses the
-/// guide region to pre-compute colour costs ("Calculate Color Cost by GR
-/// Guide" in the paper's flow).
+/// A net's guide is the union of its regions, each a rectangle over a span
+/// of layers; the global router emits one region per run of gcells along a
+/// gcell row, spanning every layer.  A detailed router is free to leave the
+/// guide, but pays an out-of-guide penalty (exactly as in the ISPD
+/// contests).  Mr.TPL additionally uses the guide region to pre-compute
+/// colour costs ("Calculate Color Cost by GR Guide" in the paper's flow).
 #[derive(Clone, Debug, Default)]
 pub struct RouteGuides {
     per_net: Vec<Vec<GuideRegion>>,
@@ -37,13 +39,19 @@ impl RouteGuides {
         self.per_net.len()
     }
 
-    /// Adds a guide region for a net.
+    /// Adds a guide region for a net over the inclusive layer span `layers`;
+    /// `(l, l)` guides layer `l` alone.
     ///
     /// # Panics
     ///
-    /// Panics if the net id is out of range.
-    pub fn add(&mut self, net: NetId, layer: LayerId, rect: Rect) {
-        self.per_net[net.index()].push(GuideRegion { layer, rect });
+    /// Panics if the net id is out of range or the span's low layer is above
+    /// its high one.
+    pub fn add(&mut self, net: NetId, layers: (LayerId, LayerId), rect: Rect) {
+        assert!(
+            layers.0 <= layers.1,
+            "guide layer span {layers:?} is reversed"
+        );
+        self.per_net[net.index()].push(GuideRegion { layers, rect });
     }
 
     /// The guide regions of one net (possibly empty = unguided).
@@ -56,9 +64,9 @@ impl RouteGuides {
         &self.per_net[net.index()]
     }
 
-    /// `true` if the given location is inside any guide region of the net on
-    /// that layer.  Nets without any region are treated as fully guided
-    /// (no penalty anywhere).
+    /// `true` if the given location is inside any guide region of the net
+    /// whose span includes that layer.  Nets without any region are treated
+    /// as fully guided (no penalty anywhere).
     pub fn covers(&self, net: NetId, layer: LayerId, rect: &Rect) -> bool {
         let regions = self.regions(net);
         if regions.is_empty() {
@@ -66,7 +74,7 @@ impl RouteGuides {
         }
         regions
             .iter()
-            .any(|g| g.layer == layer && g.rect.intersects(rect))
+            .any(|g| g.layers.0 <= layer && layer <= g.layers.1 && g.rect.intersects(rect))
     }
 
     /// The union bounding box of a net's guide (ignoring layers), if any.
@@ -102,11 +110,8 @@ mod tests {
     #[test]
     fn covers_checks_layer_and_geometry() {
         let mut g = RouteGuides::new(1);
-        g.add(
-            NetId::new(0),
-            LayerId::new(1),
-            Rect::from_coords(0, 0, 100, 100),
-        );
+        let m1 = LayerId::new(1);
+        g.add(NetId::new(0), (m1, m1), Rect::from_coords(0, 0, 100, 100));
         assert!(g.covers(
             NetId::new(0),
             LayerId::new(1),
@@ -125,18 +130,32 @@ mod tests {
     }
 
     #[test]
+    fn covers_checks_the_whole_layer_span_and_nothing_past_it() {
+        let mut g = RouteGuides::new(1);
+        let rect = Rect::from_coords(0, 0, 100, 100);
+        g.add(NetId::new(0), (LayerId::new(1), LayerId::new(2)), rect);
+        let probe = Rect::from_coords(50, 50, 60, 60);
+        let covered: Vec<bool> = (0..4u32)
+            .map(|l| g.covers(NetId::new(0), LayerId::new(l), &probe))
+            .collect();
+        assert_eq!(covered, [false, true, true, false]);
+        assert_eq!(g.total_regions(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "reversed")]
+    fn a_reversed_layer_span_is_rejected() {
+        let mut g = RouteGuides::new(1);
+        let rect = Rect::from_coords(0, 0, 100, 100);
+        g.add(NetId::new(0), (LayerId::new(2), LayerId::new(1)), rect);
+    }
+
+    #[test]
     fn bbox_is_union_of_regions() {
         let mut g = RouteGuides::new(1);
-        g.add(
-            NetId::new(0),
-            LayerId::new(0),
-            Rect::from_coords(0, 0, 10, 10),
-        );
-        g.add(
-            NetId::new(0),
-            LayerId::new(1),
-            Rect::from_coords(90, 90, 120, 100),
-        );
+        let (m0, m1) = (LayerId::new(0), LayerId::new(1));
+        g.add(NetId::new(0), (m0, m0), Rect::from_coords(0, 0, 10, 10));
+        g.add(NetId::new(0), (m1, m1), Rect::from_coords(90, 90, 120, 100));
         assert_eq!(
             g.bbox(NetId::new(0)),
             Some(Rect::from_coords(0, 0, 120, 100))

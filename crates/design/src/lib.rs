@@ -4,8 +4,9 @@
 //! original paper: it defines the [`Technology`] (layer stack, pitches,
 //! spacings and the triple-patterning colour-spacing distance `Dcolor`), the
 //! [`Design`] (die area, pins, nets, obstacles), route guides produced by the
-//! global router, and the [`RoutingSolution`] data model shared by every
-//! router and evaluator in the workspace.
+//! global router ([`RouteGuides`]: per net, rectangles that each apply to an
+//! inclusive span of layers), and the [`RoutingSolution`] data model shared
+//! by every router and evaluator in the workspace.
 //!
 //! # Examples
 //!

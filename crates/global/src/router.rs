@@ -1,7 +1,7 @@
 //! The pattern global router.
 
 use crate::GCellGrid;
-use tpl_design::{Design, LayerId, RouteGuides};
+use tpl_design::{Design, LayerId, Net, RouteGuides};
 use tpl_geom::{manhattan_mst, Point};
 use tpl_grid::{Outcome, RouteBudget};
 
@@ -91,49 +91,70 @@ impl GlobalRouter {
         let mut stats = GlobalStats::default();
         let mut stop = None;
         let mut guides = RouteGuides::new(design.nets().len());
+        let layers = (
+            LayerId::new(0),
+            LayerId::from(design.tech().num_layers() - 1),
+        );
         for net in design.nets() {
-            let mut terminals: Vec<(usize, usize)> = net
-                .pins()
-                .iter()
-                .filter_map(|p| design.pin(*p).bbox())
-                .map(|b| grid.cell_of(b.center()))
-                .collect();
-            terminals.sort_unstable();
-            terminals.dedup();
             // The router never searches, so no net spends any node.
             stop = stop.or_else(|| budget.allowance(0).err());
-            // Each MST edge over the terminal gcells becomes the
-            // horizontal-first L between its ends.
-            let mut cells = terminals.clone();
+            let (cells, edges) = guided_cells(design, &grid, net, stop.is_none());
             if stop.is_none() {
-                let points: Vec<Point> = terminals
-                    .iter()
-                    .map(|&(x, y)| Point::new(x as i64, y as i64))
-                    .collect();
-                let mst = manhattan_mst(&points);
-                for &(a, b) in &mst {
-                    cells.extend(l_path(terminals[a], terminals[b]));
-                }
-                stats.pattern_routed += mst.len();
-                tpl_trace::counter!("global.pattern_routed", mst.len());
+                stats.pattern_routed += edges;
+                tpl_trace::counter!("global.pattern_routed", edges);
             }
             // The guide is the union of the visited gcells, each expanded by
-            // `guide_expansion` cells, on every routing layer.
-            cells.sort_unstable();
-            cells.dedup();
+            // `guide_expansion` cells, on every routing layer.  One region
+            // per maximal run of visited gcells along a row whose expanded
+            // cells overlap or abut (at most `2e` gcells apart): the hull of
+            // a run's expanded cells is exactly their union.
             let e = cfg.guide_expansion;
-            for (gx, gy) in cells {
-                let lo = grid.cell_rect(gx.saturating_sub(e), gy.saturating_sub(e));
-                let hi = grid.cell_rect((gx + e).min(grid.nx() - 1), (gy + e).min(grid.ny() - 1));
-                let rect = lo.hull(&hi);
-                for layer in 0..design.tech().num_layers() {
-                    guides.add(net.id(), LayerId::from(layer), rect);
-                }
+            for run in cells.chunk_by(|a, b| a.1 == b.1 && b.0 <= a.0 + 2 * e + 1) {
+                let ((x0, gy), (x1, _)) = (run[0], run[run.len() - 1]);
+                let lo = grid.cell_rect(x0.saturating_sub(e), gy.saturating_sub(e));
+                let hi = grid.cell_rect((x1 + e).min(grid.nx() - 1), (gy + e).min(grid.ny() - 1));
+                guides.add(net.id(), layers, lo.hull(&hi));
             }
         }
         stats.outcome = stop.map_or(Outcome::Complete, Outcome::from_stop);
         (guides, stats)
     }
+}
+
+/// The gcells a net's guide grows from, sorted by row and then column, and
+/// the number of 2-pin connections laid: the terminal gcells (those of the
+/// pins' centres) and, when `route` is set, the horizontal-first L on each
+/// edge of their Manhattan MST.
+pub(crate) fn guided_cells(
+    design: &Design,
+    grid: &GCellGrid,
+    net: &Net,
+    route: bool,
+) -> (Vec<(usize, usize)>, usize) {
+    let mut terminals: Vec<(usize, usize)> = net
+        .pins()
+        .iter()
+        .filter_map(|p| design.pin(*p).bbox())
+        .map(|b| grid.cell_of(b.center()))
+        .collect();
+    terminals.sort_unstable();
+    terminals.dedup();
+    let mut cells = terminals.clone();
+    let mut edges = 0;
+    if route {
+        let points: Vec<Point> = terminals
+            .iter()
+            .map(|&(x, y)| Point::new(x as i64, y as i64))
+            .collect();
+        let mst = manhattan_mst(&points);
+        for &(a, b) in &mst {
+            cells.extend(l_path(terminals[a], terminals[b]));
+        }
+        edges = mst.len();
+    }
+    cells.sort_unstable_by_key(|&(gx, gy)| (gy, gx));
+    cells.dedup();
+    (cells, edges)
 }
 
 /// The horizontal-first L-shaped gcell path from `src` to `dst`: along
@@ -208,33 +229,20 @@ mod tests {
     }
 
     #[test]
-    fn a_two_pin_guide_is_its_horizontal_first_l_on_every_layer() {
+    fn a_two_pin_guide_is_its_horizontal_first_l_as_row_runs_on_every_layer() {
         let design = two_pin_design();
         let (guides, stats) = GlobalRouter::new(GlobalConfig::default()).route_with_stats(&design);
         assert_eq!(stats.pattern_routed, 1);
         assert_eq!(stats.outcome, Outcome::Complete);
-        // Row 2 from column 1 to 6, then column 6 up to row 7, each gcell
-        // grown by one gcell on every side.
-        let cells = (1..=6).map(|x| (x, 2)).chain((3..=7).map(|y| (6, y)));
-        let want: Vec<Rect> = cells
-            .map(|(x, y)| {
-                let (x, y) = (x as i64 * 100, y as i64 * 100);
-                Rect::from_coords(x - 100, y - 100, x + 200, y + 200)
-            })
-            .collect();
+        // Row 2 from column 1 to 6 is one run, then column 6 up to row 7 is
+        // one run per row; each run grows by one gcell on every side.
+        let mut want = vec![Rect::from_coords(0, 100, 800, 400)];
+        want.extend((3..=7).map(|y| Rect::from_coords(500, y * 100 - 100, 800, y * 100 + 200)));
         let net = design.nets()[0].id();
-        for layer in 0..design.tech().num_layers() {
-            let mut got: Vec<Rect> = guides
-                .regions(net)
-                .iter()
-                .filter(|g| g.layer == LayerId::from(layer))
-                .map(|g| g.rect)
-                .collect();
-            got.sort_by_key(|r| (r.lo.x, r.lo.y));
-            let mut want = want.clone();
-            want.sort_by_key(|r| (r.lo.x, r.lo.y));
-            assert_eq!(got, want, "layer {layer}");
-        }
+        let got: Vec<Rect> = guides.regions(net).iter().map(|g| g.rect).collect();
+        assert_eq!(got, want);
+        let every_layer = (LayerId::new(0), LayerId::new(2));
+        assert!(guides.regions(net).iter().all(|g| g.layers == every_layer));
     }
 
     #[test]
@@ -270,14 +278,50 @@ mod tests {
         assert_eq!(stats.outcome, Outcome::Degraded(StopReason::SearchNodes));
         assert_eq!(stats.pattern_routed, 0);
         let net = design.nets()[0].id();
-        let layers = design.tech().num_layers();
-        assert_eq!(guides.regions(net).len(), 2 * layers);
+        let got: Vec<Rect> = guides.regions(net).iter().map(|g| g.rect).collect();
         let want = [
             Rect::from_coords(0, 100, 300, 400),
             Rect::from_coords(500, 600, 800, 900),
         ];
-        assert!(guides.regions(net).iter().all(|g| want.contains(&g.rect)));
+        assert_eq!(got, want);
+        let every_layer = (LayerId::new(0), LayerId::new(2));
+        assert!(guides.regions(net).iter().all(|g| g.layers == every_layer));
         assert_pins_covered(&design, &guides);
+    }
+
+    #[test]
+    fn a_run_bridges_gaps_its_expanded_cells_close() {
+        // Terminal gcells only (zero budget), in row 2: gcells 1 and 4 grow
+        // to columns 0-2 and 3-5, which abut; gcells 1 and 5 leave column 3
+        // unguided.
+        let regions = |x: i64| {
+            let mut b = DesignBuilder::new(
+                "gap",
+                Technology::ispd_like(3),
+                Rect::from_coords(0, 0, 1000, 1000),
+            );
+            let p0 = b.add_pin_shape("a", 0, Rect::from_coords(146, 246, 154, 254));
+            let p1 = b.add_pin_shape("b", 0, Rect::from_coords(x, 246, x + 8, 254));
+            b.add_net("n", vec![p0, p1]);
+            let design = b.build().unwrap();
+            let budget = RouteBudget::with_max_search_nodes(0);
+            let (guides, _) =
+                GlobalRouter::new(GlobalConfig::default()).route_with_budget(&design, &budget);
+            let net = design.nets()[0].id();
+            guides
+                .regions(net)
+                .iter()
+                .map(|g| g.rect)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(regions(446), [Rect::from_coords(0, 100, 600, 400)]);
+        assert_eq!(
+            regions(546),
+            [
+                Rect::from_coords(0, 100, 300, 400),
+                Rect::from_coords(400, 100, 700, 400)
+            ]
+        );
     }
 
     #[test]

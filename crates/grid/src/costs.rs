@@ -166,9 +166,10 @@ impl TradCost<'_> {
 }
 
 /// Fills `in_guide` with one net's guide membership: the vertices inside
-/// the net's guide regions, or every vertex for a net without guides.  Each
-/// router owns one `in_guide` set over the grid's vertices and refills it
-/// per net, a row of each guide rectangle at a time.
+/// the net's guide regions on every layer of each region's span, or every
+/// vertex for a net without guides.  Each router owns one `in_guide` set over
+/// the grid's vertices and refills it per net, a row of each guide rectangle
+/// at a time.
 pub fn guide_membership(
     grid: &GridGraph,
     guides: &RouteGuides,
@@ -186,9 +187,11 @@ pub fn guide_membership(
         if xs.is_empty() {
             continue;
         }
-        for iy in ys {
-            let row = grid.vertex(region.layer.index(), xs.start, iy).index();
-            in_guide.insert_range(row..row + xs.len());
+        for layer in region.layers.0.index()..=region.layers.1.index() {
+            for iy in ys.clone() {
+                let row = grid.vertex(layer, xs.start, iy).index();
+                in_guide.insert_range(row..row + xs.len());
+            }
         }
     }
 }
@@ -276,8 +279,8 @@ mod tests {
             s ^= s << 17;
             (s % m as u64) as i64
         };
-        // Off-grid corners, rects reaching past the die, and thin rects
-        // that miss every track.
+        // Off-grid corners, rects reaching past the die, thin rects that
+        // miss every track, and spans of one or more layers.
         for net in design.nets().iter().take(20) {
             for _ in 0..1 + r(4) {
                 let (x, y) = (
@@ -285,8 +288,11 @@ mod tests {
                     die.lo.y - 40 + r(die.height() + 80),
                 );
                 let rect = Rect::from_coords(x, y, x + r(300), y + r(300));
-                let layer = LayerId::from(r(grid.num_layers() as i64) as usize);
-                guides.add(net.id(), layer, rect);
+                let n = grid.num_layers() as i64;
+                let lo = r(n);
+                let hi = lo + r(n - lo);
+                let layers = (LayerId::from(lo as usize), LayerId::from(hi as usize));
+                guides.add(net.id(), layers, rect);
             }
         }
         let mut mask = DenseBitSet::full(grid.num_vertices());
@@ -295,8 +301,11 @@ mod tests {
             let regions = guides.regions(net.id());
             let mut want = DenseBitSet::new(grid.num_vertices());
             for region in regions {
-                for v in grid.vertices_in_rect(region.layer, &region.rect) {
-                    want.insert(v.index());
+                let (lo, hi) = region.layers;
+                for layer in lo.index()..=hi.index() {
+                    for v in grid.vertices_in_rect(LayerId::from(layer), &region.rect) {
+                        want.insert(v.index());
+                    }
                 }
             }
             if regions.is_empty() {

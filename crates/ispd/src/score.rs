@@ -258,7 +258,11 @@ mod tests {
     fn out_of_guide_wire_is_charged() {
         let d = design();
         let mut guides = RouteGuides::new(d.nets().len());
-        guides.add(NetId::new(0), L::new(0), Rect::from_coords(0, 0, 100, 100));
+        guides.add(
+            NetId::new(0),
+            (L::new(0), L::new(0)),
+            Rect::from_coords(0, 0, 100, 100),
+        );
         let mut sol = RoutingSolution::new(d.nets().len());
         // Entirely outside the guide box.
         sol.set(
