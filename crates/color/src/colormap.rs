@@ -271,7 +271,7 @@ impl ColorMap {
     /// equals and then mask order.  So the pin keeps its wire's mask unless
     /// a feature of another net presses it harder than another mask, and
     /// pays a stitch rather than a conflict: pin geometry cannot move.
-    /// Mr.TPL and the DAC'12 baseline colour their pins by this rule.
+    /// Both colour routers apply it through [`color_route`](crate::color_route).
     pub fn pin_mask(&self, net: NetId, shapes: &[(LayerId, Rect)], wire: Mask) -> Mask {
         let mut pressure = [0usize; 3];
         for (layer, rect) in shapes {

@@ -25,16 +25,17 @@
 //!   baseline, and its [`step_costs`](TplConfig::step_costs), the one
 //!   mask-step cost both routers' searches price (`Cost_trad` plus colour
 //!   pressure plus a stitch off the inherited masks, Eq. (1)).
-//! * [`ColorMap::pin_mask`] — the one rule both routers colour pins by.
+//! * [`color_route`] — the one rule by which both routers turn a net's
+//!   paths into its coloured wires and pins, by [`ColorMap::pin_mask`].
 //! * [`ColorRule`] — the colour rule both routers hand the shared
 //!   negotiation driver [`tpl_grid::negotiate`]: it keeps the colour map of
 //!   the committed nets, and a pass leaves colour conflicts whose victims
 //!   reroute.
 //!
-//! With the shared path emitter [`tpl_grid::emit_wires`] and MST
-//! [`tpl_geom::manhattan_mst`], the two routers differ only in their search
-//! graph (colour states on grid vertices, or one node per vertex and mask)
-//! and in routing a net whole or as 2-pin connections.
+//! With [`color_route`] and the shared MST [`tpl_geom::manhattan_mst`], the
+//! two routers differ only in their search graph (colour states on grid
+//! vertices, or one node per vertex and mask) and in routing a net whole or
+//! as 2-pin connections.
 //!
 //! # Examples
 //!
@@ -55,6 +56,7 @@ mod colormap;
 mod config;
 mod layout;
 mod mask;
+mod route;
 mod rule;
 mod sets;
 mod state;
@@ -64,6 +66,7 @@ pub use colormap::{ColorMap, Feature, FeatureKind};
 pub use config::TplConfig;
 pub use layout::{ColoredLayout, ConflictPair, LayoutStats, StitchSite};
 pub use mask::Mask;
+pub use route::{color_route, ColoredPath};
 pub use rule::ColorRule;
 pub use sets::{ColorSetArena, SegSetId, VerSetId};
 pub use state::ColorState;

@@ -2,8 +2,8 @@
 
 use crate::{NetBuffers, SearchContext};
 use std::collections::HashMap;
-use tpl_color::{ColorCostCache, ColorSetArena, Mask, SegSetId};
-use tpl_grid::{emit_wires, NetRoute, TradCost, VertexId};
+use tpl_color::{color_route, ColorCostCache, ColorSetArena, ColoredPath, Mask, SegSetId};
+use tpl_grid::{NetRoute, TradCost, VertexId};
 
 /// Commits a final mask to every segSet of a net and emits the coloured
 /// geometry: the route's segments, their masks and its pins' masks (`None`
@@ -12,10 +12,9 @@ use tpl_grid::{emit_wires, NetRoute, TradCost, VertexId};
 ///
 /// For every segSet the candidate mask with the smallest accumulated
 /// colour-pressure over its member vertices wins (deterministic tie-break on
-/// mask order).  Wire geometry is then emitted per path by
-/// [`emit_wires`], splitting segments wherever the layer, the routing axis
-/// or the assigned mask changes, and every pin takes its mask by
-/// [`ColorMap::pin_mask`](tpl_color::ColorMap::pin_mask).
+/// mask order).  The paths, each vertex with its segSet's mask, then become
+/// the net's wires and pin masks by [`color_route`], the rule the DAC'12
+/// baseline colours by too.
 pub fn assign_and_emit(
     ctx: &SearchContext<'_>,
     arena: &mut ColorSetArena,
@@ -73,50 +72,14 @@ pub fn assign_and_emit(
         seg_mask.insert(seg, best);
     }
 
-    let mask_of = |v: VertexId| -> Option<Mask> {
-        buffers
-            .ver_set(v)
-            .and_then(|vs| seg_mask.get(&arena.seg_of(vs)).copied())
-    };
-
-    // 3. Emit geometry path by path.
-    let mut out = NetRoute::default();
-    for path in paths {
-        emit_wires(
-            grid,
-            path,
-            |i| mask_of(path[i]),
-            &mut out.routed,
-            &mut out.labels,
-        );
-    }
-
-    // 4. Pin masks: the mask of the wire that reaches the pin, unless
-    // another net presses it (`ColorMap::pin_mask`).
-    for &pin in design.net(net).pins() {
-        let wire_mask = coverage
-            .vertices(pin)
-            .iter()
-            .find_map(|v| mask_of(*v))
-            .or_else(|| {
-                // Fall back to the mask of the nearest routed vertex among
-                // all paths (the pin is reached through a covered vertex).
-                paths
-                    .iter()
-                    .flatten()
-                    .filter_map(|v| {
-                        let p = grid.point_of(*v);
-                        let pin_box = design.pin(pin).bbox()?;
-                        Some((pin_box.spacing_to_point(&p), mask_of(*v)?))
-                    })
-                    .min_by_key(|(d, _)| *d)
-                    .map(|(_, m)| m)
-            });
-
-        let mask = wire_mask.map(|wire| map.pin_mask(net, design.pin(pin).shapes(), wire));
-        out.pins.push((pin, mask));
-    }
-    (out, seg_mask.len())
+    // 3. Wires and pin masks by the colour routers' one rule.
+    let mask_of = |v: &VertexId| seg_mask.get(&arena.seg_of(buffers.ver_set(*v)?)).copied();
+    let colored: Vec<ColoredPath> = paths
+        .iter()
+        .map(|path| (path.clone(), path.iter().map(mask_of).collect()))
+        .collect();
+    let route = color_route(grid, design, coverage, map, net, &colored);
+    (route, seg_mask.len())
 }
 
 #[cfg(test)]

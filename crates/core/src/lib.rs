@@ -15,9 +15,9 @@
 //!    reached pin, grouping vertices into verSets and segSets; states are
 //!    intersected along the path, and a stitch is exactly a segSet boundary.
 //! 3. **Mask assignment** (the `assign` module): every segSet commits to the candidate
-//!    mask with the lowest conflict pressure; wire geometry is emitted with
-//!    one mask per segment ([`tpl_grid::emit_wires`]), and pins take their
-//!    masks by [`tpl_color::ColorMap::pin_mask`], as in the DAC'12 baseline.
+//!    mask with the lowest conflict pressure; the paths, each vertex with
+//!    its segSet's mask, become the net's wires and pin masks by
+//!    [`tpl_color::color_route`], as in the DAC'12 baseline.
 //! 4. **Rip-up and reroute**: remaining colour conflicts bump history costs
 //!    and send their victims back through steps 1–3, one net at a time:
 //!    each victim is ripped up just before it reroutes and committed before

@@ -18,9 +18,9 @@
 //!
 //! Everything else is Mr.TPL's own code, so the comparison isolates the
 //! colour-handling strategy: the configuration and the mask-step cost
-//! ([`tpl_color::TplConfig`] and its `step_costs`), the path emitter
-//! ([`tpl_grid::emit_wires`]), the pin-mask rule
-//! ([`tpl_color::ColorMap::pin_mask`]), the rip-up-and-reroute loop
+//! ([`tpl_color::TplConfig`] and its `step_costs`), the rule that turns a
+//! net's paths and masks into its wires and pin masks
+//! ([`tpl_color::color_route`]), the rip-up-and-reroute loop
 //! ([`tpl_grid::negotiate`] under [`tpl_color::ColorRule`]), and the MST,
 //! which the global router shares too ([`tpl_geom::manhattan_mst`]).
 //!

@@ -2,13 +2,15 @@
 
 use crate::ExpandedGraph;
 use std::time::Instant;
-use tpl_color::{ColorCostCache, ColorMap, ColorRule, ColorState, ColoredLayout, Mask, TplConfig};
-use tpl_design::{Design, NetId, PinId, RouteGuides, RoutedNet, RoutingSolution};
+use tpl_color::{
+    color_route, ColorCostCache, ColorMap, ColorRule, ColorState, ColoredLayout, ColoredPath, Mask,
+    TplConfig,
+};
+use tpl_design::{Design, NetId, PinId, RouteGuides, RoutingSolution};
 use tpl_geom::{manhattan_mst, Dir, Point};
 use tpl_grid::{
-    emit_wires, guide_membership, negotiate, DenseBitSet, GoalBound, GoalMarks, GridGraph,
-    GridState, Kernel, NetRoute, Outcome, PinCoverage, RouteBudget, SearchSpace, TraceNames,
-    TradCost, VertexId,
+    guide_membership, negotiate, DenseBitSet, GoalBound, GoalMarks, GridGraph, GridState, Kernel,
+    NetRoute, Outcome, PinCoverage, RouteBudget, SearchSpace, TraceNames, TradCost,
 };
 
 /// Key units per cost unit of the search frontier.
@@ -40,7 +42,8 @@ pub struct Dac12Stats {
     /// Nets that could not be fully connected (no path for some connection,
     /// or left unrouted by a budget stop).
     pub failed_nets: usize,
-    /// Number of 2-pin connections routed (MST edges over all nets).
+    /// 2-pin connections (MST edges) searched over every pass, reroutes
+    /// included.
     pub two_pin_connections: usize,
     /// Frontier pops over all expanded-graph searches (search effort).
     pub search_nodes: usize,
@@ -142,11 +145,7 @@ impl SplitSearch<'_, '_> {
     /// and the mask of each.  The search has no payload, so it returns plain
     /// Dijkstra's path from one A\*-order pass ([`Kernel::run_one_pass`]),
     /// with the bound on a node's vertex as its `h`.
-    fn route(
-        &mut self,
-        kernel: &mut Kernel<()>,
-        from: PinId,
-    ) -> Option<(Vec<VertexId>, Vec<Mask>)> {
+    fn route(&mut self, kernel: &mut Kernel<()>, from: PinId) -> Option<ColoredPath> {
         let (trad, expanded, bound) = (self.trad, self.expanded, self.bound);
         let sources = trad
             .coverage
@@ -159,8 +158,11 @@ impl SplitSearch<'_, '_> {
         });
         #[cfg(test)]
         tests::cross_check(self, kernel, sources, goal);
-        let path = kernel.path(goal?).into_iter();
-        Some(path.map(|node| expanded.unpack(node)).unzip())
+        let path = kernel.path(goal?).into_iter().map(|node| {
+            let (v, mask) = expanded.unpack(node);
+            (v, Some(mask))
+        });
+        Some(path.unzip())
     }
 }
 
@@ -284,10 +286,7 @@ impl Dac12Router {
         let mst = manhattan_mst(&centers);
         let connections = mst.len();
 
-        let mut route = NetRoute {
-            complete: true,
-            ..NetRoute::default()
-        };
+        let mut paths = Vec::with_capacity(connections);
         for (a, b) in mst {
             let trad = TradCost {
                 grid,
@@ -314,36 +313,20 @@ impl Dac12Router {
                 base,
                 bound,
             };
-            match search.route(kernel, pins[a]) {
-                Some((path, masks)) => {
-                    // Commit this connection immediately: later connections of
-                    // the same net do not get to revise its colours (the
-                    // fundamental limitation of 2-pin methods).
-                    emit_wires(
-                        grid,
-                        &path,
-                        |i| Some(masks[i]),
-                        &mut route.routed,
-                        &mut route.labels,
-                    );
-                    for &v in &path {
-                        gstate.occupy(v, net_id);
-                    }
-                    route.vertices.extend(path);
+            if let Some((path, masks)) = search.route(kernel, pins[a]) {
+                // Commit this connection immediately: later connections of
+                // the same net do not get to revise its colours (the
+                // fundamental limitation of 2-pin methods).
+                for &v in &path {
+                    gstate.occupy(v, net_id);
                 }
-                None => {
-                    route.complete = false;
-                }
+                paths.push((path, masks));
             }
         }
 
-        // Pin colours: the mask of the nearest wire, unless another net
-        // presses it (the rule Mr.TPL colours its pins by).
-        for &pin in net.pins() {
-            let wire = pin_wire_mask(design, pin, &route.routed, &route.labels);
-            let mask = wire.map(|wire| map.pin_mask(net_id, design.pin(pin).shapes(), wire));
-            route.pins.push((pin, mask));
-        }
+        let mut route = color_route(grid, design, coverage, map, net_id, &paths);
+        route.complete = paths.len() == connections;
+        route.vertices = paths.into_iter().flat_map(|(path, _)| path).collect();
         route.search_nodes = kernel.popped();
         route.stop = kernel.stop_reason();
         (route, connections)
@@ -359,32 +342,15 @@ fn mark_targets(targets: &mut GoalMarks, coverage: &PinCoverage, target: PinId) 
     }
 }
 
-/// The mask of the wire touching a pin, if any (nearest segment wins).
-fn pin_wire_mask(
-    design: &Design,
-    pin: PinId,
-    routed: &RoutedNet,
-    masks: &[Option<Mask>],
-) -> Option<Mask> {
-    let bbox = design.pin(pin).bbox()?;
-    routed
-        .segments
-        .iter()
-        .zip(masks.iter())
-        .filter_map(|(seg, mask)| Some((bbox.spacing_to(&seg.rect()), (*mask)?)))
-        .min_by_key(|(d, _)| *d)
-        .map(|(_, m)| m)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::cell::Cell;
-    use tpl_color::{ColorState, Feature};
+    use tpl_color::{ColorState, Feature, FeatureKind};
     use tpl_design::{DesignBuilder, Technology};
     use tpl_geom::{Point, Rect};
     use tpl_global::{GlobalConfig, GlobalRouter};
-    use tpl_grid::StopReason;
+    use tpl_grid::{StopReason, VertexId};
     use tpl_ispd::CaseParams;
 
     thread_local! {
@@ -485,12 +451,13 @@ mod tests {
 
     #[test]
     fn ispd18_case1_quarter_scale_reproduces_its_results() {
-        // Pinned to the results of the `(vertex, mask)` search graph; any
-        // change to the expansion order, the paths or the masks shows here.
+        // Pinned to the results of the `(vertex, mask)` search graph and the
+        // pin-inheritance rule of `color_route`; any change to the expansion
+        // order, the paths, the wire masks or the pin masks shows here.
         let (design, guides) = small_case(0.25);
         let result = Dac12Router::new(Dac12Config::default()).route(&design, &guides);
         let stats = &result.stats;
-        assert_eq!((stats.conflicts, stats.stitches), (0, 6));
+        assert_eq!((stats.conflicts, stats.stitches), (0, 1));
         assert_eq!(result.solution.total_wirelength(), 2540);
         assert_eq!(result.solution.total_vias(), 28);
         assert_eq!(stats.outcome, Outcome::Complete);
@@ -551,6 +518,63 @@ mod tests {
         let length = |net| routed(net).wirelength();
         // 6 pitches for the first connection, 3 + 4 + 1 for the second.
         assert_eq!((length(a), length(b)), (14 * 20, 8 * 20));
+    }
+
+    #[test]
+    fn a_pin_inherits_its_first_colored_covered_vertex_not_its_nearest_segment() {
+        // One layer, 20 × 10 tracks.  Net `n` runs from `a` at (0, 4) over
+        // the off-grid pin `b`, which covers (5..=7, 4) and then
+        // (5..=7, 5), to `c` at (14, 5).  Net `f`, routed first (smaller
+        // box), lies along row 7 from column 10 to 13: within `Dcolor` of
+        // row 5 there, but not of `b`.  So `n`'s connection to `c` takes
+        // another mask than its connection from `a`.  The connection from
+        // `a` ends on (5, 4), `b`'s first covered vertex; the one to `c`
+        // leaves from (7, 5), and its segment overlaps `b`, nearer than
+        // the row-4 segment.  `b` inherits the row-4 mask.
+        let mut builder = DesignBuilder::new(
+            "inherit",
+            Technology::ispd_like(1),
+            Rect::from_coords(0, 0, 400, 200),
+        );
+        let a = builder.add_pin_shape("a", 0, dot(0, 4));
+        let b_box = Rect::from_coords(106, 100, 154, 108);
+        let b = builder.add_pin_shape("b", 0, b_box);
+        let c = builder.add_pin_shape("c", 0, dot(14, 5));
+        let f0 = builder.add_pin_shape("f0", 0, dot(10, 7));
+        let f1 = builder.add_pin_shape("f1", 0, dot(13, 7));
+        let n = builder.add_net("n", vec![a, b, c]);
+        builder.add_net("f", vec![f0, f1]);
+        let design = builder.build().unwrap();
+        let grid = GridGraph::build(&design);
+        let coverage = PinCoverage::build(&grid, &design);
+        assert_eq!(coverage.vertices(b)[0], grid.vertex(0, 5, 4));
+        let guides = RouteGuides::new(design.nets().len());
+        let result = Dac12Router::new(Dac12Config::default()).route(&design, &guides);
+        assert_eq!((result.stats.failed_nets, result.stats.conflicts), (0, 0));
+
+        let routed = result.solution.get(n).expect("routed");
+        let masks = &result.segment_masks[n.index()];
+        let first_covered = track(5, 4);
+        let (row4, nearest) = (
+            routed
+                .segments
+                .iter()
+                .position(|s| s.seg.contains_point(&first_covered)),
+            (0..masks.len()).min_by_key(|&i| b_box.spacing_to(&routed.segments[i].rect())),
+        );
+        let (row4, nearest) = (
+            masks[row4.expect("a wire reaches (5, 4)")],
+            masks[nearest.unwrap()],
+        );
+        assert_ne!(row4, nearest, "the two connections take different masks");
+        let pin_mask = result
+            .layout
+            .features()
+            .iter()
+            .find(|f| f.kind == FeatureKind::Pin && f.net == Some(n) && f.rect == b_box)
+            .expect("b is coloured")
+            .mask;
+        assert_eq!(pin_mask, row4);
     }
 
     #[test]

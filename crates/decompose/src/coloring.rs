@@ -15,6 +15,7 @@ pub fn color_graph(
     nodes: &[FeatureNode],
     config: &DecomposeConfig,
 ) -> (Vec<Option<Mask>>, usize) {
+    let _span = tpl_trace::span!("decompose.color");
     let n = graph.num_nodes();
     let mut masks: Vec<Option<Mask>> = vec![None; n];
     if n == 0 {

@@ -28,6 +28,7 @@ pub fn extract_features(
     solution: &RoutingSolution,
     chunk_pitches: i64,
 ) -> Vec<FeatureNode> {
+    let _span = tpl_trace::span!("decompose.extract");
     let mut nodes = Vec::new();
     let pitch = design.tech().layers()[0].pitch.max(1);
     let chunk_len: Dbu = (chunk_pitches.max(1)) * pitch;

@@ -15,6 +15,7 @@ pub struct ConflictGraph {
 impl ConflictGraph {
     /// Builds the conflict graph of a feature set.
     pub fn build(design: &Design, nodes: &[FeatureNode]) -> Self {
+        let _span = tpl_trace::span!("decompose.graph");
         let dcolor = design.tech().dcolor();
         let num_layers = design.tech().num_layers();
         let mut per_layer: Vec<BinIndex> = (0..num_layers)

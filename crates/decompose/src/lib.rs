@@ -112,13 +112,14 @@ impl Decomposer {
         Self { config }
     }
 
-    /// Colours a routed layout.
+    /// Colours a routed layout; traced, each stage is a `decompose.*` span.
     pub fn decompose(&self, design: &Design, solution: &RoutingSolution) -> DecomposeResult {
         let start = Instant::now();
         let nodes = extract_features(design, solution, self.config.chunk_pitches);
         let graph = ConflictGraph::build(design, &nodes);
         let (masks, components) = color_graph(&graph, &nodes, &self.config);
 
+        let _span = tpl_trace::span!("decompose.evaluate");
         let mut layout = ColoredLayout::new(
             design.die(),
             design.tech().num_layers(),

@@ -201,6 +201,42 @@ fn a_traced_drcu_run_reports_every_pass_and_what_it_left() {
     assert!(phases.counter("drcu.search_nodes").unwrap_or(0) > 0);
 }
 
+#[test]
+fn a_traced_decompose_run_shows_each_stage_once() {
+    let _guard = trace_lock();
+    tpl_trace::enable();
+    let registry = MethodRegistry::builtin();
+    let methods = registry.select("decompose").unwrap();
+    let cases = run_suite(Suite::Ispd19, &[2], 0.3);
+    let jobs = run_matrix(
+        &methods,
+        &cases,
+        &RunOptions {
+            jobs: 1,
+            deterministic: true,
+            trace: true,
+            ..RunOptions::default()
+        },
+    );
+    tpl_trace::disable();
+    assert!(jobs[0].record().is_some(), "decompose completes");
+    // The job's phases are the events of its `harness.execute` span.
+    let phases = jobs[0].phases.as_ref().expect("traced jobs carry phases");
+    for span in [
+        "harness.execute",
+        "decompose.extract",
+        "decompose.graph",
+        "decompose.color",
+        "decompose.evaluate",
+    ] {
+        assert_eq!(
+            phases.span(span).map(|s| s.count),
+            Some(1),
+            "{span} in {phases:?}"
+        );
+    }
+}
+
 /// A stub that panics inside its own distinctly-named innermost span, so
 /// attribution mix-ups between concurrent jobs are detectable.
 struct PanicsInOwnSpan {
