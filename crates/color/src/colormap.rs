@@ -12,15 +12,13 @@ pub enum FeatureKind {
     Wire,
     /// A pin shape.
     Pin,
-    /// A pre-placed obstacle.
-    Obstacle,
 }
 
 /// A coloured (or not-yet-coloured) rectangle on one layer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Feature {
-    /// The owning net; `None` for obstacles.
-    pub net: Option<NetId>,
+    /// The owning net.
+    pub net: NetId,
     /// The layer the feature sits on.
     pub layer: LayerId,
     /// The feature geometry.
@@ -35,7 +33,7 @@ impl Feature {
     /// A wire feature.
     pub fn wire(net: NetId, layer: LayerId, rect: Rect, mask: Option<Mask>) -> Self {
         Feature {
-            net: Some(net),
+            net,
             layer,
             rect,
             mask,
@@ -46,22 +44,11 @@ impl Feature {
     /// A pin feature.
     pub fn pin(net: NetId, layer: LayerId, rect: Rect, mask: Option<Mask>) -> Self {
         Feature {
-            net: Some(net),
+            net,
             layer,
             rect,
             mask,
             kind: FeatureKind::Pin,
-        }
-    }
-
-    /// An obstacle feature.
-    pub fn obstacle(layer: LayerId, rect: Rect, mask: Option<Mask>) -> Self {
-        Feature {
-            net: None,
-            layer,
-            rect,
-            mask,
-            kind: FeatureKind::Obstacle,
         }
     }
 }
@@ -153,12 +140,11 @@ impl ColorMap {
         );
         let id = self.features.len();
         self.per_layer[feature.layer.index()].insert(id as u64, feature.rect);
-        if let Some(net) = feature.net {
-            if self.by_net.len() <= net.index() {
-                self.by_net.resize_with(net.index() + 1, Vec::new);
-            }
-            self.by_net[net.index()].push(id as u32);
+        let net = feature.net.index();
+        if self.by_net.len() <= net {
+            self.by_net.resize_with(net + 1, Vec::new);
         }
+        self.by_net[net].push(id as u32);
         self.features.push(feature);
         self.alive.push(true);
         let updates = self.update_pressure(&feature, true);
@@ -253,7 +239,7 @@ impl ColorMap {
         self.per_layer[layer.index()].for_each_intersecting(&window, |id, _| {
             let id = id as usize;
             let f = &self.features[id];
-            if !self.alive[id] || f.net == Some(net) {
+            if !self.alive[id] || f.net == net {
                 return;
             }
             if let Some(mask) = f.mask {

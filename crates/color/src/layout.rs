@@ -1,6 +1,7 @@
 //! Counting conflicts and stitches on a finished, coloured layout.
 
 use crate::{ColorMap, Feature, FeatureKind, Mask};
+use std::sync::OnceLock;
 use tpl_design::{Design, LayerId, NetId};
 use tpl_geom::{BinIndex, Dbu, Rect};
 use tpl_grid::{GridGraph, GridState};
@@ -46,12 +47,19 @@ pub struct LayoutStats {
     pub features: usize,
 }
 
-/// A fully coloured layout ready for evaluation.
+/// A coloured layout ready for evaluation.
 ///
 /// The evaluation mirrors the paper's tables: the **conflict** column counts
 /// unordered pairs of different-net features on the same layer and the same
 /// mask with spacing below `Dcolor`; the **stitch** column counts mask
 /// changes inside a net (touching same-net features with different masks).
+///
+/// Both columns read one scan of the features, which lists each layer's
+/// interacting pairs once: *near* pairs (different nets, spacing below
+/// `Dcolor`) and *touching* pairs (one net, intersecting rectangles).  The
+/// scan runs at the first query after the last [`add`](Self::add) and does
+/// not read masks, so [`set_mask`](Self::set_mask) keeps it.  The layout
+/// decomposition baseline colours its conflict graph from these same pairs.
 ///
 /// # Examples
 ///
@@ -73,6 +81,18 @@ pub struct ColoredLayout {
     num_layers: usize,
     dcolor: Dbu,
     features: Vec<Feature>,
+    /// The scan of the current features, once a query has run it.
+    pairs: OnceLock<Pairs>,
+}
+
+/// Each layer's interacting feature pairs `(i, j)`, `i < j`, in ascending
+/// order.
+#[derive(Clone, Debug, Default)]
+struct Pairs {
+    /// Different nets, spacing below `dcolor`.
+    near: Vec<(u32, u32)>,
+    /// One net, intersecting rectangles.
+    touching: Vec<(u32, u32)>,
 }
 
 impl ColoredLayout {
@@ -88,17 +108,23 @@ impl ColoredLayout {
             num_layers,
             dcolor,
             features: Vec::new(),
+            pairs: OnceLock::new(),
         }
+    }
+
+    /// An empty layout over a design's die, layers and `Dcolor`.
+    pub fn of_design(design: &Design) -> Self {
+        Self::new(
+            design.die(),
+            design.tech().num_layers(),
+            design.tech().dcolor(),
+        )
     }
 
     /// The layout of a design's live colour map: every feature the map
     /// currently holds, in the map's order.
     pub fn of_map(design: &Design, map: &ColorMap) -> Self {
-        let mut layout = Self::new(
-            design.die(),
-            design.tech().num_layers(),
-            design.tech().dcolor(),
-        );
+        let mut layout = Self::of_design(design);
         for f in map.live_features() {
             layout.add(*f);
         }
@@ -112,8 +138,16 @@ impl ColoredLayout {
     /// Panics if the feature's layer is out of range.
     pub fn add(&mut self, feature: Feature) -> usize {
         assert!(feature.layer.index() < self.num_layers);
+        assert!(self.features.len() < u32::MAX as usize, "too many features");
+        self.pairs.take();
         self.features.push(feature);
         self.features.len() - 1
+    }
+
+    /// Prints feature `index` on `mask`.  The pair scan does not read
+    /// masks, so it is kept.
+    pub fn set_mask(&mut self, index: usize, mask: Option<Mask>) {
+        self.features[index].mask = mask;
     }
 
     /// The features of the layout.
@@ -126,70 +160,84 @@ impl ColoredLayout {
         self.dcolor
     }
 
-    fn layer_indexes(&self) -> Vec<BinIndex> {
+    /// The pair scan of the current features, run on first use.
+    fn pairs(&self) -> &Pairs {
+        self.pairs.get_or_init(|| self.scan())
+    }
+
+    /// Lists every layer's near and touching pairs in one pass over a
+    /// spatial index of each layer.  The query window, the `Dcolor` halo
+    /// less one, contains the feature itself, so it holds every candidate
+    /// of both kinds.
+    fn scan(&self) -> Pairs {
         let bin = (4 * self.dcolor).max(64);
-        let mut idx: Vec<BinIndex> = (0..self.num_layers)
+        let mut index: Vec<BinIndex> = (0..self.num_layers)
             .map(|_| BinIndex::new(self.die, bin))
             .collect();
         for (i, f) in self.features.iter().enumerate() {
-            idx[f.layer.index()].insert(i as u64, f.rect);
+            index[f.layer.index()].insert(i as u64, f.rect);
         }
-        idx
-    }
-
-    fn conflict_pairs(&self, include_pin_pairs: bool) -> Vec<ConflictPair> {
-        let idx = self.layer_indexes();
-        let mut out = Vec::new();
+        let mut pairs = Pairs::default();
+        let mut later = Vec::new();
         for (i, f) in self.features.iter().enumerate() {
-            let (Some(net_i), Some(mask_i)) = (f.net, f.mask) else {
-                continue;
-            };
+            later.clear();
             let window = f.rect.expanded(self.dcolor - 1);
-            for j in idx[f.layer.index()].query(&window) {
-                let j = j as usize;
-                if j <= i {
-                    continue;
+            index[f.layer.index()].for_each_intersecting(&window, |j, _| {
+                if j as usize > i {
+                    later.push(j as u32);
                 }
-                let g = &self.features[j];
-                let (Some(net_j), Some(mask_j)) = (g.net, g.mask) else {
-                    continue;
-                };
-                if net_i == net_j || mask_i != mask_j {
-                    continue;
-                }
-                let both_pins = f.kind == FeatureKind::Pin && g.kind == FeatureKind::Pin;
-                if both_pins != include_pin_pairs {
-                    continue;
-                }
-                if f.rect.spacing_to(&g.rect) < self.dcolor {
-                    out.push(ConflictPair {
-                        a: i,
-                        b: j,
-                        layer: f.layer,
-                        mask: mask_i,
-                    });
+            });
+            later.sort_unstable();
+            for &j in &later {
+                let g = &self.features[j as usize];
+                if f.net != g.net {
+                    if f.rect.spacing_to(&g.rect) < self.dcolor {
+                        pairs.near.push((i as u32, j));
+                    }
+                } else if f.rect.intersects(&g.rect) {
+                    pairs.touching.push((i as u32, j));
                 }
             }
         }
-        out
+        pairs
+    }
+
+    /// Every pair `(i, j)`, `i < j`, of features of different nets on one
+    /// layer closer than `Dcolor`, whatever their masks, in ascending order.
+    pub fn near_pairs(&self) -> impl ExactSizeIterator<Item = (usize, usize)> + '_ {
+        let pairs = &self.pairs().near;
+        pairs.iter().map(|&(i, j)| (i as usize, j as usize))
+    }
+
+    /// Every pair `(i, j)`, `i < j`, of intersecting features of one net on
+    /// one layer, whatever their masks, in ascending order.
+    pub fn touching_pairs(&self) -> impl ExactSizeIterator<Item = (usize, usize)> + '_ {
+        let pairs = &self.pairs().touching;
+        pairs.iter().map(|&(i, j)| (i as usize, j as usize))
     }
 
     /// All routing-induced colour conflicts, each unordered pair reported
-    /// once.
+    /// once, in ascending `(a, b)` order: the near pairs printed on one mask.
     ///
-    /// Pairs where *both* features are pins are excluded here: pin geometry
-    /// is a fixed input that no router (or decomposer working on a routed
+    /// Pairs where *both* features are pins are excluded: pin geometry is a
+    /// fixed input that no router (or decomposer working on a routed
     /// layout) can change, so such conflicts are a property of the benchmark
-    /// rather than of the routing/colouring method.  They are available
-    /// separately through [`ColoredLayout::input_conflicts`], and every
-    /// method in the evaluation is measured under the same rule.
+    /// rather than of the routing/colouring method, and every method in the
+    /// evaluation is measured under the same rule.
     pub fn conflicts(&self) -> Vec<ConflictPair> {
-        self.conflict_pairs(false)
-    }
-
-    /// Pin-to-pin colour conflicts (intrinsic to the input pin fabric).
-    pub fn input_conflicts(&self) -> Vec<ConflictPair> {
-        self.conflict_pairs(true)
+        self.near_pairs()
+            .filter_map(|(a, b)| {
+                let (f, g) = (&self.features[a], &self.features[b]);
+                let mask = f.mask?;
+                let both_pins = f.kind == FeatureKind::Pin && g.kind == FeatureKind::Pin;
+                (g.mask == Some(mask) && !both_pins).then_some(ConflictPair {
+                    a,
+                    b,
+                    layer: f.layer,
+                    mask,
+                })
+            })
+            .collect()
     }
 
     /// Number of routing-induced colour conflicts.
@@ -197,46 +245,21 @@ impl ColoredLayout {
         self.conflicts().len()
     }
 
-    /// All stitches, each unordered pair reported once.
-    ///
-    /// Only wire and pin features participate; a mask change against an
-    /// obstacle is not a stitch.
+    /// All stitches, each unordered pair reported once, in ascending
+    /// `(a, b)` order: the touching pairs printed on two masks.
     pub fn stitches(&self) -> Vec<StitchSite> {
-        let idx = self.layer_indexes();
-        let mut out = Vec::new();
-        for (i, f) in self.features.iter().enumerate() {
-            let (Some(net_i), Some(mask_i)) = (f.net, f.mask) else {
-                continue;
-            };
-            if f.kind == FeatureKind::Obstacle {
-                continue;
-            }
-            for j in idx[f.layer.index()].query(&f.rect) {
-                let j = j as usize;
-                if j <= i {
-                    continue;
-                }
-                let g = &self.features[j];
-                let (Some(net_j), Some(mask_j)) = (g.net, g.mask) else {
-                    continue;
-                };
-                if g.kind == FeatureKind::Obstacle {
-                    continue;
-                }
-                if net_i != net_j || mask_i == mask_j {
-                    continue;
-                }
-                if f.rect.intersects(&g.rect) {
-                    out.push(StitchSite {
-                        net: net_i,
-                        layer: f.layer,
-                        a: i,
-                        b: j,
-                    });
-                }
-            }
-        }
-        out
+        self.touching_pairs()
+            .filter_map(|(a, b)| {
+                let (f, g) = (&self.features[a], &self.features[b]);
+                let stitched = matches!((f.mask, g.mask), (Some(m), Some(n)) if m != n);
+                stitched.then_some(StitchSite {
+                    net: f.net,
+                    layer: f.layer,
+                    a,
+                    b,
+                })
+            })
+            .collect()
     }
 
     /// Number of stitches.
@@ -252,8 +275,7 @@ impl ColoredLayout {
     /// masks again, so the pin's net can resolve the conflict as well as
     /// the wire's.  Between two wires, or two pins, the larger net id
     /// loses; rerouting either net of a pin-pin conflict re-colours its pin
-    /// with full knowledge of the other.  Conflicts involving an obstacle
-    /// are skipped.  Every grid vertex under
+    /// with full knowledge of the other.  Every grid vertex under
     /// either feature of a conflict gets `history_increment`, once per
     /// conflict, so the reroute avoids the region.  The victims come back
     /// sorted by id and deduplicated.
@@ -267,13 +289,10 @@ impl ColoredLayout {
         let mut victims = Vec::new();
         for c in conflicts {
             let (fa, fb) = (&self.features[c.a], &self.features[c.b]);
-            let (Some(na), Some(nb)) = (fa.net, fb.net) else {
-                continue;
-            };
             if fa.kind == fb.kind {
-                victims.push(na.max(nb));
+                victims.push(fa.net.max(fb.net));
             } else {
-                victims.extend([na, nb]);
+                victims.extend([fa.net, fb.net]);
             }
             for rect in [fa.rect, fb.rect] {
                 for v in grid.vertices_in_rect(c.layer, &rect) {
@@ -291,11 +310,7 @@ impl ColoredLayout {
         LayoutStats {
             conflicts: self.count_conflicts(),
             stitches: self.count_stitches(),
-            uncolored: self
-                .features
-                .iter()
-                .filter(|f| f.net.is_some() && f.mask.is_none())
-                .count(),
+            uncolored: self.features.iter().filter(|f| f.mask.is_none()).count(),
             features: self.features.len(),
         }
     }
@@ -412,7 +427,7 @@ mod tests {
     }
 
     #[test]
-    fn pin_to_pin_pairs_are_reported_as_input_conflicts_only() {
+    fn pin_to_pin_pairs_are_near_but_not_conflicts() {
         let mut l = layout();
         l.add(Feature::pin(
             NetId::new(0),
@@ -428,8 +443,8 @@ mod tests {
         ));
         // Fixed pin geometry: not counted as a routing conflict...
         assert_eq!(l.count_conflicts(), 0);
-        // ...but visible through the input-conflict accessor.
-        assert_eq!(l.input_conflicts().len(), 1);
+        // ...but a near pair, which the decomposer's conflict graph reads.
+        assert_eq!(l.near_pairs().collect::<Vec<_>>(), vec![(0, 1)]);
         // A wire next to a same-mask pin is a routing conflict.
         l.add(wire(2, 0, Rect::from_coords(0, 60, 200, 68), Mask::Red));
         assert_eq!(l.count_conflicts(), 1);
@@ -485,30 +500,17 @@ mod tests {
         l.add(wire(2, 0, Rect::from_coords(0, 20, 200, 28), Mask::Red));
         assert_eq!(victims(&l, &l.conflicts()), vec![NetId::new(7)]);
 
+        // Pin-pin pairs are no conflicts, so this one is built by hand.
         let mut l = layout();
-        l.add(pin(3, Rect::from_coords(0, 0, 8, 8), Mask::Red));
-        l.add(pin(4, Rect::from_coords(0, 30, 8, 38), Mask::Red));
-        assert_eq!(victims(&l, &l.input_conflicts()), vec![NetId::new(4)]);
-    }
-
-    #[test]
-    fn obstacle_conflicts_name_no_victim_and_charge_no_history() {
-        let mut l = layout();
-        let a = l.add(wire(1, 0, Rect::from_coords(0, 0, 200, 8), Mask::Red));
-        let b = l.add(Feature::obstacle(
-            LayerId::new(0),
-            Rect::from_coords(0, 20, 200, 28),
-            Some(Mask::Red),
-        ));
+        let a = l.add(pin(3, Rect::from_coords(0, 0, 8, 8), Mask::Red));
+        let b = l.add(pin(4, Rect::from_coords(0, 30, 8, 38), Mask::Red));
         let pair = ConflictPair {
             a,
             b,
             layer: LayerId::new(0),
             mask: Mask::Red,
         };
-        let (grid, mut state) = grid();
-        assert!(l.victims(&[pair], &grid, &mut state, 1.0).is_empty());
-        assert!(grid.iter_vertices().all(|v| state.history(v) == 0.0));
+        assert_eq!(victims(&l, &[pair]), vec![NetId::new(4)]);
     }
 
     #[test]
@@ -550,17 +552,5 @@ mod tests {
             let v = grid.vertex(layer, ix, iy);
             assert_eq!(state.history(v), want, "vertex ({layer}, {ix}, {iy})");
         }
-    }
-
-    #[test]
-    fn obstacles_do_not_create_stitches() {
-        let mut l = layout();
-        l.add(wire(0, 0, Rect::from_coords(0, 0, 100, 8), Mask::Red));
-        l.add(Feature::obstacle(
-            LayerId::new(0),
-            Rect::from_coords(100, 0, 200, 8),
-            Some(Mask::Green),
-        ));
-        assert_eq!(l.count_stitches(), 0);
     }
 }

@@ -18,9 +18,13 @@
 //! * [`ColorCostCache`] — that pressure per grid vertex together with the
 //!   vertex's `Cost_trad` node penalty, one cached record per vertex while
 //!   a net is routed (shared by Mr.TPL and the DAC'12 baseline).
-//! * [`ColoredLayout`] — a finished, fully coloured layout on which colour
-//!   conflicts and stitches are counted for the evaluation tables, and
-//!   whose conflicts name the nets to rip up.
+//! * [`ColoredLayout`] — a layout of features and their masks, and the one
+//!   place that lists which features interact: one scan per layout keeps
+//!   each layer's *near* pairs (different nets closer than `Dcolor`) and
+//!   *touching* pairs (one net, intersecting).  The evaluation tables'
+//!   conflicts and stitches filter those pairs by mask, the conflicts name
+//!   the nets to rip up, and the decomposition baseline builds its conflict
+//!   graph from the same pairs before any mask is set.
 //! * [`TplConfig`] — the one configuration of Mr.TPL and the DAC'12
 //!   baseline, and its [`step_costs`](TplConfig::step_costs), the one
 //!   mask-step cost both routers' searches price (`Cost_trad` plus colour

@@ -175,7 +175,7 @@ mod tests {
     /// The masks of `net`'s live features in `map`.
     fn masks_of(map: &ColorMap, net: NetId) -> Vec<Option<Mask>> {
         map.live_features()
-            .filter(|f| f.net == Some(net))
+            .filter(|f| f.net == net)
             .map(|f| f.mask)
             .collect()
     }

@@ -1,7 +1,7 @@
 //! Property-based tests for the colour substrate.
 
 use proptest::prelude::*;
-use tpl_color::{ColorMap, ColorState, ColoredLayout, Feature, Mask};
+use tpl_color::{ColorMap, ColorState, ColoredLayout, Feature, FeatureKind, Mask};
 use tpl_design::{DesignBuilder, LayerId, NetId, Technology};
 use tpl_geom::Rect;
 use tpl_grid::GridGraph;
@@ -27,6 +27,46 @@ fn arb_state() -> impl Strategy<Value = ColorState> {
 
 fn arb_mask() -> impl Strategy<Value = Mask> {
     (0usize..3).prop_map(Mask::from_index)
+}
+
+/// The colour distance of the layout soups.
+const DCOLOR: i64 = 45;
+
+/// Up to 40 wires and pins of 4 nets on 2 layers, on a 20-unit grid, with
+/// a mask or none: wires along one row touch end to end, pins sit on them.
+fn arb_features() -> impl Strategy<Value = Vec<Feature>> {
+    let feature = (
+        0u32..4,
+        0u32..2,
+        (0i64..12, 0i64..12),
+        1i64..6,
+        0u8..3,
+        0usize..4,
+    );
+    let feature = feature.prop_map(|(net, layer, (gx, gy), len, shape, mask)| {
+        let (x, y) = (gx * 20, gy * 20);
+        let rect = match shape {
+            0 => Rect::from_coords(x, y, x + len * 20, y + 8),
+            1 => Rect::from_coords(x, y, x + 8, y + len * 20),
+            _ => Rect::from_coords(x, y, x + 2 * len, y + 2 * len),
+        };
+        let (net, layer) = (NetId::new(net), LayerId::new(layer));
+        let mask = (mask < 3).then(|| Mask::from_index(mask));
+        if shape < 2 {
+            Feature::wire(net, layer, rect, mask)
+        } else {
+            Feature::pin(net, layer, rect, mask)
+        }
+    });
+    prop::collection::vec(feature, 1..40)
+}
+
+fn layout_of(features: &[Feature]) -> ColoredLayout {
+    let mut layout = ColoredLayout::new(Rect::from_coords(0, 0, 400, 400), 2, DCOLOR);
+    for f in features {
+        layout.add(*f);
+    }
+    layout
 }
 
 proptest! {
@@ -74,47 +114,54 @@ proptest! {
         prop_assert_eq!(ColorState::from_bits(bits), a);
     }
 
-    /// Random wire soup: the number of conflicts counted by ColoredLayout
-    /// equals a brute-force O(n^2) recount, and colouring every wire with a
-    /// distinct-mask greedy scheme never *increases* conflicts relative to
-    /// all-same-mask colouring.
+    /// Random soup of wires and pins on two layers, some unmasked: the
+    /// conflicts ColoredLayout lists equal a brute-force O(n^2) recount, in
+    /// ascending pair order, and pin-pin pairs are not among them.
     #[test]
-    fn conflict_count_matches_bruteforce(
-        wires in prop::collection::vec(
-            (0u32..6, 0i64..30, 0i64..30, 1i64..10, any::<bool>(), 0usize..3),
-            1..25
-        )
-    ) {
-        let die = Rect::from_coords(0, 0, 2000, 2000);
-        let dcolor = 45;
-        let mut layout = ColoredLayout::new(die, 2, dcolor);
-        let mut features = Vec::new();
-        for (net, gx, gy, len, horizontal, mask) in wires {
-            let x = gx * 20;
-            let y = gy * 20;
-            let rect = if horizontal {
-                Rect::from_coords(x, y, x + len * 20, y + 8)
-            } else {
-                Rect::from_coords(x, y, x + 8, y + len * 20)
-            };
-            let f = Feature::wire(NetId::new(net), LayerId::new(0), rect, Some(Mask::from_index(mask)));
-            features.push(f);
-            layout.add(f);
-        }
-        // Brute force recount.
-        let mut expected = 0;
+    fn conflict_count_matches_bruteforce(features in arb_features()) {
+        let layout = layout_of(&features);
+        let mut expected = Vec::new();
         for i in 0..features.len() {
             for j in (i + 1)..features.len() {
                 let (a, b) = (&features[i], &features[j]);
-                if a.net != b.net
+                if a.layer == b.layer
+                    && a.net != b.net
+                    && a.mask.is_some()
                     && a.mask == b.mask
-                    && a.rect.spacing_to(&b.rect) < dcolor
+                    && !(a.kind == FeatureKind::Pin && b.kind == FeatureKind::Pin)
+                    && a.rect.spacing_to(&b.rect) < DCOLOR
                 {
-                    expected += 1;
+                    expected.push((i, j));
                 }
             }
         }
-        prop_assert_eq!(layout.count_conflicts(), expected);
+        let got: Vec<_> = layout.conflicts().iter().map(|c| (c.a, c.b)).collect();
+        prop_assert_eq!(got, expected);
+    }
+
+    /// The same soup: the stitches ColoredLayout lists equal a brute-force
+    /// O(n^2) recount of touching same-net pairs on two masks, in ascending
+    /// pair order.
+    #[test]
+    fn stitch_count_matches_bruteforce(features in arb_features()) {
+        let layout = layout_of(&features);
+        let mut expected = Vec::new();
+        for i in 0..features.len() {
+            for j in (i + 1)..features.len() {
+                let (a, b) = (&features[i], &features[j]);
+                if a.layer == b.layer
+                    && a.net == b.net
+                    && a.mask.is_some()
+                    && b.mask.is_some()
+                    && a.mask != b.mask
+                    && a.rect.intersects(&b.rect)
+                {
+                    expected.push((i, j));
+                }
+            }
+        }
+        let got: Vec<_> = layout.stitches().iter().map(|s| (s.a, s.b)).collect();
+        prop_assert_eq!(got, expected);
     }
 
     /// The ColorMap's mask pressure around a rectangle equals a brute-force
@@ -168,7 +215,7 @@ proptest! {
         prop_assert_eq!(removed, victim_count);
         prop_assert_eq!(map.len(), before - victim_count);
         // No live feature of the victim remains.
-        prop_assert!(map.live_features().all(|f| f.net != Some(NetId::new(victim))));
+        prop_assert!(map.live_features().all(|f| f.net != NetId::new(victim)));
     }
 
     /// Under random insert / remove_net sequences (wires and pins, every
@@ -229,7 +276,7 @@ proptest! {
                 };
                 map.insert(feature);
             }
-            let owner = map.live_features().find_map(|f| f.net).unwrap_or(net);
+            let owner = map.live_features().next().map_or(net, |f| f.net);
             for v in grid.iter_vertices() {
                 let footprint = Rect::from_point(grid.point_of(v)).expanded(HALF_WIDTH);
                 for queried in [owner, unused] {

@@ -571,7 +571,7 @@ mod tests {
             .layout
             .features()
             .iter()
-            .find(|f| f.kind == FeatureKind::Pin && f.net == Some(n) && f.rect == b_box)
+            .find(|f| f.kind == FeatureKind::Pin && f.net == n && f.rect == b_box)
             .expect("b is coloured")
             .mask;
         assert_eq!(pin_mask, row4);

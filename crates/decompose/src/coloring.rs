@@ -1,6 +1,6 @@
 //! Graph simplification and 3-colouring.
 
-use crate::{ConflictGraph, DecomposeConfig, FeatureNode};
+use crate::{ConflictGraph, DecomposeConfig};
 use std::collections::HashMap;
 use tpl_color::Mask;
 
@@ -10,20 +10,13 @@ use tpl_color::Mask;
 ///
 /// Returns the per-node mask assignment and the number of residual
 /// components.
-pub fn color_graph(
-    graph: &ConflictGraph,
-    nodes: &[FeatureNode],
-    config: &DecomposeConfig,
-) -> (Vec<Option<Mask>>, usize) {
+pub fn color_graph(graph: &ConflictGraph, config: &DecomposeConfig) -> (Vec<Option<Mask>>, usize) {
     let _span = tpl_trace::span!("decompose.color");
     let n = graph.num_nodes();
     let mut masks: Vec<Option<Mask>> = vec![None; n];
     if n == 0 {
         return (masks, 0);
     }
-
-    // Same-net touching siblings (for stitch-aware tie-breaking).
-    let siblings = sibling_lists(nodes);
 
     // 1. Peel vertices with active degree < 3.
     let mut active = vec![true; n];
@@ -74,50 +67,22 @@ pub fn color_graph(
         if members.len() <= config.exact_component_limit {
             color_component_exact(graph, members, &mut masks, config.max_backtrack_steps);
         } else {
-            color_component_greedy(graph, members, &siblings, &mut masks);
+            color_component_greedy(graph, members, &mut masks);
         }
     }
 
     // 4. Re-insert peeled vertices in reverse order.
     for &v in stack.iter().rev() {
-        masks[v] = Some(pick_mask(graph, &siblings, &masks, v));
+        masks[v] = Some(pick_mask(graph, &masks, v));
     }
 
     (masks, components.len())
 }
 
-/// Same-net touching chunks, used to prefer stitch-free colours.
-fn sibling_lists(nodes: &[FeatureNode]) -> Vec<Vec<usize>> {
-    let mut by_net: HashMap<(u32, u32), Vec<usize>> = HashMap::new();
-    for (i, node) in nodes.iter().enumerate() {
-        by_net
-            .entry((node.net.0, node.layer.0))
-            .or_default()
-            .push(i);
-    }
-    let mut siblings = vec![Vec::new(); nodes.len()];
-    for members in by_net.values() {
-        for (a_idx, &a) in members.iter().enumerate() {
-            for &b in &members[a_idx + 1..] {
-                if nodes[a].rect.intersects(&nodes[b].rect) {
-                    siblings[a].push(b);
-                    siblings[b].push(a);
-                }
-            }
-        }
-    }
-    siblings
-}
-
 /// The greedy mask choice for one vertex: fewest conflicts with coloured
 /// conflict-neighbours, then fewest stitches with coloured siblings, then the
 /// lowest mask index.
-fn pick_mask(
-    graph: &ConflictGraph,
-    siblings: &[Vec<usize>],
-    masks: &[Option<Mask>],
-    v: usize,
-) -> Mask {
+fn pick_mask(graph: &ConflictGraph, masks: &[Option<Mask>], v: usize) -> Mask {
     let mut conflict_count = [0usize; 3];
     for &u in graph.neighbors(v) {
         if let Some(m) = masks[u] {
@@ -125,7 +90,7 @@ fn pick_mask(
         }
     }
     let mut stitch_count = [0usize; 3];
-    for &s in &siblings[v] {
+    for &s in graph.siblings(v) {
         if let Some(m) = masks[s] {
             for c in Mask::ALL {
                 if c != m {
@@ -147,16 +112,11 @@ fn pick_mask(
 }
 
 /// Greedy colouring of one component, highest degree first.
-fn color_component_greedy(
-    graph: &ConflictGraph,
-    members: &[usize],
-    siblings: &[Vec<usize>],
-    masks: &mut [Option<Mask>],
-) {
+fn color_component_greedy(graph: &ConflictGraph, members: &[usize], masks: &mut [Option<Mask>]) {
     let mut order: Vec<usize> = members.to_vec();
     order.sort_by_key(|v| (std::cmp::Reverse(graph.degree(*v)), *v));
     for v in order {
-        masks[v] = Some(pick_mask(graph, siblings, masks, v));
+        masks[v] = Some(pick_mask(graph, masks, v));
     }
 }
 
@@ -256,29 +216,13 @@ fn color_component_exact(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tpl_color::FeatureKind;
-    use tpl_design::{DesignBuilder, LayerId, NetId, Technology};
+    use crate::tests::layout_of;
+    use tpl_color::Feature;
+    use tpl_design::{LayerId, NetId};
     use tpl_geom::Rect;
 
-    fn design() -> tpl_design::Design {
-        let mut b = DesignBuilder::new(
-            "c",
-            Technology::ispd_like(2),
-            Rect::from_coords(0, 0, 1000, 1000),
-        );
-        let p0 = b.add_pin_shape("a", 0, Rect::from_coords(0, 0, 10, 10));
-        let p1 = b.add_pin_shape("b", 0, Rect::from_coords(900, 900, 910, 910));
-        b.add_net("n", vec![p0, p1]);
-        b.build().unwrap()
-    }
-
-    fn wire(net: u32, rect: Rect) -> FeatureNode {
-        FeatureNode {
-            net: NetId::new(net),
-            layer: LayerId::new(0),
-            rect,
-            kind: FeatureKind::Wire,
-        }
+    fn wire(net: u32, rect: Rect) -> Feature {
+        Feature::wire(NetId::new(net), LayerId::new(0), rect, None)
     }
 
     fn count_conflicts(graph: &ConflictGraph, masks: &[Option<Mask>]) -> usize {
@@ -295,14 +239,13 @@ mod tests {
 
     #[test]
     fn three_mutually_conflicting_wires_get_three_masks() {
-        let d = design();
         let nodes = vec![
             wire(0, Rect::from_coords(0, 0, 400, 8)),
             wire(1, Rect::from_coords(0, 20, 400, 28)),
             wire(2, Rect::from_coords(0, 40, 400, 48)),
         ];
-        let graph = ConflictGraph::build(&d, &nodes);
-        let (masks, _) = color_graph(&graph, &nodes, &DecomposeConfig::default());
+        let graph = ConflictGraph::build(&layout_of(&nodes));
+        let (masks, _) = color_graph(&graph, &DecomposeConfig::default());
         assert!(masks.iter().all(|m| m.is_some()));
         assert_eq!(count_conflicts(&graph, &masks), 0);
         let unique: std::collections::HashSet<_> = masks.iter().flatten().collect();
@@ -311,7 +254,6 @@ mod tests {
 
     #[test]
     fn four_packed_wires_cannot_be_fully_legalised() {
-        let d = design();
         // Tracks 0..4 of the same layer, all pairwise within dcolor except
         // the outermost pair: a W4 structure needing 4 colours locally is not
         // present, but the K4 formed by tracks 0-3 with a fifth crossing wire
@@ -324,10 +266,10 @@ mod tests {
             // A wrong-way wire crossing right next to the three above.
             wire(3, Rect::from_coords(200, 0, 208, 48)),
         ];
-        let graph = ConflictGraph::build(&d, &nodes);
+        let graph = ConflictGraph::build(&layout_of(&nodes));
         // Vertex 3 conflicts with all of 0, 1, 2 -> K4.
         assert_eq!(graph.degree(3), 3);
-        let (masks, _) = color_graph(&graph, &nodes, &DecomposeConfig::default());
+        let (masks, _) = color_graph(&graph, &DecomposeConfig::default());
         assert!(masks.iter().all(|m| m.is_some()));
         // A K4 cannot be 3-coloured: exactly one conflict remains.
         assert_eq!(count_conflicts(&graph, &masks), 1);
@@ -335,8 +277,7 @@ mod tests {
 
     #[test]
     fn exact_and_greedy_agree_on_easy_components() {
-        let d = design();
-        let nodes: Vec<FeatureNode> = (0..6)
+        let nodes: Vec<Feature> = (0..6)
             .map(|i| {
                 wire(
                     i,
@@ -344,10 +285,9 @@ mod tests {
                 )
             })
             .collect();
-        let graph = ConflictGraph::build(&d, &nodes);
+        let graph = ConflictGraph::build(&layout_of(&nodes));
         let exact = color_graph(
             &graph,
-            &nodes,
             &DecomposeConfig {
                 exact_component_limit: 20,
                 ..DecomposeConfig::default()
@@ -355,7 +295,6 @@ mod tests {
         );
         let greedy = color_graph(
             &graph,
-            &nodes,
             &DecomposeConfig {
                 exact_component_limit: 0,
                 ..DecomposeConfig::default()
@@ -367,15 +306,14 @@ mod tests {
 
     #[test]
     fn sibling_chunks_prefer_the_same_mask() {
-        let d = design();
         // Two touching chunks of the same net with no conflicts at all: they
         // must receive the same mask (no gratuitous stitch).
         let nodes = vec![
             wire(0, Rect::from_coords(0, 0, 100, 8)),
             wire(0, Rect::from_coords(100, 0, 200, 8)),
         ];
-        let graph = ConflictGraph::build(&d, &nodes);
-        let (masks, _) = color_graph(&graph, &nodes, &DecomposeConfig::default());
+        let graph = ConflictGraph::build(&layout_of(&nodes));
+        let (masks, _) = color_graph(&graph, &DecomposeConfig::default());
         assert_eq!(masks[0], masks[1]);
     }
 }

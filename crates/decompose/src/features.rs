@@ -1,33 +1,21 @@
 //! Feature extraction and stitch-candidate generation.
 
-use tpl_color::FeatureKind;
-use tpl_design::{Design, LayerId, NetId, RoutingSolution};
+use tpl_color::Feature;
+use tpl_design::{Design, RoutingSolution};
 use tpl_geom::{Dbu, Rect};
-
-/// One vertex of the conflict graph: a wire chunk or a pin shape.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FeatureNode {
-    /// The owning net.
-    pub net: NetId,
-    /// The layer of the feature.
-    pub layer: LayerId,
-    /// The geometry of the feature.
-    pub rect: Rect,
-    /// Wire chunk or pin.
-    pub kind: FeatureKind,
-}
 
 /// Extracts conflict-graph vertices from a routed layout.
 ///
 /// Wire segments are cut into chunks of at most `chunk_pitches` layer pitches
 /// along their long axis; each chunk boundary is a stitch candidate (two
 /// adjacent chunks of the same wire may end up on different masks, which the
-/// evaluator then counts as a stitch).  Pin shapes are kept whole.
+/// evaluator then counts as a stitch).  Pin shapes are kept whole.  No
+/// feature has a mask yet.
 pub fn extract_features(
     design: &Design,
     solution: &RoutingSolution,
     chunk_pitches: i64,
-) -> Vec<FeatureNode> {
+) -> Vec<Feature> {
     let _span = tpl_trace::span!("decompose.extract");
     let mut nodes = Vec::new();
     let pitch = design.tech().layers()[0].pitch.max(1);
@@ -51,23 +39,13 @@ pub fn extract_features(
                 } else {
                     Rect::from_coords(rect.lo.x, rect.lo.y + lo, rect.hi.x, rect.lo.y + hi)
                 };
-                nodes.push(FeatureNode {
-                    net: net_id,
-                    layer: seg.layer,
-                    rect: chunk_rect,
-                    kind: FeatureKind::Wire,
-                });
+                nodes.push(Feature::wire(net_id, seg.layer, chunk_rect, None));
             }
         }
     }
     for pin in design.pins() {
         for (layer, rect) in pin.shapes() {
-            nodes.push(FeatureNode {
-                net: pin.net(),
-                layer: *layer,
-                rect: *rect,
-                kind: FeatureKind::Pin,
-            });
+            nodes.push(Feature::pin(pin.net(), *layer, *rect, None));
         }
     }
     nodes
@@ -76,6 +54,7 @@ pub fn extract_features(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tpl_color::FeatureKind;
     use tpl_design::{DesignBuilder, RouteSegment, RoutedNet, Technology};
     use tpl_geom::{Point, Segment};
 

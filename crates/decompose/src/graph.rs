@@ -1,57 +1,28 @@
 //! Conflict-graph construction.
 
-use crate::FeatureNode;
-use tpl_design::Design;
-use tpl_geom::BinIndex;
+use tpl_color::ColoredLayout;
 
-/// The TPL conflict graph: one vertex per feature, one edge per pair of
-/// different-net features on the same layer with spacing below `Dcolor`.
+/// The TPL decomposition graph of Yu et al.: one vertex per feature of a
+/// layout, a conflict edge per pair of different-net features on the same
+/// layer with spacing below `Dcolor`, and a stitch edge between touching
+/// features of one net on one layer (siblings, which prefer one mask).  Both
+/// kinds come from the layout's pair scan
+/// ([`ColoredLayout::near_pairs`], [`ColoredLayout::touching_pairs`]).
 #[derive(Clone, Debug)]
 pub struct ConflictGraph {
     adjacency: Vec<Vec<usize>>,
-    num_edges: usize,
+    siblings: Vec<Vec<usize>>,
 }
 
 impl ConflictGraph {
-    /// Builds the conflict graph of a feature set.
-    pub fn build(design: &Design, nodes: &[FeatureNode]) -> Self {
+    /// Builds the graph of a layout's features, masked or not.  Every
+    /// vertex's neighbours and siblings come out ascending.
+    pub fn build(layout: &ColoredLayout) -> Self {
         let _span = tpl_trace::span!("decompose.graph");
-        let dcolor = design.tech().dcolor();
-        let num_layers = design.tech().num_layers();
-        let mut per_layer: Vec<BinIndex> = (0..num_layers)
-            .map(|_| BinIndex::new(design.die(), (4 * dcolor).max(64)))
-            .collect();
-        for (i, n) in nodes.iter().enumerate() {
-            per_layer[n.layer.index()].insert(i as u64, n.rect);
-        }
-
-        let mut adjacency = vec![Vec::new(); nodes.len()];
-        let mut num_edges = 0;
-        for (i, n) in nodes.iter().enumerate() {
-            let window = n.rect.expanded(dcolor - 1);
-            for j in per_layer[n.layer.index()].query(&window) {
-                let j = j as usize;
-                if j <= i {
-                    continue;
-                }
-                let m = &nodes[j];
-                if m.net == n.net {
-                    continue;
-                }
-                if n.rect.spacing_to(&m.rect) < dcolor {
-                    adjacency[i].push(j);
-                    adjacency[j].push(i);
-                    num_edges += 1;
-                }
-            }
-        }
-        for adj in &mut adjacency {
-            adj.sort_unstable();
-            adj.dedup();
-        }
+        let n = layout.features().len();
         Self {
-            adjacency,
-            num_edges,
+            adjacency: both_ways(n, layout.near_pairs()),
+            siblings: both_ways(n, layout.touching_pairs()),
         }
     }
 
@@ -61,10 +32,10 @@ impl ConflictGraph {
         self.adjacency.len()
     }
 
-    /// Number of edges.
+    /// Number of conflict edges.
     #[inline]
     pub fn num_edges(&self) -> usize {
-        self.num_edges
+        self.adjacency.iter().map(Vec::len).sum::<usize>() / 2
     }
 
     /// The neighbours of a vertex.
@@ -78,46 +49,47 @@ impl ConflictGraph {
     pub fn degree(&self, v: usize) -> usize {
         self.adjacency[v].len()
     }
+
+    /// The touching features of a vertex's net on its layer.
+    #[inline]
+    pub fn siblings(&self, v: usize) -> &[usize] {
+        &self.siblings[v]
+    }
+}
+
+/// The adjacency lists of `n` vertices joined by `pairs`.  Ascending pairs
+/// `(i, j)`, `i < j`, give ascending lists: a vertex hears of its smaller
+/// neighbours before it reaches its own pairs.
+fn both_ways(n: usize, pairs: impl Iterator<Item = (usize, usize)>) -> Vec<Vec<usize>> {
+    let mut lists = vec![Vec::new(); n];
+    for (i, j) in pairs {
+        lists[i].push(j);
+        lists[j].push(i);
+    }
+    lists
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tpl_color::FeatureKind;
-    use tpl_design::{DesignBuilder, LayerId, NetId, Technology};
+    use crate::tests::layout_of;
+    use tpl_color::Feature;
+    use tpl_design::{LayerId, NetId};
     use tpl_geom::Rect;
 
-    fn design() -> Design {
-        let mut b = DesignBuilder::new(
-            "g",
-            Technology::ispd_like(2),
-            Rect::from_coords(0, 0, 1000, 1000),
-        );
-        let p0 = b.add_pin_shape("a", 0, Rect::from_coords(0, 0, 10, 10));
-        let p1 = b.add_pin_shape("b", 0, Rect::from_coords(900, 900, 910, 910));
-        b.add_net("n", vec![p0, p1]);
-        b.build().unwrap()
-    }
-
-    fn wire(net: u32, layer: u32, rect: Rect) -> FeatureNode {
-        FeatureNode {
-            net: NetId::new(net),
-            layer: LayerId::new(layer),
-            rect,
-            kind: FeatureKind::Wire,
-        }
+    fn wire(net: u32, layer: u32, rect: Rect) -> Feature {
+        Feature::wire(NetId::new(net), LayerId::new(layer), rect, None)
     }
 
     #[test]
     fn close_different_net_features_are_adjacent() {
-        let d = design();
         let nodes = vec![
             wire(0, 0, Rect::from_coords(0, 0, 200, 8)),
             wire(1, 0, Rect::from_coords(0, 20, 200, 28)),
             wire(2, 0, Rect::from_coords(0, 100, 200, 108)),
             wire(3, 1, Rect::from_coords(0, 20, 200, 28)),
         ];
-        let g = ConflictGraph::build(&d, &nodes);
+        let g = ConflictGraph::build(&layout_of(&nodes));
         assert_eq!(g.num_nodes(), 4);
         // Nodes 0 and 1 are 12 apart on the same layer: adjacent.
         assert_eq!(g.neighbors(0), &[1]);
@@ -130,21 +102,19 @@ mod tests {
 
     #[test]
     fn same_net_features_are_never_adjacent() {
-        let d = design();
         let nodes = vec![
             wire(0, 0, Rect::from_coords(0, 0, 200, 8)),
             wire(0, 0, Rect::from_coords(0, 20, 200, 28)),
         ];
-        let g = ConflictGraph::build(&d, &nodes);
+        let g = ConflictGraph::build(&layout_of(&nodes));
         assert_eq!(g.num_edges(), 0);
     }
 
     #[test]
     fn four_packed_wires_form_a_clique_of_pressure() {
-        let d = design();
         // Four parallel wires on adjacent tracks: with dcolor = 45 every pair
         // within two tracks conflicts, so vertex 1 has degree 3.
-        let nodes: Vec<FeatureNode> = (0..4)
+        let nodes: Vec<Feature> = (0..4)
             .map(|i| {
                 wire(
                     i,
@@ -153,7 +123,7 @@ mod tests {
                 )
             })
             .collect();
-        let g = ConflictGraph::build(&d, &nodes);
+        let g = ConflictGraph::build(&layout_of(&nodes));
         assert_eq!(g.degree(1), 3);
         assert_eq!(g.degree(0), 2);
     }

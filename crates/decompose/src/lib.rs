@@ -4,15 +4,19 @@
 //! colours an *already routed* layout after the fact:
 //!
 //! 1. **Feature extraction** — routed wires are cut into stitch-candidate
-//!    chunks, pins are kept whole (the `features` module).
-//! 2. **Conflict-graph construction** — features of different nets on the
-//!    same layer closer than `Dcolor` become adjacent (the `graph` module).
+//!    chunks, pins are kept whole (the `features` module); the unmasked
+//!    features form a [`ColoredLayout`].
+//! 2. **Conflict-graph construction** — the layout's one pair scan gives
+//!    both kinds of edge: features of different nets on the same layer
+//!    closer than `Dcolor` become adjacent, and touching features of one net
+//!    become siblings that prefer one mask (the `graph` module).
 //! 3. **Graph simplification** — vertices with fewer than three neighbours
 //!    are peeled off (they can always be coloured last) and the residual
 //!    graph splits into independent components.
 //! 4. **Colouring** — small cores are coloured exactly by backtracking, large
 //!    ones greedily; peeled vertices are re-inserted in reverse order
-//!    (the `coloring` module).
+//!    (the `coloring` module).  The masks go onto the same layout, whose
+//!    kept pairs count the conflicts and stitches.
 //!
 //! Because the wire geometry is fixed before any colour is known, dense
 //! regions routinely contain structures that no 3-colouring can legalise;
@@ -37,15 +41,17 @@
 #![warn(missing_docs)]
 
 mod coloring;
+#[cfg(test)]
+mod exactness;
 mod features;
 mod graph;
 
 pub use coloring::color_graph;
-pub use features::{extract_features, FeatureNode};
+pub use features::extract_features;
 pub use graph::ConflictGraph;
 
 use std::time::Instant;
-use tpl_color::{ColoredLayout, Feature, Mask};
+use tpl_color::{ColoredLayout, Mask};
 use tpl_design::{Design, RoutingSolution};
 
 /// Configuration of the decomposer.
@@ -115,33 +121,25 @@ impl Decomposer {
     /// Colours a routed layout; traced, each stage is a `decompose.*` span.
     pub fn decompose(&self, design: &Design, solution: &RoutingSolution) -> DecomposeResult {
         let start = Instant::now();
-        let nodes = extract_features(design, solution, self.config.chunk_pitches);
-        let graph = ConflictGraph::build(design, &nodes);
-        let (masks, components) = color_graph(&graph, &nodes, &self.config);
+        let mut layout = ColoredLayout::of_design(design);
+        for feature in extract_features(design, solution, self.config.chunk_pitches) {
+            layout.add(feature);
+        }
+        let graph = ConflictGraph::build(&layout);
+        let (masks, components) = color_graph(&graph, &self.config);
 
         let _span = tpl_trace::span!("decompose.evaluate");
-        let mut layout = ColoredLayout::new(
-            design.die(),
-            design.tech().num_layers(),
-            design.tech().dcolor(),
-        );
-        for (node, mask) in nodes.iter().zip(masks.iter()) {
-            layout.add(Feature {
-                net: Some(node.net),
-                layer: node.layer,
-                rect: node.rect,
-                mask: *mask,
-                kind: node.kind,
-            });
+        for (i, mask) in masks.iter().enumerate() {
+            layout.set_mask(i, *mask);
         }
         let layout_stats = layout.stats();
         let stats = DecomposeStats {
             conflicts: layout_stats.conflicts,
             stitches: layout_stats.stitches,
-            features: nodes.len(),
+            features: layout_stats.features,
             edges: graph.num_edges(),
             components,
-            uncolored_features: masks.iter().filter(|m| m.is_none()).count(),
+            uncolored_features: layout_stats.uncolored,
             runtime_seconds: start.elapsed().as_secs_f64(),
         };
         DecomposeResult {
@@ -155,9 +153,20 @@ impl Decomposer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tpl_color::Feature;
     use tpl_drcu::{DrCuConfig, DrCuRouter};
+    use tpl_geom::Rect;
     use tpl_global::{GlobalConfig, GlobalRouter};
     use tpl_ispd::CaseParams;
+
+    /// The features on a 1000 x 1000 die of two layers at `Dcolor` 45.
+    pub(crate) fn layout_of(features: &[Feature]) -> ColoredLayout {
+        let mut layout = ColoredLayout::new(Rect::from_coords(0, 0, 1000, 1000), 2, 45);
+        for f in features {
+            layout.add(*f);
+        }
+        layout
+    }
 
     #[test]
     fn decomposes_a_routed_benchmark_without_leaving_uncolored_features() {

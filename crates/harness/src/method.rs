@@ -30,10 +30,7 @@ pub trait Method: Sync {
 
 /// Mr.TPL itself (the paper's contribution), from `mrtpl-core`.
 #[derive(Debug, Default)]
-pub struct MrTplMethod {
-    /// Router configuration.
-    pub config: MrTplConfig,
-}
+pub struct MrTplMethod;
 
 impl Method for MrTplMethod {
     fn name(&self) -> &'static str {
@@ -47,7 +44,8 @@ impl Method for MrTplMethod {
     fn run(&self, case: &PreparedCase) -> CaseRecord {
         let prepared = case.get();
         let (design, guides, prep_outcome) = &*prepared;
-        let mut record = flows::run_mrtpl(design, guides, &self.config, &case.budget()).0;
+        let mut record =
+            flows::run_mrtpl(design, guides, &MrTplConfig::default(), &case.budget()).0;
         record.outcome = record.outcome.merge(*prep_outcome);
         record
     }
@@ -55,10 +53,7 @@ impl Method for MrTplMethod {
 
 /// The DAC'12 vertex-splitting TPL-aware routing baseline, from `tpl-dac12`.
 #[derive(Debug, Default)]
-pub struct Dac12Method {
-    /// Router configuration.
-    pub config: Dac12Config,
-}
+pub struct Dac12Method;
 
 impl Method for Dac12Method {
     fn name(&self) -> &'static str {
@@ -72,7 +67,8 @@ impl Method for Dac12Method {
     fn run(&self, case: &PreparedCase) -> CaseRecord {
         let prepared = case.get();
         let (design, guides, prep_outcome) = &*prepared;
-        let mut record = flows::run_dac12(design, guides, &self.config, &case.budget()).0;
+        let mut record =
+            flows::run_dac12(design, guides, &Dac12Config::default(), &case.budget()).0;
         record.outcome = record.outcome.merge(*prep_outcome);
         record
     }
@@ -80,10 +76,7 @@ impl Method for Dac12Method {
 
 /// The colour-blind Dr.CU-like detailed router alone, from `tpl-drcu`.
 #[derive(Debug, Default)]
-pub struct DrCuMethod {
-    /// Router configuration.
-    pub config: DrCuConfig,
-}
+pub struct DrCuMethod;
 
 impl Method for DrCuMethod {
     fn name(&self) -> &'static str {
@@ -97,7 +90,7 @@ impl Method for DrCuMethod {
     fn run(&self, case: &PreparedCase) -> CaseRecord {
         let prepared = case.get();
         let (design, guides, prep_outcome) = &*prepared;
-        let mut record = flows::run_drcu(design, guides, &self.config, &case.budget()).0;
+        let mut record = flows::run_drcu(design, guides, &DrCuConfig::default(), &case.budget()).0;
         record.outcome = record.outcome.merge(*prep_outcome);
         record
     }
@@ -106,12 +99,7 @@ impl Method for DrCuMethod {
 /// Route colour-blind, then decompose OpenMPL-style (`tpl-drcu` +
 /// `tpl-decompose`).
 #[derive(Debug, Default)]
-pub struct DecomposeMethod {
-    /// Configuration of the colour-blind routing stage.
-    pub route: DrCuConfig,
-    /// Configuration of the decomposition stage.
-    pub decompose: DecomposeConfig,
-}
+pub struct DecomposeMethod;
 
 impl Method for DecomposeMethod {
     fn name(&self) -> &'static str {
@@ -125,60 +113,47 @@ impl Method for DecomposeMethod {
     fn run(&self, case: &PreparedCase) -> CaseRecord {
         let prepared = case.get();
         let (design, guides, prep_outcome) = &*prepared;
-        let mut record =
-            flows::run_decompose(design, guides, &self.route, &self.decompose, &case.budget()).0;
+        let mut record = flows::run_decompose(
+            design,
+            guides,
+            &DrCuConfig::default(),
+            &DecomposeConfig::default(),
+            &case.budget(),
+        )
+        .0;
         record.outcome = record.outcome.merge(*prep_outcome);
         record
     }
 }
 
-/// A named collection of [`Method`]s, looked up by the CLI's `--methods` flag.
+/// The four flows the paper evaluates, looked up by the CLI's `--methods`
+/// flag.
 pub struct MethodRegistry {
-    methods: Vec<Box<dyn Method>>,
+    methods: [&'static dyn Method; 4],
 }
 
 impl MethodRegistry {
-    /// Creates an empty registry.
-    pub fn new() -> Self {
+    /// The four flows with default configurations: `mrtpl`, `dac12`,
+    /// `drcu`, `decompose`.
+    pub fn builtin() -> Self {
         MethodRegistry {
-            methods: Vec::new(),
+            methods: [&MrTplMethod, &Dac12Method, &DrCuMethod, &DecomposeMethod],
         }
     }
 
-    /// The four flows the paper evaluates, with default configurations:
-    /// `mrtpl`, `dac12`, `drcu`, `decompose`.
-    pub fn builtin() -> Self {
-        let mut registry = MethodRegistry::new();
-        registry.register(Box::new(MrTplMethod::default()));
-        registry.register(Box::new(Dac12Method::default()));
-        registry.register(Box::new(DrCuMethod::default()));
-        registry.register(Box::new(DecomposeMethod::default()));
-        registry
-    }
-
-    /// Adds a method; a method with the same name is replaced.
-    pub fn register(&mut self, method: Box<dyn Method>) {
-        let name = method.name();
-        self.methods.retain(|m| m.name() != name);
-        self.methods.push(method);
-    }
-
-    /// Registered method names, in registration order.
+    /// The method names, in registry order.
     pub fn names(&self) -> Vec<&'static str> {
         self.methods.iter().map(|m| m.name()).collect()
     }
 
     /// Looks a method up by name.
     pub fn get(&self, name: &str) -> Option<&dyn Method> {
-        self.methods
-            .iter()
-            .find(|m| m.name() == name)
-            .map(|m| m.as_ref())
+        self.methods.iter().copied().find(|m| m.name() == name)
     }
 
-    /// Iterates over the registered methods, in registration order.
+    /// Iterates over the methods, in registry order.
     pub fn iter(&self) -> impl Iterator<Item = &dyn Method> {
-        self.methods.iter().map(|m| m.as_ref())
+        self.methods.iter().copied()
     }
 
     /// Resolves a comma-separated `--methods` specification into methods, in
@@ -241,16 +216,6 @@ mod tests {
         assert!(registry.select("").err().is_some());
         let err = registry.select("mrtpl,mrtpl").err().expect("duplicate");
         assert!(err.contains("twice"));
-    }
-
-    #[test]
-    fn register_replaces_same_name() {
-        let mut registry = MethodRegistry::builtin();
-        registry.register(Box::new(MrTplMethod::default()));
-        assert_eq!(
-            registry.names().iter().filter(|n| **n == "mrtpl").count(),
-            1
-        );
     }
 
     #[test]

@@ -115,24 +115,29 @@ pub fn total_speedup(baseline: &[CaseRecord], ours: &[CaseRecord]) -> f64 {
     safe_speedup(seconds(baseline), seconds(ours))
 }
 
-/// Aggregate of a whole suite: average improvements over all cases where the
-/// baseline has data, exactly like the `avg.` row of the paper's tables.
+/// Aggregate of a whole suite, the `avg.` row of the paper's tables: the
+/// mean per case of each method and the improvement of the totals.
+///
+/// Like [`total_speedup`], each improvement is one ratio of sums, so a case
+/// weighs by its count: a case going 3 → 8 conflicts moves the conflict
+/// improvement as much as its 5 conflicts, not as much as a case going
+/// 51 → 15.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct SuiteSummary {
     /// Mean baseline conflicts.
     pub baseline_conflicts: f64,
     /// Mean conflicts of our method.
     pub ours_conflicts: f64,
-    /// Mean conflict improvement in percent (over cases with a non-zero
-    /// baseline).
+    /// Conflict improvement of the totals in percent
+    /// ([`improvement_percent`]).
     pub conflict_improvement: f64,
     /// Mean baseline stitches.
     pub baseline_stitches: f64,
     /// Mean stitches of our method.
     pub ours_stitches: f64,
-    /// Mean stitch improvement in percent.
+    /// Stitch improvement of the totals in percent.
     pub stitch_improvement: f64,
-    /// Mean cost improvement in percent.
+    /// Cost improvement of the totals in percent.
     pub cost_improvement: f64,
     /// Speedup: summed baseline runtime over ours ([`total_speedup`]).
     pub speedup: f64,
@@ -146,36 +151,25 @@ impl SuiteSummary {
     /// Panics if the two slices have different lengths.
     pub fn from_records(baseline: &[CaseRecord], ours: &[CaseRecord]) -> SuiteSummary {
         assert_eq!(baseline.len(), ours.len(), "paired records required");
-        let n = baseline.len().max(1) as f64;
-        let mean = |f: &dyn Fn(&CaseRecord) -> f64, records: &[CaseRecord]| {
-            records.iter().map(f).sum::<f64>() / n
-        };
-        let avg_improvement = |f: &dyn Fn(&CaseRecord) -> f64| {
-            let pairs: Vec<(f64, f64)> = baseline
-                .iter()
-                .zip(ours.iter())
-                .map(|(b, o)| (f(b), f(o)))
-                .filter(|(b, _)| *b > 0.0)
-                .collect();
-            if pairs.is_empty() {
-                0.0
-            } else {
-                pairs
-                    .iter()
-                    .map(|(b, o)| improvement_percent(*b, *o))
-                    .sum::<f64>()
-                    / pairs.len() as f64
-            }
-        };
+        SuiteSummary::from_totals(
+            &SuiteTotals::from_records(baseline),
+            &SuiteTotals::from_records(ours),
+        )
+    }
+
+    /// Builds the summary from the two methods' totals over the same cases.
+    pub fn from_totals(baseline: &SuiteTotals, ours: &SuiteTotals) -> SuiteSummary {
+        let n = baseline.cases.max(1) as f64;
+        let (b, o) = (baseline, ours);
         SuiteSummary {
-            baseline_conflicts: mean(&|r| r.conflicts as f64, baseline),
-            ours_conflicts: mean(&|r| r.conflicts as f64, ours),
-            conflict_improvement: avg_improvement(&|r| r.conflicts as f64),
-            baseline_stitches: mean(&|r| r.stitches as f64, baseline),
-            ours_stitches: mean(&|r| r.stitches as f64, ours),
-            stitch_improvement: avg_improvement(&|r| r.stitches as f64),
-            cost_improvement: avg_improvement(&|r| r.cost),
-            speedup: total_speedup(baseline, ours),
+            baseline_conflicts: b.conflicts as f64 / n,
+            ours_conflicts: o.conflicts as f64 / n,
+            conflict_improvement: improvement_percent(b.conflicts as f64, o.conflicts as f64),
+            baseline_stitches: b.stitches as f64 / n,
+            ours_stitches: o.stitches as f64 / n,
+            stitch_improvement: improvement_percent(b.stitches as f64, o.stitches as f64),
+            cost_improvement: improvement_percent(b.cost, o.cost),
+            speedup: safe_speedup(b.runtime_seconds, o.runtime_seconds),
         }
     }
 }
@@ -219,10 +213,10 @@ mod tests {
         let s = SuiteSummary::from_records(&baseline, &ours);
         assert_eq!(s.baseline_conflicts, 5.0);
         assert_eq!(s.ours_conflicts, 2.5);
-        // Only t1 has a non-zero conflict baseline: 50% improvement.
+        // Conflict totals 10 -> 5: 50% improvement.
         assert_eq!(s.conflict_improvement, 50.0);
-        // Stitches: (75% + 80%) / 2.
-        assert!((s.stitch_improvement - 77.5).abs() < 1e-9);
+        // Stitch totals 150 -> 35, not the mean (75% + 80%) / 2 of the cases.
+        assert!((s.stitch_improvement - 115.0 / 150.0 * 100.0).abs() < 1e-9);
         assert_eq!(s.speedup, 5.0);
         assert!(s.cost_improvement > 0.0);
     }

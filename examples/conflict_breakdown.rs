@@ -12,7 +12,6 @@ fn kind_name(kind: FeatureKind) -> &'static str {
     match kind {
         FeatureKind::Wire => "wire",
         FeatureKind::Pin => "pin",
-        FeatureKind::Obstacle => "obstacle",
     }
 }
 
