@@ -5,7 +5,7 @@ use crate::ColorMap;
 use tpl_grid::{EpochStamps, GridGraph, TradCost, VertexId};
 
 /// The penalty slot of a blocked vertex.
-const BLOCKED: f64 = f64::INFINITY;
+const BLOCKED: u64 = u64::MAX;
 
 /// An epoch-invalidated cache of one record per grid vertex: the vertex's
 /// node penalty ([`TradCost::node_penalty`], the vertex-dependent part of
@@ -31,7 +31,7 @@ const BLOCKED: f64 = f64::INFINITY;
 #[derive(Clone, Debug)]
 pub struct ColorCostCache {
     stamps: EpochStamps,
-    penalty: Vec<f64>,
+    penalty: Vec<u64>,
     pressure: Vec<[u16; 3]>,
 }
 
@@ -40,7 +40,7 @@ impl ColorCostCache {
     pub fn new(grid: &GridGraph) -> Self {
         Self {
             stamps: EpochStamps::new(grid.num_vertices()),
-            penalty: vec![0.0; grid.num_vertices()],
+            penalty: vec![0; grid.num_vertices()],
             pressure: vec![[0; 3]; grid.num_vertices()],
         }
     }
@@ -59,7 +59,7 @@ impl ColorCostCache {
         trad: &TradCost<'_>,
         map: &ColorMap,
         v: VertexId,
-    ) -> Option<(f64, [u16; 3])> {
+    ) -> Option<(u64, [u16; 3])> {
         let i = v.index();
         if !self.stamps.is_fresh(i) {
             self.fill(trad, map, v);
@@ -84,9 +84,9 @@ impl ColorCostCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Feature, Mask};
-    use tpl_design::{Design, DesignBuilder, LayerId, NetId, Technology};
-    use tpl_geom::Rect as GRect;
+    use crate::{ColorState, Feature, Mask, TplConfig};
+    use tpl_design::{Design, DesignBuilder, LayerId, NetId, PinId, Technology};
+    use tpl_geom::{Dir, Rect as GRect};
     use tpl_grid::{CostParams, DenseBitSet, GridState, PinCoverage};
 
     struct Setup {
@@ -197,13 +197,64 @@ mod tests {
         let mut cache = ColorCostCache::new(grid);
         cache.begin();
         let trad = s.trad(0);
-        assert_eq!(cache.record(&trad, &s.map, free).unwrap().0, 0.0);
+        assert_eq!(cache.record(&trad, &s.map, free).unwrap().0, 0);
         assert_eq!(
             cache.record(&trad, &s.map, taken).unwrap().0,
-            s.params.occupied
+            u64::from(s.params.occupied)
         );
         assert_eq!(cache.record(&trad, &s.map, blocked), None);
         // Cached: the second read answers the same.
         assert_eq!(cache.record(&trad, &s.map, blocked), None);
+    }
+
+    #[test]
+    fn every_penalty_and_saturated_pressure_on_one_vertex_price_an_exact_step() {
+        let mut s = setup();
+        // Net 1 steps onto a vertex of net 0's pin that net 2 occupies, out
+        // of guide, with history, under more than `u16::MAX` features of
+        // net 2 on every mask.
+        let v = s.coverage.vertices(PinId::new(0))[0];
+        let (layer, footprint) = (s.grid.layer_of(v), GRect::from_point(s.grid.point_of(v)));
+        s.state.occupy(v, NetId::new(2));
+        s.state.add_history(v, 1_000);
+        for mask in Mask::ALL {
+            for _ in 0..=u16::MAX {
+                s.map.insert(Feature::wire(
+                    NetId::new(2),
+                    layer,
+                    footprint.expanded(4),
+                    Some(mask),
+                ));
+            }
+        }
+        s.in_guide = DenseBitSet::new(s.grid.num_vertices());
+        let mut cache = ColorCostCache::new(&s.grid);
+        cache.begin();
+        let (penalty, pressure) = cache.record(&s.trad(1), &s.map, v).unwrap();
+        assert_eq!(pressure, [u16::MAX; 3]);
+        let p = s.params;
+        let pitch = u64::try_from(s.grid.pitch()).unwrap();
+        let node = 1_000 + u64::from(p.out_of_guide) * pitch + 2 * u64::from(p.occupied);
+        assert_eq!(penalty, node);
+        // The dearest base price, wrong-way wire on M1, and the stitch on
+        // every mask but the inherited one.
+        let base = p.base_table(&s.grid).into_iter().flatten().max().unwrap();
+        assert_eq!(base, 2 * 4 * pitch);
+        let config = TplConfig::default();
+        let steps = config.step_costs(
+            base + penalty,
+            pressure,
+            Dir::East,
+            ColorState::from_mask(Mask::Green),
+        );
+        let step = base + node + 350 * 65_535;
+        assert_eq!(steps, [step + 20, step, step + 20]);
+        // A path through every node id a kernel holds, at this step, plus a
+        // bound as large, is a key that still fits and orders against one
+        // unit less, where an `f64` sum would round the unit away.
+        let dist = (step + 20) * u64::from(u32::MAX);
+        let key = dist.checked_add(dist).expect("the key fits a u64");
+        assert!(key - 1 < key);
+        assert_eq!(key as f64, (key - 1) as f64);
     }
 }

@@ -17,24 +17,24 @@ pub struct TplConfig {
     /// Traditional (colour-free) cost parameters.
     pub cost: CostParams,
     /// Cost of a stitch: a planar step onto a mask the path does not carry.
-    pub stitch_cost: f64,
+    pub stitch_cost: u32,
     /// Cost per feature of another net within `Dcolor` on the step's mask.
-    pub color_conflict_cost: f64,
+    pub color_conflict_cost: u32,
     /// Passes after the initial one: the rip-up-and-reroute iterations.
     pub max_rrr_iterations: usize,
     /// History cost charged under both features of every conflict a pass
     /// leaves (see [`ColoredLayout::victims`](crate::ColoredLayout::victims)).
-    pub history_increment: f64,
+    pub history_increment: u32,
 }
 
 impl Default for TplConfig {
     fn default() -> Self {
         Self {
             cost: CostParams::default(),
-            stitch_cost: 20.0,
-            color_conflict_cost: 350.0,
+            stitch_cost: 20,
+            color_conflict_cost: 350,
             max_rrr_iterations: 5,
-            history_increment: 60.0,
+            history_increment: 60,
         }
     }
 }
@@ -46,18 +46,22 @@ impl TplConfig {
     /// (`pressure`), plus `stitch_cost` when the step is planar and the mask
     /// is not in `inherited`, the masks the path arrives with.  Mr.TPL
     /// inherits a colour state, DAC'12 the one mask of its node.
+    ///
+    /// A `u64` holds every step: the pressure term alone reaches
+    /// `350 × 65,535`, over 2·10⁷, at the default weights.
     #[inline]
     pub fn step_costs(
         &self,
-        trad: f64,
+        trad: u64,
         pressure: [u16; 3],
         dir: Dir,
         inherited: ColorState,
-    ) -> [f64; 3] {
+    ) -> [u64; 3] {
         Mask::ALL.map(|mask| {
-            let mut cost = trad + self.color_conflict_cost * pressure[mask.index()] as f64;
+            let conflicts = u64::from(pressure[mask.index()]);
+            let mut cost = trad + u64::from(self.color_conflict_cost) * conflicts;
             if dir.is_planar() && !inherited.contains(mask) {
-                cost += self.stitch_cost;
+                cost += u64::from(self.stitch_cost);
             }
             cost
         })
@@ -71,7 +75,7 @@ mod tests {
     #[test]
     fn the_default_prices_a_conflict_above_a_stitch() {
         let c = TplConfig::default();
-        assert!(c.stitch_cost > 0.0);
+        assert!(c.stitch_cost > 0);
         assert!(c.color_conflict_cost > c.stitch_cost);
         assert!(c.max_rrr_iterations >= 1);
     }
@@ -80,20 +84,17 @@ mod tests {
     fn a_planar_step_off_the_inherited_masks_pays_one_stitch() {
         let c = TplConfig::default();
         let green = ColorState::from_mask(Mask::Green);
+        assert_eq!(c.step_costs(10, [0; 3], Dir::East, green), [30, 10, 30]);
         assert_eq!(
-            c.step_costs(10.0, [0; 3], Dir::East, green),
-            [30.0, 10.0, 30.0]
-        );
-        assert_eq!(
-            c.step_costs(10.0, [0; 3], Dir::East, ColorState::all()),
-            [10.0; 3]
+            c.step_costs(10, [0; 3], Dir::East, ColorState::all()),
+            [10; 3]
         );
         // A via changes masks for free.
-        assert_eq!(c.step_costs(10.0, [0; 3], Dir::Up, green), [10.0; 3]);
+        assert_eq!(c.step_costs(10, [0; 3], Dir::Up, green), [10; 3]);
         // Pressure adds `color_conflict_cost` per feature on its mask.
         assert_eq!(
-            c.step_costs(10.0, [2, 0, 1], Dir::North, green),
-            [730.0, 10.0, 380.0]
+            c.step_costs(10, [2, 0, 1], Dir::North, green),
+            [730, 10, 380]
         );
     }
 }

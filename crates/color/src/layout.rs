@@ -284,7 +284,7 @@ impl ColoredLayout {
         conflicts: &[ConflictPair],
         grid: &GridGraph,
         state: &mut GridState,
-        history_increment: f64,
+        history_increment: u32,
     ) -> Vec<NetId> {
         let mut victims = Vec::new();
         for c in conflicts {
@@ -471,7 +471,7 @@ mod tests {
 
     fn victims(l: &ColoredLayout, conflicts: &[ConflictPair]) -> Vec<NetId> {
         let (grid, mut state) = grid();
-        l.victims(conflicts, &grid, &mut state, 1.0)
+        l.victims(conflicts, &grid, &mut state, 1)
     }
 
     #[test]
@@ -538,16 +538,16 @@ mod tests {
         let conflicts = l.conflicts();
         assert_eq!(conflicts.len(), 2);
         let (grid, mut state) = grid();
-        let victims = l.victims(&conflicts, &grid, &mut state, 2.5);
+        let victims = l.victims(&conflicts, &grid, &mut state, 2);
         assert_eq!(victims, vec![NetId::new(2), NetId::new(3)]);
         for (layer, ix, iy, want) in [
-            (0, 0, 0, 2.5),  // under A only
-            (0, 10, 1, 5.0), // under B, which is in both conflicts
-            (0, 5, 2, 2.5),  // under C only
-            (0, 5, 3, 2.5),
-            (0, 5, 4, 0.0),  // above C
-            (0, 11, 0, 0.0), // right of A
-            (1, 0, 0, 0.0),  // another layer
+            (0, 0, 0, 2),  // under A only
+            (0, 10, 1, 4), // under B, which is in both conflicts
+            (0, 5, 2, 2),  // under C only
+            (0, 5, 3, 2),
+            (0, 5, 4, 0),  // above C
+            (0, 11, 0, 0), // right of A
+            (1, 0, 0, 0),  // another layer
         ] {
             let v = grid.vertex(layer, ix, iy);
             assert_eq!(state.history(v), want, "vertex ({layer}, {ix}, {iy})");

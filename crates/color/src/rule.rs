@@ -14,7 +14,7 @@ use tpl_grid::{GridGraph, GridState, NegotiationRule, NetRoute, VertexId};
 pub struct ColorRule<'a> {
     design: &'a Design,
     grid: &'a GridGraph,
-    history_increment: f64,
+    history_increment: u32,
     map: ColorMap,
     /// The layout of the last pass and its conflicts.
     detected: Option<(ColoredLayout, Vec<ConflictPair>)>,
@@ -22,7 +22,7 @@ pub struct ColorRule<'a> {
 
 impl<'a> ColorRule<'a> {
     /// A rule with an empty colour map of `design` over `grid`.
-    pub fn new(design: &'a Design, grid: &'a GridGraph, history_increment: f64) -> Self {
+    pub fn new(design: &'a Design, grid: &'a GridGraph, history_increment: u32) -> Self {
         Self {
             design,
             grid,
@@ -109,7 +109,7 @@ mod tests {
             budget,
             max_rrr_iterations,
             TRACE,
-            &mut ColorRule::new(design, grid, 1.0),
+            &mut ColorRule::new(design, grid, 1),
             |turn, state, rule| route_net(turn, state, rule.map()),
         )
     }

@@ -161,7 +161,7 @@ mod tests {
         let vs = arena.make_ver_set(ColorState::all());
         for (i, &v) in path.iter().enumerate() {
             let prev = if i == 0 { None } else { Some(path[i - 1]) };
-            buffers.relax(v, i as f64, prev, ColorState::all());
+            buffers.relax(v, i as u64, prev, ColorState::all());
             buffers.set_ver_set(v, vs);
         }
 
@@ -195,7 +195,7 @@ mod tests {
             } else {
                 ColorState::from_mask(Mask::Red)
             };
-            buffers.relax(v, i as f64, prev, state);
+            buffers.relax(v, i as u64, prev, state);
             buffers.set_ver_set(v, if i < 4 { vs_a } else { vs_b });
         }
 
@@ -229,7 +229,7 @@ mod tests {
         let vs = arena.make_ver_set(ColorState::all());
         for (i, &v) in path.iter().enumerate() {
             let prev = if i == 0 { None } else { Some(path[i - 1]) };
-            buffers.relax(v, i as f64, prev, ColorState::all());
+            buffers.relax(v, i as u64, prev, ColorState::all());
             buffers.set_ver_set(v, vs);
         }
         let (colored, seg_sets) = f.assign(&mut arena, &buffers, &[path]);
@@ -260,7 +260,7 @@ mod tests {
         let vs = arena.make_ver_set(ColorState::all());
         for (i, &v) in path.iter().enumerate() {
             let prev = if i == 0 { None } else { Some(path[i - 1]) };
-            buffers.relax(v, i as f64, prev, ColorState::all());
+            buffers.relax(v, i as u64, prev, ColorState::all());
             buffers.set_ver_set(v, vs);
         }
         let (colored, _) = f.assign(&mut arena, &buffers, &[path]);

@@ -100,7 +100,7 @@ mod tests {
         let vertices: Vec<VertexId> = (0..states.len() as u32).map(VertexId::new).collect();
         for (i, &v) in vertices.iter().enumerate() {
             let prev = if i == 0 { None } else { Some(vertices[i - 1]) };
-            buffers.relax(v, i as f64, prev, states[i]);
+            buffers.relax(v, i as u64, prev, states[i]);
         }
         (buffers, vertices)
     }

@@ -50,9 +50,6 @@ use tpl_grid::{
     TradCost, VertexId,
 };
 
-/// Key units per cost unit when quantising `f64` costs to frontier keys.
-const KEY_RESOLUTION: f64 = 256.0;
-
 /// Per-vertex search bookkeeping with three levels of epoch invalidation:
 /// per-search (the kernel's distance, predecessor and colour state, plus
 /// target marks), and per-net (verSet membership and routed-tree
@@ -75,7 +72,7 @@ pub struct NetBuffers {
     /// The lower bound, aimed at the unreached pins per search.
     bound: GoalBound,
     /// [`TradCost::base`] per layer and direction of [`Dir::ALL`].
-    base: Vec<[f64; 6]>,
+    base: Vec<[u64; 6]>,
 }
 
 impl NetBuffers {
@@ -85,7 +82,7 @@ impl NetBuffers {
         let num_vertices = grid.num_vertices();
         Self {
             goal_directed: true,
-            kernel: Kernel::new(num_vertices, KEY_RESOLUTION),
+            kernel: Kernel::new(num_vertices),
             target: GoalMarks::new(num_vertices),
             ver_set: EpochMap::new(num_vertices),
             tree: EpochStamps::new(num_vertices),
@@ -126,13 +123,13 @@ impl NetBuffers {
 
     /// Tentative distance of a vertex in the current search.
     #[inline]
-    pub fn dist(&self, v: VertexId) -> f64 {
+    pub fn dist(&self, v: VertexId) -> u64 {
         self.kernel.dist(v.0)
     }
 
     /// Relaxes a vertex with a new distance, predecessor and colour state.
     #[inline]
-    pub fn relax(&mut self, v: VertexId, dist: f64, prev: Option<VertexId>, state: ColorState) {
+    pub fn relax(&mut self, v: VertexId, dist: u64, prev: Option<VertexId>, state: ColorState) {
         self.kernel.relax(v.0, dist, prev.map(|p| p.0), state);
     }
 
@@ -197,21 +194,16 @@ impl<'a> SearchContext<'a> {
         &self,
         from_state: ColorState,
         dir: Dir,
-        trad: f64,
+        trad: u64,
         pressure: [u16; 3],
-    ) -> (f64, ColorState) {
-        let mut best = f64::INFINITY;
-        let mut best_set = ColorState::none();
-        const EPS: f64 = 1e-9;
+    ) -> (u64, ColorState) {
         let costs = self.config.step_costs(trad, pressure, dir, from_state);
-        for (mask, c) in Mask::ALL.into_iter().zip(costs) {
-            if c + EPS < best {
-                best = c;
-                best_set = ColorState::from_mask(mask);
-            } else if (c - best).abs() <= EPS {
-                best_set = best_set.with(mask);
-            }
-        }
+        let best = costs.into_iter().min().expect("three masks");
+        let best_set = Mask::ALL
+            .into_iter()
+            .zip(costs)
+            .filter(|&(_, c)| c == best)
+            .fold(ColorState::none(), |set, (mask, _)| set.with(mask));
         (best, best_set)
     }
 }
@@ -220,7 +212,7 @@ impl<'a> SearchContext<'a> {
 struct ColorSearch<'s, 'a> {
     ctx: &'s SearchContext<'a>,
     /// [`NetBuffers`]' base-cost table.
-    base: &'s [[f64; 6]],
+    base: &'s [[u64; 6]],
     cache: &'s mut ColorCostCache,
     target: &'s GoalMarks,
 }
@@ -237,9 +229,9 @@ impl SearchSpace for ColorSearch<'_, '_> {
     fn expand(
         &mut self,
         node: u32,
-        dist: f64,
+        dist: u64,
         from_state: ColorState,
-        mut relax: impl FnMut(u32, f64, ColorState),
+        mut relax: impl FnMut(u32, u64, ColorState),
     ) {
         let ctx = self.ctx;
         let v = VertexId::new(node);
@@ -385,11 +377,11 @@ mod tests {
         let mut v = dst;
         let mut d = buffers.dist(v);
         while let Some(p) = buffers.prev(v) {
-            assert!(buffers.dist(p) <= d + 1e-9);
+            assert!(buffers.dist(p) <= d);
             d = buffers.dist(p);
             v = p;
         }
-        assert_eq!(buffers.dist(v), 0.0);
+        assert_eq!(buffers.dist(v), 0);
     }
 
     #[test]
@@ -409,12 +401,12 @@ mod tests {
                 .expect("path exists");
             costs.push(buffers.dist(dst));
         }
-        assert!((costs[0] - costs[1]).abs() < 1e-6, "costs {costs:?}");
+        assert_eq!(costs[0], costs[1]);
     }
 
     /// Pops and goal distance of plain Dijkstra (`h = 0`) from pin 0 to pin
     /// 1, run on the kernel directly.
-    fn plain_dijkstra(f: &Fixture, c: &SearchContext) -> (usize, f64) {
+    fn plain_dijkstra(f: &Fixture, c: &SearchContext) -> (usize, u64) {
         let mut buffers = NetBuffers::new(&f.grid, &f.config.cost);
         let mut cache = ColorCostCache::new(&f.grid);
         buffers.begin_net();
@@ -433,9 +425,7 @@ mod tests {
             target,
         };
         let sources = all_sources(f).into_iter().map(|(s, state)| (s.0, state));
-        let (dst, _) = kernel
-            .run(&mut space, sources, |_| 0.0)
-            .expect("path exists");
+        let (dst, _) = kernel.run(&mut space, sources, |_| 0).expect("path exists");
         (kernel.popped(), kernel.dist(dst.0))
     }
 
@@ -481,7 +471,7 @@ mod tests {
                 r ^= r >> 7;
                 r ^= r << 17;
                 match r % 16 {
-                    0 => gstate.add_history(v, 60.0 * (r >> 4 & 3) as f64),
+                    0 => gstate.add_history(v, 60 * (r >> 4 & 3) as u32),
                     1 => gstate.occupy(v, other),
                     2 => {
                         map.insert(Feature::wire(
@@ -527,7 +517,7 @@ mod tests {
             for v in grid.iter_vertices() {
                 let (h, m) = (bound.h(&grid, v), bound.manhattan(&grid, v));
                 for state in states {
-                    space.expand(v.0, 0.0, state, |to, step, _| {
+                    space.expand(v.0, 0, state, |to, step, _| {
                         let to = VertexId::new(to);
                         assert!(h <= step + bound.h(&grid, to), "h {v:?} -> {to:?}");
                         let m_to = bound.manhattan(&grid, to);
@@ -600,7 +590,7 @@ mod tests {
         assert_eq!(set.single(), Some(tpl_color::Mask::Green));
         let (cost_full_state, full_set) = c.color_step(ColorState::all(), Dir::East, trad, none);
         assert_eq!(full_set, ColorState::all());
-        assert!((cost_green_state - cost_full_state).abs() < 1e-9);
+        assert_eq!(cost_green_state, cost_full_state);
         // Via steps never pay a stitch cost.
         let above = f.grid.vertex(1, 5, 5);
         let via_trad = c.trad.step(v, above, Dir::Up).unwrap();

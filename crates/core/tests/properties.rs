@@ -18,10 +18,9 @@ proptest! {
 
     /// On a generated case with random occupancy, history, guides and
     /// coloured wires, for every vertex: the direction-class base plus the
-    /// record's node penalty equals `TradCost::step` bit for bit, the
-    /// record's pressure equals a fresh `mask_pressure` query, and a blocked
-    /// vertex has no record.  History grows in whole increments, as in the
-    /// routers, so the split sum equals the term-by-term one exactly.
+    /// record's node penalty equals `TradCost::step` and the term-by-term
+    /// sum, the record's pressure equals a fresh `mask_pressure` query, and a
+    /// blocked vertex has no record.
     #[test]
     fn record_matches_the_step_cost_and_a_fresh_pressure_query(
         salt in any::<u64>(),
@@ -46,7 +45,7 @@ proptest! {
             state.occupy(vertex(raw), NetId::new((owner % num_nets) as u32));
         }
         for &(raw, times) in &history {
-            state.add_history(vertex(raw), 60.0 * times as f64);
+            state.add_history(vertex(raw), 60 * times);
         }
         let mut route_guides = RouteGuides::new(num_nets);
         for &(layer, x, y, size) in &guides {
@@ -92,9 +91,9 @@ proptest! {
                 let to_v = dir.opposite();
                 let split = trad.base(grid.layer_of(from), to_v) + penalty;
                 let step = trad.step(from, v, to_v).expect("v is not blocked");
-                prop_assert!(split.to_bits() == step.to_bits(), "{:?} into {}", to_v, v);
+                prop_assert!(split == step, "{:?} into {}", to_v, v);
                 let unsplit = unsplit_step(&trad, from, v, to_v);
-                prop_assert!(step.to_bits() == unsplit.to_bits(), "{:?} into {}", to_v, v);
+                prop_assert!(step == unsplit, "{:?} into {}", to_v, v);
             }
         }
     }
@@ -102,29 +101,29 @@ proptest! {
 
 /// `Cost_trad` summed term by term onto the direction-class cost, the
 /// association the step used before it was split into base and penalty.
-fn unsplit_step(trad: &TradCost<'_>, from: VertexId, to: VertexId, dir: Dir) -> f64 {
+fn unsplit_step(trad: &TradCost<'_>, from: VertexId, to: VertexId, dir: Dir) -> u64 {
     let p = trad.params;
     let pitch = trad.grid.pitch();
     let mut c = if dir.is_via() {
-        p.via
+        u64::from(p.via)
     } else if dir.axis() != Some(trad.grid.layer_axis(trad.grid.layer_of(from))) {
         p.wrong_way_cost(pitch)
     } else {
         p.wire_cost(pitch)
     };
     if dir.is_planar() && trad.grid.layer_of(to).index() == 0 {
-        c *= p.base_layer_mult;
+        c *= u64::from(p.base_layer_mult);
     }
     if !trad.in_guide.get(to.index()) {
-        c += p.out_of_guide * pitch as f64;
+        c += u64::from(p.out_of_guide) * pitch as u64;
     }
     if trad.state.is_occupied_by_other(to, trad.net) {
-        c += p.occupied;
+        c += u64::from(p.occupied);
     }
     if let Some(pin) = trad.coverage.pin_at(to) {
         if trad.design.pin(pin).net() != trad.net {
-            c += p.occupied;
+            c += u64::from(p.occupied);
         }
     }
-    c + p.history_weight * trad.state.history(to)
+    c + u64::from(trad.state.history(to))
 }

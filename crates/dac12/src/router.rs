@@ -13,9 +13,6 @@ use tpl_grid::{
     NetRoute, Outcome, PinCoverage, RouteBudget, SearchSpace, TraceNames, TradCost,
 };
 
-/// Key units per cost unit of the search frontier.
-const KEY_RESOLUTION: f64 = 256.0;
-
 /// Where DAC'12's negotiation reports in traces.
 const TRACE: TraceNames = TraceNames {
     pass: "dac12.rrr_iteration",
@@ -75,7 +72,7 @@ struct SearchBuffers {
     targets: GoalMarks,
     /// [`CostParams::base`](tpl_grid::CostParams::base) per layer and direction
     /// of [`Dir::ALL`].
-    base: Vec<[f64; 6]>,
+    base: Vec<[u64; 6]>,
     in_guide: DenseBitSet,
 }
 
@@ -101,7 +98,7 @@ struct SplitSearch<'s, 'a> {
     targets: &'s GoalMarks,
     /// [`CostParams::base`](tpl_grid::CostParams::base) per layer and direction
     /// of [`Dir::ALL`].
-    base: &'s [[f64; 6]],
+    base: &'s [[u64; 6]],
     /// The lower bound, aimed at the target pin.
     bound: &'s GoalBound,
 }
@@ -115,7 +112,7 @@ impl SearchSpace for SplitSearch<'_, '_> {
         self.targets.pin(v).map(|_| node)
     }
 
-    fn expand(&mut self, node: u32, dist: f64, _: (), mut relax: impl FnMut(u32, f64, ())) {
+    fn expand(&mut self, node: u32, dist: u64, _: (), mut relax: impl FnMut(u32, u64, ())) {
         let (v, mask) = self.expanded.unpack(node);
         let inherited = ColorState::from_mask(mask);
         let grid = self.trad.grid;
@@ -197,7 +194,7 @@ impl Dac12Router {
         let expanded = ExpandedGraph::new(&grid);
         let coverage = PinCoverage::build(&grid, design);
         let mut buffers = SearchBuffers {
-            kernel: Kernel::new(expanded.num_nodes(), KEY_RESOLUTION),
+            kernel: Kernel::new(expanded.num_nodes()),
             cache: ColorCostCache::new(&grid),
             bound: GoalBound::new(&grid, &self.config.cost),
             targets: GoalMarks::new(grid.num_vertices()),
@@ -377,8 +374,8 @@ mod tests {
             None,
             "cross-checked runs are unbudgeted"
         );
-        let mut plain = Kernel::new(search.expanded.num_nodes(), KEY_RESOLUTION);
-        let want = plain.run(search, sources, |_| 0.0);
+        let mut plain = Kernel::new(search.expanded.num_nodes());
+        let want = plain.run(search, sources, |_| 0);
         assert_eq!(found, want, "goal");
         if let Some(goal) = want {
             assert_eq!(kernel.path(goal), plain.path(goal), "path to {goal}");
@@ -651,7 +648,7 @@ mod tests {
                 r ^= r >> 7;
                 r ^= r << 17;
                 match r % 16 {
-                    0 => state.add_history(v, 60.0 * (r >> 4 & 3) as f64),
+                    0 => state.add_history(v, 60 * (r >> 4 & 3) as u32),
                     1 => state.occupy(v, other),
                     2 => {
                         map.insert(Feature::wire(
@@ -692,7 +689,7 @@ mod tests {
             };
             let h = |node: u32| bound.h(&grid, expanded.unpack(node).0);
             for node in 0..expanded.num_nodes() as u32 {
-                search.expand(node, 0.0, (), |to, step, ()| {
+                search.expand(node, 0, (), |to, step, ()| {
                     assert!(h(node) <= step + h(to), "{node} -> {to}");
                 });
             }
@@ -747,7 +744,7 @@ mod tests {
         // counts them.
         let mut check = |v: VertexId, mask: Mask| {
             let mut relaxed = 0;
-            search.expand(expanded.node(v, mask), 100.0, (), |n, d, ()| {
+            search.expand(expanded.node(v, mask), 100, (), |n, d, ()| {
                 let (to, to_mask) = expanded.unpack(n);
                 let dir = Dir::ALL
                     .into_iter()
@@ -755,7 +752,8 @@ mod tests {
                     .expect("relaxed nodes are neighbours");
                 let stitch = dir.is_planar() && to_mask != mask;
                 let step = trad.step(v, to, dir).unwrap();
-                let expected = 100.0 + step + if stitch { config.stitch_cost } else { 0.0 };
+                let stitch_cost = if stitch { config.stitch_cost } else { 0 };
+                let expected = 100 + step + u64::from(stitch_cost);
                 assert_eq!(d, expected, "{dir:?} onto {to_mask:?} from {mask:?}");
                 relaxed += 1;
             });

@@ -10,8 +10,8 @@ use tpl_color::ColoredLayout;
 /// ([`ColoredLayout::near_pairs`], [`ColoredLayout::touching_pairs`]).
 #[derive(Clone, Debug)]
 pub struct ConflictGraph {
-    adjacency: Vec<Vec<usize>>,
-    siblings: Vec<Vec<usize>>,
+    adjacency: Adjacency,
+    siblings: Adjacency,
 }
 
 impl ConflictGraph {
@@ -21,52 +21,79 @@ impl ConflictGraph {
         let _span = tpl_trace::span!("decompose.graph");
         let n = layout.features().len();
         Self {
-            adjacency: both_ways(n, layout.near_pairs()),
-            siblings: both_ways(n, layout.touching_pairs()),
+            adjacency: Adjacency::both_ways(n, || layout.near_pairs()),
+            siblings: Adjacency::both_ways(n, || layout.touching_pairs()),
         }
     }
 
     /// Number of vertices.
     #[inline]
     pub fn num_nodes(&self) -> usize {
-        self.adjacency.len()
+        self.adjacency.offsets.len() - 1
     }
 
     /// Number of conflict edges.
     #[inline]
     pub fn num_edges(&self) -> usize {
-        self.adjacency.iter().map(Vec::len).sum::<usize>() / 2
+        self.adjacency.targets.len() / 2
     }
 
     /// The neighbours of a vertex.
     #[inline]
     pub fn neighbors(&self, v: usize) -> &[usize] {
-        &self.adjacency[v]
+        self.adjacency.of(v)
     }
 
     /// The degree of a vertex.
     #[inline]
     pub fn degree(&self, v: usize) -> usize {
-        self.adjacency[v].len()
+        self.adjacency.of(v).len()
     }
 
     /// The touching features of a vertex's net on its layer.
     #[inline]
     pub fn siblings(&self, v: usize) -> &[usize] {
-        &self.siblings[v]
+        self.siblings.of(v)
     }
 }
 
-/// The adjacency lists of `n` vertices joined by `pairs`.  Ascending pairs
-/// `(i, j)`, `i < j`, give ascending lists: a vertex hears of its smaller
-/// neighbours before it reaches its own pairs.
-fn both_ways(n: usize, pairs: impl Iterator<Item = (usize, usize)>) -> Vec<Vec<usize>> {
-    let mut lists = vec![Vec::new(); n];
-    for (i, j) in pairs {
-        lists[i].push(j);
-        lists[j].push(i);
+/// Adjacency lists in one array: vertex `v`'s list is
+/// `targets[offsets[v]..offsets[v + 1]]`.
+#[derive(Clone, Debug)]
+struct Adjacency {
+    offsets: Vec<usize>,
+    targets: Vec<usize>,
+}
+
+impl Adjacency {
+    /// The lists of `n` vertices joined by the pairs `pairs()` yields, read
+    /// twice: once to count, once to fill.  Ascending pairs `(i, j)`,
+    /// `i < j`, give ascending lists: a vertex hears of its smaller
+    /// neighbours before it reaches its own pairs.
+    fn both_ways<I: Iterator<Item = (usize, usize)>>(n: usize, pairs: impl Fn() -> I) -> Self {
+        let mut offsets = vec![0; n + 1];
+        for (i, j) in pairs() {
+            offsets[i + 1] += 1;
+            offsets[j + 1] += 1;
+        }
+        for v in 0..n {
+            offsets[v + 1] += offsets[v];
+        }
+        let mut next = offsets[..n].to_vec();
+        let mut targets = vec![0; offsets[n]];
+        for (i, j) in pairs() {
+            targets[next[i]] = j;
+            next[i] += 1;
+            targets[next[j]] = i;
+            next[j] += 1;
+        }
+        Self { offsets, targets }
     }
-    lists
+
+    #[inline]
+    fn of(&self, v: usize) -> &[usize] {
+        &self.targets[self.offsets[v]..self.offsets[v + 1]]
+    }
 }
 
 #[cfg(test)]

@@ -51,7 +51,7 @@ pub use features::extract_features;
 pub use graph::ConflictGraph;
 
 use std::time::Instant;
-use tpl_color::{ColoredLayout, Mask};
+use tpl_color::ColoredLayout;
 use tpl_design::{Design, RoutingSolution};
 
 /// Configuration of the decomposer.
@@ -98,10 +98,9 @@ pub struct DecomposeStats {
 /// The outcome of a decomposition run.
 #[derive(Clone, Debug)]
 pub struct DecomposeResult {
-    /// The coloured layout used for evaluation.
+    /// The coloured layout used for evaluation: the extracted features, in
+    /// order, each with the mask it was given.
     pub layout: ColoredLayout,
-    /// Per-feature mask assignment, parallel to the extracted feature list.
-    pub masks: Vec<Option<Mask>>,
     /// Run statistics.
     pub stats: DecomposeStats,
 }
@@ -142,11 +141,7 @@ impl Decomposer {
             uncolored_features: layout_stats.uncolored,
             runtime_seconds: start.elapsed().as_secs_f64(),
         };
-        DecomposeResult {
-            layout,
-            masks,
-            stats,
-        }
+        DecomposeResult { layout, stats }
     }
 }
 
@@ -178,7 +173,7 @@ mod tests {
         assert_eq!(result.stats.uncolored_features, 0);
         assert!(result.stats.features > 0);
         assert!(result.stats.edges > 0);
-        assert_eq!(result.masks.len(), result.stats.features);
+        assert_eq!(result.layout.features().len(), result.stats.features);
     }
 
     #[test]
@@ -188,7 +183,10 @@ mod tests {
         let routed = DrCuRouter::new(DrCuConfig::default()).route(&design, &guides);
         let a = Decomposer::new(DecomposeConfig::default()).decompose(&design, &routed.solution);
         let b = Decomposer::new(DecomposeConfig::default()).decompose(&design, &routed.solution);
-        assert_eq!(a.masks, b.masks);
+        let masks = |r: &DecomposeResult| -> Vec<_> {
+            r.layout.features().iter().map(|f| f.mask).collect()
+        };
+        assert_eq!(masks(&a), masks(&b));
         assert_eq!(a.stats.conflicts, b.stats.conflicts);
         assert_eq!(a.stats.stitches, b.stats.stitches);
     }

@@ -12,9 +12,6 @@ use tpl_grid::{
     CostParams, GoalBound, GoalMarks, GridGraph, Kernel, SearchSpace, TradCost, VertexId,
 };
 
-/// Key units per cost unit of the maze frontier.
-const KEY_RESOLUTION: f64 = 256.0;
-
 /// What every maze search of a routing run reuses.
 pub(crate) struct MazeBuffers {
     /// The search kernel; the router arms it per net and reads its counters.
@@ -24,14 +21,14 @@ pub(crate) struct MazeBuffers {
     /// The unreached pins' vertices, marked per search.
     goals: GoalMarks,
     /// [`CostParams::base`] per layer and direction of `tpl_geom::Dir::ALL`.
-    base: Vec<[f64; 6]>,
+    base: Vec<[u64; 6]>,
 }
 
 impl MazeBuffers {
     /// Buffers for searches over `grid` at the costs of `params`.
     pub(crate) fn new(grid: &GridGraph, params: &CostParams) -> Self {
         Self {
-            kernel: Kernel::new(grid.num_vertices(), KEY_RESOLUTION),
+            kernel: Kernel::new(grid.num_vertices()),
             bound: GoalBound::new(grid, params),
             goals: GoalMarks::new(grid.num_vertices()),
             base: params.base_table(grid),
@@ -43,7 +40,7 @@ impl MazeBuffers {
 /// with the marked vertices of the net's unreached pins as goals.
 struct Maze<'s, 'a> {
     cost: &'s TradCost<'a>,
-    base: &'s [[f64; 6]],
+    base: &'s [[u64; 6]],
     goals: &'s GoalMarks,
 }
 
@@ -56,7 +53,7 @@ impl SearchSpace for Maze<'_, '_> {
         self.goals.pin(v).map(|pin| (v, pin))
     }
 
-    fn expand(&mut self, node: u32, dist: f64, _: (), mut relax: impl FnMut(u32, f64, ())) {
+    fn expand(&mut self, node: u32, dist: u64, _: (), mut relax: impl FnMut(u32, u64, ())) {
         let grid = self.cost.grid;
         let v = VertexId::new(node);
         let at = grid.coords(v);
@@ -148,8 +145,8 @@ mod tests {
             None,
             "cross-checked runs are unbudgeted"
         );
-        let mut plain = Kernel::new(maze.cost.grid.num_vertices(), KEY_RESOLUTION);
-        let want = plain.run(maze, sources, |_| 0.0);
+        let mut plain = Kernel::new(maze.cost.grid.num_vertices());
+        let want = plain.run(maze, sources, |_| 0);
         assert_eq!(found, want, "goal");
         if let Some((v, _)) = want {
             assert_eq!(kernel.path(v.0), plain.path(v.0), "path to {v:?}");
@@ -269,7 +266,7 @@ mod tests {
         // node penalty from vertex to vertex.
         for i in (0..g.num_vertices()).step_by(7) {
             let v = VertexId::new(i as u32);
-            s.add_history(v, (i % 5) as f64 * 30.0);
+            s.add_history(v, (i % 5) as u32 * 30);
             if i % 3 == 0 {
                 s.occupy(v, NetId::new(7));
             }
@@ -286,13 +283,10 @@ mod tests {
         };
         for v in g.iter_vertices() {
             let mut got = Vec::new();
-            maze.expand(v.0, 1.5, (), |to, nd, ()| got.push((to, nd.to_bits())));
+            maze.expand(v.0, 15, (), |to, nd, ()| got.push((to, nd)));
             let want: Vec<(u32, u64)> = g
                 .neighbors(v)
-                .filter_map(|(dir, n)| {
-                    cost.step(v, n, dir)
-                        .map(|step| (n.0, (1.5 + step).to_bits()))
-                })
+                .filter_map(|(dir, n)| cost.step(v, n, dir).map(|step| (n.0, 15 + step)))
                 .collect();
             assert_eq!(got, want, "{v:?}");
         }
@@ -314,7 +308,7 @@ mod tests {
                 r ^= r >> 7;
                 r ^= r << 17;
                 match r % 8 {
-                    0 => s.add_history(v, 30.0 * (r >> 3 & 3) as f64),
+                    0 => s.add_history(v, 30 * (r >> 3 & 3) as u32),
                     1 => s.occupy(v, NetId::new(net.0 + 1)),
                     _ => {}
                 }
@@ -336,7 +330,7 @@ mod tests {
             };
             for v in g.iter_vertices() {
                 let h = bound.h(&g, v);
-                maze.expand(v.0, 0.0, (), |to, step, ()| {
+                maze.expand(v.0, 0, (), |to, step, ()| {
                     let h_to = bound.h(&g, VertexId::new(to));
                     assert!(h <= step + h_to, "{v:?} -> {to}: {h} > {step} + {h_to}");
                 });

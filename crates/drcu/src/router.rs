@@ -28,7 +28,7 @@ pub struct DrCuConfig {
     pub max_rrr_iterations: usize,
     /// History cost added to every vertex involved in an overlap when a net
     /// is ripped up.
-    pub history_increment: f64,
+    pub history_increment: u32,
 }
 
 impl Default for DrCuConfig {
@@ -36,7 +36,7 @@ impl Default for DrCuConfig {
         Self {
             cost: CostParams::default(),
             max_rrr_iterations: 3,
-            history_increment: 30.0,
+            history_increment: 30,
         }
     }
 }

@@ -1,4 +1,9 @@
 //! The consistent lower bounds the detailed routers search with.
+//!
+//! A bound is a whole-number price like the steps it bounds: a `u64` sum of
+//! `u32` weights times track and layer gaps, the type of the distances it is
+//! added to.  So consistency holds exactly, and a bound plus a distance is
+//! an exact frontier key.
 
 use crate::{CostParams, GridGraph, PinCoverage, VertexId};
 use tpl_design::{LayerId, PinId};
@@ -8,9 +13,9 @@ use tpl_geom::Dir;
 /// `cx` per x-track gap and `cy` per y-track gap.
 #[derive(Clone, Copy, Debug, PartialEq)]
 struct Term {
-    via: f64,
-    cx: f64,
-    cy: f64,
+    via: u64,
+    cx: u64,
+    cy: u64,
 }
 
 impl Term {
@@ -28,11 +33,11 @@ fn push_terms(
     terms: &mut Vec<Term>,
     l: usize,
     (l0, l1): (usize, usize),
-    (cx, cy): (&[f64], &[f64]),
-    via: f64,
+    (cx, cy): (&[u64], &[u64]),
+    via: u64,
 ) {
     let start = terms.len();
-    let cheapest = |prices: &[f64]| prices.iter().copied().fold(f64::INFINITY, f64::min);
+    let cheapest = |prices: &[u64]| prices.iter().copied().min().expect("a layer interval");
     for lo in 0..=l.min(l1) {
         for hi in l.max(l0)..cx.len() {
             // Down to `lo` first, then up to `hi` and down to the highest
@@ -40,7 +45,7 @@ fn push_terms(
             // and up to the lowest.
             let walk = (l - lo + hi - lo + hi - hi.min(l1)).min(hi - l + hi - lo + lo.max(l0) - lo);
             let term = Term {
-                via: walk as f64 * via,
+                via: walk as u64 * via,
                 cx: cheapest(&cx[lo..=hi]),
                 cy: cheapest(&cy[lo..=hi]),
             };
@@ -104,8 +109,8 @@ struct Target {
 /// base-cost grid, and both bounds are admissible.  Each is the exact
 /// distance in a graph whose every edge is at most the real step (the base
 /// grid for `h`, the base grid at the cheapest planar step for
-/// `manhattan`), so each is consistent (`h(u) <= step + h(v)`, up to `f64`
-/// rounding for non-integer costs), and each is zero on every vertex of a
+/// `manhattan`), so each is consistent (`h(u) <= step + h(v)`, exactly, as
+/// every price is a whole number), and each is zero on every vertex of a
 /// target pin's coverage.  That is what
 /// [`Kernel::run`](crate::Kernel::run) needs for A\*,
 /// [`Kernel::run_dijkstra`](crate::Kernel::run_dijkstra) for its pruning
@@ -119,8 +124,8 @@ pub struct GoalBound {
     spans: Vec<(u32, u32)>,
     terms: Vec<Term>,
     /// A lower bound on every planar step, for `manhattan`.
-    step: f64,
-    via: f64,
+    step: u64,
+    via: u64,
     targets: Vec<Target>,
 }
 
@@ -129,10 +134,10 @@ impl GoalBound {
     /// pin yet: both are zero until [`aim`](Self::aim).
     pub fn new(grid: &GridGraph, params: &CostParams) -> Self {
         let layers = grid.num_layers();
-        let price = |layer: usize, dir: Dir| params.base(grid, LayerId::from(layer), dir).max(0.0);
-        let cx: Vec<f64> = (0..layers).map(|l| price(l, Dir::East)).collect();
-        let cy: Vec<f64> = (0..layers).map(|l| price(l, Dir::North)).collect();
-        let via = params.via.max(0.0);
+        let price = |layer: usize, dir: Dir| params.base(grid, LayerId::from(layer), dir);
+        let cx: Vec<u64> = (0..layers).map(|l| price(l, Dir::East)).collect();
+        let cy: Vec<u64> = (0..layers).map(|l| price(l, Dir::North)).collect();
+        let via = u64::from(params.via);
         let mut spans = Vec::with_capacity(layers * layers * layers);
         let mut terms = Vec::new();
         for l in 0..layers {
@@ -146,15 +151,14 @@ impl GoalBound {
                 }
             }
         }
-        // Conservative minima: honour configs where the wrong-way or
-        // base-layer multipliers dip below 1, or both do (wrong-way wire on
-        // M1 pays both).
-        let mult = params.wrong_way_mult.min(1.0) * params.base_layer_mult.min(1.0);
+        // A whole-number multiplier of 1 or more never makes wire cheaper;
+        // one of 0 makes some planar step free.
+        let mult = params.wrong_way_mult.min(1) * params.base_layer_mult.min(1);
         Self {
             layers,
             spans,
             terms,
-            step: (params.wire_cost(grid.pitch()) * mult).max(0.0),
+            step: params.wire_cost(grid.pitch()) * u64::from(mult),
             via,
             targets: Vec::new(),
         }
@@ -197,24 +201,25 @@ impl GoalBound {
     /// The layer-aware bound at `v`: the base-cost distance to the nearest
     /// target box.
     #[inline]
-    pub fn h(&self, grid: &GridGraph, v: VertexId) -> f64 {
+    pub fn h(&self, grid: &GridGraph, v: VertexId) -> u64 {
         self.nearest(grid, v, |target, l, dx, dy| {
             let (start, end) = self.spans[l as usize * self.layers * self.layers + target.range];
-            let (dx, dy) = (dx as f64, dy as f64);
+            let (dx, dy) = (dx as u64, dy as u64);
             self.terms[start as usize..end as usize]
                 .iter()
                 .map(|t| t.via + t.cx * dx + t.cy * dy)
-                .fold(f64::INFINITY, f64::min)
+                .min()
+                .expect("a target range has a term")
         })
     }
 
     /// The Manhattan bound at `v`: every planar gap at the cheapest planar
     /// step, every layer gap at one via.
     #[inline]
-    pub fn manhattan(&self, grid: &GridGraph, v: VertexId) -> f64 {
+    pub fn manhattan(&self, grid: &GridGraph, v: VertexId) -> u64 {
         self.nearest(grid, v, |target, l, dx, dy| {
             let dl = (target.l0 - l).max(l - target.l1).max(0);
-            (dx + dy) as f64 * self.step + dl as f64 * self.via
+            (dx + dy) as u64 * self.step + dl as u64 * self.via
         })
     }
 
@@ -225,14 +230,14 @@ impl GoalBound {
         &self,
         grid: &GridGraph,
         v: VertexId,
-        price: impl Fn(&Target, i32, i32, i32) -> f64,
-    ) -> f64 {
+        price: impl Fn(&Target, i32, i32, i32) -> u64,
+    ) -> u64 {
         if self.targets.is_empty() {
-            return 0.0;
+            return 0;
         }
         let (layer, ix, iy) = grid.coords(v);
         let (l, x, y) = (layer as i32, ix as i32, iy as i32);
-        let mut best = f64::INFINITY;
+        let mut best = u64::MAX;
         for target in &self.targets {
             let dx = (target.x0 - x).max(x - target.x1).max(0);
             let dy = (target.y0 - y).max(y - target.y1).max(0);
@@ -269,13 +274,13 @@ mod tests {
             in_guide: &in_guide,
         };
         let mut bound = GoalBound::new(&grid, &params);
-        assert_eq!(bound.h(&grid, VertexId::new(0)), 0.0, "unaimed");
+        assert_eq!(bound.h(&grid, VertexId::new(0)), 0, "unaimed");
         let pins = &design.net(net).pins()[1..];
         bound.aim(&grid, &coverage, pins);
         for &pin in pins {
             for &v in coverage.vertices(pin) {
-                assert_eq!(bound.h(&grid, v), 0.0);
-                assert_eq!(bound.manhattan(&grid, v), 0.0);
+                assert_eq!(bound.h(&grid, v), 0);
+                assert_eq!(bound.manhattan(&grid, v), 0);
             }
         }
         for v in grid.iter_vertices() {

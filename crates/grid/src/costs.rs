@@ -1,4 +1,12 @@
 //! The shared traditional cost model (`Cost_trad` of Eq. (1)).
+//!
+//! Every price is a whole number: the weights are `u32`, pitches are integer
+//! database units, and a step's cost is a `u64` sum of them (with the colour
+//! routers' pressure term, one step can pass 2·10⁷, so sums along a path
+//! need more than a `u32`).  So a path's cost is exact, and the search
+//! kernel takes it as its frontier key.  The kernel's exactness arguments
+//! need every step to cost at least 1, so [`CostParams::base_table`], which
+//! every router builds once per run, rejects a base price of 0.
 
 use crate::{DenseBitSet, GridGraph, GridState, PinCoverage, VertexId};
 use tpl_design::{Design, LayerId, NetId, RouteGuides};
@@ -9,66 +17,65 @@ use tpl_geom::{Dbu, Dir};
 /// These correspond to `Cost_trad` in Eq. (1) of the paper and are shared by
 /// the TPL-unaware baseline, the DAC'12 baseline and Mr.TPL so that runtime
 /// and quality comparisons isolate the colour-handling strategy.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CostParams {
     /// Cost per database unit of preferred-direction wire.
-    pub unit_wire: f64,
+    pub unit_wire: u32,
     /// Multiplier applied to wrong-way (non-preferred axis) wire.
-    pub wrong_way_mult: f64,
+    pub wrong_way_mult: u32,
     /// Cost of one via.
-    pub via: f64,
+    pub via: u32,
     /// Additional cost per database unit of wire outside the route guide.
-    pub out_of_guide: f64,
+    pub out_of_guide: u32,
     /// Cost of stepping onto a vertex already occupied by another net.
     /// Kept finite so negotiation-based rip-up and reroute can resolve it.
-    pub occupied: f64,
-    /// Cost of stepping onto a blocked (obstacle) vertex.  Effectively
-    /// infinite.
-    pub blocked: f64,
-    /// Multiplier for accumulated history cost during negotiation.
-    pub history_weight: f64,
+    pub occupied: u32,
     /// Extra multiplier applied to planar wire on the lowest layer (M1).
     /// Real detailed routers keep M1 for pin access; through-routing on M1
     /// runs straight past foreign pins and is the main source of
     /// wire-to-pin colour conflicts, so it is discouraged.
-    pub base_layer_mult: f64,
+    pub base_layer_mult: u32,
 }
 
 impl Default for CostParams {
     fn default() -> Self {
         Self {
-            unit_wire: 1.0,
-            wrong_way_mult: 2.0,
-            via: 40.0,
-            out_of_guide: 1.0,
-            occupied: 5_000.0,
-            blocked: 1.0e12,
-            history_weight: 1.0,
-            base_layer_mult: 4.0,
+            unit_wire: 1,
+            wrong_way_mult: 2,
+            via: 40,
+            out_of_guide: 1,
+            occupied: 5_000,
+            base_layer_mult: 4,
         }
     }
+}
+
+/// `len` database units as a cost factor.
+#[inline]
+fn dbu(len: Dbu) -> u64 {
+    u64::try_from(len).expect("a wire length is non-negative")
 }
 
 impl CostParams {
     /// The cost of `len` database units of wire, preferred direction.
     #[inline]
-    pub fn wire_cost(&self, len: Dbu) -> f64 {
-        self.unit_wire * len as f64
+    pub fn wire_cost(&self, len: Dbu) -> u64 {
+        u64::from(self.unit_wire) * dbu(len)
     }
 
     /// The cost of `len` database units of wrong-way wire.
     #[inline]
-    pub fn wrong_way_cost(&self, len: Dbu) -> f64 {
-        self.unit_wire * self.wrong_way_mult * len as f64
+    pub fn wrong_way_cost(&self, len: Dbu) -> u64 {
+        self.wire_cost(len) * u64::from(self.wrong_way_mult)
     }
 
     /// The direction-class cost of a step leaving a vertex on `layer` of
     /// `grid` in direction `dir`: a via, preferred-direction wire or
     /// wrong-way wire, with planar wire on the lowest layer times the M1
     /// multiplier.
-    pub fn base(&self, grid: &GridGraph, layer: LayerId, dir: Dir) -> f64 {
+    pub fn base(&self, grid: &GridGraph, layer: LayerId, dir: Dir) -> u64 {
         match dir.axis() {
-            None => self.via,
+            None => u64::from(self.via),
             Some(axis) => {
                 let c = if axis == grid.layer_axis(layer) {
                     self.wire_cost(grid.pitch())
@@ -76,7 +83,7 @@ impl CostParams {
                     self.wrong_way_cost(grid.pitch())
                 };
                 if layer.index() == 0 {
-                    c * self.base_layer_mult
+                    c * u64::from(self.base_layer_mult)
                 } else {
                     c
                 }
@@ -88,10 +95,20 @@ impl CostParams {
     /// [`Dir::ALL`]: the table the detailed routers read per relaxation,
     /// indexed by the popped vertex's layer and the direction's position in
     /// [`GridGraph::neighbors_at`].
-    pub fn base_table(&self, grid: &GridGraph) -> Vec<[f64; 6]> {
-        (0..grid.num_layers())
+    ///
+    /// # Panics
+    ///
+    /// Panics if a base price is 0 (a zero via, wire or multiplier weight):
+    /// the searches need every step to cost at least 1.
+    pub fn base_table(&self, grid: &GridGraph) -> Vec<[u64; 6]> {
+        let table: Vec<[u64; 6]> = (0..grid.num_layers())
             .map(|layer| Dir::ALL.map(|dir| self.base(grid, LayerId::from(layer), dir)))
-            .collect()
+            .collect();
+        assert!(
+            table.iter().flatten().all(|&price| price >= 1),
+            "every base price must be at least 1: {self:?}"
+        );
+        table
     }
 }
 
@@ -121,13 +138,8 @@ impl TradCost<'_> {
     /// `None` when `to` is blocked: [`base`](Self::base) of the direction
     /// class plus the [`node_penalty`](Self::node_penalty) of `to`.
     ///
-    /// Splitting the sum this way groups the node terms before adding the
-    /// base, which reassociates one `f64` sum.  Every default weight is an
-    /// integer (unit wire 1, via 40, occupied 5000, history increments 30
-    /// and 60, pitch-multiple wire costs), so every partial sum is exact and
-    /// the split changes no result.
     #[inline]
-    pub fn step(&self, from: VertexId, to: VertexId, dir: Dir) -> Option<f64> {
+    pub fn step(&self, from: VertexId, to: VertexId, dir: Dir) -> Option<u64> {
         let penalty = self.node_penalty(to)?;
         Some(self.base(self.grid.layer_of(from), dir) + penalty)
     }
@@ -135,7 +147,7 @@ impl TradCost<'_> {
     /// [`CostParams::base`] on this net's grid: the direction-class cost of
     /// a step leaving a vertex on `layer` in direction `dir`.
     #[inline]
-    pub fn base(&self, layer: LayerId, dir: Dir) -> f64 {
+    pub fn base(&self, layer: LayerId, dir: Dir) -> u64 {
         self.params.base(self.grid, layer, dir)
     }
 
@@ -143,24 +155,23 @@ impl TradCost<'_> {
     /// is blocked: the out-of-guide, foreign-occupancy, foreign-pin and
     /// history terms.
     #[inline]
-    pub fn node_penalty(&self, to: VertexId) -> Option<f64> {
+    pub fn node_penalty(&self, to: VertexId) -> Option<u64> {
         if self.state.is_blocked(to) {
             return None;
         }
         let p = self.params;
-        let mut c = 0.0;
+        let mut c = u64::from(self.state.history(to));
         if !self.in_guide.get(to.index()) {
-            c += p.out_of_guide * self.grid.pitch() as f64;
+            c += u64::from(p.out_of_guide) * dbu(self.grid.pitch());
         }
         if self.state.is_occupied_by_other(to, self.net) {
-            c += p.occupied;
+            c += u64::from(p.occupied);
         }
         if let Some(pin) = self.coverage.pin_at(to) {
             if self.design.pin(pin).net() != self.net {
-                c += p.occupied;
+                c += u64::from(p.occupied);
             }
         }
-        c += p.history_weight * self.state.history(to);
         Some(c)
     }
 }
@@ -205,7 +216,7 @@ mod tests {
     fn wrong_way_is_more_expensive() {
         let p = CostParams::default();
         assert!(p.wrong_way_cost(20) > p.wire_cost(20));
-        assert_eq!(p.wire_cost(20), 20.0);
+        assert_eq!(p.wire_cost(20), 20);
     }
 
     #[test]
@@ -228,32 +239,41 @@ mod tests {
         let (wire, wrong_way) = (p.wire_cost(grid.pitch()), p.wrong_way_cost(grid.pitch()));
         // Layer 0 is horizontal and pays the M1 multiplier on planar wire.
         let m1 = LayerId::new(0);
-        assert_eq!(trad.base(m1, Dir::East), wire * p.base_layer_mult);
-        assert_eq!(trad.base(m1, Dir::North), wrong_way * p.base_layer_mult);
+        assert_eq!(
+            trad.base(m1, Dir::East),
+            wire * u64::from(p.base_layer_mult)
+        );
+        assert_eq!(
+            trad.base(m1, Dir::North),
+            wrong_way * u64::from(p.base_layer_mult)
+        );
         // Layer 1 is vertical.
         let m2 = LayerId::new(1);
         assert_eq!(trad.base(m2, Dir::East), wrong_way);
         assert_eq!(trad.base(m2, Dir::South), wire);
         // Vias pay the via cost only, on every layer.
-        assert_eq!(trad.base(m1, Dir::Up), p.via);
-        assert_eq!(trad.base(m2, Dir::Down), p.via);
+        assert_eq!(trad.base(m1, Dir::Up), u64::from(p.via));
+        assert_eq!(trad.base(m2, Dir::Down), u64::from(p.via));
         // The table holds the same values, in `Dir::ALL` order.
         let table = p.base_table(&grid);
         assert_eq!(table.len(), grid.num_layers());
         for (layer, row) in table.iter().enumerate() {
             for (dir, &base) in Dir::ALL.into_iter().zip(row) {
-                assert_eq!(
-                    base.to_bits(),
-                    trad.base(LayerId::from(layer), dir).to_bits()
-                );
+                assert_eq!(base, trad.base(LayerId::from(layer), dir));
             }
         }
     }
 
     #[test]
-    fn blocked_dwarfs_everything_else() {
-        let p = CostParams::default();
-        assert!(p.blocked > p.occupied * 1000.0);
+    #[should_panic(expected = "every base price must be at least 1")]
+    fn a_zero_base_price_is_rejected() {
+        let design = tpl_ispd::CaseParams::ispd18_like(1).scaled(0.25).generate();
+        let grid = GridGraph::build(&design);
+        CostParams {
+            via: 0,
+            ..CostParams::default()
+        }
+        .base_table(&grid);
     }
 
     #[test]

@@ -36,25 +36,6 @@ impl<T: Copy + Default> EpochMap<T> {
         }
     }
 
-    /// Number of slots.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// True when there are no slots.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
-    /// Grows the slot count to at least `len` (new slots are stale).
-    pub fn resize(&mut self, len: usize) {
-        if len > self.slots.len() {
-            // 0 is never the current epoch (begin() starts at 1), so new
-            // slots are stale regardless of how many epochs have passed.
-            self.slots.resize(len, (0, T::default()));
-        }
-    }
-
     /// Starts a new epoch, invalidating every slot in O(1).
     ///
     /// On `u32` exhaustion the stamps are cleared once and the counter
@@ -181,17 +162,5 @@ mod tests {
         m.insert(2, 9.0);
         m.begin();
         assert_eq!((m.get(0), m.get(2)), (None, None));
-    }
-
-    #[test]
-    fn resize_adds_stale_slots() {
-        let mut s = EpochStamps::new(1);
-        s.begin();
-        s.touch(0);
-        s.resize(3);
-        assert_eq!(s.len(), 3);
-        assert!(s.is_fresh(0));
-        assert!(!s.is_fresh(1));
-        assert!(!s.is_fresh(2));
     }
 }

@@ -8,15 +8,16 @@
 //! highest bit in which its key differs from `last`.  When the vector runs
 //! dry, the lowest non-empty bucket holds the least key: it becomes `last`,
 //! its nodes are sorted into the vector, and the bucket's other entries
-//! move to lower buckets.  Between rebases (below) an entry only moves to
-//! a lower bucket, so it moves at most 64 times, and an entry that is
-//! never popped may never move at all.
+//! move to lower buckets.  An entry only moves to a lower bucket, so it
+//! moves at most 64 times, and an entry that is never popped may never move
+//! at all.
 //!
 //! A push at `last` is placed by binary insertion: a search relaxes many
 //! nodes onto the key it is popping, some of them below the node just
-//! popped, and those must pop next.  A push below `last` can only come from
-//! `f64` rounding of a consistent bound in A\* order; it rebuckets the whole
-//! frontier around the new least key, which keeps the order exact.
+//! popped, and those must pop next.  No push lands below `last`: a key is an
+//! exact whole-number cost, `dist + h` with a consistent `h` in A\* order or
+//! `dist` in Dijkstra order, so a relaxation never keys below the entry it
+//! expands.  A debug assertion checks it.
 
 use std::cmp::Reverse;
 
@@ -76,12 +77,15 @@ impl Frontier {
         self.len = 0;
     }
 
-    /// Queues `node` under `key`.
+    /// Queues `node` under `key`, which must not be below the last popped
+    /// key.
     #[inline]
     pub(crate) fn push(&mut self, key: u64, node: u32) {
-        if key < self.last {
-            self.rebase(key);
-        }
+        debug_assert!(
+            key >= self.last,
+            "push of key {key} below the last popped key {}",
+            self.last
+        );
         self.len += 1;
         if key == self.last {
             let at = self.current.partition_point(|&n| n > node);
@@ -128,23 +132,6 @@ impl Frontier {
         self.buckets[b] = entries;
         self.current.sort_unstable_by_key(|&node| Reverse(node));
     }
-
-    /// Lowers `last` to `key` and rebuckets every queued entry around it.
-    #[cold]
-    fn rebase(&mut self, key: u64) {
-        let mut entries: Vec<(u64, u32)> = self.current.drain(..).map(|n| (self.last, n)).collect();
-        while self.occupied != 0 {
-            let b = self.occupied.trailing_zeros() as usize;
-            entries.append(&mut self.buckets[b]);
-            self.occupied &= self.occupied - 1;
-        }
-        self.last = key;
-        for (key, node) in entries {
-            let b = bucket(key, self.last);
-            self.buckets[b].push((key, node));
-            self.occupied |= 1 << b;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -168,8 +155,6 @@ mod tests {
         heap: BinaryHeap<Reverse<u128>>,
         /// The last popped entry, `(0, 0)` after a clear.
         last: (u64, u32),
-        /// Pushes below the last popped key.
-        below: usize,
         /// Pushes at the last popped key below the last popped node.
         before: usize,
     }
@@ -180,13 +165,11 @@ mod tests {
                 frontier: Frontier::default(),
                 heap: BinaryHeap::new(),
                 last: (0, 0),
-                below: 0,
                 before: 0,
             }
         }
 
         fn push(&mut self, key: u64, node: u32) {
-            self.below += usize::from(key < self.last.0);
             self.before += usize::from(key == self.last.0 && node < self.last.1);
             self.frontier.push(key, node);
             self.heap
@@ -233,17 +216,15 @@ mod tests {
                     0..=39 => oracle.push(last_key.saturating_add(r % 4), node),
                     // On the last popped key, below the last popped node.
                     40..=49 if last_node > 0 => oracle.push(last_key, node % last_node),
-                    // Anywhere above it, up to a saturated `as u64` cast.
+                    // Anywhere above it, up to the largest key.
                     50..=54 => oracle.push(last_key.saturating_add(r >> 40), node),
                     55..=57 => {
                         saturated += 1;
                         oracle.push(u64::MAX, node);
                     }
-                    // Rounding below the last popped key.
-                    58 => oracle.push(last_key.saturating_sub(1 + r % 3), node),
                     // `run_one_pass` past its band: pop, and push the entry
                     // back.
-                    59..=62 => {
+                    58..=62 => {
                         if let Some((key, node)) = oracle.pop() {
                             pushed_back += 1;
                             oracle.push(key, node);
@@ -258,27 +239,18 @@ mod tests {
             }
             while oracle.pop().is_some() {}
         }
-        assert!(oracle.below > 100, "{} pushes below", oracle.below);
         assert!(oracle.before > 1_000, "{} pushes before", oracle.before);
         assert!(saturated > 1_000 && pushed_back > 1_000);
     }
 
     #[test]
-    fn a_push_below_the_last_key_pops_first_and_keeps_the_rest_in_order() {
-        let mut oracle = Oracle::new();
-        for (key, node) in [(5, 3), (5, 1), (9, 0), (6, 2), (u64::MAX, 7)] {
-            oracle.push(key, node);
-        }
-        assert_eq!(oracle.pop(), Some((5, 1)));
-        oracle.push(4, 8);
-        oracle.push(5, 0);
-        let mut popped = Vec::new();
-        while let Some(entry) = oracle.pop() {
-            popped.push(entry);
-        }
-        assert_eq!(
-            popped,
-            [(4, 8), (5, 0), (5, 3), (6, 2), (9, 0), (u64::MAX, 7)]
-        );
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "below the last popped key")]
+    fn a_push_below_the_last_popped_key_trips_the_assertion() {
+        let mut frontier = Frontier::default();
+        frontier.push(5, 3);
+        frontier.push(9, 0);
+        assert_eq!(frontier.pop(), Some((5, 3)));
+        frontier.push(4, 8);
     }
 }

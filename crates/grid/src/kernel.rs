@@ -6,8 +6,8 @@
 //! search.  [`Kernel`] owns everything else:
 //!
 //! * the frontier, one reused radix queue of `(key, node)` entries that pop
-//!   in exactly ascending `(key, node)` order, where the key is the `f64`
-//!   priority quantised at the router's key resolution (see below);
+//!   in exactly ascending `(key, node)` order, where the key is the
+//!   priority itself, a whole-number cost (see below);
 //! * epoch-stamped per-node `dist`, `prev` and payload (the colour state in
 //!   Mr.TPL, `()` elsewhere), so a search starts in O(sources) and the
 //!   buffers, the source list included, are allocated once per routing run;
@@ -28,7 +28,7 @@
 //! test) and a consistent lower bound `h` on the cost still to go (such as
 //! [`GoalBound`](crate::GoalBound)), and picks one of three searches:
 //!
-//! * [`run`](Kernel::run) is A\*: it pops in `(key(dist + h), node)` order;
+//! * [`run`](Kernel::run) is A\*: it pops in `(dist + h, node)` order;
 //! * [`run_dijkstra`](Kernel::run_dijkstra) returns exactly what plain
 //!   Dijkstra (`run` with `h = 0`) returns, but uses `h` to expand only the
 //!   nodes that can lie on an optimal path.  It searches twice: an A\* pass
@@ -41,27 +41,39 @@
 //!   too, in a single A\*-order pass, for searches without a payload
 //!   (`Kernel<()>`), whose steps depend on the nodes alone: it breaks
 //!   distance ties towards plain Dijkstra's predecessor and keeps popping
-//!   past the first goal through a one-quantum band.  Its documentation
+//!   past the first goal through the goal's key.  Its documentation
 //!   gives the rules and why they are exact.  The Dr.CU-like maze and the
 //!   DAC'12 search use it.
 //!
 //! `h` must be a pure function of the node for the length of one call: a
 //! router may re-aim its bound between calls, never within one.
 //!
+//! # Integer costs
+//!
+//! Every cost is a whole number: a step is a `u64` sum of `u32` weights
+//! ([`CostParams`](crate::CostParams) and the colour weights), a distance a
+//! sum of steps, and `h` a whole-number bound.  So a node's frontier key is
+//! its priority itself, `dist + h` in A\* order and `dist` in Dijkstra
+//! order, and no comparison in the kernel rounds.  Distances are `u64`: one
+//! colour-pressured step alone can cost over 2·10⁷ (a pressure of up to
+//! 65,535 features times the conflict weight), so a path's sum can overflow
+//! a `u32`.
+//!
+//! Every step must cost at least 1 ([`CostParams::base_table`] rejects a
+//! zero base price, and a debug assertion checks each relaxation).  With a
+//! consistent `h`, a relaxation then keys no lower than the entry it
+//! expands (`dist + step + h(to) >= dist + h(from)`), so no push lands
+//! below the last popped key, and no node is improved after it was
+//! expanded: each node is expanded at most once per pass.
+//!
+//! [`CostParams::base_table`]: crate::CostParams::base_table
+//!
 //! # Exact stale-entry test
 //!
-//! The kernel stores no per-node queued key.  Every relaxation leaves the
-//! node queued under exactly `key(dist + h)` (`h = 0` in Dijkstra order), so
-//! a popped `(k, node)` is live iff `k == key(dist[node] + h(node))`.  Two
-//! costs that quantise to the same key never resurrect a stale entry, and an
-//! improvement that lands on the already-queued key reuses that entry
-//! instead of pushing a duplicate: the node is expanded once, with the
-//! better distance.  The one pass of
-//! [`run_one_pass`](Kernel::run_one_pass) is the exception: it queues every
-//! improvement afresh, because in A\* order a node can be improved within
-//! its key after it was expanded (a neighbour popped later under the same
-//! key, with a larger share of `h`, can undercut it), and the pass must
-//! expand it again to stay exact.
+//! The kernel stores no per-node queued key.  Every improvement queues the
+//! node under exactly `dist + h` (`h = 0` in Dijkstra order), so a popped
+//! `(k, node)` is live iff `k == dist[node] + h(node)`.  An improvement
+//! lowers the key, so the entry it supersedes is stale.
 //!
 //! # Frontier
 //!
@@ -70,11 +82,9 @@
 //! which their key differs from that key; the nodes at the last popped key
 //! sit in one vector in descending order.  A bucket is settled with one
 //! sort, and a push onto the key being popped (a search makes many, some
-//! below the node just popped) is placed by binary insertion.  A push below
-//! the last popped key, which only `f64` rounding of a consistent bound in
-//! A\* order can cause, rebuckets the frontier.  So the pops come out in
-//! exactly the order of a binary heap of `(key, node)` pairs; equal
-//! entries are indistinguishable.  The
+//! below the node just popped) is placed by binary insertion.  So the pops
+//! come out in exactly the order of a binary heap of `(key, node)` pairs;
+//! equal entries are indistinguishable.  The
 //! routers' searches push up to twice as many entries as they pop, and an
 //! entry that is never popped costs one append to a bucket, where a heap
 //! sifts it in.
@@ -90,13 +100,13 @@ const INTERRUPT_PROBE_MASK: usize = 0x0FFF;
 /// keeps.
 #[derive(Clone, Copy, Debug)]
 enum Order {
-    /// `(key(dist + h), node)`, every relaxation kept: A\*.
+    /// `(dist + h, node)`, every relaxation kept: A\*.
     AStar,
-    /// `(key(dist), node)`, keeping a relaxation of `to` to `nd` iff
-    /// `key(nd + h(to))` is at most the limit: the second pass of
+    /// `(dist, node)`, keeping a relaxation of `to` to `nd` iff
+    /// `nd + h(to)` is at most the limit: the second pass of
     /// [`Kernel::run_dijkstra`].
     Bounded(u64),
-    /// `(key(dist), node)`, every relaxation kept: plain Dijkstra.
+    /// `(dist, node)`, every relaxation kept: plain Dijkstra.
     Dijkstra,
 }
 
@@ -117,9 +127,9 @@ pub trait SearchSpace {
     fn expand(
         &mut self,
         node: u32,
-        dist: f64,
+        dist: u64,
         payload: Self::Payload,
-        relax: impl FnMut(u32, f64, Self::Payload),
+        relax: impl FnMut(u32, u64, Self::Payload),
     );
 }
 
@@ -132,13 +142,12 @@ pub trait SearchSpace {
 /// `None` at once until the kernel is armed again.
 #[derive(Debug)]
 pub struct Kernel<P> {
-    key_resolution: f64,
     stamps: EpochStamps,
-    dist: Vec<f64>,
+    dist: Vec<u64>,
     prev: Vec<u32>,
     payload: Vec<P>,
     /// `h` of the nodes it was evaluated on in the current call.
-    h_memo: EpochMap<f64>,
+    h_memo: EpochMap<u64>,
     frontier: Frontier,
     popped: usize,
     pruned: usize,
@@ -153,21 +162,19 @@ pub struct Kernel<P> {
 }
 
 impl<P: Copy + Default> Kernel<P> {
-    /// Creates an unbudgeted kernel over `num_nodes` nodes whose keys are
-    /// costs times `key_resolution`.
+    /// Creates an unbudgeted kernel over `num_nodes` nodes.
     ///
     /// # Panics
     ///
     /// Panics if `num_nodes` does not fit node ids in a `u32`.
-    pub fn new(num_nodes: usize, key_resolution: f64) -> Self {
+    pub fn new(num_nodes: usize) -> Self {
         assert!(
             u32::try_from(num_nodes).is_ok(),
             "{num_nodes} nodes do not fit u32 node ids"
         );
         Self {
-            key_resolution,
             stamps: EpochStamps::new(num_nodes),
-            dist: vec![f64::INFINITY; num_nodes],
+            dist: vec![u64::MAX; num_nodes],
             prev: vec![u32::MAX; num_nodes],
             payload: vec![P::default(); num_nodes],
             h_memo: EpochMap::new(num_nodes),
@@ -180,12 +187,6 @@ impl<P: Copy + Default> Kernel<P> {
             stop: None,
             sources: Vec::new(),
         }
-    }
-
-    /// Quantises a cost to its frontier key.
-    #[inline]
-    pub fn key(&self, cost: f64) -> u64 {
-        (cost * self.key_resolution) as u64
     }
 
     /// Allows the next searches `node_limit` pops in total, probes the
@@ -210,7 +211,7 @@ impl<P: Copy + Default> Kernel<P> {
     /// Sets a node's distance, predecessor and payload in the current search
     /// (without queueing it).
     #[inline]
-    pub fn relax(&mut self, node: u32, dist: f64, prev: Option<u32>, payload: P) {
+    pub fn relax(&mut self, node: u32, dist: u64, prev: Option<u32>, payload: P) {
         let i = node as usize;
         self.stamps.touch(i);
         self.dist[i] = dist;
@@ -218,14 +219,14 @@ impl<P: Copy + Default> Kernel<P> {
         self.payload[i] = payload;
     }
 
-    /// Tentative distance of a node in the current search (infinite when the
-    /// search has not reached it).
+    /// Tentative distance of a node in the current search (`u64::MAX` when
+    /// the search has not reached it).
     #[inline]
-    pub fn dist(&self, node: u32) -> f64 {
+    pub fn dist(&self, node: u32) -> u64 {
         if self.stamps.is_fresh(node as usize) {
             self.dist[node as usize]
         } else {
-            f64::INFINITY
+            u64::MAX
         }
     }
 
@@ -293,7 +294,7 @@ impl<P: Copy + Default> Kernel<P> {
     }
 
     /// A\* from `sources` (distance 0, each with its payload) in ascending
-    /// `(key(dist + h), node)` order until `space` reports a goal.  Returns
+    /// `(dist + h, node)` order until `space` reports a goal.  Returns
     /// `None` when the frontier runs dry or a limit stops the search (see
     /// [`stop_reason`](Kernel::stop_reason)).  With `h = 0` this is plain
     /// Dijkstra.
@@ -305,7 +306,7 @@ impl<P: Copy + Default> Kernel<P> {
     ) -> Option<S::Goal>
     where
         S: SearchSpace<Payload = P>,
-        H: Fn(u32) -> f64,
+        H: Fn(u32) -> u64,
     {
         if self.stop.is_some() {
             return None;
@@ -315,30 +316,27 @@ impl<P: Copy + Default> Kernel<P> {
             .map(|(_, goal)| goal)
     }
 
-    /// Returns exactly what `run(space, sources, |_| 0.0)` returns — the
+    /// Returns exactly what `run(space, sources, |_| 0)` returns — the
     /// same goal, and the same `dist`, `prev` and payload on the path to it
     /// — while expanding, as a rule, only nodes whose `dist + h` can reach
     /// the optimum.
     ///
     /// Pass 1 runs A\* to its first goal, at distance `ub`.  Pass 2 runs in
-    /// Dijkstra order (`key(dist)`) and drops every relaxation with
-    /// `key(nd + h(to)) > key(ub) + 1` before it touches `dist`, `prev`, the
-    /// payload or the frontier.  The extra key quantum absorbs `f64`
-    /// rounding: the same cost summed along another path, or with `h` added,
-    /// can differ in the last bit and so cross a key boundary.  If pass 2
-    /// pops no goal and no limit stopped it, pass 3 reruns in Dijkstra order
-    /// without pruning, which is plain Dijkstra itself (the
-    /// `grid.dijkstra_reruns` trace counter counts these).  Every pass
-    /// counts in [`popped`](Kernel::popped) and against the node limit,
-    /// deadline and cancellation; [`pruned`](Kernel::pruned) counts the
-    /// leftover frontier of the Dijkstra-order passes only.
+    /// Dijkstra order (`dist`) and drops every relaxation with
+    /// `nd + h(to) > ub` before it touches `dist`, `prev`, the payload or
+    /// the frontier.  If pass 2 pops no goal and no limit stopped it, pass 3
+    /// reruns in Dijkstra order without pruning, which is plain Dijkstra
+    /// itself (the `grid.dijkstra_reruns` trace counter counts these).
+    /// Every pass counts in [`popped`](Kernel::popped) and against the node
+    /// limit, deadline and cancellation; [`pruned`](Kernel::pruned) counts
+    /// the leftover frontier of the Dijkstra-order passes only.
     ///
     /// Three conditions make the pruning exact: `h` is consistent
     /// (`h(u) <= step(u, v) + h(v)` for every step, whatever the payload)
-    /// and zero on goals; every step costs at least one key quantum, so
-    /// plain Dijkstra never improves a node it has already expanded; and
-    /// `space`'s goal test and successors depend on the node alone, since
-    /// every pass calls them.  Let `D` be plain Dijkstra's distance and call
+    /// and zero on goals; every step costs at least 1, so no relaxation
+    /// lands on the key being popped and plain Dijkstra never improves a
+    /// node it has already expanded; and `space`'s goal test and successors
+    /// depend on the node alone, since every pass calls them.  Let `D` be plain Dijkstra's distance and call
     /// a node *inside* when `D(u) + h(u) <= ub`.  Then, by induction in pop
     /// order:
     ///
@@ -353,7 +351,7 @@ impl<P: Copy + Default> Kernel<P> {
     ///   is the same in both searches, and `u` gets plain Dijkstra's `prev`
     ///   and payload;
     /// * a goal pass 2 pops is inside; a goal that plain Dijkstra pops
-    ///   later has at least its key (`h = 0` on goals), so if plain
+    ///   later has at least its distance (`h = 0` on goals), so if plain
     ///   Dijkstra's goal is not inside, pass 2 pops no goal at all.
     ///
     /// So a goal pass 2 returns is plain Dijkstra's.  When a step's cost
@@ -379,7 +377,7 @@ impl<P: Copy + Default> Kernel<P> {
     ) -> Option<S::Goal>
     where
         S: SearchSpace<Payload = P>,
-        H: Fn(u32) -> f64,
+        H: Fn(u32) -> u64,
     {
         if self.stop.is_some() {
             return None;
@@ -389,7 +387,7 @@ impl<P: Copy + Default> Kernel<P> {
         let first = self.search::<S, H, false>(space, &h, Order::AStar);
         self.pruned = pruned;
         let (goal, _) = first?;
-        let limit = self.key(self.dist[goal as usize]) + 1;
+        let limit = self.dist[goal as usize];
         if let Some((_, goal)) = self.search::<S, H, false>(space, &h, Order::Bounded(limit)) {
             return Some(goal);
         }
@@ -412,30 +410,27 @@ impl<P: Copy + Default> Kernel<P> {
     /// `h(node)`, evaluated on the node's first use in the current call and
     /// read from the memo afterwards.
     #[inline]
-    fn bound(&mut self, node: u32, h: &impl Fn(u32) -> f64) -> f64 {
+    fn bound(&mut self, node: u32, h: &impl Fn(u32) -> u64) -> u64 {
         self.h_memo.get_or_insert_with(node as usize, || h(node))
     }
 
     /// What the frontier adds to a node's distance: `h` in A\* order,
     /// nothing in Dijkstra order.
     #[inline]
-    fn order(&mut self, node: u32, h: &impl Fn(u32) -> f64, order: Order) -> f64 {
+    fn order(&mut self, node: u32, h: &impl Fn(u32) -> u64, order: Order) -> u64 {
         match order {
             Order::AStar => self.bound(node, h),
-            Order::Bounded(_) | Order::Dijkstra => 0.0,
+            Order::Bounded(_) | Order::Dijkstra => 0,
         }
     }
 
     /// Whether a search in `order` keeps a relaxation of `to` to distance
     /// `nd`: always, except in [`Order::Bounded`].
     #[inline]
-    fn keep(&mut self, to: u32, nd: f64, h: &impl Fn(u32) -> f64, order: Order) -> bool {
+    fn keep(&mut self, to: u32, nd: u64, h: &impl Fn(u32) -> u64, order: Order) -> bool {
         match order {
             Order::AStar | Order::Dijkstra => true,
-            Order::Bounded(limit) => {
-                let h_to = self.bound(to, h);
-                self.key(nd + h_to) <= limit
-            }
+            Order::Bounded(limit) => nd + self.bound(to, h) <= limit,
         }
     }
 
@@ -443,7 +438,7 @@ impl<P: Copy + Default> Kernel<P> {
     /// [`keep`](Self::keep)s.  Returns the goal node and what `space` made
     /// of it: the first goal popped, or with `ONE_PASS` (the rules of
     /// [`run_one_pass`](Kernel::run_one_pass), in A\* order) the least
-    /// `(key, node)` goal popped inside the band.  Returns `None` when a
+    /// `(dist, node)` goal popped inside the band.  Returns `None` when a
     /// limit stopped the search.
     fn search<S, H, const ONE_PASS: bool>(
         &mut self,
@@ -453,15 +448,15 @@ impl<P: Copy + Default> Kernel<P> {
     ) -> Option<(u32, S::Goal)>
     where
         S: SearchSpace<Payload = P>,
-        H: Fn(u32) -> f64,
+        H: Fn(u32) -> u64,
     {
         self.begin();
         for i in 0..self.sources.len() {
             let (node, payload) = self.sources[i];
-            if self.keep(node, 0.0, h, order) {
-                self.relax(node, 0.0, None, payload);
-                let h_node = self.order(node, h, order);
-                self.push(self.key(h_node), node);
+            if self.keep(node, 0, h, order) {
+                self.relax(node, 0, None, payload);
+                let key = self.order(node, h, order);
+                self.push(key, node);
             }
         }
         let mut found: Option<(u64, u32, S::Goal)> = None;
@@ -485,10 +480,7 @@ impl<P: Copy + Default> Kernel<P> {
             }
             self.popped += 1;
             let i = node as usize;
-            let live = self.stamps.is_fresh(i) && {
-                let h_node = self.order(node, h, order);
-                k == self.key(self.dist[i] + h_node)
-            };
+            let live = self.stamps.is_fresh(i) && k == self.dist[i] + self.order(node, h, order);
             if !live {
                 continue; // stale entry
             }
@@ -503,7 +495,7 @@ impl<P: Copy + Default> Kernel<P> {
                     break;
                 }
                 if band == u64::MAX {
-                    band = k + 1;
+                    band = k;
                 }
                 continue; // goals are not expanded
             }
@@ -519,24 +511,23 @@ impl<P: Copy + Default> Kernel<P> {
         found.map(|(_, node, goal)| (node, goal))
     }
 
-    /// Lowers `to` to distance `nd` via `from` if that is an improvement the
-    /// search [`keep`](Self::keep)s, and queues it unless it already sits in
-    /// the frontier under the same key.  With `ONE_PASS` it queues every
-    /// improvement, and a relaxation that ties `to`'s distance exactly
-    /// applies the tie rule of [`run_one_pass`](Kernel::run_one_pass).
+    /// Lowers `to` to distance `nd` via `from` and queues it, if that is an
+    /// improvement the search [`keep`](Self::keep)s.  With `ONE_PASS` a
+    /// relaxation that ties `to`'s distance applies the tie rule of
+    /// [`run_one_pass`](Kernel::run_one_pass).
     #[inline]
     fn improve<const ONE_PASS: bool>(
         &mut self,
         from: u32,
         to: u32,
-        nd: f64,
+        nd: u64,
         payload: P,
-        h: &impl Fn(u32) -> f64,
+        h: &impl Fn(u32) -> u64,
         order: Order,
     ) {
+        debug_assert!(nd > self.dist[from as usize], "a step costs at least 1");
         let i = to as usize;
-        let fresh = self.stamps.is_fresh(i);
-        if fresh && nd >= self.dist[i] {
+        if self.stamps.is_fresh(i) && nd >= self.dist[i] {
             if ONE_PASS && nd == self.dist[i] {
                 self.break_tie(from, i);
             }
@@ -545,19 +536,15 @@ impl<P: Copy + Default> Kernel<P> {
         if !self.keep(to, nd, h, order) {
             return;
         }
-        let h_to = self.order(to, h, order);
-        let key = self.key(nd + h_to);
-        let queued = !ONE_PASS && fresh && self.key(self.dist[i] + h_to) == key;
+        let key = nd + self.order(to, h, order);
         self.relax(to, nd, Some(from), payload);
-        if !queued {
-            self.push(key, to);
-        }
+        self.push(key, to);
     }
 
     /// The tie rule of [`run_one_pass`](Kernel::run_one_pass): node `to`,
     /// reached by `from` at exactly its distance, takes `from` as its
     /// predecessor when plain Dijkstra would expand `from` first, that is
-    /// when `(key(dist), node)` of `from` is less than of the current
+    /// when `(dist, node)` of `from` is less than of the current
     /// predecessor.  A source keeps having none.
     #[inline]
     fn break_tie(&mut self, from: u32, to: usize) {
@@ -565,7 +552,7 @@ impl<P: Copy + Default> Kernel<P> {
         if prev == u32::MAX {
             return;
         }
-        let rank = |node: u32| (self.key(self.dist[node as usize]), node);
+        let rank = |node: u32| (self.dist[node as usize], node);
         if rank(from) < rank(prev) {
             self.prev[to] = from;
         }
@@ -579,66 +566,61 @@ impl<P: Copy + Default> Kernel<P> {
 }
 
 impl Kernel<()> {
-    /// Returns exactly what `run(space, sources, |_| 0.0)` returns — the
+    /// Returns exactly what `run(space, sources, |_| 0)` returns — the
     /// same goal, and the same `dist` and `prev` on the path to it — in one
-    /// pass in A\* order, `(key(dist + h), node)`, where
+    /// pass in A\* order, `(dist + h, node)`, where
     /// [`run_dijkstra`](Kernel::run_dijkstra) needs two.  The pass differs
     /// from [`run`](Kernel::run) in three rules:
     ///
     /// * **Tie rule.** A relaxation that reaches `to` at exactly its current
-    ///   distance makes `from` its predecessor when `(key(dist[from]),
-    ///   from) < (key(dist[prev[to]]), prev[to])`: of the two, plain
-    ///   Dijkstra expands `from` first, and keeps it.
+    ///   distance makes `from` its predecessor when `(dist[from], from) <
+    ///   (dist[prev[to]], prev[to])`: of the two, plain Dijkstra expands
+    ///   `from` first, and keeps it.
     /// * **Goals.** A goal pop is recorded and not expanded.  The first one
-    ///   sets the band limit `key(dist) + 1`; the extra key quantum is the
-    ///   `f64` rounding slack that `run_dijkstra`'s pruned pass allows too.
+    ///   sets the band limit, its key (its distance, as `h` is zero on
+    ///   goals).
     /// * **End.** The search stops at the first frontier entry above the
     ///   band, or when the frontier runs dry, and returns the recorded goal
-    ///   with the least `(key(dist), node)`.  A limit stop returns `None`,
-    ///   with the reason in [`stop_reason`](Kernel::stop_reason), even if a
-    ///   goal was recorded.
+    ///   with the least `(dist, node)`.  A limit stop returns `None`, with
+    ///   the reason in [`stop_reason`](Kernel::stop_reason), even if a goal
+    ///   was recorded.
     ///
-    /// An improvement always queues a fresh frontier entry here (see the
-    /// stale-entry test in the module docs), so a node that A\* order
-    /// improves after expanding it is expanded again.  Every pop counts in
-    /// [`popped`](Kernel::popped) and against the node limit, deadline and
-    /// cancellation; [`pruned`](Kernel::pruned) counts the frontier left
-    /// when the pass ends.
+    /// Every pop counts in [`popped`](Kernel::popped) and against the node
+    /// limit, deadline and cancellation; [`pruned`](Kernel::pruned) counts
+    /// the frontier left when the pass ends.
     ///
     /// The rules are exact under three conditions: `h` is consistent and
-    /// zero on goals; every step costs at least one key quantum; and
-    /// `space`'s steps and goal test depend on the node alone, as they do
-    /// when there is no payload to read.  Let `D` be the distance plain
-    /// Dijkstra settles a node at (goals are never expanded by either
-    /// search, so they are sinks), `G` its goal, and call `p` a *tight
-    /// predecessor* of `v` when `D(p) + step(p, v) == D(v)`.  Then:
+    /// zero on goals; every step costs at least 1; and `space`'s steps and
+    /// goal test depend on the node alone, as they do when there is no
+    /// payload to read.  Let `D` be the distance plain Dijkstra settles a
+    /// node at (goals are never expanded by either search, so they are
+    /// sinks), `G` its goal, and call `p` a *tight predecessor* of `v` when
+    /// `D(p) + step(p, v) == D(v)`.  Then:
     ///
-    /// * a tight predecessor has a strictly smaller key than its node, as a
-    ///   step is at least one quantum, so plain Dijkstra expands every tight
+    /// * a tight predecessor has a strictly smaller distance than its node,
+    ///   as a step costs at least 1, so plain Dijkstra expands every tight
     ///   predecessor of a node it pops, with its `D`, before that node, and
-    ///   in `(key(D), node)` order; the first one sets the node's `prev` and
-    ///   the later ones only tie, so plain Dijkstra's `prev` is the least
-    ///   `(key(D), node)` tight predecessor;
+    ///   in `(D, node)` order; the first one sets the node's `prev` and the
+    ///   later ones only tie, so plain Dijkstra's `prev` is the least
+    ///   `(D, node)` tight predecessor;
     /// * no distance in the pass falls below `D`, since each is a sum along
-    ///   a path, and `f64` addition is monotone;
+    ///   a path;
     /// * every tight predecessor `p` of a node `v` on plain Dijkstra's path
     ///   has `D(p) + h(p) <= D(v) + h(v) <= D(G)` by consistency, so its
-    ///   frontier key is inside the band, which is at least `key(D(G)) + 1`:
-    ///   the first goal the pass pops has a distance of at least its `D`,
-    ///   no goal's `D` has a smaller key than `G`'s, and the extra quantum
-    ///   absorbs the rounding of `D(p) + h(p)`.  By induction on the key,
-    ///   the pass expands `p` with `D(p)` (last, if it improved `p` after
-    ///   an earlier expansion), which relaxes `v` to `D(v)`;
+    ///   frontier key is inside the band, which is at least `D(G)`: the
+    ///   first goal the pass pops has a distance of at least its `D`, and no
+    ///   goal's `D` is below `G`'s.  With a consistent `h` a live pop's
+    ///   distance is final, so the pass expands `p` once, with `D(p)`, which
+    ///   relaxes `v` to `D(v)`;
     /// * each such relaxation either lowers `v` to `D(v)` or ties, and the
-    ///   tie rule compares the current keys, which only fall; the least
-    ///   tight predecessor's last relaxation comes with its final key, which
-    ///   nothing beats afterwards, so `v` ends with plain Dijkstra's `prev`;
+    ///   tie rule compares the final `(D, node)` of both predecessors, so `v`
+    ///   ends with the least one, plain Dijkstra's `prev`;
     /// * no goal is a tight predecessor of a node on the path, since plain
     ///   Dijkstra, popping it first, would have stopped there; so recording
     ///   goals instead of expanding them loses no predecessor;
-    /// * every goal whose key is at most `G`'s is recorded with its `D`, so
-    ///   the least recorded `(key(dist), node)` is `G`, the goal plain
-    ///   Dijkstra pops first.
+    /// * every goal whose `D` is at most `G`'s is recorded with its `D`, so
+    ///   the least recorded `(dist, node)` is `G`, the goal plain Dijkstra
+    ///   pops first.
     ///
     /// A search whose steps read the payload, such as Mr.TPL's colour-state
     /// search, cannot take this pass: plain Dijkstra keeps the payload of
@@ -654,7 +636,7 @@ impl Kernel<()> {
     ) -> Option<S::Goal>
     where
         S: SearchSpace<Payload = ()>,
-        H: Fn(u32) -> f64,
+        H: Fn(u32) -> u64,
     {
         if self.stop.is_some() {
             return None;

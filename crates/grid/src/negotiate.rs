@@ -92,7 +92,7 @@ pub trait NegotiationRule {
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct OverlapRule {
     /// History added under an overlap each time it names a victim.
-    pub history_increment: f64,
+    pub history_increment: u32,
 }
 
 /// The `(net, vertex)` pairs where a net's vertex is occupied by another
@@ -345,7 +345,7 @@ mod tests {
             3,
             TRACE,
             &mut OverlapRule {
-                history_increment: 2.5,
+                history_increment: 2,
             },
             |turn, state, _| match (turn.pass, turn.net.index()) {
                 (0, _) => cross(&grid, turn.net),
@@ -361,7 +361,7 @@ mod tests {
                 _ => panic!("unexpected turn {turn:?}"),
             },
         );
-        assert_eq!(seen, Some((2.5, Some(NetId::new(1)), None)));
+        assert_eq!(seen, Some((2, Some(NetId::new(1)), None)));
         assert_eq!(run.left_by_pass, vec![1, 0]);
         assert_eq!((run.rrr_iterations, run.left, run.failed_nets), (1, 0, 0));
         assert_eq!(run.search_nodes, 3 * POPS);
@@ -384,7 +384,7 @@ mod tests {
             3,
             TRACE,
             &mut OverlapRule {
-                history_increment: 2.5,
+                history_increment: 2,
             },
             |turn, _, _| {
                 turns += 1;
@@ -407,17 +407,14 @@ mod tests {
             2,
             TRACE,
             &mut OverlapRule {
-                history_increment: 2.5,
+                history_increment: 2,
             },
             |turn, state, _| {
                 turns.push((turn.pass, turn.net.index(), state.history(shared)));
                 cross(&grid, turn.net)
             },
         );
-        assert_eq!(
-            turns,
-            vec![(0, 0, 0.0), (0, 1, 0.0), (1, 0, 2.5), (2, 1, 5.0)]
-        );
+        assert_eq!(turns, vec![(0, 0, 0), (0, 1, 0), (1, 0, 2), (2, 1, 4)]);
         assert_eq!(run.left_by_pass, vec![1, 1, 1]);
         assert_eq!((run.rrr_iterations, run.left), (2, 1));
     }
@@ -435,7 +432,7 @@ mod tests {
             3,
             TRACE,
             &mut OverlapRule {
-                history_increment: 2.5,
+                history_increment: 2,
             },
             |turn, _, _| {
                 turns.push((turn.pass, turn.net.index()));
@@ -467,7 +464,7 @@ mod tests {
             3,
             TRACE,
             &mut OverlapRule {
-                history_increment: 2.5,
+                history_increment: 2,
             },
             |turn, state, _| {
                 turns.push((turn.pass, turn.net.index()));

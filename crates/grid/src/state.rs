@@ -14,12 +14,13 @@ const FREE: u32 = u32::MAX;
 /// search threads can read them concurrently without pointer chasing:
 /// blockages are one bit per vertex ([`DenseBitSet`]), occupancy is one
 /// sentinel-coded `u32` per vertex (half the footprint of
-/// `Option<NetId>`), and history is one `f64` per vertex.
+/// `Option<NetId>`), and history is one `u32` per vertex, a whole-number
+/// price like every other routing cost.
 #[derive(Clone, Debug)]
 pub struct GridState {
     blocked: DenseBitSet,
     occupant: Vec<u32>,
-    history: Vec<f64>,
+    history: Vec<u32>,
 }
 
 impl GridState {
@@ -47,7 +48,7 @@ impl GridState {
         Self {
             blocked,
             occupant: vec![FREE; grid.num_vertices()],
-            history: vec![0.0; grid.num_vertices()],
+            history: vec![0; grid.num_vertices()],
         }
     }
 
@@ -98,13 +99,13 @@ impl GridState {
 
     /// The accumulated history cost of a vertex.
     #[inline]
-    pub fn history(&self, v: VertexId) -> f64 {
+    pub fn history(&self, v: VertexId) -> u32 {
         self.history[v.index()]
     }
 
     /// Adds to the history cost of a vertex (negotiated congestion).
     #[inline]
-    pub fn add_history(&mut self, v: VertexId, amount: f64) {
+    pub fn add_history(&mut self, v: VertexId, amount: u32) {
         self.history[v.index()] += amount;
     }
 }
@@ -185,9 +186,9 @@ mod tests {
         let g = GridGraph::build(&d);
         let mut s = GridState::new(&g, &d);
         let v = g.vertex(0, 1, 1);
-        assert_eq!(s.history(v), 0.0);
-        s.add_history(v, 2.5);
-        s.add_history(v, 1.0);
-        assert_eq!(s.history(v), 3.5);
+        assert_eq!(s.history(v), 0);
+        s.add_history(v, 2);
+        s.add_history(v, 1);
+        assert_eq!(s.history(v), 3);
     }
 }

@@ -1,6 +1,6 @@
 //! Property tests of `GoalBound` on random grids of 1–9 layers under unusual
-//! costs: wrong-way and M1 multipliers below 1 and free vias, beside the
-//! defaults.
+//! costs: wrong-way wire at the preferred price, M1 without its multiplier
+//! and one-unit vias, beside the defaults.
 
 use proptest::prelude::*;
 use std::cmp::Reverse;
@@ -15,11 +15,6 @@ use tpl_grid::{
 /// Track pitch and offset of `Technology::ispd_like`.
 const PITCH: i64 = 20;
 const OFFSET: i64 = 10;
-
-/// Relative slack for `f64` rounding of costs summed in another order.
-fn close_below(a: f64, b: f64) -> bool {
-    a <= b + 1e-9 * (1.0 + b.abs())
-}
 
 /// A random case: `layers` layers on an `n × n` track grid, and one net of
 /// three to five pins, each of one or two rectangles on random layers.
@@ -59,9 +54,9 @@ fn random_design(layers: usize, n: i64, seed: u64) -> Design {
 /// Cost parameters from a choice of unusual and default values.
 fn params(wrong_way: usize, base_layer: usize, via: usize) -> CostParams {
     CostParams {
-        wrong_way_mult: [0.5, 1.0, 2.0][wrong_way],
-        base_layer_mult: [0.25, 1.0, 4.0][base_layer],
-        via: [0.0, 13.0, 40.0][via],
+        wrong_way_mult: [1, 3, 2][wrong_way],
+        base_layer_mult: [1, 2, 4][base_layer],
+        via: [1, 13, 40][via],
         ..CostParams::default()
     }
 }
@@ -85,8 +80,8 @@ fn boxes(grid: &GridGraph, coverage: &PinCoverage, pins: &[PinId]) -> Vec<[usize
 
 /// Brute force: the cheapest path, at the base costs, from every vertex to
 /// any vertex inside one of the boxes.
-fn base_distance(grid: &GridGraph, params: &CostParams, boxes: &[[usize; 6]]) -> Vec<f64> {
-    let mut dist = vec![f64::INFINITY; grid.num_vertices()];
+fn base_distance(grid: &GridGraph, params: &CostParams, boxes: &[[usize; 6]]) -> Vec<u64> {
+    let mut dist = vec![u64::MAX; grid.num_vertices()];
     let mut heap = BinaryHeap::new();
     for v in grid.iter_vertices() {
         let (l, x, y) = grid.coords(v);
@@ -94,14 +89,13 @@ fn base_distance(grid: &GridGraph, params: &CostParams, boxes: &[[usize; 6]]) ->
             (b[0]..=b[1]).contains(&x) && (b[2]..=b[3]).contains(&y) && (b[4]..=b[5]).contains(&l)
         };
         if boxes.iter().any(inside) {
-            dist[v.index()] = 0.0;
-            heap.push(Reverse((0u64, v.0)));
+            dist[v.index()] = 0;
+            heap.push(Reverse((0, v.0)));
         }
     }
-    // Non-negative `f64`s order like their bit patterns.
-    while let Some(Reverse((bits, v))) = heap.pop() {
+    while let Some(Reverse((d, v))) = heap.pop() {
         let v = VertexId::new(v);
-        if bits != dist[v.index()].to_bits() {
+        if d != dist[v.index()] {
             continue;
         }
         // Steps are symmetric up to the layer they leave: `u -> v` costs
@@ -111,7 +105,7 @@ fn base_distance(grid: &GridGraph, params: &CostParams, boxes: &[[usize; 6]]) ->
             let d = dist[v.index()] + step;
             if d < dist[u.index()] {
                 dist[u.index()] = d;
-                heap.push(Reverse((d.to_bits(), u.0)));
+                heap.push(Reverse((d, u.0)));
             }
         }
     }
@@ -123,7 +117,7 @@ fn base_distance(grid: &GridGraph, params: &CostParams, boxes: &[[usize; 6]]) ->
 /// stitch cost depends on the colour state a vertex inherits.
 struct TolledGrid<'a> {
     trad: TradCost<'a>,
-    toll: f64,
+    toll: u64,
     goals: &'a [bool],
 }
 
@@ -135,7 +129,7 @@ impl SearchSpace for TolledGrid<'_> {
         self.goals[node as usize].then_some(node)
     }
 
-    fn expand(&mut self, node: u32, dist: f64, hash: u64, mut relax: impl FnMut(u32, f64, u64)) {
+    fn expand(&mut self, node: u32, dist: u64, hash: u64, mut relax: impl FnMut(u32, u64, u64)) {
         let v = VertexId::new(node);
         for (dir, n) in self.trad.grid.neighbors(v) {
             let Some(step) = self.trad.step(v, n, dir) else {
@@ -145,7 +139,7 @@ impl SearchSpace for TolledGrid<'_> {
             let toll = if dir.is_planar() && hash.is_multiple_of(3) {
                 self.toll
             } else {
-                0.0
+                0
             };
             relax(n.0, dist + step + toll, next);
         }
@@ -175,7 +169,7 @@ proptest! {
         let want = base_distance(&grid, &params, &boxes(&grid, &coverage, targets));
         for v in grid.iter_vertices() {
             let (h, w) = (bound.h(&grid, v), want[v.index()]);
-            prop_assert!(close_below(h, w) && close_below(w, h), "{:?}: h {} != {}", v, h, w);
+            prop_assert!(h == w, "{:?}: h {} != {}", v, h, w);
         }
     }
 
@@ -193,23 +187,23 @@ proptest! {
         let targets = &design.net(NetId::new(0)).pins()[1..];
         let mut bound = GoalBound::new(&grid, &params);
         for v in grid.iter_vertices() {
-            prop_assert_eq!(bound.h(&grid, v), 0.0);
-            prop_assert_eq!(bound.manhattan(&grid, v), 0.0);
+            prop_assert_eq!(bound.h(&grid, v), 0);
+            prop_assert_eq!(bound.manhattan(&grid, v), 0);
         }
         bound.aim(&grid, &coverage, targets);
         for &pin in targets {
             for &v in coverage.vertices(pin) {
-                prop_assert_eq!(bound.h(&grid, v), 0.0);
-                prop_assert_eq!(bound.manhattan(&grid, v), 0.0);
+                prop_assert_eq!(bound.h(&grid, v), 0);
+                prop_assert_eq!(bound.manhattan(&grid, v), 0);
             }
         }
         for u in grid.iter_vertices() {
             let (h, m) = (bound.h(&grid, u), bound.manhattan(&grid, u));
-            prop_assert!(close_below(m, h), "{:?}: manhattan {} above h {}", u, m, h);
+            prop_assert!(m <= h, "{:?}: manhattan {} above h {}", u, m, h);
             for (dir, v) in grid.neighbors(u) {
                 let step = params.base(&grid, grid.layer_of(u), dir);
-                prop_assert!(close_below(h, step + bound.h(&grid, v)), "h {:?} {:?}", u, dir);
-                prop_assert!(close_below(m, step + bound.manhattan(&grid, v)), "manhattan {:?} {:?}", u, dir);
+                prop_assert!(h <= step + bound.h(&grid, v), "h {:?} {:?}", u, dir);
+                prop_assert!(m <= step + bound.manhattan(&grid, v), "manhattan {:?} {:?}", u, dir);
             }
         }
     }
@@ -227,7 +221,7 @@ proptest! {
         let coverage = PinCoverage::build(&grid, &design);
         let mut state = GridState::new(&grid, &design);
         for v in grid.iter_vertices().filter(|v| (u64::from(v.0) ^ seed).is_multiple_of(5)) {
-            state.add_history(v, (seed >> (v.0 % 32)) as f64 % 90.0);
+            state.add_history(v, ((seed >> (v.0 % 32)) % 90) as u32);
         }
         let params = params(wrong_way, base_layer, via);
         let in_guide = DenseBitSet::full(grid.num_vertices());
@@ -249,7 +243,7 @@ proptest! {
                 net: net.id(),
                 in_guide: &in_guide,
             },
-            toll: [0.0, 20.0, 350.0][toll],
+            toll: [0, 20, 350][toll],
             goals: &goals,
         };
         let mut bound = GoalBound::new(&grid, &params);
@@ -259,9 +253,9 @@ proptest! {
             .iter()
             .map(|v| (v.0, u64::from(v.0)))
             .collect();
-        let mut plain = Kernel::new(grid.num_vertices(), 256.0);
-        let want = plain.run(&mut space, sources.iter().copied(), |_| 0.0);
-        let mut bounded = Kernel::new(grid.num_vertices(), 256.0);
+        let mut plain = Kernel::new(grid.num_vertices());
+        let want = plain.run(&mut space, sources.iter().copied(), |_| 0);
+        let mut bounded = Kernel::new(grid.num_vertices());
         let got = bounded.run_dijkstra(&mut space, sources.iter().copied(), |v| {
             bound.h(&grid, VertexId::new(v))
         });
@@ -270,7 +264,7 @@ proptest! {
             let path = plain.path(goal);
             prop_assert_eq!(bounded.path(goal), path.clone());
             for node in path {
-                prop_assert_eq!(bounded.dist(node).to_bits(), plain.dist(node).to_bits());
+                prop_assert_eq!(bounded.dist(node), plain.dist(node));
                 prop_assert_eq!(bounded.payload(node), plain.payload(node));
             }
         }

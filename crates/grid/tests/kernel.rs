@@ -21,18 +21,17 @@ fn xorshift(s: &mut u64) -> u64 {
     *s
 }
 
-/// A graph given by explicit successor lists, with goal nodes and an
-/// admissible, consistent heuristic.
+/// A graph given by explicit successor lists of whole-number step costs of
+/// at least 1, with goal nodes and an admissible, consistent heuristic.
 struct Graph {
-    succ: Vec<Vec<(u32, f64)>>,
+    succ: Vec<Vec<(u32, u64)>>,
     goals: Vec<bool>,
     sources: Vec<u32>,
-    h: Vec<f64>,
-    key_resolution: f64,
+    h: Vec<u64>,
     /// A step from a node with payload `hash` costs its listed cost plus
     /// `toll · (hash % 3)`, so with a toll step costs depend on the path
     /// taken, as Mr.TPL's colour-state steps do.
-    toll: f64,
+    toll: u64,
 }
 
 /// The kernel's view of a [`Graph`]; logs every expansion.  The payload
@@ -40,7 +39,7 @@ struct Graph {
 /// node's payload agree on its whole predecessor chain.
 struct Space<'a> {
     graph: &'a Graph,
-    expanded: Vec<(u32, f64)>,
+    expanded: Vec<(u32, u64)>,
 }
 
 impl SearchSpace for Space<'_> {
@@ -51,9 +50,9 @@ impl SearchSpace for Space<'_> {
         self.graph.goals[node as usize].then_some(node)
     }
 
-    fn expand(&mut self, node: u32, dist: f64, hash: u64, mut relax: impl FnMut(u32, f64, u64)) {
+    fn expand(&mut self, node: u32, dist: u64, hash: u64, mut relax: impl FnMut(u32, u64, u64)) {
         self.expanded.push((node, dist));
-        let toll = self.graph.toll * (hash % 3) as f64;
+        let toll = self.graph.toll * (hash % 3);
         for &(to, cost) in &self.graph.succ[node as usize] {
             let next = (hash ^ u64::from(to)).wrapping_mul(0x0000_0100_0000_01B3);
             relax(to, dist + cost + toll, next);
@@ -65,7 +64,7 @@ impl SearchSpace for Space<'_> {
 /// [`Kernel::run_one_pass`] takes; logs every expansion.
 struct UnitSpace<'a> {
     graph: &'a Graph,
-    expanded: Vec<(u32, f64)>,
+    expanded: Vec<(u32, u64)>,
 }
 
 impl SearchSpace for UnitSpace<'_> {
@@ -76,8 +75,8 @@ impl SearchSpace for UnitSpace<'_> {
         self.graph.goals[node as usize].then_some(node)
     }
 
-    fn expand(&mut self, node: u32, dist: f64, _: (), mut relax: impl FnMut(u32, f64, ())) {
-        assert_eq!(self.graph.toll, 0.0, "a payload-free step reads no toll");
+    fn expand(&mut self, node: u32, dist: u64, _: (), mut relax: impl FnMut(u32, u64, ())) {
+        assert_eq!(self.graph.toll, 0, "a payload-free step reads no toll");
         self.expanded.push((node, dist));
         for &(to, cost) in &self.graph.succ[node as usize] {
             relax(to, dist + cost, ());
@@ -98,7 +97,7 @@ enum Order {
 
 impl Graph {
     fn kernel(&self) -> Kernel<u64> {
-        Kernel::new(self.succ.len(), self.key_resolution)
+        Kernel::new(self.succ.len())
     }
 
     /// Runs one search in the given order.
@@ -110,14 +109,14 @@ impl Graph {
         let sources = self.sources.iter().map(|&s| (s, u64::from(s)));
         let h = |v: u32| self.h[v as usize];
         match order {
-            Order::Dijkstra => kernel.run(&mut space, sources, |_| 0.0),
+            Order::Dijkstra => kernel.run(&mut space, sources, |_| 0),
             Order::AStar => kernel.run(&mut space, sources, h),
             Order::Bounded => kernel.run_dijkstra(&mut space, sources, h),
         }
     }
 
     fn unit_kernel(&self) -> Kernel<()> {
-        Kernel::new(self.succ.len(), self.key_resolution)
+        Kernel::new(self.succ.len())
     }
 
     /// Runs the one-pass search with the graph's bound.
@@ -141,22 +140,21 @@ impl Graph {
                 pred[to as usize].push((from, cost));
             }
         }
-        // Non-negative `f64`s order like their bit patterns.
-        let mut dist = vec![f64::INFINITY; n];
+        let mut dist = vec![u64::MAX; n];
         let mut heap = BinaryHeap::new();
         for (i, _) in self.goals.iter().enumerate().filter(|(_, g)| **g) {
-            dist[i] = 0.0;
-            heap.push(Reverse((0u64, i)));
+            dist[i] = 0;
+            heap.push(Reverse((0, i)));
         }
-        while let Some(Reverse((bits, v))) = heap.pop() {
-            if bits != dist[v].to_bits() {
+        while let Some(Reverse((d, v))) = heap.pop() {
+            if d != dist[v] {
                 continue;
             }
             for &(u, cost) in &pred[v] {
                 let d = dist[v] + cost;
                 if d < dist[u] {
                     dist[u] = d;
-                    heap.push(Reverse((d.to_bits(), u)));
+                    heap.push(Reverse((d, u)));
                 }
             }
         }
@@ -165,16 +163,16 @@ impl Graph {
     }
 
     /// Textbook O(V²) Dijkstra: the cheapest distance to any goal.
-    fn reference(&self) -> f64 {
+    fn reference(&self) -> u64 {
         let n = self.succ.len();
-        let mut dist = vec![f64::INFINITY; n];
+        let mut dist = vec![u64::MAX; n];
         let mut done = vec![false; n];
         for &s in &self.sources {
-            dist[s as usize] = 0.0;
+            dist[s as usize] = 0;
         }
         loop {
             let mut u = usize::MAX;
-            let mut best = f64::INFINITY;
+            let mut best = u64::MAX;
             for i in 0..n {
                 if !done[i] && dist[i] < best {
                     best = dist[i];
@@ -195,7 +193,8 @@ impl Graph {
         (0..n)
             .filter(|&i| self.goals[i])
             .map(|i| dist[i])
-            .fold(f64::INFINITY, f64::min)
+            .min()
+            .unwrap_or(u64::MAX)
     }
 }
 
@@ -220,7 +219,7 @@ fn random_grid_case(seed: u64, die: i64) -> (Design, GridGraph, GridState, PinCo
     let mut state = GridState::new(&grid, &design);
     for i in 0..grid.num_vertices() {
         if xorshift(&mut s).is_multiple_of(4) {
-            state.add_history(VertexId::new(i as u32), (xorshift(&mut s) % 50) as f64);
+            state.add_history(VertexId::new(i as u32), (xorshift(&mut s) % 50) as u32);
         }
     }
     let coverage = PinCoverage::build(&grid, &design);
@@ -233,17 +232,18 @@ fn manhattan_bound(
     grid: &GridGraph,
     targets: &[VertexId],
     v: VertexId,
-    step: f64,
-    via: f64,
-) -> f64 {
+    step: u64,
+    via: u64,
+) -> u64 {
     let (l, x, y) = grid.coords(v);
     targets
         .iter()
         .map(|&t| {
             let (tl, tx, ty) = grid.coords(t);
-            (x.abs_diff(tx) + y.abs_diff(ty)) as f64 * step + l.abs_diff(tl) as f64 * via
+            (x.abs_diff(tx) + y.abs_diff(ty)) as u64 * step + l.abs_diff(tl) as u64 * via
         })
-        .fold(f64::INFINITY, f64::min)
+        .min()
+        .unwrap_or(u64::MAX)
 }
 
 /// The detailed-routing grid at `Cost_trad` step costs: the graph of the
@@ -277,7 +277,7 @@ fn plain_grid(seed: u64) -> Graph {
     let step = params.wire_cost(grid.pitch());
     let h = grid
         .iter_vertices()
-        .map(|v| manhattan_bound(&grid, targets, v, step, params.via))
+        .map(|v| manhattan_bound(&grid, targets, v, step, u64::from(params.via)))
         .collect();
     Graph {
         succ,
@@ -288,8 +288,7 @@ fn plain_grid(seed: u64) -> Graph {
             .map(|v| v.0)
             .collect(),
         h,
-        key_resolution: 256.0,
-        toll: 0.0,
+        toll: 0,
     }
 }
 
@@ -310,8 +309,8 @@ fn expanded_grid(seed: u64) -> Graph {
         in_guide: &in_guide,
     };
     let mut s = seed | 1;
-    let pressure: Vec<[f64; 3]> = (0..grid.num_vertices())
-        .map(|_| [0, 1, 2].map(|_| (xorshift(&mut s) % 3) as f64 * 350.0))
+    let pressure: Vec<[u64; 3]> = (0..grid.num_vertices())
+        .map(|_| [0, 1, 2].map(|_| xorshift(&mut s) % 3 * 350))
         .collect();
     let node = |v: VertexId, mask: usize, class: usize| (v.index() * 12 + mask * 4 + class) as u32;
     let mut succ = vec![Vec::new(); grid.num_vertices() * 12];
@@ -333,7 +332,7 @@ fn expanded_grid(seed: u64) -> Graph {
                     for (next, p) in pressure[n.index()].iter().enumerate() {
                         let mut step = c + p;
                         if dir.is_planar() && next != mask {
-                            step += 20.0;
+                            step += 20;
                         }
                         out.push((node(n, next, next_class), step));
                     }
@@ -362,7 +361,7 @@ fn expanded_grid(seed: u64) -> Graph {
                 targets,
                 VertexId::new((n / 12) as u32),
                 step,
-                params.via,
+                u64::from(params.via),
             )
         })
         .collect();
@@ -371,19 +370,18 @@ fn expanded_grid(seed: u64) -> Graph {
         succ,
         goals,
         sources,
-        key_resolution: 256.0,
-        toll: 0.0,
+        toll: 0,
     }
 }
 
 /// A window of a coarse grid: 4-neighbour moves inside `[x0, x1] × [y0,
-/// y1]` at random costs of at least 1.0, with the plain Manhattan distance
-/// as heuristic.
+/// y1]` at random costs of 2 to 9, with twice the Manhattan distance as
+/// heuristic.
 fn grid_window(seed: u64) -> Graph {
     let (nx, ny) = (24usize, 20usize);
     let (x0, y0, x1, y1) = (3usize, 2usize, 18usize, 16usize);
     let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-    let mut cost = || 1.0 + (xorshift(&mut s) % 8) as f64 * 0.5;
+    let mut cost = || 2 + xorshift(&mut s) % 8;
     let index = |x: usize, y: usize| (y * nx + x) as u32;
     let mut succ = vec![Vec::new(); nx * ny];
     for y in y0..=y1 {
@@ -408,15 +406,14 @@ fn grid_window(seed: u64) -> Graph {
     let mut goals = vec![false; nx * ny];
     goals[index(goal.0, goal.1) as usize] = true;
     let h = (0..nx * ny)
-        .map(|i| ((i % nx).abs_diff(goal.0) + (i / nx).abs_diff(goal.1)) as f64)
+        .map(|i| 2 * ((i % nx).abs_diff(goal.0) + (i / nx).abs_diff(goal.1)) as u64)
         .collect();
     Graph {
         succ,
         goals,
         sources: vec![index(start.0, start.1)],
         h,
-        key_resolution: 1024.0,
-        toll: 0.0,
+        toll: 0,
     }
 }
 
@@ -428,51 +425,15 @@ fn grid_window(seed: u64) -> Graph {
 fn goal_tie() -> Graph {
     let (s, g2, g1, q, p) = (0u32, 1u32, 2u32, 3u32, 4u32);
     let mut succ = vec![Vec::new(); 5];
-    succ[s as usize] = vec![(p, 1.0), (q, 1.0)];
-    succ[p as usize] = vec![(g2, 1.0)];
-    succ[q as usize] = vec![(g1, 1.0)];
+    succ[s as usize] = vec![(p, 1), (q, 1)];
+    succ[p as usize] = vec![(g2, 1)];
+    succ[q as usize] = vec![(g1, 1)];
     Graph {
         succ,
         goals: vec![false, true, true, false, false],
         sources: vec![s],
-        h: vec![2.0, 0.0, 0.0, 1.0, 1.0],
-        key_resolution: 256.0,
-        toll: 0.0,
-    }
-}
-
-/// A 6 × 6 grid of 0.1-cost steps at ten keys per unit, from one corner to
-/// the other, with the exact bound `0.1 × (Manhattan distance)`.  Ten steps
-/// sum to 0.9999999999999999, so the goal's key is 9, while halfway `0.5 +
-/// 0.5` is 1.0 with key 10: without its quantum of slack, bounded Dijkstra
-/// would drop the optimal paths.
-fn rounded_sums() -> Graph {
-    let n = 6usize;
-    let index = |x: usize, y: usize| (y * n + x) as u32;
-    let mut succ = vec![Vec::new(); n * n];
-    for y in 0..n {
-        for x in 0..n {
-            let out = &mut succ[index(x, y) as usize];
-            if x + 1 < n {
-                out.push((index(x + 1, y), 0.1));
-            }
-            if y + 1 < n {
-                out.push((index(x, y + 1), 0.1));
-            }
-        }
-    }
-    let mut goals = vec![false; n * n];
-    goals[index(n - 1, n - 1) as usize] = true;
-    let h = (0..n * n)
-        .map(|i| 0.1 * ((n - 1 - i % n) + (n - 1 - i / n)) as f64)
-        .collect();
-    Graph {
-        succ,
-        goals,
-        sources: vec![index(0, 0)],
-        h,
-        key_resolution: 10.0,
-        toll: 0.0,
+        h: vec![2, 0, 0, 1, 1],
+        toll: 0,
     }
 }
 
@@ -490,16 +451,16 @@ fn uniform_grid() -> Graph {
         for x in 0..n {
             let out = &mut succ[index(x, y) as usize];
             if x + 1 < n {
-                out.push((index(x + 1, y), 1.0));
+                out.push((index(x + 1, y), 1));
             }
             if x > 0 {
-                out.push((index(x - 1, y), 1.0));
+                out.push((index(x - 1, y), 1));
             }
             if y + 1 < n {
-                out.push((index(x, y + 1), 1.0));
+                out.push((index(x, y + 1), 1));
             }
             if y > 0 {
-                out.push((index(x, y - 1), 1.0));
+                out.push((index(x, y - 1), 1));
             }
         }
     }
@@ -510,9 +471,8 @@ fn uniform_grid() -> Graph {
         succ,
         goals,
         sources: vec![index(0, 3), index(0, 7), index(4, 8)],
-        h: (0..n * n).map(|i| (n - 1 - i % n) as f64).collect(),
-        key_resolution: 256.0,
-        toll: 0.0,
+        h: (0..n * n).map(|i| (n - 1 - i % n) as u64).collect(),
+        toll: 0,
     }
 }
 
@@ -524,69 +484,44 @@ fn uniform_grid() -> Graph {
 fn tie_across_keys() -> Graph {
     let (s, q, p2, p1, v, g) = (0usize, 1u32, 2u32, 3u32, 4u32, 5u32);
     let mut succ = vec![Vec::new(); 6];
-    succ[s] = vec![(q, 1.0), (p1, 1.0)];
-    succ[q as usize] = vec![(p2, 1.0)];
-    succ[p2 as usize] = vec![(v, 1.0)];
-    succ[p1 as usize] = vec![(v, 2.0)];
-    succ[v as usize] = vec![(g, 1.0)];
+    succ[s] = vec![(q, 1), (p1, 1)];
+    succ[q as usize] = vec![(p2, 1)];
+    succ[p2 as usize] = vec![(v, 1)];
+    succ[p1 as usize] = vec![(v, 2)];
+    succ[v as usize] = vec![(g, 1)];
     Graph {
         succ,
         goals: vec![false, false, false, false, false, true],
         sources: vec![s as u32],
-        h: vec![4.0, 3.0, 2.0, 3.0, 1.0, 0.0],
-        key_resolution: 1.0,
-        toll: 0.0,
+        h: vec![4, 3, 2, 3, 1, 0],
+        toll: 0,
     }
 }
 
-/// Two goals whose distances, 2.0 and 2.1, share key 8 at four keys per
-/// unit: `s -> a -> ga` and `s -> b -> gb` under the exact bound, every
-/// node at key 8 in A\* order.  A\* pops `a`, then `ga` (its id is below
-/// `b`'s) before `b` is expanded, so the one pass records `ga` first.
-/// Plain Dijkstra pops both goals under key 8 and returns the lower id,
-/// whichever distance is smaller: `gb` here, `ga` when `swap` exchanges
-/// the goals' ids.
+/// Two goals at distance 2: `s -> a -> ga` and `s -> b -> gb` at unit
+/// cost under the exact bound, every node at key 2 in A\* order.  A\* pops
+/// `a`, then `ga` (its id is below `b`'s) before `b` is expanded, so the
+/// one pass records `ga` first.  Plain Dijkstra pops both goals under key 2
+/// and returns the lower id: `gb` here, `ga` when `swap` exchanges the
+/// goals' ids.
 fn equal_key_goals(swap: bool) -> Graph {
     let (s, a, b) = (0usize, 3usize, 4usize);
     let (ga, gb) = if swap { (1, 2) } else { (2, 1) };
     let mut succ = vec![Vec::new(); 5];
-    succ[s] = vec![(a as u32, 1.0), (b as u32, 1.0)];
-    succ[a] = vec![(ga as u32, 1.0)];
-    succ[b] = vec![(gb as u32, 1.1)];
+    succ[s] = vec![(a as u32, 1), (b as u32, 1)];
+    succ[a] = vec![(ga as u32, 1)];
+    succ[b] = vec![(gb as u32, 1)];
     let mut goals = vec![false; 5];
     goals[ga] = true;
     goals[gb] = true;
-    let mut h = vec![0.0; 5];
-    (h[s], h[a], h[b]) = (2.0, 1.0, 1.1);
+    let mut h = vec![0; 5];
+    (h[s], h[a], h[b]) = (2, 1, 1);
     Graph {
         succ,
         goals,
         sources: vec![s as u32],
         h,
-        key_resolution: 4.0,
-        toll: 0.0,
-    }
-}
-
-/// A node that A\* order improves after expanding it.  At one key per unit,
-/// `v` (f = 5.05 + 0.9) and `u` (f = 4 + 1) share key 5, so A\* pops `v`
-/// first, reached at 5.05 by `s -> v`, and then `u` improves it to 5
-/// within that key.  Plain Dijkstra pops `u` first and reaches the goal at
-/// 6 by `s -> u -> v -> g`; a search that did not expand `v` again would
-/// reach it at 6.05.
-fn reopening() -> Graph {
-    let (s, v, u, g) = (0usize, 1u32, 2u32, 3u32);
-    let mut succ = vec![Vec::new(); 4];
-    succ[s] = vec![(v, 5.05), (u, 4.0)];
-    succ[u as usize] = vec![(v, 1.0)];
-    succ[v as usize] = vec![(g, 1.0)];
-    Graph {
-        succ,
-        goals: vec![false, false, false, true],
-        sources: vec![s as u32],
-        h: vec![5.0, 0.9, 1.0, 0.0],
-        key_resolution: 1.0,
-        toll: 0.0,
+        toll: 0,
     }
 }
 
@@ -599,7 +534,6 @@ fn graphs_for(seeds: std::ops::RangeInclusive<u64>) -> Vec<(&'static str, Graph)
         out.push(("grid window", grid_window(seed)));
     }
     out.push(("goal tie", goal_tie()));
-    out.push(("rounded sums", rounded_sums()));
     out
 }
 
@@ -612,15 +546,11 @@ fn graphs() -> Vec<(&'static str, Graph)> {
 fn every_graph_matches_reference_dijkstra_in_every_order() {
     for (name, graph) in graphs() {
         let want = graph.reference();
-        assert!(want.is_finite(), "{name}: no path in the reference");
+        assert_ne!(want, u64::MAX, "{name}: no path in the reference");
         for order in [Order::Dijkstra, Order::AStar, Order::Bounded] {
             let mut kernel = graph.kernel();
             let goal = graph.search(&mut kernel, order).expect("path exists");
-            assert!(
-                (kernel.dist(goal) - want).abs() < 1e-9,
-                "{name} {order:?}: {} != reference {want}",
-                kernel.dist(goal)
-            );
+            assert_eq!(kernel.dist(goal), want, "{name} {order:?}");
             // The predecessor chain runs from a source to the goal.
             let path = kernel.path(goal);
             assert!(graph.sources.contains(&path[0]), "{name}");
@@ -628,7 +558,7 @@ fn every_graph_matches_reference_dijkstra_in_every_order() {
         }
         let mut kernel = graph.unit_kernel();
         let goal = graph.one_pass(&mut kernel).expect("path exists");
-        assert!((kernel.dist(goal) - want).abs() < 1e-9, "{name} one pass");
+        assert_eq!(kernel.dist(goal), want, "{name} one pass");
     }
 }
 
@@ -661,7 +591,7 @@ fn epoch_wrap_does_not_leak_stale_search_state() {
                 .search(&mut kernel, Order::AStar)
                 .expect("path exists after wrap");
             assert_eq!(again, goal, "{name}");
-            assert!((kernel.dist(again) - cost).abs() < 1e-9, "{name}");
+            assert_eq!(kernel.dist(again), cost, "{name}");
         }
     }
 }
@@ -724,67 +654,85 @@ fn cancellation_and_deadline_abort_the_search() {
     }
 }
 
-/// `s -> a` costs 1.5, but `s -> b -> a` costs `0.25 + b_to_a`: `a` is
-/// improved after it was queued.  `a -> t` leads on to a goal-less sink.
-fn diamond(b_to_a: f64) -> Graph {
+/// `s -> a` costs 3, but `s -> b -> a` costs 2: `a` is improved after it
+/// was queued.  `a -> t` leads on to a goal-less sink.
+fn diamond() -> Graph {
     let (s, a, b, t) = (0u32, 1u32, 2u32, 3u32);
     let mut succ = vec![Vec::new(); 4];
-    succ[s as usize] = vec![(a, 1.5), (b, 0.25)];
-    succ[b as usize] = vec![(a, b_to_a)];
-    succ[a as usize] = vec![(t, 1.0)];
+    succ[s as usize] = vec![(a, 3), (b, 1)];
+    succ[b as usize] = vec![(a, 1)];
+    succ[a as usize] = vec![(t, 1)];
     Graph {
         succ,
         goals: vec![false; 4],
         sources: vec![s],
-        h: vec![0.0; 4],
-        key_resolution: 1.0,
-        toll: 0.0,
+        h: vec![0; 4],
+        toll: 0,
     }
 }
 
 #[test]
-fn an_improvement_within_one_key_quantum_is_expanded_once_with_the_better_distance() {
-    // 1.5 and 1.25 both quantise to key 1: the improvement reuses the
-    // queued entry, so `a` is popped and expanded exactly once, at 1.25.
-    let graph = diamond(1.0);
+fn an_improvement_leaves_one_stale_entry_and_the_node_expands_once() {
+    // 3 improves to 2: the old entry is stale, popped and skipped, and `a`
+    // expands only once, at 2.
+    let graph = diamond();
     let mut kernel = graph.kernel();
     let mut space = Space {
         graph: &graph,
         expanded: Vec::new(),
     };
-    assert_eq!(kernel.run(&mut space, [(0, 0)], |_| 0.0), None);
-    let a: Vec<f64> = space
+    assert_eq!(kernel.run(&mut space, [(0, 0)], |_| 0), None);
+    let a: Vec<u64> = space
         .expanded
         .iter()
         .filter(|(n, _)| *n == 1)
         .map(|(_, d)| *d)
         .collect();
-    assert_eq!(a, vec![1.25]);
-    // s, b, a and t: no duplicate entry was ever queued.
-    assert_eq!(kernel.popped(), 4);
+    assert_eq!(a, vec![2]);
+    assert_eq!(kernel.popped(), 5);
+    assert_eq!(space.expanded.len(), 4);
     assert_eq!(kernel.prev(1), Some(2));
 }
 
+/// Every node a search expands, in expansion order.
+fn expanded_nodes(expanded: &[(u32, u64)]) -> Vec<u32> {
+    expanded.iter().map(|&(n, _)| n).collect()
+}
+
 #[test]
-fn an_improvement_across_keys_leaves_one_stale_entry() {
-    // 1.5 (key 1) improves to 0.75 (key 0): the old entry is stale, popped
-    // and skipped, and `a` still expands only once, at 0.75.
-    let graph = diamond(0.5);
-    let mut kernel = graph.kernel();
-    let mut space = Space {
-        graph: &graph,
-        expanded: Vec::new(),
-    };
-    assert_eq!(kernel.run(&mut space, [(0, 0)], |_| 0.0), None);
-    let a: Vec<f64> = space
-        .expanded
-        .iter()
-        .filter(|(n, _)| *n == 1)
-        .map(|(_, d)| *d)
-        .collect();
-    assert_eq!(a, vec![0.75]);
-    assert_eq!(kernel.popped(), 5);
-    assert_eq!(space.expanded.len(), 4);
+fn a_consistent_bound_expands_each_node_at_most_once_per_pass() {
+    for (name, graph) in one_pass_graphs() {
+        for order in [Order::Dijkstra, Order::AStar] {
+            let mut space = Space {
+                graph: &graph,
+                expanded: Vec::new(),
+            };
+            let sources = graph.sources.iter().map(|&s| (s, u64::from(s)));
+            let h = |v: u32| graph.h[v as usize];
+            match order {
+                Order::AStar => graph.kernel().run(&mut space, sources, h),
+                _ => graph.kernel().run(&mut space, sources, |_| 0),
+            };
+            let mut nodes = expanded_nodes(&space.expanded);
+            let n = nodes.len();
+            nodes.sort_unstable();
+            nodes.dedup();
+            assert_eq!(nodes.len(), n, "{name} {order:?}");
+        }
+        let mut space = UnitSpace {
+            graph: &graph,
+            expanded: Vec::new(),
+        };
+        let sources = graph.sources.iter().map(|&s| (s, ()));
+        graph
+            .unit_kernel()
+            .run_one_pass(&mut space, sources, |v| graph.h[v as usize]);
+        let mut nodes = expanded_nodes(&space.expanded);
+        let n = nodes.len();
+        nodes.sort_unstable();
+        nodes.dedup();
+        assert_eq!(nodes.len(), n, "{name} one pass");
+    }
 }
 
 #[test]
@@ -808,49 +756,6 @@ fn counters_restart_when_armed() {
     assert_eq!((kernel.popped(), kernel.pruned(), kernel.peak()), (0, 0, 0));
 }
 
-/// `s -> a -> b -> g` and `s -> c -> g` both cost 4, and `s -> d` leads to
-/// a sink.  The bound is admissible but drops `f = dist + h` by one key
-/// quantum on the step `a -> b` (`h(a) = 2`, `h(b) = 0`), so `b` is queued
-/// at key 2 after the pop of `a` at key 3.
-fn rounding_drop() -> Graph {
-    let (s, a, b, c, g, d) = (0u32, 1u32, 2u32, 3u32, 4u32, 5u32);
-    let mut succ = vec![Vec::new(); 6];
-    succ[s as usize] = vec![(a, 1.0), (c, 1.0), (d, 2.0)];
-    succ[a as usize] = vec![(b, 1.0)];
-    succ[b as usize] = vec![(g, 2.0)];
-    succ[c as usize] = vec![(g, 3.0)];
-    let mut goals = vec![false; 6];
-    goals[g as usize] = true;
-    Graph {
-        succ,
-        goals,
-        sources: vec![s],
-        h: vec![3.0, 2.0, 0.0, 3.0, 0.0, 1.0],
-        key_resolution: 1.0,
-        toll: 0.0,
-    }
-}
-
-#[test]
-fn a_relaxation_below_the_popped_key_pops_next_and_the_rest_stay_in_order() {
-    let graph = rounding_drop();
-    let mut kernel = graph.kernel();
-    let mut space = Space {
-        graph: &graph,
-        expanded: Vec::new(),
-    };
-    let h = |v: u32| graph.h[v as usize];
-    assert_eq!(kernel.run(&mut space, [(0, 0)], h), Some(4));
-    // The pops of a binary heap of `(key, node)` pairs: `b` (key 2) right
-    // after `a` (key 3), then `d` (key 3), then `c` and `g` (key 4) in
-    // node order.
-    let expanded: Vec<u32> = space.expanded.iter().map(|&(n, _)| n).collect();
-    assert_eq!(expanded, [0, 1, 2, 5, 3]);
-    assert_eq!(kernel.popped(), 6);
-    assert_eq!(kernel.path(4), [0, 1, 2, 4]);
-    assert_eq!(kernel.dist(4), 4.0);
-}
-
 /// Runs plain Dijkstra and bounded Dijkstra on `graph`, asserts that they
 /// agree on goal, distance, path and payload, and returns their pops and
 /// whether A\* found a cheaper goal than plain Dijkstra (so that bounded
@@ -862,15 +767,11 @@ fn assert_bounded_matches_plain(name: &str, graph: &Graph) -> ([usize; 2], bool)
     let got = graph.search(&mut bounded, Order::Bounded);
     assert_eq!(got, want, "{name}: goal");
     let goal = want.expect("path exists");
-    assert_eq!(
-        bounded.dist(goal).to_bits(),
-        plain.dist(goal).to_bits(),
-        "{name}: dist"
-    );
+    assert_eq!(bounded.dist(goal), plain.dist(goal), "{name}: dist");
     let path = plain.path(goal);
     assert_eq!(bounded.path(goal), path, "{name}: path");
     for &node in &path {
-        assert_eq!(bounded.dist(node).to_bits(), plain.dist(node).to_bits());
+        assert_eq!(bounded.dist(node), plain.dist(node));
         assert_eq!(
             bounded.payload(node),
             plain.payload(node),
@@ -881,7 +782,7 @@ fn assert_bounded_matches_plain(name: &str, graph: &Graph) -> ([usize; 2], bool)
     let a_star_goal = graph
         .search(&mut a_star, Order::AStar)
         .expect("path exists");
-    let undercut = a_star.key(a_star.dist(a_star_goal)) + 1 < plain.key(plain.dist(goal));
+    let undercut = a_star.dist(a_star_goal) < plain.dist(goal);
     ([plain.popped(), bounded.popped()], undercut)
 }
 
@@ -902,7 +803,7 @@ fn bounded_dijkstra_returns_plain_dijkstras_answer_when_steps_read_the_payload()
     let mut undercuts = 0;
     for (name, graph) in graphs_for(1..=8) {
         let mut graph = graph.with_exact_bound();
-        for toll in [0.5, 7.0, 40.0] {
+        for toll in [1, 7, 40] {
             graph.toll = toll;
             let (_, undercut) = assert_bounded_matches_plain(name, &graph);
             undercuts += usize::from(undercut);
@@ -928,14 +829,14 @@ impl SearchSpace for Detour {
         (node == 4).then_some(node)
     }
 
-    fn expand(&mut self, node: u32, dist: f64, from: u32, mut relax: impl FnMut(u32, f64, u32)) {
+    fn expand(&mut self, node: u32, dist: u64, from: u32, mut relax: impl FnMut(u32, u64, u32)) {
         match node {
             0 => {
-                relax(1, dist + 1.0, 0);
-                relax(2, dist + 1.0, 0);
+                relax(1, dist + 1, 0);
+                relax(2, dist + 1, 0);
             }
-            1 | 2 => relax(3, dist + 1.0, node),
-            3 => relax(4, dist + if from == 2 { 1.0 } else { 10.0 }, node),
+            1 | 2 => relax(3, dist + 1, node),
+            3 => relax(4, dist + if from == 2 { 1 } else { 10 }, node),
             _ => {}
         }
     }
@@ -943,18 +844,18 @@ impl SearchSpace for Detour {
 
 #[test]
 fn bounded_dijkstra_reruns_unpruned_when_a_star_undercuts_dijkstra() {
-    let h = |v: u32| [0.0, 1.0, 0.0, 1.0, 0.0][v as usize];
-    let mut a_star = Kernel::new(5, 256.0);
+    let h = |v: u32| [0, 1, 0, 1, 0][v as usize];
+    let mut a_star = Kernel::new(5);
     assert_eq!(a_star.run(&mut Detour, [(0, 0)], h), Some(4));
-    assert_eq!(a_star.dist(4), 3.0);
-    let mut plain = Kernel::new(5, 256.0);
-    assert_eq!(plain.run(&mut Detour, [(0, 0)], |_| 0.0), Some(4));
-    assert_eq!(plain.dist(4), 12.0);
+    assert_eq!(a_star.dist(4), 3);
+    let mut plain = Kernel::new(5);
+    assert_eq!(plain.run(&mut Detour, [(0, 0)], |_| 0), Some(4));
+    assert_eq!(plain.dist(4), 12);
     // The pruned pass keeps only `f <= 3`, so it drops `m -> g` at 12 and
     // runs dry; the unpruned rerun returns plain Dijkstra's answer.
-    let mut bounded = Kernel::new(5, 256.0);
+    let mut bounded = Kernel::new(5);
     assert_eq!(bounded.run_dijkstra(&mut Detour, [(0, 0)], h), Some(4));
-    assert_eq!(bounded.dist(4), 12.0);
+    assert_eq!(bounded.dist(4), 12);
     assert_eq!(bounded.path(4), plain.path(4));
     assert_eq!(bounded.payload(3), Some(1));
     assert_eq!(bounded.stop_reason(), None);
@@ -1071,8 +972,8 @@ fn assert_one_pass_matches_plain(name: &str, graph: &Graph) -> [usize; 2] {
         assert_eq!(one_pass.path(goal), path, "{name}: path");
         for &node in &path {
             assert_eq!(
-                one_pass.dist(node).to_bits(),
-                plain.dist(node).to_bits(),
+                one_pass.dist(node),
+                plain.dist(node),
                 "{name}: dist of {node}"
             );
         }
@@ -1089,8 +990,7 @@ fn one_pass_graphs() -> Vec<(&'static str, Graph)> {
     out.push(("tie across keys", tie_across_keys()));
     out.push(("equal-key goals", equal_key_goals(false)));
     out.push(("equal-key goals, swapped ids", equal_key_goals(true)));
-    out.push(("reopening", reopening()));
-    out.push(("diamond without goals", diamond(1.0)));
+    out.push(("diamond without goals", diamond()));
     out
 }
 
@@ -1134,29 +1034,6 @@ fn one_pass_records_every_goal_in_the_band_and_returns_the_least_key_and_id() {
         let expanded: Vec<u32> = space.expanded.iter().map(|&(n, _)| n).collect();
         assert_eq!(expanded, vec![0, 3, 4], "swap {swap}");
     }
-}
-
-#[test]
-fn one_pass_expands_a_node_again_when_a_star_order_improves_it_late() {
-    let graph = reopening();
-    let mut kernel = graph.unit_kernel();
-    let mut space = UnitSpace {
-        graph: &graph,
-        expanded: Vec::new(),
-    };
-    assert_eq!(
-        kernel.run_one_pass(&mut space, [(0, ())], |v| graph.h[v as usize]),
-        Some(3)
-    );
-    assert_eq!(kernel.dist(3), 6.0);
-    assert_eq!(kernel.path(3), vec![0, 2, 1, 3]);
-    let v: Vec<f64> = space
-        .expanded
-        .iter()
-        .filter(|(n, _)| *n == 1)
-        .map(|(_, d)| *d)
-        .collect();
-    assert_eq!(v, vec![5.05, 5.0]);
 }
 
 #[test]
