@@ -266,31 +266,30 @@ mod tests {
         (design, result)
     }
 
-    /// A case whose colour-state step costs, which depend on the colour
-    /// state a vertex inherits, let the A\* pass of a bounded Dijkstra find
-    /// a cheaper goal than plain Dijkstra does: its pruned second pass then
-    /// finds no goal at all, and the kernel must rerun unpruned.
+    /// Cases where a colour-state step cost, which depends on the colour
+    /// state a vertex inherits, let A\* under the initial pass's bound find
+    /// a cheaper goal than plain Dijkstra: a two-pass bounded Dijkstra's
+    /// pruned pass then found no goal.  Before it reran unpruned, the first
+    /// case left a net unconnected; the second takes such a search today.
+    /// The one pass must connect every net and return plain Dijkstra's
+    /// answer to every search.
     #[test]
     fn the_initial_pass_connects_a_net_whose_a_star_bound_undercuts_dijkstra() {
-        let mut params = CaseParams::ispd18_like(5).scaled(0.25);
-        params.seed += 2 << 32;
-        let design = params.generate();
-        let guides = GlobalRouter::new(GlobalConfig::default()).route(&design);
         let config = MrTplConfig {
             max_rrr_iterations: 0,
             ..MrTplConfig::default()
         };
-        // Trace this thread's run to read the kernel's rerun counter; no
-        // other test of this crate traces.
-        const TASK: u64 = 0x7e57;
-        tpl_trace::enable();
-        let task = tpl_trace::task(TASK);
-        let result = MrTplRouter::new(config).route(&design, &guides);
-        drop(task);
-        tpl_trace::disable();
-        let phases = tpl_trace::take_task_phases(TASK).expect("traced");
-        assert_eq!(phases.counter("grid.dijkstra_reruns"), Some(1));
-        assert_eq!(result.stats.failed_nets, 0);
+        for (case, salt, undercuts) in [(10, 3, 0), (5, 2, 1)] {
+            let mut params = CaseParams::ispd18_like(case).scaled(0.25);
+            params.seed += salt << 32;
+            let design = params.generate();
+            let guides = GlobalRouter::new(GlobalConfig::default()).route(&design);
+            crate::search::cross_check::start();
+            let result = MrTplRouter::new(config).route(&design, &guides);
+            let checked = crate::search::cross_check::take();
+            assert_eq!(result.stats.failed_nets, 0, "case {case}");
+            assert_eq!(checked.undercuts, undercuts, "case {case}: {checked:?}");
+        }
     }
 
     #[test]

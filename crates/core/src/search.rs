@@ -20,19 +20,17 @@
 //!   search effort, so the initial pass keeps the seed's solution quality.
 //!   A\* order is part of those iterations' results, so they keep this
 //!   bound even though a tighter one exists.
-//! * **Bounded Dijkstra** — the other passes run [`Kernel::run_dijkstra`]
-//!   with the tighter layer-aware [`GoalBound::h`] and return plain
-//!   Dijkstra's answers.  A colour-state step's cost reads the inherited
-//!   colour state, so the A\* pass can find a cheaper goal than plain
-//!   Dijkstra; the pruned pass then finds no goal, and the kernel reruns
-//!   unpruned, so the answer stays plain Dijkstra's.  The same payload is
-//!   why these searches keep two passes where the colour-blind maze and
-//!   DAC'12 need one ([`Kernel::run_one_pass`]): plain Dijkstra keeps the
-//!   colour state of the first relaxation to reach a vertex's distance, a
-//!   tying relaxation with another colour state prices the vertex's
-//!   successors differently, and an A\*-order pass cannot tell which one
-//!   plain Dijkstra would have kept.  Forced onto one pass, Mr.TPL's
-//!   results change.
+//! * **One-pass exact Dijkstra** — the initial pass runs
+//!   [`Kernel::run_one_pass`] with the tighter layer-aware [`GoalBound::h`]
+//!   and returns plain Dijkstra's answers from one A\*-order pass.  A
+//!   colour-state step's cost reads the inherited colour state, and plain
+//!   Dijkstra keeps the colour state of the least `(dist, vertex)`
+//!   predecessor that reaches a vertex's distance; the pass keeps the same
+//!   one because its tie rule takes the colour state along with the
+//!   predecessor, and because with a payload it pops equal keys in
+//!   `(dist, vertex)` order, so every such predecessor is expanded before
+//!   the vertex it reaches.  The colour-blind maze and DAC'12 run the same
+//!   pass without a payload.
 //! * **One cached record per relaxation** — a step's traditional cost is
 //!   the direction-class [`TradCost::base`], read from the per-layer table
 //!   [`CostParams::base_table`] that [`NetBuffers::new`] builds once per
@@ -105,7 +103,7 @@ impl NetBuffers {
 
     /// Enables or disables goal-directed ordering for subsequent searches of
     /// this buffer.  Disabled, a search returns plain Dijkstra's answer
-    /// through [`Kernel::run_dijkstra`].
+    /// through [`Kernel::run_one_pass`].
     ///
     /// The router keeps the seed's pure-Dijkstra expansion order for the
     /// initial routing pass and engages A* during the negotiation
@@ -286,11 +284,95 @@ pub fn search(
         .map(|&(s, state)| (s.0, state));
     let bound = &*bound;
     if *goal_directed {
-        kernel.run(&mut space, sources, |v| {
+        return kernel.run(&mut space, sources, |v| {
             bound.manhattan(grid, VertexId::new(v))
-        })
-    } else {
-        kernel.run_dijkstra(&mut space, sources, |v| bound.h(grid, VertexId::new(v)))
+        });
+    }
+    let h = |v| bound.h(grid, VertexId::new(v));
+    let found = kernel.run_one_pass(&mut space, sources.clone(), h);
+    #[cfg(test)]
+    cross_check::check(&mut space, kernel, sources, found, h);
+    found
+}
+
+/// The test hook of [`search`]: reruns a one-pass search as plain Dijkstra
+/// and compares the answers.
+#[cfg(test)]
+pub(crate) mod cross_check {
+    use super::ColorSearch;
+    use std::cell::Cell;
+    use tpl_color::ColorState;
+    use tpl_design::PinId;
+    use tpl_grid::{Kernel, VertexId};
+
+    /// What the hook has checked on this thread since a test started it.
+    #[derive(Clone, Copy, Debug, Default)]
+    pub(crate) struct Checked {
+        /// One-pass searches checked against plain Dijkstra.
+        pub(crate) searches: usize,
+        /// Those in which A\* under the same bound reached a goal cheaper
+        /// than plain Dijkstra's: a colour state that plain Dijkstra did not
+        /// keep made the later steps cheaper.
+        pub(crate) undercuts: usize,
+    }
+
+    thread_local! {
+        /// Counted while a test has set it; `None` leaves [`search`]
+        /// unchecked.
+        ///
+        /// [`search`]: super::search
+        static CHECKED: Cell<Option<Checked>> = const { Cell::new(None) };
+    }
+
+    /// Checks every one-pass search on this thread from now on.
+    pub(crate) fn start() {
+        CHECKED.set(Some(Checked::default()));
+    }
+
+    /// Stops checking and returns what was checked.
+    pub(crate) fn take() -> Checked {
+        CHECKED.take().expect("checks were started")
+    }
+
+    /// When a test on this thread asked for it, reruns a search as plain
+    /// Dijkstra (`Kernel::run` with `h = 0`) and as A\* under `h`, each on a
+    /// kernel of its own, and asserts that the one pass found plain
+    /// Dijkstra's goal, and the same path with the same distances and
+    /// colour states along it.
+    pub(super) fn check(
+        space: &mut ColorSearch<'_, '_>,
+        kernel: &Kernel<ColorState>,
+        sources: impl Iterator<Item = (u32, ColorState)> + Clone,
+        found: Option<(VertexId, PinId)>,
+        h: impl Fn(u32) -> u64,
+    ) {
+        let Some(mut checked) = CHECKED.get() else {
+            return;
+        };
+        assert_eq!(
+            kernel.stop_reason(),
+            None,
+            "cross-checked runs are unbudgeted"
+        );
+        let num_vertices = space.ctx.trad.grid.num_vertices();
+        let mut plain = Kernel::new(num_vertices);
+        let want = plain.run(space, sources.clone(), |_| 0);
+        assert_eq!(found, want, "goal");
+        if let Some((goal, _)) = want {
+            let path = plain.path(goal.0);
+            assert_eq!(kernel.path(goal.0), path, "path to {goal:?}");
+            for &v in &path {
+                assert_eq!(kernel.dist(v), plain.dist(v), "dist of {v}");
+                assert_eq!(kernel.payload(v), plain.payload(v), "colour state of {v}");
+            }
+            let mut a_star = Kernel::new(num_vertices);
+            let cheaper = a_star.run(space, sources, h);
+            if cheaper.is_some_and(|(g, _)| a_star.dist(g.0) < plain.dist(goal.0)) {
+                checked.undercuts += 1;
+            }
+        }
+        checked.searches += 1;
+        CHECKED.set(Some(checked));
     }
 }
 
@@ -526,6 +608,32 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn every_initial_pass_search_of_a_routing_run_returns_plain_dijkstras_answer() {
+        use crate::{MrTplConfig, MrTplRouter};
+        use tpl_global::{GlobalConfig, GlobalRouter};
+        use tpl_ispd::CaseParams;
+
+        // The initial pass only: the negotiation passes run A*.
+        let config = MrTplConfig {
+            max_rrr_iterations: 0,
+            ..MrTplConfig::default()
+        };
+        cross_check::start();
+        for suite in [CaseParams::ispd18_like, CaseParams::ispd19_like] {
+            for case in 1..=10 {
+                let mut params = suite(case).scaled(0.3);
+                // A salt per case, so the seeds differ from the suites'.
+                params.seed = params.seed.wrapping_add((case as u64 % 3) << 32);
+                let design = params.generate();
+                let guides = GlobalRouter::new(GlobalConfig::default()).route(&design);
+                MrTplRouter::new(config).route(&design, &guides);
+            }
+        }
+        let checked = cross_check::take();
+        assert!(checked.searches > 500, "{checked:?}");
     }
 
     #[test]

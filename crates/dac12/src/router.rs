@@ -139,9 +139,10 @@ impl SearchSpace for SplitSearch<'_, '_> {
 impl SplitSearch<'_, '_> {
     /// Dijkstra over the expanded graph from the coverage of pin `from` to
     /// the targets.  Returns the path's vertices from source to destination
-    /// and the mask of each.  The search has no payload, so it returns plain
-    /// Dijkstra's path from one A\*-order pass ([`Kernel::run_one_pass`]),
-    /// with the bound on a node's vertex as its `h`.
+    /// and the mask of each.  It returns plain Dijkstra's path from one
+    /// A\*-order pass ([`Kernel::run_one_pass`], which pops equal keys in
+    /// `node` order, as the search has no payload), with the bound on a
+    /// node's vertex as its `h`.
     fn route(&mut self, kernel: &mut Kernel<()>, from: PinId) -> Option<ColoredPath> {
         let (trad, expanded, bound) = (self.trad, self.expanded, self.bound);
         let sources = trad

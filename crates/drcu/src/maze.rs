@@ -74,10 +74,10 @@ impl SearchSpace for Maze<'_, '_> {
 /// and the pin.  Returns `None` when no unreached pin can be reached, or
 /// when the kernel's budget stopped the search.
 ///
-/// The answer is plain Dijkstra's, found in one A\*-order pass: the maze
-/// has no payload, so [`Kernel::run_one_pass`] applies, and the bound,
-/// aimed here at the unreached pins, only steers the pass past the nodes
-/// that cannot lie on an optimal path.
+/// The answer is plain Dijkstra's, found in one A\*-order pass
+/// ([`Kernel::run_one_pass`]; the maze has no payload, so it pops equal keys
+/// in `node` order), and the bound, aimed here at the unreached pins, only
+/// steers the pass past the nodes that cannot lie on an optimal path.
 pub(crate) fn search(
     cost: &TradCost<'_>,
     buffers: &mut MazeBuffers,

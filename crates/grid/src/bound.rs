@@ -112,9 +112,9 @@ struct Target {
 /// `manhattan`), so each is consistent (`h(u) <= step + h(v)`, exactly, as
 /// every price is a whole number), and each is zero on every vertex of a
 /// target pin's coverage.  That is what
-/// [`Kernel::run`](crate::Kernel::run) needs for A\*,
-/// [`Kernel::run_dijkstra`](crate::Kernel::run_dijkstra) for its pruning
-/// and [`Kernel::run_one_pass`](crate::Kernel::run_one_pass) for its band.
+/// [`Kernel::run`](crate::Kernel::run) needs for A\* and
+/// [`Kernel::run_one_pass`](crate::Kernel::run_one_pass) for its band and
+/// its tie rules.
 #[derive(Clone, Debug)]
 pub struct GoalBound {
     /// Layers of the grid.

@@ -1,6 +1,6 @@
 //! The frontier of [`Kernel`](crate::Kernel): a radix queue of
 //! `(key, node)` entries that pops them in exactly ascending `(key, node)`
-//! order.
+//! order, or, ranked, in ascending `(key, dist[node], node)` order.
 //!
 //! Every entry's key is at least the last popped key, `last`.  The nodes
 //! queued at `last` sit in one vector in descending order, so the least
@@ -15,9 +15,16 @@
 //! A push at `last` is placed by binary insertion: a search relaxes many
 //! nodes onto the key it is popping, some of them below the node just
 //! popped, and those must pop next.  No push lands below `last`: a key is an
-//! exact whole-number cost, `dist + h` with a consistent `h` in A\* order or
-//! `dist` in Dijkstra order, so a relaxation never keys below the entry it
-//! expands.  A debug assertion checks it.
+//! exact whole-number cost, `dist + h` with a consistent `h`, so a
+//! relaxation never keys below the entry it expands.  A debug assertion
+//! checks it.
+//!
+//! Ranked (the `RANKED` parameter of [`push`](Frontier::push) and
+//! [`pop`](Frontier::pop)), the nodes at one key are ordered by the
+//! kernel's `dist` first.  Only the vector at `last` is ever ordered, and a
+//! node's `dist` cannot change while it sits there: a lower `dist` would
+//! queue it below `last`.  So the rank is read from `dist` when a bucket is
+//! settled and when a node is inserted, and never stored.
 
 use std::cmp::Reverse;
 
@@ -78,9 +85,10 @@ impl Frontier {
     }
 
     /// Queues `node` under `key`, which must not be below the last popped
-    /// key.
+    /// key.  `RANKED` must be the same for every call between two
+    /// [`clear`](Self::clear)s, and `dist` the same slice (unread unranked).
     #[inline]
-    pub(crate) fn push(&mut self, key: u64, node: u32) {
+    pub(crate) fn push<const RANKED: bool>(&mut self, key: u64, node: u32, dist: &[u64]) {
         debug_assert!(
             key >= self.last,
             "push of key {key} below the last popped key {}",
@@ -88,7 +96,13 @@ impl Frontier {
         );
         self.len += 1;
         if key == self.last {
-            let at = self.current.partition_point(|&n| n > node);
+            let at = if RANKED {
+                let rank = (dist[node as usize], node);
+                self.current
+                    .partition_point(|&n| (dist[n as usize], n) > rank)
+            } else {
+                self.current.partition_point(|&n| n > node)
+            };
             self.current.insert(at, node);
         } else {
             let b = bucket(key, self.last);
@@ -97,14 +111,15 @@ impl Frontier {
         }
     }
 
-    /// Removes and returns the least `(key, node)` entry.
+    /// Removes and returns the least `(key, node)` entry, or with `RANKED`
+    /// the least `(key, dist[node], node)` one.
     #[inline]
-    pub(crate) fn pop(&mut self) -> Option<(u64, u32)> {
+    pub(crate) fn pop<const RANKED: bool>(&mut self, dist: &[u64]) -> Option<(u64, u32)> {
         if self.current.is_empty() {
             if self.occupied == 0 {
                 return None;
             }
-            self.settle();
+            self.settle::<RANKED>(dist);
         }
         self.len -= 1;
         self.current.pop().map(|node| (self.last, node))
@@ -113,7 +128,7 @@ impl Frontier {
     /// Moves the least key of the lowest non-empty bucket to `last` and its
     /// nodes into `current`, and spreads the bucket's other entries over the
     /// buckets below it.  `current` must be empty.
-    fn settle(&mut self) {
+    fn settle<const RANKED: bool>(&mut self, dist: &[u64]) {
         let b = self.occupied.trailing_zeros() as usize;
         self.occupied &= !(1 << b);
         let mut entries = std::mem::take(&mut self.buckets[b]);
@@ -130,7 +145,12 @@ impl Frontier {
         }
         entries.clear();
         self.buckets[b] = entries;
-        self.current.sort_unstable_by_key(|&node| Reverse(node));
+        if RANKED {
+            self.current
+                .sort_unstable_by_key(|&node| Reverse((dist[node as usize], node)));
+        } else {
+            self.current.sort_unstable_by_key(|&node| Reverse(node));
+        }
     }
 }
 
@@ -148,41 +168,52 @@ mod tests {
         z ^ (z >> 31)
     }
 
-    /// The frontier beside a binary heap of packed `(key, node)` words:
+    /// The frontier beside a binary heap of `(key, rank, node)` triples:
     /// every operation is applied to both, and every pop must agree.
-    struct Oracle {
+    /// Ranked, a node's rank is its entry of `dist`; unranked, 0.
+    struct Oracle<const RANKED: bool> {
         frontier: Frontier,
-        heap: BinaryHeap<Reverse<u128>>,
+        heap: BinaryHeap<Reverse<(u64, u64, u32)>>,
+        dist: Vec<u64>,
         /// The last popped entry, `(0, 0)` after a clear.
         last: (u64, u32),
-        /// Pushes at the last popped key below the last popped node.
+        /// Pushes at the last popped key that order before the last popped
+        /// node.
         before: usize,
     }
 
-    impl Oracle {
-        fn new() -> Self {
+    impl<const RANKED: bool> Oracle<RANKED> {
+        fn new(dist: Vec<u64>) -> Self {
             Self {
                 frontier: Frontier::default(),
                 heap: BinaryHeap::new(),
+                dist,
                 last: (0, 0),
                 before: 0,
             }
         }
 
+        fn rank(&self, node: u32) -> u64 {
+            if RANKED {
+                self.dist[node as usize]
+            } else {
+                0
+            }
+        }
+
         fn push(&mut self, key: u64, node: u32) {
-            self.before += usize::from(key == self.last.0 && node < self.last.1);
-            self.frontier.push(key, node);
-            self.heap
-                .push(Reverse((u128::from(key) << 32) | u128::from(node)));
+            let (last_key, last_node) = self.last;
+            self.before += usize::from(
+                key == last_key && (self.rank(node), node) < (self.rank(last_node), last_node),
+            );
+            self.frontier.push::<RANKED>(key, node, &self.dist);
+            self.heap.push(Reverse((key, self.rank(node), node)));
             assert_eq!(self.frontier.len(), self.heap.len());
         }
 
         fn pop(&mut self) -> Option<(u64, u32)> {
-            let want = self
-                .heap
-                .pop()
-                .map(|Reverse(e)| ((e >> 32) as u64, e as u32));
-            let got = self.frontier.pop();
+            let want = self.heap.pop().map(|Reverse((key, _, node))| (key, node));
+            let got = self.frontier.pop::<RANKED>(&self.dist);
             assert_eq!(got, want);
             assert_eq!(self.frontier.len(), self.heap.len());
             if let Some(entry) = got {
@@ -196,13 +227,16 @@ mod tests {
             self.heap.clear();
             self.last = (0, 0);
             assert_eq!(self.frontier.len(), 0);
-            assert_eq!(self.frontier.pop(), None);
+            assert_eq!(self.frontier.pop::<RANKED>(&self.dist), None);
         }
     }
 
-    #[test]
-    fn pops_in_the_order_of_a_binary_heap_of_packed_entries() {
-        let mut oracle = Oracle::new();
+    /// Random pushes, pops and clears on the frontier and a binary heap,
+    /// ranked by a random `dist` of few distinct values.
+    fn pops_in_the_order_of_a_binary_heap<const RANKED: bool>() {
+        let mut rng = 0x5eed;
+        let dist = (0..64).map(|_| splitmix(&mut rng) % 4).collect();
+        let mut oracle = Oracle::<RANKED>::new(dist);
         let (mut saturated, mut pushed_back) = (0, 0);
         for seed in 0..200u64 {
             let mut rng = seed;
@@ -244,13 +278,23 @@ mod tests {
     }
 
     #[test]
+    fn pops_in_the_order_of_a_binary_heap_of_key_node_pairs() {
+        pops_in_the_order_of_a_binary_heap::<false>();
+    }
+
+    #[test]
+    fn ranked_pops_in_the_order_of_a_binary_heap_of_key_dist_node_triples() {
+        pops_in_the_order_of_a_binary_heap::<true>();
+    }
+
+    #[test]
     #[cfg(debug_assertions)]
     #[should_panic(expected = "below the last popped key")]
     fn a_push_below_the_last_popped_key_trips_the_assertion() {
         let mut frontier = Frontier::default();
-        frontier.push(5, 3);
-        frontier.push(9, 0);
-        assert_eq!(frontier.pop(), Some((5, 3)));
-        frontier.push(4, 8);
+        frontier.push::<false>(5, 3, &[]);
+        frontier.push::<false>(9, 0, &[]);
+        assert_eq!(frontier.pop::<false>(&[]), Some((5, 3)));
+        frontier.push::<false>(4, 8, &[]);
     }
 }

@@ -6,15 +6,15 @@
 //! search.  [`Kernel`] owns everything else:
 //!
 //! * the frontier, one reused radix queue of `(key, node)` entries that pop
-//!   in exactly ascending `(key, node)` order, where the key is the
-//!   priority itself, a whole-number cost (see below);
+//!   in exactly ascending `(key, node)` order (`(key, dist, node)` in a
+//!   one pass with a payload), where the key is the priority itself, a
+//!   whole-number cost (see below);
 //! * epoch-stamped per-node `dist`, `prev` and payload (the colour state in
 //!   Mr.TPL, `()` elsewhere), so a search starts in O(sources) and the
-//!   buffers, the source list included, are allocated once per routing run;
+//!   buffers are allocated once per routing run;
 //! * an epoch-stamped memo of the bound `h` ([`EpochMap`]), so one call of
-//!   [`run`](Kernel::run), [`run_dijkstra`](Kernel::run_dijkstra) or
-//!   [`run_one_pass`](Kernel::run_one_pass) evaluates `h` at most once per
-//!   node, both passes of `run_dijkstra` included;
+//!   [`run`](Kernel::run) or [`run_one_pass`](Kernel::run_one_pass)
+//!   evaluates `h` at most once per node;
 //! * the exact stale-entry test;
 //! * the node-limit, deadline and cancellation probes;
 //! * the pop counter, the pruned-entry counter and the frontier high-water
@@ -26,24 +26,19 @@
 //!
 //! A router supplies a [`SearchSpace`] (its node encoding, `expand` and goal
 //! test) and a consistent lower bound `h` on the cost still to go (such as
-//! [`GoalBound`](crate::GoalBound)), and picks one of three searches:
+//! [`GoalBound`](crate::GoalBound)), and picks one of two searches:
 //!
 //! * [`run`](Kernel::run) is A\*: it pops in `(dist + h, node)` order;
-//! * [`run_dijkstra`](Kernel::run_dijkstra) returns exactly what plain
-//!   Dijkstra (`run` with `h = 0`) returns, but uses `h` to expand only the
-//!   nodes that can lie on an optimal path.  It searches twice: an A\* pass
-//!   learns the optimum, and a pruned pass in Dijkstra order reproduces
-//!   plain Dijkstra's tie-breaks.  Its documentation gives the pruning rule,
-//!   why it is exact, and the unpruned rerun it falls back on when a step's
-//!   cost reads the payload and A\* undercuts plain Dijkstra.  Mr.TPL's
-//!   colour-state search, whose steps read the payload, uses it.
-//! * [`run_one_pass`](Kernel::run_one_pass) returns plain Dijkstra's answer
-//!   too, in a single A\*-order pass, for searches without a payload
-//!   (`Kernel<()>`), whose steps depend on the nodes alone: it breaks
-//!   distance ties towards plain Dijkstra's predecessor and keeps popping
-//!   past the first goal through the goal's key.  Its documentation
-//!   gives the rules and why they are exact.  The Dr.CU-like maze and the
-//!   DAC'12 search use it.
+//! * [`run_one_pass`](Kernel::run_one_pass) returns exactly what plain
+//!   Dijkstra (`run` with `h = 0`) returns, but in one A\*-order pass that
+//!   expands, as a rule, only the nodes that can lie on an optimal path: it
+//!   breaks distance ties towards plain Dijkstra's predecessor (and its
+//!   payload) and keeps popping past the first goal through the goal's key.
+//!   When the steps read the payload, it also pops equal keys in
+//!   `(dist, node)` order, so a node is expanded only after every
+//!   predecessor that could hand it its payload.  Its documentation gives
+//!   the rules and why they are exact.  Mr.TPL's initial pass, the
+//!   Dr.CU-like maze and the DAC'12 search use it.
 //!
 //! `h` must be a pure function of the node for the length of one call: a
 //! router may re-aim its bound between calls, never within one.
@@ -53,8 +48,8 @@
 //! Every cost is a whole number: a step is a `u64` sum of `u32` weights
 //! ([`CostParams`](crate::CostParams) and the colour weights), a distance a
 //! sum of steps, and `h` a whole-number bound.  So a node's frontier key is
-//! its priority itself, `dist + h` in A\* order and `dist` in Dijkstra
-//! order, and no comparison in the kernel rounds.  Distances are `u64`: one
+//! its priority itself, `dist + h` (`dist` alone with `h = 0`), and no
+//! comparison in the kernel rounds.  Distances are `u64`: one
 //! colour-pressured step alone can cost over 2·10⁷ (a pressure of up to
 //! 65,535 features times the conflict weight), so a path's sum can overflow
 //! a `u32`.
@@ -71,7 +66,7 @@
 //! # Exact stale-entry test
 //!
 //! The kernel stores no per-node queued key.  Every improvement queues the
-//! node under exactly `dist + h` (`h = 0` in Dijkstra order), so a popped
+//! node under exactly `dist + h`, so a popped
 //! `(k, node)` is live iff `k == dist[node] + h(node)`.  An improvement
 //! lowers the key, so the entry it supersedes is stale.
 //!
@@ -83,8 +78,9 @@
 //! sit in one vector in descending order.  A bucket is settled with one
 //! sort, and a push onto the key being popped (a search makes many, some
 //! below the node just popped) is placed by binary insertion.  So the pops
-//! come out in exactly the order of a binary heap of `(key, node)` pairs;
-//! equal entries are indistinguishable.  The
+//! come out in exactly the order of a binary heap of `(key, node)` pairs
+//! (of `(key, dist, node)` triples in a one pass with a payload); equal
+//! entries are indistinguishable.  The
 //! routers' searches push up to twice as many entries as they pop, and an
 //! entry that is never popped costs one append to a bucket, where a heap
 //! sifts it in.
@@ -96,20 +92,6 @@ use crate::{EpochMap, EpochStamps, RouteBudget, StopReason};
 /// limit is checked on every pop.
 const INTERRUPT_PROBE_MASK: usize = 0x0FFF;
 
-/// The frontier order of one [`Kernel`] search, and which relaxations it
-/// keeps.
-#[derive(Clone, Copy, Debug)]
-enum Order {
-    /// `(dist + h, node)`, every relaxation kept: A\*.
-    AStar,
-    /// `(dist, node)`, keeping a relaxation of `to` to `nd` iff
-    /// `nd + h(to)` is at most the limit: the second pass of
-    /// [`Kernel::run_dijkstra`].
-    Bounded(u64),
-    /// `(dist, node)`, every relaxation kept: plain Dijkstra.
-    Dijkstra,
-}
-
 /// The graph a [`Kernel`] searches: node encoding, successors and goal test.
 pub trait SearchSpace {
     /// Per-node state carried alongside the distance (e.g. a colour state).
@@ -119,7 +101,7 @@ pub trait SearchSpace {
 
     /// Called on every live pop before expansion; `Some` ends the search
     /// (in [`Kernel::run_one_pass`], records a goal and skips the
-    /// expansion).
+    /// expansion).  It must depend on the node alone.
     fn goal(&mut self, node: u32) -> Option<Self::Goal>;
 
     /// Calls `relax(successor, dist + step, payload)` for every successor of
@@ -156,9 +138,6 @@ pub struct Kernel<P> {
     /// Deadline and cancellation token of the armed budget.
     probes: RouteBudget,
     stop: Option<StopReason>,
-    /// The current search's sources, kept for the second pass of
-    /// [`run_dijkstra`](Kernel::run_dijkstra).
-    sources: Vec<(u32, P)>,
 }
 
 impl<P: Copy + Default> Kernel<P> {
@@ -185,7 +164,6 @@ impl<P: Copy + Default> Kernel<P> {
             node_limit: u64::MAX,
             probes: RouteBudget::default(),
             stop: None,
-            sources: Vec::new(),
         }
     }
 
@@ -237,7 +215,8 @@ impl<P: Copy + Default> Kernel<P> {
         (self.stamps.is_fresh(i) && self.prev[i] != u32::MAX).then_some(self.prev[i])
     }
 
-    /// Payload a node was last relaxed with in the current search.
+    /// Payload a node was relaxed with by its predecessor in the current
+    /// search.
     #[inline]
     pub fn payload(&self, node: u32) -> Option<P> {
         let i = node as usize;
@@ -263,9 +242,7 @@ impl<P: Copy + Default> Kernel<P> {
         self.popped
     }
 
-    /// Frontier entries left unexpanded when searches ended, since `arm`
-    /// (in [`run_dijkstra`](Kernel::run_dijkstra), those of its
-    /// Dijkstra-order passes only).
+    /// Frontier entries left unexpanded when searches ended, since `arm`.
     #[inline]
     pub fn pruned(&self) -> usize {
         self.pruned
@@ -308,68 +285,84 @@ impl<P: Copy + Default> Kernel<P> {
         S: SearchSpace<Payload = P>,
         H: Fn(u32) -> u64,
     {
-        if self.stop.is_some() {
-            return None;
-        }
-        self.load(sources);
-        self.search::<S, H, false>(space, &h, Order::AStar)
-            .map(|(_, goal)| goal)
+        self.search::<S, H, false>(space, sources, &h)
     }
 
     /// Returns exactly what `run(space, sources, |_| 0)` returns — the
     /// same goal, and the same `dist`, `prev` and payload on the path to it
-    /// — while expanding, as a rule, only nodes whose `dist + h` can reach
-    /// the optimum.
+    /// — in one pass in A\* order.  The pass differs from
+    /// [`run`](Kernel::run) in four rules:
     ///
-    /// Pass 1 runs A\* to its first goal, at distance `ub`.  Pass 2 runs in
-    /// Dijkstra order (`dist`) and drops every relaxation with
-    /// `nd + h(to) > ub` before it touches `dist`, `prev`, the payload or
-    /// the frontier.  If pass 2 pops no goal and no limit stopped it, pass 3
-    /// reruns in Dijkstra order without pruning, which is plain Dijkstra
-    /// itself (the `grid.dijkstra_reruns` trace counter counts these).
-    /// Every pass counts in [`popped`](Kernel::popped) and against the node
+    /// * **Tie rule.** A relaxation that reaches `to` at exactly its current
+    ///   distance makes `from` its predecessor, and takes the payload `from`
+    ///   relaxes it with, when `(dist[from], from) < (dist[prev[to]],
+    ///   prev[to])`: of the two, plain Dijkstra expands `from` first, and
+    ///   keeps it.
+    /// * **Equal keys.** With a payload (a `P` that is not zero-sized),
+    ///   entries of equal key pop in `(dist, node)` order, so the pass pops
+    ///   in ascending `(dist + h, dist, node)` order.  Without one they pop
+    ///   in `node` order, as in `run`; the choice is made at compile time.
+    /// * **Goals.** A goal pop is recorded and not expanded.  The first one
+    ///   sets the band limit, its key (its distance, as `h` is zero on
+    ///   goals).
+    /// * **End.** The search stops at the first frontier entry above the
+    ///   band, or when the frontier runs dry, and returns the recorded goal
+    ///   with the least `(dist, node)`.  A limit stop returns `None`, with
+    ///   the reason in [`stop_reason`](Kernel::stop_reason), even if a goal
+    ///   was recorded.
+    ///
+    /// Every pop counts in [`popped`](Kernel::popped) and against the node
     /// limit, deadline and cancellation; [`pruned`](Kernel::pruned) counts
-    /// the leftover frontier of the Dijkstra-order passes only.
+    /// the frontier left when the pass ends.
     ///
-    /// Three conditions make the pruning exact: `h` is consistent
-    /// (`h(u) <= step(u, v) + h(v)` for every step, whatever the payload)
-    /// and zero on goals; every step costs at least 1, so no relaxation
-    /// lands on the key being popped and plain Dijkstra never improves a
-    /// node it has already expanded; and `space`'s goal test and successors
-    /// depend on the node alone, since every pass calls them.  Let `D` be plain Dijkstra's distance and call
-    /// a node *inside* when `D(u) + h(u) <= ub`.  Then, by induction in pop
-    /// order:
+    /// The rules are exact under three conditions: `h` is consistent
+    /// (`h(u) <= step + h(v)` for every step, whatever the payload) and zero
+    /// on goals; every step costs at least 1; and `space`'s goal test
+    /// depends on the node alone, and its steps on the node and the payload
+    /// it is expanded with.  Let `D` and `Pay` be the distance and payload
+    /// plain Dijkstra expands a node with, run to exhaustion with goals as
+    /// sinks (its pops up to its goal `G` are those of the search that
+    /// stops there), and call `p` a *tight predecessor* of `v` when `p`,
+    /// expanded with `(D(p), Pay(p))`, relaxes `v` to `D(v)`.  Then:
     ///
-    /// * pass 2 pops a subsequence of plain Dijkstra's pops, each with plain
-    ///   Dijkstra's distance and payload, so every relaxation it makes is
-    ///   one plain Dijkstra makes and no distance falls below `D`;
-    /// * an inside node's plain-Dijkstra predecessor `p` is inside too, by
-    ///   consistency (`D(p) + h(p) <= D(p) + step + h(u) = D(u) + h(u)`), and
-    ///   the relaxation from `p` is kept, so every inside node gets `D`;
-    /// * any node that relaxes an inside node `u` to `D(u)` lies on plain
-    ///   Dijkstra's path to `u`, so it is inside: the first such node to pop
-    ///   is the same in both searches, and `u` gets plain Dijkstra's `prev`
-    ///   and payload;
-    /// * a goal pass 2 pops is inside; a goal that plain Dijkstra pops
-    ///   later has at least its distance (`h = 0` on goals), so if plain
-    ///   Dijkstra's goal is not inside, pass 2 pops no goal at all.
+    /// * a tight predecessor has a strictly smaller distance than its node,
+    ///   as a step costs at least 1, so plain Dijkstra expands every tight
+    ///   predecessor of a node before that node, in `(D, node)` order; the
+    ///   first one sets the node's `prev` and payload and the later ones
+    ///   only tie, so plain Dijkstra keeps the least `(D, node)` tight
+    ///   predecessor and the payload it relaxes the node with;
+    /// * no distance in the pass falls below `D`, and a node expanded with
+    ///   `(D, Pay)` relaxes exactly what plain Dijkstra's expansion of it
+    ///   does;
+    /// * with a payload, the pass pops its live entries in ascending
+    ///   `(dist + h, dist, node)`, as a relaxation keys no lower than the
+    ///   entry it expands and, on an equal key, has a strictly larger
+    ///   distance.  A tight predecessor `p` of `v` ranks strictly below `v`:
+    ///   `D(p) + h(p) <= D(v) + h(v)` by consistency, and `D(p) < D(v)`.  So,
+    ///   by induction in that rank, every node `v` inside the band is
+    ///   expanded with `(D, Pay)`: its tight predecessors were, earlier,
+    ///   one of them queued it at `D(v)`, every later tie came before it
+    ///   popped, and the tie rule, comparing final `(D, node)` values, left
+    ///   it the least one's `prev` and payload.  (In `node` order a tight
+    ///   predecessor of equal key and larger id would pop after `v`, and
+    ///   `v`'s successors would be priced with the wrong payload.)  Without
+    ///   a payload the order does not matter: a live pop's distance is
+    ///   final, and the tie rule alone fixes `prev`;
+    /// * every tight predecessor `p` of a node `v` on plain Dijkstra's path
+    ///   has `D(p) + h(p) <= D(v) + h(v) <= D(G)` by consistency, so its
+    ///   frontier key is inside the band, which is at least `D(G)`: the
+    ///   first goal the pass pops has a distance of at least its `D`, and no
+    ///   goal's `D` is below `G`'s;
+    /// * no goal is a tight predecessor of any node, since neither search
+    ///   expands goals; so recording goals instead of expanding them loses
+    ///   no predecessor;
+    /// * every goal whose `D` is at most `G`'s is recorded with its `D`, so
+    ///   the least recorded `(dist, node)` is `G`, the goal plain Dijkstra
+    ///   pops first.
     ///
-    /// So a goal pass 2 returns is plain Dijkstra's.  When a step's cost
-    /// depends on the nodes alone, `D` is the true shortest distance and
-    /// plain Dijkstra's goal is inside (its distance is at most `ub`), so
-    /// pass 2 finds it.  When a step's cost also reads the payload, as
-    /// Mr.TPL's colour-state steps do (a stitch is charged unless the
-    /// inherited colour state holds the mask), plain Dijkstra keeps the
-    /// payload of the first relaxation that reaches a node's distance, and
-    /// A\*, popping in another order, may keep one whose later steps are
-    /// cheaper.  Then `ub` can fall below plain Dijkstra's goal distance,
-    /// pass 2 runs dry, and pass 3 returns plain Dijkstra's answer.
-    ///
-    /// A search without a payload gets the same answer in one pass from
-    /// [`run_one_pass`](Kernel::run_one_pass); this two-pass form is for
-    /// searches whose steps read the payload, where A\* order alone cannot
-    /// tell which payload plain Dijkstra would have kept.
-    pub fn run_dijkstra<S, H>(
+    /// The equal-key rule costs a read of `dist` per comparison, so searches
+    /// without a payload, whose answer it cannot change, skip it.
+    pub fn run_one_pass<S, H>(
         &mut self,
         space: &mut S,
         sources: impl IntoIterator<Item = (u32, P)>,
@@ -379,32 +372,7 @@ impl<P: Copy + Default> Kernel<P> {
         S: SearchSpace<Payload = P>,
         H: Fn(u32) -> u64,
     {
-        if self.stop.is_some() {
-            return None;
-        }
-        self.load(sources);
-        let pruned = self.pruned;
-        let first = self.search::<S, H, false>(space, &h, Order::AStar);
-        self.pruned = pruned;
-        let (goal, _) = first?;
-        let limit = self.dist[goal as usize];
-        if let Some((_, goal)) = self.search::<S, H, false>(space, &h, Order::Bounded(limit)) {
-            return Some(goal);
-        }
-        if self.stop.is_some() {
-            return None;
-        }
-        tpl_trace::counter!("grid.dijkstra_reruns", 1);
-        self.search::<S, H, false>(space, &h, Order::Dijkstra)
-            .map(|(_, goal)| goal)
-    }
-
-    /// Replaces the stored sources and forgets every memoised bound: the
-    /// caller may have re-aimed `h` since the last call.
-    fn load(&mut self, sources: impl IntoIterator<Item = (u32, P)>) {
-        self.sources.clear();
-        self.sources.extend(sources);
-        self.h_memo.begin();
+        self.search::<S, H, true>(space, sources, &h)
     }
 
     /// `h(node)`, evaluated on the node's first use in the current call and
@@ -414,58 +382,39 @@ impl<P: Copy + Default> Kernel<P> {
         self.h_memo.get_or_insert_with(node as usize, || h(node))
     }
 
-    /// What the frontier adds to a node's distance: `h` in A\* order,
-    /// nothing in Dijkstra order.
-    #[inline]
-    fn order(&mut self, node: u32, h: &impl Fn(u32) -> u64, order: Order) -> u64 {
-        match order {
-            Order::AStar => self.bound(node, h),
-            Order::Bounded(_) | Order::Dijkstra => 0,
-        }
-    }
-
-    /// Whether a search in `order` keeps a relaxation of `to` to distance
-    /// `nd`: always, except in [`Order::Bounded`].
-    #[inline]
-    fn keep(&mut self, to: u32, nd: u64, h: &impl Fn(u32) -> u64, order: Order) -> bool {
-        match order {
-            Order::AStar | Order::Dijkstra => true,
-            Order::Bounded(limit) => nd + self.bound(to, h) <= limit,
-        }
-    }
-
-    /// One search from the stored sources in `order`, relaxing only what
-    /// [`keep`](Self::keep)s.  Returns the goal node and what `space` made
-    /// of it: the first goal popped, or with `ONE_PASS` (the rules of
-    /// [`run_one_pass`](Kernel::run_one_pass), in A\* order) the least
-    /// `(dist, node)` goal popped inside the band.  Returns `None` when a
-    /// limit stopped the search.
+    /// One A\*-order search from `sources`.  Returns what `space` made of
+    /// the first goal popped, or with `ONE_PASS` (the rules of
+    /// [`run_one_pass`](Kernel::run_one_pass)) of the least `(dist, node)`
+    /// goal popped inside the band.  Returns `None` at once on a kernel
+    /// that a limit stopped, and when a limit stops this search.
     fn search<S, H, const ONE_PASS: bool>(
         &mut self,
         space: &mut S,
+        sources: impl IntoIterator<Item = (u32, P)>,
         h: &H,
-        order: Order,
-    ) -> Option<(u32, S::Goal)>
+    ) -> Option<S::Goal>
     where
         S: SearchSpace<Payload = P>,
         H: Fn(u32) -> u64,
     {
+        if self.stop.is_some() {
+            return None;
+        }
+        // The caller may have re-aimed `h` since the last call.
+        self.h_memo.begin();
         self.begin();
-        for i in 0..self.sources.len() {
-            let (node, payload) = self.sources[i];
-            if self.keep(node, 0, h, order) {
-                self.relax(node, 0, None, payload);
-                let key = self.order(node, h, order);
-                self.push(key, node);
-            }
+        for (node, payload) in sources {
+            self.relax(node, 0, None, payload);
+            let key = self.bound(node, h);
+            self.push::<ONE_PASS>(key, node);
         }
         let mut found: Option<(u64, u32, S::Goal)> = None;
         // The largest key still popped; with `ONE_PASS`, the first goal
         // narrows it.
         let mut band = u64::MAX;
-        while let Some((k, node)) = self.frontier.pop() {
+        while let Some((k, node)) = self.pop::<ONE_PASS>() {
             if k > band {
-                self.frontier.push(k, node); // left unexpanded
+                self.push::<ONE_PASS>(k, node); // left unexpanded
                 break;
             }
             if self.popped as u64 >= self.node_limit {
@@ -480,7 +429,7 @@ impl<P: Copy + Default> Kernel<P> {
             }
             self.popped += 1;
             let i = node as usize;
-            let live = self.stamps.is_fresh(i) && k == self.dist[i] + self.order(node, h, order);
+            let live = self.stamps.is_fresh(i) && k == self.dist[i] + self.bound(node, h);
             if !live {
                 continue; // stale entry
             }
@@ -501,20 +450,19 @@ impl<P: Copy + Default> Kernel<P> {
             }
             let (dist, payload) = (self.dist[i], self.payload[i]);
             space.expand(node, dist, payload, |to, nd, p| {
-                self.improve::<ONE_PASS>(node, to, nd, p, h, order);
+                self.improve::<ONE_PASS>(node, to, nd, p, h);
             });
         }
         self.pruned += self.frontier.len();
         if self.stop.is_some() {
             return None;
         }
-        found.map(|(_, node, goal)| (node, goal))
+        found.map(|(_, _, goal)| goal)
     }
 
     /// Lowers `to` to distance `nd` via `from` and queues it, if that is an
-    /// improvement the search [`keep`](Self::keep)s.  With `ONE_PASS` a
-    /// relaxation that ties `to`'s distance applies the tie rule of
-    /// [`run_one_pass`](Kernel::run_one_pass).
+    /// improvement.  With `ONE_PASS` a relaxation that ties `to`'s distance
+    /// applies the tie rule of [`run_one_pass`](Kernel::run_one_pass).
     #[inline]
     fn improve<const ONE_PASS: bool>(
         &mut self,
@@ -523,31 +471,28 @@ impl<P: Copy + Default> Kernel<P> {
         nd: u64,
         payload: P,
         h: &impl Fn(u32) -> u64,
-        order: Order,
     ) {
         debug_assert!(nd > self.dist[from as usize], "a step costs at least 1");
         let i = to as usize;
         if self.stamps.is_fresh(i) && nd >= self.dist[i] {
             if ONE_PASS && nd == self.dist[i] {
-                self.break_tie(from, i);
+                self.break_tie(from, i, payload);
             }
             return;
         }
-        if !self.keep(to, nd, h, order) {
-            return;
-        }
-        let key = nd + self.order(to, h, order);
+        let key = nd + self.bound(to, h);
         self.relax(to, nd, Some(from), payload);
-        self.push(key, to);
+        self.push::<ONE_PASS>(key, to);
     }
 
     /// The tie rule of [`run_one_pass`](Kernel::run_one_pass): node `to`,
-    /// reached by `from` at exactly its distance, takes `from` as its
-    /// predecessor when plain Dijkstra would expand `from` first, that is
-    /// when `(dist, node)` of `from` is less than of the current
-    /// predecessor.  A source keeps having none.
+    /// reached by `from` at exactly its distance with `payload`, takes
+    /// `from` as its predecessor and `payload` as its own when plain
+    /// Dijkstra would expand `from` first, that is when `(dist, node)` of
+    /// `from` is less than of the current predecessor.  A source keeps
+    /// having none.
     #[inline]
-    fn break_tie(&mut self, from: u32, to: usize) {
+    fn break_tie(&mut self, from: u32, to: usize, payload: P) {
         let prev = self.prev[to];
         if prev == u32::MAX {
             return;
@@ -555,94 +500,37 @@ impl<P: Copy + Default> Kernel<P> {
         let rank = |node: u32| (self.dist[node as usize], node);
         if rank(from) < rank(prev) {
             self.prev[to] = from;
+            self.payload[to] = payload;
         }
     }
 
+    /// Whether a search pops equal keys in `(dist, node)` order: a one pass
+    /// whose steps can read a payload (see
+    /// [`run_one_pass`](Kernel::run_one_pass)).
+    const fn ranked(one_pass: bool) -> bool {
+        one_pass && std::mem::size_of::<P>() != 0
+    }
+
+    /// Queues `node` under `key`, in the frontier order of a search with
+    /// `ONE_PASS`.
     #[inline]
-    fn push(&mut self, key: u64, node: u32) {
-        self.frontier.push(key, node);
+    fn push<const ONE_PASS: bool>(&mut self, key: u64, node: u32) {
+        if Self::ranked(ONE_PASS) {
+            self.frontier.push::<true>(key, node, &self.dist);
+        } else {
+            self.frontier.push::<false>(key, node, &self.dist);
+        }
         self.peak = self.peak.max(self.frontier.len());
     }
-}
 
-impl Kernel<()> {
-    /// Returns exactly what `run(space, sources, |_| 0)` returns — the
-    /// same goal, and the same `dist` and `prev` on the path to it — in one
-    /// pass in A\* order, `(dist + h, node)`, where
-    /// [`run_dijkstra`](Kernel::run_dijkstra) needs two.  The pass differs
-    /// from [`run`](Kernel::run) in three rules:
-    ///
-    /// * **Tie rule.** A relaxation that reaches `to` at exactly its current
-    ///   distance makes `from` its predecessor when `(dist[from], from) <
-    ///   (dist[prev[to]], prev[to])`: of the two, plain Dijkstra expands
-    ///   `from` first, and keeps it.
-    /// * **Goals.** A goal pop is recorded and not expanded.  The first one
-    ///   sets the band limit, its key (its distance, as `h` is zero on
-    ///   goals).
-    /// * **End.** The search stops at the first frontier entry above the
-    ///   band, or when the frontier runs dry, and returns the recorded goal
-    ///   with the least `(dist, node)`.  A limit stop returns `None`, with
-    ///   the reason in [`stop_reason`](Kernel::stop_reason), even if a goal
-    ///   was recorded.
-    ///
-    /// Every pop counts in [`popped`](Kernel::popped) and against the node
-    /// limit, deadline and cancellation; [`pruned`](Kernel::pruned) counts
-    /// the frontier left when the pass ends.
-    ///
-    /// The rules are exact under three conditions: `h` is consistent and
-    /// zero on goals; every step costs at least 1; and `space`'s steps and
-    /// goal test depend on the node alone, as they do when there is no
-    /// payload to read.  Let `D` be the distance plain Dijkstra settles a
-    /// node at (goals are never expanded by either search, so they are
-    /// sinks), `G` its goal, and call `p` a *tight predecessor* of `v` when
-    /// `D(p) + step(p, v) == D(v)`.  Then:
-    ///
-    /// * a tight predecessor has a strictly smaller distance than its node,
-    ///   as a step costs at least 1, so plain Dijkstra expands every tight
-    ///   predecessor of a node it pops, with its `D`, before that node, and
-    ///   in `(D, node)` order; the first one sets the node's `prev` and the
-    ///   later ones only tie, so plain Dijkstra's `prev` is the least
-    ///   `(D, node)` tight predecessor;
-    /// * no distance in the pass falls below `D`, since each is a sum along
-    ///   a path;
-    /// * every tight predecessor `p` of a node `v` on plain Dijkstra's path
-    ///   has `D(p) + h(p) <= D(v) + h(v) <= D(G)` by consistency, so its
-    ///   frontier key is inside the band, which is at least `D(G)`: the
-    ///   first goal the pass pops has a distance of at least its `D`, and no
-    ///   goal's `D` is below `G`'s.  With a consistent `h` a live pop's
-    ///   distance is final, so the pass expands `p` once, with `D(p)`, which
-    ///   relaxes `v` to `D(v)`;
-    /// * each such relaxation either lowers `v` to `D(v)` or ties, and the
-    ///   tie rule compares the final `(D, node)` of both predecessors, so `v`
-    ///   ends with the least one, plain Dijkstra's `prev`;
-    /// * no goal is a tight predecessor of a node on the path, since plain
-    ///   Dijkstra, popping it first, would have stopped there; so recording
-    ///   goals instead of expanding them loses no predecessor;
-    /// * every goal whose `D` is at most `G`'s is recorded with its `D`, so
-    ///   the least recorded `(dist, node)` is `G`, the goal plain Dijkstra
-    ///   pops first.
-    ///
-    /// A search whose steps read the payload, such as Mr.TPL's colour-state
-    /// search, cannot take this pass: plain Dijkstra keeps the payload of
-    /// the first relaxation to reach a node's distance, and a later, tying
-    /// relaxation with another payload prices the node's successors
-    /// differently.  The `()` payload keeps such searches on
-    /// `run_dijkstra`.
-    pub fn run_one_pass<S, H>(
-        &mut self,
-        space: &mut S,
-        sources: impl IntoIterator<Item = (u32, ())>,
-        h: H,
-    ) -> Option<S::Goal>
-    where
-        S: SearchSpace<Payload = ()>,
-        H: Fn(u32) -> u64,
-    {
-        if self.stop.is_some() {
-            return None;
+    /// Removes the least entry, in the frontier order of a search with
+    /// `ONE_PASS`.
+    #[inline]
+    fn pop<const ONE_PASS: bool>(&mut self) -> Option<(u64, u32)> {
+        if Self::ranked(ONE_PASS) {
+            self.frontier.pop::<true>(&self.dist)
+        } else {
+            self.frontier.pop::<false>(&self.dist)
         }
-        self.load(sources);
-        self.search::<S, H, true>(space, &h, Order::AStar)
-            .map(|(_, goal)| goal)
     }
 }

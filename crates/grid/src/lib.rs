@@ -16,9 +16,9 @@
 //!
 //! * [`Kernel`] — the one best-first search loop every router runs, each
 //!   over its own [`SearchSpace`]: A\*, or plain Dijkstra's answer from
-//!   fewer pops, in two passes when a step reads the payload (Mr.TPL's
-//!   colour state) and in one A\*-order pass when there is no payload
-//!   (DAC'12 and the Dr.CU-like maze);
+//!   fewer pops in one A\*-order pass, whether a step reads the payload
+//!   (Mr.TPL's colour state) or there is none (DAC'12 and the Dr.CU-like
+//!   maze);
 //! * [`GoalBound`] — the detailed routers' consistent lower bounds, from
 //!   one box list: the layer-aware [`GoalBound::h`] for the searches that
 //!   return plain Dijkstra's answer, and the Manhattan value Mr.TPL's A\*

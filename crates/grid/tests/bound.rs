@@ -209,7 +209,7 @@ proptest! {
     }
 
     #[test]
-    fn bounded_dijkstra_with_h_returns_plain_dijkstras_answer(
+    fn the_one_pass_with_h_returns_plain_dijkstras_answer(
         layers in 1usize..=5,
         n in 6i64..=12,
         seed in any::<u64>(),
@@ -255,17 +255,17 @@ proptest! {
             .collect();
         let mut plain = Kernel::new(grid.num_vertices());
         let want = plain.run(&mut space, sources.iter().copied(), |_| 0);
-        let mut bounded = Kernel::new(grid.num_vertices());
-        let got = bounded.run_dijkstra(&mut space, sources.iter().copied(), |v| {
+        let mut one_pass = Kernel::new(grid.num_vertices());
+        let got = one_pass.run_one_pass(&mut space, sources.iter().copied(), |v| {
             bound.h(&grid, VertexId::new(v))
         });
         prop_assert_eq!(got, want);
         if let Some(goal) = want {
             let path = plain.path(goal);
-            prop_assert_eq!(bounded.path(goal), path.clone());
+            prop_assert_eq!(one_pass.path(goal), path.clone());
             for node in path {
-                prop_assert_eq!(bounded.dist(node), plain.dist(node));
-                prop_assert_eq!(bounded.payload(node), plain.payload(node));
+                prop_assert_eq!(one_pass.dist(node), plain.dist(node));
+                prop_assert_eq!(one_pass.payload(node), plain.payload(node));
             }
         }
     }

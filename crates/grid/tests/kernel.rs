@@ -60,8 +60,9 @@ impl SearchSpace for Space<'_> {
     }
 }
 
-/// The payload-free view of a toll-free [`Graph`], the search
-/// [`Kernel::run_one_pass`] takes; logs every expansion.
+/// The payload-free view of a toll-free [`Graph`]; logs every expansion.
+/// [`Kernel::run_one_pass`] pops equal keys in `node` order on it, and in
+/// `(dist, node)` order on a [`Space`].
 struct UnitSpace<'a> {
     graph: &'a Graph,
     expanded: Vec<(u32, u64)>,
@@ -91,8 +92,8 @@ enum Order {
     Dijkstra,
     /// `run` with the graph's bound.
     AStar,
-    /// `run_dijkstra` with the graph's bound.
-    Bounded,
+    /// `run_one_pass` with the graph's bound.
+    OnePass,
 }
 
 impl Graph {
@@ -111,7 +112,7 @@ impl Graph {
         match order {
             Order::Dijkstra => kernel.run(&mut space, sources, |_| 0),
             Order::AStar => kernel.run(&mut space, sources, h),
-            Order::Bounded => kernel.run_dijkstra(&mut space, sources, h),
+            Order::OnePass => kernel.run_one_pass(&mut space, sources, h),
         }
     }
 
@@ -119,7 +120,7 @@ impl Graph {
         Kernel::new(self.succ.len())
     }
 
-    /// Runs the one-pass search with the graph's bound.
+    /// Runs the payload-free one-pass search with the graph's bound.
     fn one_pass(&self, kernel: &mut Kernel<()>) -> Option<u32> {
         let mut space = UnitSpace {
             graph: self,
@@ -547,7 +548,7 @@ fn every_graph_matches_reference_dijkstra_in_every_order() {
     for (name, graph) in graphs() {
         let want = graph.reference();
         assert_ne!(want, u64::MAX, "{name}: no path in the reference");
-        for order in [Order::Dijkstra, Order::AStar, Order::Bounded] {
+        for order in [Order::Dijkstra, Order::AStar, Order::OnePass] {
             let mut kernel = graph.kernel();
             let goal = graph.search(&mut kernel, order).expect("path exists");
             assert_eq!(kernel.dist(goal), want, "{name} {order:?}");
@@ -606,7 +607,7 @@ fn node_budget_stops_the_search_with_a_reason() {
         assert!(kernel.popped() <= 3);
         // Once stopped, further searches refuse to start.
         assert_eq!(graph.search(&mut kernel, Order::Dijkstra), None);
-        assert_eq!(graph.search(&mut kernel, Order::Bounded), None);
+        assert_eq!(graph.search(&mut kernel, Order::OnePass), None);
         assert!(kernel.popped() <= 3);
         let mut unit = graph.unit_kernel();
         unit.arm(3, &RouteBudget::with_max_search_nodes(3));
@@ -641,7 +642,7 @@ fn cancellation_and_deadline_abort_the_search() {
             (&late, StopReason::Deadline),
         ] {
             let mut kernel = graph.kernel();
-            for order in [Order::AStar, Order::Bounded] {
+            for order in [Order::AStar, Order::OnePass] {
                 kernel.arm(u64::MAX, budget);
                 assert_eq!(graph.search(&mut kernel, order), None, "{name}");
                 assert_eq!(kernel.stop_reason(), Some(reason), "{name}");
@@ -702,16 +703,18 @@ fn expanded_nodes(expanded: &[(u32, u64)]) -> Vec<u32> {
 #[test]
 fn a_consistent_bound_expands_each_node_at_most_once_per_pass() {
     for (name, graph) in one_pass_graphs() {
-        for order in [Order::Dijkstra, Order::AStar] {
+        for order in [Order::Dijkstra, Order::AStar, Order::OnePass] {
             let mut space = Space {
                 graph: &graph,
                 expanded: Vec::new(),
             };
             let sources = graph.sources.iter().map(|&s| (s, u64::from(s)));
             let h = |v: u32| graph.h[v as usize];
+            let mut kernel = graph.kernel();
             match order {
-                Order::AStar => graph.kernel().run(&mut space, sources, h),
-                _ => graph.kernel().run(&mut space, sources, |_| 0),
+                Order::Dijkstra => kernel.run(&mut space, sources, |_| 0),
+                Order::AStar => kernel.run(&mut space, sources, h),
+                Order::OnePass => kernel.run_one_pass(&mut space, sources, h),
             };
             let mut nodes = expanded_nodes(&space.expanded);
             let n = nodes.len();
@@ -756,24 +759,26 @@ fn counters_restart_when_armed() {
     assert_eq!((kernel.popped(), kernel.pruned(), kernel.peak()), (0, 0, 0));
 }
 
-/// Runs plain Dijkstra and bounded Dijkstra on `graph`, asserts that they
-/// agree on goal, distance, path and payload, and returns their pops and
-/// whether A\* found a cheaper goal than plain Dijkstra (so that bounded
-/// Dijkstra's pruned pass found none and it reran unpruned).
-fn assert_bounded_matches_plain(name: &str, graph: &Graph) -> ([usize; 2], bool) {
+/// Runs plain Dijkstra and the one pass with a payload on `graph`, asserts
+/// that they agree on goal, distance, path and payload along it, and
+/// returns their pops and whether A\* found a cheaper goal than plain
+/// Dijkstra (so that the steps' reading of the payload decided the answer).
+fn assert_payload_one_pass_matches_plain(name: &str, graph: &Graph) -> ([usize; 2], bool) {
     let mut plain = graph.kernel();
     let want = graph.search(&mut plain, Order::Dijkstra);
-    let mut bounded = graph.kernel();
-    let got = graph.search(&mut bounded, Order::Bounded);
+    let mut one_pass = graph.kernel();
+    let got = graph.search(&mut one_pass, Order::OnePass);
     assert_eq!(got, want, "{name}: goal");
-    let goal = want.expect("path exists");
-    assert_eq!(bounded.dist(goal), plain.dist(goal), "{name}: dist");
+    assert_eq!(one_pass.stop_reason(), None, "{name}");
+    let Some(goal) = want else {
+        return ([plain.popped(), one_pass.popped()], false);
+    };
     let path = plain.path(goal);
-    assert_eq!(bounded.path(goal), path, "{name}: path");
+    assert_eq!(one_pass.path(goal), path, "{name}: path");
     for &node in &path {
-        assert_eq!(bounded.dist(node), plain.dist(node));
+        assert_eq!(one_pass.dist(node), plain.dist(node), "{name}: dist");
         assert_eq!(
-            bounded.payload(node),
+            one_pass.payload(node),
             plain.payload(node),
             "{name}: payload"
         );
@@ -783,33 +788,38 @@ fn assert_bounded_matches_plain(name: &str, graph: &Graph) -> ([usize; 2], bool)
         .search(&mut a_star, Order::AStar)
         .expect("path exists");
     let undercut = a_star.dist(a_star_goal) < plain.dist(goal);
-    ([plain.popped(), bounded.popped()], undercut)
+    ([plain.popped(), one_pass.popped()], undercut)
 }
 
 #[test]
-fn bounded_dijkstra_returns_plain_dijkstras_answer() {
+fn one_pass_with_a_payload_returns_plain_dijkstras_goal_dist_path_and_payload() {
     let mut pops = [0usize; 2];
-    for (name, graph) in graphs_for(1..=16) {
-        let ([plain, bounded], _) = assert_bounded_matches_plain(name, &graph);
+    for (name, graph) in one_pass_graphs() {
+        let ([plain, one_pass], _) = assert_payload_one_pass_matches_plain(name, &graph);
         pops[0] += plain;
-        pops[1] += bounded;
+        pops[1] += one_pass;
     }
-    // Both passes together still pop fewer nodes than plain Dijkstra.
     assert!(pops[1] < pops[0], "{pops:?}");
 }
 
 #[test]
-fn bounded_dijkstra_returns_plain_dijkstras_answer_when_steps_read_the_payload() {
+fn one_pass_with_a_payload_returns_plain_dijkstras_answer_when_steps_read_it() {
     let mut undercuts = 0;
-    for (name, graph) in graphs_for(1..=8) {
-        let mut graph = graph.with_exact_bound();
-        for toll in [1, 7, 40] {
-            graph.toll = toll;
-            let (_, undercut) = assert_bounded_matches_plain(name, &graph);
-            undercuts += usize::from(undercut);
+    for exact in [false, true] {
+        for (name, graph) in graphs_for(1..=8) {
+            let mut graph = if exact {
+                graph.with_exact_bound()
+            } else {
+                graph
+            };
+            for toll in [1, 7, 40] {
+                graph.toll = toll;
+                let (_, undercut) = assert_payload_one_pass_matches_plain(name, &graph);
+                undercuts += usize::from(undercut);
+            }
         }
     }
-    // Some cases take the unpruned rerun.
+    // In some cases A* keeps a payload that plain Dijkstra does not.
     assert!(undercuts > 0);
 }
 
@@ -843,7 +853,7 @@ impl SearchSpace for Detour {
 }
 
 #[test]
-fn bounded_dijkstra_reruns_unpruned_when_a_star_undercuts_dijkstra() {
+fn the_one_pass_keeps_plain_dijkstras_payload_when_a_star_undercuts_dijkstra() {
     let h = |v: u32| [0, 1, 0, 1, 0][v as usize];
     let mut a_star = Kernel::new(5);
     assert_eq!(a_star.run(&mut Detour, [(0, 0)], h), Some(4));
@@ -851,23 +861,71 @@ fn bounded_dijkstra_reruns_unpruned_when_a_star_undercuts_dijkstra() {
     let mut plain = Kernel::new(5);
     assert_eq!(plain.run(&mut Detour, [(0, 0)], |_| 0), Some(4));
     assert_eq!(plain.dist(4), 12);
-    // The pruned pass keeps only `f <= 3`, so it drops `m -> g` at 12 and
-    // runs dry; the unpruned rerun returns plain Dijkstra's answer.
-    let mut bounded = Kernel::new(5);
-    assert_eq!(bounded.run_dijkstra(&mut Detour, [(0, 0)], h), Some(4));
-    assert_eq!(bounded.dist(4), 12);
-    assert_eq!(bounded.path(4), plain.path(4));
-    assert_eq!(bounded.payload(3), Some(1));
-    assert_eq!(bounded.stop_reason(), None);
-    // A* and the pruned pass pop 5 and 4 nodes, the rerun 5.
-    assert_eq!(bounded.popped(), 14);
+    // The pass pops `b` first too, but `a` then ties `m`, and the tie rule
+    // hands `m` `a`'s payload before `m` is expanded.
+    let mut one_pass = Kernel::new(5);
+    assert_eq!(one_pass.run_one_pass(&mut Detour, [(0, 0)], h), Some(4));
+    assert_eq!(one_pass.dist(4), 12);
+    assert_eq!(one_pass.path(4), plain.path(4));
+    assert_eq!(one_pass.payload(3), Some(1));
+    assert_eq!(one_pass.stop_reason(), None);
+    // s, b, a, m, g.
+    assert_eq!(one_pass.popped(), 5);
+}
+
+/// `s -> p -> v` costs 1 + 2 and `s -> r -> q -> v` costs 1 + 1 + 1, and
+/// `v -> g` costs 1 when `v` was reached from `q`, 10 otherwise (the
+/// payload is the node a node was reached from).  Plain Dijkstra expands
+/// `p` (distance 1) before `q` (distance 2), so `v` keeps `p` and `g` costs
+/// 13.  Under the consistent bound `(s, v, g, r, q, p) = (0, 1, 0, 1, 1,
+/// 3)`, A\* order reaches `v` from `q` at key 3, and `v` and `p` then share
+/// key 4, where `p`'s id (5) is above `v`'s (1): in `node` order `v` would
+/// be expanded with `q`'s payload before `p` ties it.
+struct LateTie;
+
+impl SearchSpace for LateTie {
+    type Payload = u32;
+    type Goal = u32;
+
+    fn goal(&mut self, node: u32) -> Option<u32> {
+        (node == 2).then_some(node)
+    }
+
+    fn expand(&mut self, node: u32, dist: u64, from: u32, mut relax: impl FnMut(u32, u64, u32)) {
+        let (s, v, g, r, q, p) = (0, 1, 2, 3, 4, 5);
+        match node {
+            _ if node == s => {
+                relax(p, dist + 1, s);
+                relax(r, dist + 1, s);
+            }
+            _ if node == r => relax(q, dist + 1, r),
+            _ if node == q => relax(v, dist + 1, q),
+            _ if node == p => relax(v, dist + 2, p),
+            _ if node == v => relax(g, dist + if from == q { 1 } else { 10 }, v),
+            _ => {}
+        }
+    }
+}
+
+#[test]
+fn the_one_pass_expands_a_node_after_a_tight_predecessor_of_equal_key_and_larger_id() {
+    let h = |v: u32| [0, 1, 0, 1, 1, 3][v as usize];
+    let mut plain = Kernel::new(6);
+    assert_eq!(plain.run(&mut LateTie, [(0, 0)], |_| 0), Some(2));
+    assert_eq!(plain.dist(2), 13);
+    assert_eq!(plain.path(2), vec![0, 5, 1, 2]);
+    let mut one_pass = Kernel::new(6);
+    assert_eq!(one_pass.run_one_pass(&mut LateTie, [(0, 0)], h), Some(2));
+    assert_eq!(one_pass.dist(2), 13);
+    assert_eq!(one_pass.path(2), plain.path(2));
+    assert_eq!(one_pass.payload(1), Some(5));
 }
 
 #[test]
 fn the_bound_is_evaluated_at_most_once_per_node_per_call() {
     for (name, graph) in graphs() {
         let mut kernel = graph.kernel();
-        for order in [Order::AStar, Order::Bounded] {
+        for order in [Order::AStar, Order::OnePass] {
             let mut first = None;
             // The second call must evaluate `h` afresh: a router re-aims its
             // bound between calls.
@@ -885,7 +943,7 @@ fn the_bound_is_evaluated_at_most_once_per_node_per_call() {
                 let sources = graph.sources.iter().map(|&s| (s, u64::from(s)));
                 let goal = match order {
                     Order::AStar => kernel.run(&mut space, sources, h),
-                    _ => kernel.run_dijkstra(&mut space, sources, h),
+                    _ => kernel.run_one_pass(&mut space, sources, h),
                 };
                 assert!(goal.is_some(), "{name} {order:?}");
                 let counts: Vec<u32> = calls.iter().map(Cell::get).collect();
@@ -903,58 +961,6 @@ fn the_bound_is_evaluated_at_most_once_per_node_per_call() {
                 }
             }
         }
-    }
-}
-
-/// Pops of the A* pass and of the whole bounded search, unbudgeted.
-fn pass_pops(graph: &Graph) -> (usize, usize) {
-    let mut kernel = graph.kernel();
-    graph
-        .search(&mut kernel, Order::AStar)
-        .expect("path exists");
-    let first = kernel.popped();
-    let mut kernel = graph.kernel();
-    graph
-        .search(&mut kernel, Order::Bounded)
-        .expect("path exists");
-    (first, kernel.popped())
-}
-
-#[test]
-fn a_node_limit_inside_the_a_star_pass_stops_bounded_dijkstra() {
-    for (name, graph) in graphs() {
-        let (first, _) = pass_pops(&graph);
-        let limit = first / 2;
-        let mut kernel = graph.kernel();
-        kernel.arm(limit as u64, &RouteBudget::default());
-        assert_eq!(graph.search(&mut kernel, Order::Bounded), None, "{name}");
-        assert_eq!(
-            kernel.stop_reason(),
-            Some(StopReason::SearchNodes),
-            "{name}"
-        );
-        assert!(kernel.popped() <= limit, "{name}");
-        // `pruned` counts the Dijkstra-order passes only, and none ran.
-        assert_eq!(kernel.pruned(), 0, "{name}");
-    }
-}
-
-#[test]
-fn a_node_limit_inside_the_dijkstra_pass_stops_bounded_dijkstra() {
-    for (name, graph) in graphs() {
-        let (first, total) = pass_pops(&graph);
-        assert!(total > first + 1, "{name}: the second pass pops");
-        let limit = first + (total - first) / 2;
-        let mut kernel = graph.kernel();
-        kernel.arm(limit as u64, &RouteBudget::default());
-        assert_eq!(graph.search(&mut kernel, Order::Bounded), None, "{name}");
-        assert_eq!(
-            kernel.stop_reason(),
-            Some(StopReason::SearchNodes),
-            "{name}"
-        );
-        assert!(kernel.popped() <= limit, "{name}");
-        assert!(kernel.popped() > first, "{name}: pass 1 completed");
     }
 }
 
@@ -1002,21 +1008,6 @@ fn one_pass_returns_plain_dijkstras_goal_dist_and_path() {
 }
 
 #[test]
-fn one_pass_pops_fewer_nodes_than_both_passes_of_bounded_dijkstra() {
-    let (mut bounded, mut one_pass) = (0, 0);
-    for (name, graph) in graphs_for(1..=16) {
-        let mut kernel = graph.kernel();
-        graph
-            .search(&mut kernel, Order::Bounded)
-            .expect("path exists");
-        bounded += kernel.popped();
-        one_pass += assert_one_pass_matches_plain(name, &graph)[1];
-    }
-    // About one pass's worth: under 60% of the two passes.
-    assert!(5 * one_pass < 3 * bounded, "{one_pass} vs {bounded}");
-}
-
-#[test]
 fn one_pass_records_every_goal_in_the_band_and_returns_the_least_key_and_id() {
     // The lower id is 1 in both orders of the goals' ids.
     for swap in [false, true] {
@@ -1053,6 +1044,19 @@ fn a_node_limit_after_the_first_goal_stops_the_one_pass_without_an_answer() {
         assert_eq!(kernel.popped(), limit, "{name}");
         // Later searches refuse to start until the kernel is armed again.
         assert_eq!(graph.one_pass(&mut kernel), None, "{name}");
+        assert_eq!(kernel.popped(), limit, "{name}");
+        // The same with a payload.
+        let mut kernel = graph.kernel();
+        graph.search(&mut kernel, Order::OnePass);
+        let limit = kernel.popped() - 1;
+        let mut kernel = graph.kernel();
+        kernel.arm(limit as u64, &RouteBudget::default());
+        assert_eq!(graph.search(&mut kernel, Order::OnePass), None, "{name}");
+        assert_eq!(
+            kernel.stop_reason(),
+            Some(StopReason::SearchNodes),
+            "{name}"
+        );
         assert_eq!(kernel.popped(), limit, "{name}");
     }
     // In the equal-key goals, the stop falls after `ga` was recorded.
