@@ -85,12 +85,11 @@ impl ColorCostCache {
 mod tests {
     use super::*;
     use crate::{ColorState, Feature, Mask, TplConfig};
-    use tpl_design::{Design, DesignBuilder, LayerId, NetId, PinId, Technology};
+    use tpl_design::{DesignBuilder, LayerId, NetId, PinId, Technology};
     use tpl_geom::{Dir, Rect as GRect};
     use tpl_grid::{CostParams, DenseBitSet, GridState, PinCoverage};
 
     struct Setup {
-        design: Design,
         grid: GridGraph,
         state: GridState,
         coverage: PinCoverage,
@@ -118,7 +117,6 @@ mod tests {
             in_guide: DenseBitSet::full(grid.num_vertices()),
             map: ColorMap::new(&grid, design.tech().dcolor()),
             grid,
-            design,
         }
     }
 
@@ -128,7 +126,6 @@ mod tests {
                 grid: &self.grid,
                 state: &self.state,
                 coverage: &self.coverage,
-                design: &self.design,
                 params: &self.params,
                 net: NetId::new(net),
                 in_guide: &self.in_guide,

@@ -3,6 +3,7 @@
 use crate::{NetBuffers, SearchContext};
 use std::collections::HashMap;
 use tpl_color::{color_route, ColorCostCache, ColorSetArena, ColoredPath, Mask, SegSetId};
+use tpl_design::Design;
 use tpl_grid::{NetRoute, TradCost, VertexId};
 
 /// Commits a final mask to every segSet of a net and emits the coloured
@@ -16,6 +17,7 @@ use tpl_grid::{NetRoute, TradCost, VertexId};
 /// the net's wires and pin masks by [`color_route`], the rule the DAC'12
 /// baseline colours by too.
 pub fn assign_and_emit(
+    design: &Design,
     ctx: &SearchContext<'_>,
     arena: &mut ColorSetArena,
     buffers: &NetBuffers,
@@ -24,7 +26,6 @@ pub fn assign_and_emit(
 ) -> (NetRoute<Option<Mask>>, usize) {
     let TradCost {
         grid,
-        design,
         coverage,
         net,
         ..
@@ -134,7 +135,6 @@ mod tests {
                 grid: &self.grid,
                 state: &self.gstate,
                 coverage: &self.coverage,
-                design: &self.design,
                 params: &self.config.cost,
                 net: NetId::new(0),
                 in_guide: &self.in_guide,
@@ -142,7 +142,7 @@ mod tests {
             let ctx = SearchContext::new(trad, &self.config, &self.map);
             let mut cache = ColorCostCache::new(&self.grid);
             cache.begin();
-            assign_and_emit(&ctx, arena, buffers, &mut cache, paths)
+            assign_and_emit(&self.design, &ctx, arena, buffers, &mut cache, paths)
         }
     }
 

@@ -176,7 +176,6 @@ impl MrTplRouter {
             grid,
             state: gstate,
             coverage,
-            design,
             params: &self.config.cost,
             net: net_id,
             in_guide,
@@ -244,7 +243,8 @@ impl MrTplRouter {
         }
 
         let assign_span = tpl_trace::span!("core.assign");
-        let (mut route, seg_sets) = assign_and_emit(&ctx, &mut arena, buffers, cache, &paths);
+        let (mut route, seg_sets) =
+            assign_and_emit(design, &ctx, &mut arena, buffers, cache, &paths);
         drop(assign_span);
         route.vertices = tree;
         route.complete = complete;

@@ -380,12 +380,11 @@ pub(crate) mod cross_check {
 mod tests {
     use super::*;
     use tpl_color::Feature;
-    use tpl_design::{Design, DesignBuilder, LayerId, NetId, Technology};
+    use tpl_design::{DesignBuilder, LayerId, NetId, Technology};
     use tpl_geom::Rect;
     use tpl_grid::{DenseBitSet, GridGraph, GridState, PinCoverage};
 
     struct Fixture {
-        design: Design,
         grid: GridGraph,
         gstate: GridState,
         coverage: PinCoverage,
@@ -408,7 +407,6 @@ mod tests {
         let coverage = PinCoverage::build(&grid, &design);
         let map = ColorMap::new(&grid, design.tech().dcolor());
         Fixture {
-            design,
             grid,
             gstate,
             coverage,
@@ -422,7 +420,6 @@ mod tests {
             grid: &f.grid,
             state: &f.gstate,
             coverage: &f.coverage,
-            design: &f.design,
             params: &f.config.cost,
             net: NetId::new(0),
             in_guide,
@@ -572,7 +569,6 @@ mod tests {
                 grid: &grid,
                 state: &gstate,
                 coverage: &coverage,
-                design: &design,
                 params: &config.cost,
                 net,
                 in_guide: &in_guide,

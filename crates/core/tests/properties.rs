@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use tpl_color::{ColorCostCache, ColorMap, Feature, Mask};
-use tpl_design::{LayerId, NetId, RouteGuides};
+use tpl_design::{Design, LayerId, NetId, RouteGuides};
 use tpl_geom::{Dir, Rect};
 use tpl_grid::{
     guide_membership, CostParams, DenseBitSet, GridGraph, GridState, PinCoverage, TradCost,
@@ -69,7 +69,6 @@ proptest! {
             grid: &grid,
             state: &state,
             coverage: &coverage,
-            design: &design,
             params: &cost,
             net,
             in_guide: &in_guide,
@@ -92,7 +91,7 @@ proptest! {
                 let split = trad.base(grid.layer_of(from), to_v) + penalty;
                 let step = trad.step(from, v, to_v).expect("v is not blocked");
                 prop_assert!(split == step, "{:?} into {}", to_v, v);
-                let unsplit = unsplit_step(&trad, from, v, to_v);
+                let unsplit = unsplit_step(&trad, &design, from, v, to_v);
                 prop_assert!(step == unsplit, "{:?} into {}", to_v, v);
             }
         }
@@ -100,8 +99,15 @@ proptest! {
 }
 
 /// `Cost_trad` summed term by term onto the direction-class cost, the
-/// association the step used before it was split into base and penalty.
-fn unsplit_step(trad: &TradCost<'_>, from: VertexId, to: VertexId, dir: Dir) -> u64 {
+/// association the step used before it was split into base and penalty,
+/// with the foreign-pin term read from the design.
+fn unsplit_step(
+    trad: &TradCost<'_>,
+    design: &Design,
+    from: VertexId,
+    to: VertexId,
+    dir: Dir,
+) -> u64 {
     let p = trad.params;
     let pitch = trad.grid.pitch();
     let mut c = if dir.is_via() {
@@ -121,7 +127,7 @@ fn unsplit_step(trad: &TradCost<'_>, from: VertexId, to: VertexId, dir: Dir) -> 
         c += u64::from(p.occupied);
     }
     if let Some(pin) = trad.coverage.pin_at(to) {
-        if trad.design.pin(pin).net() != trad.net {
+        if design.pin(pin).net() != trad.net {
             c += u64::from(p.occupied);
         }
     }

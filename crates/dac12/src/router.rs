@@ -140,9 +140,9 @@ impl SplitSearch<'_, '_> {
     /// Dijkstra over the expanded graph from the coverage of pin `from` to
     /// the targets.  Returns the path's vertices from source to destination
     /// and the mask of each.  It returns plain Dijkstra's path from one
-    /// A\*-order pass ([`Kernel::run_one_pass`], which pops equal keys in
-    /// `node` order, as the search has no payload), with the bound on a
-    /// node's vertex as its `h`.
+    /// A\*-order pass ([`Kernel::run_one_pass`], which pops equal keys last
+    /// in, first out, as the search has no payload and no order within a key
+    /// changes its answer), with the bound on a node's vertex as its `h`.
     fn route(&mut self, kernel: &mut Kernel<()>, from: PinId) -> Option<ColoredPath> {
         let (trad, expanded, bound) = (self.trad, self.expanded, self.bound);
         let sources = trad
@@ -290,7 +290,6 @@ impl Dac12Router {
                 grid,
                 state: gstate,
                 coverage,
-                design,
                 params: &self.config.cost,
                 net: net_id,
                 in_guide,
@@ -610,7 +609,6 @@ mod tests {
                 grid: &grid,
                 state: &state,
                 coverage: &coverage,
-                design: &design,
                 params: &config.cost,
                 net: NetId::new(0),
                 in_guide: &in_guide,
@@ -675,7 +673,6 @@ mod tests {
                     grid: &grid,
                     state: &state,
                     coverage: &coverage,
-                    design: &design,
                     params: &config.cost,
                     net,
                     in_guide: &in_guide,
@@ -724,7 +721,6 @@ mod tests {
             grid: &grid,
             state: &state,
             coverage: &coverage,
-            design: &design,
             params: &config.cost,
             net: NetId::new(0),
             in_guide: &in_guide,

@@ -75,9 +75,10 @@ impl SearchSpace for Maze<'_, '_> {
 /// when the kernel's budget stopped the search.
 ///
 /// The answer is plain Dijkstra's, found in one A\*-order pass
-/// ([`Kernel::run_one_pass`]; the maze has no payload, so it pops equal keys
-/// in `node` order), and the bound, aimed here at the unreached pins, only
-/// steers the pass past the nodes that cannot lie on an optimal path.
+/// ([`Kernel::run_one_pass`]; the maze has no payload, so no order within a
+/// key changes the answer, and the pass pops equal keys last in, first out),
+/// and the bound, aimed here at the unreached pins, only steers the pass
+/// past the nodes that cannot lie on an optimal path.
 pub(crate) fn search(
     cost: &TradCost<'_>,
     buffers: &mut MazeBuffers,
@@ -181,7 +182,6 @@ mod tests {
 
     /// Net 0's `Cost_trad`.
     fn cost<'a>(
-        d: &'a Design,
         g: &'a GridGraph,
         s: &'a GridState,
         c: &'a PinCoverage,
@@ -192,7 +192,6 @@ mod tests {
             grid: g,
             state: s,
             coverage: c,
-            design: d,
             params,
             net: NetId::new(0),
             in_guide,
@@ -201,9 +200,9 @@ mod tests {
 
     #[test]
     fn search_connects_two_pins_around_obstacles() {
-        let (d, g, s, c) = setup();
+        let (_, g, s, c) = setup();
         let (params, in_guide) = (CostParams::default(), in_guide(&g));
-        let cost = cost(&d, &g, &s, &c, &params, &in_guide);
+        let cost = cost(&g, &s, &c, &params, &in_guide);
         let mut buffers = MazeBuffers::new(&g, &params);
         let sources = c.vertices(PinId::new(0)).to_vec();
         let unreached = vec![PinId::new(1)];
@@ -224,9 +223,9 @@ mod tests {
 
     #[test]
     fn searching_with_no_unreached_pins_returns_none() {
-        let (d, g, s, c) = setup();
+        let (_, g, s, c) = setup();
         let (params, in_guide) = (CostParams::default(), in_guide(&g));
-        let cost = cost(&d, &g, &s, &c, &params, &in_guide);
+        let cost = cost(&g, &s, &c, &params, &in_guide);
         let mut buffers = MazeBuffers::new(&g, &params);
         let sources = c.vertices(PinId::new(0)).to_vec();
         assert!(search(&cost, &mut buffers, &sources, &[]).is_none());
@@ -234,7 +233,7 @@ mod tests {
 
     #[test]
     fn occupied_vertices_are_avoided_when_a_detour_exists() {
-        let (d, g, mut s, c) = setup();
+        let (_, g, mut s, c) = setup();
         // Occupy a straight wall between the pins on every layer except one
         // column, by another net.
         let other = NetId::new(7);
@@ -247,7 +246,7 @@ mod tests {
             }
         }
         let (params, in_guide) = (CostParams::default(), in_guide(&g));
-        let cost = cost(&d, &g, &s, &c, &params, &in_guide);
+        let cost = cost(&g, &s, &c, &params, &in_guide);
         let mut buffers = MazeBuffers::new(&g, &params);
         let sources = c.vertices(PinId::new(0)).to_vec();
         let (dst, _) = search(&cost, &mut buffers, &sources, &[PinId::new(1)]).unwrap();
@@ -261,7 +260,7 @@ mod tests {
 
     #[test]
     fn every_relaxation_costs_exactly_trad_step() {
-        let (d, g, mut s, c) = setup();
+        let (_, g, mut s, c) = setup();
         // Occupancy, history, the obstacle and a half-die guide vary the
         // node penalty from vertex to vertex.
         for i in (0..g.num_vertices()).step_by(7) {
@@ -274,7 +273,7 @@ mod tests {
         let params = CostParams::default();
         let mut in_guide = DenseBitSet::new(g.num_vertices());
         in_guide.insert_range(0..g.num_vertices() / 2);
-        let cost = cost(&d, &g, &s, &c, &params, &in_guide);
+        let cost = cost(&g, &s, &c, &params, &in_guide);
         let buffers = MazeBuffers::new(&g, &params);
         let mut maze = Maze {
             cost: &cost,
@@ -318,7 +317,7 @@ mod tests {
             in_guide.insert_range(0..g.num_vertices() / 2);
             let cost = TradCost {
                 net,
-                ..cost(&d, &g, &s, &c, &params, &in_guide)
+                ..cost(&g, &s, &c, &params, &in_guide)
             };
             let mut buffers = MazeBuffers::new(&g, &params);
             buffers.bound.aim(&g, &c, &d.net(net).pins()[1..]);
@@ -357,7 +356,7 @@ mod tests {
         let s = GridState::new(&g, &d);
         let c = PinCoverage::build(&g, &d);
         let (params, in_guide) = (CostParams::default(), in_guide(&g));
-        let cost = cost(&d, &g, &s, &c, &params, &in_guide);
+        let cost = cost(&g, &s, &c, &params, &in_guide);
         let mut buffers = MazeBuffers::new(&g, &params);
         // Pin 0 started the tree and pin 1 is reached: only pin 2 is left.
         let unreached = [PinId::new(2)];

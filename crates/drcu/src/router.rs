@@ -167,7 +167,6 @@ impl DrCuRouter {
             grid,
             state,
             coverage,
-            design,
             params: &self.config.cost,
             net: net_id,
             in_guide,

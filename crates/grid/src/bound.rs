@@ -268,7 +268,6 @@ mod tests {
             grid: &grid,
             state: &state,
             coverage: &coverage,
-            design: &design,
             params: &params,
             net,
             in_guide: &in_guide,

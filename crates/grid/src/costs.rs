@@ -9,7 +9,7 @@
 //! every router builds once per run, rejects a base price of 0.
 
 use crate::{DenseBitSet, GridGraph, GridState, PinCoverage, VertexId};
-use tpl_design::{Design, LayerId, NetId, RouteGuides};
+use tpl_design::{LayerId, NetId, RouteGuides};
 use tpl_geom::{Dbu, Dir};
 
 /// Parameters of the traditional (non-colour) part of the routing cost.
@@ -122,8 +122,6 @@ pub struct TradCost<'a> {
     pub state: &'a GridState,
     /// Pin-to-vertex coverage.
     pub coverage: &'a PinCoverage,
-    /// The design being routed.
-    pub design: &'a Design,
     /// Cost parameters.
     pub params: &'a CostParams,
     /// The net being routed.
@@ -167,10 +165,8 @@ impl TradCost<'_> {
         if self.state.is_occupied_by_other(to, self.net) {
             c += u64::from(p.occupied);
         }
-        if let Some(pin) = self.coverage.pin_at(to) {
-            if self.design.pin(pin).net() != self.net {
-                c += u64::from(p.occupied);
-            }
+        if self.coverage.is_foreign_pin(to, self.net) {
+            c += u64::from(p.occupied);
         }
         Some(c)
     }
@@ -231,7 +227,6 @@ mod tests {
             grid: &grid,
             state: &state,
             coverage: &coverage,
-            design: &design,
             params: &p,
             net: NetId::new(0),
             in_guide: &in_guide,

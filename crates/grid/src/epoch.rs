@@ -80,18 +80,6 @@ impl<T: Copy + Default> EpochMap<T> {
     pub fn insert(&mut self, i: usize, value: T) {
         self.slots[i] = (self.epoch, value);
     }
-
-    /// Slot `i`'s value, written first from `f` unless the current epoch
-    /// already wrote it.
-    #[inline]
-    pub fn get_or_insert_with(&mut self, i: usize, f: impl FnOnce() -> T) -> T {
-        let epoch = self.epoch;
-        let slot = &mut self.slots[i];
-        if slot.0 != epoch {
-            *slot = (epoch, f());
-        }
-        slot.1
-    }
 }
 
 impl EpochStamps {
@@ -151,12 +139,11 @@ mod tests {
         assert_eq!(m.get(0), None);
         m.insert(0, 2.5);
         assert_eq!(m.get(0), Some(2.5));
-        assert_eq!(m.get_or_insert_with(0, || unreachable!()), 2.5);
-        assert_eq!(m.get_or_insert_with(1, || 4.0), 4.0);
+        m.insert(1, 4.0);
         assert_eq!(m.get(1), Some(4.0));
         m.begin();
         assert_eq!((m.get(0), m.get(1)), (None, None));
-        assert_eq!(m.get_or_insert_with(0, || 1.0), 1.0);
+        m.insert(0, 1.0);
         // Across the wrap, nothing written before it is read back.
         m.force_epoch(u32::MAX);
         m.insert(2, 9.0);

@@ -32,6 +32,41 @@ impl std::fmt::Display for VertexId {
     }
 }
 
+/// Division by a fixed `u32` through a 64-bit reciprocal: one multiply for
+/// the quotient, one for the remainder.
+///
+/// With `c = ⌈2⁶⁴ / d⌉` and `n = q·d + r`, `c·n / 2⁶⁴ = q + (r + e·n / 2⁶⁴)
+/// / d`, where `e = c·d − 2⁶⁴ < d`.  As `e·n < 2³²·2³² = 2⁶⁴`, the bracket
+/// stays below `d`, so the high word of `c·n` is exactly `q` for every `u32`
+/// `n` and `d`.  `c` is kept as `⌈2⁶⁴ / d⌉ − 1`, which fits a `u64` even
+/// for `d = 1`.
+#[derive(Clone, Copy, Debug)]
+struct Divisor {
+    d: u32,
+    /// `⌈2⁶⁴ / d⌉ − 1`, that is `⌊(2⁶⁴ − 1) / d⌋`.
+    c_minus_1: u64,
+}
+
+impl Divisor {
+    /// The reciprocal of `d`, which must be positive.
+    fn new(d: usize) -> Self {
+        let d = u32::try_from(d).expect("a grid dimension fits a u32");
+        assert!(d > 0, "division by zero");
+        Self {
+            d,
+            c_minus_1: u64::MAX / u64::from(d),
+        }
+    }
+
+    /// `(n / d, n % d)`.
+    #[inline]
+    fn div_rem(self, n: u32) -> (u32, u32) {
+        let n64 = u128::from(n);
+        let q = ((u128::from(self.c_minus_1) * n64 + n64) >> 64) as u32;
+        (q, n - q * self.d)
+    }
+}
+
 /// The uniform 3-D routing grid built from a design.
 ///
 /// Every layer shares the same x/y track sets (the canonical technology has a
@@ -48,6 +83,9 @@ pub struct GridGraph {
     die: Rect,
     layer_axes: Vec<Axis>,
     wire_widths: Vec<Dbu>,
+    /// Division by `nx·ny` and by `nx`, for [`coords`](Self::coords).
+    per_layer: Divisor,
+    per_row: Divisor,
 }
 
 impl GridGraph {
@@ -67,6 +105,8 @@ impl GridGraph {
         let ny = ((die.hi.y - y0) / pitch + 1).max(0) as usize;
         assert!(nx > 0 && ny > 0, "die {die} holds no tracks");
         GridGraph {
+            per_layer: Divisor::new(nx * ny),
+            per_row: Divisor::new(nx),
             num_layers: tech.num_layers(),
             nx,
             ny,
@@ -138,13 +178,13 @@ impl GridGraph {
         VertexId::new((layer * self.nx * self.ny + iy * self.nx + ix) as u32)
     }
 
-    /// Decomposes a vertex id into `(layer, ix, iy)`.
+    /// Decomposes a vertex id into `(layer, ix, iy)`, dividing by
+    /// reciprocals computed when the grid was built.
     #[inline]
     pub fn coords(&self, v: VertexId) -> (usize, usize, usize) {
-        let per_layer = self.nx * self.ny;
-        let layer = v.index() / per_layer;
-        let rem = v.index() % per_layer;
-        (layer, rem % self.nx, rem / self.nx)
+        let (layer, rem) = self.per_layer.div_rem(v.0);
+        let (iy, ix) = self.per_row.div_rem(rem);
+        (layer as usize, ix as usize, iy as usize)
     }
 
     /// The layer of a vertex.
@@ -290,7 +330,100 @@ impl GridGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use tpl_design::{DesignBuilder, Technology};
+
+    /// A grid of `num_layers × nx × ny` vertices, built without a design:
+    /// [`GridGraph::coords`] and [`GridGraph::vertex`] read only its size.
+    fn sized(num_layers: usize, nx: usize, ny: usize) -> GridGraph {
+        GridGraph {
+            num_layers,
+            nx,
+            ny,
+            pitch: 1,
+            x0: 0,
+            y0: 0,
+            die: Rect::from_coords(0, 0, 1, 1),
+            layer_axes: Vec::new(),
+            wire_widths: Vec::new(),
+            per_layer: Divisor::new(nx * ny),
+            per_row: Divisor::new(nx),
+        }
+    }
+
+    /// Asserts that `d` divides `n` as `/` and `%` do.
+    fn assert_divides(d: u32, n: u32) {
+        let got = Divisor::new(d as usize).div_rem(n);
+        assert_eq!(got, (n / d, n % d), "{n} / {d}");
+    }
+
+    #[test]
+    fn the_reciprocal_divides_exactly_at_the_edges_of_u32() {
+        for d in [
+            1,
+            2,
+            3,
+            7,
+            1 << 16,
+            (1 << 16) + 1,
+            1 << 31,
+            u32::MAX - 1,
+            u32::MAX,
+        ] {
+            for n in [0, 1, d - 1, d, d.saturating_add(1), u32::MAX - 1, u32::MAX] {
+                assert_divides(d, n);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn coords_decode_as_division_does_on_random_grids(
+            shape in 0u64..5,
+            layers in 1u64..=16,
+            a in any::<u32>(),
+            b in any::<u32>(),
+            picks in collection::vec(any::<u32>(), 16),
+        ) {
+            let (l, a, b) = (layers, u64::from(a), u64::from(b));
+            let max = u64::from(u32::MAX);
+            // One layer, `nx = 1` and `ny = 1` up to the largest id, small
+            // grids, and grids whose vertex count is near `u32::MAX`.
+            let (l, nx, ny) = match shape {
+                0 => (l, 1 + a % 300, 1 + b % 300),
+                1 => (l, 1, 1 + b % (max / l)),
+                2 => (l, 1 + a % (max / l), 1),
+                3 => (1, 1 + a % 65_536, 1 + b % 65_536),
+                _ => {
+                    let nx = 1 + a % 65_536.min(max / l);
+                    (l, nx, max / (l * nx))
+                }
+            };
+            let n = l * nx * ny;
+            prop_assert!(n <= max);
+            let grid = sized(l as usize, nx as usize, ny as usize);
+            let plane = nx * ny;
+            let mut ids = vec![0, n - 1];
+            for &p in &picks {
+                let id = u64::from(p) % n;
+                // Each side of a row's and a layer's first id.
+                for start in [id / nx * nx, id / plane * plane] {
+                    ids.extend([start, start.saturating_sub(1), id]);
+                }
+                assert_divides(nx as u32, p);
+                assert_divides(plane as u32, p);
+                assert_divides(1 + (a as u32) % u32::MAX, p);
+            }
+            for id in ids {
+                let want = (id / plane, id % plane % nx, id % plane / nx);
+                let (layer, ix, iy) = grid.coords(VertexId::new(id as u32));
+                prop_assert_eq!((layer as u64, ix as u64, iy as u64), want);
+                prop_assert_eq!(grid.vertex(layer, ix, iy), VertexId::new(id as u32));
+            }
+        }
+    }
 
     fn grid() -> GridGraph {
         let mut b = DesignBuilder::new(

@@ -6,23 +6,23 @@
 //! search.  [`Kernel`] owns everything else:
 //!
 //! * the frontier, one reused radix queue of `(key, node)` entries that pop
-//!   in exactly ascending `(key, node)` order (`(key, dist, node)` in a
-//!   one pass with a payload), where the key is the priority itself, a
-//!   whole-number cost (see below);
-//! * epoch-stamped per-node `dist`, `prev` and payload (the colour state in
-//!   Mr.TPL, `()` elsewhere), so a search starts in O(sources) and the
-//!   buffers are allocated once per routing run;
-//! * an epoch-stamped memo of the bound `h` ([`EpochMap`]), so one call of
-//!   [`run`](Kernel::run) or [`run_one_pass`](Kernel::run_one_pass)
-//!   evaluates `h` at most once per node;
+//!   in ascending key order, where the key is the priority itself, a
+//!   whole-number cost (see below), and equal keys in the order the search
+//!   needs (see *Equal keys*);
+//! * one epoch-stamped record per node: `dist`, `prev`, the bound `h` and
+//!   the payload (the colour state in Mr.TPL, `()` elsewhere), so a search
+//!   starts in O(sources), the buffer is allocated once per routing run, and
+//!   one call of [`run`](Kernel::run) or
+//!   [`run_one_pass`](Kernel::run_one_pass) evaluates `h` once per node it
+//!   touches, on the first touch;
 //! * the exact stale-entry test;
 //! * the node-limit, deadline and cancellation probes;
 //! * the pop counter, the pruned-entry counter and the frontier high-water
 //!   mark.
 //!
-//! Per node that is 32 bytes plus the payload: `dist` (8 B), `prev` and its
-//! stamp (4 B each), and the `h` memo's record of stamp and value (16 B,
-//! read in one access).
+//! A node's record is 24 bytes plus the payload, read and written together:
+//! the stamp and `prev` (4 B each), `dist` and `h` (8 B each).  Mr.TPL's
+//! one-byte colour state pads it to 32 B.
 //!
 //! A router supplies a [`SearchSpace`] (its node encoding, `expand` and goal
 //! test) and a consistent lower bound `h` on the cost still to go (such as
@@ -34,14 +34,29 @@
 //!   expands, as a rule, only the nodes that can lie on an optimal path: it
 //!   breaks distance ties towards plain Dijkstra's predecessor (and its
 //!   payload) and keeps popping past the first goal through the goal's key.
-//!   When the steps read the payload, it also pops equal keys in
-//!   `(dist, node)` order, so a node is expanded only after every
-//!   predecessor that could hand it its payload.  Its documentation gives
-//!   the rules and why they are exact.  Mr.TPL's initial pass, the
-//!   Dr.CU-like maze and the DAC'12 search use it.
+//!   Its documentation gives the rules and why they are exact.  Mr.TPL's
+//!   initial pass, the Dr.CU-like maze and the DAC'12 search use it.
 //!
 //! `h` must be a pure function of the node for the length of one call: a
 //! router may re-aim its bound between calls, never within one.
+//!
+//! # Equal keys
+//!
+//! Which entry of the least key pops first is chosen at compile time, from
+//! the search and the payload's size:
+//!
+//! * [`run`](Kernel::run) pops equal keys in `node` order: A\* returns the
+//!   first goal it pops, so the order is part of its answer (Mr.TPL's
+//!   negotiation passes);
+//! * a one pass with a payload pops them in `(dist, node)` order, so that a
+//!   node is expanded only after every predecessor that could hand it its
+//!   payload (Mr.TPL's initial pass);
+//! * a one pass without a payload (`Kernel<()>`: the Dr.CU-like maze and
+//!   DAC'12) pops them last in, first out.  Its answer does not read the
+//!   order (see [`run_one_pass`](Kernel::run_one_pass)), so the frontier
+//!   neither sorts a key's nodes nor places a push among them.  Another
+//!   order pops the same live entries; only the stale pops counted in
+//!   `search_nodes`, and the frontier's size, can differ.
 //!
 //! # Integer costs
 //!
@@ -75,18 +90,18 @@
 //! The frontier is a radix queue with no fixed bucket span.  Entries above
 //! the last popped key sit in one bucket per bit, by the highest bit in
 //! which their key differs from that key; the nodes at the last popped key
-//! sit in one vector in descending order.  A bucket is settled with one
+//! sit in one vector.  In the ordered modes a bucket is settled with one
 //! sort, and a push onto the key being popped (a search makes many, some
-//! below the node just popped) is placed by binary insertion.  So the pops
+//! below the node just popped) is placed by binary insertion, so the pops
 //! come out in exactly the order of a binary heap of `(key, node)` pairs
 //! (of `(key, dist, node)` triples in a one pass with a payload); equal
-//! entries are indistinguishable.  The
-//! routers' searches push up to twice as many entries as they pop, and an
-//! entry that is never popped costs one append to a bucket, where a heap
-//! sifts it in.
+//! entries are indistinguishable.  Unordered, a settle moves the nodes and
+//! a push appends.  The routers' searches push up to twice as many entries
+//! as they pop, and an entry that is never popped costs one append to a
+//! bucket, where a heap sifts it in.
 
-use crate::frontier::Frontier;
-use crate::{EpochMap, EpochStamps, RouteBudget, StopReason};
+use crate::frontier::{Frontier, ANY, BY_DIST, BY_NODE};
+use crate::{RouteBudget, StopReason};
 
 /// Pops between two deadline/cancellation probes, minus one.  The node
 /// limit is checked on every pop.
@@ -115,6 +130,20 @@ pub trait SearchSpace {
     );
 }
 
+/// A node's record in the current search, read and written together.
+#[derive(Clone, Copy, Debug)]
+struct Slot<P> {
+    /// The search that last wrote the record; in any other search the rest
+    /// of it is garbage.
+    stamp: u32,
+    /// The predecessor, `u32::MAX` for a source.
+    prev: u32,
+    dist: u64,
+    /// `h(node)`, evaluated when the call first touched the node.
+    h: u64,
+    payload: P,
+}
+
 /// Reusable best-first search state over `num_nodes` nodes.
 ///
 /// [`arm`](Kernel::arm) sets the pop allowance and the wall-clock probes and
@@ -124,12 +153,9 @@ pub trait SearchSpace {
 /// `None` at once until the kernel is armed again.
 #[derive(Debug)]
 pub struct Kernel<P> {
-    stamps: EpochStamps,
-    dist: Vec<u64>,
-    prev: Vec<u32>,
-    payload: Vec<P>,
-    /// `h` of the nodes it was evaluated on in the current call.
-    h_memo: EpochMap<u64>,
+    /// The stamp of the current search's records.
+    epoch: u32,
+    slots: Vec<Slot<P>>,
     frontier: Frontier,
     popped: usize,
     pruned: usize,
@@ -151,12 +177,20 @@ impl<P: Copy + Default> Kernel<P> {
             u32::try_from(num_nodes).is_ok(),
             "{num_nodes} nodes do not fit u32 node ids"
         );
+        // Stamp 0 is never the current epoch, so these records read as
+        // stale.  All-zero records (with a zero default payload) let the
+        // buffer be a zero-filled allocation, whose pages need not be mapped
+        // until a search touches one of their nodes.
+        let stale = Slot {
+            stamp: 0,
+            prev: 0,
+            dist: 0,
+            h: 0,
+            payload: P::default(),
+        };
         Self {
-            stamps: EpochStamps::new(num_nodes),
-            dist: vec![u64::MAX; num_nodes],
-            prev: vec![u32::MAX; num_nodes],
-            payload: vec![P::default(); num_nodes],
-            h_memo: EpochMap::new(num_nodes),
+            epoch: 1,
+            slots: vec![stale; num_nodes],
             frontier: Frontier::default(),
             popped: 0,
             pruned: 0,
@@ -179,48 +213,62 @@ impl<P: Copy + Default> Kernel<P> {
         self.peak = 0;
     }
 
-    /// Starts a new search: every node's distance, predecessor and payload
-    /// become stale in O(1), and the frontier empties.
+    /// Starts a new search: every node's record becomes stale in O(1), and
+    /// the frontier empties.
+    ///
+    /// When the `u32` stamps run out, every record is marked stale once and
+    /// the count restarts, so no record of an earlier lap reads as fresh.
     pub fn begin(&mut self) {
-        self.stamps.begin();
+        if self.epoch == u32::MAX {
+            for slot in &mut self.slots {
+                slot.stamp = 0;
+            }
+            self.epoch = 0;
+        }
+        self.epoch += 1;
         self.frontier.clear();
     }
 
+    /// The record of `node`, if the current search wrote it.
+    #[inline]
+    fn fresh(&self, node: u32) -> Option<&Slot<P>> {
+        let slot = &self.slots[node as usize];
+        (slot.stamp == self.epoch).then_some(slot)
+    }
+
     /// Sets a node's distance, predecessor and payload in the current search
-    /// (without queueing it).
+    /// (without queueing it), for a caller that reads them back outside a
+    /// search.
     #[inline]
     pub fn relax(&mut self, node: u32, dist: u64, prev: Option<u32>, payload: P) {
-        let i = node as usize;
-        self.stamps.touch(i);
-        self.dist[i] = dist;
-        self.prev[i] = prev.unwrap_or(u32::MAX);
-        self.payload[i] = payload;
+        self.slots[node as usize] = Slot {
+            stamp: self.epoch,
+            prev: prev.unwrap_or(u32::MAX),
+            dist,
+            h: 0,
+            payload,
+        };
     }
 
     /// Tentative distance of a node in the current search (`u64::MAX` when
     /// the search has not reached it).
     #[inline]
     pub fn dist(&self, node: u32) -> u64 {
-        if self.stamps.is_fresh(node as usize) {
-            self.dist[node as usize]
-        } else {
-            u64::MAX
-        }
+        self.fresh(node).map_or(u64::MAX, |slot| slot.dist)
     }
 
     /// Predecessor of a node in the current search.
     #[inline]
     pub fn prev(&self, node: u32) -> Option<u32> {
-        let i = node as usize;
-        (self.stamps.is_fresh(i) && self.prev[i] != u32::MAX).then_some(self.prev[i])
+        let prev = self.fresh(node)?.prev;
+        (prev != u32::MAX).then_some(prev)
     }
 
     /// Payload a node was relaxed with by its predecessor in the current
     /// search.
     #[inline]
     pub fn payload(&self, node: u32) -> Option<P> {
-        let i = node as usize;
-        self.stamps.is_fresh(i).then_some(self.payload[i])
+        self.fresh(node).map(|slot| slot.payload)
     }
 
     /// The predecessor chain ending at `node`, source first.
@@ -262,12 +310,11 @@ impl<P: Copy + Default> Kernel<P> {
         self.stop
     }
 
-    /// Test hook: jumps the epoch counters to `epoch` to exercise the `u32`
+    /// Test hook: jumps the epoch counter to `epoch` to exercise the `u32`
     /// wrap without 2^32 searches.
     #[doc(hidden)]
     pub fn force_epoch(&mut self, epoch: u32) {
-        self.stamps.force_epoch(epoch);
-        self.h_memo.force_epoch(epoch);
+        self.epoch = epoch;
     }
 
     /// A\* from `sources` (distance 0, each with its payload) in ascending
@@ -301,7 +348,8 @@ impl<P: Copy + Default> Kernel<P> {
     /// * **Equal keys.** With a payload (a `P` that is not zero-sized),
     ///   entries of equal key pop in `(dist, node)` order, so the pass pops
     ///   in ascending `(dist + h, dist, node)` order.  Without one they pop
-    ///   in `node` order, as in `run`; the choice is made at compile time.
+    ///   in no particular order (last in, first out); the choice is made at
+    ///   compile time.
     /// * **Goals.** A goal pop is recorded and not expanded.  The first one
     ///   sets the band limit, its key (its distance, as `h` is zero on
     ///   goals).
@@ -346,8 +394,10 @@ impl<P: Copy + Default> Kernel<P> {
     ///   it the least one's `prev` and payload.  (In `node` order a tight
     ///   predecessor of equal key and larger id would pop after `v`, and
     ///   `v`'s successors would be priced with the wrong payload.)  Without
-    ///   a payload the order does not matter: a live pop's distance is
-    ///   final, and the tie rule alone fixes `prev`;
+    ///   a payload the order within a key does not matter: a live pop's
+    ///   distance is final whatever the order, a node's expansion reads
+    ///   nothing else, and the tie rule alone fixes `prev`, even when a
+    ///   tight predecessor ties a node after it was expanded;
     /// * every tight predecessor `p` of a node `v` on plain Dijkstra's path
     ///   has `D(p) + h(p) <= D(v) + h(v) <= D(G)` by consistency, so its
     ///   frontier key is inside the band, which is at least `D(G)`: the
@@ -360,8 +410,9 @@ impl<P: Copy + Default> Kernel<P> {
     ///   the least recorded `(dist, node)` is `G`, the goal plain Dijkstra
     ///   pops first.
     ///
-    /// The equal-key rule costs a read of `dist` per comparison, so searches
-    /// without a payload, whose answer it cannot change, skip it.
+    /// Ordering equal keys costs a sort per key and a binary insertion per
+    /// push onto the key being popped, so searches without a payload, whose
+    /// answer no order changes, skip it.
     pub fn run_one_pass<S, H>(
         &mut self,
         space: &mut S,
@@ -375,11 +426,22 @@ impl<P: Copy + Default> Kernel<P> {
         self.search::<S, H, true>(space, sources, &h)
     }
 
-    /// `h(node)`, evaluated on the node's first use in the current call and
-    /// read from the memo afterwards.
+    /// The record of `node` in the current search.  The search's first
+    /// touch resets it: no distance, no predecessor, and `h(node)`.
     #[inline]
-    fn bound(&mut self, node: u32, h: &impl Fn(u32) -> u64) -> u64 {
-        self.h_memo.get_or_insert_with(node as usize, || h(node))
+    fn touch(&mut self, node: u32, h: &impl Fn(u32) -> u64) -> &mut Slot<P> {
+        let epoch = self.epoch;
+        let slot = &mut self.slots[node as usize];
+        if slot.stamp != epoch {
+            *slot = Slot {
+                stamp: epoch,
+                prev: u32::MAX,
+                dist: u64::MAX,
+                h: h(node),
+                payload: P::default(),
+            };
+        }
+        slot
     }
 
     /// One A\*-order search from `sources`.  Returns what `space` made of
@@ -400,12 +462,13 @@ impl<P: Copy + Default> Kernel<P> {
         if self.stop.is_some() {
             return None;
         }
-        // The caller may have re-aimed `h` since the last call.
-        self.h_memo.begin();
+        // A new stamp also drops every `h`: the caller may have re-aimed it
+        // since the last call.
         self.begin();
         for (node, payload) in sources {
-            self.relax(node, 0, None, payload);
-            let key = self.bound(node, h);
+            let slot = self.touch(node, h);
+            (slot.dist, slot.prev, slot.payload) = (0, u32::MAX, payload);
+            let key = slot.h;
             self.push::<ONE_PASS>(key, node);
         }
         let mut found: Option<(u64, u32, S::Goal)> = None;
@@ -428,9 +491,14 @@ impl<P: Copy + Default> Kernel<P> {
                 }
             }
             self.popped += 1;
-            let i = node as usize;
-            let live = self.stamps.is_fresh(i) && k == self.dist[i] + self.bound(node, h);
-            if !live {
+            // Every queued node was touched by this search.
+            let Slot {
+                dist,
+                h: hv,
+                payload,
+                ..
+            } = self.slots[node as usize];
+            if k != dist + hv {
                 continue; // stale entry
             }
             if let Some(goal) = space.goal(node) {
@@ -448,7 +516,6 @@ impl<P: Copy + Default> Kernel<P> {
                 }
                 continue; // goals are not expanded
             }
-            let (dist, payload) = (self.dist[i], self.payload[i]);
             space.expand(node, dist, payload, |to, nd, p| {
                 self.improve::<ONE_PASS>(node, to, nd, p, h);
             });
@@ -461,8 +528,9 @@ impl<P: Copy + Default> Kernel<P> {
     }
 
     /// Lowers `to` to distance `nd` via `from` and queues it, if that is an
-    /// improvement.  With `ONE_PASS` a relaxation that ties `to`'s distance
-    /// applies the tie rule of [`run_one_pass`](Kernel::run_one_pass).
+    /// improvement; `to`'s first touch in the call evaluates `h(to)`.  With
+    /// `ONE_PASS` a relaxation that ties `to`'s distance applies the tie
+    /// rule of [`run_one_pass`](Kernel::run_one_pass).
     #[inline]
     fn improve<const ONE_PASS: bool>(
         &mut self,
@@ -472,16 +540,19 @@ impl<P: Copy + Default> Kernel<P> {
         payload: P,
         h: &impl Fn(u32) -> u64,
     ) {
-        debug_assert!(nd > self.dist[from as usize], "a step costs at least 1");
-        let i = to as usize;
-        if self.stamps.is_fresh(i) && nd >= self.dist[i] {
-            if ONE_PASS && nd == self.dist[i] {
-                self.break_tie(from, i, payload);
+        debug_assert!(
+            nd > self.slots[from as usize].dist,
+            "a step costs at least 1"
+        );
+        let slot = self.touch(to, h);
+        if nd >= slot.dist {
+            if ONE_PASS && nd == slot.dist {
+                self.break_tie(from, to, payload);
             }
             return;
         }
-        let key = nd + self.bound(to, h);
-        self.relax(to, nd, Some(from), payload);
+        (slot.dist, slot.prev, slot.payload) = (nd, from, payload);
+        let key = nd + slot.h;
         self.push::<ONE_PASS>(key, to);
     }
 
@@ -492,33 +563,41 @@ impl<P: Copy + Default> Kernel<P> {
     /// `from` is less than of the current predecessor.  A source keeps
     /// having none.
     #[inline]
-    fn break_tie(&mut self, from: u32, to: usize, payload: P) {
-        let prev = self.prev[to];
+    fn break_tie(&mut self, from: u32, to: u32, payload: P) {
+        let prev = self.slots[to as usize].prev;
         if prev == u32::MAX {
             return;
         }
-        let rank = |node: u32| (self.dist[node as usize], node);
+        let rank = |node: u32| (self.slots[node as usize].dist, node);
         if rank(from) < rank(prev) {
-            self.prev[to] = from;
-            self.payload[to] = payload;
+            let slot = &mut self.slots[to as usize];
+            slot.prev = from;
+            slot.payload = payload;
         }
     }
 
-    /// Whether a search pops equal keys in `(dist, node)` order: a one pass
-    /// whose steps can read a payload (see
-    /// [`run_one_pass`](Kernel::run_one_pass)).
-    const fn ranked(one_pass: bool) -> bool {
-        one_pass && std::mem::size_of::<P>() != 0
+    /// The order in which a search pops entries of equal key (see *Equal
+    /// keys* in the module docs).
+    const fn ties(one_pass: bool) -> u8 {
+        if !one_pass {
+            BY_NODE
+        } else if std::mem::size_of::<P>() == 0 {
+            ANY
+        } else {
+            BY_DIST
+        }
     }
 
     /// Queues `node` under `key`, in the frontier order of a search with
     /// `ONE_PASS`.
     #[inline]
     fn push<const ONE_PASS: bool>(&mut self, key: u64, node: u32) {
-        if Self::ranked(ONE_PASS) {
-            self.frontier.push::<true>(key, node, &self.dist);
-        } else {
-            self.frontier.push::<false>(key, node, &self.dist);
+        let slots = &self.slots;
+        let dist = |n: u32| slots[n as usize].dist;
+        match Self::ties(ONE_PASS) {
+            BY_NODE => self.frontier.push::<BY_NODE>(key, node, dist),
+            BY_DIST => self.frontier.push::<BY_DIST>(key, node, dist),
+            _ => self.frontier.push::<ANY>(key, node, dist),
         }
         self.peak = self.peak.max(self.frontier.len());
     }
@@ -527,10 +606,12 @@ impl<P: Copy + Default> Kernel<P> {
     /// `ONE_PASS`.
     #[inline]
     fn pop<const ONE_PASS: bool>(&mut self) -> Option<(u64, u32)> {
-        if Self::ranked(ONE_PASS) {
-            self.frontier.pop::<true>(&self.dist)
-        } else {
-            self.frontier.pop::<false>(&self.dist)
+        let slots = &self.slots;
+        let dist = |n: u32| slots[n as usize].dist;
+        match Self::ties(ONE_PASS) {
+            BY_NODE => self.frontier.pop::<BY_NODE>(dist),
+            BY_DIST => self.frontier.pop::<BY_DIST>(dist),
+            _ => self.frontier.pop::<ANY>(dist),
         }
     }
 }

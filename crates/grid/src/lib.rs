@@ -29,7 +29,8 @@
 //! * [`negotiate`] — the one rip-up-and-reroute loop, under each router's rule;
 //! * [`GoalMarks`] — the O(1) goal test of the detailed routers' searches;
 //! * [`EpochMap`] (and [`EpochStamps`], its value-less form) — the O(1)-reset
-//!   generation stamps behind every reused per-vertex buffer.
+//!   generation stamps behind the routers' reused per-vertex buffers (the
+//!   kernel stamps its per-node records the same way, inside each record).
 //!
 //! # Examples
 //!

@@ -1,7 +1,7 @@
 //! Mapping pins onto the grid vertices they cover.
 
 use crate::{EpochMap, GridGraph, VertexId};
-use tpl_design::{Design, PinId};
+use tpl_design::{Design, NetId, PinId};
 
 /// Pre-computed pin-to-vertex coverage for a design.
 ///
@@ -14,16 +14,23 @@ use tpl_design::{Design, PinId};
 #[derive(Clone, Debug)]
 pub struct PinCoverage {
     per_pin: Vec<Vec<VertexId>>,
-    /// For each vertex: the pin covering it, if any (first pin wins; the
-    /// generator never lets pins of different nets overlap).
-    vertex_pin: Vec<Option<PinId>>,
+    /// For each vertex: the raw id of the pin covering it, or [`NO_PIN`]
+    /// (first pin wins; the generator never lets pins of different nets
+    /// overlap).
+    vertex_pin: Vec<u32>,
+    /// The net of each pin, so the owner of a vertex costs no read of the
+    /// design.
+    pin_net: Vec<NetId>,
 }
+
+/// The `vertex_pin` entry of a vertex no pin covers.
+const NO_PIN: u32 = u32::MAX;
 
 impl PinCoverage {
     /// Computes the coverage of every pin of the design.
     pub fn build(grid: &GridGraph, design: &Design) -> Self {
         let mut per_pin: Vec<Vec<VertexId>> = Vec::with_capacity(design.pins().len());
-        let mut vertex_pin: Vec<Option<PinId>> = vec![None; grid.num_vertices()];
+        let mut vertex_pin = vec![NO_PIN; grid.num_vertices()];
         for pin in design.pins() {
             let mut covered = Vec::new();
             for (layer, rect) in pin.shapes() {
@@ -43,8 +50,8 @@ impl PinCoverage {
                 }
             }
             for v in &covered {
-                if vertex_pin[v.index()].is_none() {
-                    vertex_pin[v.index()] = Some(pin.id());
+                if vertex_pin[v.index()] == NO_PIN {
+                    vertex_pin[v.index()] = pin.id().0;
                 }
             }
             per_pin.push(covered);
@@ -52,6 +59,7 @@ impl PinCoverage {
         Self {
             per_pin,
             vertex_pin,
+            pin_net: design.pins().iter().map(|pin| pin.net()).collect(),
         }
     }
 
@@ -68,7 +76,15 @@ impl PinCoverage {
     /// The pin covering a vertex, if any.
     #[inline]
     pub fn pin_at(&self, v: VertexId) -> Option<PinId> {
-        self.vertex_pin[v.index()]
+        let pin = self.vertex_pin[v.index()];
+        (pin != NO_PIN).then_some(PinId::new(pin))
+    }
+
+    /// Whether a pin of a net other than `net` covers `v`.
+    #[inline]
+    pub fn is_foreign_pin(&self, v: VertexId, net: NetId) -> bool {
+        let pin = self.vertex_pin[v.index()];
+        pin != NO_PIN && self.pin_net[pin as usize] != net
     }
 
     /// Number of pins covered.
@@ -178,6 +194,20 @@ mod tests {
         for v in vs {
             assert_eq!(g.layer_of(*v).index(), 1);
         }
+    }
+
+    #[test]
+    fn a_foreign_pin_belongs_to_another_net_than_the_one_asking() {
+        let (d, g, cov) = setup();
+        // Every pin is net 0's; net 1 sees them all as foreign.
+        for v in g.iter_vertices() {
+            for net in [NetId::new(0), NetId::new(1)] {
+                let want = cov.pin_at(v).is_some_and(|pin| d.pin(pin).net() != net);
+                assert_eq!(cov.is_foreign_pin(v, net), want, "{v:?} {net:?}");
+            }
+        }
+        let covered = cov.vertices(PinId::new(0))[0];
+        assert!(cov.is_foreign_pin(covered, NetId::new(1)));
     }
 
     #[test]

@@ -238,7 +238,6 @@ proptest! {
                 grid: &grid,
                 state: &state,
                 coverage: &coverage,
-                design: &design,
                 params: &params,
                 net: net.id(),
                 in_guide: &in_guide,

@@ -61,8 +61,8 @@ impl SearchSpace for Space<'_> {
 }
 
 /// The payload-free view of a toll-free [`Graph`]; logs every expansion.
-/// [`Kernel::run_one_pass`] pops equal keys in `node` order on it, and in
-/// `(dist, node)` order on a [`Space`].
+/// [`Kernel::run_one_pass`] pops equal keys in no particular order on it,
+/// and in `(dist, node)` order on a [`Space`].
 struct UnitSpace<'a> {
     graph: &'a Graph,
     expanded: Vec<(u32, u64)>,
@@ -250,14 +250,13 @@ fn manhattan_bound(
 /// The detailed-routing grid at `Cost_trad` step costs: the graph of the
 /// Mr.TPL and colour-blind searches.
 fn plain_grid(seed: u64) -> Graph {
-    let (design, grid, state, coverage) = random_grid_case(seed, 400);
+    let (_, grid, state, coverage) = random_grid_case(seed, 400);
     let params = CostParams::default();
     let in_guide = DenseBitSet::full(grid.num_vertices());
     let trad = TradCost {
         grid: &grid,
         state: &state,
         coverage: &coverage,
-        design: &design,
         params: &params,
         net: NetId::new(0),
         in_guide: &in_guide,
@@ -297,14 +296,13 @@ fn plain_grid(seed: u64) -> Graph {
 /// incoming directions, with per-mask conflict pressure and a stitch cost
 /// on planar mask changes.
 fn expanded_grid(seed: u64) -> Graph {
-    let (design, grid, state, coverage) = random_grid_case(seed, 200);
+    let (_, grid, state, coverage) = random_grid_case(seed, 200);
     let params = CostParams::default();
     let in_guide = DenseBitSet::full(grid.num_vertices());
     let trad = TradCost {
         grid: &grid,
         state: &state,
         coverage: &coverage,
-        design: &design,
         params: &params,
         net: NetId::new(0),
         in_guide: &in_guide,
@@ -1019,12 +1017,66 @@ fn one_pass_records_every_goal_in_the_band_and_returns_the_least_key_and_id() {
         };
         let got = kernel.run_one_pass(&mut space, [(0, ())], |v| graph.h[v as usize]);
         assert_eq!(got, Some(1), "swap {swap}");
-        // s, a, ga, b, gb: the pass went on past the first goal, and
-        // expanded neither.
+        // s, a, b and both goals: the pass went on past the first goal, and
+        // expanded neither.  Without a payload, equal keys pop in no
+        // particular order, so only the expanded set is fixed.
         assert_eq!(kernel.popped(), 5, "swap {swap}");
-        let expanded: Vec<u32> = space.expanded.iter().map(|&(n, _)| n).collect();
+        let mut expanded = expanded_nodes(&space.expanded);
+        expanded.sort_unstable();
         assert_eq!(expanded, vec![0, 3, 4], "swap {swap}");
+        // With a payload, equal keys pop in `(dist, node)` order: s, a, b,
+        // then the goals.
+        let mut kernel = graph.kernel();
+        let mut space = Space {
+            graph: &graph,
+            expanded: Vec::new(),
+        };
+        let got = kernel.run_one_pass(&mut space, [(0, 0)], |v| graph.h[v as usize]);
+        assert_eq!(got, Some(1), "swap {swap}");
+        assert_eq!(kernel.popped(), 5, "swap {swap}");
+        assert_eq!(space.expanded, vec![(0, 0), (3, 1), (4, 1)], "swap {swap}");
     }
+}
+
+/// `s -> a` costs 1 and `s -> c` costs 2, and both step on to the goal `g`.
+/// Under the bound `(s, c, a, g) = (3, 1, 2, 0)`, `s`, `c` and `a` share
+/// key 3, where `c` has the lower id and `a` the lower distance.
+fn equal_key_ranks() -> Graph {
+    let (s, c, a, g) = (0usize, 1u32, 2u32, 3u32);
+    let mut succ = vec![Vec::new(); 4];
+    succ[s] = vec![(a, 1), (c, 2)];
+    succ[a as usize] = vec![(g, 2)];
+    succ[c as usize] = vec![(g, 1)];
+    Graph {
+        succ,
+        goals: vec![false, false, false, true],
+        sources: vec![s as u32],
+        h: vec![3, 1, 2, 0],
+        toll: 0,
+    }
+}
+
+#[test]
+fn a_one_pass_with_a_payload_pops_equal_keys_by_distance_and_a_star_by_id() {
+    let graph = equal_key_ranks();
+    let h = |v: u32| graph.h[v as usize];
+    let mut orders = Vec::new();
+    for one_pass in [false, true] {
+        let mut kernel = graph.kernel();
+        let mut space = Space {
+            graph: &graph,
+            expanded: Vec::new(),
+        };
+        let got = if one_pass {
+            kernel.run_one_pass(&mut space, [(0, 0)], h)
+        } else {
+            kernel.run(&mut space, [(0, 0)], h)
+        };
+        assert_eq!(got, Some(3));
+        assert_eq!(kernel.dist(3), 3);
+        orders.push(expanded_nodes(&space.expanded));
+    }
+    assert_eq!(orders, [vec![0, 1, 2], vec![0, 2, 1]]);
 }
 
 #[test]

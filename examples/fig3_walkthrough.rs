@@ -56,7 +56,6 @@ fn main() {
         grid: &grid,
         state: &gstate,
         coverage: &coverage,
-        design: &design,
         params: &config.cost,
         net,
         in_guide: &in_guide,
